@@ -13,10 +13,10 @@ versa, with both bits flipped on the way through.
 import numpy as np
 
 from swapsim import devices as dv
-from swapsim.devices import ComponentKind as CK, ComponentSpec as CS
+from swapsim.config import ChipConfig
 from swapsim.experiments import exact_truth_table
 
-chip = dv.build_swap_chip(CS(CK.PCNOT, {}), CS(CK.MCNOT, {}), CS(CK.PCNOT, {}))
+chip = ChipConfig().build()
 u = chip.channel().kraus[0]
 target = dv.ideal_swap_unitary()
 

@@ -32,7 +32,6 @@ from .devices import (
     polarizer,
     mzi_projector,
     facet_channel,
-    build_swap_chip,
     logical_frame,
     ideal_swap_unitary,
     swap_unitary,

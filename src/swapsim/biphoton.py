@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .qcore import (
+    SWAP,
     DensityMatrix,
     QuantumChannel,
     apply_channel,
@@ -202,12 +203,6 @@ def apply_chip_both(state: BiphotonState, ch: QuantumChannel) -> BiphotonState:
     return apply_local(apply_local(state, ch, SIGNAL), ch, IDLER)
 
 
-_SWAP_2Q = np.zeros((4, 4), dtype=complex)
-for _a in range(2):
-    for _b in range(2):
-        _SWAP_2Q[_b * 2 + _a, _a * 2 + _b] = 1.0
-
-
 def conditional_polarization(rho16: DensityMatrix, sector: tuple) -> tuple:
     """Joint polarization block for fixed photon channels (m_s, m_i).
 
@@ -240,7 +235,7 @@ def interference_overlap(rho16: DensityMatrix) -> float:
     for sector in ((0, 1), (1, 0)):
         blk, w = conditional_polarization(rho16, sector)
         if w > 0.0:
-            o += (w / total) * float(np.trace(blk @ _SWAP_2Q).real)
+            o += (w / total) * float(np.trace(blk @ SWAP).real)
     return float(np.clip(o, 0.0, 1.0))
 
 

@@ -1,7 +1,10 @@
 """Command-line entry point: experiment dispatch, netlist tooling, reports.
 
 Subcommands: truth-table, fringe, hom, bell, tomo-state, tomo-process,
-sweep, fmt, check.  Exit codes: 0 success, 1 configuration error, 2 netlist
+sweep, fmt, check.  Experiment flags: --netlist, --config, --out, --seed,
+--trials.  A relative `netlist_path` inside a config file is resolved
+against the config file's directory; --netlist against the working
+directory.  Exit codes: 0 success, 1 configuration error, 2 netlist
 parse/compile error (message carries a line:column span), 64 usage error.
 
 Reports are written as `report.json` plus CSV data tables.  The JSON
@@ -55,10 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="RNG master seed")
         sp.add_argument("--trials", type=int, default=None,
                         help="Monte Carlo trials")
-        sp.add_argument("--wavelength", type=float, default=None,
-                        metavar="NM", help="override the working wavelength")
-        sp.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="primary report format")
 
     for name, descr in (
         ("truth-table", "measure the chip truth table"),
@@ -120,13 +119,10 @@ def _load_experiment_config(args) -> ExperimentConfig:
         if args.trials < 1:
             raise ConfigError("--trials must be >= 1")
         cfg = replace(cfg, n_trials=args.trials)
-    if args.wavelength is not None:
-        cfg = replace(cfg, wavelength_nm=args.wavelength)
     return cfg
 
 
-def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None,
-                  fmt: str) -> None:
+def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None) -> None:
     doc = {
         "schema_version": 1,
         "experiment": report.kind,
@@ -154,8 +150,6 @@ def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None,
                if isinstance(v, (int, float, str, bool))}
     print(json.dumps({"experiment": report.kind, "out": str(out),
                       "summary": summary}, indent=2, sort_keys=True))
-    if fmt == "csv" and not report.tables:
-        print("note: this experiment emits no CSV tables", file=sys.stderr)
 
 
 def _parse_grid(args_grid) -> dict:
@@ -197,30 +191,7 @@ def _run_experiment(args) -> int:
         delays = np.linspace(-12.0, 12.0, args.points)
         report = ex.run_hom_scan(cfg, delays)
     elif args.command == "bell":
-        labels = [BellLabel(args.label)] if args.label else list(BellLabel)
-        reports = [ex.run_bell_distribution(cfg, l) for l in labels]
-        if len(reports) == 1:
-            report = reports[0]
-        else:
-            payload = {
-                "bell_labels": [l.value for l in labels],
-                "fidelity_exact_by_label": {
-                    l.value: r.payload["fidelity_exact"]
-                    for l, r in zip(labels, reports)},
-                "fidelity_exact_avg": float(np.mean(
-                    [r.payload["fidelity_exact"] for r in reports])),
-                "fidelity_mc_mean_by_label": {
-                    l.value: r.payload["fidelity_mc_mean"]
-                    for l, r in zip(labels, reports)},
-                "second_chip_truth_table_fidelity":
-                    reports[0].payload["second_chip_truth_table_fidelity"],
-            }
-            tables = {}
-            for l, r in zip(labels, reports):
-                for name, rows in r.tables.items():
-                    tables[f"{name}_{l.value.replace('+', 'p').replace('-', 'm')}"] = rows
-            report = ex.Report("bell", payload, reports[0].config_hash,
-                               cfg.rng_seed, tables)
+        report = ex.run_bell_distribution(cfg, BellLabel(args.label) if args.label else None)
     elif args.command == "tomo-state":
         report = ex.run_state_tomography(cfg, args.spatial, args.pol)
     elif args.command == "tomo-process":
@@ -232,7 +203,7 @@ def _run_experiment(args) -> int:
         report = ex.run_error_budget(cfg, _parse_grid(args.grid))
     else:  # pragma: no cover
         raise AssertionError(args.command)
-    _write_report(report, cfg, args.out, args.format)
+    _write_report(report, cfg, args.out)
     return EXIT_OK
 
 
@@ -283,9 +254,6 @@ def dispatch(argv) -> int:
         print(f"netlist compile error: {exc.span}: {exc.code}: {exc.message}",
               file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def main() -> None:

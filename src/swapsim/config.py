@@ -2,9 +2,12 @@
 
 All physical quantities carry unit-suffixed field names (`*_db`, `*_nm`,
 `*_ps`, `*_hz`, `*_s`, `*_rad`).  A chip is configured either inline
-through its imperfection parameters or by pointing at a `.pnl` netlist.
-`measured_chip()` is the parameter set used to bracket the reported
-hardware numbers; `ideal()` turns every imperfection off.
+through its imperfection parameters or by pointing at a `.pnl` netlist;
+either way it is built by the netlist compiler (`ChipConfig.to_netlist`).
+A relative `netlist_path` in a config file is resolved against the file's
+directory when the file is loaded.  `measured_chip()` is the parameter set
+used to bracket the reported hardware numbers; `ideal()` turns every
+imperfection off.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import netlist as nl
-from .devices import ChipModel, ComponentKind, ComponentSpec, build_swap_chip
+from .devices import ChipModel
 
 __all__ = ["ConfigError", "ChipConfig", "SourceConfig", "ExperimentConfig",
            "load_config", "dump_config"]
@@ -24,6 +27,10 @@ SCHEMA_VERSION = 1
 
 class ConfigError(Exception):
     """Invalid configuration content."""
+
+
+# source span of netlist nodes lowered from a config rather than parsed
+_NO_SPAN = nl.SourceSpan(0, 0, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -54,31 +61,44 @@ class ChipConfig:
                 raise ConfigError(f"{name} must be > 0 dB")
         if not 0.0 <= self.depol_prob <= 1.0:
             raise ConfigError("depol_prob must lie in [0, 1]")
+        if not -1.0 <= self.facet_xtalk <= 1.0:
+            raise ConfigError("facet_xtalk must lie in [-1, 1]")
 
-    def build(self, base_dir: Path | None = None) -> ChipModel:
+    def to_netlist(self) -> nl.ChipDecl:
+        """The chip as a netlist declaration.
+
+        With `netlist_path` set this is the referenced file's chip.  Inline
+        parameters lower to the cascade facet / PC-NOT / MC-NOT / PC-NOT /
+        facet; zero and None parameters are omitted.
+        """
         if self.netlist_path is not None:
-            path = Path(self.netlist_path)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            ast = nl.parse(path.read_text(encoding="utf-8"))
-            return nl.compile_netlist(ast, self.netlist_chip)
-        pc = {"loss_imbalance_db": self.pcnot_loss_imbalance_db,
-              "depol_prob": self.depol_prob}
-        if self.pcnot_extinction_db is not None:
-            pc["extinction_db"] = self.pcnot_extinction_db
-        mc = {"loss_db_t": self.mcnot_loss_db_t, "loss_db_b": self.mcnot_loss_db_b,
-              "rotation_error_rad": self.mcnot_rotation_error_rad,
-              "depol_prob": self.depol_prob}
-        if self.mcnot_extinction_db is not None:
-            mc["extinction_db"] = self.mcnot_extinction_db
-        fc = {"loss_db_h": self.facet_loss_db_h, "loss_db_v": self.facet_loss_db_v,
-              "xtalk_amp": self.facet_xtalk}
-        return build_swap_chip(
-            ComponentSpec(ComponentKind.PCNOT, pc),
-            ComponentSpec(ComponentKind.MCNOT, mc),
-            ComponentSpec(ComponentKind.PCNOT, pc),
-            ComponentSpec(ComponentKind.FACET, fc),
-        )
+            try:
+                text = Path(self.netlist_path).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot read netlist {self.netlist_path}: {exc}") from exc
+            return nl.select_chip(nl.parse(text), self.netlist_chip)
+        facet = (("loss_h", self.facet_loss_db_h, "dB"), ("loss_v", self.facet_loss_db_v, "dB"),
+                 ("xtalk", self.facet_xtalk, None))
+        pcnot = (("extinction", self.pcnot_extinction_db, "dB"),
+                 ("imbalance", self.pcnot_loss_imbalance_db, "dB"),
+                 ("depol", self.depol_prob, None))
+        mcnot = (("extinction", self.mcnot_extinction_db, "dB"),
+                 ("loss", self.mcnot_loss_db_t, "dB"), ("loss_other", self.mcnot_loss_db_b, "dB"),
+                 ("rotation_error", self.mcnot_rotation_error_rad, "rad"),
+                 ("depol", self.depol_prob, None))
+
+        def stmt(kind, name, ports, params):
+            kept = tuple(nl.Param(p, float(v), unit, _NO_SPAN) for p, v, unit in params if v)
+            return nl.Statement(kind, name, ports, kept, _NO_SPAN)
+
+        both = ("T", "B")
+        return nl.ChipDecl("swap", both, (
+            stmt("facet", "fin", both, facet), stmt("pcnot", "c1", both, pcnot),
+            stmt("mcnot", "rot", ("T",), mcnot), stmt("pcnot", "c2", both, pcnot),
+            stmt("facet", "fout", both, facet)), _NO_SPAN)
+
+    def build(self) -> ChipModel:
+        return nl.compile_chip(self.to_netlist())
 
 
 @dataclass(frozen=True)
@@ -107,7 +127,6 @@ class ExperimentConfig:
     """Everything an experiment runner needs, reproducible from the seed."""
 
     chips: tuple = field(default_factory=tuple)
-    wavelength_nm: float = 1557.0
     pair_rate_hz: float = 3200.0
     integration_time_s: float = 160.0
     background_rate_hz: float = 0.0
@@ -123,7 +142,6 @@ class ExperimentConfig:
     fpc_mode: str = "auto"    # auto | ideal | none
     fiber_seed: int = 7
     fiber_residual_rad: float = 0.0
-    base_dir: str | None = None
 
     def __post_init__(self):
         chips = tuple(self.chips) if self.chips else (ChipConfig(),)
@@ -148,8 +166,7 @@ class ExperimentConfig:
     def chip(self, index: int = 0) -> ChipModel:
         cfgs = self.chips
         cc = cfgs[index] if index < len(cfgs) else cfgs[-1]
-        base = Path(self.base_dir) if self.base_dir else None
-        return cc.build(base)
+        return cc.build()
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, rng_seed=seed)
@@ -192,7 +209,6 @@ def _config_to_dict(cfg: ExperimentConfig) -> dict:
     d = asdict(cfg)
     d["chips"] = [asdict(c) for c in cfg.chips]
     d["source"] = asdict(cfg.source)
-    d.pop("base_dir", None)
     return {"schema_version": SCHEMA_VERSION, **d}
 
 
@@ -207,17 +223,22 @@ def _build(cls, data: dict, what: str):
         raise ConfigError(f"bad {what} fields: {exc}") from exc
 
 
-def load_config(path_or_text, base_dir: Path | None = None) -> ExperimentConfig:
-    """Load and validate a JSON config document (path or raw text)."""
+def load_config(path_or_text) -> ExperimentConfig:
+    """Load and validate a JSON config document (path or raw text).
+
+    A relative chip `netlist_path` in a file is rewritten against the
+    file's directory.  The `wavelength_nm` key of older schema-1 documents
+    never had an effect and is dropped.
+    """
     text = str(path_or_text)
+    base_dir = None
     if "\n" not in text and "{" not in text:
         path = Path(text)
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if base_dir is None:
-            base_dir = path.parent
+        base_dir = path.parent
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -227,13 +248,17 @@ def load_config(path_or_text, base_dir: Path | None = None) -> ExperimentConfig:
     version = data.pop("schema_version", None)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
-    chips = tuple(_build(ChipConfig, c, "chip") for c in data.pop("chips", []))
+    data.pop("wavelength_nm", None)
+    chips = tuple(_resolve_netlist(_build(ChipConfig, c, "chip"), base_dir)
+                  for c in data.pop("chips", []))
     source = _build(SourceConfig, data.pop("source", {}), "source")
-    data.pop("base_dir", None)
-    cfg = _build(ExperimentConfig, {**data, "chips": chips, "source": source}, "experiment")
-    if base_dir is not None:
-        cfg = replace(cfg, base_dir=str(base_dir))
-    return cfg
+    return _build(ExperimentConfig, {**data, "chips": chips, "source": source}, "experiment")
+
+
+def _resolve_netlist(chip: ChipConfig, base_dir: Path | None) -> ChipConfig:
+    if base_dir is None or chip.netlist_path is None or Path(chip.netlist_path).is_absolute():
+        return chip
+    return replace(chip, netlist_path=str(base_dir / chip.netlist_path))
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

@@ -32,19 +32,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
 
 import numpy as np
 
 from .qcore import (
+    SWAP,
     DensityMatrix,
+    PauliBasis,
     QuantumChannel,
     apply_channel,
     compose_channels,
     PAULI_I,
     PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
 )
 
 __all__ = [
@@ -59,7 +58,7 @@ __all__ = [
     "polarizer",
     "mzi_projector",
     "facet_channel",
-    "build_swap_chip",
+    "BS_5050",
     "logical_frame",
     "ideal_swap_unitary",
     "swap_unitary",
@@ -183,14 +182,7 @@ def _depolarize(ch: QuantumChannel, prob: float) -> QuantumChannel:
     if not 0 < prob <= 1:
         raise ValueError("depol_prob must lie in [0, 1]")
     dim = ch.dim_out
-    n = int(round(math.log2(dim)))
-    paulis = [PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]
-    full = []
-    for combo in product(paulis, repeat=n):
-        op = combo[0]
-        for f in combo[1:]:
-            op = np.kron(op, f)
-        full.append(op)
+    full = PauliBasis(int(round(math.log2(dim)))).operators
     d2 = len(full)
     kraus = [np.sqrt(1.0 - prob * (d2 - 1) / d2) * np.eye(dim, dtype=complex)]
     kraus += [np.sqrt(prob / d2) * p for p in full[1:]]
@@ -291,14 +283,15 @@ _MZI_PHASES = {
     MZISetting.MINUS_I: (math.pi / 2, math.pi / 2),
 }
 
-_BS_5050 = np.array([[1.0, 1j], [1j, 1.0]], dtype=complex) / np.sqrt(2.0)
+# symmetric 50:50 splitter on the (T, B) channel pair
+BS_5050 = np.array([[1.0, 1j], [1j, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
 def mzi_transfer(internal_phase: float, input_phase: float = 0.0) -> np.ndarray:
     """2x2 spatial transfer matrix: input phase, 50:50, internal phase, 50:50."""
     d_in = np.diag([1.0, np.exp(1j * input_phase)])
     d_mid = np.diag([np.exp(1j * internal_phase), 1.0])
-    return _BS_5050 @ d_mid @ _BS_5050 @ d_in
+    return BS_5050 @ d_mid @ BS_5050 @ d_in
 
 
 def mzi_projector(setting: MZISetting, extinction_db: float = math.inf) -> QuantumChannel:
@@ -365,44 +358,13 @@ class ChipModel:
         return out
 
 
-def build_swap_chip(
-    pc1: ComponentSpec,
-    mc: ComponentSpec,
-    pc2: ComponentSpec,
-    facets: ComponentSpec | None = None,
-    label: str = "swap",
-) -> ChipModel:
-    """Assemble facet-in / PC-NOT / MC-NOT / PC-NOT / facet-out.
-
-    The facet spec applies identically at input and output.  With all
-    imperfections off the composed operator is exactly (X (x) X) . SWAP.
-    """
-    if pc1.kind is not ComponentKind.PCNOT or pc2.kind is not ComponentKind.PCNOT:
-        raise ValueError("outer stages must be PCNOT specs")
-    if mc.kind is not ComponentKind.MCNOT:
-        raise ValueError("middle stage must be a MCNOT spec")
-    if facets is None:
-        facets = ComponentSpec(ComponentKind.FACET, {})
-    if facets.kind is not ComponentKind.FACET:
-        raise ValueError("facets spec must have kind FACET")
-    facet = facet_channel(
-        facets.get("loss_db_h"), facets.get("loss_db_v"), facets.get("xtalk_amp")
-    )
-    stages = (facet, pcnot_channel(pc1), mcnot_channel(mc), pcnot_channel(pc2), facet)
-    return ChipModel(stages, label=label)
-
-
 _XX = np.kron(PAULI_X, PAULI_X)
 _X2 = PAULI_X
 
 
 def swap_unitary() -> np.ndarray:
     """SWAP on the (momentum, polarization) logical pair."""
-    s = np.zeros((4, 4), dtype=complex)
-    for m in range(2):
-        for p in range(2):
-            s[p * 2 + m, m * 2 + p] = 1.0
-    return s
+    return SWAP.copy()
 
 
 def ideal_swap_unitary() -> np.ndarray:

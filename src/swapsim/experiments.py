@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from . import biphoton as bp
 from . import tomography as tm
 from .config import ExperimentConfig, config_digest
 from .devices import (
+    BS_5050,
     ChipModel,
     MZISetting,
     logical_frame,
@@ -121,6 +122,12 @@ def _mk_report(kind: str, cfg: ExperimentConfig, payload: dict, tables=None) -> 
     return Report(kind, payload, config_digest(cfg), cfg.rng_seed, tables or {})
 
 
+def _mean_stderr(values) -> tuple:
+    """Monte Carlo mean and spread (sample standard deviation, 0 for one trial)."""
+    a = np.asarray(values, dtype=float)
+    return float(a.mean()), float(a.std(ddof=1)) if len(a) > 1 else 0.0
+
+
 def _rho4(channel_label: str, pol_vec: np.ndarray) -> DensityMatrix:
     v = np.kron(ket2(channel_label), pol_vec)
     return DensityMatrix(4, np.outer(v, v.conj()))
@@ -183,13 +190,12 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
         fids.append(tm.truth_table_fidelity(table, ideal))
         if trial == 0:
             first_counts = counts
-    fids = np.array(fids)
-    stderr = float(fids.std(ddof=1)) if len(fids) > 1 else 0.0
+    f_mean, f_err = _mean_stderr(fids)
     payload = {
         "frame": cfg.logical_frame,
         "fidelity_exact": f_exact,
-        "fidelity_mc_mean": float(fids.mean()),
-        "fidelity_mc_stderr": stderr,
+        "fidelity_mc_mean": f_mean,
+        "fidelity_mc_stderr": f_err,
         "total_counts_mean": float(first_counts.sum()),
         "exact_probabilities": probs.tolist(),
         "first_trial_counts": first_counts.astype(int).tolist(),
@@ -213,7 +219,7 @@ def _fringe_probability(chip: ChipModel, phi: float, port: str,
     pol_in = phase_v(phi) @ ket2("D")
     rho = _rho4(port, pol_in)
     out = chip.apply(rho)
-    bs = np.kron(np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2.0), np.eye(2))
+    bs = np.kron(BS_5050, np.eye(2))
     out = apply_channel(QuantumChannel(4, 4, (bs,)), out)
     if use_polarizer:
         # analyzer aligned with the ideal output polarization: the swapped
@@ -267,17 +273,17 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
         deltas.append(fit.phase_offset)
         if trial == 0:
             first = (counts, fit)
-    v_raw, v_sub = np.array(v_raw), np.array(v_sub)
+    (raw_mean, raw_err), (sub_mean, sub_err) = map(_mean_stderr, (v_raw, v_sub))
     payload = {
         "port": cfg.fringe_port,
         "output_polarizer": cfg.fringe_output_polarizer,
         "visibility_exact": exact_v,
         "visibility_exact_fit": fit_exact.visibility,
         "phase_offset_exact_fit": fit_exact.phase_offset,
-        "visibility_raw_mean": float(v_raw.mean()),
-        "visibility_raw_stderr": float(v_raw.std(ddof=1)) if cfg.n_trials > 1 else 0.0,
-        "visibility_subtracted_mean": float(v_sub.mean()),
-        "visibility_subtracted_stderr": float(v_sub.std(ddof=1)) if cfg.n_trials > 1 else 0.0,
+        "visibility_raw_mean": raw_mean,
+        "visibility_raw_stderr": raw_err,
+        "visibility_subtracted_mean": sub_mean,
+        "visibility_subtracted_stderr": sub_err,
         "first_trial_visibility_stderr": first[1].visibility_stderr,
         "phases_rad": phases.tolist(),
         "exact_probabilities": exact.tolist(),
@@ -368,7 +374,8 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
         tc_fit.append(fit.coherence_time_ps)
         if trial == 0:
             first = (counts, fit)
-    v_raw, v_sub, tc_fit = map(np.array, (v_raw, v_sub, tc_fit))
+    (raw_mean, raw_err), (sub_mean, sub_err), (tc_mean, tc_err) = map(
+        _mean_stderr, (v_raw, v_sub, tc_fit))
     bg_rel = cfg.background_rate_hz / cfg.pair_rate_hz
     payload = {
         "input": cfg.hom_input,
@@ -378,12 +385,12 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
         "visibility_raw_exact": (overlap / 2.0) / (0.5 + bg_rel),
         "coherence_time_configured_ps": cfg.source.coherence_time_ps,
         "dip_fwhm_ps": 2.0 * np.sqrt(2.0 * np.log(2.0)) * cfg.source.coherence_time_ps,
-        "visibility_raw_mean": float(v_raw.mean()),
-        "visibility_raw_stderr": float(v_raw.std(ddof=1)) if cfg.n_trials > 1 else 0.0,
-        "visibility_subtracted_mean": float(v_sub.mean()),
-        "visibility_subtracted_stderr": float(v_sub.std(ddof=1)) if cfg.n_trials > 1 else 0.0,
-        "coherence_time_fit_mean_ps": float(tc_fit.mean()),
-        "coherence_time_fit_stderr_ps": float(tc_fit.std(ddof=1)) if cfg.n_trials > 1 else 0.0,
+        "visibility_raw_mean": raw_mean,
+        "visibility_raw_stderr": raw_err,
+        "visibility_subtracted_mean": sub_mean,
+        "visibility_subtracted_stderr": sub_err,
+        "coherence_time_fit_mean_ps": tc_mean,
+        "coherence_time_fit_stderr_ps": tc_err,
         "delays_ps": delays.tolist(),
         "exact_probabilities": exact_p.tolist(),
         "first_trial_counts": [int(c) for c in first[0]],
@@ -399,16 +406,18 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
 # Bell distribution between two chips
 # ---------------------------------------------------------------------------
 
-def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel):
+def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel,
+                             channels: tuple | None = None):
     """Propagate a Bell pair through chip1, fiber link, chip2.
 
-    Returns the conditioned two-qubit polarization state in the (T_S, B_I)
-    coincidence sector plus that sector's probability.
+    `channels` holds the composed channels of chips 0 and 1; they are
+    built from `cfg` when omitted.  Returns the conditioned two-qubit
+    polarization state in the (T_S, B_I) coincidence sector plus that
+    sector's probability.
     """
     state = bp.prepare_bell(label, cfg.source.bell_visibility,
                             cfg.source.coherence_time_ps)
-    chip1 = cfg.chip(0).channel()
-    chip2 = cfg.chip(1).channel()
+    chip1, chip2 = channels or (cfg.chip(0).channel(), cfg.chip(1).channel())
     state = bp.apply_chip_both(state, chip1)
     forward, compensation = bp.fiber_link(cfg.fiber_seed, cfg.fiber_residual_rad)
     for ch in (forward, compensation):
@@ -431,9 +440,10 @@ def _tomo_2q_probabilities(rho_pol: DensityMatrix) -> dict:
     return probs
 
 
-def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel) -> Report:
-    """Chip-to-chip Bell distribution with two-qubit polarization tomography."""
-    rho_pol, success_p = _bell_final_polarization(cfg, label)
+def _bell_label(cfg: ExperimentConfig, label: bp.BellLabel, channels: tuple,
+                chip2_f: float) -> tuple:
+    """(payload, density-matrix table) of one Bell state's distribution."""
+    rho_pol, success_p = _bell_final_polarization(cfg, label, channels)
     ideal_vec = bp.bell_state_vector(label)
     ideal = DensityMatrix(4, np.outer(ideal_vec, ideal_vec.conj()))
     f_exact = uhlmann_fidelity(rho_pol, ideal)
@@ -451,15 +461,13 @@ def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel) -> Report:
             counts[pair] = max(raw - bg_counts, 0.0)
         rho_hat = tm.state_tomo_2q(counts)
         fids.append(uhlmann_fidelity(rho_hat, ideal))
-    fids = np.array(fids)
-
-    chip2_f = truth_table_fidelity_exact(cfg.chip(1), cfg.logical_frame)
+    f_mean, f_err = _mean_stderr(fids)
     payload = {
         "bell_label": label.value,
         "source_visibility": cfg.source.bell_visibility,
         "fidelity_exact": f_exact,
-        "fidelity_mc_mean": float(fids.mean()),
-        "fidelity_mc_stderr": float(fids.std(ddof=1)) if cfg.n_trials > 1 else 0.0,
+        "fidelity_mc_mean": f_mean,
+        "fidelity_mc_stderr": f_err,
         "coincidence_probability": success_p,
         "second_chip_truth_table_fidelity": chip2_f,
         "density_matrix_real": rho_pol.entries.real.tolist(),
@@ -473,7 +481,36 @@ def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel) -> Report:
             rows.append([basis[i], basis[j],
                          repr(float(rho_pol.entries[i, j].real)),
                          repr(float(rho_pol.entries[i, j].imag))])
-    return _mk_report("bell", cfg, payload, {"density_matrix": rows})
+    return payload, rows
+
+
+def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel | None = None) -> Report:
+    """Chip-to-chip Bell distribution with two-qubit polarization tomography.
+
+    One label gives that state's full report; `None` runs all four and
+    reports the per-label fidelities and their average.  Chips 0 and 1 are
+    built once per call.
+    """
+    chip2 = cfg.chip(1)
+    channels = (cfg.chip(0).channel(), chip2.channel())
+    chip2_f = truth_table_fidelity_exact(chip2, cfg.logical_frame)
+    if label is not None:
+        payload, rows = _bell_label(cfg, label, channels, chip2_f)
+        return _mk_report("bell", cfg, payload, {"density_matrix": rows})
+    labels = list(bp.BellLabel)
+    runs = [_bell_label(cfg, l, channels, chip2_f) for l in labels]
+    payload = {
+        "bell_labels": [l.value for l in labels],
+        "fidelity_exact_by_label": {
+            l.value: p["fidelity_exact"] for l, (p, _) in zip(labels, runs)},
+        "fidelity_exact_avg": float(np.mean([p["fidelity_exact"] for p, _ in runs])),
+        "fidelity_mc_mean_by_label": {
+            l.value: p["fidelity_mc_mean"] for l, (p, _) in zip(labels, runs)},
+        "second_chip_truth_table_fidelity": chip2_f,
+    }
+    tables = {f"density_matrix_{l.value.replace('+', 'p').replace('-', 'm')}": rows
+              for l, (_, rows) in zip(labels, runs)}
+    return _mk_report("bell", cfg, payload, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +576,14 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
                                               t_setting, cfg.rng_seed))
         rho_hat = tm.state_tomo_1q(counts)
         fids.append(uhlmann_fidelity(rho_hat, target))
-    fids = np.array(fids)
+    f_mean, f_err = _mean_stderr(fids)
     payload = {
         "spatial_input": spatial_input,
         "polarization_input": pol_label,
         "frame": cfg.logical_frame,
         "fidelity_exact": f_exact,
-        "fidelity_mc_mean": float(fids.mean()),
-        "fidelity_mc_stderr": float(fids.std(ddof=1)) if cfg.n_trials > 1 else 0.0,
+        "fidelity_mc_mean": f_mean,
+        "fidelity_mc_stderr": f_err,
         "setting_probabilities": {k: float(v) for k, v in sorted(probs.items())},
         "reconstructed_real": rho_exact.entries.real.tolist(),
         "reconstructed_imag": rho_exact.entries.imag.tolist(),
@@ -638,20 +675,15 @@ def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
 # error budget
 # ---------------------------------------------------------------------------
 
+# sweep axis -> the ChipConfig field it varies
 _SWEEP_AXES = {
-    "pcnot_extinction_db": lambda c, v: c.__class__(**{**_cc(c), "pcnot_extinction_db": v}),
-    "mcnot_extinction_db": lambda c, v: c.__class__(**{**_cc(c), "mcnot_extinction_db": v}),
-    "loss_imbalance_db": lambda c, v: c.__class__(**{**_cc(c), "pcnot_loss_imbalance_db": v}),
-    "mcnot_loss_db_t": lambda c, v: c.__class__(**{**_cc(c), "mcnot_loss_db_t": v}),
-    "facet_xtalk": lambda c, v: c.__class__(**{**_cc(c), "facet_xtalk": v}),
-    "rotation_error_rad": lambda c, v: c.__class__(**{**_cc(c), "mcnot_rotation_error_rad": v}),
+    "pcnot_extinction_db": "pcnot_extinction_db",
+    "mcnot_extinction_db": "mcnot_extinction_db",
+    "loss_imbalance_db": "pcnot_loss_imbalance_db",
+    "mcnot_loss_db_t": "mcnot_loss_db_t",
+    "facet_xtalk": "facet_xtalk",
+    "rotation_error_rad": "mcnot_rotation_error_rad",
 }
-
-
-def _cc(chipcfg) -> dict:
-    from dataclasses import asdict
-
-    return asdict(chipcfg)
 
 
 def _process_fidelity_T(chip: ChipModel) -> float:
@@ -683,13 +715,12 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict) -> Report:
             raise ValueError(f"unknown sweep axis {axis!r}; "
                              f"known: {sorted(_SWEEP_AXES)}")
         for v in values:
-            chipcfg = _SWEEP_AXES[axis](base, float(v))
-            chip = chipcfg.build()
+            chip = replace(base, **{_SWEEP_AXES[axis]: float(v)}).build()
             f_tt = truth_table_fidelity_exact(chip, cfg.logical_frame)
             f_chi = _process_fidelity_T(chip)
             results.append({"axis": axis, "value": float(v),
                             "truth_table_fidelity": f_tt,
                             "process_fidelity_T": f_chi})
             rows.append([axis, repr(float(v)), repr(f_tt), repr(f_chi)])
-    payload = {"frame": cfg.logical_frame, "baseline": _cc(base), "grid": results}
+    payload = {"frame": cfg.logical_frame, "baseline": asdict(base), "grid": results}
     return _mk_report("sweep", cfg, payload, {"sweep": rows})

@@ -47,6 +47,7 @@ __all__ = [
     "format_netlist",
     "compile_netlist",
     "compile_chip",
+    "select_chip",
 ]
 
 UNITS = ("dB", "deg", "rad", "nm")
@@ -445,8 +446,7 @@ def _lower_statement(st: Statement, chip_ports) -> QuantumChannel:
             return _per_port_pol(np.asarray(proj), idx)
         if st.kind == "bs5050":
             _port_indices(st, chip_ports, {2}, span)
-            bs = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
-            ch = QuantumChannel(4, 4, (np.kron(bs, np.eye(2)),))
+            ch = QuantumChannel(4, 4, (np.kron(devices.BS_5050, np.eye(2)),))
             return _reorient(ch, [chip_ports.index(p) for p in st.ports])
         if st.kind == "mzi":
             _port_indices(st, chip_ports, {2}, span)
@@ -501,8 +501,8 @@ def compile_chip(chip: ChipDecl) -> ChipModel:
     return ChipModel(stages, label=chip.name)
 
 
-def compile_netlist(ast: NetlistAst, name: str | None = None) -> ChipModel:
-    """Compile a netlist to the ChipModel of its (named) chip."""
+def select_chip(ast: NetlistAst, name: str | None = None) -> ChipDecl:
+    """The chip declaration named `name`, or the only one if `name` is None."""
     if not ast.chips:
         raise CompileError("no chips in netlist", SourceSpan(0, 0, 1, 1), "port-count")
     if name is None:
@@ -510,11 +510,16 @@ def compile_netlist(ast: NetlistAst, name: str | None = None) -> ChipModel:
             raise CompileError(
                 "netlist declares several chips; pass the chip name",
                 ast.chips[1].span, code="ambiguous-chip")
-        return compile_chip(ast.chips[0])
+        return ast.chips[0]
     for chip in ast.chips:
         if chip.name == name:
-            return compile_chip(chip)
+            return chip
     raise CompileError(f"no chip named {name!r}", ast.chips[0].span, code="no-such-chip")
+
+
+def compile_netlist(ast: NetlistAst, name: str | None = None) -> ChipModel:
+    """Compile a netlist to the ChipModel of its (named) chip."""
+    return compile_chip(select_chip(ast, name))
 
 
 def compile_all(ast: NetlistAst) -> dict:

@@ -46,6 +46,7 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
+    "SWAP",
 ]
 
 # Tolerances used by the value-type invariants.
@@ -59,6 +60,8 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# exchange of two qubits: |a, b> -> |b, a>
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from swapsim import biphoton as bp
-from swapsim import devices as dv
 from swapsim import qcore as qc
-from swapsim.devices import ComponentKind as CK, ComponentSpec as CS
+from swapsim.config import ChipConfig
 
 
 def ideal_chip_channel():
-    return dv.build_swap_chip(CS(CK.PCNOT, {}), CS(CK.MCNOT, {}), CS(CK.PCNOT, {})).channel()
+    return ChipConfig().build().channel()
 
 
 class TestSpdc:

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from swapsim import cli
-from swapsim.config import ExperimentConfig, dump_config
+from swapsim.config import ExperimentConfig, dump_config, load_config
+
+REPO = Path(__file__).resolve().parent.parent
 
 GOOD_NETLIST = """\
 chip swap {
@@ -184,3 +187,56 @@ class TestDispatch:
                                "--out", str(out), "--trials", "2"])
             assert rc == 0
             assert (out / "report.json").exists()
+
+
+class TestChipPaths:
+    def test_config_with_netlist_flag_resolves_netlist_against_cwd(self, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.chdir(REPO)
+        rc = cli.dispatch(["truth-table", "--config", "demos/data/config_measured.json",
+                           "--netlist", "demos/data/swap_measured.pnl",
+                           "--trials", "1", "--out", str(tmp_path / "out")])
+        assert rc == 0
+
+    def test_sweep_resolves_config_netlist_against_config_dir(self, tmp_path,
+                                                              monkeypatch, capsys):
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        (cfg_dir / "swap.pnl").write_text(GOOD_NETLIST)
+        doc = json.loads(dump_config(ExperimentConfig.measured_chip(n_trials=1)))
+        for chip in doc["chips"]:
+            chip["netlist_path"] = "swap.pnl"
+        (cfg_dir / "cfg.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        rc = cli.dispatch(["sweep", "--config", "cfg/cfg.json", "--grid", "er=18",
+                           "--out", "out"])
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        from swapsim import experiments as ex
+        from swapsim import netlist as nl
+
+        chip = nl.compile_netlist(nl.parse(GOOD_NETLIST))
+        want = ex.truth_table_fidelity_exact(chip, "raw")
+        assert report["payload"]["grid"][0]["truth_table_fidelity"] == want
+
+    def test_written_config_reloads(self, tmp_path, config_file):
+        out = tmp_path / "out"
+        assert cli.dispatch(["truth-table", "--config", str(config_file),
+                             "--out", str(out)]) == 0
+        assert load_config(str(out / "config.json")) == load_config(str(config_file))
+
+
+class TestBadValues:
+    def test_facet_xtalk_out_of_range_exits_1_with_one_line(self, tmp_path, capsys):
+        doc = json.loads(dump_config(ExperimentConfig.measured_chip()))
+        doc["chips"][0]["facet_xtalk"] = 1.5
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert cli.dispatch(["truth-table", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error:") and "facet_xtalk" in err
+
+    @pytest.mark.parametrize("flag", [["--wavelength", "1550"], ["--format", "csv"]])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        assert cli.dispatch(["truth-table", *flag]) == 64

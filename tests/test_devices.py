@@ -5,6 +5,7 @@ import pytest
 
 from swapsim import devices as dv
 from swapsim import qcore as qc
+from swapsim.config import ChipConfig
 from swapsim.devices import ComponentKind as CK, ComponentSpec as CS
 
 
@@ -19,17 +20,12 @@ IDEAL_MC = CS(CK.MCNOT, {})
 
 
 def ideal_chip():
-    return dv.build_swap_chip(IDEAL_PC, IDEAL_MC, IDEAL_PC)
+    return ChipConfig().build()
 
 
-def calibrated_chip(**over):
-    params = dict(pc_er=18.0, mc_er=20.0, imb=0.45, mc_loss=1.0)
-    params.update(over)
-    pc = CS(CK.PCNOT, {"extinction_db": params["pc_er"],
-                       "loss_imbalance_db": params["imb"]})
-    mc = CS(CK.MCNOT, {"extinction_db": params["mc_er"],
-                       "loss_db_t": params["mc_loss"]})
-    return dv.build_swap_chip(pc, mc, pc)
+def calibrated_chip():
+    return ChipConfig(pcnot_extinction_db=18.0, mcnot_extinction_db=20.0,
+                      pcnot_loss_imbalance_db=0.45, mcnot_loss_db_t=1.0).build()
 
 
 class TestErToLeakage:
@@ -303,16 +299,12 @@ class TestMonotonicity:
 
         eps_grid = [0.0, 0.005, 0.01, 0.0158]
 
+        def er_db(eps):
+            return -10 * math.log10(eps) if eps > 0 else None
+
         def chip_with(eps_pc=0.0, eps_mc=0.0):
-            pc_params = {}
-            if eps_pc > 0:
-                pc_params["extinction_db"] = -10 * math.log10(eps_pc)
-            mc_params = {}
-            if eps_mc > 0:
-                mc_params["extinction_db"] = -10 * math.log10(eps_mc)
-            return dv.build_swap_chip(CS(CK.PCNOT, pc_params),
-                                      CS(CK.MCNOT, mc_params),
-                                      CS(CK.PCNOT, pc_params))
+            return ChipConfig(pcnot_extinction_db=er_db(eps_pc),
+                              mcnot_extinction_db=er_db(eps_mc)).build()
 
         for axis in ("pc", "mc"):
             fids = []

@@ -261,3 +261,33 @@ class TestConvergence:
             if gap <= 3 * stderr + bias_allowance:
                 hits += 1
         assert hits >= total - 1
+
+
+class TestBellAllLabels:
+    def test_each_chip_compiled_once(self, calibrated, monkeypatch):
+        from dataclasses import replace
+
+        from swapsim import netlist as nl
+
+        compiled = []
+        compile_chip = nl.compile_chip
+        monkeypatch.setattr(nl, "compile_chip",
+                            lambda chip: compiled.append(chip) or compile_chip(chip))
+        ex.run_bell_distribution(replace(calibrated, n_trials=1))
+        assert len(compiled) == 2
+
+    def test_aggregate_matches_single_label_runs(self, calibrated):
+        from dataclasses import replace
+
+        cfg = replace(calibrated, n_trials=2)
+        agg = ex.run_bell_distribution(cfg)
+        assert agg.payload["bell_labels"] == [l.value for l in BellLabel]
+        singles = {l.value: ex.run_bell_distribution(cfg, l) for l in BellLabel}
+        for lbl, r in singles.items():
+            assert agg.payload["fidelity_exact_by_label"][lbl] == r.payload["fidelity_exact"]
+            assert agg.payload["fidelity_mc_mean_by_label"][lbl] == r.payload["fidelity_mc_mean"]
+            tag = lbl.replace("+", "p").replace("-", "m")
+            assert agg.tables[f"density_matrix_{tag}"] == r.tables["density_matrix"]
+        assert agg.payload["second_chip_truth_table_fidelity"] == \
+            singles["psi+"].payload["second_chip_truth_table_fidelity"]
+        assert agg.config_hash == singles["psi+"].config_hash

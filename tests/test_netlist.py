@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from swapsim import devices as dv
 from swapsim import netlist as nl
+from swapsim.config import ChipConfig, ExperimentConfig
 from swapsim.devices import ComponentKind as CK, ComponentSpec as CS
+
+SAMPLE_PNL = Path(__file__).resolve().parent.parent / "demos" / "data" / "swap_measured.pnl"
 
 SWAP_SRC = """\
 chip swap {
@@ -24,6 +29,15 @@ chip swap {
   pcnot c2 (T, B);
 }
 """
+
+
+def oracle_chip(pc_params, mc_params, facet=(0.0, 0.0, 0.0)):
+    """The facet / PC-NOT / MC-NOT / PC-NOT / facet cascade composed
+    directly from the device channel functions, without the compiler."""
+    f = dv.facet_channel(*facet)
+    pc = dv.pcnot_channel(CS(CK.PCNOT, pc_params))
+    mc = dv.mcnot_channel(CS(CK.MCNOT, mc_params))
+    return dv.ChipModel((f, pc, mc, pc, f))
 
 
 # a corpus of valid sources exercising every component kind and unit form
@@ -182,7 +196,7 @@ class TestFormat:
 class TestCompile:
     def test_ideal_cascade_matches_builder_oracle(self):
         chip = nl.compile_netlist(nl.parse(IDEAL_SRC))
-        built = dv.build_swap_chip(CS(CK.PCNOT, {}), CS(CK.MCNOT, {}), CS(CK.PCNOT, {}))
+        built = oracle_chip({}, {})
         d = np.linalg.norm(chip.channel().kraus[0] - built.channel().kraus[0])
         assert d <= 1e-10
         d2 = np.linalg.norm(chip.channel().kraus[0] - dv.ideal_swap_unitary())
@@ -190,9 +204,8 @@ class TestCompile:
 
     def test_measured_cascade_bit_identical_to_builder(self):
         chip = nl.compile_netlist(nl.parse(SWAP_SRC))
-        pc = CS(CK.PCNOT, {"extinction_db": 18.0})
-        mc = CS(CK.MCNOT, {"extinction_db": 20.0, "loss_db_t": 1.0})
-        built = dv.build_swap_chip(pc, mc, pc)
+        built = oracle_chip({"extinction_db": 18.0},
+                            {"extinction_db": 20.0, "loss_db_t": 1.0})
         a = chip.channel().kraus[0]
         b = built.channel().kraus[0]
         assert np.array_equal(a, b)
@@ -248,3 +261,48 @@ class TestCompile:
         k = chip.channel().kraus[0]
         expect = np.kron(dv.mzi_transfer(math.pi), np.eye(2))
         np.testing.assert_allclose(k, expect, atol=1e-12)
+
+
+class TestConfigLowering:
+    def test_measured_config_formats_as_sample_netlist(self):
+        decl = ExperimentConfig.measured_chip().chips[0].to_netlist()
+        want = nl.format_netlist(nl.parse(SAMPLE_PNL.read_text()))
+        assert nl.format_netlist(nl.NetlistAst((decl,))) == want
+
+    def test_measured_config_stages_bit_identical_to_oracle(self):
+        chip = ExperimentConfig.measured_chip().chip(0)
+        oracle = oracle_chip({"extinction_db": 18.0, "loss_imbalance_db": 0.45},
+                             {"extinction_db": 20.0, "loss_db_t": 1.0},
+                             facet=(3.0, 3.0, 0.0))
+        assert len(chip.stages) == len(oracle.stages) == 5
+        for got, want in zip(chip.stages, oracle.stages):
+            assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want.kraus))
+
+    def test_every_knob_lowers_bit_identical_to_oracle(self):
+        cfg = ChipConfig(pcnot_extinction_db=22.0, mcnot_extinction_db=25.0,
+                         pcnot_loss_imbalance_db=0.3, mcnot_loss_db_t=0.7,
+                         mcnot_loss_db_b=0.2, mcnot_rotation_error_rad=-0.02,
+                         facet_loss_db_h=2.5, facet_loss_db_v=3.5, facet_xtalk=-0.05,
+                         depol_prob=0.01)
+        oracle = oracle_chip(
+            {"extinction_db": 22.0, "loss_imbalance_db": 0.3, "depol_prob": 0.01},
+            {"extinction_db": 25.0, "loss_db_t": 0.7, "loss_db_b": 0.2,
+             "rotation_error_rad": -0.02, "depol_prob": 0.01},
+            facet=(2.5, 3.5, -0.05))
+        chip = cfg.build()
+        for got, want in zip(chip.stages, oracle.stages):
+            assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want.kraus))
+        # the printed netlist compiles back to the same chip
+        again = nl.compile_netlist(nl.parse(nl.format_netlist(nl.NetlistAst((cfg.to_netlist(),)))))
+        assert np.array_equal(again.channel().kraus[0], chip.channel().kraus[0])
+
+    def test_ideal_config_lowers_without_parameters(self):
+        decl = ChipConfig().to_netlist()
+        assert [(st.kind, st.name) for st in decl.statements] == [
+            ("facet", "fin"), ("pcnot", "c1"), ("mcnot", "rot"), ("pcnot", "c2"),
+            ("facet", "fout")]
+        assert all(st.params == () for st in decl.statements)
+
+    def test_netlist_path_lowers_to_the_files_chip(self):
+        decl = ChipConfig(netlist_path=str(SAMPLE_PNL)).to_netlist()
+        assert decl.structure() == nl.parse(SAMPLE_PNL.read_text()).chips[0].structure()
