@@ -66,7 +66,7 @@ from .tomography import (
 from .config import ChipConfig, SourceConfig, ExperimentConfig, ConfigError, load_config
 from .experiments import (
     Report,
-    poisson_counts,
+    sample_counts,
     run_truth_table,
     run_fringe_scan,
     run_hom_scan,

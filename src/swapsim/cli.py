@@ -7,10 +7,11 @@ against the config file's directory; --netlist against the working
 directory.  Exit codes: 0 success, 1 configuration error, 2 netlist
 parse/compile error (message carries a line:column span), 64 usage error.
 
-Reports are written as `report.json` plus CSV data tables.  The JSON
-document separates the deterministic `payload` (hashed into
-`payload_sha256`) from run metadata, so identical (config, seed) inputs
-produce byte-identical payload sections.
+Reports are written as `report.json` plus CSV data tables and the
+`config.json` that reruns them (relative chip netlist paths rewritten
+against the output directory).  The JSON document separates the
+deterministic `payload` (hashed into `payload_sha256`) from run metadata,
+so identical (config, seed) inputs produce byte-identical payload sections.
 """
 
 from __future__ import annotations
@@ -122,6 +123,16 @@ def _load_experiment_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _relative_to(cfg: ExperimentConfig, out: Path) -> ExperimentConfig:
+    """`cfg` with each relative chip `netlist_path` rewritten against `out`,
+    the inverse of `load_config` resolving it against the file's directory."""
+    chips = tuple(
+        replace(c, netlist_path=os.path.relpath(c.netlist_path, out))
+        if c.netlist_path is not None and not os.path.isabs(c.netlist_path) else c
+        for c in cfg.chips)
+    return replace(cfg, chips=chips)
+
+
 def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None) -> None:
     doc = {
         "schema_version": 1,
@@ -141,7 +152,7 @@ def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text + "\n", encoding="utf-8")
-    (out / "config.json").write_text(dump_config(cfg), encoding="utf-8")
+    (out / "config.json").write_text(dump_config(_relative_to(cfg, out)), encoding="utf-8")
     for name, rows in report.tables.items():
         with (out / f"{name}.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)  # RFC-4180 quoting via the csv module

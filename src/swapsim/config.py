@@ -13,7 +13,9 @@ imperfection off.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+import numbers
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import netlist as nl
@@ -27,6 +29,26 @@ SCHEMA_VERSION = 1
 
 class ConfigError(Exception):
     """Invalid configuration content."""
+
+
+def _check_numbers(obj) -> None:
+    """Every `float` field must be a finite number, every `int` field an integer.
+
+    JSON admits NaN, Infinity, fractions, strings and booleans anywhere, and
+    Python's bool is an int; none of them is a valid count or parameter.
+    """
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type.startswith("float") and not (v is None and "None" in f.type):
+            ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            what = "a finite number"
+        elif f.type == "int":
+            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            what = "an integer"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{f.name} must be {what}, got {v!r}")
 
 
 # source span of netlist nodes lowered from a config rather than parsed
@@ -51,6 +73,7 @@ class ChipConfig:
     netlist_chip: str | None = None
 
     def __post_init__(self):
+        _check_numbers(self)
         for name in ("pcnot_loss_imbalance_db", "mcnot_loss_db_t", "mcnot_loss_db_b",
                      "facet_loss_db_h", "facet_loss_db_v"):
             if getattr(self, name) < 0:
@@ -112,6 +135,7 @@ class SourceConfig:
     dip_shape: str = "gaussian"
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.coherence_time_ps <= 0:
             raise ConfigError("coherence_time_ps must be positive")
         if not 0.0 <= self.bell_visibility <= 1.0:
@@ -146,6 +170,7 @@ class ExperimentConfig:
     def __post_init__(self):
         chips = tuple(self.chips) if self.chips else (ChipConfig(),)
         object.__setattr__(self, "chips", chips)
+        _check_numbers(self)
         if self.pair_rate_hz <= 0 or self.integration_time_s <= 0:
             raise ConfigError("rates and times must be positive")
         if self.background_rate_hz < 0:

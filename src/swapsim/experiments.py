@@ -1,17 +1,18 @@
 """End-to-end reproductions of the chip experiments with shot-noise Monte Carlo.
 
 Each runner propagates exact density matrices through the configured chips,
-derives per-setting detection probabilities, draws Poissonian counts with
-deterministic per-draw seeds, runs the matching estimator and wraps the
-results in a `Report`.  The exact (infinite-count) value of every estimate
-is always computed alongside the Monte Carlo one, so the noiseless pipeline
-doubles as the oracle for the sampled one.
+derives per-setting detection probabilities, draws the Poissonian counts of
+all trials at once (`sample_counts`), runs the matching estimator on each
+trial and wraps the results in a `Report`.  The exact (infinite-count)
+value of every estimate is always computed alongside the Monte Carlo one,
+so the noiseless pipeline doubles as the oracle for the sampled one.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
-and every estimate bit-exactly.  Counts are drawn from PCG64 generators
-seeded through `numpy.random.SeedSequence(master, *path)` where `path`
-identifies the experiment, trial and setting; aggregation never depends on
-iteration order.
+and every estimate bit-exactly.  Each run draws from one PCG64 generator
+seeded through `numpy.random.SeedSequence(master, *path)`, where `path`
+names the run (the experiment, plus the Bell label or the tomography
+input); trial 0 comes first in the stream, so it does not depend on
+`n_trials`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .qcore import (
 
 __all__ = [
     "Report",
-    "poisson_counts",
+    "sample_counts",
     "derive_seed",
     "run_truth_table",
     "run_fringe_scan",
@@ -68,7 +69,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def derive_seed(master_seed: int, *path) -> np.random.SeedSequence:
-    """Deterministic per-draw seed from the master seed and a derivation path."""
+    """Deterministic seed from the master seed and a derivation path."""
     parts = [int(master_seed) & 0xFFFFFFFFFFFFFFFF]
     for p in path:
         if isinstance(p, str):
@@ -78,21 +79,20 @@ def derive_seed(master_seed: int, *path) -> np.random.SeedSequence:
     return np.random.SeedSequence(parts)
 
 
-def poisson_counts(rate_hz: float, time_s: float, seed) -> int:
-    """One Poisson draw with mean rate*time from a seeded PCG64 generator.
+def sample_counts(cfg: ExperimentConfig, path: tuple, probs, time_s: float) -> np.ndarray:
+    """Poisson counts of every trial of one run, shape (n_trials, *probs.shape).
 
-    The generator algorithm is pinned (PCG64), so identical seeds give
+    Setting k has mean (pair_rate * probs[k] + background_rate) * time_s.
+    One PCG64 generator, seeded from (cfg.rng_seed, *path), draws all
+    trials in one call; the algorithm is pinned, so identical inputs give
     identical counts on every platform.
     """
-    if rate_hz < 0 or time_s < 0:
-        raise ValueError("rate and time must be nonnegative")
-    mean = rate_hz * time_s
-    if mean == 0:
-        return 0
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    gen = np.random.Generator(np.random.PCG64(seed))
-    return int(gen.poisson(mean))
+    lam = (cfg.pair_rate_hz * np.asarray(probs, dtype=float)
+           + cfg.background_rate_hz) * time_s
+    if not np.all(lam >= 0):
+        raise ValueError("Poisson means must be nonnegative")
+    gen = np.random.Generator(np.random.PCG64(derive_seed(cfg.rng_seed, *path)))
+    return gen.poisson(lam, size=(cfg.n_trials, *lam.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,14 @@ def truth_table_fidelity_exact(chip: ChipModel, frame: str = "raw") -> float:
     return tm.truth_table_fidelity(table, tm.ideal_truth_table(frame))
 
 
+def _counts_fidelity(counts: np.ndarray, bg_counts: float, ideal: np.ndarray) -> float:
+    """Truth-table fidelity of one trial's background-subtracted counts."""
+    net = np.maximum(counts - bg_counts, 0.0)
+    # a column with no surviving counts carries no information: uniform
+    net[:, net.sum(axis=0) == 0] = 0.25
+    return tm.truth_table_fidelity(tm.TruthTable(net / net.sum(axis=0)), ideal)
+
+
 def run_truth_table(cfg: ExperimentConfig) -> Report:
     """Measure the chip truth table: 16 settings, Poisson counts, bootstrap.
 
@@ -172,25 +180,9 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
 
     t_setting = cfg.integration_time_s / 16.0
     bg_counts = cfg.background_rate_hz * t_setting
-    fids = []
-    first_counts = None
-    for trial in range(cfg.n_trials):
-        counts = np.zeros((4, 4))
-        for j in range(4):
-            for i in range(4):
-                seed = derive_seed(cfg.rng_seed, "truth-table", trial, i, j)
-                counts[i, j] = poisson_counts(
-                    cfg.pair_rate_hz * probs[i, j] + cfg.background_rate_hz,
-                    t_setting, seed)
-        net = np.maximum(counts - bg_counts, 0.0)
-        sums = net.sum(axis=0)
-        # a column with no surviving counts carries no information: uniform
-        net[:, sums == 0] = 0.25
-        table = tm.TruthTable(net / net.sum(axis=0))
-        fids.append(tm.truth_table_fidelity(table, ideal))
-        if trial == 0:
-            first_counts = counts
-    f_mean, f_err = _mean_stderr(fids)
+    counts = sample_counts(cfg, ("truth-table",), probs, t_setting)
+    f_mean, f_err = _mean_stderr([_counts_fidelity(c, bg_counts, ideal) for c in counts])
+    first_counts = counts[0]
     payload = {
         "frame": cfg.logical_frame,
         "fidelity_exact": f_exact,
@@ -198,7 +190,7 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
         "fidelity_mc_stderr": f_err,
         "total_counts_mean": float(first_counts.sum()),
         "exact_probabilities": probs.tolist(),
-        "first_trial_counts": first_counts.astype(int).tolist(),
+        "first_trial_counts": first_counts.tolist(),
         "column_survival": probs.sum(axis=0).tolist(),
         "n_trials": cfg.n_trials,
     }
@@ -259,21 +251,10 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
 
     t_point = cfg.fringe_time_per_point_s
     bg = cfg.background_rate_hz * t_point
-    v_raw, v_sub, deltas = [], [], []
-    first = None
-    for trial in range(cfg.n_trials):
-        counts = [
-            poisson_counts(cfg.pair_rate_hz * exact[k] + cfg.background_rate_hz,
-                           t_point, derive_seed(cfg.rng_seed, "fringe", trial, k))
-            for k in range(len(phases))
-        ]
-        fit = tm.fringe_fit(list(zip(phases, counts)), background=bg)
-        v_raw.append(fit.visibility_raw)
-        v_sub.append(fit.visibility_subtracted)
-        deltas.append(fit.phase_offset)
-        if trial == 0:
-            first = (counts, fit)
-    (raw_mean, raw_err), (sub_mean, sub_err) = map(_mean_stderr, (v_raw, v_sub))
+    counts = sample_counts(cfg, ("fringe",), exact, t_point)
+    fits = [tm.fringe_fit(list(zip(phases, c)), background=bg) for c in counts]
+    raw_mean, raw_err = _mean_stderr([f.visibility_raw for f in fits])
+    sub_mean, sub_err = _mean_stderr([f.visibility_subtracted for f in fits])
     payload = {
         "port": cfg.fringe_port,
         "output_polarizer": cfg.fringe_output_polarizer,
@@ -284,15 +265,15 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
         "visibility_raw_stderr": raw_err,
         "visibility_subtracted_mean": sub_mean,
         "visibility_subtracted_stderr": sub_err,
-        "first_trial_visibility_stderr": first[1].visibility_stderr,
+        "first_trial_visibility_stderr": fits[0].visibility_stderr,
         "phases_rad": phases.tolist(),
         "exact_probabilities": exact.tolist(),
-        "first_trial_counts": [int(c) for c in first[0]],
+        "first_trial_counts": counts[0].tolist(),
         "n_trials": cfg.n_trials,
     }
     rows = [["phase_rad", "probability", "counts_trial0"]]
     for k, p in enumerate(phases):
-        rows.append([repr(float(p)), repr(float(exact[k])), int(first[0][k])])
+        rows.append([repr(float(p)), repr(float(exact[k])), int(counts[0, k])])
     return _mk_report("fringe", cfg, payload, {"fringe_scan": rows})
 
 
@@ -360,22 +341,11 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
 
     t_point = cfg.integration_time_s / len(delays)
     bg = cfg.background_rate_hz * t_point
-    v_raw, v_sub, tc_fit = [], [], []
-    first = None
-    for trial in range(cfg.n_trials):
-        counts = [
-            poisson_counts(cfg.pair_rate_hz * exact_p[k] + cfg.background_rate_hz,
-                           t_point, derive_seed(cfg.rng_seed, "hom", trial, k))
-            for k in range(len(delays))
-        ]
-        fit = bp.hom_visibility(list(zip(delays, counts)), background=bg)
-        v_raw.append(fit.visibility_raw)
-        v_sub.append(fit.visibility_subtracted)
-        tc_fit.append(fit.coherence_time_ps)
-        if trial == 0:
-            first = (counts, fit)
-    (raw_mean, raw_err), (sub_mean, sub_err), (tc_mean, tc_err) = map(
-        _mean_stderr, (v_raw, v_sub, tc_fit))
+    counts = sample_counts(cfg, ("hom",), exact_p, t_point)
+    fits = [bp.hom_visibility(list(zip(delays, c)), background=bg) for c in counts]
+    raw_mean, raw_err = _mean_stderr([f.visibility_raw for f in fits])
+    sub_mean, sub_err = _mean_stderr([f.visibility_subtracted for f in fits])
+    tc_mean, tc_err = _mean_stderr([f.coherence_time_ps for f in fits])
     bg_rel = cfg.background_rate_hz / cfg.pair_rate_hz
     payload = {
         "input": cfg.hom_input,
@@ -393,12 +363,12 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
         "coherence_time_fit_stderr_ps": tc_err,
         "delays_ps": delays.tolist(),
         "exact_probabilities": exact_p.tolist(),
-        "first_trial_counts": [int(c) for c in first[0]],
+        "first_trial_counts": counts[0].tolist(),
         "n_trials": cfg.n_trials,
     }
     rows = [["delay_ps", "probability", "counts_trial0"]]
     for k, d in enumerate(delays):
-        rows.append([repr(float(d)), repr(float(exact_p[k])), int(first[0][k])])
+        rows.append([repr(float(d)), repr(float(exact_p[k])), int(counts[0, k])])
     return _mk_report("hom", cfg, payload, {"hom_scan": rows})
 
 
@@ -449,19 +419,14 @@ def _bell_label(cfg: ExperimentConfig, label: bp.BellLabel, channels: tuple,
     f_exact = uhlmann_fidelity(rho_pol, ideal)
 
     probs = _tomo_2q_probabilities(rho_pol)
+    pairs = sorted(probs)
     t_setting = cfg.integration_time_s / 36.0
     bg_counts = cfg.background_rate_hz * t_setting
-    fids = []
-    for trial in range(cfg.n_trials):
-        counts = {}
-        for k, (pair, p) in enumerate(sorted(probs.items())):
-            raw = poisson_counts(
-                cfg.pair_rate_hz * p * success_p + cfg.background_rate_hz,
-                t_setting, derive_seed(cfg.rng_seed, "bell", label.value, trial, k))
-            counts[pair] = max(raw - bg_counts, 0.0)
-        rho_hat = tm.state_tomo_2q(counts)
-        fids.append(uhlmann_fidelity(rho_hat, ideal))
-    f_mean, f_err = _mean_stderr(fids)
+    counts = sample_counts(cfg, ("bell", label.value),
+                           np.array([probs[p] for p in pairs]) * success_p, t_setting)
+    net = np.maximum(counts - bg_counts, 0.0)
+    f_mean, f_err = _mean_stderr([
+        uhlmann_fidelity(tm.state_tomo_2q(dict(zip(pairs, n))), ideal) for n in net])
     payload = {
         "bell_label": label.value,
         "source_visibility": cfg.source.bell_visibility,
@@ -561,22 +526,11 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     f_exact = uhlmann_fidelity(rho_exact, target)
 
     t_setting = cfg.integration_time_s / 6.0
-    fids = []
-    records = []
-    for trial in range(cfg.n_trials):
-        counts = {}
-        for k, lbl in enumerate(tm.MOMENTUM_LABELS):
-            seedseq = derive_seed(cfg.rng_seed, "tomo-state", spatial_input,
-                                  pol_label, trial, k)
-            counts[lbl] = poisson_counts(
-                cfg.pair_rate_hz * probs[lbl] + cfg.background_rate_hz,
-                t_setting, seedseq)
-            if trial == 0:
-                records.append(tm.CountRecord(lbl, "", counts[lbl],
-                                              t_setting, cfg.rng_seed))
-        rho_hat = tm.state_tomo_1q(counts)
-        fids.append(uhlmann_fidelity(rho_hat, target))
-    f_mean, f_err = _mean_stderr(fids)
+    labels = tm.MOMENTUM_LABELS
+    counts = sample_counts(cfg, ("tomo-state", spatial_input, pol_label),
+                           [probs[lbl] for lbl in labels], t_setting)
+    f_mean, f_err = _mean_stderr([
+        uhlmann_fidelity(tm.state_tomo_1q(dict(zip(labels, c))), target) for c in counts])
     payload = {
         "spatial_input": spatial_input,
         "polarization_input": pol_label,
@@ -590,8 +544,7 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
         "n_trials": cfg.n_trials,
     }
     rows = [tm.CSV_HEADER] + [
-        [r.setting_label_q1, r.setting_label_q2, r.counts,
-         repr(r.integration_time_s), r.seed] for r in records]
+        [lbl, "", int(c), repr(t_setting), cfg.rng_seed] for lbl, c in zip(labels, counts[0])]
     return _mk_report("tomo-state", cfg, payload, {"count_records": rows})
 
 

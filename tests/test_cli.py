@@ -225,6 +225,28 @@ class TestChipPaths:
                              "--out", str(out)]) == 0
         assert load_config(str(out / "config.json")) == load_config(str(config_file))
 
+    @pytest.mark.parametrize("source", ["netlist-flag", "config-dir"])
+    def test_written_config_with_netlist_reruns_identically(self, source, tmp_path,
+                                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "swap.pnl").write_text(GOOD_NETLIST)
+        if source == "netlist-flag":
+            chip_args = ["--netlist", "cfg/swap.pnl"]
+        else:
+            doc = json.loads(dump_config(ExperimentConfig.measured_chip()))
+            for chip in doc["chips"]:
+                chip["netlist_path"] = "swap.pnl"
+            (tmp_path / "cfg" / "cfg.json").write_text(json.dumps(doc))
+            chip_args = ["--config", "cfg/cfg.json"]
+        common = ["truth-table", "--trials", "2", "--seed", "3"]
+        assert cli.dispatch(common + chip_args + ["--out", "o1"]) == 0
+        rc = cli.dispatch(common + ["--config", "o1/config.json", "--out", "o2"])
+        assert rc == 0, capsys.readouterr().err
+        first, again = (json.loads((tmp_path / d / "report.json").read_text())
+                        for d in ("o1", "o2"))
+        assert again["payload_sha256"] == first["payload_sha256"]
+
 
 class TestBadValues:
     def test_facet_xtalk_out_of_range_exits_1_with_one_line(self, tmp_path, capsys):
@@ -236,6 +258,28 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("config error:") and "facet_xtalk" in err
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("chip", "pcnot_extinction_db", float("nan")),
+        ("chip", "mcnot_loss_db_t", float("inf")),
+        ("experiment", "pair_rate_hz", float("nan")),
+        ("experiment", "integration_time_s", float("inf")),
+        ("experiment", "n_trials", 2.5),
+        ("experiment", "n_trials", True),
+        ("experiment", "rng_seed", "abc"),
+        ("experiment", "fiber_seed", 7.0),
+        ("source", "bell_visibility", float("nan")),
+    ])
+    def test_bad_number_exits_1_with_one_line(self, where, key, value, tmp_path, capsys):
+        doc = json.loads(dump_config(ExperimentConfig.measured_chip()))
+        target = {"chip": doc["chips"][0], "experiment": doc, "source": doc["source"]}[where]
+        target[key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))  # NaN and Infinity as Python's JSON writes them
+        assert cli.dispatch(["truth-table", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error:") and key in err
 
     @pytest.mark.parametrize("flag", [["--wavelength", "1550"], ["--format", "csv"]])
     def test_removed_flags_are_usage_errors(self, flag, capsys):

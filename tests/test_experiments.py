@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,31 +18,64 @@ def ideal():
     return ExperimentConfig.ideal(n_trials=4, rng_seed=5)
 
 
-class TestPoissonCounts:
-    def test_zero_rate(self):
-        for seed in range(5):
-            assert ex.poisson_counts(0.0, 100.0, seed) == 0
+class TestSampleCounts:
+    @staticmethod
+    def cfg(n_trials=7, seed=9, **kw):
+        return ExperimentConfig.ideal(n_trials=n_trials, rng_seed=seed, **kw)
+
+    def test_shape(self):
+        counts = ex.sample_counts(self.cfg(), ("x",), np.full((4, 3), 0.1), 1.0)
+        assert counts.shape == (7, 4, 3)
+
+    def test_zero_mean_gives_zeros(self):
+        counts = ex.sample_counts(self.cfg(), ("x",), np.zeros(5), 100.0)
+        assert not counts.any()
+
+    def test_negative_mean_rejected(self):
+        with pytest.raises(ValueError):
+            ex.sample_counts(self.cfg(), ("x",), [0.1, -0.5], 1.0)
 
     def test_deterministic(self):
-        a = [ex.poisson_counts(625.0, 1.0, ex.derive_seed(9, "x", k)) for k in range(20)]
-        b = [ex.poisson_counts(625.0, 1.0, ex.derive_seed(9, "x", k)) for k in range(20)]
-        assert a == b
+        a = ex.sample_counts(self.cfg(), ("x", 3), np.full(20, 0.2), 1.0)
+        b = ex.sample_counts(self.cfg(), ("x", 3), np.full(20, 0.2), 1.0)
+        assert np.array_equal(a, b)
+
+    def test_paths_give_different_streams(self):
+        probs = np.full(20, 0.2)
+        a = ex.sample_counts(self.cfg(), ("x", 3), probs, 1.0)
+        b = ex.sample_counts(self.cfg(), ("x", 4), probs, 1.0)
+        c = ex.sample_counts(self.cfg(), ("y", 3), probs, 1.0)
+        assert not np.array_equal(a, b) and not np.array_equal(a, c)
 
     def test_moments(self):
         # oracle: Poisson moment identities, mean 625, sigma_mean = 25/100
-        draws = [ex.poisson_counts(625.0, 1.0, ex.derive_seed(1, "m", k))
-                 for k in range(10000)]
+        cfg = self.cfg(n_trials=10000, seed=1, pair_rate_hz=625.0)
+        draws = ex.sample_counts(cfg, ("m",), [1.0], 1.0)[:, 0]
         mean = np.mean(draws)
         assert abs(mean - 625.0) <= 3.0 * 25.0 / 100.0
         assert abs(np.var(draws) - 625.0) <= 4.0 * 625.0 * np.sqrt(2.0 / 10000.0)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ex.poisson_counts(-1.0, 1.0, 0)
+    def test_first_trial_independent_of_trial_count(self):
+        probs = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        one = ex.sample_counts(self.cfg(n_trials=1), ("truth-table",), probs, 10.0)
+        seven = ex.sample_counts(self.cfg(n_trials=7), ("truth-table",), probs, 10.0)
+        assert np.array_equal(one[0], seven[0])
 
     def test_derived_seeds_distinct(self):
         seqs = {tuple(ex.derive_seed(3, "a", k).entropy) for k in range(100)}
         assert len(seqs) == 100
+
+    @pytest.mark.parametrize("run, n_calls", [
+        (lambda cfg: ex.run_truth_table(replace(cfg, n_trials=100)), 1),
+        (lambda cfg: ex.run_bell_distribution(replace(cfg, n_trials=2)), 4),
+    ], ids=["truth-table", "bell"])
+    def test_one_seed_derivation_per_run(self, calibrated, monkeypatch, run, n_calls):
+        paths = []
+        derive_seed = ex.derive_seed
+        monkeypatch.setattr(ex, "derive_seed",
+                            lambda seed, *path: paths.append(path) or derive_seed(seed, *path))
+        run(calibrated)
+        assert len(paths) == n_calls
 
 
 class TestTruthTable:
@@ -64,8 +99,6 @@ class TestTruthTable:
         assert a.payload_sha256() == b.payload_sha256()
 
     def test_noiseless_value_independent_of_rate_and_time(self, calibrated):
-        from dataclasses import replace
-
         alt = replace(calibrated, pair_rate_hz=10.0, integration_time_s=1.0,
                       n_trials=1)
         a = ex.run_truth_table(calibrated)
@@ -86,24 +119,18 @@ class TestFringe:
         v_true = r0.payload["visibility_exact"]
         mean_p = float(np.mean(r0.payload["exact_probabilities"]))
         bg_rate = cfg.pair_rate_hz * mean_p * (v_true / 0.987 - 1.0)
-        from dataclasses import replace
-
         cfg = replace(cfg, background_rate_hz=bg_rate)
         r = ex.run_fringe_scan(cfg)
         assert r.payload["visibility_raw_mean"] == pytest.approx(0.987, abs=0.004)
         assert r.payload["visibility_subtracted_mean"] >= 0.99
 
     def test_b_port_supported(self, calibrated):
-        from dataclasses import replace
-
         r = ex.run_fringe_scan(replace(calibrated, fringe_port="B", n_trials=2))
         assert r.payload["visibility_exact"] > 0.98
 
 
 class TestHom:
     def test_source_only_perfect_dip(self, ideal):
-        from dataclasses import replace
-
         cfg = replace(ideal, hom_input="source", fpc_mode="ideal")
         state = ex._hom_state(cfg)
         from swapsim import biphoton as bp
@@ -111,8 +138,6 @@ class TestHom:
         assert bp.hom_coincidence(state, 0.0) <= 1e-9
 
     def test_coherence_time_recovery(self, calibrated):
-        from dataclasses import replace
-
         cfg = replace(calibrated, hom_input="source", n_trials=6,
                       pair_rate_hz=200000.0)
         r = ex.run_hom_scan(cfg)
@@ -124,8 +149,6 @@ class TestHom:
         assert 0.93 <= r.payload["visibility_subtracted_exact"] <= 0.99
 
     def test_orthogonal_fpc_none_gives_no_dip(self, ideal):
-        from dataclasses import replace
-
         cfg = replace(ideal, hom_input="source", fpc_mode="none")
         state = ex._hom_state(cfg)
         from swapsim import biphoton as bp
@@ -135,8 +158,6 @@ class TestHom:
 
 class TestBell:
     def test_ideal_pipeline_unity(self, ideal):
-        from dataclasses import replace
-
         cfg = replace(ideal, n_trials=1,
                       source=ideal.source.__class__(bell_visibility=1.0))
         for label in BellLabel:
@@ -149,8 +170,6 @@ class TestBell:
             assert qc.uhlmann_fidelity(rho, ideal_dm) == pytest.approx(1.0, abs=1e-9)
 
     def test_calibrated_average_bracket(self, calibrated):
-        from dataclasses import replace
-
         cfg = replace(calibrated, n_trials=1)
         fids = []
         for label in BellLabel:
@@ -159,8 +178,6 @@ class TestBell:
         assert 0.88 <= float(np.mean(fids)) <= 0.95
 
     def test_second_chip_truth_table_reported(self, calibrated):
-        from dataclasses import replace
-
         r = ex.run_bell_distribution(replace(calibrated, n_trials=1), BellLabel.PSI_PLUS)
         assert 0.9 < r.payload["second_chip_truth_table_fidelity"] < 1.0
 
@@ -265,8 +282,6 @@ class TestConvergence:
 
 class TestBellAllLabels:
     def test_each_chip_compiled_once(self, calibrated, monkeypatch):
-        from dataclasses import replace
-
         from swapsim import netlist as nl
 
         compiled = []
@@ -277,8 +292,6 @@ class TestBellAllLabels:
         assert len(compiled) == 2
 
     def test_aggregate_matches_single_label_runs(self, calibrated):
-        from dataclasses import replace
-
         cfg = replace(calibrated, n_trials=2)
         agg = ex.run_bell_distribution(cfg)
         assert agg.payload["bell_labels"] == [l.value for l in BellLabel]
