@@ -6,6 +6,8 @@ carrying the (channel (x) polarization) pair in the fixed basis order of
 reads (m_s, p_s, m_i, p_i).  The spectral degree of freedom is compressed
 to a scalar overlap mu(tau) with configurable dip shape; everywhere except
 `hom_coincidence` the two photons are ordinary distinguishable subsystems.
+HOM scans are fitted with a Gaussian dip by a numpy Levenberg-Marquardt
+loop (`hom_visibility`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .qcore import (
     SWAP,
@@ -266,8 +267,17 @@ class HomFit:
     converged: bool
 
 
+_LM_MAX_ITER = 100
+_LM_XTOL = 1e-10
+
+
 def hom_visibility(scan, background: float = 0.0) -> HomFit:
     """Least-squares Gaussian-dip fit of (tau, coincidence) points.
+
+    The model base - depth exp(-(tau - center)^2 / (2 width^2)) is fitted
+    by Levenberg-Marquardt with the analytic Jacobian, on residuals weighted
+    by 1 / sqrt(max(counts, 1)); `converged` reports whether the step test
+    was met within the iteration cap.
 
     Visibility is (P_wing - P_min) / P_wing; the subtracted value removes
     the supplied constant background (same units as the scan values) from
@@ -286,18 +296,39 @@ def hom_visibility(scan, background: float = 0.0) -> HomFit:
     if depth0 <= 0 or span == 0:
         raise ValueError("degenerate scan: no dip wings to fit")
 
-    def model(p, t):
-        base, depth, center, width = p
-        return base - depth * np.exp(-((t - center) ** 2) / (2.0 * width**2))
-
     weights = 1.0 / np.sqrt(np.maximum(vals, 1.0))
 
-    def resid(p):
-        return (model(p, taus) - vals) * weights
+    def resid_jac(p):
+        base, depth, center, width = p
+        dt = taus - center
+        g = np.exp(-(dt**2) / (2.0 * width**2))
+        jac = np.column_stack([np.ones_like(g), -g, -depth * g * dt / width**2,
+                               -depth * g * dt**2 / width**3])
+        return (base - depth * g - vals) * weights, jac * weights[:, None]
 
-    fit = least_squares(resid, x0=[base0, depth0, center0, width0],
-                        max_nfev=5000)
-    base, depth, center, width = fit.x
+    # Levenberg-Marquardt, damping scaled by the running maximum of the
+    # Jacobian column norms (as in MINPACK: with the current norms alone a
+    # dip at the scan edge drifts off to an ever deeper, wider Gaussian);
+    # it stops when the scaled step is below _LM_XTOL of the scaled parameters
+    p = np.array([base0, depth0, center0, width0])
+    r, jac = resid_jac(p)
+    lam, converged, scale = 1e-3, False, np.zeros(4)
+    for _ in range(_LM_MAX_ITER):
+        jtj = jac.T @ jac
+        scale = np.maximum(scale, np.sqrt(np.diag(jtj)))
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(scale**2), -(jac.T @ r))
+        except np.linalg.LinAlgError:
+            break
+        r_new, jac_new = resid_jac(p + step)
+        if r_new @ r_new < r @ r:
+            p, r, jac, lam = p + step, r_new, jac_new, lam / 10.0
+        else:
+            lam *= 10.0
+        if np.linalg.norm(scale * step) <= _LM_XTOL * np.linalg.norm(scale * p):
+            converged = True
+            break
+    base, depth, center, width = p
     width = abs(width)
     if base <= 0:
         raise ValueError("degenerate scan: fitted wing level is not positive")
@@ -312,7 +343,7 @@ def hom_visibility(scan, background: float = 0.0) -> HomFit:
         center_ps=float(center),
         baseline=float(base),
         depth=float(depth),
-        converged=bool(fit.status > 0),
+        converged=converged,
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -252,8 +253,9 @@ def load_config(path_or_text) -> ExperimentConfig:
     """Load and validate a JSON config document (path or raw text).
 
     A relative chip `netlist_path` in a file is rewritten against the
-    file's directory.  The `wavelength_nm` key of older schema-1 documents
-    never had an effect and is dropped.
+    file's directory and normalised, so `o1/../x.pnl` reads `x.pnl`.  The
+    `wavelength_nm` key of older schema-1 documents never had an effect and
+    is dropped.
     """
     text = str(path_or_text)
     base_dir = None
@@ -283,7 +285,7 @@ def load_config(path_or_text) -> ExperimentConfig:
 def _resolve_netlist(chip: ChipConfig, base_dir: Path | None) -> ChipConfig:
     if base_dir is None or chip.netlist_path is None or Path(chip.netlist_path).is_absolute():
         return chip
-    return replace(chip, netlist_path=str(base_dir / chip.netlist_path))
+    return replace(chip, netlist_path=os.path.normpath(base_dir / chip.netlist_path))
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

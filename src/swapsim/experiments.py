@@ -188,7 +188,7 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
         "fidelity_exact": f_exact,
         "fidelity_mc_mean": f_mean,
         "fidelity_mc_stderr": f_err,
-        "total_counts_mean": float(first_counts.sum()),
+        "total_counts_mean": float(counts.sum(axis=(1, 2)).mean()),
         "exact_probabilities": probs.tolist(),
         "first_trial_counts": first_counts.tolist(),
         "column_survival": probs.sum(axis=0).tolist(),

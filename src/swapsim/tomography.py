@@ -5,7 +5,9 @@ polarization qubit and 0,1,+,-,i,-i for the spatial-momentum qubit, paired
 into the z, x, y axes in that order.  Reconstruction is linear inversion of
 Stokes parameters followed by the eigenvalue-redistribution projection onto
 physical states, matching the count levels of the experiments (iterative
-maximum likelihood is deliberately out of scope).
+maximum likelihood is deliberately out of scope).  Fringe scans are fitted
+in closed form: A (1 + V cos(phi + delta)) is rewritten as
+A + B cos(phi) + C sin(phi) and solved by weighted linear least squares.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .qcore import (
     DensityMatrix,
@@ -377,30 +378,28 @@ class FringeFit:
 
 
 def _fit_cosine(phis, vals):
-    a0 = float(np.mean(vals))
-    v0 = (np.max(vals) - np.min(vals)) / max(np.max(vals) + np.min(vals), 1e-12)
-    z = np.sum(vals * np.exp(-1j * phis))
-    d0 = float(-np.angle(z)) if abs(z) > 0 else 0.0
-    weights = 1.0 / np.sqrt(np.maximum(vals, 1.0))
+    """Fit A (1 + V cos(phi + delta)) in its linear form A + B cos(phi) +
+    C sin(phi) by weighted linear least squares (weights 1 / max(vals, 1)).
 
-    def resid(p):
-        a, v, d = p
-        return (a * (1.0 + v * np.cos(phis + d)) - vals) * weights
-
-    fit = least_squares(resid, x0=[a0, min(max(v0, 0.0), 1.0), d0], max_nfev=5000)
-    a, v, d = fit.x
-    if v < 0:  # canonicalize: positive visibility, shifted phase
-        v = -v
-        d += np.pi
-    d = float((d + np.pi) % (2 * np.pi) - np.pi)
-    # Poisson-weighted covariance of the fit parameters
-    j = fit.jac
+    Returns (A, V, delta, V stderr, finite).  The stderr propagates the
+    parameter covariance inv(X^T W X) to V = hypot(B, C) / A by the delta
+    method.  A fit with A <= 0 (e.g. an all-zero scan) has V = 0.
+    """
+    x = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    xw = x / np.maximum(vals, 1.0)[:, None]
     try:
-        cov = np.linalg.inv(j.T @ j)
-        v_err = float(np.sqrt(max(cov[1, 1], 0.0)))
+        cov = np.linalg.inv(x.T @ xw)
     except np.linalg.LinAlgError:
-        v_err = float("nan")
-    return float(a), float(v), d, v_err, bool(fit.status > 0)
+        return np.nan, np.nan, np.nan, np.nan, False
+    a, b, c = cov @ (xw.T @ vals)
+    finite = bool(np.isfinite([a, b, c]).all())
+    if not a > 0:
+        return float(a), 0.0, 0.0, np.nan, finite
+    v = float(np.hypot(b, c) / a)
+    d = float(np.arctan2(-c, b))
+    grad = np.array([-v, np.cos(d), -np.sin(d)]) / a  # dV/d(A, B, C)
+    v_err = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+    return float(a), v, d, v_err, finite
 
 
 def fringe_fit(scan, background: float = 0.0) -> FringeFit:
@@ -409,7 +408,8 @@ def fringe_fit(scan, background: float = 0.0) -> FringeFit:
     `scan` is a sequence of (phi, counts).  Needs at least 5 points spanning
     a period.  The raw visibility comes from the data as-is; the subtracted
     one from the data with the constant `background` (counts per point)
-    removed.  A non-convergent fit is flagged, returning the best estimate.
+    removed.  The fit is linear (see `_fit_cosine`), so it has one global
+    minimum; `converged` is False only when the solve is not finite.
     """
     phis = np.array([p for p, _ in scan], dtype=float)
     vals = np.array([c for _, c in scan], dtype=float)

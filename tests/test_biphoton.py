@@ -213,6 +213,46 @@ class TestHomVisibility:
         with pytest.raises(ValueError):
             bp.hom_visibility([(0.0, 5.0), (0.1, 5.0), (0.2, 5.0), (0.3, 5.0)])
 
+    def test_dip_at_scan_edge(self):
+        # only four points see the dip; the fit must not drift past the edge
+        taus = np.linspace(-12, 12, 49)
+        fit = bp.hom_visibility([(t, 100.0 - 60.0 * np.exp(-(t - 12.0) ** 2 / 0.5))
+                                 for t in taus])
+        assert fit.converged
+        assert fit.visibility_raw == pytest.approx(0.6, abs=1e-9)
+        assert fit.coherence_time_ps == pytest.approx(0.5, abs=1e-9)
+        assert fit.center_ps == pytest.approx(12.0, abs=1e-9)
+
+    def test_matches_least_squares_oracle(self):
+        # oracle: scipy's iterative fit of the same weighted Gaussian-dip
+        # residual, started from the true parameters
+        from scipy.optimize import least_squares
+
+        rng = np.random.default_rng(np.random.SeedSequence([7070]))
+        taus = np.linspace(-12, 12, 49)
+        for _ in range(100):
+            wing, bg = rng.uniform(200, 2e4), rng.uniform(0.0, 0.05)
+            depth = wing * rng.uniform(0.5, 0.99)
+            tc, center = rng.uniform(1.5, 4.5), rng.uniform(-2, 2)
+            base = wing * (1 + bg)
+            vals = rng.poisson(base - depth * np.exp(-(taus - center) ** 2 / (2 * tc**2)))
+            w = 1.0 / np.sqrt(np.maximum(vals, 1.0))
+
+            def resid(p):
+                return (p[0] - p[1] * np.exp(-(taus - p[2]) ** 2 / (2 * p[3] ** 2))
+                        - vals) * w
+
+            ref = least_squares(resid, x0=[base, depth, center, tc],
+                                xtol=1e-14, ftol=1e-14, gtol=1e-14)
+            r_base, r_depth, r_center, r_width = ref.x
+            fit = bp.hom_visibility(list(zip(taus, vals)), background=wing * bg)
+            assert fit.converged
+            assert fit.visibility_raw == pytest.approx(r_depth / r_base, abs=1e-6)
+            assert fit.visibility_subtracted == pytest.approx(
+                r_depth / (r_base - wing * bg), abs=1e-6)
+            assert fit.coherence_time_ps == pytest.approx(abs(r_width), abs=1e-6)
+            assert fit.center_ps == pytest.approx(r_center, abs=1e-6)
+
 
 class TestReversibility:
     def test_twice_swapped_bell_states_return(self):

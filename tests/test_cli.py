@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,9 +228,10 @@ class TestChipPaths:
                              "--out", str(out)]) == 0
         assert load_config(str(out / "config.json")) == load_config(str(config_file))
 
-    @pytest.mark.parametrize("source", ["netlist-flag", "config-dir"])
-    def test_written_config_with_netlist_reruns_identically(self, source, tmp_path,
-                                                             monkeypatch, capsys):
+    @staticmethod
+    def _run_then_rerun(source, tmp_path, monkeypatch, capsys):
+        """Run a truth table on a netlist chip into o1, rerun it from
+        o1/config.json into o2, and return both report documents."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg").mkdir()
         (tmp_path / "cfg" / "swap.pnl").write_text(GOOD_NETLIST)
@@ -243,9 +247,21 @@ class TestChipPaths:
         assert cli.dispatch(common + chip_args + ["--out", "o1"]) == 0
         rc = cli.dispatch(common + ["--config", "o1/config.json", "--out", "o2"])
         assert rc == 0, capsys.readouterr().err
-        first, again = (json.loads((tmp_path / d / "report.json").read_text())
-                        for d in ("o1", "o2"))
+        return tuple(json.loads((tmp_path / d / "report.json").read_text())
+                     for d in ("o1", "o2"))
+
+    @pytest.mark.parametrize("source", ["netlist-flag", "config-dir"])
+    def test_written_config_with_netlist_reruns_identically(self, source, tmp_path,
+                                                             monkeypatch, capsys):
+        first, again = self._run_then_rerun(source, tmp_path, monkeypatch, capsys)
         assert again["payload_sha256"] == first["payload_sha256"]
+
+    @pytest.mark.parametrize("source", ["netlist-flag", "config-dir"])
+    def test_written_config_reruns_with_equal_config_hash(self, source, tmp_path,
+                                                          monkeypatch, capsys):
+        # the reloaded netlist path is normalised: cfg/swap.pnl, not o1/../cfg/swap.pnl
+        first, again = self._run_then_rerun(source, tmp_path, monkeypatch, capsys)
+        assert again["meta"]["config_hash"] == first["meta"]["config_hash"]
 
 
 class TestBadValues:
@@ -284,3 +300,13 @@ class TestBadValues:
     @pytest.mark.parametrize("flag", [["--wavelength", "1550"], ["--format", "csv"]])
     def test_removed_flags_are_usage_errors(self, flag, capsys):
         assert cli.dispatch(["truth-table", *flag]) == 64
+
+
+def test_runtime_does_not_import_scipy():
+    # scipy is a test-only dependency: a fresh interpreter importing the
+    # package and its CLI must not load it
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    code = "import sys, swapsim, swapsim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -105,6 +105,15 @@ class TestTruthTable:
         b = ex.run_truth_table(alt)
         assert a.payload["fidelity_exact"] == b.payload["fidelity_exact"]
 
+    def test_total_counts_mean_is_the_mean_over_trials(self, calibrated):
+        cfg = replace(calibrated, n_trials=100)
+        r = ex.run_truth_table(cfg)
+        counts = ex.sample_counts(cfg, ("truth-table",), ex.exact_truth_table(cfg.chip(0)),
+                                  cfg.integration_time_s / 16.0)
+        total = r.payload["total_counts_mean"]
+        assert total != np.sum(r.payload["first_trial_counts"])
+        assert total == float(counts.sum(axis=(1, 2)).mean())
+
 
 class TestFringe:
     def test_ideal_visibility_unity(self, ideal):

@@ -332,3 +332,40 @@ class TestFringeFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             tm.fringe_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 1.0), (3.0, 2.0)])
+
+    def test_all_zero_scan_has_zero_visibility(self):
+        fit = tm.fringe_fit([(p, 0.0) for p in np.linspace(0, 2 * np.pi, 17)],
+                            background=1.0)
+        assert fit.visibility == 0.0
+        assert fit.visibility_subtracted == 0.0
+        assert fit.converged
+
+    def test_matches_least_squares_oracle(self):
+        # oracle: scipy's iterative fit of the same weighted residual in the
+        # (A, V, delta) form, with the covariance inv(J^T J) at its minimum
+        from scipy.optimize import least_squares
+
+        rng = np.random.default_rng(np.random.SeedSequence([4040]))
+        phis = np.linspace(0, 2 * np.pi, 17)
+        for _ in range(100):
+            a, v, d = rng.uniform(50, 2e4), rng.uniform(0.3, 0.999), rng.uniform(-3, 3)
+            vals = rng.poisson(a * (1 + v * np.cos(phis + d))).astype(float)
+            w = 1.0 / np.sqrt(np.maximum(vals, 1.0))
+
+            def resid(p):
+                return (p[0] * (1 + p[1] * np.cos(phis + p[2])) - vals) * w
+
+            def jac(p):
+                cos, sin = np.cos(phis + p[2]), np.sin(phis + p[2])
+                return np.column_stack([1 + p[1] * cos, p[0] * cos,
+                                        -p[0] * p[1] * sin]) * w[:, None]
+
+            ref = least_squares(resid, x0=[a, v, d], jac=jac,
+                                xtol=1e-14, ftol=1e-14, gtol=1e-14)
+            j = ref.jac
+            ref_err = np.sqrt(np.linalg.inv(j.T @ j)[1, 1])
+            fit = tm.fringe_fit(list(zip(phis, vals)))
+            assert fit.converged
+            assert fit.visibility == pytest.approx(ref.x[1], abs=1e-6)
+            assert abs(np.angle(np.exp(1j * (fit.phase_offset - ref.x[2])))) <= 1e-6
+            assert fit.visibility_stderr == pytest.approx(ref_err, abs=1e-6)
