@@ -277,7 +277,8 @@ def hom_visibility(scan, background: float = 0.0) -> HomFit:
     The model base - depth exp(-(tau - center)^2 / (2 width^2)) is fitted
     by Levenberg-Marquardt with the analytic Jacobian, on residuals weighted
     by 1 / sqrt(max(counts, 1)); `converged` reports whether the step test
-    was met within the iteration cap.
+    was met within the iteration cap and the fitted width is at least the
+    smallest delay spacing (a narrower dip is not resolved by the scan).
 
     Visibility is (P_wing - P_min) / P_wing; the subtracted value removes
     the supplied constant background (same units as the scan values) from
@@ -330,6 +331,11 @@ def hom_visibility(scan, background: float = 0.0) -> HomFit:
             break
     base, depth, center, width = p
     width = abs(width)
+    # a dip narrower than the smallest delay spacing is not resolved; the
+    # mean spacing bounds the smallest, so a wider dip skips the spacings
+    # (a width equal to the spacing up to the fit's precision still counts)
+    if width < span / (len(taus) - 1):
+        converged = converged and width >= (1.0 - 1e-9) * np.diff(np.unique(taus)).min()
     if base <= 0:
         raise ValueError("degenerate scan: fitted wing level is not positive")
     if background >= base:

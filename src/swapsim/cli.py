@@ -5,7 +5,9 @@ sweep, fmt, check.  Experiment flags: --netlist, --config, --out, --seed,
 --trials.  A relative `netlist_path` inside a config file is resolved
 against the config file's directory; --netlist against the working
 directory.  Exit codes: 0 success, 1 configuration error, 2 netlist
-parse/compile error (message carries a line:column span), 64 usage error.
+parse/compile error (message carries a line:column span), 64 usage error,
+141 stdout closed before the output was written (e.g. `| head -1`; the
+code a shell reports for a process ended by SIGPIPE, without a traceback).
 
 Reports are written as `report.json` plus CSV data tables and the
 `config.json` that reruns them (relative chip netlist paths rewritten
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 _EXPERIMENT_COMMANDS = ("truth-table", "fringe", "hom", "bell",
                         "tomo-state", "tomo-process", "sweep")
@@ -268,7 +271,16 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send the rest to devnull so the
+        # interpreter's final flush cannot fail again, and exit quietly
+        # (the recipe of the Python `signal` module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
 
 Each runner propagates exact density matrices through the configured chips,
 derives per-setting detection probabilities, draws the Poissonian counts of
-all trials at once (`sample_counts`), runs the matching estimator on each
-trial and wraps the results in a `Report`.  The exact (infinite-count)
-value of every estimate is always computed alongside the Monte Carlo one,
-so the noiseless pipeline doubles as the oracle for the sampled one.
+all trials at once (`sample_counts`), runs the matching stacked estimator
+on all trials in one call and wraps the results in a `Report`.  The exact
+(infinite-count) value of every estimate is always computed alongside the
+Monte Carlo one, so the noiseless pipeline doubles as the oracle for the
+sampled one.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
 and every estimate bit-exactly.  Each run draws from one PCG64 generator
@@ -21,6 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .qcore import (
     ket2,
     partial_trace,
     uhlmann_fidelity,
+    uhlmann_fidelity_stack,
 )
 
 __all__ = [
@@ -158,12 +161,14 @@ def truth_table_fidelity_exact(chip: ChipModel, frame: str = "raw") -> float:
     return tm.truth_table_fidelity(table, tm.ideal_truth_table(frame))
 
 
-def _counts_fidelity(counts: np.ndarray, bg_counts: float, ideal: np.ndarray) -> float:
-    """Truth-table fidelity of one trial's background-subtracted counts."""
+def _counts_fidelity(counts: np.ndarray, bg_counts: float, ideal: tm.TruthTable) -> np.ndarray:
+    """Truth-table fidelity of each trial's background-subtracted counts,
+    `counts` of shape (n_trials, 4, 4)."""
     net = np.maximum(counts - bg_counts, 0.0)
     # a column with no surviving counts carries no information: uniform
-    net[:, net.sum(axis=0) == 0] = 0.25
-    return tm.truth_table_fidelity(tm.TruthTable(net / net.sum(axis=0)), ideal)
+    trial, col = np.nonzero(net.sum(axis=1) == 0)
+    net[trial, :, col] = 0.25
+    return tm.truth_table_fidelity_stack(net / net.sum(axis=1, keepdims=True), ideal.matrix)
 
 
 def run_truth_table(cfg: ExperimentConfig) -> Report:
@@ -181,7 +186,7 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
     t_setting = cfg.integration_time_s / 16.0
     bg_counts = cfg.background_rate_hz * t_setting
     counts = sample_counts(cfg, ("truth-table",), probs, t_setting)
-    f_mean, f_err = _mean_stderr([_counts_fidelity(c, bg_counts, ideal) for c in counts])
+    f_mean, f_err = _mean_stderr(_counts_fidelity(counts, bg_counts, ideal))
     first_counts = counts[0]
     payload = {
         "frame": cfg.logical_frame,
@@ -399,15 +404,22 @@ def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel,
     return rho_pol, sector_p * survival
 
 
-def _tomo_2q_probabilities(rho_pol: DensityMatrix) -> dict:
-    probs = {}
-    for l1 in tm.POLARIZATION_LABELS:
-        for l2 in tm.POLARIZATION_LABELS:
-            proj = np.kron(
-                tm.MeasurementSetting("polarization", l1).projector(),
-                tm.MeasurementSetting("polarization", l2).projector())
-            probs[(l1, l2)] = float(np.trace(proj @ rho_pol.entries).real)
-    return probs
+# The 36 two-qubit polarization settings in sorted (label_q1, label_q2)
+# order, the order in which their counts are drawn, and the column of each
+# grid-order (label order, q1 major) setting within them.
+_TOMO_2Q_PAIRS = sorted(product(tm.POLARIZATION_LABELS, repeat=2))
+_POL_PROJECTORS = {l: tm.MeasurementSetting("polarization", l).projector()
+                   for l in tm.POLARIZATION_LABELS}
+_TOMO_2Q_PROJECTORS = [np.kron(_POL_PROJECTORS[l1], _POL_PROJECTORS[l2])
+                       for l1, l2 in _TOMO_2Q_PAIRS]
+_TOMO_2Q_GRID_COLUMNS = [_TOMO_2Q_PAIRS.index(p)
+                         for p in product(tm.POLARIZATION_LABELS, repeat=2)]
+
+
+def _tomo_2q_probabilities(rho_pol: DensityMatrix) -> np.ndarray:
+    """Probability of each setting of `_TOMO_2Q_PAIRS`."""
+    return np.array([float(np.trace(proj @ rho_pol.entries).real)
+                     for proj in _TOMO_2Q_PROJECTORS])
 
 
 def _bell_label(cfg: ExperimentConfig, label: bp.BellLabel, channels: tuple,
@@ -418,15 +430,13 @@ def _bell_label(cfg: ExperimentConfig, label: bp.BellLabel, channels: tuple,
     ideal = DensityMatrix(4, np.outer(ideal_vec, ideal_vec.conj()))
     f_exact = uhlmann_fidelity(rho_pol, ideal)
 
-    probs = _tomo_2q_probabilities(rho_pol)
-    pairs = sorted(probs)
     t_setting = cfg.integration_time_s / 36.0
     bg_counts = cfg.background_rate_hz * t_setting
     counts = sample_counts(cfg, ("bell", label.value),
-                           np.array([probs[p] for p in pairs]) * success_p, t_setting)
-    net = np.maximum(counts - bg_counts, 0.0)
-    f_mean, f_err = _mean_stderr([
-        uhlmann_fidelity(tm.state_tomo_2q(dict(zip(pairs, n))), ideal) for n in net])
+                           _tomo_2q_probabilities(rho_pol) * success_p, t_setting)
+    net = np.maximum(counts[:, _TOMO_2Q_GRID_COLUMNS] - bg_counts, 0.0)
+    f_mean, f_err = _mean_stderr(
+        uhlmann_fidelity_stack(tm.state_tomo_2q_stack(net), ideal.entries))
     payload = {
         "bell_label": label.value,
         "source_visibility": cfg.source.bell_visibility,
@@ -529,8 +539,8 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     labels = tm.MOMENTUM_LABELS
     counts = sample_counts(cfg, ("tomo-state", spatial_input, pol_label),
                            [probs[lbl] for lbl in labels], t_setting)
-    f_mean, f_err = _mean_stderr([
-        uhlmann_fidelity(tm.state_tomo_1q(dict(zip(labels, c))), target) for c in counts])
+    f_mean, f_err = _mean_stderr(
+        uhlmann_fidelity_stack(tm.state_tomo_1q_stack(counts), target.entries))
     payload = {
         "spatial_input": spatial_input,
         "polarization_input": pol_label,
@@ -565,14 +575,14 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
     chi_ideal = tm.chi_from_unitary(ideal_u)
     per_input = {}
     for spatial in ("T", "B", "+", "+i"):
-        ins, outs = [], []
+        ins, probs = [], []
         for _, pol_lbl in _PROCESS_INPUT_POLS:
             pol = ket2(pol_lbl)
             red = _output_momentum_state(chip, spatial, pol, cfg.logical_frame)
-            probs = _momentum_probabilities(red)
-            outs.append(tm.state_tomo_1q(probs))
+            p = _momentum_probabilities(red)
+            probs.append([p[lbl] for lbl in tm.MOMENTUM_LABELS])
             ins.append(DensityMatrix(2, np.outer(pol, pol.conj())))
-        chi = tm.process_tomo(ins, outs, 1)
+        chi = tm.process_tomo(ins, tm.state_tomo_1q_stack(probs), 1)
         per_input[spatial] = {
             "process_fidelity": tm.process_fidelity(chi, chi_ideal),
             "process_purity": tm.process_purity(chi),

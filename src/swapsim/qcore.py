@@ -32,7 +32,9 @@ __all__ = [
     "apply_channel",
     "heralded_normalize",
     "uhlmann_fidelity",
+    "uhlmann_fidelity_stack",
     "project_to_physical",
+    "project_to_physical_stack",
     "pauli_coefficients",
     "identity_channel",
     "attenuator_channel",
@@ -55,6 +57,9 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 CP_TOL = 1e-10
+# smallest trace, relative to the largest eigenvalue magnitude, that
+# project_to_physical accepts
+PROJECT_RTOL = 1e-4
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -65,7 +70,8 @@ SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -304,7 +310,8 @@ def heralded_normalize(rho: DensityMatrix) -> tuple:
 
 
 def _psd_sqrt(m: np.ndarray, floor_tol: float) -> np.ndarray:
-    """Matrix square root via eigendecomposition with eigenvalue floor 0.
+    """Matrix square root of each matrix in `m` (shape (..., d, d)) via
+    eigendecomposition with eigenvalue floor 0.
 
     Eigenvalues in [-floor_tol, 0) are clipped to zero; anything more
     negative raises.  Positive eigenvalues at the numerical noise floor are
@@ -313,9 +320,32 @@ def _psd_sqrt(m: np.ndarray, floor_tol: float) -> np.ndarray:
     evals, vecs = np.linalg.eigh(m)
     if evals.min() < -floor_tol:
         raise ValueError(f"matrix is not PSD within tolerance (min eig {evals.min():.3e})")
-    noise = 64.0 * np.finfo(float).eps * max(float(evals.max()), 0.0)
-    evals = np.where(evals < max(noise, 0.0), 0.0, evals)
-    return (vecs * np.sqrt(evals)) @ dagger(vecs)
+    noise = 64.0 * np.finfo(float).eps * np.maximum(evals.max(axis=-1, keepdims=True), 0.0)
+    evals = np.where(evals < noise, 0.0, evals)
+    return (vecs * np.sqrt(evals)[..., None, :]) @ dagger(vecs)
+
+
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if tr.min() <= 1e-15:
+        raise ValueError("vacuum state: trace is zero, photon was lost")
+    return m / tr[..., None, None]
+
+
+def uhlmann_fidelity_stack(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity of each state in `rhos` (shape (n, d, d)) with the
+    one state `sigma` (shape (d, d)), as an (n,) array in [0, 1].
+
+    Plain-ndarray kernel of `uhlmann_fidelity`: each input is normalized to
+    trace 1 and checked PSD within tolerance, but not validated as a
+    `DensityMatrix`.  (Tr sqrt(sqrt(r) s sqrt(r)))^2 equals the trace norm
+    of sqrt(r) sqrt(s), squared; singular values avoid taking square roots
+    of eigenvalue-level noise.  sqrt(s) is computed once.
+    """
+    sq_r = _psd_sqrt(_unit_trace(rhos), PSD_TOL)
+    sq_s = _psd_sqrt(_unit_trace(sigma), PSD_TOL)
+    f = np.sum(np.linalg.svd(sq_r @ sq_s, compute_uv=False), axis=-1) ** 2
+    return np.minimum(f, 1.0)
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -326,56 +356,68 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    r, _ = heralded_normalize(rho)
-    s, _ = heralded_normalize(sigma)
-    # (Tr sqrt(sqrt(r) s sqrt(r)))^2 equals the trace norm of
-    # sqrt(r) sqrt(s), squared; singular values avoid taking square roots
-    # of eigenvalue-level noise.
-    sq_r = _psd_sqrt(r.entries, PSD_TOL)
-    sq_s = _psd_sqrt(s.entries, PSD_TOL)
-    f = float(np.sum(np.linalg.svd(sq_r @ sq_s, compute_uv=False)) ** 2)
-    return min(f, 1.0)
+    return float(uhlmann_fidelity_stack(rho.entries[None], sigma.entries)[0])
+
+
+def project_to_physical_stack(h: np.ndarray) -> np.ndarray:
+    """Project each Hermitian matrix of `h` (shape (n, d, d)) onto the
+    nearest physical density matrix; returns an (n, d, d) array.
+
+    Eigenvalue-redistribution projection (Smolin, Gambetta and Smith, PRL
+    108, 070502, 2012): normalize the spectrum to unit sum, then walk the
+    sorted eigenvalues from the most negative up, zeroing each negative one
+    and spreading the deficit uniformly over all remaining larger
+    eigenvalues.  This is the closed-form maximum-likelihood projection for
+    additive Gaussian noise and equals the Frobenius-nearest trace-1 PSD
+    matrix.  The walk runs over the d eigenvalue positions, vectorised over
+    the stack.
+
+    Raises if any input is not Hermitian within 1e-8 or has a trace not
+    above PROJECT_RTOL of its largest eigenvalue magnitude (including any
+    all-nonpositive spectrum).
+    """
+    m = np.asarray(h, dtype=complex)
+    if np.max(np.abs(m - dagger(m))) > 1e-8:
+        raise ValueError("input is not Hermitian within 1e-8")
+    evals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
+    total = evals.sum(axis=-1)
+    # normalizing divides the rounding error of the eigenvalues (~eps times
+    # the largest magnitude) by the trace; a trace below PROJECT_RTOL of that
+    # magnitude (or not positive) would leave the result's trace off by more
+    # than TRACE_TOL
+    if (total <= PROJECT_RTOL * np.abs(evals).max(axis=-1)).any():
+        raise ValueError("spectrum sum is not positive relative to its largest "
+                         "eigenvalue: nothing to project onto")
+    lam = (evals / total[:, None])[:, ::-1].copy()  # descending
+    vecs = vecs[..., ::-1]
+    d = lam.shape[-1]
+    acc = np.zeros(len(lam))
+    kept = np.full(len(lam), d)  # eigenvalues not (yet) zeroed
+    for i in range(d, 0, -1):
+        cut = (kept == i) & (lam[:, i - 1] + acc / i < 0)
+        if not cut.any():
+            break  # a trial not cut here stops, so no trial walks further
+        acc = np.where(cut, acc + lam[:, i - 1], acc)
+        lam[cut, i - 1] = 0.0
+        kept -= cut
+    if acc.any():  # spread each trial's deficit over its kept eigenvalues
+        lam += np.where(np.arange(d) < kept[:, None], (acc / kept)[:, None], 0.0)
+    out = (vecs * lam[:, None, :]) @ dagger(vecs)
+    return 0.5 * (out + dagger(out))
 
 
 def project_to_physical(h: np.ndarray) -> DensityMatrix:
-    """Project a Hermitian estimate onto the nearest physical density matrix.
+    """Project a Hermitian estimate onto the nearest physical density matrix
+    (the one-matrix case of `project_to_physical_stack`).
 
-    Eigenvalue-redistribution projection: normalize the spectrum to unit
-    sum, then walk the sorted eigenvalues from the most negative up, zeroing
-    each negative one and spreading the deficit uniformly over all remaining
-    larger eigenvalues.  This is the closed-form maximum-likelihood
-    projection for additive Gaussian noise and equals the Frobenius-nearest
-    trace-1 PSD matrix.
-
-    Raises if the input is not Hermitian within 1e-8 or has an
-    all-nonpositive spectrum.
+    Raises if the input is not a square matrix, is not Hermitian within
+    1e-8 or has a trace not above PROJECT_RTOL of its largest eigenvalue
+    magnitude (including any all-nonpositive spectrum).
     """
-    m = np.asarray(h, dtype=complex)
-    if isinstance(h, DensityMatrix):
-        m = h.entries
+    m = h.entries if isinstance(h, DensityMatrix) else np.asarray(h, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.max(np.abs(m - dagger(m))) > 1e-8:
-        raise ValueError("input is not Hermitian within 1e-8")
-    m = 0.5 * (m + dagger(m))
-    evals, vecs = np.linalg.eigh(m)
-    total = float(evals.sum())
-    if evals.max() <= 0 or total <= 0:
-        raise ValueError("all-nonpositive spectrum: nothing to project onto")
-    lam = evals / total  # descending after flip
-    lam = lam[::-1].copy()
-    vecs = vecs[:, ::-1]
-    d = len(lam)
-    acc = 0.0
-    i = d
-    while i > 0 and lam[i - 1] + acc / i < 0:
-        acc += lam[i - 1]
-        lam[i - 1] = 0.0
-        i -= 1
-    lam[:i] += acc / i
-    out = (vecs * lam) @ dagger(vecs)
-    out = 0.5 * (out + dagger(out))
-    return DensityMatrix(m.shape[0], out)
+    return DensityMatrix(m.shape[0], project_to_physical_stack(m[None])[0])
 
 
 def pauli_coefficients(rho: DensityMatrix, basis: PauliBasis) -> np.ndarray:

@@ -5,9 +5,13 @@ polarization qubit and 0,1,+,-,i,-i for the spatial-momentum qubit, paired
 into the z, x, y axes in that order.  Reconstruction is linear inversion of
 Stokes parameters followed by the eigenvalue-redistribution projection onto
 physical states, matching the count levels of the experiments (iterative
-maximum likelihood is deliberately out of scope).  Fringe scans are fitted
-in closed form: A (1 + V cos(phi + delta)) is rewritten as
-A + B cos(phi) + C sin(phi) and solved by weighted linear least squares.
+maximum likelihood is deliberately out of scope).  Each state and
+truth-table estimator has a stacked kernel (`*_stack`) that takes plain
+arrays with a leading trial axis, so a Monte Carlo run is reconstructed in
+one call; the public dict/`TruthTable` functions are its one-trial case.
+Fringe scans are fitted in closed form: A (1 + V cos(phi + delta)) is
+rewritten as A + B cos(phi) + C sin(phi) and solved by weighted linear
+least squares.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .qcore import (
     QuantumChannel,
     dagger,
     ket2,
-    project_to_physical,
+    project_to_physical_stack,
 )
 
 __all__ = [
@@ -38,8 +42,11 @@ __all__ = [
     "TruthTable",
     "ideal_truth_table",
     "truth_table_fidelity",
+    "truth_table_fidelity_stack",
     "state_tomo_1q",
+    "state_tomo_1q_stack",
     "state_tomo_2q",
+    "state_tomo_2q_stack",
     "process_tomo",
     "chi_from_unitary",
     "process_fidelity",
@@ -50,12 +57,6 @@ __all__ = [
 
 POLARIZATION_LABELS = ("H", "V", "D", "A", "R", "L")
 MOMENTUM_LABELS = ("0", "1", "+", "-", "i", "-i")
-
-# axis -> (+1 label, -1 label), per subsystem flavor
-_AXIS_PAIRS = {
-    "polarization": {"z": ("H", "V"), "x": ("D", "A"), "y": ("R", "L")},
-    "momentum": {"z": ("0", "1"), "x": ("+", "-"), "y": ("i", "-i")},
-}
 
 _PAULI_1Q = PauliBasis(1)
 _PAULI_2Q = PauliBasis(2)
@@ -171,6 +172,20 @@ def ideal_truth_table(frame: str = "raw") -> TruthTable:
     return TruthTable(m)
 
 
+def truth_table_fidelity_stack(m_exp: np.ndarray, m_ideal: np.ndarray) -> np.ndarray:
+    """Fidelity of each table in `m_exp` (shape (n, 4, 4), columns
+    normalized to 1) with the 0/1 table `m_ideal`, as an (n,) array.
+
+    The plain-ndarray kernel of `truth_table_fidelity`.
+    """
+    sums = m_exp.sum(axis=-2)
+    if np.max(np.abs(sums - 1.0)) > 1e-9:
+        raise ValueError("measured table columns must be normalized to 1")
+    if not np.all(np.isin(m_ideal, (0.0, 1.0))) or np.any(m_ideal.sum(axis=0) != 1.0):
+        raise ValueError("ideal table must be a 0/1 table with one entry per column")
+    return (m_exp * m_ideal).sum(axis=(-2, -1)) / 4.0
+
+
 def truth_table_fidelity(m_exp: TruthTable, m_ideal: TruthTable) -> float:
     """F = (1/4) sum_ij ideal_ij exp_ij with column-normalized measurements.
 
@@ -178,26 +193,57 @@ def truth_table_fidelity(m_exp: TruthTable, m_ideal: TruthTable) -> float:
     normalization Tr(M_ideal M_ideal^T) equals 4, so this matches the
     quoted fidelity convention exactly.
     """
-    exp = m_exp.matrix
-    sums = exp.sum(axis=0)
-    if np.max(np.abs(sums - 1.0)) > 1e-9:
-        raise ValueError("measured table columns must be normalized to 1")
-    ideal = m_ideal.matrix
-    if not np.all(np.isin(ideal, (0.0, 1.0))) or np.any(ideal.sum(axis=0) != 1.0):
-        raise ValueError("ideal table must be a 0/1 table with one entry per column")
-    return float(np.sum(ideal * exp) / 4.0)
+    return float(truth_table_fidelity_stack(m_exp.matrix[None], m_ideal.matrix)[0])
 
 
 # ---------------------------------------------------------------------------
 # state tomography
 # ---------------------------------------------------------------------------
 
-def _flavor_of(labels) -> str:
-    if set(labels) <= set(POLARIZATION_LABELS):
-        return "polarization"
-    if set(labels) <= set(MOMENTUM_LABELS):
-        return "momentum"
+def _flavor_labels(labels) -> tuple:
+    """The label tuple (polarization or momentum) holding all of `labels`."""
+    for flavor in (POLARIZATION_LABELS, MOMENTUM_LABELS):
+        if set(labels) <= set(flavor):
+            return flavor
     raise ValueError(f"mixed or unknown setting labels: {sorted(labels)}")
+
+
+# A count array lists the six settings of a qubit in label order, which is
+# the same for both flavors: z+, z-, x+, x-, y+, y-.
+# _SIGNS is the eigenvalue of each setting's axis operator, and
+# _AXIS_TO_PAULI the index into PauliBasis order (I, X, Y, Z) of z, x, y.
+_SIGNS = np.array([1.0, -1.0])
+_AXIS_TO_PAULI = np.array([3, 1, 2])
+# Rows of _PAULI_*_ROWS are the flattened Pauli operators, so a
+# coefficient row times it is the flattened operator sum.
+_PAULI_1Q_ROWS = np.array(_PAULI_1Q.operators).reshape(4, 4)
+_PAULI_2Q_ROWS = np.array(_PAULI_2Q.operators).reshape(16, 16)
+
+
+def _check_axis_totals(total: np.ndarray, what: str) -> None:
+    if (total <= 0).any():
+        axes = ",".join("zxy"[k] for k in np.argwhere(total <= 0)[0][1:])
+        raise ValueError(f"zero total counts for {what} ({axes})")
+
+
+def state_tomo_1q_stack(counts) -> np.ndarray:
+    """Single-qubit tomography of every trial in `counts`, shape (n, 6)
+    with the settings in label order; returns the (n, 2, 2) projected
+    estimates.  The plain-ndarray kernel of `state_tomo_1q`.
+    """
+    c = np.asarray(counts, dtype=float).reshape(-1, 3, 2)
+    total = c.sum(axis=2)
+    _check_axis_totals(total, "axis")
+    coef = np.ones((len(c), 4))
+    coef[:, _AXIS_TO_PAULI] = (c @ _SIGNS) / total
+    return project_to_physical_stack(0.5 * (coef @ _PAULI_1Q_ROWS).reshape(-1, 2, 2))
+
+
+def _counts_in_label_order(counts, labels) -> np.ndarray:
+    missing = [k for k in labels if k not in counts]
+    if missing:
+        raise ValueError(f"missing counts for settings {missing}")
+    return np.array([[float(counts[k]) for k in labels]])
 
 
 def state_tomo_1q(counts) -> DensityMatrix:
@@ -207,47 +253,31 @@ def state_tomo_1q(counts) -> DensityMatrix:
     flavor) to nonnegative numbers.  Stokes components come from antipodal
     count ratios; the linear estimate is projected to the physical set.
     """
-    flavor = _flavor_of(counts.keys())
-    pairs = _AXIS_PAIRS[flavor]
-    stokes = {}
-    for axis, (plus, minus) in pairs.items():
-        if plus not in counts or minus not in counts:
-            raise ValueError(f"missing counts for axis {axis}")
-        npl, nmi = float(counts[plus]), float(counts[minus])
-        if npl + nmi <= 0:
-            raise ValueError(f"zero total counts on axis {axis}")
-        stokes[axis] = (npl - nmi) / (npl + nmi)
-    _, sx, sy, sz = _PAULI_1Q.operators
-    lin = 0.5 * (np.eye(2, dtype=complex)
-                 + stokes["x"] * sx + stokes["y"] * sy + stokes["z"] * sz)
-    return project_to_physical(lin)
+    labels = _flavor_labels(counts.keys())
+    return DensityMatrix(2, state_tomo_1q_stack(_counts_in_label_order(counts, labels))[0])
 
 
-def _axis_expectations_2q(counts, flavors) -> dict:
-    pairs1 = _AXIS_PAIRS[flavors[0]]
-    pairs2 = _AXIS_PAIRS[flavors[1]]
-    axes = ("x", "y", "z")
+def state_tomo_2q_stack(counts) -> np.ndarray:
+    """Two-qubit tomography of every trial in `counts`, shape (n, 36) with
+    the settings in (label_q1, label_q2) label order, q1 major; returns the
+    (n, 4, 4) projected estimates.  The plain-ndarray kernel of
+    `state_tomo_2q`.
 
-    def combos(a, b):
-        return [(pairs1[a][i1], pairs2[b][i2], s1, s2)
-                for i1, s1 in ((0, 1), (1, -1))
-                for i2, s2 in ((0, 1), (1, -1))]
-
-    joint = {}
-    sums1 = {a: [] for a in axes}
-    sums2 = {b: [] for b in axes}
-    for a in axes:
-        for b in axes:
-            cs = combos(a, b)
-            total = sum(float(counts[(l1, l2)]) for l1, l2, _, _ in cs)
-            if total <= 0:
-                raise ValueError(f"zero total counts for axis pair ({a},{b})")
-            joint[(a, b)] = sum(s1 * s2 * float(counts[(l1, l2)]) for l1, l2, s1, s2 in cs) / total
-            sums1[a].append(sum(s1 * float(counts[(l1, l2)]) for l1, l2, s1, _ in cs) / total)
-            sums2[b].append(sum(s2 * float(counts[(l1, l2)]) for l1, l2, _, s2 in cs) / total)
-    singles1 = {a: float(np.mean(v)) for a, v in sums1.items()}
-    singles2 = {b: float(np.mean(v)) for b, v in sums2.items()}
-    return {"joint": joint, "q1": singles1, "q2": singles2}
+    The counts are read as (n, axis1, sign1, axis2, sign2).  Each Pauli
+    expectation is a ratio within its axis pair; a single-qubit term is
+    averaged over the partner's three axes.
+    """
+    c = np.asarray(counts, dtype=float).reshape(-1, 3, 2, 3, 2)
+    total = c.sum(axis=(2, 4))
+    _check_axis_totals(total, "axis pair")
+    coef = np.zeros((len(c), 4, 4))
+    coef[:, 0, 0] = 1.0
+    coef[:, _AXIS_TO_PAULI, 0] = (np.einsum("nasbt,s->nab", c, _SIGNS) / total).mean(axis=2)
+    coef[:, 0, _AXIS_TO_PAULI] = (np.einsum("nasbt,t->nab", c, _SIGNS) / total).mean(axis=1)
+    coef[:, _AXIS_TO_PAULI[:, None], _AXIS_TO_PAULI] = \
+        np.einsum("nasbt,s,t->nab", c, _SIGNS, _SIGNS) / total
+    lin = coef.reshape(-1, 16) @ _PAULI_2Q_ROWS / 4.0
+    return project_to_physical_stack(lin.reshape(-1, 4, 4))
 
 
 def state_tomo_2q(counts) -> DensityMatrix:
@@ -258,23 +288,12 @@ def state_tomo_2q(counts) -> DensityMatrix:
     ratios within each axis pair (single-qubit terms are averaged over the
     partner axis); the linear estimate is projected to the physical set.
     """
-    labels1 = {l1 for l1, _ in counts}
-    labels2 = {l2 for _, l2 in counts}
-    flavors = (_flavor_of(labels1), _flavor_of(labels2))
+    labels1 = _flavor_labels({l1 for l1, _ in counts})
+    labels2 = _flavor_labels({l2 for _, l2 in counts})
     if len(counts) < 36:
         raise ValueError("two-qubit tomography needs the full 36-setting grid")
-    exp = _axis_expectations_2q(counts, flavors)
-    sig = {"x": _PAULI_1Q.operators[1], "y": _PAULI_1Q.operators[2],
-           "z": _PAULI_1Q.operators[3]}
-    eye = np.eye(2, dtype=complex)
-    lin = np.kron(eye, eye).astype(complex)
-    for a, val in exp["q1"].items():
-        lin += val * np.kron(sig[a], eye)
-    for b, val in exp["q2"].items():
-        lin += val * np.kron(eye, sig[b])
-    for (a, b), val in exp["joint"].items():
-        lin += val * np.kron(sig[a], sig[b])
-    return project_to_physical(lin / 4.0)
+    grid = [(l1, l2) for l1 in labels1 for l2 in labels2]
+    return DensityMatrix(4, state_tomo_2q_stack(_counts_in_label_order(counts, grid))[0])
 
 
 # ---------------------------------------------------------------------------

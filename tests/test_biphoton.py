@@ -223,6 +223,22 @@ class TestHomVisibility:
         assert fit.coherence_time_ps == pytest.approx(0.5, abs=1e-9)
         assert fit.center_ps == pytest.approx(12.0, abs=1e-9)
 
+    def test_dip_narrower_than_spacing_not_converged(self):
+        # one low point on a flat scan fits a ~0.06 ps dip, below the 0.5 ps
+        # delay spacing: the scan does not resolve it
+        taus = np.linspace(-12, 12, 49)
+        vals = np.full(49, 100.0)
+        vals[24] = 50.0
+        fit = bp.hom_visibility(list(zip(taus, vals)))
+        assert fit.coherence_time_ps < 0.5
+        assert not fit.converged
+
+    def test_default_scan_converges(self):
+        taus = np.linspace(-12, 12, 49)
+        fit = bp.hom_visibility(self.scan(0.96, 3.15, taus, scale=1e4))
+        assert fit.converged
+        assert fit.coherence_time_ps == pytest.approx(3.15, abs=1e-6)
+
     def test_matches_least_squares_oracle(self):
         # oracle: scipy's iterative fit of the same weighted Gaussian-dip
         # residual, started from the true parameters

@@ -310,3 +310,18 @@ def test_runtime_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_closed_stdout_exits_quietly():
+    # `swapsim bell | head -1`: the reader is gone before the report is
+    # printed; the CLI exits with its documented code and no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "swapsim.cli", "bell", "--trials", "1"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""

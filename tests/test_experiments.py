@@ -313,3 +313,43 @@ class TestBellAllLabels:
         assert agg.payload["second_chip_truth_table_fidelity"] == \
             singles["psi+"].payload["second_chip_truth_table_fidelity"]
         assert agg.config_hash == singles["psi+"].config_hash
+
+
+class TestStackedEstimators:
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        return ExperimentConfig.measured_chip(n_trials=100, rng_seed=4242)
+
+    def test_density_matrix_constructions_do_not_grow_with_trials(self, cfg, monkeypatch):
+        # every trial is reconstructed by the plain-ndarray kernels; only
+        # the exact pipeline builds validated DensityMatrix values
+        from swapsim import qcore as qc
+
+        made = []
+        post_init = qc.DensityMatrix.__post_init__
+        monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
+                            lambda self: made.append(self.dim) or post_init(self))
+        ex.run_bell_distribution(replace(cfg, n_trials=1))
+        one_trial = len(made)
+        made.clear()
+        ex.run_bell_distribution(cfg)
+        assert len(made) == one_trial
+
+    def test_counts_unchanged(self, cfg, monkeypatch):
+        # the draws at seed 4242 as made by the per-trial estimators before
+        # them: the stacked estimators reindex the counts after the draw
+        drawn = []
+        sample_counts = ex.sample_counts
+        monkeypatch.setattr(ex, "sample_counts",
+                            lambda *a: drawn.append(sample_counts(*a)) or drawn[-1])
+        ex.run_bell_distribution(cfg)
+        assert [int(c.sum()) for c in drawn] == [28162, 28220, 26482, 26481]
+        assert drawn[0][0].tolist() == [
+            10, 2, 7, 9, 9, 9, 2, 10, 13, 7, 5, 5, 4, 4, 4, 8, 4, 9,
+            4, 7, 11, 7, 3, 1, 10, 5, 6, 0, 18, 2, 8, 10, 15, 6, 12, 3]
+        tt = ex.run_truth_table(cfg)
+        assert tt.payload["first_trial_counts"] == [
+            [44, 112, 162, 5577], [110, 6234, 4, 133], [160, 2, 7863, 97], [5579, 142, 94, 37]]
+        ts = ex.run_state_tomography(cfg)
+        assert [row[2] for row in ts.tables["count_records"][1:]] == [
+            33419, 52019, 84009, 1374, 42354, 42950]

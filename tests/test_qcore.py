@@ -233,6 +233,16 @@ class TestProjectToPhysical:
         with pytest.raises(ValueError):
             qc.project_to_physical(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("pos", [(2, 1), (2, 3)])
+    def test_near_zero_trace_raises(self, pos):
+        # trace 4e-15 against eigenvalues of about +-0.375: normalizing the
+        # spectrum to unit sum amplifies its rounding by ~1e14 (a trace-0.98
+        # "state" came out, or a trace error from DensityMatrix)
+        a = np.full((4, 4), 1e-15 + 1e-15j)
+        a[pos] = 0.75 + 1e-15j
+        with pytest.raises(ValueError, match="spectrum sum is not positive"):
+            qc.project_to_physical(0.5 * (a + a.conj().T))
+
 
 def _random_herm(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -1,0 +1,131 @@
+"""Stacked estimator kernels against their one-trial public functions.
+
+Each kernel takes a leading trial axis; on random stacks it must equal the
+public function applied trial by trial (and raise where that raises), and
+its outputs must be physical: unit-trace PSD states, fidelities in [0, 1].
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from swapsim import qcore as qc
+from swapsim import tomography as tm
+
+# derandomized: tier-1 runs the same examples every time
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+TOL = 1e-12
+
+
+def count_stacks(width):
+    """(n, width) count arrays; zeros are common, so dead axes occur."""
+    counts = st.one_of(st.just(0), st.integers(0, 500))
+    return st.integers(1, 5).flatmap(
+        lambda n: arrays(np.int64, (n, width), elements=counts))
+
+
+def complex_stacks(dim, cols=None):
+    """(n, dim, cols) complex arrays with parts in [-1, 1]."""
+    cols = dim if cols is None else cols
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    return st.integers(1, 5).flatmap(
+        lambda n: arrays(np.float64, (2, n, dim, cols), elements=parts)
+    ).map(lambda a: a[0] + 1j * a[1])
+
+
+def _entries_or_none(fn, arg):
+    try:
+        return fn(arg).entries
+    except ValueError:
+        return None
+
+
+def _assert_stack_matches(stack_fn, stack_arg, per_trial):
+    """`stack_fn(stack_arg)` equals the stacked per-trial results, or raises
+    if any trial raised; returns the stack (None when it raised)."""
+    if any(r is None for r in per_trial):
+        with pytest.raises(ValueError):
+            stack_fn(stack_arg)
+        return None
+    out = stack_fn(stack_arg)
+    np.testing.assert_allclose(out, np.array(per_trial), rtol=0, atol=TOL)
+    return out
+
+
+def _assert_physical(rhos, trace_tol=TOL):
+    for rho in rhos:
+        assert np.linalg.eigvalsh(rho).min() >= -TOL
+        assert np.trace(rho).real == pytest.approx(1.0, abs=trace_tol)
+        np.testing.assert_allclose(rho, rho.conj().T, rtol=0, atol=TOL)
+
+
+@PROPERTY
+@given(count_stacks(6))
+def test_state_tomo_1q_stack(counts):
+    per_trial = [_entries_or_none(tm.state_tomo_1q, dict(zip(tm.MOMENTUM_LABELS, c)))
+                 for c in counts]
+    out = _assert_stack_matches(tm.state_tomo_1q_stack, counts, per_trial)
+    if out is not None:
+        _assert_physical(out)
+
+
+@PROPERTY
+@given(count_stacks(36))
+def test_state_tomo_2q_stack(counts):
+    grid = [(l1, l2) for l1 in tm.POLARIZATION_LABELS for l2 in tm.POLARIZATION_LABELS]
+    per_trial = [_entries_or_none(tm.state_tomo_2q, dict(zip(grid, c))) for c in counts]
+    out = _assert_stack_matches(tm.state_tomo_2q_stack, counts, per_trial)
+    if out is not None:
+        _assert_physical(out)
+
+
+@PROPERTY
+@given(st.data())
+def test_project_to_physical_stack(data):
+    a = data.draw(st.sampled_from([2, 4]).flatmap(complex_stacks))
+    # a per-trial shift of the spectrum mixes trials that need no cut, one
+    # cut or several in one stack (and some with a trace near zero)
+    shift = data.draw(arrays(np.float64, len(a), elements=st.floats(0.0, 2.0)))
+    h = 0.5 * (a + np.swapaxes(a, -1, -2).conj()) + shift[:, None, None] * np.eye(a.shape[-1])
+    per_trial = [_entries_or_none(qc.project_to_physical, m) for m in h]
+    out = _assert_stack_matches(qc.project_to_physical_stack, h, per_trial)
+    if out is not None:
+        # the trace error grows with the spectrum's size over its trace,
+        # which the projection bounds by 1 / PROJECT_RTOL
+        _assert_physical(out, trace_tol=qc.TRACE_TOL)
+
+
+def test_project_to_physical_stack_mixed_walks():
+    # one stack whose trials zero none, one and two eigenvalues
+    spectra = ([0.4, 0.3, 0.2, 0.1], [0.7, 0.2, 0.2, -0.1], [1.2, 0.3, -0.2, -0.3])
+    u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4) * 3j)[0]
+    h = np.array([u @ np.diag(lam) @ u.conj().T for lam in spectra])
+    expect = [qc.project_to_physical(m).entries for m in h]
+    np.testing.assert_allclose(qc.project_to_physical_stack(h), expect, rtol=0, atol=TOL)
+    evals = np.linalg.eigvalsh(qc.project_to_physical_stack(h))[:, ::-1]
+    np.testing.assert_allclose(evals, [[0.4, 0.3, 0.2, 0.1],
+                                       [0.7 - 0.1 / 3, 0.2 - 0.1 / 3, 0.2 - 0.1 / 3, 0.0],
+                                       [0.95, 0.05, 0.0, 0.0]], rtol=0, atol=TOL)
+
+
+@PROPERTY
+@given(st.data())
+def test_uhlmann_fidelity_stack(data):
+    dim = data.draw(st.sampled_from([2, 4]))
+    # g g^dag / Tr: states of every rank up to dim
+    g = data.draw(complex_stacks(dim, data.draw(st.integers(1, dim))))
+    target = data.draw(complex_stacks(dim, data.draw(st.integers(1, dim))))[0]
+    rhos = g @ np.swapaxes(g, -1, -2).conj()
+    sigma = target @ target.conj().T
+    tr = np.trace(rhos, axis1=1, axis2=2).real
+    assume(tr.min() > 1e-6 and np.trace(sigma).real > 1e-6)
+    # sub-trace (lossy) states are compared after normalization
+    loss = data.draw(arrays(np.float64, len(rhos), elements=st.floats(0.1, 1.0)))
+    rhos = rhos * (loss / tr)[:, None, None]
+    sigma = qc.DensityMatrix(dim, sigma / np.trace(sigma).real)
+    f = qc.uhlmann_fidelity_stack(rhos, sigma.entries)
+    expect = [qc.uhlmann_fidelity(qc.DensityMatrix(dim, r), sigma) for r in rhos]
+    np.testing.assert_allclose(f, expect, rtol=0, atol=TOL)
+    assert np.all((f >= 0.0) & (f <= 1.0))
