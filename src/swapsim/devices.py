@@ -335,10 +335,15 @@ def facet_channel(loss_h_db: float, loss_v_db: float, xtalk_amp: float = 0.0) ->
 
 @dataclass(frozen=True)
 class ChipModel:
-    """Ordered dim-4 stages making up one chip."""
+    """Ordered dim-4 stages making up one chip.
+
+    The stages are composed once, at construction, into the chip's channel;
+    every exact propagation goes through that one channel.
+    """
 
     stages: tuple
     label: str = "chip"
+    _channel: QuantumChannel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -346,16 +351,14 @@ class ChipModel:
         for st in stages:
             if not isinstance(st, QuantumChannel) or st.dim_in != 4 or st.dim_out != 4:
                 raise ValueError("every chip stage must be a dim-4 channel")
+        object.__setattr__(self, "_channel", compose_channels(*stages))
 
     def channel(self) -> QuantumChannel:
         """All stages composed into a single channel (first stage acts first)."""
-        return compose_channels(*self.stages)
+        return self._channel
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        out = rho
-        for st in self.stages:
-            out = apply_channel(st, out)
-        return out
+        return apply_channel(self._channel, rho)
 
 
 _XX = np.kron(PAULI_X, PAULI_X)

@@ -1,9 +1,14 @@
 """End-to-end reproductions of the chip experiments with shot-noise Monte Carlo.
 
-Each runner propagates exact density matrices through the configured chips,
-derives per-setting detection probabilities, draws the Poissonian counts of
-all trials at once (`sample_counts`), runs the matching stacked estimator
-on all trials in one call and wraps the results in a `Report`.  The exact
+Each chip's stages are composed once into one channel (`ChipModel.channel`),
+and every runner reads its exact quantities off that channel: detection
+probabilities straight from its Kraus operators (truth table, fringe), or
+from one application to each input state (tomography, sweep; the HOM pair
+and the Bell link, itself composed with the fiber, go through
+`biphoton.apply_chip_both`).  From the per-setting detection probabilities
+each runner draws the Poissonian counts of all trials at once
+(`sample_counts`), runs the matching stacked estimator on all trials in one
+call and wraps the results in a `Report`.  The exact
 (infinite-count) value of every estimate is always computed alongside the
 Monte Carlo one, so the noiseless pipeline doubles as the oracle for the
 sampled one.
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
@@ -33,6 +37,7 @@ from .devices import (
     BS_5050,
     ChipModel,
     MZISetting,
+    ideal_swap_unitary,
     logical_frame,
     mzi_projector,
     phase_v,
@@ -43,6 +48,7 @@ from .qcore import (
     DensityMatrix,
     QuantumChannel,
     apply_channel,
+    compose_channels,
     dagger,
     heralded_normalize,
     ket2,
@@ -131,11 +137,6 @@ def _mean_stderr(values) -> tuple:
     return float(a.mean()), float(a.std(ddof=1)) if len(a) > 1 else 0.0
 
 
-def _rho4(channel_label: str, pol_vec: np.ndarray) -> DensityMatrix:
-    v = np.kron(ket2(channel_label), pol_vec)
-    return DensityMatrix(4, np.outer(v, v.conj()))
-
-
 # ---------------------------------------------------------------------------
 # truth table
 # ---------------------------------------------------------------------------
@@ -145,14 +146,9 @@ _BASIS_LABELS = ("TH", "TV", "BH", "BV")
 
 def exact_truth_table(chip: ChipModel) -> np.ndarray:
     """Unnormalized detection probabilities: column j = input basis state j,
-    row i = probability of output basis state i (column sums < 1 are loss)."""
-    probs = np.zeros((4, 4))
-    for j in range(4):
-        v = np.zeros(4, dtype=complex)
-        v[j] = 1.0
-        out = chip.apply(DensityMatrix(4, np.outer(v, v.conj())))
-        probs[:, j] = np.diag(out.entries).real
-    return probs
+    row i = probability of output basis state i (column sums < 1 are loss),
+    read off the chip's Kraus operators as sum_k |K_k[i, j]|^2."""
+    return sum((k * k.conj()).real for k in chip.channel().kraus)
 
 
 def truth_table_fidelity_exact(chip: ChipModel, frame: str = "raw") -> float:
@@ -211,13 +207,12 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
 # fringe scan
 # ---------------------------------------------------------------------------
 
-def _fringe_probability(chip: ChipModel, phi: float, port: str,
-                        use_polarizer: bool) -> float:
-    pol_in = phase_v(phi) @ ket2("D")
-    rho = _rho4(port, pol_in)
-    out = chip.apply(rho)
-    bs = np.kron(BS_5050, np.eye(2))
-    out = apply_channel(QuantumChannel(4, 4, (bs,)), out)
+def _fringe_probabilities(chip: ChipModel, phases: np.ndarray, port: str,
+                          use_polarizer: bool) -> np.ndarray:
+    """Detection probability at each phase, sum_k |sel . BS . K_k . v(phi)|^2,
+    for the input v(phi) = |port> (x) phase_v(phi)|D>: the chip's Kraus
+    operators K_k, then the 50:50 combiner and the monitored output."""
+    v = np.stack([np.kron(ket2(port), phase_v(p) @ ket2("D")) for p in phases], axis=1)
     if use_polarizer:
         # analyzer aligned with the ideal output polarization: the swapped
         # qubit leaves in V for T-port input and in H for B-port input
@@ -228,9 +223,8 @@ def _fringe_probability(chip: ChipModel, phi: float, port: str,
     # amplitudes enter the two outputs with different quadratures; this one
     # carries the high-contrast fringe)
     sel_sp = np.diag([1.0, 0.0]) if port == "T" else np.diag([0.0, 1.0])
-    sel = np.kron(sel_sp, sel_pol).astype(complex)
-    out = apply_channel(QuantumChannel(4, 4, (sel,)), out)
-    return out.trace
+    detect = np.kron(sel_sp, sel_pol) @ np.kron(BS_5050, np.eye(2))
+    return sum(np.sum(np.abs(detect @ k @ v) ** 2, axis=0) for k in chip.channel().kraus)
 
 
 def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
@@ -246,11 +240,8 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
     phases = np.asarray(list(phases), dtype=float)
     if len(phases) < 5:
         raise ValueError("need at least 5 phase points")
-    chip = cfg.chip(0)
-    exact = np.array([
-        _fringe_probability(chip, p, cfg.fringe_port, cfg.fringe_output_polarizer)
-        for p in phases
-    ])
+    exact = _fringe_probabilities(cfg.chip(0), phases, cfg.fringe_port,
+                                  cfg.fringe_output_polarizer)
     exact_v = float((exact.max() - exact.min()) / (exact.max() + exact.min()))
     fit_exact = tm.fringe_fit(list(zip(phases, exact * 1e6)))  # noiseless, scaled
 
@@ -325,14 +316,10 @@ def _hom_state(cfg: ExperimentConfig) -> bp.BiphotonState:
         cfg.source.dip_shape)
     if cfg.hom_input != "source":
         state = bp.apply_chip_both(state, cfg.chip(0).channel())
-    rho, _ = heralded_normalize(state.joint)
-    state = bp.BiphotonState(rho, state.coherence_time_ps, state.wavelengths_nm,
-                             state.overlap_shape)
+    state = replace(state, joint=heralded_normalize(state.joint)[0])
     fpc = _fpc_unitary(state, cfg.fpc_mode)
-    lift = np.kron(np.eye(4), np.kron(np.eye(2), fpc)).astype(complex)
-    rho = apply_channel(QuantumChannel(16, 16, (lift,)), state.joint)
-    return bp.BiphotonState(rho, state.coherence_time_ps, state.wavelengths_nm,
-                            state.overlap_shape)
+    return bp.apply_local(state, QuantumChannel(4, 4, (np.kron(np.eye(2), fpc),)),
+                          bp.IDLER)
 
 
 def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
@@ -381,23 +368,26 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
 # Bell distribution between two chips
 # ---------------------------------------------------------------------------
 
-def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel,
-                             channels: tuple | None = None):
-    """Propagate a Bell pair through chip1, fiber link, chip2.
+def _bell_link(cfg: ExperimentConfig, chip1: ChipModel, chip2: ChipModel) -> QuantumChannel:
+    """Chip 1, the fiber link, its compensation and chip 2 composed into one
+    dim-4 channel (chip 1 acts first)."""
+    forward, compensation = bp.fiber_link(cfg.fiber_seed, cfg.fiber_residual_rad)
+    return compose_channels(chip1.channel(), forward, compensation, chip2.channel())
 
-    `channels` holds the composed channels of chips 0 and 1; they are
-    built from `cfg` when omitted.  Returns the conditioned two-qubit
-    polarization state in the (T_S, B_I) coincidence sector plus that
-    sector's probability.
+
+def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel,
+                             link: QuantumChannel | None = None):
+    """Propagate a Bell pair, both photons, through the composed link.
+
+    `link` is `_bell_link` of chips 0 and 1; it is built from `cfg` when
+    omitted.  Returns the conditioned two-qubit polarization state in the
+    (T_S, B_I) coincidence sector plus that sector's probability.
     """
     state = bp.prepare_bell(label, cfg.source.bell_visibility,
                             cfg.source.coherence_time_ps)
-    chip1, chip2 = channels or (cfg.chip(0).channel(), cfg.chip(1).channel())
-    state = bp.apply_chip_both(state, chip1)
-    forward, compensation = bp.fiber_link(cfg.fiber_seed, cfg.fiber_residual_rad)
-    for ch in (forward, compensation):
-        state = bp.apply_chip_both(state, ch)
-    state = bp.apply_chip_both(state, chip2)
+    if link is None:
+        link = _bell_link(cfg, cfg.chip(0), cfg.chip(1))
+    state = bp.apply_chip_both(state, link)
     rho, survival = heralded_normalize(state.joint)
     blk, sector_p = bp.conditional_polarization(rho, (0, 1))
     rho_pol = DensityMatrix(4, 0.5 * (blk + dagger(blk)))
@@ -422,10 +412,10 @@ def _tomo_2q_probabilities(rho_pol: DensityMatrix) -> np.ndarray:
                      for proj in _TOMO_2Q_PROJECTORS])
 
 
-def _bell_label(cfg: ExperimentConfig, label: bp.BellLabel, channels: tuple,
+def _bell_label(cfg: ExperimentConfig, label: bp.BellLabel, link: QuantumChannel,
                 chip2_f: float) -> tuple:
     """(payload, density-matrix table) of one Bell state's distribution."""
-    rho_pol, success_p = _bell_final_polarization(cfg, label, channels)
+    rho_pol, success_p = _bell_final_polarization(cfg, label, link)
     ideal_vec = bp.bell_state_vector(label)
     ideal = DensityMatrix(4, np.outer(ideal_vec, ideal_vec.conj()))
     f_exact = uhlmann_fidelity(rho_pol, ideal)
@@ -464,16 +454,16 @@ def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel | None = No
 
     One label gives that state's full report; `None` runs all four and
     reports the per-label fidelities and their average.  Chips 0 and 1 are
-    built once per call.
+    built, and composed with the fiber link, once per call.
     """
     chip2 = cfg.chip(1)
-    channels = (cfg.chip(0).channel(), chip2.channel())
+    link = _bell_link(cfg, cfg.chip(0), chip2)
     chip2_f = truth_table_fidelity_exact(chip2, cfg.logical_frame)
     if label is not None:
-        payload, rows = _bell_label(cfg, label, channels, chip2_f)
+        payload, rows = _bell_label(cfg, label, link, chip2_f)
         return _mk_report("bell", cfg, payload, {"density_matrix": rows})
     labels = list(bp.BellLabel)
-    runs = [_bell_label(cfg, l, channels, chip2_f) for l in labels]
+    runs = [_bell_label(cfg, l, link, chip2_f) for l in labels]
     payload = {
         "bell_labels": [l.value for l in labels],
         "fidelity_exact_by_label": {
@@ -497,14 +487,10 @@ _MZI_BY_LABEL = {
     "-": MZISetting.MINUS, "i": MZISetting.PLUS_I, "-i": MZISetting.MINUS_I,
 }
 
-def _momentum_probabilities(rho2: DensityMatrix, mzi_extinction_db=None) -> dict:
+def _momentum_probabilities(rho2: DensityMatrix) -> dict:
     """Detection probability behind the MZI for each of the six settings."""
-    ext = math.inf if mzi_extinction_db is None else mzi_extinction_db
-    out = {}
-    for lbl, setting in _MZI_BY_LABEL.items():
-        ch = mzi_projector(setting, ext)
-        out[lbl] = apply_channel(ch, rho2).trace
-    return out
+    return {lbl: apply_channel(mzi_projector(setting), rho2).trace
+            for lbl, setting in _MZI_BY_LABEL.items()}
 
 
 def _output_momentum_state(chip: ChipModel, spatial_label: str,
@@ -620,9 +606,7 @@ def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
             ins.append(rho_in)
             outs.append(out)
     chi = tm.process_tomo(ins, outs, 2)
-    ideal_u = swap_unitary()
-    if cfg.logical_frame == "raw":
-        ideal_u = np.kron(PAULI_X, PAULI_X) @ ideal_u
+    ideal_u = ideal_swap_unitary() if cfg.logical_frame == "raw" else swap_unitary()
     chi_ideal = tm.chi_from_unitary(ideal_u)
     payload = {
         "frame": cfg.logical_frame,

@@ -210,10 +210,6 @@ class QuantumChannel:
             raise ValueError("channel is trace-increasing: max eig of sum K^dag K "
                              f"= {evals.max():.6f}")
 
-    def is_trace_preserving(self, tol: float = 1e-12) -> bool:
-        s = sum(dagger(k) @ k for k in self.kraus)
-        return bool(np.max(np.abs(s - np.eye(self.dim_in))) <= tol)
-
 
 @dataclass(frozen=True)
 class PauliBasis:

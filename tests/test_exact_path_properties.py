@@ -1,0 +1,157 @@
+"""The composed-channel exact path against stage-by-stage propagation.
+
+A chip is composed once into one channel and every runner reads its exact
+quantities off that channel.  The oracle here propagates through each
+stage in turn with `apply_channel`, on random grammar-valid chips that mix
+depolarizing stages (several Kraus operators; two of them, so the composed
+set is reduced through the Choi matrix) with trace-decreasing polarizers
+and losses.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swapsim import biphoton as bp
+from swapsim import devices as dv
+from swapsim import experiments as ex
+from swapsim import netlist as nl
+from swapsim import qcore as qc
+from swapsim.config import ExperimentConfig
+
+# derandomized: tier-1 runs the same examples every time
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+TOL = 1e-12
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi).map(lambda x: f"{x:.6g}")
+
+
+ANGLE = _num(-3.2, 3.2).map(lambda x: x + "rad")
+DB = _num(0.0, 3.0).map(lambda x: x + "dB")
+EXTINCTION = _num(3.0, 40.0).map(lambda x: x + "dB")
+ONE_PORT = st.sampled_from(["T", "B"])
+ANY_PORTS = st.sampled_from(["T", "B", "T, B", "B, T"])
+TWO_PORTS = st.sampled_from(["T, B", "B, T"])
+
+
+def _stmt(kind, ports, **params):
+    """Statement text `kind {name} (ports) p=v ...;` with the name left open."""
+    names = list(params)
+    return st.tuples(ports, *params.values()).map(
+        lambda t: f"{kind} {{name}} ({t[0]}) "
+        + " ".join(f"{n}={v}" for n, v in zip(names, t[1:])) + ";")
+
+
+DEPOL_STMT = st.one_of(
+    _stmt("pcnot", TWO_PORTS, extinction=EXTINCTION, imbalance=DB, loss=DB,
+          depol=_num(0.01, 0.5)),
+    _stmt("mcnot", ONE_PORT, extinction=EXTINCTION, loss=DB, loss_other=DB,
+          rotation_error=_num(-0.3, 0.3).map(lambda x: x + "rad"),
+          depol=_num(0.01, 0.5)),
+)
+LOSSY_STMT = st.one_of(_stmt("polarizer", ANY_PORTS, angle=ANGLE),
+                       _stmt("loss", ANY_PORTS, loss=DB))
+ANY_STMT = st.one_of(
+    DEPOL_STMT, LOSSY_STMT,
+    _stmt("pcnot", TWO_PORTS, extinction=EXTINCTION, imbalance=DB),
+    _stmt("mcnot", ONE_PORT, extinction=EXTINCTION, loss=DB),
+    _stmt("hwp", ANY_PORTS, angle=ANGLE),
+    _stmt("qwp", ANY_PORTS, angle=ANGLE),
+    _stmt("phase_v", ANY_PORTS, phase=ANGLE),
+    _stmt("bs5050", TWO_PORTS),
+    _stmt("mzi", TWO_PORTS, phase=ANGLE, input_phase=ANGLE),
+    _stmt("fiber", ANY_PORTS, loss=DB, phase=ANGLE),
+    _stmt("facet", st.just("T, B"), loss_h=DB, loss_v=DB, xtalk=_num(-0.3, 0.3)),
+)
+
+
+def _compile(stmts) -> dv.ChipModel:
+    body = "\n".join("  " + s.format(name=f"s{i}") for i, s in enumerate(stmts))
+    return nl.compile_netlist(nl.parse(f"chip c {{\n  ports T, B;\n{body}\n}}\n"))
+
+
+# two depolarizing stages, one polarizer or loss, up to four more of any kind
+CHIPS = st.tuples(st.lists(DEPOL_STMT, min_size=2, max_size=2), LOSSY_STMT,
+                  st.lists(ANY_STMT, max_size=4)).flatmap(
+    lambda t: st.permutations([*t[0], t[1], *t[2]])).map(_compile)
+
+
+def density_matrices(dim):
+    """Random mixed states of trace in [0.1, 1] (trace < 1 is prior loss)."""
+    def build(seed, trace):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        return qc.DensityMatrix(dim, trace * rho / np.trace(rho).real)
+    return st.builds(build, st.integers(0, 2**32 - 1), st.floats(0.1, 1.0))
+
+
+def stagewise(chip: dv.ChipModel, rho: qc.DensityMatrix) -> qc.DensityMatrix:
+    """The oracle: one `apply_channel` per stage, first stage first."""
+    for stage in chip.stages:
+        rho = qc.apply_channel(stage, rho)
+    return rho
+
+
+@PROPERTY
+@given(CHIPS, density_matrices(4))
+def test_apply_equals_stagewise(chip, rho):
+    assert len(chip.channel().kraus) > 1
+    out = chip.apply(rho)
+    np.testing.assert_allclose(out.entries, stagewise(chip, rho).entries, rtol=0, atol=TOL)
+    assert out.trace <= rho.trace + TOL
+
+
+@PROPERTY
+@given(CHIPS)
+def test_exact_truth_table_equals_columnwise(chip):
+    expect = np.zeros((4, 4))
+    for j in range(4):
+        v = np.eye(4, dtype=complex)[j]
+        expect[:, j] = np.diag(stagewise(chip, qc.DensityMatrix(4, np.outer(v, v))).entries).real
+    np.testing.assert_allclose(ex.exact_truth_table(chip), expect, rtol=0, atol=TOL)
+
+
+def _fringe_oracle(chip, phi, port, use_polarizer) -> float:
+    """One phase: stagewise chip, 50:50 combiner and monitored output as
+    channels on the density matrix."""
+    v = np.kron(qc.ket2(port), dv.phase_v(phi) @ qc.ket2("D"))
+    out = stagewise(chip, qc.DensityMatrix(4, np.outer(v, v.conj())))
+    bs = np.kron(dv.BS_5050, np.eye(2))
+    out = qc.apply_channel(qc.QuantumChannel(4, 4, (bs,)), out)
+    sel_pol = np.eye(2)
+    if use_polarizer:
+        sel_pol = np.diag([0.0, 1.0]) if port == "T" else np.diag([1.0, 0.0])
+    sel_sp = np.diag([1.0, 0.0]) if port == "T" else np.diag([0.0, 1.0])
+    sel = np.kron(sel_sp, sel_pol).astype(complex)
+    return qc.apply_channel(qc.QuantumChannel(4, 4, (sel,)), out).trace
+
+
+@PROPERTY
+@given(CHIPS, st.lists(st.floats(0.0, 2.0 * np.pi), min_size=1, max_size=8))
+def test_fringe_probabilities_equal_per_phase(chip, phases):
+    phases = np.array(phases)
+    for port in ("T", "B"):
+        for use_polarizer in (True, False):
+            got = ex._fringe_probabilities(chip, phases, port, use_polarizer)
+            expect = [_fringe_oracle(chip, p, port, use_polarizer) for p in phases]
+            np.testing.assert_allclose(got, expect, rtol=0, atol=TOL)
+            assert np.all((got >= 0.0) & (got <= 1.0 + TOL))
+
+
+@PROPERTY
+@given(CHIPS, CHIPS, st.sampled_from(list(bp.BellLabel)), st.floats(0.0, 1.0),
+       st.integers(0, 2**16), st.floats(-0.5, 0.5))
+def test_bell_link_equals_sequential(chip1, chip2, label, visibility, seed, residual):
+    cfg = ExperimentConfig(fiber_seed=seed, fiber_residual_rad=residual)
+    state = bp.prepare_bell(label, visibility)
+    got = bp.apply_chip_both(state, ex._bell_link(cfg, chip1, chip2)).joint
+    # both photons through chip 1, forward fiber, compensation and chip 2:
+    # eight 16-dim applications
+    forward, compensation = bp.fiber_link(seed, residual)
+    for ch in (chip1.channel(), forward, compensation, chip2.channel()):
+        state = bp.apply_chip_both(state, ch)
+    np.testing.assert_allclose(got.entries, state.joint.entries, rtol=0, atol=TOL)
+    assert got.trace <= 1.0 + TOL
