@@ -6,14 +6,15 @@ carrying the (channel (x) polarization) pair in the fixed basis order of
 reads (m_s, p_s, m_i, p_i).  The spectral degree of freedom is compressed
 to a scalar overlap mu(tau) with configurable dip shape; everywhere except
 `hom_coincidence` the two photons are ordinary distinguishable subsystems.
-HOM scans are fitted with a Gaussian dip by a numpy Levenberg-Marquardt
-loop (`hom_visibility`).
+HOM scans are fitted with a Gaussian dip by one numpy Levenberg-Marquardt
+loop over a whole stack of scans (`hom_fit_stack`; `hom_visibility` is its
+one-scan case).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -28,6 +29,7 @@ from .qcore import (
     ket2,
     ket4,
     permute_subsystems,
+    solve_stack,
 )
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "interference_overlap",
     "hom_coincidence",
     "hom_visibility",
+    "hom_fit_stack",
     "HomFit",
     "fiber_link",
     "bell_state_vector",
@@ -84,17 +87,21 @@ class SpectralOverlap:
             raise ValueError(f"unknown overlap shape {self.shape!r}")
 
 
-def spectral_overlap(tau_ps: float, s: SpectralOverlap) -> float:
+def spectral_overlap(tau_ps, s: SpectralOverlap):
     """Overlap mu(tau), 1 at zero delay, monotone decreasing in |tau|.
 
     Gaussian: exp(-tau^2 / (2 T_c^2)); the corresponding coincidence-dip
     FWHM is 2 sqrt(2 ln 2) T_c.  Triangular (CW type-II walk-off shape):
-    max(0, 1 - |tau| / (2 T_c)).
+    max(0, 1 - |tau| / (2 T_c)).  A float for a scalar delay, an array for
+    an array of delays.
     """
+    tau = np.asarray(tau_ps, dtype=float)
     tc = s.coherence_time_ps
     if s.shape == "gaussian":
-        return float(np.exp(-(tau_ps**2) / (2.0 * tc * tc)))
-    return float(max(0.0, 1.0 - abs(tau_ps) / (2.0 * tc)))
+        mu = np.exp(-(tau**2) / (2.0 * tc * tc))
+    else:
+        mu = np.maximum(0.0, 1.0 - np.abs(tau) / (2.0 * tc))
+    return float(mu) if mu.ndim == 0 else mu
 
 
 @dataclass(frozen=True)
@@ -240,11 +247,12 @@ def interference_overlap(rho16: DensityMatrix) -> float:
     return float(np.clip(o, 0.0, 1.0))
 
 
-def hom_coincidence(state: BiphotonState, tau_ps: float, background: float = 0.0) -> float:
+def hom_coincidence(state: BiphotonState, tau_ps, background: float = 0.0):
     """Coincidence probability at the 50:50 combiner output pair.
 
     P(tau) = 1/2 (1 - mu(tau) O) + background, with O from
-    `interference_overlap`; the state should be heralded (trace 1).
+    `interference_overlap` of the heralded state, computed once for all
+    delays.  A float for a scalar delay, an array for an array of delays.
     """
     if background < 0:
         raise ValueError("background must be >= 0")
@@ -256,7 +264,8 @@ def hom_coincidence(state: BiphotonState, tau_ps: float, background: float = 0.0
 
 @dataclass(frozen=True)
 class HomFit:
-    """Gaussian-dip fit of a HOM scan."""
+    """Gaussian-dip fit of a HOM scan: floats for one scan (`hom_visibility`),
+    (n,) arrays for a stack of scans (`hom_fit_stack`)."""
 
     visibility_raw: float
     visibility_subtracted: float
@@ -271,86 +280,149 @@ _LM_MAX_ITER = 100
 _LM_XTOL = 1e-10
 
 
-def hom_visibility(scan, background: float = 0.0) -> HomFit:
-    """Least-squares Gaussian-dip fit of (tau, coincidence) points.
+def _dip_resid_jac(p, taus, vals, weights) -> tuple:
+    """Weighted residuals (k, m) and Jacobian (k, m, 4) of the dip model at
+    the parameter rows `p` (k, 4) = (base, depth, center, width)."""
+    base, depth, center = (p[:, i, None] for i in range(3))
+    # the powers of the width are taken one numpy scalar per trial, through
+    # the C library's pow: numpy's vectorised power may round the last bit
+    # differently (depending on the CPU), and along the flat valley of a
+    # poorly resolved dip that bit grows into parameter differences of
+    # ~1e-8.  This keeps every trial's iterates bit-identical to the same
+    # fit carried out in scalars.
+    w2 = np.array([[w**2] for w in p[:, 3]])
+    w3 = np.array([[w**3] for w in p[:, 3]])
+    dt = taus - center
+    g = np.exp(-(dt**2) / (2.0 * w2))
+    jac = np.empty(g.shape + (4,))
+    jac[..., 0] = 1.0
+    jac[..., 1] = -g
+    jac[..., 2] = -depth * g * dt / w2
+    jac[..., 3] = -depth * g * dt**2 / w3
+    return (base - depth * g - vals) * weights, jac * weights[..., None]
+
+
+def _row_dot(a, b):
+    """Dot product of each row of `a` with the same row of `b`, summed the
+    way `a[k] @ b[k]` sums it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _dip_normal_equations(p, taus, vals, weights) -> tuple:
+    """(J^T J (k, 4, 4), -J^T r (k, 4, 1), r^T r (k,)) of the weighted dip
+    fit at the parameter rows `p`."""
+    r, jac = _dip_resid_jac(p, taus, vals, weights)
+    jac_t = np.swapaxes(jac, 1, 2)
+    return jac_t @ jac, -(jac_t @ r[..., None]), _row_dot(r, r)
+
+
+def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
+    """Least-squares Gaussian-dip fit of every scan in `counts`, shape
+    (n, m): one row per trial over the m delays `taus`.  Returns a `HomFit`
+    of (n,) arrays; the stacked kernel of `hom_visibility`.
 
     The model base - depth exp(-(tau - center)^2 / (2 width^2)) is fitted
-    by Levenberg-Marquardt with the analytic Jacobian, on residuals weighted
-    by 1 / sqrt(max(counts, 1)); `converged` reports whether the step test
-    was met within the iteration cap and the fitted width is at least the
-    smallest delay spacing (a narrower dip is not resolved by the scan).
+    by Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431, 1963)
+    with the analytic Jacobian, on residuals weighted by
+    1 / sqrt(max(counts, 1)).  The damping is scaled by the running maximum
+    of the Jacobian column norms, as in MINPACK (More, Lecture Notes in
+    Math. 630, 105, 1978): with the current norms alone a dip at the scan
+    edge drifts off to an ever deeper, wider Gaussian.  One loop runs over
+    the stack, with one batched 4x4 solve per iteration; each trial keeps
+    its own damping, column scale and stop test, so its iterates are those
+    of a fit of its scan alone.  A trial stops converged once its scaled
+    step is below _LM_XTOL of its scaled parameters, and unconverged when
+    its damped system is singular or after _LM_MAX_ITER iterations.
+    `converged` also requires the fitted width to be at least the smallest
+    delay spacing (a narrower dip is not resolved by the scan).
 
     Visibility is (P_wing - P_min) / P_wing; the subtracted value removes
-    the supplied constant background (same units as the scan values) from
-    the fitted wing level.  Raises on a scan with no wings (all points
-    within the dip).
+    the constant `background` (same units as the counts) from the fitted
+    wing level.  Raises if any scan has no wings (all points within the
+    dip), or if any fitted wing level is not positive or not above the
+    background.
     """
-    taus = np.array([t for t, _ in scan], dtype=float)
-    vals = np.array([v for _, v in scan], dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    vals = np.asarray(counts, dtype=float)
+    if taus.ndim != 1 or vals.ndim != 2 or vals.shape[1] != len(taus):
+        raise ValueError("counts must have shape (n_trials, len(taus))")
     if len(taus) < 4:
         raise ValueError("need at least 4 scan points")
     span = taus.max() - taus.min()
-    width0 = span / 6.0 if span > 0 else 1.0
-    base0 = float(np.percentile(vals, 90))
-    depth0 = base0 - float(vals.min())
-    center0 = float(taus[np.argmin(vals)])
-    if depth0 <= 0 or span == 0:
+    base0 = np.percentile(vals, 90, axis=1)
+    depth0 = base0 - vals.min(axis=1)
+    if span == 0 or np.any(depth0 <= 0):
         raise ValueError("degenerate scan: no dip wings to fit")
 
+    # the loop works on the rows of the trials still running (`trial`);
+    # a row leaves, with its parameters stored in `fitted`, when it stops
+    n = len(vals)
     weights = 1.0 / np.sqrt(np.maximum(vals, 1.0))
-
-    def resid_jac(p):
-        base, depth, center, width = p
-        dt = taus - center
-        g = np.exp(-(dt**2) / (2.0 * width**2))
-        jac = np.column_stack([np.ones_like(g), -g, -depth * g * dt / width**2,
-                               -depth * g * dt**2 / width**3])
-        return (base - depth * g - vals) * weights, jac * weights[:, None]
-
-    # Levenberg-Marquardt, damping scaled by the running maximum of the
-    # Jacobian column norms (as in MINPACK: with the current norms alone a
-    # dip at the scan edge drifts off to an ever deeper, wider Gaussian);
-    # it stops when the scaled step is below _LM_XTOL of the scaled parameters
-    p = np.array([base0, depth0, center0, width0])
-    r, jac = resid_jac(p)
-    lam, converged, scale = 1e-3, False, np.zeros(4)
+    p = np.column_stack([base0, depth0, taus[np.argmin(vals, axis=1)],
+                         np.full(n, span / 6.0)])
+    jtj, rhs, cost = _dip_normal_equations(p, taus, vals, weights)
+    lam, scale = np.full(n, 1e-3), np.zeros((n, 4))
+    trial, fitted = np.arange(n), p.copy()
+    converged = np.zeros(n, dtype=bool)
     for _ in range(_LM_MAX_ITER):
-        jtj = jac.T @ jac
-        scale = np.maximum(scale, np.sqrt(np.diag(jtj)))
-        try:
-            step = np.linalg.solve(jtj + lam * np.diag(scale**2), -(jac.T @ r))
-        except np.linalg.LinAlgError:
-            break
-        r_new, jac_new = resid_jac(p + step)
-        if r_new @ r_new < r @ r:
-            p, r, jac, lam = p + step, r_new, jac_new, lam / 10.0
-        else:
-            lam *= 10.0
-        if np.linalg.norm(scale * step) <= _LM_XTOL * np.linalg.norm(scale * p):
-            converged = True
-            break
-    base, depth, center, width = p
-    width = abs(width)
-    # a dip narrower than the smallest delay spacing is not resolved; the
-    # mean spacing bounds the smallest, so a wider dip skips the spacings
-    # (a width equal to the spacing up to the fit's precision still counts)
-    if width < span / (len(taus) - 1):
-        converged = converged and width >= (1.0 - 1e-9) * np.diff(np.unique(taus)).min()
-    if base <= 0:
+        scale = np.maximum(scale, np.sqrt(jtj.reshape(-1, 16)[:, ::5]))
+        damped = jtj.copy()
+        damped.reshape(-1, 16)[:, ::5] += lam[:, None] * scale**2  # the diagonal
+        # a singular damped system gives a NaN step: never an improvement,
+        # and the trial stops there unconverged
+        step, solved = solve_stack(damped, rhs)
+        step = step[..., 0]
+        p_try = p + step
+        jtj_try, rhs_try, cost_try = _dip_normal_equations(p_try, taus, vals, weights)
+        better = cost_try < cost
+        lam = np.where(better, lam / 10.0, lam * 10.0)
+        p = np.where(better[:, None], p_try, p)
+        jtj = np.where(better[:, None, None], jtj_try, jtj)
+        rhs = np.where(better[:, None, None], rhs_try, rhs)
+        cost = np.where(better, cost_try, cost)
+        done = (np.sqrt(_row_dot(scale * step, scale * step))
+                <= _LM_XTOL * np.sqrt(_row_dot(scale * p, scale * p)))
+        converged[trial[done]] = True
+        stop = done | ~solved
+        if stop.any():
+            fitted[trial[stop]] = p[stop]
+            keep = ~stop
+            trial, p, jtj, rhs, cost, lam, scale, vals, weights = (
+                a[keep] for a in (trial, p, jtj, rhs, cost, lam, scale, vals, weights))
+            if not len(trial):
+                break
+    fitted[trial] = p
+
+    base, depth, center, width = fitted.T
+    width = np.abs(width)
+    # a dip narrower than the delay spacing is not resolved: narrower than
+    # both the smallest distinct spacing (a width equal to it up to the
+    # fit's precision still counts) and the mean spacing, which is the
+    # smaller one when delays repeat
+    unresolved = ((width < span / (len(taus) - 1))
+                  & (width < (1.0 - 1e-9) * np.diff(np.unique(taus)).min()))
+    if np.any(base <= 0):
         raise ValueError("degenerate scan: fitted wing level is not positive")
-    if background >= base:
+    if np.any(background >= base):
         raise ValueError("background exceeds the fitted wing level")
-    v_raw = depth / base
-    v_sub = depth / (base - background)
     return HomFit(
-        visibility_raw=float(v_raw),
-        visibility_subtracted=float(v_sub),
-        coherence_time_ps=float(width),
-        center_ps=float(center),
-        baseline=float(base),
-        depth=float(depth),
-        converged=converged,
+        visibility_raw=depth / base,
+        visibility_subtracted=depth / (base - background),
+        coherence_time_ps=width,
+        center_ps=center,
+        baseline=base,
+        depth=depth,
+        converged=converged & ~unresolved,
     )
+
+
+def hom_visibility(scan, background: float = 0.0) -> HomFit:
+    """Least-squares Gaussian-dip fit of a sequence of (tau, coincidence)
+    points: the one-scan case of `hom_fit_stack`, with float fields."""
+    taus = np.array([t for t, _ in scan], dtype=float)
+    vals = np.array([v for _, v in scan], dtype=float)
+    fit = hom_fit_stack(taus, vals[None], background)
+    return HomFit(*(getattr(fit, f.name)[0].item() for f in fields(HomFit)))
 
 
 def fiber_link(seed: int, residual_angle_rad: float = 0.0) -> tuple:

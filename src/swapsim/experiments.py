@@ -8,7 +8,10 @@ and the Bell link, itself composed with the fiber, go through
 `biphoton.apply_chip_both`).  From the per-setting detection probabilities
 each runner draws the Poissonian counts of all trials at once
 (`sample_counts`), runs the matching stacked estimator on all trials in one
-call and wraps the results in a `Report`.  The exact
+call (state tomography and truth-table fidelity; the fringe and HOM fits
+too, so each fit runs once per run, not once per trial) and wraps the
+results in a `Report`; the fit runners report their non-converged fits in
+a `diagnostics` block.  The exact
 (infinite-count) value of every estimate is always computed alongside the
 Monte Carlo one, so the noiseless pipeline doubles as the oracle for the
 sampled one.
@@ -131,8 +134,13 @@ def _mk_report(kind: str, cfg: ExperimentConfig, payload: dict, tables=None) -> 
     return Report(kind, payload, config_digest(cfg), cfg.rng_seed, tables or {})
 
 
-def _mean_stderr(values) -> tuple:
-    """Monte Carlo mean and spread (sample standard deviation, 0 for one trial)."""
+def _mean_spread(values) -> tuple:
+    """Monte Carlo mean and per-trial spread of `values`.
+
+    The spread is the sample standard deviation (ddof=1; 0 for one trial):
+    the scatter of one simulated experiment, not the error of the mean,
+    which is smaller by sqrt(n_trials).  Payloads store it under `*_stderr`.
+    """
     a = np.asarray(values, dtype=float)
     return float(a.mean()), float(a.std(ddof=1)) if len(a) > 1 else 0.0
 
@@ -182,7 +190,7 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
     t_setting = cfg.integration_time_s / 16.0
     bg_counts = cfg.background_rate_hz * t_setting
     counts = sample_counts(cfg, ("truth-table",), probs, t_setting)
-    f_mean, f_err = _mean_stderr(_counts_fidelity(counts, bg_counts, ideal))
+    f_mean, f_err = _mean_spread(_counts_fidelity(counts, bg_counts, ideal))
     first_counts = counts[0]
     payload = {
         "frame": cfg.logical_frame,
@@ -248,9 +256,9 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
     t_point = cfg.fringe_time_per_point_s
     bg = cfg.background_rate_hz * t_point
     counts = sample_counts(cfg, ("fringe",), exact, t_point)
-    fits = [tm.fringe_fit(list(zip(phases, c)), background=bg) for c in counts]
-    raw_mean, raw_err = _mean_stderr([f.visibility_raw for f in fits])
-    sub_mean, sub_err = _mean_stderr([f.visibility_subtracted for f in fits])
+    fits = tm.fringe_fit_stack(phases, counts, background=bg)
+    raw_mean, raw_err = _mean_spread(fits.visibility_raw)
+    sub_mean, sub_err = _mean_spread(fits.visibility_subtracted)
     payload = {
         "port": cfg.fringe_port,
         "output_polarizer": cfg.fringe_output_polarizer,
@@ -261,11 +269,12 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
         "visibility_raw_stderr": raw_err,
         "visibility_subtracted_mean": sub_mean,
         "visibility_subtracted_stderr": sub_err,
-        "first_trial_visibility_stderr": fits[0].visibility_stderr,
+        "first_trial_visibility_stderr": float(fits.visibility_stderr[0]),
         "phases_rad": phases.tolist(),
         "exact_probabilities": exact.tolist(),
         "first_trial_counts": counts[0].tolist(),
         "n_trials": cfg.n_trials,
+        "diagnostics": {"fits_not_converged": int(np.count_nonzero(~fits.converged))},
     }
     rows = [["phase_rad", "probability", "counts_trial0"]]
     for k, p in enumerate(phases):
@@ -329,15 +338,15 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
     delays = np.asarray(list(delays_ps), dtype=float)
     state = _hom_state(cfg)
     overlap = bp.interference_overlap(state.joint)
-    exact_p = np.array([bp.hom_coincidence(state, t) for t in delays])
+    exact_p = bp.hom_coincidence(state, delays)
 
     t_point = cfg.integration_time_s / len(delays)
     bg = cfg.background_rate_hz * t_point
     counts = sample_counts(cfg, ("hom",), exact_p, t_point)
-    fits = [bp.hom_visibility(list(zip(delays, c)), background=bg) for c in counts]
-    raw_mean, raw_err = _mean_stderr([f.visibility_raw for f in fits])
-    sub_mean, sub_err = _mean_stderr([f.visibility_subtracted for f in fits])
-    tc_mean, tc_err = _mean_stderr([f.coherence_time_ps for f in fits])
+    fits = bp.hom_fit_stack(delays, counts, background=bg)
+    raw_mean, raw_err = _mean_spread(fits.visibility_raw)
+    sub_mean, sub_err = _mean_spread(fits.visibility_subtracted)
+    tc_mean, tc_err = _mean_spread(fits.coherence_time_ps)
     bg_rel = cfg.background_rate_hz / cfg.pair_rate_hz
     payload = {
         "input": cfg.hom_input,
@@ -357,6 +366,7 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
         "exact_probabilities": exact_p.tolist(),
         "first_trial_counts": counts[0].tolist(),
         "n_trials": cfg.n_trials,
+        "diagnostics": {"fits_not_converged": int(np.count_nonzero(~fits.converged))},
     }
     rows = [["delay_ps", "probability", "counts_trial0"]]
     for k, d in enumerate(delays):
@@ -425,7 +435,7 @@ def _bell_label(cfg: ExperimentConfig, label: bp.BellLabel, link: QuantumChannel
     counts = sample_counts(cfg, ("bell", label.value),
                            _tomo_2q_probabilities(rho_pol) * success_p, t_setting)
     net = np.maximum(counts[:, _TOMO_2Q_GRID_COLUMNS] - bg_counts, 0.0)
-    f_mean, f_err = _mean_stderr(
+    f_mean, f_err = _mean_spread(
         uhlmann_fidelity_stack(tm.state_tomo_2q_stack(net), ideal.entries))
     payload = {
         "bell_label": label.value,
@@ -525,7 +535,7 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     labels = tm.MOMENTUM_LABELS
     counts = sample_counts(cfg, ("tomo-state", spatial_input, pol_label),
                            [probs[lbl] for lbl in labels], t_setting)
-    f_mean, f_err = _mean_stderr(
+    f_mean, f_err = _mean_spread(
         uhlmann_fidelity_stack(tm.state_tomo_1q_stack(counts), target.entries))
     payload = {
         "spatial_input": spatial_input,

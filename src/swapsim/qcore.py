@@ -35,6 +35,7 @@ __all__ = [
     "uhlmann_fidelity_stack",
     "project_to_physical",
     "project_to_physical_stack",
+    "solve_stack",
     "pauli_coefficients",
     "identity_channel",
     "attenuator_channel",
@@ -414,6 +415,28 @@ def project_to_physical(h: np.ndarray) -> DensityMatrix:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     return DensityMatrix(m.shape[0], project_to_physical_stack(m[None])[0])
+
+
+def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Solve a[k] x[k] = b[k] for each k (`a` of shape (n, d, d), `b` of
+    shape (n, d, m)); returns (x, solved).
+
+    A batched LAPACK solve raises on the first singular matrix, so on a
+    failure each system is solved alone: a singular a[k] leaves x[k] NaN and
+    solved[k] False, and every other system is still solved.
+    """
+    try:
+        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        solved = np.zeros(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                x[k] = np.linalg.solve(a[k], b[k])
+                solved[k] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, solved
 
 
 def pauli_coefficients(rho: DensityMatrix, basis: PauliBasis) -> np.ndarray:

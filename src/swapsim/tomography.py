@@ -11,14 +11,15 @@ arrays with a leading trial axis, so a Monte Carlo run is reconstructed in
 one call; the public dict/`TruthTable` functions are its one-trial case.
 Fringe scans are fitted in closed form: A (1 + V cos(phi + delta)) is
 rewritten as A + B cos(phi) + C sin(phi) and solved by weighted linear
-least squares.
+least squares, a stack of scans at once (`fringe_fit_stack`; `fringe_fit`
+is its one-scan case).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .qcore import (
     dagger,
     ket2,
     project_to_physical_stack,
+    solve_stack,
 )
 
 __all__ = [
@@ -53,6 +55,7 @@ __all__ = [
     "process_purity",
     "FringeFit",
     "fringe_fit",
+    "fringe_fit_stack",
 ]
 
 POLARIZATION_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -385,7 +388,8 @@ def process_purity(chi: ProcessMatrix) -> float:
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Least-squares fit of C(phi) = A (1 + V cos(phi + delta))."""
+    """Least-squares fit of C(phi) = A (1 + V cos(phi + delta)): floats for
+    one scan (`fringe_fit`), (n,) arrays for a stack (`fringe_fit_stack`)."""
 
     visibility: float
     phase_offset: float
@@ -396,58 +400,75 @@ class FringeFit:
     converged: bool
 
 
-def _fit_cosine(phis, vals):
-    """Fit A (1 + V cos(phi + delta)) in its linear form A + B cos(phi) +
-    C sin(phi) by weighted linear least squares (weights 1 / max(vals, 1)).
+def _fit_cosine(phis, vals) -> tuple:
+    """Fit A (1 + V cos(phi + delta)) to each row of `vals` (n, m) in its
+    linear form A + B cos(phi) + C sin(phi), by weighted linear least
+    squares (weights 1 / max(vals, 1)): one batch of 3x3 normal equations.
 
-    Returns (A, V, delta, V stderr, finite).  The stderr propagates the
-    parameter covariance inv(X^T W X) to V = hypot(B, C) / A by the delta
-    method.  A fit with A <= 0 (e.g. an all-zero scan) has V = 0.
+    Returns (n,) arrays (A, V, delta, V stderr, finite).  The stderr
+    propagates the parameter covariance inv(X^T W X) to V = hypot(B, C) / A
+    by the delta method.  A fit with A <= 0 (e.g. an all-zero scan) has
+    V = 0 and a NaN stderr; a singular system gives NaN throughout.
     """
     x = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    xw = x / np.maximum(vals, 1.0)[:, None]
-    try:
-        cov = np.linalg.inv(x.T @ xw)
-    except np.linalg.LinAlgError:
-        return np.nan, np.nan, np.nan, np.nan, False
-    a, b, c = cov @ (xw.T @ vals)
-    finite = bool(np.isfinite([a, b, c]).all())
-    if not a > 0:
-        return float(a), 0.0, 0.0, np.nan, finite
-    v = float(np.hypot(b, c) / a)
-    d = float(np.arctan2(-c, b))
-    grad = np.array([-v, np.cos(d), -np.sin(d)]) / a  # dV/d(A, B, C)
-    v_err = float(np.sqrt(max(grad @ cov @ grad, 0.0)))
-    return float(a), v, d, v_err, finite
+    xw = x / np.maximum(vals, 1.0)[..., None]  # (n, m, 3)
+    normal = x.T @ xw
+    cov, solved = solve_stack(normal, np.broadcast_to(np.eye(3), normal.shape))
+    coef = (cov @ (np.swapaxes(xw, 1, 2) @ vals[..., None]))[..., 0]
+    finite = np.isfinite(coef).all(axis=1)
+    a, b, c = coef.T
+    flat = ~(a > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.hypot(b, c) / a
+        d = np.arctan2(-c, b)
+        grad = np.stack([-v, np.cos(d), -np.sin(d)], axis=-1) / a[:, None]  # dV/d(A, B, C)
+        var = (grad[:, None, :] @ cov @ grad[:, :, None])[:, 0, 0]
+        v_err = np.sqrt(np.maximum(var, 0.0))
+    v[flat], d[flat], v_err[flat] = 0.0, 0.0, np.nan
+    v[~solved] = d[~solved] = np.nan
+    return a, v, d, v_err, finite
 
 
-def fringe_fit(scan, background: float = 0.0) -> FringeFit:
-    """Fit interference-fringe counts C(phi) = A (1 + V cos(phi + delta)).
+def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
+    """Fit interference-fringe counts C(phi) = A (1 + V cos(phi + delta)) to
+    every scan in `counts`, shape (n, m): one row per trial over the m
+    phases `phis`.  Returns a `FringeFit` of (n,) arrays; the stacked
+    kernel of `fringe_fit`.
 
-    `scan` is a sequence of (phi, counts).  Needs at least 5 points spanning
-    a period.  The raw visibility comes from the data as-is; the subtracted
-    one from the data with the constant `background` (counts per point)
-    removed.  The fit is linear (see `_fit_cosine`), so it has one global
-    minimum; `converged` is False only when the solve is not finite.
+    Needs at least 5 points spanning a period.  The raw visibility comes
+    from the data as-is; the subtracted one from the data with the constant
+    `background` (counts per point) removed.  Both are fitted in one batch
+    (see `_fit_cosine`).  The fit is linear, so it has one global minimum;
+    `converged` is False only when a solve is not finite.
     """
-    phis = np.array([p for p, _ in scan], dtype=float)
-    vals = np.array([c for _, c in scan], dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    vals = np.asarray(counts, dtype=float)
+    if phis.ndim != 1 or vals.ndim != 2 or vals.shape[1] != len(phis):
+        raise ValueError("counts must have shape (n_trials, len(phis))")
     if len(phis) < 5:
         raise ValueError("need at least 5 fringe points")
     if phis.max() - phis.min() < 2 * np.pi * 0.99:
         raise ValueError("scan must span at least one period")
-    a_raw, v_raw, d_raw, v_err, ok_raw = _fit_cosine(phis, vals)
+    n = len(vals)
+    # rows [:n] are the raw scans, rows [-n:] the background-subtracted ones
     if background > 0:
-        a_s, v_sub, d_s, _, ok_s = _fit_cosine(phis, np.maximum(vals - background, 0.0))
-        ok = ok_raw and ok_s
-    else:
-        v_sub, ok = v_raw, ok_raw
+        vals = np.concatenate([vals, np.maximum(vals - background, 0.0)])
+    a, v, d, v_err, finite = _fit_cosine(phis, vals)
     return FringeFit(
-        visibility=float(v_raw),
-        phase_offset=float(d_raw),
-        amplitude=float(a_raw),
-        visibility_raw=float(v_raw),
-        visibility_subtracted=float(v_sub),
-        visibility_stderr=v_err,
-        converged=ok,
+        visibility=v[:n],
+        phase_offset=d[:n],
+        amplitude=a[:n],
+        visibility_raw=v[:n],
+        visibility_subtracted=v[len(v) - n:],
+        visibility_stderr=v_err[:n],
+        converged=finite[:n] & finite[len(v) - n:],
     )
+
+
+def fringe_fit(scan, background: float = 0.0) -> FringeFit:
+    """Fit a sequence of (phi, counts) fringe points: the one-scan case of
+    `fringe_fit_stack`, with float fields."""
+    phis = np.array([p for p, _ in scan], dtype=float)
+    vals = np.array([c for _, c in scan], dtype=float)
+    fit = fringe_fit_stack(phis, vals[None], background)
+    return FringeFit(*(getattr(fit, f.name)[0].item() for f in fields(FringeFit)))

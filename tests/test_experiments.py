@@ -165,6 +165,18 @@ class TestHom:
         assert bp.hom_coincidence(state, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
+class TestFitDiagnostics:
+    def test_default_fits_converge(self, calibrated):
+        for run in (ex.run_hom_scan, ex.run_fringe_scan):
+            assert run(calibrated).payload["diagnostics"] == {"fits_not_converged": 0}
+
+    def test_unresolved_dips_are_counted(self, calibrated):
+        # 4 ps between delays: the 3.15 ps dip is narrower than the spacing,
+        # so no trial's fit converges
+        r = ex.run_hom_scan(calibrated, delays_ps=np.linspace(-12.0, 12.0, 7))
+        assert r.payload["diagnostics"] == {"fits_not_converged": calibrated.n_trials}
+
+
 class TestBell:
     def test_ideal_pipeline_unity(self, ideal):
         cfg = replace(ideal, n_trials=1,
@@ -353,3 +365,21 @@ class TestStackedEstimators:
         ts = ex.run_state_tomography(cfg)
         assert [row[2] for row in ts.tables["count_records"][1:]] == [
             33419, 52019, 84009, 1374, 42354, 42950]
+
+    def test_fits_run_once_per_run(self, cfg, monkeypatch):
+        # one stacked fit of all trials per run (the fringe adds one fit of
+        # its exact curve), never one fit per trial
+        from swapsim import biphoton as bp
+        from swapsim import tomography as tm
+
+        fitted = []
+        for module, name in ((bp, "hom_fit_stack"), (tm, "fringe_fit_stack")):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda grid, counts, background=0.0, _k=kernel,
+                                _n=name: fitted.append((_n, len(counts)))
+                                or _k(grid, counts, background))
+        monkeypatch.setattr(bp, "hom_visibility", None)
+        ex.run_hom_scan(cfg)
+        ex.run_fringe_scan(cfg)
+        assert fitted == [("hom_fit_stack", 100), ("fringe_fit_stack", 1),
+                          ("fringe_fit_stack", 100)]

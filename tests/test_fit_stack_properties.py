@@ -1,0 +1,272 @@
+"""Stacked HOM and fringe fit kernels against the scalar fits they replace.
+
+`hom_fit_stack` and `fringe_fit_stack` fit a whole Monte Carlo run in one
+call.  The one-scan fits they replaced are kept below as the oracles: on
+random stacks of seeded Poisson scans every kernel row must equal the
+scalar fit of that scan, carry the same `converged` flag, equal the same
+row fitted alone, and the kernel must raise whenever a scalar fit raises.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swapsim import biphoton as bp
+from swapsim import qcore as qc
+from swapsim import tomography as tm
+
+# derandomized: tier-1 runs the same examples every time
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+V_TOL = 1e-9       # visibilities, oracle vs kernel
+PARAM_TOL = 1e-6   # every other parameter, absolute
+ALONE_TOL = 1e-12  # a row in a stack vs the same row fitted alone
+
+HOM_TAUS = np.linspace(-12.0, 12.0, 49)
+FRINGE_PHIS = np.linspace(0.0, 2.0 * np.pi, 17)
+# counts per point at the measured-config defaults: HOM wing (pair rate x
+# 1/2 x 160 s / 49 points) and background, fringe pair counts per 30 s point
+# and background
+HOM_WING, HOM_BG = 5224.5, 1.306
+FRINGE_PAIRS, FRINGE_BG = 96000.0 * 0.19, 12.0
+SCALES = (1.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the scalar fits, one scan at a time
+# ---------------------------------------------------------------------------
+
+def hom_oracle(taus, vals, background):
+    """The scalar Levenberg-Marquardt dip fit that `hom_fit_stack` replaced."""
+    if len(taus) < 4:
+        raise ValueError("need at least 4 scan points")
+    span = taus.max() - taus.min()
+    width0 = span / 6.0 if span > 0 else 1.0
+    base0 = float(np.percentile(vals, 90))
+    depth0 = base0 - float(vals.min())
+    center0 = float(taus[np.argmin(vals)])
+    if depth0 <= 0 or span == 0:
+        raise ValueError("degenerate scan: no dip wings to fit")
+    weights = 1.0 / np.sqrt(np.maximum(vals, 1.0))
+
+    def resid_jac(p):
+        base, depth, center, width = p
+        dt = taus - center
+        g = np.exp(-(dt**2) / (2.0 * width**2))
+        jac = np.column_stack([np.ones_like(g), -g, -depth * g * dt / width**2,
+                               -depth * g * dt**2 / width**3])
+        return (base - depth * g - vals) * weights, jac * weights[:, None]
+
+    p = np.array([base0, depth0, center0, width0])
+    r, jac = resid_jac(p)
+    lam, converged, scale = 1e-3, False, np.zeros(4)
+    for _ in range(100):
+        jtj = jac.T @ jac
+        scale = np.maximum(scale, np.sqrt(np.diag(jtj)))
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(scale**2), -(jac.T @ r))
+        except np.linalg.LinAlgError:
+            break
+        r_new, jac_new = resid_jac(p + step)
+        if r_new @ r_new < r @ r:
+            p, r, jac, lam = p + step, r_new, jac_new, lam / 10.0
+        else:
+            lam *= 10.0
+        if np.linalg.norm(scale * step) <= 1e-10 * np.linalg.norm(scale * p):
+            converged = True
+            break
+    base, depth, center, width = p
+    width = abs(width)
+    if width < span / (len(taus) - 1):
+        converged = converged and width >= (1.0 - 1e-9) * np.diff(np.unique(taus)).min()
+    if base <= 0:
+        raise ValueError("degenerate scan: fitted wing level is not positive")
+    if background >= base:
+        raise ValueError("background exceeds the fitted wing level")
+    return bp.HomFit(depth / base, depth / (base - background), width, center,
+                     base, depth, converged)
+
+
+def _cosine_oracle(phis, vals):
+    x = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    xw = x / np.maximum(vals, 1.0)[:, None]
+    try:
+        cov = np.linalg.inv(x.T @ xw)
+    except np.linalg.LinAlgError:
+        return np.nan, np.nan, np.nan, np.nan, False
+    a, b, c = cov @ (xw.T @ vals)
+    finite = bool(np.isfinite([a, b, c]).all())
+    if not a > 0:
+        return float(a), 0.0, 0.0, np.nan, finite
+    v = float(np.hypot(b, c) / a)
+    d = float(np.arctan2(-c, b))
+    grad = np.array([-v, np.cos(d), -np.sin(d)]) / a
+    return float(a), v, d, float(np.sqrt(max(grad @ cov @ grad, 0.0))), finite
+
+
+def fringe_oracle(phis, vals, background):
+    """The scalar closed-form cosine fit that `fringe_fit_stack` replaced."""
+    if len(phis) < 5:
+        raise ValueError("need at least 5 fringe points")
+    if phis.max() - phis.min() < 2 * np.pi * 0.99:
+        raise ValueError("scan must span at least one period")
+    a, v_raw, d, v_err, ok = _cosine_oracle(phis, vals)
+    v_sub = v_raw
+    if background > 0:
+        _, v_sub, _, _, ok_sub = _cosine_oracle(phis, np.maximum(vals - background, 0.0))
+        ok = ok and ok_sub
+    return tm.FringeFit(v_raw, d, a, v_raw, v_sub, v_err, ok)
+
+
+# ---------------------------------------------------------------------------
+# seeded Poisson scans
+# ---------------------------------------------------------------------------
+
+def hom_scan(seed, kind, scale):
+    """Poisson HOM scan: a dip well inside the scan, one near its edge, or
+    one narrower than the 0.5 ps delay spacing."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.5, 0.99)
+    if kind == "edge":
+        center, tc = rng.choice([-1.0, 1.0]) * rng.uniform(10.0, 12.0), rng.uniform(0.5, 2.0)
+    elif kind == "narrow":
+        center, tc = rng.uniform(-2.0, 2.0), rng.uniform(0.02, 0.2)
+    else:
+        center, tc = rng.uniform(-2.0, 2.0), rng.uniform(1.5, 4.5)
+    dip = np.exp(-((HOM_TAUS - center) ** 2) / (2.0 * tc * tc))
+    return rng.poisson(scale * (HOM_WING * (1.0 - v * dip) + HOM_BG))
+
+
+def fringe_scan(seed, kind, scale):
+    """Poisson fringe scan, or an all-zero one."""
+    if kind == "zero":
+        return np.zeros(len(FRINGE_PHIS), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    a = 0.5 * FRINGE_PAIRS * rng.uniform(0.05, 1.0)
+    v, delta = rng.uniform(0.5, 0.999), rng.uniform(-np.pi, np.pi)
+    return rng.poisson(scale * (a * (1.0 + v * np.cos(FRINGE_PHIS + delta)) + FRINGE_BG))
+
+
+def stacks(scan, kinds, backgrounds):
+    """(counts (n, m), background): 1-5 scans of mixed kinds and scales."""
+    row = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(kinds),
+                    st.sampled_from(SCALES))
+    return st.tuples(st.lists(row, min_size=1, max_size=5),
+                     st.sampled_from(backgrounds)).map(
+        lambda t: (np.array([scan(*r) for r in t[0]]), t[1]))
+
+
+HOM_STACKS = stacks(hom_scan, ("inside", "edge", "narrow"), (0.0, HOM_BG, 0.1 * HOM_BG))
+FRINGE_STACKS = stacks(fringe_scan, ("fringe", "fringe", "zero"),
+                       (0.0, FRINGE_BG, 0.1 * FRINGE_BG))
+
+
+def _oracle_or_error(oracle, grid, vals, background):
+    try:
+        return oracle(grid, vals.astype(float), background)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _fields(fit):
+    return {name: np.asarray(value) for name, value in vars(fit).items()}
+
+
+def _assert_matches_oracle(kernel, oracle, grid, counts, background, v_fields):
+    """Each row of `kernel(grid, counts, background)` equals the scalar fit
+    of that scan, or the kernel raises one of the scalar fits' errors."""
+    per_trial = [_oracle_or_error(oracle, grid, c, background) for c in counts]
+    errors = {r for r in per_trial if isinstance(r, str)}
+    if errors:
+        with pytest.raises(ValueError) as info:
+            kernel(grid, counts, background)
+        assert str(info.value) in errors
+        return None
+    fit = kernel(grid, counts, background)
+    got = _fields(fit)
+    for name in got:
+        want = np.array([getattr(r, name) for r in per_trial])
+        if name == "converged":
+            np.testing.assert_array_equal(got[name], want)
+        else:
+            tol = V_TOL if name in v_fields else PARAM_TOL
+            np.testing.assert_allclose(got[name], want, rtol=0, atol=tol, err_msg=name)
+    return fit
+
+
+def _assert_rows_match_alone(kernel, grid, counts, background, fit):
+    got = _fields(fit)
+    for k in range(len(counts)):
+        alone = _fields(kernel(grid, counts[k:k + 1], background))
+        for name, value in alone.items():
+            np.testing.assert_allclose(got[name][k:k + 1], value, rtol=ALONE_TOL,
+                                       atol=ALONE_TOL, err_msg=name)
+
+
+HOM_V = {"visibility_raw", "visibility_subtracted"}
+FRINGE_V = {"visibility", "visibility_raw", "visibility_subtracted", "visibility_stderr"}
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@PROPERTY
+@given(HOM_STACKS)
+def test_hom_fit_stack_matches_scalar_fits(stack):
+    counts, background = stack
+    fit = _assert_matches_oracle(bp.hom_fit_stack, hom_oracle, HOM_TAUS, counts,
+                                 background, HOM_V)
+    if fit is not None:
+        _assert_rows_match_alone(bp.hom_fit_stack, HOM_TAUS, counts, background, fit)
+
+
+@PROPERTY
+@given(FRINGE_STACKS)
+def test_fringe_fit_stack_matches_scalar_fits(stack):
+    counts, background = stack
+    fit = _assert_matches_oracle(tm.fringe_fit_stack, fringe_oracle, FRINGE_PHIS,
+                                 counts, background, FRINGE_V)
+    if fit is not None:
+        _assert_rows_match_alone(tm.fringe_fit_stack, FRINGE_PHIS, counts, background, fit)
+
+
+@PROPERTY
+@given(HOM_STACKS, st.integers(0, 5), st.sampled_from(["flat", "background"]))
+def test_hom_fit_stack_raises_when_one_scan_raises(stack, where, how):
+    # one scan the scalar fit rejects, anywhere in a random stack: a flat
+    # scan has no dip wings; a background of twice the 0.1x wing level is
+    # above the wings of a 0.1x-count scan (and below those at 1x counts)
+    counts, background = stack
+    if how == "flat":
+        bad = np.full(len(HOM_TAUS), 100)
+    else:
+        bad, background = hom_scan(where, "inside", 0.1), 0.2 * HOM_WING
+    counts = np.insert(counts, min(where, len(counts)), bad, axis=0)
+    assert _assert_matches_oracle(bp.hom_fit_stack, hom_oracle, HOM_TAUS, counts,
+                                  background, HOM_V) is None
+
+
+@PROPERTY
+@given(FRINGE_STACKS, st.sampled_from([(4, 2.0), (17, 1.5), (5, 1.0)]))
+def test_fringe_fit_stack_raises_where_scalar_raises(stack, grid):
+    # too few points, or a scan shorter than one period
+    counts, background = stack
+    points, periods = grid
+    phis = np.linspace(0.0, periods * np.pi, points)
+    assert _assert_matches_oracle(tm.fringe_fit_stack, fringe_oracle, phis,
+                                  counts[:, :points], background, FRINGE_V) is None
+
+
+def test_solve_stack_leaves_singular_systems_alone():
+    # the fits' batched solve: a singular system gives a NaN row and a False
+    # flag (the scalar fits stop there), and the other systems are solved
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4, 4))
+    a[2, :, 1] = 0.0
+    b = rng.normal(size=(4, 4, 1))
+    x, solved = qc.solve_stack(a, b)
+    np.testing.assert_array_equal(solved, [True, True, False, True])
+    assert np.isnan(x[2]).all()
+    for k in (0, 1, 3):
+        np.testing.assert_array_equal(x[k], np.linalg.solve(a[k], b[k]))
