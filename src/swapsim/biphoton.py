@@ -333,7 +333,8 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     of a fit of its scan alone.  A trial stops converged once its scaled
     step is below _LM_XTOL of its scaled parameters, and unconverged when
     its damped system is singular or after _LM_MAX_ITER iterations.
-    `converged` also requires the fitted width to be at least the smallest
+    `converged` also requires a positive depth (a fit that ends on a bump
+    has not found a dip) and the fitted width to be at least the smallest
     delay spacing (a narrower dip is not resolved by the scan).
 
     Visibility is (P_wing - P_min) / P_wing; the subtracted value removes
@@ -412,7 +413,7 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
         center_ps=center,
         baseline=base,
         depth=depth,
-        converged=converged & ~unresolved,
+        converged=converged & ~unresolved & (depth > 0),
     )
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "facet_channel",
     "BS_5050",
     "logical_frame",
+    "logical_frame_stack",
     "ideal_swap_unitary",
     "swap_unitary",
     "MZISetting",
@@ -375,21 +376,24 @@ def ideal_swap_unitary() -> np.ndarray:
     return _XX @ swap_unitary()
 
 
+def logical_frame_stack(m: np.ndarray, frame: str) -> np.ndarray:
+    """`logical_frame` of each matrix of `m` (shape (..., d, d), d = 2 or 4),
+    plain arrays in and out."""
+    frame = frame.lower()
+    if frame == "raw":
+        return m
+    if frame != "relabeled":
+        raise ValueError(f"unknown logical frame {frame!r}")
+    op = {4: _XX, 2: _X2}.get(m.shape[-1])
+    if op is None:
+        raise ValueError("logical frame applies to dim-2 or dim-4 states")
+    return op @ m @ op
+
+
 def logical_frame(rho_out: DensityMatrix, frame: str) -> DensityMatrix:
     """Map a chip output into the requested logical frame.
 
     "raw" leaves the state untouched; "relabeled" applies X (x) X (dim 4) or
     X (dim 2) so that the ideal chip action reads as a pure SWAP / identity.
     """
-    frame = frame.lower()
-    if frame == "raw":
-        return rho_out
-    if frame != "relabeled":
-        raise ValueError(f"unknown logical frame {frame!r}")
-    if rho_out.dim == 4:
-        op = _XX
-    elif rho_out.dim == 2:
-        op = _X2
-    else:
-        raise ValueError("logical frame applies to dim-2 or dim-4 states")
-    return DensityMatrix(rho_out.dim, op @ rho_out.entries @ op)
+    return DensityMatrix(rho_out.dim, logical_frame_stack(rho_out.entries, frame))

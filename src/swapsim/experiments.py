@@ -3,8 +3,9 @@
 Each chip's stages are composed once into one channel (`ChipModel.channel`),
 and every runner reads its exact quantities off that channel: detection
 probabilities straight from its Kraus operators (truth table, fringe), or
-from one application to each input state (tomography, sweep; the HOM pair
-and the Bell link, itself composed with the fiber, go through
+from one batched propagation of all of a run's pure input states through
+them, validated once at the boundary (tomography, sweep: `_exact_outputs`;
+the HOM pair and the Bell link, itself composed with the fiber, go through
 `biphoton.apply_chip_both`).  From the per-setting detection probabilities
 each runner draws the Poissonian counts of all trials at once
 (`sample_counts`), runs the matching stacked estimator on all trials in one
@@ -41,7 +42,7 @@ from .devices import (
     ChipModel,
     MZISetting,
     ideal_swap_unitary,
-    logical_frame,
+    logical_frame_stack,
     mzi_projector,
     phase_v,
     swap_unitary,
@@ -50,10 +51,10 @@ from .qcore import (
     PAULI_X,
     DensityMatrix,
     QuantumChannel,
-    apply_channel,
     compose_channels,
     dagger,
     heralded_normalize,
+    heralded_normalize_stack,
     ket2,
     partial_trace,
     uhlmann_fidelity,
@@ -492,25 +493,38 @@ def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel | None = No
 # state / process tomography experiments
 # ---------------------------------------------------------------------------
 
-_MZI_BY_LABEL = {
-    "0": MZISetting.T, "1": MZISetting.B, "+": MZISetting.PLUS,
-    "-": MZISetting.MINUS, "i": MZISetting.PLUS_I, "-i": MZISetting.MINUS_I,
-}
-
-def _momentum_probabilities(rho2: DensityMatrix) -> dict:
-    """Detection probability behind the MZI for each of the six settings."""
-    return {lbl: apply_channel(mzi_projector(setting), rho2).trace
-            for lbl, setting in _MZI_BY_LABEL.items()}
+def _spatial_ket(label: str) -> np.ndarray:
+    """Spatial input state by name: T, B, + or +i (the +y Bloch state)."""
+    return ket2("i" if label == "+i" else label)
 
 
-def _output_momentum_state(chip: ChipModel, spatial_label: str,
-                           pol_vec: np.ndarray, frame: str) -> DensityMatrix:
-    sp = ket2(spatial_label if spatial_label != "+i" else "i")
-    v = np.kron(sp, pol_vec)
-    out = chip.apply(DensityMatrix(4, np.outer(v, v.conj())))
-    out, _ = heralded_normalize(out)
-    red = partial_trace(out, [2, 2], [0])
-    return logical_frame(red, frame)
+def _exact_outputs(chip: ChipModel, vecs: np.ndarray, frame: str,
+                   trace_polarization: bool = False) -> np.ndarray:
+    """Heralded chip outputs of the pure inputs `vecs` (J, 4), in `frame`.
+
+    Every input goes through the chip's Kraus operators in one contraction.
+    The chip outputs are validated once, as a stack, and renormalized
+    (`heralded_normalize_stack`, which raises on a vacuum output).  Returns
+    (J, 4, 4) states, or with `trace_polarization` the (J, 2, 2)
+    spatial-momentum states.
+    """
+    amps = np.einsum("kab,jb->jka", np.array(chip.channel().kraus), vecs)
+    out, _ = heralded_normalize_stack(np.einsum("jka,jkb->jab", amps, amps.conj()))
+    if trace_polarization:
+        out = np.trace(out.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
+    return logical_frame_stack(out, frame)
+
+
+# The POVM element sum_k K^dag K of the MZI projector of each momentum
+# setting, in `tm.MOMENTUM_LABELS` order.
+_MZI_POVMS = np.array([sum(dagger(k) @ k for k in mzi_projector(MZISetting(lbl)).kraus)
+                       for lbl in tm.MOMENTUM_LABELS])
+
+
+def _mzi_probabilities(rho2: np.ndarray) -> np.ndarray:
+    """Detection probability behind the MZI of each momentum setting, for
+    each state of `rho2` (J, 2, 2): shape (J, 6), settings in label order."""
+    return np.einsum("jab,sba->js", rho2, _MZI_POVMS).real
 
 
 def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
@@ -522,10 +536,10 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     (the ideal chip maps pol value p to momentum value NOT p).  The two
     frames give identical fidelities, only the reported state differs.
     """
-    chip = cfg.chip(0)
     pol = ket2(pol_label)
-    red = _output_momentum_state(chip, spatial_input, pol, cfg.logical_frame)
-    probs = _momentum_probabilities(red)
+    vec = np.kron(_spatial_ket(spatial_input), pol)
+    red = _exact_outputs(cfg.chip(0), vec[None], cfg.logical_frame, trace_polarization=True)
+    probs = dict(zip(tm.MOMENTUM_LABELS, _mzi_probabilities(red)[0]))
     target_vec = pol if cfg.logical_frame == "relabeled" else PAULI_X @ pol
     target = DensityMatrix(2, np.outer(target_vec, target_vec.conj()))
     rho_exact = tm.state_tomo_1q(probs)
@@ -555,6 +569,20 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
 
 
 _PROCESS_INPUT_POLS = (("H", "H"), ("V", "V"), ("+", "D"), ("+i", "R"))
+_PROCESS_SPATIAL_INPUTS = ("T", "B", "+", "+i")
+# the polarization inputs as kets and as the density matrices of process_tomo
+_PROCESS_POL_KETS = np.array([ket2(pol) for _, pol in _PROCESS_INPUT_POLS])
+_PROCESS_INPUTS_1Q = np.einsum("ja,jb->jab", _PROCESS_POL_KETS, _PROCESS_POL_KETS.conj())
+# the ideal process of each frame: the identity (relabeled) or a bit flip
+# (raw) on the momentum qubit
+_CHI_IDEAL_1Q = {"relabeled": tm.chi_from_unitary(np.eye(2, dtype=complex)),
+                 "raw": tm.chi_from_unitary(PAULI_X)}
+# the 16 separable chip inputs |spatial> (x) |pol>, spatial major: rows
+# 4s to 4s + 3 are the polarization inputs of spatial input s, and all 16
+# are the inputs of two-qubit process tomography
+_PROCESS_VECS = np.kron(np.array([_spatial_ket(sp) for sp in _PROCESS_SPATIAL_INPUTS]),
+                        _PROCESS_POL_KETS)
+_PROCESS_INPUTS_2Q = np.einsum("ja,jb->jab", _PROCESS_VECS, _PROCESS_VECS.conj())
 
 
 def run_process_tomography(cfg: ExperimentConfig) -> Report:
@@ -564,21 +592,16 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
     spatial-momentum qubit is reconstructed (exactly, i.e. infinite counts)
     and the process compared against the frame's ideal: the identity in the
     relabeled frame, a bit flip in the raw frame (the fidelity and purity
-    values agree between frames, only chi itself is conjugated).
+    values agree between frames, only chi itself is conjugated).  All 16
+    inputs are propagated in one `_exact_outputs` call.
     """
-    chip = cfg.chip(0)
-    ideal_u = np.eye(2, dtype=complex) if cfg.logical_frame == "relabeled" else PAULI_X
-    chi_ideal = tm.chi_from_unitary(ideal_u)
+    chi_ideal = _CHI_IDEAL_1Q[cfg.logical_frame]
+    red = _exact_outputs(cfg.chip(0), _PROCESS_VECS, cfg.logical_frame,
+                         trace_polarization=True)
+    rho_est = tm.state_tomo_1q_stack(_mzi_probabilities(red)).reshape(-1, 4, 2, 2)
     per_input = {}
-    for spatial in ("T", "B", "+", "+i"):
-        ins, probs = [], []
-        for _, pol_lbl in _PROCESS_INPUT_POLS:
-            pol = ket2(pol_lbl)
-            red = _output_momentum_state(chip, spatial, pol, cfg.logical_frame)
-            p = _momentum_probabilities(red)
-            probs.append([p[lbl] for lbl in tm.MOMENTUM_LABELS])
-            ins.append(DensityMatrix(2, np.outer(pol, pol.conj())))
-        chi = tm.process_tomo(ins, tm.state_tomo_1q_stack(probs), 1)
+    for spatial, outs in zip(_PROCESS_SPATIAL_INPUTS, rho_est):
+        chi = tm.process_tomo(_PROCESS_INPUTS_1Q, outs, 1)
         per_input[spatial] = {
             "process_fidelity": tm.process_fidelity(chi, chi_ideal),
             "process_purity": tm.process_purity(chi),
@@ -602,20 +625,8 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
 
 def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
     """Two-qubit chi matrix of the full chip over 16 separable inputs."""
-    chip = cfg.chip(0)
-    pol_states = {"H": ket2("H"), "V": ket2("V"), "D": ket2("D"), "R": ket2("R")}
-    mom_states = {"0": ket2("0"), "1": ket2("1"), "+": ket2("+"), "i": ket2("i")}
-    ins, outs = [], []
-    for sm in mom_states.values():
-        for pol in pol_states.values():
-            v = np.kron(sm, pol)
-            rho_in = DensityMatrix(4, np.outer(v, v.conj()))
-            out = chip.apply(rho_in)
-            out, _ = heralded_normalize(out)
-            out = logical_frame(out, cfg.logical_frame)
-            ins.append(rho_in)
-            outs.append(out)
-    chi = tm.process_tomo(ins, outs, 2)
+    outs = _exact_outputs(cfg.chip(0), _PROCESS_VECS, cfg.logical_frame)
+    chi = tm.process_tomo(_PROCESS_INPUTS_2Q, outs, 2)
     ideal_u = ideal_swap_unitary() if cfg.logical_frame == "raw" else swap_unitary()
     chi_ideal = tm.chi_from_unitary(ideal_u)
     payload = {
@@ -644,15 +655,11 @@ _SWEEP_AXES = {
 
 
 def _process_fidelity_T(chip: ChipModel) -> float:
-    chi_ideal = tm.chi_from_unitary(np.eye(2, dtype=complex))
-    ins, outs = [], []
-    for _, pol_lbl in _PROCESS_INPUT_POLS:
-        pol = ket2(pol_lbl)
-        red = _output_momentum_state(chip, "T", pol, "relabeled")
-        outs.append(red)
-        ins.append(DensityMatrix(2, np.outer(pol, pol.conj())))
-    chi = tm.process_tomo(ins, outs, 1)
-    return tm.process_fidelity(chi, chi_ideal)
+    """Process fidelity of the T-input momentum qubit with the identity, in
+    the relabeled frame, from the exact reduced output states."""
+    red = _exact_outputs(chip, _PROCESS_VECS[:4], "relabeled", trace_polarization=True)
+    chi = tm.process_tomo(_PROCESS_INPUTS_1Q, red, 1)
+    return tm.process_fidelity(chi, _CHI_IDEAL_1Q["relabeled"])
 
 
 def run_error_budget(cfg: ExperimentConfig, sweep: dict) -> Report:

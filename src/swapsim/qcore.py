@@ -31,6 +31,7 @@ __all__ = [
     "tensor",
     "apply_channel",
     "heralded_normalize",
+    "heralded_normalize_stack",
     "uhlmann_fidelity",
     "uhlmann_fidelity_stack",
     "project_to_physical",
@@ -152,6 +153,23 @@ class PureState:
         return DensityMatrix(self.dim, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def _check_density(m: np.ndarray) -> np.ndarray:
+    """Raise unless every matrix of `m` (shape (..., d, d)) is Hermitian,
+    PSD and of trace in [0, 1], within the value-type tolerances; returns
+    the traces."""
+    if np.max(np.abs(m - dagger(m))) > HERM_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    low = np.linalg.eigvalsh(m).min()
+    if low < -PSD_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    bad = (tr < -TRACE_TOL) | (tr > 1.0 + TRACE_TOL)
+    if bad.any():
+        raise ValueError(f"density matrix trace {float(np.extract(bad, tr)[0])} "
+                         "outside [0, 1]")
+    return tr
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian PSD matrix with 0 <= trace <= 1 (+ tolerance).
@@ -169,14 +187,7 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} != ({self.dim},{self.dim})")
-        if np.max(np.abs(m - dagger(m))) > HERM_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
-        tr = float(np.trace(m).real)
-        if tr < -TRACE_TOL or tr > 1.0 + TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} outside [0, 1]")
+        _check_density(m)
 
     @property
     def trace(self) -> float:
@@ -304,6 +315,16 @@ def heralded_normalize(rho: DensityMatrix) -> tuple:
     if tr <= 1e-15:
         raise ValueError("vacuum state: trace is zero, photon was lost")
     return DensityMatrix(rho.dim, rho.entries / tr), tr
+
+
+def heralded_normalize_stack(m: np.ndarray) -> tuple:
+    """Validate each matrix of `m` (shape (n, d, d)) as a `DensityMatrix`
+    would, in one batch, and renormalize it: returns (m / tr, tr) as arrays.
+    The plain-ndarray kernel of `heralded_normalize`; raises on a vacuum
+    state (any trace ~ 0) as it does.
+    """
+    tr = _check_density(m)
+    return _unit_trace(m), tr
 
 
 def _psd_sqrt(m: np.ndarray, floor_tol: float) -> np.ndarray:

@@ -312,35 +312,39 @@ def _as_matrix(x) -> np.ndarray:
 def process_tomo(inputs, outputs, n: int) -> ProcessMatrix:
     """Reconstruct the chi matrix over the Pauli basis from input/output pairs.
 
-    Solves Tr(P_k eps(rho_j)) = sum_mn chi_mn Tr(P_k E_m rho_j E_n+) in the
-    least-squares sense, then Hermitizes, clips to PSD and normalizes
-    Tr(chi) = 1.  Requires 4^n linearly independent inputs.
+    Solves for the channel's superoperator S in the row-major vec
+    convention, vec(A rho B) = (A (x) B^T) vec(rho): with the input vecs
+    stacked as the rows of R (J, 4^n) and the output vecs as those of O,
+    R S^T = O is one 4^n x 4^n least-squares problem.  chi is read off S
+    in one contraction: S = sum_mn chi_mn E_m (x) conj(E_n), and the
+    E_m (x) conj(E_n) are Hilbert-Schmidt orthogonal with norm d^2 (d = 2^n),
+    so chi_mn = sum conj(E_m[a, c]) E_n[b, d] S[ab, cd] / d^2 (Chuang and
+    Nielsen, J. Mod. Opt. 44, 2455, 1997).  This is the least-squares fit
+    of the Pauli expectations Tr(P_k eps(rho_j)) = Tr(P_k rho'_j): by Pauli
+    orthogonality their squared residual is d times the squared Frobenius
+    residual of the outputs, and chi <-> S is linear and one to one.  The result is then
+    Hermitized, clipped to PSD and normalized to Tr(chi) = 1.  Requires
+    4^n linearly independent inputs.
     """
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    basis = _PAULI_1Q if n == 1 else _PAULI_2Q
-    rhos = [_as_matrix(r) for r in inputs]
-    outs = [_as_matrix(r) for r in outputs]
+    rhos = np.array([_as_matrix(r) for r in inputs])
+    outs = np.array([_as_matrix(r) for r in outputs])
     if len(rhos) != len(outs):
         raise ValueError("inputs and outputs must pair up")
     d = 2**n
     d2 = 4**n
     if len(rhos) < d2:
         raise ValueError(f"need at least {d2} input states, got {len(rhos)}")
-    stack = np.array([r.reshape(-1) for r in rhos])
+    stack = rhos.reshape(-1, d2)
     if np.linalg.matrix_rank(stack, tol=1e-10) < d2:
         raise ValueError("input states are rank-deficient; cannot invert")
-    e_ops = np.array(basis.operators)  # (d2, d, d)
-    r_ops = np.array(rhos)             # (J, d, d)
-    # X[m, j, n] = E_m rho_j E_n (E Hermitian)
-    left = np.einsum("mab,jbc->mjac", e_ops, r_ops)
-    x = np.einsum("mjac,ncd->mjnad", left, e_ops)
-    # A[(j,k),(m,n)] = Tr(P_k X[m,j,n])
-    a = np.einsum("kda,mjnad->jkmn", e_ops, x)
-    a = a.reshape(len(rhos) * d2, d2 * d2)
-    b = np.einsum("kda,jad->jk", e_ops, np.array(outs)).reshape(-1)
-    chi_vec, *_ = np.linalg.lstsq(a, b, rcond=None)
-    chi = chi_vec.reshape(d2, d2)
+    s_t, *_ = np.linalg.lstsq(stack, outs.reshape(-1, d2), rcond=None)
+    # s_t[(c, d), (a, b)] = S[(a, b), (c, d)], regrouped as t[(a, c), (b, d)]:
+    # the contraction is then one product with the flattened Pauli rows
+    t = s_t.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d2, d2)
+    e_rows = _PAULI_1Q_ROWS if n == 1 else _PAULI_2Q_ROWS
+    chi = e_rows.conj() @ t @ e_rows.T / d2
     chi = 0.5 * (chi + dagger(chi))
     evals, vecs = np.linalg.eigh(chi)
     evals = np.clip(evals, 0.0, None)
@@ -439,7 +443,9 @@ def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
     from the data as-is; the subtracted one from the data with the constant
     `background` (counts per point) removed.  Both are fitted in one batch
     (see `_fit_cosine`).  The fit is linear, so it has one global minimum;
-    `converged` is False only when a solve is not finite.
+    `converged` is False when a solve is not finite or a fitted amplitude
+    A is not positive (a flat or all-zero scan has no fringe to fit), on
+    the raw or on the subtracted scan.
     """
     phis = np.asarray(phis, dtype=float)
     vals = np.asarray(counts, dtype=float)
@@ -454,6 +460,7 @@ def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
     if background > 0:
         vals = np.concatenate([vals, np.maximum(vals - background, 0.0)])
     a, v, d, v_err, finite = _fit_cosine(phis, vals)
+    ok = finite & (a > 0)
     return FringeFit(
         visibility=v[:n],
         phase_offset=d[:n],
@@ -461,7 +468,7 @@ def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
         visibility_raw=v[:n],
         visibility_subtracted=v[len(v) - n:],
         visibility_stderr=v_err[:n],
-        converged=finite[:n] & finite[len(v) - n:],
+        converged=ok[:n] & ok[len(v) - n:],
     )
 
 

@@ -5,10 +5,13 @@ quantities off that channel.  The oracle here propagates through each
 stage in turn with `apply_channel`, on random grammar-valid chips that mix
 depolarizing stages (several Kraus operators; two of them, so the composed
 set is reduced through the Choi matrix) with trace-decreasing polarizers
-and losses.
+and losses.  The tomography runners' batched propagation of all their
+inputs (`_exact_outputs`, `_mzi_probabilities`) is checked against the
+per-state chain of validated values it replaced.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,3 +158,55 @@ def test_bell_link_equals_sequential(chip1, chip2, label, visibility, seed, resi
         state = bp.apply_chip_both(state, ch)
     np.testing.assert_allclose(got.entries, state.joint.entries, rtol=0, atol=TOL)
     assert got.trace <= 1.0 + TOL
+
+
+# the 16 separable inputs of two-qubit process tomography, momentum major
+SEPARABLE = np.array([np.kron(qc.ket2(m), qc.ket2(p))
+                      for m in ("0", "1", "+", "i") for p in ("H", "V", "D", "R")])
+
+
+def output_state_oracle(chip, vec, frame, trace_polarization):
+    """One input at a time: stagewise chip, heralding, partial trace and
+    frame, each a validated `DensityMatrix`; returns (state, survival)."""
+    out = stagewise(chip, qc.DensityMatrix(4, np.outer(vec, vec.conj())))
+    out, survival = qc.heralded_normalize(out)
+    if trace_polarization:
+        out = qc.partial_trace(out, [2, 2], [0])
+    return dv.logical_frame(out, frame), survival
+
+
+def momentum_probabilities_oracle(rho2):
+    """One `apply_channel` of the MZI projector per momentum setting."""
+    return [qc.apply_channel(dv.mzi_projector(dv.MZISetting(lbl)), rho2).trace
+            for lbl in ("0", "1", "+", "-", "i", "-i")]
+
+
+@PROPERTY
+@given(CHIPS, st.sampled_from(["raw", "relabeled"]), st.booleans())
+def test_exact_outputs_equal_per_state_chain(chip, frame, trace_polarization):
+    try:
+        want = [output_state_oracle(chip, v, frame, trace_polarization) for v in SEPARABLE]
+    except ValueError as exc:
+        assert str(exc).startswith("vacuum state")
+        with pytest.raises(ValueError, match="^vacuum state"):
+            ex._exact_outputs(chip, SEPARABLE, frame, trace_polarization)
+        return
+    got = ex._exact_outputs(chip, SEPARABLE, frame, trace_polarization)
+    assert got.shape == ((16, 2, 2) if trace_polarization else (16, 4, 4))
+    for g, (w, survival) in zip(got, want):
+        # heralding divides the rounding of the chip output by the survival
+        np.testing.assert_allclose(g, w.entries, rtol=0, atol=TOL / survival)
+        if trace_polarization:
+            np.testing.assert_allclose(ex._mzi_probabilities(g[None])[0],
+                                       momentum_probabilities_oracle(w),
+                                       rtol=0, atol=TOL / survival)
+
+
+def test_exact_outputs_of_a_dark_chip_raise_the_vacuum_error():
+    # crossed polarizers on both ports pass no photon
+    dark = nl.compile_netlist(nl.parse(
+        "chip dark {\n  ports T, B;\n  polarizer p0 (T, B) angle=0rad;\n"
+        "  polarizer p1 (T, B) angle=90deg;\n}\n"))
+    for trace_polarization in (False, True):
+        with pytest.raises(ValueError, match="^vacuum state: trace is zero"):
+            ex._exact_outputs(dark, SEPARABLE, "raw", trace_polarization)

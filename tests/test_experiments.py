@@ -347,6 +347,29 @@ class TestStackedEstimators:
         ex.run_bell_distribution(cfg)
         assert len(made) == one_trial
 
+    def test_exact_tomography_makes_no_per_state_values(self, cfg, monkeypatch):
+        # process tomography and the sweep propagate all their inputs in one
+        # batch, validated once as a stack: no per-state DensityMatrix and
+        # no apply_channel
+        from swapsim import biphoton as bp
+        from swapsim import devices as dv
+        from swapsim import qcore as qc
+        from swapsim.cli import _parse_grid
+
+        made, applied = [], []
+        post_init = qc.DensityMatrix.__post_init__
+        monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
+                            lambda self: made.append(self.dim) or post_init(self))
+        apply_channel = qc.apply_channel
+        for module in (qc, dv, bp, ex):
+            if hasattr(module, "apply_channel"):
+                monkeypatch.setattr(module, "apply_channel",
+                                    lambda *a: applied.append(1) or apply_channel(*a))
+        ex.run_process_tomography(cfg)
+        ex.run_process_tomography_2q(cfg)
+        ex.run_error_budget(cfg, _parse_grid([]))  # the CLI's default grid
+        assert (len(made), len(applied)) == (0, 0)
+
     def test_counts_unchanged(self, cfg, monkeypatch):
         # the draws at seed 4242 as made by the per-trial estimators before
         # them: the stacked estimators reindex the counts after the draw

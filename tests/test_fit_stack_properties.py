@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapsim import biphoton as bp
+from swapsim import experiments as ex
 from swapsim import qcore as qc
 from swapsim import tomography as tm
+from swapsim.config import ExperimentConfig
 
 # derandomized: tier-1 runs the same examples every time
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -79,6 +81,7 @@ def hom_oracle(taus, vals, background):
     width = abs(width)
     if width < span / (len(taus) - 1):
         converged = converged and width >= (1.0 - 1e-9) * np.diff(np.unique(taus)).min()
+    converged = converged and depth > 0
     if base <= 0:
         raise ValueError("degenerate scan: fitted wing level is not positive")
     if background >= base:
@@ -111,10 +114,11 @@ def fringe_oracle(phis, vals, background):
     if phis.max() - phis.min() < 2 * np.pi * 0.99:
         raise ValueError("scan must span at least one period")
     a, v_raw, d, v_err, ok = _cosine_oracle(phis, vals)
+    ok = ok and a > 0
     v_sub = v_raw
     if background > 0:
-        _, v_sub, _, _, ok_sub = _cosine_oracle(phis, np.maximum(vals - background, 0.0))
-        ok = ok and ok_sub
+        a_sub, v_sub, _, _, ok_sub = _cosine_oracle(phis, np.maximum(vals - background, 0.0))
+        ok = ok and ok_sub and a_sub > 0
     return tm.FringeFit(v_raw, d, a, v_raw, v_sub, v_err, ok)
 
 
@@ -256,6 +260,27 @@ def test_fringe_fit_stack_raises_where_scalar_raises(stack, grid):
     phis = np.linspace(0.0, periods * np.pi, points)
     assert _assert_matches_oracle(tm.fringe_fit_stack, fringe_oracle, phis,
                                   counts[:, :points], background, FRINGE_V) is None
+
+
+def test_negative_depth_fit_counts_as_not_converged(monkeypatch):
+    # a 0.02-0.2 ps dip falling between the 0.5 ps delay samples: at seed
+    # 512 the fit stops on a bump (depth about -66 counts, V about -0.013),
+    # which is no dip, so the runner counts it in fits_not_converged
+    bump = hom_scan(512, "narrow", 1.0)
+    fit = bp.hom_fit_stack(HOM_TAUS, bump[None], HOM_BG)
+    assert fit.depth[0] < 0 and fit.visibility_raw[0] < 0
+    assert not fit.converged[0]
+    sample_counts = ex.sample_counts
+
+    def with_bump(*args):
+        counts = sample_counts(*args)
+        counts[1] = bump
+        return counts
+
+    monkeypatch.setattr(ex, "sample_counts", with_bump)
+    cfg = ExperimentConfig.measured_chip(n_trials=4, rng_seed=5)
+    report = ex.run_hom_scan(cfg, delays_ps=HOM_TAUS)
+    assert report.payload["diagnostics"] == {"fits_not_converged": 1}
 
 
 def test_solve_stack_leaves_singular_systems_alone():

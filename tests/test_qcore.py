@@ -127,6 +127,30 @@ class TestHeraldedNormalize:
         with pytest.raises(ValueError):
             qc.heralded_normalize(dm(np.zeros((2, 2))))
 
+    def test_stack_equals_one_state_at_a_time(self):
+        rng = np.random.default_rng(6)
+        rhos = [qc.DensityMatrix(4, rng.uniform(0.01, 1.0) * random_density(rng, 4).entries)
+                for _ in range(5)]
+        out, p = qc.heralded_normalize_stack(np.array([r.entries for r in rhos]))
+        for k, rho in enumerate(rhos):
+            one, p_one = qc.heralded_normalize(rho)
+            np.testing.assert_array_equal(out[k], one.entries)
+            assert p[k] == p_one
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
+        ([[1.0, 0.0], [0.0, -0.1]], "negative eigenvalue"),
+        ([[0.7, 0.0], [0.0, 0.7]], "trace 1.4 outside"),
+        (np.zeros((2, 2)), "^vacuum state"),
+    ])
+    def test_stack_validates_like_density_matrix(self, bad, message):
+        # one bad matrix in the stack raises what the one-state path raises
+        good = random_density(np.random.default_rng(7), 2).entries
+        with pytest.raises(ValueError, match=message):
+            qc.heralded_normalize(qc.DensityMatrix(2, np.array(bad, dtype=complex)))
+        with pytest.raises(ValueError, match=message):
+            qc.heralded_normalize_stack(np.array([good, bad, good], dtype=complex))
+
 
 class TestUhlmannFidelity:
     def test_identical_pure(self):

@@ -338,7 +338,16 @@ class TestFringeFit:
                             background=1.0)
         assert fit.visibility == 0.0
         assert fit.visibility_subtracted == 0.0
-        assert fit.converged
+        assert not fit.converged
+
+    def test_fringe_below_background_is_not_converged(self):
+        # the raw fit has A > 0, but nothing is left after subtraction
+        scan = [(p, 5.0 * (1.0 + 0.5 * np.cos(p))) for p in np.linspace(0, 2 * np.pi, 17)]
+        fit = tm.fringe_fit(scan, background=10.0)
+        assert fit.amplitude == pytest.approx(5.0)
+        assert fit.visibility_subtracted == 0.0
+        assert not fit.converged
+        assert tm.fringe_fit(scan).converged
 
     def test_matches_least_squares_oracle(self):
         # oracle: scipy's iterative fit of the same weighted residual in the
