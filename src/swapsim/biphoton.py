@@ -62,7 +62,7 @@ class BellLabel(Enum):
     PHI_MINUS = "phi-"
 
 
-def bell_state_vector(label: BellLabel) -> np.ndarray:
+def _bell_vectors() -> dict:
     h, v = ket2("H"), ket2("V")
     pairs = {
         BellLabel.PSI_PLUS: np.kron(h, v) + np.kron(v, h),
@@ -70,7 +70,14 @@ def bell_state_vector(label: BellLabel) -> np.ndarray:
         BellLabel.PHI_PLUS: np.kron(h, h) + np.kron(v, v),
         BellLabel.PHI_MINUS: np.kron(h, h) - np.kron(v, v),
     }
-    return pairs[label] / np.sqrt(2.0)
+    return {label: pair / np.sqrt(2.0) for label, pair in pairs.items()}
+
+
+_BELL_VECTORS = _bell_vectors()
+
+
+def bell_state_vector(label: BellLabel) -> np.ndarray:
+    return _BELL_VECTORS[label].copy()
 
 
 @dataclass(frozen=True)

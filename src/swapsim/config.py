@@ -232,10 +232,7 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["chips"] = [asdict(c) for c in cfg.chips]
-    d["source"] = asdict(cfg.source)
-    return {"schema_version": SCHEMA_VERSION, **d}
+    return {"schema_version": SCHEMA_VERSION, **asdict(cfg)}
 
 
 def dump_config(cfg: ExperimentConfig) -> str:

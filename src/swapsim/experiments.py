@@ -411,16 +411,15 @@ def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel,
 _TOMO_2Q_PAIRS = sorted(product(tm.POLARIZATION_LABELS, repeat=2))
 _POL_PROJECTORS = {l: tm.MeasurementSetting("polarization", l).projector()
                    for l in tm.POLARIZATION_LABELS}
-_TOMO_2Q_PROJECTORS = [np.kron(_POL_PROJECTORS[l1], _POL_PROJECTORS[l2])
-                       for l1, l2 in _TOMO_2Q_PAIRS]
+_TOMO_2Q_PROJECTORS = np.array([np.kron(_POL_PROJECTORS[l1], _POL_PROJECTORS[l2])
+                                for l1, l2 in _TOMO_2Q_PAIRS])
 _TOMO_2Q_GRID_COLUMNS = [_TOMO_2Q_PAIRS.index(p)
                          for p in product(tm.POLARIZATION_LABELS, repeat=2)]
 
 
 def _tomo_2q_probabilities(rho_pol: DensityMatrix) -> np.ndarray:
     """Probability of each setting of `_TOMO_2Q_PAIRS`."""
-    return np.array([float(np.trace(proj @ rho_pol.entries).real)
-                     for proj in _TOMO_2Q_PROJECTORS])
+    return np.trace(_TOMO_2Q_PROJECTORS @ rho_pol.entries, axis1=1, axis2=2).real
 
 
 def _bell_label(cfg: ExperimentConfig, label: bp.BellLabel, link: QuantumChannel,

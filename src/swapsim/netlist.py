@@ -13,6 +13,12 @@ time); dB values are stored as written and converted to linear factors by
 the device constructors.  Statement order defines optical propagation
 order.  The formatter emits a canonical layout; comments are discarded.
 
+A process parses each netlist text once and lowers each distinct stage
+once: `parse` keeps a bounded LRU cache keyed on the source text, and
+statement lowering one keyed on everything the lowering reads (kind,
+ports, the chip's port order, each parameter's name, unit and exact
+value).  Every cached value is immutable, and errors are never cached.
+
 Example:
 
     chip swap {
@@ -25,9 +31,10 @@ Example:
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +60,11 @@ __all__ = [
 UNITS = ("dB", "deg", "rad", "nm")
 
 KINDS = tuple(k.value for k in ComponentKind)
+
+# bounds of the per-process caches: distinct netlist texts kept parsed, and
+# distinct statements kept lowered (a default sweep lowers 18)
+_PARSE_CACHE_SIZE = 32
+_STAGE_CACHE_SIZE = 256
 
 # netlist parameter name -> (ComponentSpec parameter, expected unit class)
 # unit classes: "db", "angle" (rad, deg accepted), "plain" (unitless)
@@ -344,8 +356,11 @@ class _Parser:
         return Param(name_tok.text, value, unit, span)
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse(text: str) -> NetlistAst:
-    """Parse netlist source into an AST.  Raises ParseError with a span."""
+    """Parse netlist source into an AST.  Raises ParseError with a span.
+
+    Cached on the text: a repeated text returns the same (immutable) AST."""
     return _Parser(text).parse_netlist()
 
 
@@ -420,7 +435,27 @@ def _spec_params(st: Statement) -> dict:
     return params
 
 
+@dataclass(frozen=True)
+class _StageKey:
+    """What lowering a statement reads.  Instance names and spans only feed
+    error messages, so the statement rides along uncompared."""
+
+    kind: str
+    ports: tuple
+    chip_ports: tuple
+    params: tuple  # (name, unit, float.hex(value)): +0 and -0 differ
+    statement: Statement = field(compare=False)
+
+
 def _lower_statement(st: Statement, chip_ports) -> QuantumChannel:
+    """The statement's stage, lowered once per distinct `_StageKey`."""
+    params = tuple((p.name, p.unit, float(p.value).hex()) for p in st.params)
+    return _lower_stage(_StageKey(st.kind, tuple(st.ports), tuple(chip_ports), params, st))
+
+
+@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
+def _lower_stage(key: _StageKey) -> QuantumChannel:
+    st, chip_ports = key.statement, key.chip_ports
     params = _spec_params(st)
     span = st.span
     try:
@@ -494,8 +529,7 @@ def compile_chip(chip: ChipDecl) -> ChipModel:
         raise CompileError(
             f"this simulator models exactly 2 spatial ports, chip "
             f"{chip.name!r} declares {len(chip.ports)}", chip.span, code="port-count")
-    ports = list(chip.ports)
-    stages = tuple(_lower_statement(st, ports) for st in chip.statements)
+    stages = tuple(_lower_statement(st, chip.ports) for st in chip.statements)
     if not stages:
         stages = (devices.facet_channel(0.0, 0.0),)  # identity chip
     return ChipModel(stages, label=chip.name)

@@ -281,6 +281,13 @@ def test_criterion_09_error_budget():
             f"F35={f35:.5f} imbalance cost={cost_pp:.2f}pp monotone={mono}")
 
 
+def _cold_compile(src):
+    # two independent compilations: nothing parsed or lowered is reused
+    nl.parse.cache_clear()
+    nl._lower_stage.cache_clear()
+    return nl.compile_netlist(nl.parse(src))
+
+
 def test_criterion_10_netlist_tooling():
     try:
         from tests.test_netlist import _corpus
@@ -309,8 +316,7 @@ def test_criterion_10_netlist_tooling():
             ok_errors = ok_errors and err.code == code
             ok_errors = ok_errors and 0 <= err.span.start <= err.span.end <= len(src)
     src = corpus[0]
-    a = nl.compile_netlist(nl.parse(src)).channel().kraus[0]
-    b = nl.compile_netlist(nl.parse(src)).channel().kraus[0]
+    a, b = (_cold_compile(src).channel().kraus[0] for _ in range(2))
     ok_bits = np.array_equal(a, b)
     _report(10, "netlist: corpus round-trip, spanned error codes, determinism",
             ok_corpus and ok_errors and ok_bits,

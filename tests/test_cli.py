@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from swapsim import cli
+from swapsim import netlist as nl
 from swapsim.config import ExperimentConfig, dump_config, load_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -190,6 +191,69 @@ class TestDispatch:
                                "--out", str(out), "--trials", "2"])
             assert rc == 0
             assert (out / "report.json").exists()
+
+
+def _clear_caches():
+    cli._build_parser.cache_clear()
+    nl.parse.cache_clear()
+    nl._lower_stage.cache_clear()
+
+
+class TestRepeatedDispatch:
+    """One process builds the parser once, parses each netlist text once and
+    lowers each distinct stage once; none of it shows in what a call gives."""
+
+    @staticmethod
+    def _result(argv, out, capsys):
+        rc = cli.dispatch(argv)
+        captured = capsys.readouterr()
+        if not (out / "report.json").exists():
+            return rc, captured.out, captured.err
+        doc = json.loads((out / "report.json").read_text())
+        tables = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        for p in out.iterdir():
+            p.unlink()
+        return rc, doc["payload"], doc["payload_sha256"], tables
+
+    def test_warm_calls_equal_cold_calls(self, tmp_path, config_file, netlist_file, capsys):
+        out = tmp_path / "out"
+        exp = ["--config", str(config_file), "--seed", "5", "--out", str(out)]
+        calls = [["sweep", "--grid", "er=18,35", *exp],
+                 ["sweep", "--grid"],                 # a usage error
+                 ["sweep", *exp],
+                 ["check", str(netlist_file)],
+                 ["truth-table", *exp]]
+        warm = [self._result(argv, out, capsys) for argv in calls]
+        cold = []
+        for argv in calls:
+            _clear_caches()
+            cold.append(self._result(argv, out, capsys))
+        assert warm == cold
+        assert [r[0] for r in warm] == [0, 64, 0, 0, 0]
+        assert len(warm[2][1]["grid"]) == 19
+
+    def test_help_text_does_not_change(self, tmp_path, config_file, capsys):
+        def help_texts():
+            texts = []
+            for argv in (["--help"], ["sweep", "--help"], ["check", "--help"]):
+                assert cli.dispatch(argv) == 0
+                texts.append(capsys.readouterr().out)
+            return texts
+
+        _clear_caches()
+        cold = help_texts()
+        assert cli.dispatch(["sweep", "--config", str(config_file), "--grid", "er=18",
+                             "--out", str(tmp_path / "out")]) == 0
+        assert cli.dispatch(["truth-table", "--trials", "0"]) == 1
+        capsys.readouterr()
+        assert help_texts() == cold
+
+    def test_parser_is_built_once_and_not_changed_by_parsing(self):
+        parser = cli._build_parser()
+        args = parser.parse_args(["sweep", "--grid", "er=18", "--grid", "imbalance=0"])
+        assert args.grid == ["er=18", "imbalance=0"]
+        assert cli._build_parser() is parser
+        assert parser.parse_args(["sweep"]).grid == []
 
 
 class TestChipPaths:

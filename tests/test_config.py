@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from swapsim import netlist as nl
 from swapsim.config import (ChipConfig, ConfigError, ExperimentConfig, dump_config,
                             load_config)
 
@@ -39,6 +41,18 @@ class TestNetlistPath:
     def test_config_text_leaves_path_as_given(self):
         cfg = load_config(_doc(netlist_path="swap.pnl"))
         assert cfg.chips[0].netlist_path == "swap.pnl"
+
+    def test_edited_netlist_builds_the_new_chip(self, tmp_path):
+        # the file is read on every build; only its text is cached
+        pnl = tmp_path / "swap.pnl"
+        pnl.write_text(PNL)
+        chip = ChipConfig(netlist_path=str(pnl))
+        before = chip.build().channel().kraus
+        edited = PNL.replace("18dB", "25dB")
+        pnl.write_text(edited)
+        after = chip.build().channel().kraus
+        assert not np.array_equal(after[0], before[0])
+        assert np.array_equal(after[0], nl.compile_netlist(nl.parse(edited)).channel().kraus[0])
 
     def test_missing_netlist_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read netlist"):

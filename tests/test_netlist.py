@@ -239,6 +239,18 @@ class TestCompile:
         b = nl.compile_netlist(nl.parse(SWAP_SRC)).channel().kraus[0]
         assert np.array_equal(a, b)
 
+    def test_caches_stay_within_their_bounds(self):
+        # more distinct texts and stages than either cache holds
+        n = max(nl._PARSE_CACHE_SIZE, nl._STAGE_CACHE_SIZE) + 8
+        for i in range(0, n, 8):
+            body = " ".join(f"loss l{j} (T) loss={j / 1000}dB;" for j in range(i, i + 8))
+            nl.compile_netlist(nl.parse(f"chip c {{ ports T, B; {body} }}"))
+        parses, stages = nl.parse.cache_info(), nl._lower_stage.cache_info()
+        assert parses.maxsize == nl._PARSE_CACHE_SIZE
+        assert stages.maxsize == nl._STAGE_CACHE_SIZE
+        assert parses.currsize == nl._PARSE_CACHE_SIZE
+        assert stages.currsize == nl._STAGE_CACHE_SIZE
+
     def test_whole_corpus_compiles(self):
         for src in _corpus():
             ast = nl.parse(src)
