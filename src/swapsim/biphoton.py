@@ -6,6 +6,10 @@ carrying the (channel (x) polarization) pair in the fixed basis order of
 reads (m_s, p_s, m_i, p_i).  The spectral degree of freedom is compressed
 to a scalar overlap mu(tau) with configurable dip shape; everywhere except
 `hom_coincidence` the two photons are ordinary distinguishable subsystems.
+Exact propagation of the pair goes through one stack kernel
+(`apply_chip_both_stack`): each dim-4 channel acts on its photon as its
+16x16 superoperator, so a stack of joint states crosses a chip in two
+matmuls, and `apply_local` / `apply_chip_both` are its one-state cases.
 HOM scans are fitted with a Gaussian dip by one numpy Levenberg-Marquardt
 loop over a whole stack of scans (`hom_fit_stack`; `hom_visibility` is its
 one-scan case).
@@ -23,7 +27,6 @@ from .qcore import (
     SWAP,
     DensityMatrix,
     QuantumChannel,
-    apply_channel,
     dagger,
     heralded_normalize,
     ket2,
@@ -40,6 +43,7 @@ __all__ = [
     "prepare_bell",
     "apply_local",
     "apply_chip_both",
+    "apply_chip_both_stack",
     "spectral_overlap",
     "interference_overlap",
     "hom_coincidence",
@@ -50,6 +54,8 @@ __all__ = [
     "bell_state_vector",
     "assemble_joint",
     "conditional_polarization",
+    "werner_joint_stack",
+    "sector_block_stack",
 ]
 
 ENERGY_TOL_PER_NM = 1e-6
@@ -178,6 +184,20 @@ def spdc_state(
                          overlap_shape)
 
 
+def werner_joint_stack(labels, visibility: float) -> np.ndarray:
+    """Joint states (L, 16, 16) of the polarization Werner mixtures
+    v |Bell><Bell| + (1 - v) I/4 of `labels`, spatial part |T_S B_I>."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must lie in [0, 1]")
+    bells = np.array([_BELL_VECTORS[label] for label in labels])
+    pol = (visibility * np.einsum("la,lb->lab", bells, bells.conj())
+           + (1.0 - visibility) * np.eye(4) / 4.0)
+    # joint axes (m_s, p_s, m_i, p_i) for the row, then for the column
+    joints = np.zeros((len(bells),) + (2,) * 8, dtype=complex)
+    joints[:, 0, :, 1, :, 0, :, 1, :] = pol.reshape(-1, 2, 2, 2, 2)
+    return joints.reshape(-1, 16, 16)
+
+
 def prepare_bell(
     label: BellLabel,
     visibility: float = 1.0,
@@ -188,49 +208,97 @@ def prepare_bell(
 
     rho_pol = v |Bell><Bell| + (1 - v) I/4.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    bell = bell_state_vector(label)
-    pol = visibility * np.outer(bell, bell.conj()) + (1.0 - visibility) * np.eye(4) / 4.0
-    return BiphotonState(assemble_joint(["T", "B"], pol), t_c_ps, wavelengths_nm)
+    joint = DensityMatrix(16, werner_joint_stack([label], visibility)[0])
+    return BiphotonState(joint, t_c_ps, wavelengths_nm)
 
 
 SIGNAL, IDLER = "signal", "idler"
 
 
-def apply_local(state: BiphotonState, ch: QuantumChannel, which: str) -> BiphotonState:
-    """Apply a dim-4 channel to one photon; the trace drops under loss."""
+def _superoperator(ch: QuantumChannel) -> np.ndarray:
+    """16x16 matrix sum_k K_k (x) conj(K_k) of a dim-4 channel, so that the
+    row-major vec of K rho K^dag is it times the vec of rho (Wood, Biamonte
+    and Cory, QIC 15, 759, 2015)."""
     if ch.dim_in != 4 or ch.dim_out != 4:
         raise ValueError("local channels must be dim-4")
-    eye = np.eye(4, dtype=complex)
+    k = np.array(ch.kraus)
+    return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(16, 16)
+
+
+def _by_photon(m: np.ndarray) -> np.ndarray:
+    """Regroup the indices of each joint operator of `m` (n, 16, 16) from
+    ((signal, idler), (signal', idler')) to ((signal, signal'), (idler,
+    idler')); the regrouping is its own inverse."""
+    return m.reshape(-1, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(-1, 16, 16)
+
+
+def _apply_photons(joints: np.ndarray, s_signal=None, s_idler=None) -> np.ndarray:
+    """Each joint state of `joints` (n, 16, 16) with the superoperator
+    `s_signal` applied to the signal and `s_idler` to the idler (None: the
+    photon is left alone).  Regrouped by photon, the state is X with X[(a,
+    a'), (b, b')] = rho[(a, b), (a', b')], and the two maps are
+    S_signal X S_idler^T."""
+    x = _by_photon(np.asarray(joints, dtype=complex))
+    if s_signal is not None:
+        x = s_signal @ x
+    if s_idler is not None:
+        x = x @ s_idler.T
+    return _by_photon(x)
+
+
+def apply_chip_both_stack(joints: np.ndarray, ch: QuantumChannel) -> np.ndarray:
+    """Send both photons of every joint state in `joints` (n, 16, 16)
+    through the same dim-4 channel; returns the (n, 16, 16) outputs, whose
+    traces drop under loss.  Plain arrays in and out, not validated: the
+    caller validates the outputs once, as a stack.  The temporaries are a
+    few (n, 16, 16) arrays whatever the channel's Kraus count.
+    """
+    s = _superoperator(ch)
+    return _apply_photons(joints, s, s)
+
+
+def apply_local(state: BiphotonState, ch: QuantumChannel, which: str) -> BiphotonState:
+    """Apply a dim-4 channel to one photon; the trace drops under loss."""
+    s = _superoperator(ch)
     if which == SIGNAL:
-        kraus = tuple(np.kron(k, eye) for k in ch.kraus)
+        out = _apply_photons(state.joint.entries[None], s_signal=s)
     elif which == IDLER:
-        kraus = tuple(np.kron(eye, k) for k in ch.kraus)
+        out = _apply_photons(state.joint.entries[None], s_idler=s)
     else:
         raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
-    lifted = QuantumChannel(16, 16, kraus)
-    return replace(state, joint=apply_channel(lifted, state.joint))
+    return replace(state, joint=DensityMatrix(16, out[0]))
 
 
 def apply_chip_both(state: BiphotonState, ch: QuantumChannel) -> BiphotonState:
-    """Send both photons through the same chip channel."""
-    return apply_local(apply_local(state, ch, SIGNAL), ch, IDLER)
+    """Send both photons through the same chip channel: the one-state case
+    of `apply_chip_both_stack`."""
+    return replace(state, joint=DensityMatrix(
+        16, apply_chip_both_stack(state.joint.entries[None], ch)[0]))
+
+
+def sector_block_stack(joints: np.ndarray, sector: tuple) -> tuple:
+    """Joint polarization blocks for fixed photon channels (m_s, m_i) of
+    each joint state in `joints` (n, 16, 16).
+
+    Returns ((n, 4, 4) blocks, (n,) sector probabilities); a block is
+    normalized when its probability is above 1e-15, and that probability
+    reads 0 otherwise.
+    """
+    ms, mi = sector
+    blk = joints.reshape((-1,) + (2,) * 8)[:, ms, :, mi, :, ms, :, mi, :].reshape(-1, 4, 4)
+    w = np.trace(blk, axis1=1, axis2=2).real
+    kept = w > 1e-15
+    return blk / np.where(kept, w, 1.0)[:, None, None], np.where(kept, w, 0.0)
 
 
 def conditional_polarization(rho16: DensityMatrix, sector: tuple) -> tuple:
     """Joint polarization block for fixed photon channels (m_s, m_i).
 
     Returns (4x4 block, sector probability); the block is normalized when
-    the probability is nonzero.
+    the probability is nonzero.  The one-state case of `sector_block_stack`.
     """
-    ms, mi = sector
-    t = rho16.entries.reshape(2, 2, 2, 2, 2, 2, 2, 2)
-    blk = t[ms, :, mi, :, ms, :, mi, :].reshape(4, 4)
-    w = float(np.trace(blk).real)
-    if w > 1e-15:
-        return blk / w, w
-    return blk, 0.0
+    blk, w = sector_block_stack(rho16.entries[None], sector)
+    return blk[0], float(w[0])
 
 
 def interference_overlap(rho16: DensityMatrix) -> float:
@@ -287,9 +355,18 @@ _LM_MAX_ITER = 100
 _LM_XTOL = 1e-10
 
 
-def _dip_resid_jac(p, taus, vals, weights) -> tuple:
+def _dip_work(n: int, m: int) -> tuple:
+    """Work arrays of the dip fit of n scans of m delays: four (n, m) and
+    one (n, m, 4), allocated once per fit; an iteration over k running
+    trials writes the first k rows of each."""
+    return (*np.empty((4, n, m)), np.empty((n, m, 4)))
+
+
+def _dip_resid_jac(p, taus, vals, weights, work) -> tuple:
     """Weighted residuals (k, m) and Jacobian (k, m, 4) of the dip model at
-    the parameter rows `p` (k, 4) = (base, depth, center, width)."""
+    the parameter rows `p` (k, 4) = (base, depth, center, width), written
+    in place into the first k rows of the `_dip_work` arrays `work`."""
+    dt, dt2, g, r, jac = (a[:len(p)] for a in work)
     base, depth, center = (p[:, i, None] for i in range(3))
     # the powers of the width are taken one numpy scalar per trial, through
     # the C library's pow: numpy's vectorised power may round the last bit
@@ -299,14 +376,21 @@ def _dip_resid_jac(p, taus, vals, weights) -> tuple:
     # fit carried out in scalars.
     w2 = np.array([[w**2] for w in p[:, 3]])
     w3 = np.array([[w**3] for w in p[:, 3]])
-    dt = taus - center
-    g = np.exp(-(dt**2) / (2.0 * w2))
-    jac = np.empty(g.shape + (4,))
+    # in place, one operation at a time in the evaluation order of the
+    # expression in the line's comment, so each value is bit-equal to it
+    np.subtract(taus, center, out=dt)
+    np.multiply(dt, dt, out=dt2)
+    np.exp(np.negative(np.divide(dt2, 2.0 * w2, out=g), out=g), out=g)  # exp(-dt^2 / 2 w^2)
     jac[..., 0] = 1.0
-    jac[..., 1] = -g
-    jac[..., 2] = -depth * g * dt / w2
-    jac[..., 3] = -depth * g * dt**2 / w3
-    return (base - depth * g - vals) * weights, jac * weights[..., None]
+    np.negative(g, out=jac[..., 1])
+    np.multiply(-depth, g, out=r)
+    np.divide(np.multiply(r, dt, out=jac[..., 2]), w2, out=jac[..., 2])   # -depth g dt / w^2
+    np.divide(np.multiply(r, dt2, out=jac[..., 3]), w3, out=jac[..., 3])  # -depth g dt^2 / w^3
+    np.multiply(depth, g, out=r)
+    np.multiply(np.subtract(np.subtract(base, r, out=r), vals, out=r), weights,
+                out=r)  # (base - depth g - vals) weights
+    np.multiply(jac, weights[..., None], out=jac)
+    return r, jac
 
 
 def _row_dot(a, b):
@@ -315,10 +399,10 @@ def _row_dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _dip_normal_equations(p, taus, vals, weights) -> tuple:
+def _dip_normal_equations(p, taus, vals, weights, work) -> tuple:
     """(J^T J (k, 4, 4), -J^T r (k, 4, 1), r^T r (k,)) of the weighted dip
-    fit at the parameter rows `p`."""
-    r, jac = _dip_resid_jac(p, taus, vals, weights)
+    fit at the parameter rows `p`; new arrays, so `work` may be reused."""
+    r, jac = _dip_resid_jac(p, taus, vals, weights, work)
     jac_t = np.swapaxes(jac, 1, 2)
     return jac_t @ jac, -(jac_t @ r[..., None]), _row_dot(r, r)
 
@@ -339,7 +423,10 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     its own damping, column scale and stop test, so its iterates are those
     of a fit of its scan alone.  A trial stops converged once its scaled
     step is below _LM_XTOL of its scaled parameters, and unconverged when
-    its damped system is singular or after _LM_MAX_ITER iterations.
+    its damped system is singular or after _LM_MAX_ITER iterations.  The
+    (trials x delays) work arrays are allocated once per call and updated
+    in place; only an iteration in which trials stop allocates arrays of
+    that size, when it drops their rows.
     `converged` also requires a positive depth (a fit that ends on a bump
     has not found a dip) and the fitted width to be at least the smallest
     delay spacing (a narrower dip is not resolved by the scan).
@@ -368,7 +455,8 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     weights = 1.0 / np.sqrt(np.maximum(vals, 1.0))
     p = np.column_stack([base0, depth0, taus[np.argmin(vals, axis=1)],
                          np.full(n, span / 6.0)])
-    jtj, rhs, cost = _dip_normal_equations(p, taus, vals, weights)
+    work = _dip_work(n, len(taus))
+    jtj, rhs, cost = _dip_normal_equations(p, taus, vals, weights, work)
     lam, scale = np.full(n, 1e-3), np.zeros((n, 4))
     trial, fitted = np.arange(n), p.copy()
     converged = np.zeros(n, dtype=bool)
@@ -381,7 +469,7 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
         step, solved = solve_stack(damped, rhs)
         step = step[..., 0]
         p_try = p + step
-        jtj_try, rhs_try, cost_try = _dip_normal_equations(p_try, taus, vals, weights)
+        jtj_try, rhs_try, cost_try = _dip_normal_equations(p_try, taus, vals, weights, work)
         better = cost_try < cost
         lam = np.where(better, lam / 10.0, lam * 10.0)
         p = np.where(better[:, None], p_try, p)

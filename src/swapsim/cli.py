@@ -138,11 +138,14 @@ def _load_experiment_config(args) -> ExperimentConfig:
 
 def _relative_to(cfg: ExperimentConfig, out: Path) -> ExperimentConfig:
     """`cfg` with each relative chip `netlist_path` rewritten against `out`,
-    the inverse of `load_config` resolving it against the file's directory."""
+    the inverse of `load_config` resolving it against the file's directory;
+    `cfg` itself when no path changes, so its serialisation is reused."""
     chips = tuple(
         replace(c, netlist_path=os.path.relpath(c.netlist_path, out))
         if c.netlist_path is not None and not os.path.isabs(c.netlist_path) else c
         for c in cfg.chips)
+    if chips == cfg.chips:
+        return cfg
     return replace(cfg, chips=chips)
 
 

@@ -12,6 +12,7 @@ imperfection off.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -32,24 +33,41 @@ class ConfigError(Exception):
     """Invalid configuration content."""
 
 
+@functools.cache
+def _number_fields(cls) -> tuple:
+    """(name, kind, optional) of each `float` or `int` field of the
+    dataclass `cls`: kind "float" or "int", optional when None is allowed."""
+    table = []
+    for f in fields(cls):
+        if f.type.startswith("float"):
+            table.append((f.name, "float", "None" in f.type))
+        elif f.type == "int":
+            table.append((f.name, "int", False))
+    return tuple(table)
+
+
 def _check_numbers(obj) -> None:
     """Every `float` field must be a finite number, every `int` field an integer.
 
     JSON admits NaN, Infinity, fractions, strings and booleans anywhere, and
     Python's bool is an int; none of them is a valid count or parameter.
+    The fields to check are looked up once per class (`_number_fields`).
     """
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if f.type.startswith("float") and not (v is None and "None" in f.type):
-            ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    for name, kind, optional in _number_fields(type(obj)):
+        v = getattr(obj, name)
+        if kind == "float":
+            if v is None and optional:
+                continue
+            if type(v) is float:
+                ok = math.isfinite(v)
+            else:
+                ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
             what = "a finite number"
-        elif f.type == "int":
+        else:
             ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
             what = "an integer"
-        else:
-            continue
         if not ok:
-            raise ConfigError(f"{f.name} must be {what}, got {v!r}")
+            raise ConfigError(f"{name} must be {what}, got {v!r}")
 
 
 # source span of netlist nodes lowered from a config rather than parsed
@@ -187,6 +205,13 @@ class ExperimentConfig:
         if self.fpc_mode not in ("auto", "ideal", "none"):
             raise ConfigError(f"unknown fpc_mode {self.fpc_mode!r}")
 
+    @functools.cached_property
+    def _json(self) -> str:
+        """`dump_config` text, computed once per config object: the config
+        and everything it holds are immutable."""
+        return json.dumps({"schema_version": SCHEMA_VERSION, **asdict(self)},
+                          indent=2, sort_keys=True) + "\n"
+
     # -- chip access ---------------------------------------------------
 
     def chip(self, index: int = 0) -> ChipModel:
@@ -231,12 +256,11 @@ class ExperimentConfig:
 # JSON round trip
 # ---------------------------------------------------------------------------
 
-def _config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **asdict(cfg)}
-
-
 def dump_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(_config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    """The config as an indented JSON document (schema version 1).  A
+    config object is serialised once, however often it is dumped or
+    hashed (`config_digest`)."""
+    return cfg._json
 
 
 def _build(cls, data: dict, what: str):

@@ -4,18 +4,19 @@ Each chip's stages are composed once into one channel (`ChipModel.channel`),
 and every runner reads its exact quantities off that channel: detection
 probabilities straight from its Kraus operators (truth table, fringe), or
 from one batched propagation of all of a run's pure input states through
-them, validated once at the boundary (tomography, sweep: `_exact_outputs`;
-the HOM pair and the Bell link, itself composed with the fiber, go through
-`biphoton.apply_chip_both`).  From the per-setting detection probabilities
-each runner draws the Poissonian counts of all trials at once
-(`sample_counts`), runs the matching stacked estimator on all trials in one
-call (state tomography and truth-table fidelity; the fringe and HOM fits
-too, so each fit runs once per run, not once per trial) and wraps the
-results in a `Report`; the fit runners report their non-converged fits in
-a `diagnostics` block.  The exact
-(infinite-count) value of every estimate is always computed alongside the
-Monte Carlo one, so the noiseless pipeline doubles as the oracle for the
-sampled one.
+them, validated once at the boundary (tomography, sweep: `_exact_outputs`).
+The Bell link, itself composed with the fiber, takes the joint states of
+all Bell labels as one stack through `biphoton.apply_chip_both_stack`, also
+validated once; the HOM pair is its one-state case.  From the per-setting
+detection probabilities each runner draws the Poissonian counts of all
+trials at once (`sample_counts`), runs the matching stacked estimator on
+all trials in one call (state tomography, over all Bell labels together,
+and truth-table fidelity; the fringe and HOM fits too, so each fit runs
+once per run, not once per trial) and wraps the results in a `Report`; the
+fit runners report their non-converged fits in a `diagnostics` block.  The
+exact (infinite-count) value of every estimate is always computed
+alongside the Monte Carlo one, so the noiseless pipeline doubles as the
+oracle for the sampled one.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
 and every estimate bit-exactly.  Each run draws from one PCG64 generator
@@ -57,8 +58,7 @@ from .qcore import (
     heralded_normalize_stack,
     ket2,
     partial_trace,
-    uhlmann_fidelity,
-    uhlmann_fidelity_stack,
+    pure_fidelity_stack,
 )
 
 __all__ = [
@@ -386,23 +386,34 @@ def _bell_link(cfg: ExperimentConfig, chip1: ChipModel, chip2: ChipModel) -> Qua
     return compose_channels(chip1.channel(), forward, compensation, chip2.channel())
 
 
+def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: QuantumChannel) -> tuple:
+    """Propagate the Bell pairs of `labels`, both photons, through the
+    composed link as one stack, validated once at the boundary
+    (`heralded_normalize_stack`, which raises on a vacuum output).
+
+    Returns the (L, 4, 4) conditioned two-qubit polarization states in the
+    (T_S, B_I) coincidence sector and the (L,) probabilities of heralding
+    into that sector.
+    """
+    joints = bp.werner_joint_stack(labels, cfg.source.bell_visibility)
+    rho, survival = heralded_normalize_stack(bp.apply_chip_both_stack(joints, link))
+    blk, sector_p = bp.sector_block_stack(rho, (0, 1))
+    return 0.5 * (blk + dagger(blk)), sector_p * survival
+
+
 def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel,
                              link: QuantumChannel | None = None):
-    """Propagate a Bell pair, both photons, through the composed link.
+    """Propagate a Bell pair, both photons, through the composed link: the
+    one-label slice of `_bell_polarization_stack`.
 
     `link` is `_bell_link` of chips 0 and 1; it is built from `cfg` when
     omitted.  Returns the conditioned two-qubit polarization state in the
     (T_S, B_I) coincidence sector plus that sector's probability.
     """
-    state = bp.prepare_bell(label, cfg.source.bell_visibility,
-                            cfg.source.coherence_time_ps)
     if link is None:
         link = _bell_link(cfg, cfg.chip(0), cfg.chip(1))
-    state = bp.apply_chip_both(state, link)
-    rho, survival = heralded_normalize(state.joint)
-    blk, sector_p = bp.conditional_polarization(rho, (0, 1))
-    rho_pol = DensityMatrix(4, 0.5 * (blk + dagger(blk)))
-    return rho_pol, sector_p * survival
+    rho_pol, success_p = _bell_polarization_stack(cfg, [label], link)
+    return DensityMatrix(4, rho_pol[0]), float(success_p[0])
 
 
 # The 36 two-qubit polarization settings in sorted (label_q1, label_q2)
@@ -417,46 +428,59 @@ _TOMO_2Q_GRID_COLUMNS = [_TOMO_2Q_PAIRS.index(p)
                          for p in product(tm.POLARIZATION_LABELS, repeat=2)]
 
 
-def _tomo_2q_probabilities(rho_pol: DensityMatrix) -> np.ndarray:
-    """Probability of each setting of `_TOMO_2Q_PAIRS`."""
-    return np.trace(_TOMO_2Q_PROJECTORS @ rho_pol.entries, axis1=1, axis2=2).real
+def _tomo_2q_probabilities(rho_pols: np.ndarray) -> np.ndarray:
+    """Probability of each setting of `_TOMO_2Q_PAIRS` for each state of
+    `rho_pols` (L, 4, 4): shape (L, 36)."""
+    return np.einsum("sab,lba->ls", _TOMO_2Q_PROJECTORS, rho_pols).real
 
 
-def _bell_label(cfg: ExperimentConfig, label: bp.BellLabel, link: QuantumChannel,
-                chip2_f: float) -> tuple:
-    """(payload, density-matrix table) of one Bell state's distribution."""
-    rho_pol, success_p = _bell_final_polarization(cfg, label, link)
-    ideal_vec = bp.bell_state_vector(label)
-    ideal = DensityMatrix(4, np.outer(ideal_vec, ideal_vec.conj()))
-    f_exact = uhlmann_fidelity(rho_pol, ideal)
+_BELL_TABLE_BASIS = ("HH", "HV", "VH", "VV")
+
+
+def _bell_runs(cfg: ExperimentConfig, labels, link: QuantumChannel, chip2_f: float) -> list:
+    """(payload, density-matrix table) of each Bell state of `labels`.
+
+    All labels go through the link as one stack.  Each label's counts are
+    drawn from its own run path ("bell", label), and the background-
+    subtracted counts of all labels are reconstructed in one
+    `state_tomo_2q_stack` call.  Both fidelities have a pure Bell target,
+    so they are <psi|rho|psi> (`pure_fidelity_stack`).
+    """
+    rho_pol, success_p = _bell_polarization_stack(cfg, labels, link)
+    targets = np.array([bp.bell_state_vector(label) for label in labels])
+    f_exact = pure_fidelity_stack(rho_pol, targets)
 
     t_setting = cfg.integration_time_s / 36.0
     bg_counts = cfg.background_rate_hz * t_setting
-    counts = sample_counts(cfg, ("bell", label.value),
-                           _tomo_2q_probabilities(rho_pol) * success_p, t_setting)
+    probs = _tomo_2q_probabilities(rho_pol) * success_p[:, None]
+    counts = np.concatenate([sample_counts(cfg, ("bell", label.value), p, t_setting)
+                             for label, p in zip(labels, probs)])
     net = np.maximum(counts[:, _TOMO_2Q_GRID_COLUMNS] - bg_counts, 0.0)
-    f_mean, f_err = _mean_spread(
-        uhlmann_fidelity_stack(tm.state_tomo_2q_stack(net), ideal.entries))
-    payload = {
-        "bell_label": label.value,
-        "source_visibility": cfg.source.bell_visibility,
-        "fidelity_exact": f_exact,
-        "fidelity_mc_mean": f_mean,
-        "fidelity_mc_stderr": f_err,
-        "coincidence_probability": success_p,
-        "second_chip_truth_table_fidelity": chip2_f,
-        "density_matrix_real": rho_pol.entries.real.tolist(),
-        "density_matrix_imag": rho_pol.entries.imag.tolist(),
-        "n_trials": cfg.n_trials,
-    }
-    rows = [["row", "col", "real", "imag"]]
-    basis = ("HH", "HV", "VH", "VV")
-    for i in range(4):
-        for j in range(4):
-            rows.append([basis[i], basis[j],
-                         repr(float(rho_pol.entries[i, j].real)),
-                         repr(float(rho_pol.entries[i, j].imag))])
-    return payload, rows
+    rho_mc = tm.state_tomo_2q_stack(net).reshape(len(labels), cfg.n_trials, 4, 4)
+    f_mc = pure_fidelity_stack(rho_mc, targets[:, None])
+    runs = []
+    for i, label in enumerate(labels):
+        f_mean, f_err = _mean_spread(f_mc[i])
+        payload = {
+            "bell_label": label.value,
+            "source_visibility": cfg.source.bell_visibility,
+            "fidelity_exact": float(f_exact[i]),
+            "fidelity_mc_mean": f_mean,
+            "fidelity_mc_stderr": f_err,
+            "coincidence_probability": float(success_p[i]),
+            "second_chip_truth_table_fidelity": chip2_f,
+            "density_matrix_real": rho_pol[i].real.tolist(),
+            "density_matrix_imag": rho_pol[i].imag.tolist(),
+            "n_trials": cfg.n_trials,
+        }
+        rows = [["row", "col", "real", "imag"]]
+        for r in range(4):
+            for c in range(4):
+                rows.append([_BELL_TABLE_BASIS[r], _BELL_TABLE_BASIS[c],
+                             repr(float(rho_pol[i, r, c].real)),
+                             repr(float(rho_pol[i, r, c].imag))])
+        runs.append((payload, rows))
+    return runs
 
 
 def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel | None = None) -> Report:
@@ -464,16 +488,17 @@ def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel | None = No
 
     One label gives that state's full report; `None` runs all four and
     reports the per-label fidelities and their average.  Chips 0 and 1 are
-    built, and composed with the fiber link, once per call.
+    built, and composed with the fiber link, once per call, and the labels
+    run as one stack (`_bell_runs`).
     """
     chip2 = cfg.chip(1)
     link = _bell_link(cfg, cfg.chip(0), chip2)
     chip2_f = truth_table_fidelity_exact(chip2, cfg.logical_frame)
     if label is not None:
-        payload, rows = _bell_label(cfg, label, link, chip2_f)
+        [(payload, rows)] = _bell_runs(cfg, [label], link, chip2_f)
         return _mk_report("bell", cfg, payload, {"density_matrix": rows})
     labels = list(bp.BellLabel)
-    runs = [_bell_label(cfg, l, link, chip2_f) for l in labels]
+    runs = _bell_runs(cfg, labels, link, chip2_f)
     payload = {
         "bell_labels": [l.value for l in labels],
         "fidelity_exact_by_label": {
@@ -539,17 +564,15 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     vec = np.kron(_spatial_ket(spatial_input), pol)
     red = _exact_outputs(cfg.chip(0), vec[None], cfg.logical_frame, trace_polarization=True)
     probs = dict(zip(tm.MOMENTUM_LABELS, _mzi_probabilities(red)[0]))
-    target_vec = pol if cfg.logical_frame == "relabeled" else PAULI_X @ pol
-    target = DensityMatrix(2, np.outer(target_vec, target_vec.conj()))
+    target = pol if cfg.logical_frame == "relabeled" else PAULI_X @ pol
     rho_exact = tm.state_tomo_1q(probs)
-    f_exact = uhlmann_fidelity(rho_exact, target)
+    f_exact = float(pure_fidelity_stack(rho_exact.entries, target))
 
     t_setting = cfg.integration_time_s / 6.0
     labels = tm.MOMENTUM_LABELS
     counts = sample_counts(cfg, ("tomo-state", spatial_input, pol_label),
                            [probs[lbl] for lbl in labels], t_setting)
-    f_mean, f_err = _mean_spread(
-        uhlmann_fidelity_stack(tm.state_tomo_1q_stack(counts), target.entries))
+    f_mean, f_err = _mean_spread(pure_fidelity_stack(tm.state_tomo_1q_stack(counts), target))
     payload = {
         "spatial_input": spatial_input,
         "polarization_input": pol_label,

@@ -34,6 +34,7 @@ __all__ = [
     "heralded_normalize_stack",
     "uhlmann_fidelity",
     "uhlmann_fidelity_stack",
+    "pure_fidelity_stack",
     "project_to_physical",
     "project_to_physical_stack",
     "solve_stack",
@@ -358,7 +359,8 @@ def uhlmann_fidelity_stack(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     trace 1 and checked PSD within tolerance, but not validated as a
     `DensityMatrix`.  (Tr sqrt(sqrt(r) s sqrt(r)))^2 equals the trace norm
     of sqrt(r) sqrt(s), squared; singular values avoid taking square roots
-    of eigenvalue-level noise.  sqrt(s) is computed once.
+    of eigenvalue-level noise.  sqrt(s) is computed once.  For a rank-1
+    sigma = |psi><psi| this equals `pure_fidelity_stack` of psi.
     """
     sq_r = _psd_sqrt(_unit_trace(rhos), PSD_TOL)
     sq_s = _psd_sqrt(_unit_trace(sigma), PSD_TOL)
@@ -366,11 +368,27 @@ def uhlmann_fidelity_stack(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.minimum(f, 1.0)
 
 
+def pure_fidelity_stack(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Fidelity Re<psi|rho|psi> / Tr rho of each state of `rhos` (shape
+    (..., d, d)) with the pure target of `psis` (shape (..., d), unit
+    norm), broadcast over the leading axes and clipped to [0, 1].
+
+    For a pure target the Uhlmann fidelity is exactly this overlap (Jozsa,
+    J. Mod. Opt. 41, 2315, 1994), so no square root or decomposition is
+    taken.  Raises on a vacuum state (any trace ~ 0) as `heralded_normalize`
+    does; the states are not checked PSD, so validate them at the boundary
+    they come from.
+    """
+    f = np.einsum("...a,...ab,...b->...", psis.conj(), _unit_trace(rhos), psis).real
+    return np.clip(f, 0.0, 1.0)
+
+
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
     Both arguments are normalized to trace 1 before comparison (sub-trace
-    states encode loss, which is not a state-overlap property).
+    states encode loss, which is not a state-overlap property).  For a
+    rank-1 sigma this equals `pure_fidelity_stack` of its state vector.
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")

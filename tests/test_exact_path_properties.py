@@ -7,8 +7,13 @@ depolarizing stages (several Kraus operators; two of them, so the composed
 set is reduced through the Choi matrix) with trace-decreasing polarizers
 and losses.  The tomography runners' batched propagation of all their
 inputs (`_exact_outputs`, `_mzi_probabilities`) is checked against the
-per-state chain of validated values it replaced.
+per-state chain of validated values it replaced, and the two-photon stack
+kernel (`apply_chip_both_stack`, each photon through its superoperator)
+against each photon's Kraus operators lifted to the 16-dim space and
+applied with `apply_channel`.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from swapsim import devices as dv
 from swapsim import experiments as ex
 from swapsim import netlist as nl
 from swapsim import qcore as qc
-from swapsim.config import ExperimentConfig
+from swapsim.config import ExperimentConfig, SourceConfig
 
 # derandomized: tier-1 runs the same examples every time
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -144,6 +149,21 @@ def test_fringe_probabilities_equal_per_phase(chip, phases):
             assert np.all((got >= 0.0) & (got <= 1.0 + TOL))
 
 
+_EYE4 = np.eye(4, dtype=complex)
+_LIFTS = {bp.SIGNAL: lambda k: np.kron(k, _EYE4), bp.IDLER: lambda k: np.kron(_EYE4, k)}
+
+
+def lifted(rho: qc.DensityMatrix, ch: qc.QuantumChannel, which: str) -> qc.DensityMatrix:
+    """The oracle: one photon through `ch`, its Kraus operators lifted to
+    the 16-dim space by a Kronecker product with the identity."""
+    kraus = tuple(_LIFTS[which](k) for k in ch.kraus)
+    return qc.apply_channel(qc.QuantumChannel(16, 16, kraus), rho)
+
+
+def lifted_both(rho: qc.DensityMatrix, ch: qc.QuantumChannel) -> qc.DensityMatrix:
+    return lifted(lifted(rho, ch, bp.SIGNAL), ch, bp.IDLER)
+
+
 @PROPERTY
 @given(CHIPS, CHIPS, st.sampled_from(list(bp.BellLabel)), st.floats(0.0, 1.0),
        st.integers(0, 2**16), st.floats(-0.5, 0.5))
@@ -154,10 +174,77 @@ def test_bell_link_equals_sequential(chip1, chip2, label, visibility, seed, resi
     # both photons through chip 1, forward fiber, compensation and chip 2:
     # eight 16-dim applications
     forward, compensation = bp.fiber_link(seed, residual)
+    rho = state.joint
     for ch in (chip1.channel(), forward, compensation, chip2.channel()):
-        state = bp.apply_chip_both(state, ch)
-    np.testing.assert_allclose(got.entries, state.joint.entries, rtol=0, atol=TOL)
+        rho = lifted_both(rho, ch)
+    np.testing.assert_allclose(got.entries, rho.entries, rtol=0, atol=TOL)
     assert got.trace <= 1.0 + TOL
+
+
+def werner_oracle(label, visibility) -> np.ndarray:
+    """The Werner joint state built by Kronecker products and a subsystem
+    permutation (`assemble_joint`)."""
+    bell = bp.bell_state_vector(label)
+    pol = visibility * np.outer(bell, bell.conj()) + (1.0 - visibility) * np.eye(4) / 4.0
+    return bp.assemble_joint(["T", "B"], pol).entries
+
+
+def bell_polarization_oracle(joint, link):
+    """One label: lifted Kraus propagation, heralding, the (T_S, B_I) block
+    and its probability, each through validated values."""
+    rho, survival = qc.heralded_normalize(lifted_both(qc.DensityMatrix(16, joint), link))
+    t = rho.entries.reshape((2,) * 8)
+    blk = t[0, :, 1, :, 0, :, 1, :].reshape(4, 4)
+    w = float(np.trace(blk).real)
+    blk = blk / w if w > 1e-15 else blk
+    return 0.5 * (blk + blk.conj().T), (w if w > 1e-15 else 0.0) * survival
+
+
+@PROPERTY
+@given(CHIPS, CHIPS, st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       st.integers(0, 2**16), st.floats(-0.5, 0.5))
+def test_two_photon_stack_equals_lifted_kraus(chip1, chip2, visibilities, seed, residual):
+    # all four labels, each at its own visibility, as one stack
+    labels = list(bp.BellLabel)
+    joints = np.array([bp.werner_joint_stack([l], v)[0] for l, v in zip(labels, visibilities)])
+    for joint, label, v in zip(joints, labels, visibilities):
+        np.testing.assert_array_equal(joint, werner_oracle(label, v))
+    np.testing.assert_array_equal(bp.werner_joint_stack(labels, visibilities[0]),
+                                  [werner_oracle(l, visibilities[0]) for l in labels])
+    cfg = ExperimentConfig(fiber_seed=seed, fiber_residual_rad=residual,
+                           source=SourceConfig(bell_visibility=visibilities[0]))
+    link = ex._bell_link(cfg, chip1, chip2)
+    for ch in (chip1.channel(), link):
+        assert len(ch.kraus) > 1  # depolarizing: several Kraus operators
+        got = bp.apply_chip_both_stack(joints, ch)
+        for g, joint in zip(got, joints):
+            want = lifted_both(qc.DensityMatrix(16, joint), ch)
+            np.testing.assert_allclose(g, want.entries, rtol=0, atol=TOL)
+
+    # the runner's stack at the config's visibility: propagation,
+    # validation, heralding and the sector block
+    try:
+        want = [bell_polarization_oracle(werner_oracle(l, visibilities[0]), link)
+                for l in labels]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            ex._bell_polarization_stack(cfg, labels, link)
+        return
+    blocks, probs = ex._bell_polarization_stack(cfg, labels, link)
+    for blk, p, (want_blk, want_p) in zip(blocks, probs, want):
+        # heralding and the block's normalisation divide the rounding of the
+        # link output by the sector probability
+        np.testing.assert_allclose(blk, want_blk, rtol=0, atol=TOL / max(want_p, TOL))
+        assert p == pytest.approx(want_p, rel=0, abs=TOL)
+
+
+@PROPERTY
+@given(CHIPS, density_matrices(16), st.sampled_from([bp.SIGNAL, bp.IDLER]))
+def test_apply_local_equals_lifted_kraus(chip, rho, which):
+    state = bp.BiphotonState(rho, 3.15, (778.0, 1556.0, 1556.0))
+    got = bp.apply_local(state, chip.channel(), which).joint
+    want = lifted(rho, chip.channel(), which)
+    np.testing.assert_allclose(got.entries, want.entries, rtol=0, atol=TOL)
 
 
 # the 16 separable inputs of two-qubit process tomography, momentum major

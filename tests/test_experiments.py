@@ -327,6 +327,30 @@ class TestBellAllLabels:
         assert agg.config_hash == singles["psi+"].config_hash
 
 
+class TestBellDarkChip:
+    # crossed polarizers on both ports pass no photon
+    DARK = ("chip dark {\n  ports T, B;\n  polarizer p0 (T, B) angle=0rad;\n"
+            "  polarizer p1 (T, B) angle=90deg;\n}\n")
+    NO_COLUMN = "cannot normalize a column with zero total"
+    VACUUM = "vacuum state: trace is zero, photon was lost"
+
+    @pytest.mark.parametrize("first_dark, second_dark, message", [
+        (True, True, NO_COLUMN), (True, False, VACUUM), (False, True, NO_COLUMN)],
+        ids=["both", "first", "second"])
+    @pytest.mark.parametrize("label", [None, BellLabel.PSI_MINUS], ids=["all", "psi-"])
+    def test_dark_chip_raises(self, tmp_path, calibrated, first_dark, second_dark, message,
+                              label):
+        # the second chip's truth table is read first, so a dark second chip
+        # fails there; a dark first chip leaves the link's outputs vacuum
+        pnl = tmp_path / "dark.pnl"
+        pnl.write_text(self.DARK)
+        dark, good = ChipConfig(netlist_path=str(pnl)), calibrated.chips[0]
+        cfg = replace(calibrated, n_trials=2, chips=(dark if first_dark else good,
+                                                     dark if second_dark else good))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ex.run_bell_distribution(cfg, label)
+
+
 class TestStackedEstimators:
     @pytest.fixture(scope="class")
     def cfg(self):
@@ -368,6 +392,36 @@ class TestStackedEstimators:
         ex.run_process_tomography(cfg)
         ex.run_process_tomography_2q(cfg)
         ex.run_error_budget(cfg, _parse_grid([]))  # the CLI's default grid
+        assert (len(made), len(applied)) == (0, 0)
+
+    def test_bell_is_one_batched_pass(self, cfg, monkeypatch):
+        # all four labels go through the link as one stack, validated once
+        # at the boundary: no apply_channel and no DensityMatrix; each
+        # label's counts come from its own run path, and all labels are
+        # reconstructed in one state_tomo_2q_stack call
+        from swapsim import biphoton as bp
+        from swapsim import devices as dv
+        from swapsim import qcore as qc
+        from swapsim import tomography as tm
+
+        made, applied, paths, rows = [], [], [], []
+        post_init = qc.DensityMatrix.__post_init__
+        monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
+                            lambda self: made.append(self.dim) or post_init(self))
+        apply_channel = qc.apply_channel
+        for module in (qc, dv, bp, ex):
+            if hasattr(module, "apply_channel"):
+                monkeypatch.setattr(module, "apply_channel",
+                                    lambda *a: applied.append(1) or apply_channel(*a))
+        sample_counts = ex.sample_counts
+        monkeypatch.setattr(ex, "sample_counts",
+                            lambda c, path, *a: paths.append(path) or sample_counts(c, path, *a))
+        tomo = tm.state_tomo_2q_stack
+        monkeypatch.setattr(tm, "state_tomo_2q_stack",
+                            lambda counts: rows.append(len(counts)) or tomo(counts))
+        ex.run_bell_distribution(cfg)
+        assert rows == [4 * cfg.n_trials]
+        assert paths == [("bell", l.value) for l in BellLabel]
         assert (len(made), len(applied)) == (0, 0)
 
     def test_counts_unchanged(self, cfg, monkeypatch):

@@ -129,3 +129,37 @@ def test_uhlmann_fidelity_stack(data):
     expect = [qc.uhlmann_fidelity(qc.DensityMatrix(dim, r), sigma) for r in rhos]
     np.testing.assert_allclose(f, expect, rtol=0, atol=TOL)
     assert np.all((f >= 0.0) & (f <= 1.0))
+
+
+@PROPERTY
+@given(st.data())
+def test_pure_fidelity_stack_equals_uhlmann(data):
+    dim = data.draw(st.sampled_from([2, 4]))
+    # g g^dag / Tr: full-rank (rank dim) and rank-deficient states
+    g = data.draw(complex_stacks(dim, data.draw(st.integers(1, dim))))
+    rhos = g @ np.swapaxes(g, -1, -2).conj()
+    # one pure target per state
+    psis = data.draw(arrays(np.float64, (2, len(g), dim), elements=st.floats(-1.0, 1.0)))
+    psis = psis[0] + 1j * psis[1]
+    norms = np.linalg.norm(psis, axis=1)
+    tr = np.trace(rhos, axis1=1, axis2=2).real
+    assume(tr.min() > 1e-6 and norms.min() > 1e-3)
+    psis = psis / norms[:, None]
+    # sub-trace (lossy) states are compared after normalization
+    loss = data.draw(arrays(np.float64, len(rhos), elements=st.floats(0.1, 1.0)))
+    rhos = rhos * (loss / tr)[:, None, None]
+    f = qc.pure_fidelity_stack(rhos, psis)
+    expect = [qc.uhlmann_fidelity_stack(r[None], np.outer(p, p.conj()))[0]
+              for r, p in zip(rhos, psis)]
+    np.testing.assert_allclose(f, expect, rtol=0, atol=TOL)
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    # one target for the whole stack broadcasts over it
+    np.testing.assert_allclose(qc.pure_fidelity_stack(rhos, psis[0]),
+                               qc.uhlmann_fidelity_stack(rhos, np.outer(psis[0], psis[0].conj())),
+                               rtol=0, atol=TOL)
+
+
+def test_pure_fidelity_stack_of_a_vacuum_state_raises():
+    rhos = np.array([np.eye(2) / 2.0, np.zeros((2, 2))], dtype=complex)
+    with pytest.raises(ValueError, match="^vacuum state: trace is zero"):
+        qc.pure_fidelity_stack(rhos, np.array([1.0, 0.0], dtype=complex))
