@@ -5,11 +5,15 @@ carrying the (channel (x) polarization) pair in the fixed basis order of
 `qcore`; the signal is the most significant subsystem, so the joint index
 reads (m_s, p_s, m_i, p_i).  The spectral degree of freedom is compressed
 to a scalar overlap mu(tau) with configurable dip shape; everywhere except
-`hom_coincidence` the two photons are ordinary distinguishable subsystems.
+the HOM dip the two photons are ordinary distinguishable subsystems.
 Exact propagation of the pair goes through one stack kernel
-(`apply_chip_both_stack`): each dim-4 channel acts on its photon as its
-16x16 superoperator, so a stack of joint states crosses a chip in two
-matmuls, and `apply_local` / `apply_chip_both` are its one-state cases.
+(`apply_chip_both_stack`): a dim-4 map acts on each photon as its 16x16
+superoperator (a chip's `ChipModel.superoperator`), so a stack of joint
+states crosses a chip in two matmuls, and `apply_local` / `apply_chip_both`
+are its one-state cases for a `QuantumChannel`.  The HOM dip reads the
+exchange overlap off a joint-state array (`exchange_overlap`, `hom_dip`);
+`interference_overlap` and `hom_coincidence` are their `DensityMatrix` /
+`BiphotonState` edge.
 HOM scans are fitted with a Gaussian dip by one numpy Levenberg-Marquardt
 loop over a whole stack of scans (`hom_fit_stack`; `hom_visibility` is its
 one-scan case).
@@ -28,7 +32,6 @@ from .qcore import (
     DensityMatrix,
     QuantumChannel,
     dagger,
-    heralded_normalize,
     ket2,
     ket4,
     permute_subsystems,
@@ -45,7 +48,9 @@ __all__ = [
     "apply_chip_both",
     "apply_chip_both_stack",
     "spectral_overlap",
+    "exchange_overlap",
     "interference_overlap",
+    "hom_dip",
     "hom_coincidence",
     "hom_visibility",
     "hom_fit_stack",
@@ -215,16 +220,6 @@ def prepare_bell(
 SIGNAL, IDLER = "signal", "idler"
 
 
-def _superoperator(ch: QuantumChannel) -> np.ndarray:
-    """16x16 matrix sum_k K_k (x) conj(K_k) of a dim-4 channel, so that the
-    row-major vec of K rho K^dag is it times the vec of rho (Wood, Biamonte
-    and Cory, QIC 15, 759, 2015)."""
-    if ch.dim_in != 4 or ch.dim_out != 4:
-        raise ValueError("local channels must be dim-4")
-    k = np.array(ch.kraus)
-    return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(16, 16)
-
-
 def _by_photon(m: np.ndarray) -> np.ndarray:
     """Regroup the indices of each joint operator of `m` (n, 16, 16) from
     ((signal, idler), (signal', idler')) to ((signal, signal'), (idler,
@@ -246,20 +241,18 @@ def _apply_photons(joints: np.ndarray, s_signal=None, s_idler=None) -> np.ndarra
     return _by_photon(x)
 
 
-def apply_chip_both_stack(joints: np.ndarray, ch: QuantumChannel) -> np.ndarray:
+def apply_chip_both_stack(joints: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Send both photons of every joint state in `joints` (n, 16, 16)
-    through the same dim-4 channel; returns the (n, 16, 16) outputs, whose
-    traces drop under loss.  Plain arrays in and out, not validated: the
-    caller validates the outputs once, as a stack.  The temporaries are a
-    few (n, 16, 16) arrays whatever the channel's Kraus count.
-    """
-    s = _superoperator(ch)
+    through the same dim-4 map, given as its 16x16 superoperator `s`;
+    returns the (n, 16, 16) outputs, whose traces drop under loss.  Plain
+    arrays in and out, not validated: the caller validates the outputs
+    once, as a stack."""
     return _apply_photons(joints, s, s)
 
 
 def apply_local(state: BiphotonState, ch: QuantumChannel, which: str) -> BiphotonState:
     """Apply a dim-4 channel to one photon; the trace drops under loss."""
-    s = _superoperator(ch)
+    s = ch.superoperator
     if which == SIGNAL:
         out = _apply_photons(state.joint.entries[None], s_signal=s)
     elif which == IDLER:
@@ -273,7 +266,7 @@ def apply_chip_both(state: BiphotonState, ch: QuantumChannel) -> BiphotonState:
     """Send both photons through the same chip channel: the one-state case
     of `apply_chip_both_stack`."""
     return replace(state, joint=DensityMatrix(
-        16, apply_chip_both_stack(state.joint.entries[None], ch)[0]))
+        16, apply_chip_both_stack(state.joint.entries[None], ch.superoperator)[0]))
 
 
 def sector_block_stack(joints: np.ndarray, sector: tuple) -> tuple:
@@ -301,8 +294,9 @@ def conditional_polarization(rho16: DensityMatrix, sector: tuple) -> tuple:
     return blk[0], float(w[0])
 
 
-def interference_overlap(rho16: DensityMatrix) -> float:
-    """Exchange overlap O of the two photons' channel-mapped polarization.
+def exchange_overlap(joint: np.ndarray) -> float:
+    """Exchange overlap O of the two photons' channel-mapped polarization,
+    for the joint state `joint` (a (16, 16) array of any positive trace).
 
     Each photon's channel selects which combiner input it occupies, so only
     population with the photons in distinct channels interferes; for those
@@ -311,30 +305,34 @@ def interference_overlap(rho16: DensityMatrix) -> float:
     by their probability (same-channel population dilutes the dip) and
     cross-sector coherences are dropped.  Clipped to [0, 1].
     """
-    total = float(np.trace(rho16.entries).real)
+    total = float(np.trace(joint).real)
     if total <= 1e-15:
         raise ValueError("vacuum state has no interference overlap")
     o = 0.0
     for sector in ((0, 1), (1, 0)):
-        blk, w = conditional_polarization(rho16, sector)
-        if w > 0.0:
-            o += (w / total) * float(np.trace(blk @ SWAP).real)
+        blk, w = sector_block_stack(joint[None], sector)
+        if w[0] > 0.0:
+            o += (w[0] / total) * float(np.trace(blk[0] @ SWAP).real)
     return float(np.clip(o, 0.0, 1.0))
 
 
-def hom_coincidence(state: BiphotonState, tau_ps, background: float = 0.0):
-    """Coincidence probability at the 50:50 combiner output pair.
+def interference_overlap(rho16: DensityMatrix) -> float:
+    """`exchange_overlap` of a validated joint state."""
+    return exchange_overlap(rho16.entries)
 
-    P(tau) = 1/2 (1 - mu(tau) O) + background, with O from
-    `interference_overlap` of the heralded state, computed once for all
-    delays.  A float for a scalar delay, an array for an array of delays.
-    """
+
+def hom_dip(overlap: float, tau_ps, s: SpectralOverlap, background: float = 0.0):
+    """Coincidence probability P(tau) = 1/2 (1 - mu(tau) O) + background at
+    the 50:50 combiner outputs, for the exchange overlap O = `overlap`: a
+    float for a scalar delay, an array for an array of delays."""
     if background < 0:
         raise ValueError("background must be >= 0")
-    rho, _ = heralded_normalize(state.joint)
-    o = interference_overlap(rho)
-    mu = spectral_overlap(tau_ps, state.overlap)
-    return 0.5 * (1.0 - mu * o) + background
+    return 0.5 * (1.0 - spectral_overlap(tau_ps, s) * overlap) + background
+
+
+def hom_coincidence(state: BiphotonState, tau_ps, background: float = 0.0):
+    """`hom_dip` of the pair's `interference_overlap`, computed once for all delays."""
+    return hom_dip(exchange_overlap(state.joint.entries), tau_ps, state.overlap, background)
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,6 @@ EXIT_PARSE = 2
 EXIT_USAGE = 64
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
-_EXPERIMENT_COMMANDS = ("truth-table", "fringe", "hom", "bell",
-                        "tomo-state", "tomo-process", "sweep")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: `parse_args` does not change
@@ -136,19 +132,6 @@ def _load_experiment_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _relative_to(cfg: ExperimentConfig, out: Path) -> ExperimentConfig:
-    """`cfg` with each relative chip `netlist_path` rewritten against `out`,
-    the inverse of `load_config` resolving it against the file's directory;
-    `cfg` itself when no path changes, so its serialisation is reused."""
-    chips = tuple(
-        replace(c, netlist_path=os.path.relpath(c.netlist_path, out))
-        if c.netlist_path is not None and not os.path.isabs(c.netlist_path) else c
-        for c in cfg.chips)
-    if chips == cfg.chips:
-        return cfg
-    return replace(cfg, chips=chips)
-
-
 def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None) -> None:
     doc = {
         "schema_version": 1,
@@ -168,7 +151,7 @@ def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text + "\n", encoding="utf-8")
-    (out / "config.json").write_text(dump_config(_relative_to(cfg, out)), encoding="utf-8")
+    (out / "config.json").write_text(dump_config(cfg, relative_to=out), encoding="utf-8")
     for name, rows in report.tables.items():
         with (out / f"{name}.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)  # RFC-4180 quoting via the csv module

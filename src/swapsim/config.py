@@ -205,12 +205,15 @@ class ExperimentConfig:
         if self.fpc_mode not in ("auto", "ideal", "none"):
             raise ConfigError(f"unknown fpc_mode {self.fpc_mode!r}")
 
+    # `asdict` and `dump_config` text, once per config object: the config
+    # and everything it holds are immutable
+    @functools.cached_property
+    def _fields(self) -> dict:
+        return asdict(self)
+
     @functools.cached_property
     def _json(self) -> str:
-        """`dump_config` text, computed once per config object: the config
-        and everything it holds are immutable."""
-        return json.dumps({"schema_version": SCHEMA_VERSION, **asdict(self)},
-                          indent=2, sort_keys=True) + "\n"
+        return _json_text(self._fields)
 
     # -- chip access ---------------------------------------------------
 
@@ -256,11 +259,26 @@ class ExperimentConfig:
 # JSON round trip
 # ---------------------------------------------------------------------------
 
-def dump_config(cfg: ExperimentConfig) -> str:
-    """The config as an indented JSON document (schema version 1).  A
-    config object is serialised once, however often it is dumped or
-    hashed (`config_digest`)."""
-    return cfg._json
+def _json_text(fields: dict) -> str:
+    return json.dumps({"schema_version": SCHEMA_VERSION, **fields},
+                      indent=2, sort_keys=True) + "\n"
+
+
+def dump_config(cfg: ExperimentConfig, relative_to: str | os.PathLike | None = None) -> str:
+    """The config as an indented JSON document (schema version 1); with
+    `relative_to` (a directory), each relative chip `netlist_path` written
+    relative to it, the inverse of `load_config` resolving it, so the
+    document saved there reruns the same chips.  A config object runs
+    `asdict` once, however often it is dumped, rewritten or hashed."""
+    if relative_to is None:
+        return cfg._json
+    chips = tuple(
+        {**c, "netlist_path": os.path.relpath(c["netlist_path"], relative_to)}
+        if c["netlist_path"] is not None and not os.path.isabs(c["netlist_path"]) else c
+        for c in cfg._fields["chips"])
+    if chips == cfg._fields["chips"]:
+        return cfg._json
+    return _json_text({**cfg._fields, "chips": chips})
 
 
 def _build(cls, data: dict, what: str):

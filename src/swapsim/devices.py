@@ -29,6 +29,7 @@ incoherent leakage is exposed as `depol_prob`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,7 +41,7 @@ from .qcore import (
     DensityMatrix,
     PauliBasis,
     QuantumChannel,
-    apply_channel,
+    check_trace_nonincreasing,
     compose_channels,
     PAULI_I,
     PAULI_X,
@@ -187,8 +188,8 @@ def _depolarize(ch: QuantumChannel, prob: float) -> QuantumChannel:
     d2 = len(full)
     kraus = [np.sqrt(1.0 - prob * (d2 - 1) / d2) * np.eye(dim, dtype=complex)]
     kraus += [np.sqrt(prob / d2) * p for p in full[1:]]
-    depol = QuantumChannel(dim, dim, tuple(kraus))
-    return compose_channels(ch, depol)
+    # the depolarizing map after the channel: d2 * len(ch.kraus) products
+    return QuantumChannel(dim, dim, tuple(d @ k for d in kraus for k in ch.kraus))
 
 
 def pcnot_channel(spec: ComponentSpec) -> QuantumChannel:
@@ -338,13 +339,15 @@ def facet_channel(loss_h_db: float, loss_v_db: float, xtalk_amp: float = 0.0) ->
 class ChipModel:
     """Ordered dim-4 stages making up one chip.
 
-    The stages are composed once, at construction, into the chip's channel;
-    every exact propagation goes through that one channel.
+    At construction the chip becomes its 16x16 `superoperator`, the
+    product of its stages' (first stage rightmost), which every exact
+    propagation reads; its rows (a, a) sum to conj(sum_k K^dag K), which is
+    checked as a `QuantumChannel` checks its own.
     """
 
     stages: tuple
     label: str = "chip"
-    _channel: QuantumChannel = field(init=False, repr=False, compare=False)
+    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stages = tuple(self.stages)
@@ -352,14 +355,25 @@ class ChipModel:
         for st in stages:
             if not isinstance(st, QuantumChannel) or st.dim_in != 4 or st.dim_out != 4:
                 raise ValueError("every chip stage must be a dim-4 channel")
-        object.__setattr__(self, "_channel", compose_channels(*stages))
+        s = stages[0].superoperator
+        for st in stages[1:]:
+            s = st.superoperator @ s
+        check_trace_nonincreasing(s[::5].sum(axis=0).reshape(4, 4))
+        s.flags.writeable = False
+        object.__setattr__(self, "superoperator", s)
+
+    @functools.cached_property
+    def _channel(self) -> QuantumChannel:
+        return compose_channels(*self.stages)
 
     def channel(self) -> QuantumChannel:
-        """All stages composed into a single channel (first stage acts first)."""
+        """All stages composed into one Kraus channel (first stage acts
+        first), on the first call; no runner reads it."""
         return self._channel
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return apply_channel(self._channel, rho)
+        """One state through the chip, read off its superoperator."""
+        return DensityMatrix(4, (self.superoperator @ rho.entries.reshape(16)).reshape(4, 4))
 
 
 _XX = np.kron(PAULI_X, PAULI_X)

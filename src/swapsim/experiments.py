@@ -1,13 +1,14 @@
 """End-to-end reproductions of the chip experiments with shot-noise Monte Carlo.
 
-Each chip's stages are composed once into one channel (`ChipModel.channel`),
-and every runner reads its exact quantities off that channel: detection
-probabilities straight from its Kraus operators (truth table, fringe), or
-from one batched propagation of all of a run's pure input states through
-them, validated once at the boundary (tomography, sweep: `_exact_outputs`).
-The Bell link, itself composed with the fiber, takes the joint states of
-all Bell labels as one stack through `biphoton.apply_chip_both_stack`, also
-validated once; the HOM pair is its one-state case.  From the per-setting
+Every runner reads its exact quantities off each chip's 16x16
+superoperator S (`ChipModel.superoperator`): the truth table is S's every
+fifth row and column, the fringe is vec(M^T) S vec(rho(phi)) for the
+detector operator M, and a run's pure inputs cross the chip as S vec(rho)
+in one product, validated once (`_exact_outputs`); the sweep does all this
+for the stacked S of its whole grid at once.  The Bell link, the product
+of both chips' and the fiber's S, takes the joint states of all Bell labels
+as one stack through `biphoton.apply_chip_both_stack`, also validated
+once; the HOM pair is its one-state case.  From the per-setting
 detection probabilities each runner draws the Poissonian counts of all
 trials at once (`sample_counts`), runs the matching stacked estimator on
 all trials in one call (state tomography, over all Bell labels together,
@@ -51,13 +52,10 @@ from .devices import (
 from .qcore import (
     PAULI_X,
     DensityMatrix,
-    QuantumChannel,
-    compose_channels,
     dagger,
-    heralded_normalize,
     heralded_normalize_stack,
     ket2,
-    partial_trace,
+    ket4,
     pure_fidelity_stack,
 )
 
@@ -153,17 +151,26 @@ def _mean_spread(values) -> tuple:
 _BASIS_LABELS = ("TH", "TV", "BH", "BV")
 
 
+def _truth_tables(s: np.ndarray) -> np.ndarray:
+    """Unnormalized detection probabilities of the chip(s) with
+    superoperator `s` (..., 16, 16): entry [i, j], output i of input j, is
+    sum_k |K_k[i, j]|^2 = S[(i, i), (j, j)] (column sums < 1 are loss),
+    clipped at 0, where the stage products can round an exact 0 to -1e-17."""
+    return np.maximum(s[..., ::5, ::5].real, 0.0)
+
+
+def _table_fidelities(s: np.ndarray, frame: str) -> np.ndarray:
+    """Truth-table fidelity in `frame` of the chip(s) with superoperator `s`."""
+    table = tm.column_normalize_stack(_truth_tables(s))
+    return tm.truth_table_fidelity_stack(table, tm.ideal_truth_table(frame).matrix)
+
+
 def exact_truth_table(chip: ChipModel) -> np.ndarray:
-    """Unnormalized detection probabilities: column j = input basis state j,
-    row i = probability of output basis state i (column sums < 1 are loss),
-    read off the chip's Kraus operators as sum_k |K_k[i, j]|^2."""
-    return sum((k * k.conj()).real for k in chip.channel().kraus)
+    return _truth_tables(chip.superoperator)
 
 
 def truth_table_fidelity_exact(chip: ChipModel, frame: str = "raw") -> float:
-    probs = exact_truth_table(chip)
-    table = tm.TruthTable(probs).column_normalized()
-    return tm.truth_table_fidelity(table, tm.ideal_truth_table(frame))
+    return float(_table_fidelities(chip.superoperator, frame))
 
 
 def _counts_fidelity(counts: np.ndarray, bg_counts: float, ideal: tm.TruthTable) -> np.ndarray:
@@ -218,10 +225,11 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
 
 def _fringe_probabilities(chip: ChipModel, phases: np.ndarray, port: str,
                           use_polarizer: bool) -> np.ndarray:
-    """Detection probability at each phase, sum_k |sel . BS . K_k . v(phi)|^2,
-    for the input v(phi) = |port> (x) phase_v(phi)|D>: the chip's Kraus
-    operators K_k, then the 50:50 combiner and the monitored output."""
-    v = np.stack([np.kron(ket2(port), phase_v(p) @ ket2("D")) for p in phases], axis=1)
+    """Detection probability Tr(M chip(rho(phi))) = vec(M^T) . S . vec(rho(phi))
+    at each phase, for the input rho(phi) of v(phi) = |port> (x)
+    phase_v(phi)|D>: the chip's superoperator S, then the detector operator
+    M = D^dag D of the 50:50 combiner and the monitored output D."""
+    v = np.array([np.kron(ket2(port), phase_v(p) @ ket2("D")) for p in phases])
     if use_polarizer:
         # analyzer aligned with the ideal output polarization: the swapped
         # qubit leaves in V for T-port input and in H for B-port input
@@ -233,7 +241,8 @@ def _fringe_probabilities(chip: ChipModel, phases: np.ndarray, port: str,
     # carries the high-contrast fringe)
     sel_sp = np.diag([1.0, 0.0]) if port == "T" else np.diag([0.0, 1.0])
     detect = np.kron(sel_sp, sel_pol) @ np.kron(BS_5050, np.eye(2))
-    return sum(np.sum(np.abs(detect @ k @ v) ** 2, axis=0) for k in chip.channel().kraus)
+    effect = (dagger(detect) @ detect).T.reshape(16) @ chip.superoperator
+    return np.maximum((_vec_states(v) @ effect).real, 0.0)  # as in `_truth_tables`
 
 
 def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
@@ -294,8 +303,9 @@ _HOM_INPUTS = {
 }
 
 
-def _fpc_unitary(state: bp.BiphotonState, mode: str) -> np.ndarray:
-    """Polarization controller on the idler arm.
+def _fpc_unitary(rho: np.ndarray, mode: str) -> np.ndarray:
+    """Polarization controller on the idler arm, for the heralded joint
+    state `rho` (16, 16).
 
     "ideal" flips H<->V (right for the orthogonally-polarized ideal
     outputs); "auto" aligns the idler's dominant polarization eigenvector
@@ -305,31 +315,35 @@ def _fpc_unitary(state: bp.BiphotonState, mode: str) -> np.ndarray:
         return np.eye(2, dtype=complex)
     if mode == "ideal":
         return PAULI_X.copy()
-    rho, _ = heralded_normalize(state.joint)
-    rho_s = partial_trace(rho, [2, 2, 2, 2], [1]).entries
-    rho_i = partial_trace(rho, [2, 2, 2, 2], [3]).entries
-    _, vs = np.linalg.eigh(rho_s)
-    _, vi = np.linalg.eigh(rho_i)
+    t = rho.reshape((2,) * 8)  # (m_s, p_s, m_i, p_i) for the row, then the column
+    _, vs = np.linalg.eigh(np.einsum("apbcaqbc->pq", t))  # the signal's polarization
+    _, vi = np.linalg.eigh(np.einsum("abcpabcq->pq", t))  # the idler's
     s_dom, i_dom = vs[:, -1], vi[:, -1]
     s_perp = np.array([-s_dom[1].conj(), s_dom[0].conj()])
     i_perp = np.array([-i_dom[1].conj(), i_dom[0].conj()])
     return np.outer(s_dom, i_dom.conj()) + np.outer(s_perp, i_perp.conj())
 
 
-def _hom_state(cfg: ExperimentConfig) -> bp.BiphotonState:
+def _hom_joint(cfg: ExperimentConfig) -> np.ndarray:
+    """The (16, 16) joint state of the HOM pair at the combiner: the input
+    pair through chip 0 (unless it is the bare source), heralded and
+    validated once, then the idler's polarization controller."""
     (ms, ps), (mi, pi) = _HOM_INPUTS[cfg.hom_input]
-    joint = bp.assemble_joint([(ms, ps), (mi, pi)])
-    state = bp.BiphotonState(
-        joint, cfg.source.coherence_time_ps,
-        (cfg.source.lambda_pump_nm, cfg.source.lambda_signal_nm,
-         bp.idler_wavelength(cfg.source.lambda_pump_nm, cfg.source.lambda_signal_nm)),
-        cfg.source.dip_shape)
+    v = np.kron(ket4(ms, ps), ket4(mi, pi))
+    joint = np.outer(v, v.conj())[None]
     if cfg.hom_input != "source":
-        state = bp.apply_chip_both(state, cfg.chip(0).channel())
-    state = replace(state, joint=heralded_normalize(state.joint)[0])
-    fpc = _fpc_unitary(state, cfg.fpc_mode)
-    return bp.apply_local(state, QuantumChannel(4, 4, (np.kron(np.eye(2), fpc),)),
-                          bp.IDLER)
+        joint = bp.apply_chip_both_stack(joint, cfg.chip(0).superoperator)
+    rho = heralded_normalize_stack(joint)[0][0]
+    u = np.kron(np.eye(8), _fpc_unitary(rho, cfg.fpc_mode))  # on p_i only
+    return u @ rho @ dagger(u)
+
+
+def _hom_state(cfg: ExperimentConfig) -> bp.BiphotonState:
+    """`_hom_joint` as a validated `BiphotonState` with the configured source."""
+    src = cfg.source
+    li = bp.idler_wavelength(src.lambda_pump_nm, src.lambda_signal_nm)
+    return bp.BiphotonState(DensityMatrix(16, _hom_joint(cfg)), src.coherence_time_ps,
+                            (src.lambda_pump_nm, src.lambda_signal_nm, li), src.dip_shape)
 
 
 def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
@@ -337,9 +351,9 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
     if delays_ps is None:
         delays_ps = np.linspace(-12.0, 12.0, 49)
     delays = np.asarray(list(delays_ps), dtype=float)
-    state = _hom_state(cfg)
-    overlap = bp.interference_overlap(state.joint)
-    exact_p = bp.hom_coincidence(state, delays)
+    overlap = bp.exchange_overlap(_hom_joint(cfg))
+    exact_p = bp.hom_dip(overlap, delays, bp.SpectralOverlap(cfg.source.coherence_time_ps,
+                                                              cfg.source.dip_shape))
 
     t_point = cfg.integration_time_s / len(delays)
     bg = cfg.background_rate_hz * t_point
@@ -379,16 +393,17 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
 # Bell distribution between two chips
 # ---------------------------------------------------------------------------
 
-def _bell_link(cfg: ExperimentConfig, chip1: ChipModel, chip2: ChipModel) -> QuantumChannel:
-    """Chip 1, the fiber link, its compensation and chip 2 composed into one
-    dim-4 channel (chip 1 acts first)."""
+def _bell_link(cfg: ExperimentConfig, chip1: ChipModel, chip2: ChipModel) -> np.ndarray:
+    """The 16x16 superoperator of chip 1, the fiber link, its compensation
+    and chip 2 in cascade (chip 1 acts first)."""
     forward, compensation = bp.fiber_link(cfg.fiber_seed, cfg.fiber_residual_rad)
-    return compose_channels(chip1.channel(), forward, compensation, chip2.channel())
+    return (chip2.superoperator @ compensation.superoperator @ forward.superoperator
+            @ chip1.superoperator)
 
 
-def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: QuantumChannel) -> tuple:
+def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: np.ndarray) -> tuple:
     """Propagate the Bell pairs of `labels`, both photons, through the
-    composed link as one stack, validated once at the boundary
+    link's superoperator as one stack, validated once at the boundary
     (`heralded_normalize_stack`, which raises on a vacuum output).
 
     Returns the (L, 4, 4) conditioned two-qubit polarization states in the
@@ -401,17 +416,10 @@ def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: QuantumChannel
     return 0.5 * (blk + dagger(blk)), sector_p * survival
 
 
-def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel,
-                             link: QuantumChannel | None = None):
-    """Propagate a Bell pair, both photons, through the composed link: the
-    one-label slice of `_bell_polarization_stack`.
-
-    `link` is `_bell_link` of chips 0 and 1; it is built from `cfg` when
-    omitted.  Returns the conditioned two-qubit polarization state in the
-    (T_S, B_I) coincidence sector plus that sector's probability.
-    """
-    if link is None:
-        link = _bell_link(cfg, cfg.chip(0), cfg.chip(1))
+def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel) -> tuple:
+    """The one-label slice of `_bell_polarization_stack` through chips 0 and
+    1, as (validated polarization state, sector probability)."""
+    link = _bell_link(cfg, cfg.chip(0), cfg.chip(1))
     rho_pol, success_p = _bell_polarization_stack(cfg, [label], link)
     return DensityMatrix(4, rho_pol[0]), float(success_p[0])
 
@@ -437,7 +445,7 @@ def _tomo_2q_probabilities(rho_pols: np.ndarray) -> np.ndarray:
 _BELL_TABLE_BASIS = ("HH", "HV", "VH", "VV")
 
 
-def _bell_runs(cfg: ExperimentConfig, labels, link: QuantumChannel, chip2_f: float) -> list:
+def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) -> list:
     """(payload, density-matrix table) of each Bell state of `labels`.
 
     All labels go through the link as one stack.  Each label's counts are
@@ -488,7 +496,7 @@ def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel | None = No
 
     One label gives that state's full report; `None` runs all four and
     reports the per-label fidelities and their average.  Chips 0 and 1 are
-    built, and composed with the fiber link, once per call, and the labels
+    built, and multiplied with the fiber link, once per call, and the labels
     run as one stack (`_bell_runs`).
     """
     chip2 = cfg.chip(1)
@@ -522,20 +530,24 @@ def _spatial_ket(label: str) -> np.ndarray:
     return ket2("i" if label == "+i" else label)
 
 
-def _exact_outputs(chip: ChipModel, vecs: np.ndarray, frame: str,
-                   trace_polarization: bool = False) -> np.ndarray:
-    """Heralded chip outputs of the pure inputs `vecs` (J, 4), in `frame`.
+def _vec_states(vecs: np.ndarray) -> np.ndarray:
+    """Row-major vecs (J, 16) of the pure states |v><v| of `vecs` (J, 4)."""
+    return (vecs[:, :, None] * vecs.conj()[:, None, :]).reshape(len(vecs), 16)
 
-    Every input goes through the chip's Kraus operators in one contraction.
-    The chip outputs are validated once, as a stack, and renormalized
+
+def _exact_outputs(s: np.ndarray, vecs: np.ndarray, frame: str,
+                   trace_polarization: bool = False) -> np.ndarray:
+    """Heralded outputs S vec(rho) of the pure inputs `vecs` (J, 4), in
+    `frame`, of the chip(s) with superoperator `s` (..., 16, 16), in one
+    product.  They are validated once, as a stack, and renormalized
     (`heralded_normalize_stack`, which raises on a vacuum output).  Returns
-    (J, 4, 4) states, or with `trace_polarization` the (J, 2, 2)
+    (..., J, 4, 4) states, or with `trace_polarization` the (..., J, 2, 2)
     spatial-momentum states.
     """
-    amps = np.einsum("kab,jb->jka", np.array(chip.channel().kraus), vecs)
-    out, _ = heralded_normalize_stack(np.einsum("jka,jkb->jab", amps, amps.conj()))
+    out = (_vec_states(vecs) @ np.swapaxes(s, -1, -2)).reshape(*s.shape[:-2], len(vecs), 4, 4)
+    out, _ = heralded_normalize_stack(out)
     if trace_polarization:
-        out = np.trace(out.reshape(-1, 2, 2, 2, 2), axis1=2, axis2=4)
+        out = np.trace(out.reshape(*out.shape[:-2], 2, 2, 2, 2), axis1=-3, axis2=-1)
     return logical_frame_stack(out, frame)
 
 
@@ -562,16 +574,18 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     """
     pol = ket2(pol_label)
     vec = np.kron(_spatial_ket(spatial_input), pol)
-    red = _exact_outputs(cfg.chip(0), vec[None], cfg.logical_frame, trace_polarization=True)
-    probs = dict(zip(tm.MOMENTUM_LABELS, _mzi_probabilities(red)[0]))
+    red = _exact_outputs(cfg.chip(0).superoperator, vec[None], cfg.logical_frame,
+                         trace_polarization=True)
+    setting_p = _mzi_probabilities(red)
+    probs = dict(zip(tm.MOMENTUM_LABELS, setting_p[0]))
     target = pol if cfg.logical_frame == "relabeled" else PAULI_X @ pol
-    rho_exact = tm.state_tomo_1q(probs)
-    f_exact = float(pure_fidelity_stack(rho_exact.entries, target))
+    rho_exact = tm.state_tomo_1q_stack(setting_p)[0]
+    f_exact = float(pure_fidelity_stack(rho_exact, target))
 
     t_setting = cfg.integration_time_s / 6.0
     labels = tm.MOMENTUM_LABELS
     counts = sample_counts(cfg, ("tomo-state", spatial_input, pol_label),
-                           [probs[lbl] for lbl in labels], t_setting)
+                           setting_p[0], t_setting)
     f_mean, f_err = _mean_spread(pure_fidelity_stack(tm.state_tomo_1q_stack(counts), target))
     payload = {
         "spatial_input": spatial_input,
@@ -581,8 +595,8 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
         "fidelity_mc_mean": f_mean,
         "fidelity_mc_stderr": f_err,
         "setting_probabilities": {k: float(v) for k, v in sorted(probs.items())},
-        "reconstructed_real": rho_exact.entries.real.tolist(),
-        "reconstructed_imag": rho_exact.entries.imag.tolist(),
+        "reconstructed_real": rho_exact.real.tolist(),
+        "reconstructed_imag": rho_exact.imag.tolist(),
         "n_trials": cfg.n_trials,
     }
     rows = [tm.CSV_HEADER] + [
@@ -605,6 +619,9 @@ _CHI_IDEAL_1Q = {"relabeled": tm.chi_from_unitary(np.eye(2, dtype=complex)),
 _PROCESS_VECS = np.kron(np.array([_spatial_ket(sp) for sp in _PROCESS_SPATIAL_INPUTS]),
                         _PROCESS_POL_KETS)
 _PROCESS_INPUTS_2Q = np.einsum("ja,jb->jab", _PROCESS_VECS, _PROCESS_VECS.conj())
+# the ideal two-qubit process of each frame: (X (x) X) SWAP (raw) or SWAP
+_CHI_IDEAL_2Q = {"raw": tm.chi_from_unitary(ideal_swap_unitary()),
+                 "relabeled": tm.chi_from_unitary(swap_unitary())}
 
 
 def run_process_tomography(cfg: ExperimentConfig) -> Report:
@@ -615,21 +632,19 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
     and the process compared against the frame's ideal: the identity in the
     relabeled frame, a bit flip in the raw frame (the fidelity and purity
     values agree between frames, only chi itself is conjugated).  All 16
-    inputs are propagated in one `_exact_outputs` call.
+    inputs are propagated in one `_exact_outputs` call, and the four chi
+    matrices come from one `process_tomo_stack` call.
     """
-    chi_ideal = _CHI_IDEAL_1Q[cfg.logical_frame]
-    red = _exact_outputs(cfg.chip(0), _PROCESS_VECS, cfg.logical_frame,
+    red = _exact_outputs(cfg.chip(0).superoperator, _PROCESS_VECS, cfg.logical_frame,
                          trace_polarization=True)
     rho_est = tm.state_tomo_1q_stack(_mzi_probabilities(red)).reshape(-1, 4, 2, 2)
-    per_input = {}
-    for spatial, outs in zip(_PROCESS_SPATIAL_INPUTS, rho_est):
-        chi = tm.process_tomo(_PROCESS_INPUTS_1Q, outs, 1)
-        per_input[spatial] = {
-            "process_fidelity": tm.process_fidelity(chi, chi_ideal),
-            "process_purity": tm.process_purity(chi),
-            "chi_real": chi.chi.real.tolist(),
-            "chi_imag": chi.chi.imag.tolist(),
-        }
+    chis = tm.process_tomo_stack(_PROCESS_INPUTS_1Q, rho_est, 1)
+    fids = tm.process_fidelity_stack(chis, _CHI_IDEAL_1Q[cfg.logical_frame].chi)
+    purities = tm.process_purity_stack(chis)
+    per_input = {
+        spatial: {"process_fidelity": float(f), "process_purity": float(p),
+                  "chi_real": chi.real.tolist(), "chi_imag": chi.imag.tolist()}
+        for spatial, chi, f, p in zip(_PROCESS_SPATIAL_INPUTS, chis, fids, purities)}
     f_avg = float(np.mean([v["process_fidelity"] for v in per_input.values()]))
     p_avg = float(np.mean([v["process_purity"] for v in per_input.values()]))
     payload = {
@@ -647,16 +662,15 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
 
 def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
     """Two-qubit chi matrix of the full chip over 16 separable inputs."""
-    outs = _exact_outputs(cfg.chip(0), _PROCESS_VECS, cfg.logical_frame)
-    chi = tm.process_tomo(_PROCESS_INPUTS_2Q, outs, 2)
-    ideal_u = ideal_swap_unitary() if cfg.logical_frame == "raw" else swap_unitary()
-    chi_ideal = tm.chi_from_unitary(ideal_u)
+    outs = _exact_outputs(cfg.chip(0).superoperator, _PROCESS_VECS, cfg.logical_frame)
+    chi = tm.process_tomo_stack(_PROCESS_INPUTS_2Q, outs[None], 2)[0]
+    chi_ideal = _CHI_IDEAL_2Q[cfg.logical_frame].chi
     payload = {
         "frame": cfg.logical_frame,
-        "process_fidelity": tm.process_fidelity(chi, chi_ideal),
-        "process_purity": tm.process_purity(chi),
-        "chi_real": chi.chi.real.tolist(),
-        "chi_imag": chi.chi.imag.tolist(),
+        "process_fidelity": float(tm.process_fidelity_stack(chi, chi_ideal)),
+        "process_purity": float(tm.process_purity_stack(chi)),
+        "chi_real": chi.real.tolist(),
+        "chi_imag": chi.imag.tolist(),
     }
     return _mk_report("tomo-process-2q", cfg, payload)
 
@@ -676,37 +690,38 @@ _SWEEP_AXES = {
 }
 
 
-def _process_fidelity_T(chip: ChipModel) -> float:
-    """Process fidelity of the T-input momentum qubit with the identity, in
-    the relabeled frame, from the exact reduced output states."""
-    red = _exact_outputs(chip, _PROCESS_VECS[:4], "relabeled", trace_polarization=True)
-    chi = tm.process_tomo(_PROCESS_INPUTS_1Q, red, 1)
-    return tm.process_fidelity(chi, _CHI_IDEAL_1Q["relabeled"])
-
-
 def run_error_budget(cfg: ExperimentConfig, sweep: dict) -> Report:
     """Noiseless sensitivity table over imperfection-parameter grids.
 
     For each axis the chip is rebuilt from the baseline configuration with
     only that parameter changed; truth-table fidelity (configured frame)
-    and the T-input process fidelity are tabulated.
+    and the process fidelity of the T-input momentum qubit with the
+    identity (relabeled frame) are tabulated.  Every axis is checked before
+    any chip is built; then the G chips' superoperators are stacked, and
+    all truth tables, T-input outputs (validated once) and chi matrices
+    (one `process_tomo_stack` solve) are read off that stack.
     """
     if not sweep:
         raise ValueError("sweep grid is empty")
-    base = cfg.chips[0]
-    rows = [["axis", "value", "truth_table_fidelity", "process_fidelity_T"]]
-    results = []
-    for axis, values in sorted(sweep.items()):
+    for axis in sorted(sweep):
         if axis not in _SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {axis!r}; "
                              f"known: {sorted(_SWEEP_AXES)}")
-        for v in values:
-            chip = replace(base, **{_SWEEP_AXES[axis]: float(v)}).build()
-            f_tt = truth_table_fidelity_exact(chip, cfg.logical_frame)
-            f_chi = _process_fidelity_T(chip)
-            results.append({"axis": axis, "value": float(v),
-                            "truth_table_fidelity": f_tt,
-                            "process_fidelity_T": f_chi})
-            rows.append([axis, repr(float(v)), repr(f_tt), repr(f_chi)])
+    base = cfg.chips[0]
+    points = [(axis, float(v)) for axis, values in sorted(sweep.items()) for v in values]
+    f_tt = f_chi = ()
+    if points:
+        s = np.array([replace(base, **{_SWEEP_AXES[axis]: v}).build().superoperator
+                      for axis, v in points])
+        f_tt = _table_fidelities(s, cfg.logical_frame)
+        red = _exact_outputs(s, _PROCESS_VECS[:4], "relabeled", trace_polarization=True)
+        chis = tm.process_tomo_stack(_PROCESS_INPUTS_1Q, red, 1)
+        f_chi = tm.process_fidelity_stack(chis, _CHI_IDEAL_1Q["relabeled"].chi)
+    rows = [["axis", "value", "truth_table_fidelity", "process_fidelity_T"]]
+    results = []
+    for (axis, v), tt, chi in zip(points, f_tt, f_chi):
+        results.append({"axis": axis, "value": v, "truth_table_fidelity": float(tt),
+                        "process_fidelity_T": float(chi)})
+        rows.append([axis, repr(v), repr(float(tt)), repr(float(chi))])
     payload = {"frame": cfg.logical_frame, "baseline": asdict(base), "grid": results}
     return _mk_report("sweep", cfg, payload, {"sweep": rows})

@@ -251,10 +251,6 @@ class _Parser:
     def cur(self) -> _Token:
         return self.tokens[self.i]
 
-    def peek(self, ahead: int = 1) -> _Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
-
     def advance(self) -> _Token:
         tok = self.cur
         if tok.kind != "eof":

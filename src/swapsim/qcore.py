@@ -9,13 +9,16 @@ single-photon space uses one fixed basis order everywhere:
 i.e. spatial channel is the most significant subsystem and polarization the
 least significant.  Density matrices are allowed to carry trace < 1: the
 missing trace is unheralded photon loss, and `heralded_normalize` recovers
-it as a survival probability.  All values are immutable (backing arrays are
-marked read-only), so everything in this module is safe to share across
-threads.
+it as a survival probability.  A channel also carries its row-major
+superoperator (`QuantumChannel.superoperator`, computed once per channel
+object), the one representation the exact paths propagate with.  All
+values are immutable (backing arrays are marked read-only), so everything
+in this module is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Sequence
@@ -38,13 +41,14 @@ __all__ = [
     "project_to_physical",
     "project_to_physical_stack",
     "solve_stack",
+    "check_trace_nonincreasing",
+    "check_chi_stack",
     "pauli_coefficients",
     "identity_channel",
     "attenuator_channel",
     "unitary_channel",
     "compose_channels",
     "dagger",
-    "ket",
     "ket2",
     "ket4",
     "PAULI_I",
@@ -83,15 +87,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def ket(amplitudes: Sequence[complex]) -> "PureState":
-    """Build a normalized PureState from raw amplitudes."""
-    a = np.asarray(amplitudes, dtype=complex)
-    n = np.linalg.norm(a)
-    if n < 1e-15:
-        raise ValueError("cannot normalize a zero vector")
-    return PureState(len(a), a / n)
-
-
 # Single-qubit states by name.  Circular polarization follows the logical
 # convention |R> = (|H> + i|V>)/sqrt(2) so that H,V,D,A,R,L line up with the
 # +Z,-Z,+X,-X,+Y,-Y Bloch axes (same mapping as 0,1,+,-,i,-i for the
@@ -103,13 +98,6 @@ KET_PLUS = np.array([1, 1], dtype=complex) / _SQRT2
 KET_MINUS = np.array([1, -1], dtype=complex) / _SQRT2
 KET_PLUS_I = np.array([1, 1j], dtype=complex) / _SQRT2
 KET_MINUS_I = np.array([1, -1j], dtype=complex) / _SQRT2
-
-BLOCH_AXES = {
-    "0": ("z", +1), "1": ("z", -1),
-    "+": ("x", +1), "-": ("x", -1),
-    "i": ("y", +1), "-i": ("y", -1),
-}
-
 
 def ket2(label: str) -> np.ndarray:
     """Named single-qubit state vector.
@@ -201,6 +189,14 @@ class DensityMatrix:
         return float(np.trace(self.entries @ self.entries).real) / tr**2
 
 
+def check_trace_nonincreasing(effect: np.ndarray) -> None:
+    """Raise unless the effect sum_k K^dag K of a map (or its complex
+    conjugate, which has the same spectrum) has no eigenvalue above 1."""
+    top = np.linalg.eigvalsh(effect).max()
+    if top > 1.0 + CP_TOL:
+        raise ValueError(f"channel is trace-increasing: max eig of sum K^dag K = {top:.6f}")
+
+
 @dataclass(frozen=True)
 class QuantumChannel:
     """Completely positive, trace-nonincreasing map given by Kraus operators."""
@@ -217,11 +213,17 @@ class QuantumChannel:
         for k in ops:
             if k.shape != (self.dim_out, self.dim_in):
                 raise ValueError(f"Kraus shape {k.shape} != ({self.dim_out},{self.dim_in})")
-        s = sum(dagger(k) @ k for k in ops)
-        evals = np.linalg.eigvalsh(s)
-        if evals.max() > 1.0 + CP_TOL:
-            raise ValueError("channel is trace-increasing: max eig of sum K^dag K "
-                             f"= {evals.max():.6f}")
+        check_trace_nonincreasing(sum(dagger(k) @ k for k in ops))
+
+    @functools.cached_property
+    def superoperator(self) -> np.ndarray:
+        """sum_k K_k (x) conj(K_k), once per channel object: the row-major vec
+        of sum_k K rho K^dag is it times the vec of rho (Wood, Biamonte and
+        Cory, QIC 15, 759, 2015); a cascade's is the product of its stages'."""
+        k = np.array(self.kraus)
+        s = np.einsum("kac,kbd->abcd", k, k.conj()).reshape(self.dim_out**2, self.dim_in**2)
+        s.flags.writeable = False
+        return s
 
 
 @dataclass(frozen=True)
@@ -265,14 +267,22 @@ class ProcessMatrix:
         d2 = 4**self.n_qubits
         if m.shape != (d2, d2):
             raise ValueError(f"chi shape {m.shape} != ({d2},{d2})")
-        if np.max(np.abs(m - dagger(m))) > HERM_TOL:
-            raise ValueError("chi matrix is not Hermitian")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -1e-8:
-            raise ValueError(f"chi has negative eigenvalue {evals.min():.3e}")
-        tr = float(np.trace(m).real)
-        if tr <= 0 or tr > 1.0 + 1e-8:
-            raise ValueError(f"chi trace {tr} outside (0, 1]")
+        check_chi_stack(m)
+
+
+def check_chi_stack(m: np.ndarray) -> None:
+    """Raise unless every matrix of `m` (shape (..., d2, d2)) is a chi
+    matrix as `ProcessMatrix` checks it, in one batch: Hermitian, no
+    eigenvalue below -1e-8 and a trace in (0, 1 + 1e-8]."""
+    if np.max(np.abs(m - dagger(m))) > HERM_TOL:
+        raise ValueError("chi matrix is not Hermitian")
+    low = np.linalg.eigvalsh(m).min()
+    if low < -1e-8:
+        raise ValueError(f"chi has negative eigenvalue {low:.3e}")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    bad = (tr <= 0) | (tr > 1.0 + 1e-8)
+    if bad.any():
+        raise ValueError(f"chi trace {float(np.extract(bad, tr)[0])} outside (0, 1]")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .qcore import (
     PauliBasis,
     ProcessMatrix,
     QuantumChannel,
+    check_chi_stack,
     dagger,
     ket2,
     project_to_physical_stack,
@@ -49,10 +50,14 @@ __all__ = [
     "state_tomo_1q_stack",
     "state_tomo_2q",
     "state_tomo_2q_stack",
+    "column_normalize_stack",
     "process_tomo",
+    "process_tomo_stack",
     "chi_from_unitary",
     "process_fidelity",
+    "process_fidelity_stack",
     "process_purity",
+    "process_purity_stack",
     "FringeFit",
     "fringe_fit",
     "fringe_fit_stack",
@@ -154,10 +159,16 @@ class TruthTable:
             raise ValueError("truth-table entries must lie in [0, 1]")
 
     def column_normalized(self) -> "TruthTable":
-        sums = self.matrix.sum(axis=0)
-        if np.any(sums <= 0):
-            raise ValueError("cannot normalize a column with zero total")
-        return TruthTable(self.matrix / sums)
+        return TruthTable(column_normalize_stack(self.matrix))
+
+
+def column_normalize_stack(m: np.ndarray) -> np.ndarray:
+    """Each table of `m` (shape (..., 4, 4)) with its columns normalized to
+    1; raises on a column with zero total, as `column_normalized` does."""
+    sums = m.sum(axis=-2, keepdims=True)
+    if np.any(sums <= 0):
+        raise ValueError("cannot normalize a column with zero total")
+    return m / sums
 
 
 def ideal_truth_table(frame: str = "raw") -> TruthTable:
@@ -309,28 +320,32 @@ def _as_matrix(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def process_tomo(inputs, outputs, n: int) -> ProcessMatrix:
-    """Reconstruct the chi matrix over the Pauli basis from input/output pairs.
+def process_tomo_stack(inputs, outputs, n: int) -> np.ndarray:
+    """The (G, 4^n, 4^n) chi matrices over the Pauli basis of the G
+    processes of `outputs` (G, J, d, d) on the J fixed `inputs`.
 
-    Solves for the channel's superoperator S in the row-major vec
+    Solves for each channel's superoperator S in the row-major vec
     convention, vec(A rho B) = (A (x) B^T) vec(rho): with the input vecs
     stacked as the rows of R (J, 4^n) and the output vecs as those of O,
-    R S^T = O is one 4^n x 4^n least-squares problem.  chi is read off S
-    in one contraction: S = sum_mn chi_mn E_m (x) conj(E_n), and the
-    E_m (x) conj(E_n) are Hilbert-Schmidt orthogonal with norm d^2 (d = 2^n),
-    so chi_mn = sum conj(E_m[a, c]) E_n[b, d] S[ab, cd] / d^2 (Chuang and
-    Nielsen, J. Mod. Opt. 44, 2455, 1997).  This is the least-squares fit
-    of the Pauli expectations Tr(P_k eps(rho_j)) = Tr(P_k rho'_j): by Pauli
-    orthogonality their squared residual is d times the squared Frobenius
-    residual of the outputs, and chi <-> S is linear and one to one.  The result is then
-    Hermitized, clipped to PSD and normalized to Tr(chi) = 1.  Requires
-    4^n linearly independent inputs.
+    R S^T = O is a 4^n x 4^n least-squares problem, and all G of them share
+    R, so one solve takes the G O's as its G 4^n right-hand columns.  chi
+    is read off S in one contraction: S = sum_mn chi_mn E_m (x) conj(E_n),
+    and the E_m (x) conj(E_n) are Hilbert-Schmidt orthogonal with norm d^2
+    (d = 2^n), so chi_mn = sum conj(E_m[a, c]) E_n[b, d] S[ab, cd] / d^2
+    (Chuang and Nielsen, J. Mod. Opt. 44, 2455, 1997).  This is the
+    least-squares fit of the Pauli expectations Tr(P_k eps(rho_j)) =
+    Tr(P_k rho'_j): by Pauli orthogonality their squared residual is d
+    times the squared Frobenius residual of the outputs, and chi <-> S is
+    linear and one to one.  Each chi is then Hermitized, clipped to PSD
+    (one batched eigh), normalized to Tr(chi) = 1 and validated as
+    `ProcessMatrix` checks one, in one batch.  Requires 4^n linearly
+    independent inputs.
     """
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
     rhos = np.array([_as_matrix(r) for r in inputs])
-    outs = np.array([_as_matrix(r) for r in outputs])
-    if len(rhos) != len(outs):
+    outs = np.asarray(outputs, dtype=complex)
+    if len(rhos) != outs.shape[1]:
         raise ValueError("inputs and outputs must pair up")
     d = 2**n
     d2 = 4**n
@@ -339,20 +354,31 @@ def process_tomo(inputs, outputs, n: int) -> ProcessMatrix:
     stack = rhos.reshape(-1, d2)
     if np.linalg.matrix_rank(stack, tol=1e-10) < d2:
         raise ValueError("input states are rank-deficient; cannot invert")
-    s_t, *_ = np.linalg.lstsq(stack, outs.reshape(-1, d2), rcond=None)
-    # s_t[(c, d), (a, b)] = S[(a, b), (c, d)], regrouped as t[(a, c), (b, d)]:
-    # the contraction is then one product with the flattened Pauli rows
-    t = s_t.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d2, d2)
+    g = len(outs)
+    rhs = outs.reshape(g, -1, d2).transpose(1, 0, 2).reshape(-1, g * d2)
+    s_t, *_ = np.linalg.lstsq(stack, rhs, rcond=None)
+    # s_t[(c, d), (k, a, b)] = S_k[(a, b), (c, d)], regrouped as
+    # t[k, (a, c), (b, d)]: the contraction is then one product with the
+    # flattened Pauli rows
+    t = s_t.reshape(d, d, g, d, d).transpose(2, 3, 0, 4, 1).reshape(g, d2, d2)
     e_rows = _PAULI_1Q_ROWS if n == 1 else _PAULI_2Q_ROWS
     chi = e_rows.conj() @ t @ e_rows.T / d2
     chi = 0.5 * (chi + dagger(chi))
     evals, vecs = np.linalg.eigh(chi)
-    evals = np.clip(evals, 0.0, None)
-    chi = (vecs * evals) @ dagger(vecs)
-    tr = float(np.trace(chi).real)
-    if tr <= 0:
+    chi = (vecs * np.clip(evals, 0.0, None)[:, None, :]) @ dagger(vecs)
+    tr = np.trace(chi, axis1=1, axis2=2).real
+    if (tr <= 0).any():
         raise ValueError("reconstructed chi has nonpositive trace")
-    return ProcessMatrix(n, chi / tr)
+    chi = chi / tr[:, None, None]
+    check_chi_stack(chi)
+    return chi
+
+
+def process_tomo(inputs, outputs, n: int) -> ProcessMatrix:
+    """Chi matrix of one process from input/output pairs: the one-process
+    case of `process_tomo_stack`."""
+    outs = np.array([_as_matrix(r) for r in outputs])
+    return ProcessMatrix(n, process_tomo_stack(inputs, outs[None], n)[0])
 
 
 def chi_from_unitary(u: np.ndarray) -> ProcessMatrix:
@@ -367,23 +393,35 @@ def chi_from_unitary(u: np.ndarray) -> ProcessMatrix:
     return ProcessMatrix(n, chi / float(np.trace(chi).real))
 
 
+def process_fidelity_stack(chis: np.ndarray, chi_ideal: np.ndarray) -> np.ndarray:
+    """F_chi = Tr(chi chi_i) / (Tr(chi) Tr(chi_i)) of each chi of `chis`
+    (shape (..., d2, d2)) with the one chi matrix `chi_ideal`."""
+    t1 = np.trace(chis, axis1=-2, axis2=-1).real
+    t2 = np.trace(chi_ideal).real
+    if np.any(t1 == 0) or t2 == 0:
+        raise ValueError("zero-trace chi matrix")
+    return np.trace(chis @ chi_ideal, axis1=-2, axis2=-1).real / (t1 * t2)
+
+
 def process_fidelity(chi: ProcessMatrix, chi_ideal: ProcessMatrix) -> float:
-    """F_chi = Tr(chi chi_i) / (Tr(chi) Tr(chi_i))."""
+    """`process_fidelity_stack` of one chi matrix."""
     if chi.n_qubits != chi_ideal.n_qubits:
         raise ValueError("qubit-count mismatch")
-    t1 = float(np.trace(chi.chi).real)
-    t2 = float(np.trace(chi_ideal.chi).real)
-    if t1 == 0 or t2 == 0:
+    return float(process_fidelity_stack(chi.chi, chi_ideal.chi))
+
+
+def process_purity_stack(chis: np.ndarray) -> np.ndarray:
+    """P_chi = Tr(chi^2) / Tr(chi)^2 of each chi of `chis` (shape (...,
+    d2, d2)); unity for a unitary process."""
+    tr = np.trace(chis, axis1=-2, axis2=-1).real
+    if np.any(tr == 0):
         raise ValueError("zero-trace chi matrix")
-    return float(np.trace(chi.chi @ chi_ideal.chi).real) / (t1 * t2)
+    return np.trace(chis @ chis, axis1=-2, axis2=-1).real / tr**2
 
 
 def process_purity(chi: ProcessMatrix) -> float:
-    """P_chi = Tr(chi^2) / Tr(chi)^2; unity for a unitary process."""
-    tr = float(np.trace(chi.chi).real)
-    if tr == 0:
-        raise ValueError("zero-trace chi matrix")
-    return float(np.trace(chi.chi @ chi.chi).real) / tr**2
+    """`process_purity_stack` of one chi matrix."""
+    return float(process_purity_stack(chi.chi))
 
 
 # ---------------------------------------------------------------------------

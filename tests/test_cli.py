@@ -265,6 +265,23 @@ class TestChipPaths:
                            "--trials", "1", "--out", str(tmp_path / "out")])
         assert rc == 0
 
+    @pytest.mark.parametrize("chip_args", [
+        ["--netlist", "demos/data/swap_measured.pnl"],
+        ["--config", "demos/data/config_measured.json"]], ids=["netlist", "config"])
+    def test_one_asdict_per_report(self, chip_args, tmp_path, monkeypatch):
+        # the report's config hash and its config.json, whose relative
+        # netlist path is rewritten against the output directory, both
+        # read the one asdict of the config
+        from swapsim import config
+
+        calls = []
+        asdict = config.asdict
+        monkeypatch.setattr(config, "asdict", lambda obj: calls.append(1) or asdict(obj))
+        monkeypatch.chdir(REPO)
+        assert cli.dispatch(["truth-table", *chip_args, "--trials", "1",
+                             "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_sweep_resolves_config_netlist_against_config_dir(self, tmp_path,
                                                               monkeypatch, capsys):
         cfg_dir = tmp_path / "cfg"

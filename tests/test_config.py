@@ -59,6 +59,25 @@ class TestNetlistPath:
             ChipConfig(netlist_path=str(tmp_path / "absent.pnl")).build()
 
 
+    @pytest.mark.parametrize("path", ["demos/data/swap_measured.pnl", "/abs/swap.pnl", None],
+                             ids=["relative", "absolute", "inline"])
+    def test_rewritten_config_equals_the_rewritten_config_object(self, tmp_path, path):
+        # config.json reruns from the output directory: a relative netlist
+        # path is rewritten against it, byte for byte as a config object
+        # holding the rewritten path dumps
+        import os
+        from dataclasses import replace
+
+        cfg = replace(ExperimentConfig.measured_chip(),
+                      chips=(ChipConfig(netlist_path=path), ChipConfig()))
+        out = tmp_path / "out"
+        rel = tuple(replace(c, netlist_path=os.path.relpath(c.netlist_path, out))
+                    if c.netlist_path is not None and not os.path.isabs(c.netlist_path)
+                    else c for c in cfg.chips)
+        assert dump_config(cfg, relative_to=out) == dump_config(replace(cfg, chips=rel))
+        assert (dump_config(cfg, relative_to=out) == dump_config(cfg)) == (rel == cfg.chips)
+
+
 class TestLegacyKeys:
     def test_wavelength_key_of_older_documents_is_dropped(self):
         cfg = ExperimentConfig.measured_chip()

@@ -313,3 +313,14 @@ class TestMonotonicity:
                 fids.append(truth_table_fidelity_exact(chip))
             for a, b in zip(fids, fids[1:]):
                 assert b <= a + 1e-9
+
+
+def test_chip_checks_its_superoperator_is_trace_nonincreasing():
+    # no product of valid stages exceeds the bound but by rounding, so the
+    # stage's superoperator is scaled behind its back: the chip's check
+    # reads the composed superoperator, not the stages' Kraus operators
+    stage = dv.facet_channel(0.0, 0.0)
+    stage.__dict__["superoperator"] = 1.5 * stage.superoperator
+    with pytest.raises(ValueError, match=r"^channel is trace-increasing: max eig of "
+                                         r"sum K\^dag K = 1\.500000$"):
+        dv.ChipModel((dv.facet_channel(0.0, 0.0), stage))

@@ -1,19 +1,23 @@
-"""The composed-channel exact path against stage-by-stage propagation.
+"""The chip's superoperator exact path against stage-by-stage propagation.
 
-A chip is composed once into one channel and every runner reads its exact
-quantities off that channel.  The oracle here propagates through each
-stage in turn with `apply_channel`, on random grammar-valid chips that mix
-depolarizing stages (several Kraus operators; two of them, so the composed
-set is reduced through the Choi matrix) with trace-decreasing polarizers
-and losses.  The tomography runners' batched propagation of all their
-inputs (`_exact_outputs`, `_mzi_probabilities`) is checked against the
-per-state chain of validated values it replaced, and the two-photon stack
-kernel (`apply_chip_both_stack`, each photon through its superoperator)
-against each photon's Kraus operators lifted to the 16-dim space and
-applied with `apply_channel`.
+A chip is its 16x16 superoperator S, the product of its stages'
+superoperators, and every runner reads its exact quantities off S.  The
+oracle here propagates through each stage's Kraus operators in turn
+(`apply_channel` for states, `stagewise_op` for any operator), on random
+grammar-valid chips that mix depolarizing stages (several Kraus operators;
+two of them, so the lazily composed Kraus set is reduced through the Choi
+matrix) with trace-decreasing polarizers and losses.  The tomography
+runners' batched propagation of all their inputs (`_exact_outputs`,
+`_mzi_probabilities`) is checked against the per-state chain of validated
+values it replaced, the two-photon stack kernel (`apply_chip_both_stack`,
+each photon through S) against each photon's Kraus operators lifted to the
+16-dim space and applied with `apply_channel`, the stacked process
+tomography against single calls and the Choi matrix of S, and the batched
+error-budget grid against a per-point build and tomography.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ from swapsim import devices as dv
 from swapsim import experiments as ex
 from swapsim import netlist as nl
 from swapsim import qcore as qc
-from swapsim.config import ExperimentConfig, SourceConfig
+from swapsim import tomography as tm
+from swapsim.config import ChipConfig, ExperimentConfig, SourceConfig
 
 # derandomized: tier-1 runs the same examples every time
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -170,15 +175,20 @@ def lifted_both(rho: qc.DensityMatrix, ch: qc.QuantumChannel) -> qc.DensityMatri
 def test_bell_link_equals_sequential(chip1, chip2, label, visibility, seed, residual):
     cfg = ExperimentConfig(fiber_seed=seed, fiber_residual_rad=residual)
     state = bp.prepare_bell(label, visibility)
-    got = bp.apply_chip_both(state, ex._bell_link(cfg, chip1, chip2)).joint
+    got = bp.apply_chip_both_stack(state.joint.entries[None], ex._bell_link(cfg, chip1, chip2))[0]
     # both photons through chip 1, forward fiber, compensation and chip 2:
     # eight 16-dim applications
-    forward, compensation = bp.fiber_link(seed, residual)
     rho = state.joint
-    for ch in (chip1.channel(), forward, compensation, chip2.channel()):
+    for ch in link_channels(cfg, chip1, chip2):
         rho = lifted_both(rho, ch)
-    np.testing.assert_allclose(got.entries, rho.entries, rtol=0, atol=TOL)
-    assert got.trace <= 1.0 + TOL
+    np.testing.assert_allclose(got, rho.entries, rtol=0, atol=TOL)
+    assert np.trace(got).real <= 1.0 + TOL
+
+
+def link_channels(cfg, chip1, chip2) -> tuple:
+    """The Bell link stage by stage: chip 1, the fiber, its compensation, chip 2."""
+    forward, compensation = bp.fiber_link(cfg.fiber_seed, cfg.fiber_residual_rad)
+    return chip1.channel(), forward, compensation, chip2.channel()
 
 
 def werner_oracle(label, visibility) -> np.ndarray:
@@ -189,10 +199,14 @@ def werner_oracle(label, visibility) -> np.ndarray:
     return bp.assemble_joint(["T", "B"], pol).entries
 
 
-def bell_polarization_oracle(joint, link):
-    """One label: lifted Kraus propagation, heralding, the (T_S, B_I) block
-    and its probability, each through validated values."""
-    rho, survival = qc.heralded_normalize(lifted_both(qc.DensityMatrix(16, joint), link))
+def bell_polarization_oracle(joint, channels):
+    """One label: lifted Kraus propagation through each of `channels` in
+    turn, heralding, the (T_S, B_I) block and its probability, each through
+    validated values."""
+    rho = qc.DensityMatrix(16, joint)
+    for ch in channels:
+        rho = lifted_both(rho, ch)
+    rho, survival = qc.heralded_normalize(rho)
     t = rho.entries.reshape((2,) * 8)
     blk = t[0, :, 1, :, 0, :, 1, :].reshape(4, 4)
     w = float(np.trace(blk).real)
@@ -214,17 +228,20 @@ def test_two_photon_stack_equals_lifted_kraus(chip1, chip2, visibilities, seed, 
     cfg = ExperimentConfig(fiber_seed=seed, fiber_residual_rad=residual,
                            source=SourceConfig(bell_visibility=visibilities[0]))
     link = ex._bell_link(cfg, chip1, chip2)
-    for ch in (chip1.channel(), link):
-        assert len(ch.kraus) > 1  # depolarizing: several Kraus operators
-        got = bp.apply_chip_both_stack(joints, ch)
+    stages = link_channels(cfg, chip1, chip2)
+    assert len(chip1.channel().kraus) > 1  # depolarizing: several Kraus operators
+    for s, channels in ((chip1.superoperator, stages[:1]), (link, stages)):
+        got = bp.apply_chip_both_stack(joints, s)
         for g, joint in zip(got, joints):
-            want = lifted_both(qc.DensityMatrix(16, joint), ch)
+            want = qc.DensityMatrix(16, joint)
+            for ch in channels:
+                want = lifted_both(want, ch)
             np.testing.assert_allclose(g, want.entries, rtol=0, atol=TOL)
 
     # the runner's stack at the config's visibility: propagation,
     # validation, heralding and the sector block
     try:
-        want = [bell_polarization_oracle(werner_oracle(l, visibilities[0]), link)
+        want = [bell_polarization_oracle(werner_oracle(l, visibilities[0]), stages)
                 for l in labels]
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
@@ -276,9 +293,9 @@ def test_exact_outputs_equal_per_state_chain(chip, frame, trace_polarization):
     except ValueError as exc:
         assert str(exc).startswith("vacuum state")
         with pytest.raises(ValueError, match="^vacuum state"):
-            ex._exact_outputs(chip, SEPARABLE, frame, trace_polarization)
+            ex._exact_outputs(chip.superoperator, SEPARABLE, frame, trace_polarization)
         return
-    got = ex._exact_outputs(chip, SEPARABLE, frame, trace_polarization)
+    got = ex._exact_outputs(chip.superoperator, SEPARABLE, frame, trace_polarization)
     assert got.shape == ((16, 2, 2) if trace_polarization else (16, 4, 4))
     for g, (w, survival) in zip(got, want):
         # heralding divides the rounding of the chip output by the survival
@@ -296,4 +313,145 @@ def test_exact_outputs_of_a_dark_chip_raise_the_vacuum_error():
         "  polarizer p1 (T, B) angle=90deg;\n}\n"))
     for trace_polarization in (False, True):
         with pytest.raises(ValueError, match="^vacuum state: trace is zero"):
-            ex._exact_outputs(dark, SEPARABLE, "raw", trace_polarization)
+            ex._exact_outputs(dark.superoperator, SEPARABLE, "raw", trace_polarization)
+
+
+# ---------------------------------------------------------------------------
+# the chip's superoperator against its stages' Kraus operators
+# ---------------------------------------------------------------------------
+
+BASIS_OPS = np.eye(16, dtype=complex).reshape(16, 4, 4)  # E_ij = |i><j|, row-major
+
+
+def stagewise_op(chip: dv.ChipModel, x: np.ndarray) -> np.ndarray:
+    """Any operator x (not only a state) through each stage's Kraus
+    operators in turn, first stage first."""
+    for stage in chip.stages:
+        x = sum(k @ x @ k.conj().T for k in stage.kraus)
+    return x
+
+
+@PROPERTY
+@given(CHIPS)
+def test_superoperator_equals_stagewise_kraus_on_every_basis_operator(chip):
+    s = chip.superoperator
+    assert s.shape == (16, 16) and not s.flags.writeable
+    for e in BASIS_OPS:
+        got = (s @ e.reshape(16)).reshape(4, 4)
+        np.testing.assert_allclose(got, stagewise_op(chip, e), rtol=0, atol=TOL)
+    # the runners' truth table and fringe read probabilities off S: never
+    # negative, though S's products round
+    assert np.all(ex.exact_truth_table(chip) >= 0.0)
+
+
+# polarizers crossed at a random angle, with only polarization-blind stages
+# between them, pass no light: every probability is exactly 0, and S's
+# products round it to either side of 0
+SPATIAL_STMT = st.one_of(_stmt("mzi", TWO_PORTS, phase=ANGLE, input_phase=ANGLE),
+                         _stmt("bs5050", TWO_PORTS), _stmt("loss", ANY_PORTS, loss=DB))
+DARK_CHIPS = st.tuples(st.lists(ANY_STMT, max_size=2), st.floats(-3.2, 3.2),
+                       st.lists(SPATIAL_STMT, min_size=1, max_size=3)).map(
+    lambda t: _compile([*t[0], f"polarizer {{name}} (T, B) angle={t[1]!r}rad;", *t[2],
+                        f"polarizer {{name}} (T, B) angle={t[1] + np.pi / 2!r}rad;"]))
+
+
+@PROPERTY
+@given(DARK_CHIPS, st.lists(st.floats(0.0, 2.0 * np.pi), min_size=1, max_size=8))
+def test_probabilities_of_a_dark_chip_are_zero_not_negative(chip, phases):
+    # they are Poisson means: a negative one fails the draw
+    table = ex.exact_truth_table(chip)
+    assert np.all(table >= 0.0) and table.max() <= TOL
+    for port in ("T", "B"):
+        got = ex._fringe_probabilities(chip, np.array(phases), port, False)
+        assert np.all(got >= 0.0) and got.max() <= TOL
+
+
+@PROPERTY
+@given(CHIPS)
+def test_lazy_kraus_channel_is_the_superoperator_map(chip):
+    kraus = np.array(chip.channel().kraus)
+    assert len(kraus) > 1  # two depolarizing stages
+    assert chip.channel() is chip.channel()  # composed once
+    np.testing.assert_allclose(np.einsum("kac,kbd->abcd", kraus, kraus.conj()).reshape(16, 16),
+                               chip.superoperator, rtol=0, atol=TOL)
+    # the effect sum K^dag K that the trace-nonincreasing check reads off S
+    effect = sum(k.conj().T @ k for k in kraus)
+    np.testing.assert_allclose(chip.superoperator[::5].sum(axis=0).reshape(4, 4),
+                               effect.conj(), rtol=0, atol=TOL)
+
+
+def choi_chi(s: np.ndarray) -> np.ndarray:
+    """The two-qubit chi matrix of the map with superoperator `s`, read off
+    its Choi matrix J = sum_ij |i><j| (x) eps(|i><j|) (Choi, Linear Algebra
+    Appl. 10, 285, 1975): chi_mn = <<E_m|J|E_n>> / d^2 with |E>> the
+    column-stacked vec of the Pauli operator E, normalized to trace 1."""
+    j = sum(np.kron(e, (s @ e.reshape(16)).reshape(4, 4)) for e in BASIS_OPS)
+    vecs = [e.T.reshape(16) for e in qc.PauliBasis(2).operators]
+    chi = np.array([[np.vdot(vm, j @ vn) for vn in vecs] for vm in vecs]) / 16.0
+    return chi / np.trace(chi).real
+
+
+@PROPERTY
+@given(st.lists(CHIPS, min_size=1, max_size=3))
+def test_stacked_process_tomo_equals_single_calls_and_the_choi_matrix(chips):
+    # the linear (unheralded) outputs of the 16 separable inputs, per chip
+    rhos = np.einsum("ja,jb->jab", SEPARABLE, SEPARABLE.conj())
+    outs = np.array([[(c.superoperator @ r.reshape(16)).reshape(4, 4) for r in rhos]
+                     for c in chips])
+    stacked = tm.process_tomo_stack(rhos, outs, 2)
+    assert stacked.shape == (len(chips), 16, 16)
+    for chi, out, chip in zip(stacked, outs, chips):
+        np.testing.assert_allclose(chi, tm.process_tomo(rhos, out, 2).chi, rtol=0, atol=TOL)
+        np.testing.assert_allclose(chi, choi_chi(chip.superoperator), rtol=0, atol=TOL)
+
+
+SWEEP_VALUES = {
+    "pcnot_extinction_db": st.floats(3.0, 40.0),
+    "mcnot_extinction_db": st.floats(3.0, 40.0),
+    "loss_imbalance_db": st.floats(0.0, 3.0),
+    "mcnot_loss_db_t": st.floats(0.0, 3.0),
+    "facet_xtalk": st.floats(-0.3, 0.3),
+    "rotation_error_rad": st.floats(-0.3, 0.3),
+}
+SWEEPS = st.dictionaries(st.sampled_from(sorted(SWEEP_VALUES)), st.just(None),
+                         min_size=1, max_size=3).flatmap(
+    lambda axes: st.fixed_dictionaries(
+        {a: st.lists(SWEEP_VALUES[a], min_size=1, max_size=3) for a in axes}))
+BASELINES = st.builds(
+    lambda er_p, er_m, imb, loss, facet, depol: ChipConfig(
+        pcnot_extinction_db=er_p, mcnot_extinction_db=er_m, pcnot_loss_imbalance_db=imb,
+        mcnot_loss_db_t=loss, facet_loss_db_h=facet, facet_loss_db_v=facet,
+        depol_prob=depol),
+    st.floats(3.0, 40.0), st.floats(3.0, 40.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+    st.floats(0.0, 3.0), st.sampled_from([0.0, 0.02, 0.3]))
+
+
+@PROPERTY
+@given(BASELINES, SWEEPS, st.sampled_from(["raw", "relabeled"]))
+def test_error_budget_equals_per_point_oracle(base, sweep, frame):
+    cfg = ExperimentConfig(chips=(base,), logical_frame=frame)
+    grid = ex.run_error_budget(cfg, sweep).payload["grid"]
+    points = [(a, float(v)) for a, values in sorted(sweep.items()) for v in values]
+    assert [(g["axis"], g["value"]) for g in grid] == points
+    ideal = tm.chi_from_unitary(np.eye(2, dtype=complex))
+    for g, (axis, v) in zip(grid, points):
+        chip = replace(base, **{ex._SWEEP_AXES[axis]: v}).build()
+        assert g["truth_table_fidelity"] == pytest.approx(
+            ex.truth_table_fidelity_exact(chip, frame), rel=0, abs=TOL)
+        # T-input momentum qubit, relabeled frame: the per-state chain
+        red = [output_state_oracle(chip, vec, "relabeled", True)[0]
+               for vec in ex._PROCESS_VECS[:4]]
+        chi = tm.process_tomo(ex._PROCESS_INPUTS_1Q, red, 1)
+        assert g["process_fidelity_T"] == pytest.approx(tm.process_fidelity(chi, ideal),
+                                                        rel=0, abs=TOL)
+
+
+def test_unknown_sweep_axis_raises_before_any_chip_is_built(monkeypatch):
+    built = []
+    build = ChipConfig.build
+    monkeypatch.setattr(ChipConfig, "build", lambda self: built.append(self) or build(self))
+    cfg = ExperimentConfig.measured_chip(n_trials=1)
+    # the known axis sorts first, so a per-axis loop would build its chips
+    with pytest.raises(ValueError, match="^unknown sweep axis 'zz_axis'; known: "):
+        ex.run_error_budget(cfg, {"pcnot_extinction_db": [18.0, 35.0], "zz_axis": [1.0]})
+    assert built == []

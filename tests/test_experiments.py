@@ -394,6 +394,41 @@ class TestStackedEstimators:
         ex.run_error_budget(cfg, _parse_grid([]))  # the CLI's default grid
         assert (len(made), len(applied)) == (0, 0)
 
+    def test_runners_read_the_superoperator(self, cfg, monkeypatch):
+        # every runner reads each chip's superoperator: none composes a Kraus
+        # set, asks a chip for one or builds a DensityMatrix, and a default
+        # sweep solves for the chi matrices of its whole grid at once
+        from swapsim import devices as dv
+        from swapsim import qcore as qc
+        from swapsim.cli import _parse_grid
+
+        calls = []
+
+        def spy(name, f):
+            return lambda *a, **k: calls.append(name) or f(*a, **k)
+
+        for module in (qc, dv):
+            monkeypatch.setattr(module, "compose_channels",
+                                spy("compose_channels", qc.compose_channels))
+        monkeypatch.setattr(dv.ChipModel, "channel", spy("channel", dv.ChipModel.channel))
+        monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
+                            spy("DensityMatrix", qc.DensityMatrix.__post_init__))
+        monkeypatch.setattr(np.linalg, "lstsq", spy("lstsq", np.linalg.lstsq))
+        small = replace(cfg, n_trials=2)
+        for run in (ex.run_truth_table, ex.run_fringe_scan, ex.run_hom_scan,
+                    ex.run_bell_distribution, ex.run_state_tomography):
+            run(small)
+        assert calls == []
+        # the four spatial inputs in one solve, then the two-qubit process
+        ex.run_process_tomography(small)
+        ex.run_process_tomography_2q(small)
+        assert calls == ["lstsq", "lstsq"]
+        calls.clear()
+        grid = _parse_grid([])
+        assert sum(map(len, grid.values())) == 19
+        ex.run_error_budget(small, grid)
+        assert calls == ["lstsq"]
+
     def test_bell_is_one_batched_pass(self, cfg, monkeypatch):
         # all four labels go through the link as one stack, validated once
         # at the boundary: no apply_channel and no DensityMatrix; each
