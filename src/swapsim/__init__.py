@@ -8,17 +8,12 @@ reconstructs states and processes with linear-inversion tomography.
 """
 
 from .qcore import (
-    PureState,
     DensityMatrix,
     QuantumChannel,
     PauliBasis,
     ProcessMatrix,
-    tensor,
     apply_channel,
     heralded_normalize,
-    uhlmann_fidelity,
-    project_to_physical,
-    pauli_coefficients,
 )
 from .devices import (
     ComponentKind,
@@ -32,20 +27,14 @@ from .devices import (
     polarizer,
     mzi_projector,
     facet_channel,
-    logical_frame,
     ideal_swap_unitary,
     swap_unitary,
 )
 from .netlist import parse, format_netlist, compile_netlist, ParseError, CompileError
 from .biphoton import (
     BellLabel,
-    BiphotonState,
     SpectralOverlap,
-    spdc_state,
-    prepare_bell,
-    apply_local,
     spectral_overlap,
-    hom_coincidence,
     hom_visibility,
     fiber_link,
 )
@@ -55,8 +44,6 @@ from .tomography import (
     TruthTable,
     ideal_truth_table,
     truth_table_fidelity,
-    state_tomo_1q,
-    state_tomo_2q,
     process_tomo,
     chi_from_unitary,
     process_fidelity,

@@ -1,19 +1,19 @@
-"""Two-photon states: SPDC source, Bell preparation, HOM interference.
+"""Two-photon states: Bell preparation, HOM interference, fiber link.
 
 A biphoton lives on the 16-dimensional space signal (x) idler, each photon
 carrying the (channel (x) polarization) pair in the fixed basis order of
 `qcore`; the signal is the most significant subsystem, so the joint index
-reads (m_s, p_s, m_i, p_i).  The spectral degree of freedom is compressed
+reads (m_s, p_s, m_i, p_i).  Joint states are plain (n, 16, 16) arrays
+with a leading stack axis.  The spectral degree of freedom is compressed
 to a scalar overlap mu(tau) with configurable dip shape; everywhere except
 the HOM dip the two photons are ordinary distinguishable subsystems.
 Exact propagation of the pair goes through one stack kernel
 (`apply_chip_both_stack`): a dim-4 map acts on each photon as its 16x16
 superoperator (a chip's `ChipModel.superoperator`), so a stack of joint
-states crosses a chip in two matmuls, and `apply_local` / `apply_chip_both`
-are its one-state cases for a `QuantumChannel`.  The HOM dip reads the
-exchange overlap off a joint-state array (`exchange_overlap`, `hom_dip`);
-`interference_overlap` and `hom_coincidence` are their `DensityMatrix` /
-`BiphotonState` edge.
+states crosses a chip in two matmuls.  `werner_joint_stack` prepares Bell
+pairs and `sector_block_stack` reads the polarization block of fixed
+photon channels.  The HOM dip reads the exchange overlap off a joint-state
+array (`exchange_overlap`, then `hom_dip`).
 HOM scans are fitted with a Gaussian dip by one numpy Levenberg-Marquardt
 loop over a whole stack of scans (`hom_fit_stack`; `hom_visibility` is its
 one-scan case).
@@ -22,48 +22,34 @@ one-scan case).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .qcore import (
     SWAP,
-    DensityMatrix,
     QuantumChannel,
     dagger,
     ket2,
-    ket4,
-    permute_subsystems,
     solve_stack,
 )
 
 __all__ = [
     "BellLabel",
     "SpectralOverlap",
-    "BiphotonState",
-    "spdc_state",
-    "prepare_bell",
-    "apply_local",
-    "apply_chip_both",
     "apply_chip_both_stack",
     "spectral_overlap",
     "exchange_overlap",
-    "interference_overlap",
     "hom_dip",
-    "hom_coincidence",
     "hom_visibility",
     "hom_fit_stack",
     "HomFit",
     "fiber_link",
     "bell_state_vector",
-    "assemble_joint",
-    "conditional_polarization",
     "werner_joint_stack",
     "sector_block_stack",
 ]
-
-ENERGY_TOL_PER_NM = 1e-6
 
 
 class BellLabel(Enum):
@@ -122,73 +108,6 @@ def spectral_overlap(tau_ps, s: SpectralOverlap):
     return float(mu) if mu.ndim == 0 else mu
 
 
-@dataclass(frozen=True)
-class BiphotonState:
-    """Joint signal-idler state with its spectral-overlap parameters."""
-
-    joint: DensityMatrix
-    coherence_time_ps: float
-    wavelengths_nm: tuple  # (pump, signal, idler)
-    overlap_shape: str = "gaussian"
-
-    def __post_init__(self):
-        if self.joint.dim != 16:
-            raise ValueError("joint state must have dimension 16")
-        if self.coherence_time_ps <= 0:
-            raise ValueError("coherence time must be positive")
-        lp, ls, li = self.wavelengths_nm
-        if abs(1.0 / lp - 1.0 / ls - 1.0 / li) > ENERGY_TOL_PER_NM:
-            raise ValueError("wavelengths violate energy conservation")
-
-    @property
-    def overlap(self) -> SpectralOverlap:
-        return SpectralOverlap(self.coherence_time_ps, self.overlap_shape)
-
-
-def idler_wavelength(lambda_pump_nm: float, lambda_signal_nm: float) -> float:
-    """Idler wavelength from energy conservation 1/lp = 1/ls + 1/li."""
-    if lambda_pump_nm <= 0 or lambda_signal_nm <= lambda_pump_nm:
-        raise ValueError("need 0 < lambda_pump < lambda_signal")
-    return 1.0 / (1.0 / lambda_pump_nm - 1.0 / lambda_signal_nm)
-
-
-def assemble_joint(spatial_pol_pairs, pol_rho: np.ndarray | None = None) -> DensityMatrix:
-    """Build the 16-dim joint state.
-
-    Either pass a pure assignment [(m_s, p_s), (m_i, p_i)] of state labels,
-    or pass spatial labels [m_s, m_i] plus a 4x4 polarization density matrix
-    on (p_s, p_i).
-    """
-    if pol_rho is None:
-        (ms, ps), (mi, pi) = spatial_pol_pairs
-        v = np.kron(ket4(ms, ps), ket4(mi, pi))
-        return DensityMatrix(16, np.outer(v, v.conj()))
-    ms, mi = spatial_pol_pairs
-    spatial = np.kron(ket2(ms), ket2(mi))
-    big = np.kron(np.outer(spatial, spatial.conj()), np.asarray(pol_rho, dtype=complex))
-    # reorder (m_s m_i p_s p_i) -> (m_s p_s m_i p_i)
-    return DensityMatrix(16, permute_subsystems(big, [2, 2, 2, 2], [0, 2, 1, 3]))
-
-
-def spdc_state(
-    lambda_pump_nm: float,
-    lambda_signal_nm: float,
-    t_c_ps: float,
-    signal_channel: str = "T",
-    overlap_shape: str = "gaussian",
-) -> BiphotonState:
-    """Type-II SPDC pair |V_S H_I> with the photons in opposite channels.
-
-    The signal enters `signal_channel`, the idler the other channel; the
-    idler wavelength follows from energy conservation.
-    """
-    idler_channel = "B" if signal_channel == "T" else "T"
-    joint = assemble_joint([(signal_channel, "V"), (idler_channel, "H")])
-    li = idler_wavelength(lambda_pump_nm, lambda_signal_nm)
-    return BiphotonState(joint, t_c_ps, (lambda_pump_nm, lambda_signal_nm, li),
-                         overlap_shape)
-
-
 def werner_joint_stack(labels, visibility: float) -> np.ndarray:
     """Joint states (L, 16, 16) of the polarization Werner mixtures
     v |Bell><Bell| + (1 - v) I/4 of `labels`, spatial part |T_S B_I>."""
@@ -203,23 +122,6 @@ def werner_joint_stack(labels, visibility: float) -> np.ndarray:
     return joints.reshape(-1, 16, 16)
 
 
-def prepare_bell(
-    label: BellLabel,
-    visibility: float = 1.0,
-    t_c_ps: float = 3.15,
-    wavelengths_nm: tuple = (778.0, 1556.0, 1556.0),
-) -> BiphotonState:
-    """Polarization Bell state as a Werner mixture, spatial part |T_S B_I>.
-
-    rho_pol = v |Bell><Bell| + (1 - v) I/4.
-    """
-    joint = DensityMatrix(16, werner_joint_stack([label], visibility)[0])
-    return BiphotonState(joint, t_c_ps, wavelengths_nm)
-
-
-SIGNAL, IDLER = "signal", "idler"
-
-
 def _by_photon(m: np.ndarray) -> np.ndarray:
     """Regroup the indices of each joint operator of `m` (n, 16, 16) from
     ((signal, idler), (signal', idler')) to ((signal, signal'), (idler,
@@ -227,46 +129,17 @@ def _by_photon(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(-1, 16, 16)
 
 
-def _apply_photons(joints: np.ndarray, s_signal=None, s_idler=None) -> np.ndarray:
-    """Each joint state of `joints` (n, 16, 16) with the superoperator
-    `s_signal` applied to the signal and `s_idler` to the idler (None: the
-    photon is left alone).  Regrouped by photon, the state is X with X[(a,
-    a'), (b, b')] = rho[(a, b), (a', b')], and the two maps are
-    S_signal X S_idler^T."""
-    x = _by_photon(np.asarray(joints, dtype=complex))
-    if s_signal is not None:
-        x = s_signal @ x
-    if s_idler is not None:
-        x = x @ s_idler.T
-    return _by_photon(x)
-
-
 def apply_chip_both_stack(joints: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Send both photons of every joint state in `joints` (n, 16, 16)
     through the same dim-4 map, given as its 16x16 superoperator `s`;
     returns the (n, 16, 16) outputs, whose traces drop under loss.  Plain
     arrays in and out, not validated: the caller validates the outputs
-    once, as a stack."""
-    return _apply_photons(joints, s, s)
+    once, as a stack.
 
-
-def apply_local(state: BiphotonState, ch: QuantumChannel, which: str) -> BiphotonState:
-    """Apply a dim-4 channel to one photon; the trace drops under loss."""
-    s = ch.superoperator
-    if which == SIGNAL:
-        out = _apply_photons(state.joint.entries[None], s_signal=s)
-    elif which == IDLER:
-        out = _apply_photons(state.joint.entries[None], s_idler=s)
-    else:
-        raise ValueError(f"which must be 'signal' or 'idler', got {which!r}")
-    return replace(state, joint=DensityMatrix(16, out[0]))
-
-
-def apply_chip_both(state: BiphotonState, ch: QuantumChannel) -> BiphotonState:
-    """Send both photons through the same chip channel: the one-state case
-    of `apply_chip_both_stack`."""
-    return replace(state, joint=DensityMatrix(
-        16, apply_chip_both_stack(state.joint.entries[None], ch.superoperator)[0]))
+    Regrouped by photon, a joint state is X with X[(a, a'), (b, b')] =
+    rho[(a, b), (a', b')], and the map on each photon is S X S^T.
+    """
+    return _by_photon(s @ _by_photon(np.asarray(joints, dtype=complex)) @ s.T)
 
 
 def sector_block_stack(joints: np.ndarray, sector: tuple) -> tuple:
@@ -282,16 +155,6 @@ def sector_block_stack(joints: np.ndarray, sector: tuple) -> tuple:
     w = np.trace(blk, axis1=1, axis2=2).real
     kept = w > 1e-15
     return blk / np.where(kept, w, 1.0)[:, None, None], np.where(kept, w, 0.0)
-
-
-def conditional_polarization(rho16: DensityMatrix, sector: tuple) -> tuple:
-    """Joint polarization block for fixed photon channels (m_s, m_i).
-
-    Returns (4x4 block, sector probability); the block is normalized when
-    the probability is nonzero.  The one-state case of `sector_block_stack`.
-    """
-    blk, w = sector_block_stack(rho16.entries[None], sector)
-    return blk[0], float(w[0])
 
 
 def exchange_overlap(joint: np.ndarray) -> float:
@@ -316,11 +179,6 @@ def exchange_overlap(joint: np.ndarray) -> float:
     return float(np.clip(o, 0.0, 1.0))
 
 
-def interference_overlap(rho16: DensityMatrix) -> float:
-    """`exchange_overlap` of a validated joint state."""
-    return exchange_overlap(rho16.entries)
-
-
 def hom_dip(overlap: float, tau_ps, s: SpectralOverlap, background: float = 0.0):
     """Coincidence probability P(tau) = 1/2 (1 - mu(tau) O) + background at
     the 50:50 combiner outputs, for the exchange overlap O = `overlap`: a
@@ -328,11 +186,6 @@ def hom_dip(overlap: float, tau_ps, s: SpectralOverlap, background: float = 0.0)
     if background < 0:
         raise ValueError("background must be >= 0")
     return 0.5 * (1.0 - spectral_overlap(tau_ps, s) * overlap) + background
-
-
-def hom_coincidence(state: BiphotonState, tau_ps, background: float = 0.0):
-    """`hom_dip` of the pair's `interference_overlap`, computed once for all delays."""
-    return hom_dip(exchange_overlap(state.joint.entries), tau_ps, state.overlap, background)
 
 
 @dataclass(frozen=True)
@@ -513,8 +366,7 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
 def hom_visibility(scan, background: float = 0.0) -> HomFit:
     """Least-squares Gaussian-dip fit of a sequence of (tau, coincidence)
     points: the one-scan case of `hom_fit_stack`, with float fields."""
-    taus = np.array([t for t, _ in scan], dtype=float)
-    vals = np.array([v for _, v in scan], dtype=float)
+    taus, vals = np.array(scan, dtype=float).T.copy()
     fit = hom_fit_stack(taus, vals[None], background)
     return HomFit(*(getattr(fit, f.name)[0].item() for f in fields(HomFit)))
 

@@ -38,7 +38,6 @@ import numpy as np
 
 from .qcore import (
     SWAP,
-    DensityMatrix,
     PauliBasis,
     QuantumChannel,
     check_trace_nonincreasing,
@@ -60,7 +59,6 @@ __all__ = [
     "mzi_projector",
     "facet_channel",
     "BS_5050",
-    "logical_frame",
     "logical_frame_stack",
     "ideal_swap_unitary",
     "swap_unitary",
@@ -371,10 +369,6 @@ class ChipModel:
         first), on the first call; no runner reads it."""
         return self._channel
 
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        """One state through the chip, read off its superoperator."""
-        return DensityMatrix(4, (self.superoperator @ rho.entries.reshape(16)).reshape(4, 4))
-
 
 _XX = np.kron(PAULI_X, PAULI_X)
 _X2 = PAULI_X
@@ -391,8 +385,12 @@ def ideal_swap_unitary() -> np.ndarray:
 
 
 def logical_frame_stack(m: np.ndarray, frame: str) -> np.ndarray:
-    """`logical_frame` of each matrix of `m` (shape (..., d, d), d = 2 or 4),
-    plain arrays in and out."""
+    """Map chip outputs `m` (shape (..., d, d), d = 2 or 4) into the
+    requested logical frame, plain arrays in and out.
+
+    "raw" leaves the states untouched; "relabeled" applies X (x) X (dim 4) or
+    X (dim 2) so that the ideal chip action reads as a pure SWAP / identity.
+    """
     frame = frame.lower()
     if frame == "raw":
         return m
@@ -403,11 +401,3 @@ def logical_frame_stack(m: np.ndarray, frame: str) -> np.ndarray:
         raise ValueError("logical frame applies to dim-2 or dim-4 states")
     return op @ m @ op
 
-
-def logical_frame(rho_out: DensityMatrix, frame: str) -> DensityMatrix:
-    """Map a chip output into the requested logical frame.
-
-    "raw" leaves the state untouched; "relabeled" applies X (x) X (dim 4) or
-    X (dim 2) so that the ideal chip action reads as a pure SWAP / identity.
-    """
-    return DensityMatrix(rho_out.dim, logical_frame_stack(rho_out.entries, frame))

@@ -51,7 +51,6 @@ from .devices import (
 )
 from .qcore import (
     PAULI_X,
-    DensityMatrix,
     dagger,
     heralded_normalize_stack,
     ket2,
@@ -159,10 +158,19 @@ def _truth_tables(s: np.ndarray) -> np.ndarray:
     return np.maximum(s[..., ::5, ::5].real, 0.0)
 
 
+def _frame_fidelities(tables: np.ndarray, frame: str) -> np.ndarray:
+    """Fidelity of each column-normalized table of `tables` (..., 4, 4),
+    whose rows are the physical outputs, with the ideal table of `frame`.
+    The relabeled frame applies X (x) X to each output, which reads output
+    i as 3 - i, so the fidelity is the same in both frames."""
+    if frame == "relabeled":
+        tables = tables[..., ::-1, :]
+    return tm.truth_table_fidelity_stack(tables, tm.ideal_truth_table(frame).matrix)
+
+
 def _table_fidelities(s: np.ndarray, frame: str) -> np.ndarray:
     """Truth-table fidelity in `frame` of the chip(s) with superoperator `s`."""
-    table = tm.column_normalize_stack(_truth_tables(s))
-    return tm.truth_table_fidelity_stack(table, tm.ideal_truth_table(frame).matrix)
+    return _frame_fidelities(tm.column_normalize_stack(_truth_tables(s)), frame)
 
 
 def exact_truth_table(chip: ChipModel) -> np.ndarray:
@@ -173,14 +181,14 @@ def truth_table_fidelity_exact(chip: ChipModel, frame: str = "raw") -> float:
     return float(_table_fidelities(chip.superoperator, frame))
 
 
-def _counts_fidelity(counts: np.ndarray, bg_counts: float, ideal: tm.TruthTable) -> np.ndarray:
-    """Truth-table fidelity of each trial's background-subtracted counts,
-    `counts` of shape (n_trials, 4, 4)."""
+def _counts_fidelity(counts: np.ndarray, bg_counts: float, frame: str) -> np.ndarray:
+    """Truth-table fidelity in `frame` of each trial's background-subtracted
+    counts, `counts` of shape (n_trials, 4, 4)."""
     net = np.maximum(counts - bg_counts, 0.0)
     # a column with no surviving counts carries no information: uniform
     trial, col = np.nonzero(net.sum(axis=1) == 0)
     net[trial, :, col] = 0.25
-    return tm.truth_table_fidelity_stack(net / net.sum(axis=1, keepdims=True), ideal.matrix)
+    return _frame_fidelities(net / net.sum(axis=1, keepdims=True), frame)
 
 
 def run_truth_table(cfg: ExperimentConfig) -> Report:
@@ -193,12 +201,11 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
     chip = cfg.chip(0)
     probs = exact_truth_table(chip)
     f_exact = truth_table_fidelity_exact(chip, cfg.logical_frame)
-    ideal = tm.ideal_truth_table(cfg.logical_frame)
 
     t_setting = cfg.integration_time_s / 16.0
     bg_counts = cfg.background_rate_hz * t_setting
     counts = sample_counts(cfg, ("truth-table",), probs, t_setting)
-    f_mean, f_err = _mean_spread(_counts_fidelity(counts, bg_counts, ideal))
+    f_mean, f_err = _mean_spread(_counts_fidelity(counts, bg_counts, cfg.logical_frame))
     first_counts = counts[0]
     payload = {
         "frame": cfg.logical_frame,
@@ -338,14 +345,6 @@ def _hom_joint(cfg: ExperimentConfig) -> np.ndarray:
     return u @ rho @ dagger(u)
 
 
-def _hom_state(cfg: ExperimentConfig) -> bp.BiphotonState:
-    """`_hom_joint` as a validated `BiphotonState` with the configured source."""
-    src = cfg.source
-    li = bp.idler_wavelength(src.lambda_pump_nm, src.lambda_signal_nm)
-    return bp.BiphotonState(DensityMatrix(16, _hom_joint(cfg)), src.coherence_time_ps,
-                            (src.lambda_pump_nm, src.lambda_signal_nm, li), src.dip_shape)
-
-
 def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
     """Hong-Ou-Mandel dip scan after the SWAP operation (or source-only)."""
     if delays_ps is None:
@@ -414,14 +413,6 @@ def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: np.ndarray) ->
     rho, survival = heralded_normalize_stack(bp.apply_chip_both_stack(joints, link))
     blk, sector_p = bp.sector_block_stack(rho, (0, 1))
     return 0.5 * (blk + dagger(blk)), sector_p * survival
-
-
-def _bell_final_polarization(cfg: ExperimentConfig, label: bp.BellLabel) -> tuple:
-    """The one-label slice of `_bell_polarization_stack` through chips 0 and
-    1, as (validated polarization state, sector probability)."""
-    link = _bell_link(cfg, cfg.chip(0), cfg.chip(1))
-    rho_pol, success_p = _bell_polarization_stack(cfg, [label], link)
-    return DensityMatrix(4, rho_pol[0]), float(success_p[0])
 
 
 # The 36 two-qubit polarization settings in sorted (label_q1, label_q2)

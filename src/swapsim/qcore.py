@@ -21,32 +21,22 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "PureState",
     "DensityMatrix",
     "QuantumChannel",
     "PauliBasis",
     "ProcessMatrix",
-    "tensor",
     "apply_channel",
     "heralded_normalize",
     "heralded_normalize_stack",
-    "uhlmann_fidelity",
-    "uhlmann_fidelity_stack",
     "pure_fidelity_stack",
-    "project_to_physical",
     "project_to_physical_stack",
     "solve_stack",
     "check_trace_nonincreasing",
     "check_chi_stack",
-    "pauli_coefficients",
-    "identity_channel",
-    "attenuator_channel",
-    "unitary_channel",
     "compose_channels",
     "dagger",
     "ket2",
@@ -59,13 +49,12 @@ __all__ = [
 ]
 
 # Tolerances used by the value-type invariants.
-NORM_TOL = 1e-12
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 CP_TOL = 1e-10
 # smallest trace, relative to the largest eigenvalue magnitude, that
-# project_to_physical accepts
+# project_to_physical_stack accepts
 PROJECT_RTOL = 1e-4
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -123,25 +112,6 @@ def ket4(channel: str, pol: str) -> np.ndarray:
     return np.kron(ket2(channel), ket2(pol))
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Normalized pure state of dimension `dim`."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = _frozen(self.amplitudes)
-        object.__setattr__(self, "amplitudes", a)
-        if a.shape != (self.dim,):
-            raise ValueError(f"amplitude vector shape {a.shape} != ({self.dim},)")
-        if abs(np.linalg.norm(a) - 1.0) > NORM_TOL:
-            raise ValueError("pure state is not normalized")
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.dim, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
 def _check_density(m: np.ndarray) -> np.ndarray:
     """Raise unless every matrix of `m` (shape (..., d, d)) is Hermitian,
     PSD and of trace in [0, 1], within the value-type tolerances; returns
@@ -181,13 +151,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    def purity(self) -> float:
-        tr = self.trace
-        if tr <= 0:
-            raise ValueError("purity undefined for a vacuum state")
-        return float(np.trace(self.entries @ self.entries).real) / tr**2
-
 
 def check_trace_nonincreasing(effect: np.ndarray) -> None:
     """Raise unless the effect sum_k K^dag K of a map (or its complex
@@ -289,21 +252,6 @@ def check_chi_stack(m: np.ndarray) -> None:
 # operations
 # ---------------------------------------------------------------------------
 
-def tensor(a, b):
-    """Kronecker product with the left operand as most significant subsystem.
-
-    Operands must be of the same kind: two PureStates, two DensityMatrices,
-    or two bare ndarrays.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(a.dim * b.dim, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.dim * b.dim, np.kron(a.entries, b.entries))
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return np.kron(a, b)
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
 def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply sum_k K rho K^dag.  The output trace is the survival probability;
     no renormalization happens here."""
@@ -320,38 +268,20 @@ def heralded_normalize(rho: DensityMatrix) -> tuple:
     """Renormalize a lossy state, returning (rho / tr, tr).
 
     The returned probability is the heralding/coincidence probability.
-    Raises on a vacuum state (trace ~ 0, total loss).
+    Raises on a vacuum state (trace ~ 0, total loss).  The one-state case
+    of `heralded_normalize_stack`.
     """
-    tr = rho.trace
-    if tr <= 1e-15:
-        raise ValueError("vacuum state: trace is zero, photon was lost")
-    return DensityMatrix(rho.dim, rho.entries / tr), tr
+    out, tr = heralded_normalize_stack(rho.entries[None])
+    return DensityMatrix(rho.dim, out[0]), float(tr[0])
 
 
 def heralded_normalize_stack(m: np.ndarray) -> tuple:
     """Validate each matrix of `m` (shape (n, d, d)) as a `DensityMatrix`
     would, in one batch, and renormalize it: returns (m / tr, tr) as arrays.
-    The plain-ndarray kernel of `heralded_normalize`; raises on a vacuum
-    state (any trace ~ 0) as it does.
+    Raises on a vacuum state (any trace ~ 0, total loss).
     """
     tr = _check_density(m)
     return _unit_trace(m), tr
-
-
-def _psd_sqrt(m: np.ndarray, floor_tol: float) -> np.ndarray:
-    """Matrix square root of each matrix in `m` (shape (..., d, d)) via
-    eigendecomposition with eigenvalue floor 0.
-
-    Eigenvalues in [-floor_tol, 0) are clipped to zero; anything more
-    negative raises.  Positive eigenvalues at the numerical noise floor are
-    zeroed too, since sqrt would amplify them from ~1e-16 to ~1e-8.
-    """
-    evals, vecs = np.linalg.eigh(m)
-    if evals.min() < -floor_tol:
-        raise ValueError(f"matrix is not PSD within tolerance (min eig {evals.min():.3e})")
-    noise = 64.0 * np.finfo(float).eps * np.maximum(evals.max(axis=-1, keepdims=True), 0.0)
-    evals = np.where(evals < noise, 0.0, evals)
-    return (vecs * np.sqrt(evals)[..., None, :]) @ dagger(vecs)
 
 
 def _unit_trace(m: np.ndarray) -> np.ndarray:
@@ -361,23 +291,6 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
     return m / tr[..., None, None]
 
 
-def uhlmann_fidelity_stack(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Uhlmann fidelity of each state in `rhos` (shape (n, d, d)) with the
-    one state `sigma` (shape (d, d)), as an (n,) array in [0, 1].
-
-    Plain-ndarray kernel of `uhlmann_fidelity`: each input is normalized to
-    trace 1 and checked PSD within tolerance, but not validated as a
-    `DensityMatrix`.  (Tr sqrt(sqrt(r) s sqrt(r)))^2 equals the trace norm
-    of sqrt(r) sqrt(s), squared; singular values avoid taking square roots
-    of eigenvalue-level noise.  sqrt(s) is computed once.  For a rank-1
-    sigma = |psi><psi| this equals `pure_fidelity_stack` of psi.
-    """
-    sq_r = _psd_sqrt(_unit_trace(rhos), PSD_TOL)
-    sq_s = _psd_sqrt(_unit_trace(sigma), PSD_TOL)
-    f = np.sum(np.linalg.svd(sq_r @ sq_s, compute_uv=False), axis=-1) ** 2
-    return np.minimum(f, 1.0)
-
-
 def pure_fidelity_stack(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """Fidelity Re<psi|rho|psi> / Tr rho of each state of `rhos` (shape
     (..., d, d)) with the pure target of `psis` (shape (..., d), unit
@@ -385,24 +298,12 @@ def pure_fidelity_stack(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
     For a pure target the Uhlmann fidelity is exactly this overlap (Jozsa,
     J. Mod. Opt. 41, 2315, 1994), so no square root or decomposition is
-    taken.  Raises on a vacuum state (any trace ~ 0) as `heralded_normalize`
-    does; the states are not checked PSD, so validate them at the boundary
-    they come from.
+    taken.  Raises on a vacuum state (any trace ~ 0) as
+    `heralded_normalize_stack` does; the states are not checked PSD, so
+    validate them at the boundary they come from.
     """
     f = np.einsum("...a,...ab,...b->...", psis.conj(), _unit_trace(rhos), psis).real
     return np.clip(f, 0.0, 1.0)
-
-
-def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
-
-    Both arguments are normalized to trace 1 before comparison (sub-trace
-    states encode loss, which is not a state-overlap property).  For a
-    rank-1 sigma this equals `pure_fidelity_stack` of its state vector.
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    return float(uhlmann_fidelity_stack(rho.entries[None], sigma.entries)[0])
 
 
 def project_to_physical_stack(h: np.ndarray) -> np.ndarray:
@@ -452,20 +353,6 @@ def project_to_physical_stack(h: np.ndarray) -> np.ndarray:
     return 0.5 * (out + dagger(out))
 
 
-def project_to_physical(h: np.ndarray) -> DensityMatrix:
-    """Project a Hermitian estimate onto the nearest physical density matrix
-    (the one-matrix case of `project_to_physical_stack`).
-
-    Raises if the input is not a square matrix, is not Hermitian within
-    1e-8 or has a trace not above PROJECT_RTOL of its largest eigenvalue
-    magnitude (including any all-nonpositive spectrum).
-    """
-    m = h.entries if isinstance(h, DensityMatrix) else np.asarray(h, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    return DensityMatrix(m.shape[0], project_to_physical_stack(m[None])[0])
-
-
 def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     """Solve a[k] x[k] = b[k] for each k (`a` of shape (n, d, d), `b` of
     shape (n, d, m)); returns (x, solved).
@@ -488,33 +375,9 @@ def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
         return x, solved
 
 
-def pauli_coefficients(rho: DensityMatrix, basis: PauliBasis) -> np.ndarray:
-    """Coefficients c_m = Tr(E_m rho)/2^n; rho = sum_m c_m E_m exactly."""
-    if rho.dim != basis.dim:
-        raise ValueError("dimension mismatch")
-    scale = 2.0**basis.n_qubits
-    return np.array([np.trace(e @ rho.entries).real / scale for e in basis.operators])
-
-
 # ---------------------------------------------------------------------------
 # channel constructors / composition
 # ---------------------------------------------------------------------------
-
-def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel(dim, dim, (np.eye(dim, dtype=complex),))
-
-
-def unitary_channel(u: np.ndarray) -> QuantumChannel:
-    u = np.asarray(u, dtype=complex)
-    return QuantumChannel(u.shape[1], u.shape[0], (u,))
-
-
-def attenuator_channel(dim: int, power_transmission: float) -> QuantumChannel:
-    """Uniform amplitude attenuator with the given power transmission."""
-    if not 0.0 <= power_transmission <= 1.0:
-        raise ValueError("power transmission must lie in [0, 1]")
-    return QuantumChannel(dim, dim, (np.sqrt(power_transmission) * np.eye(dim, dtype=complex),))
-
 
 def compose_channels(*channels: QuantumChannel) -> QuantumChannel:
     """Compose channels left to right: the first argument acts first.
@@ -550,30 +413,3 @@ def _minimal_kraus(kraus, dim_in: int, dim_out: int) -> list:
             break
         out.append(np.sqrt(lam) * col.reshape(dim_out, dim_in))
     return out
-
-
-def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Iterable[int]) -> DensityMatrix:
-    """Trace out all subsystems not listed in `keep` (indices into `dims`)."""
-    dims = list(dims)
-    keep = sorted(keep)
-    if int(np.prod(dims)) != rho.dim:
-        raise ValueError("subsystem dims do not multiply to the state dim")
-    n = len(dims)
-    t = rho.entries.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    for offset, ax in enumerate(traced):
-        a = ax - offset
-        t = np.trace(t, axis1=a, axis2=a + (n - offset))
-    d = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return DensityMatrix(d, t.reshape(d, d))
-
-
-def permute_subsystems(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors of an operator: output factor i is input factor perm[i]."""
-    dims = list(dims)
-    n = len(dims)
-    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    axes = list(perm) + [p + n for p in perm]
-    t = t.transpose(axes)
-    d = int(np.prod(dims))
-    return t.reshape(d, d)

@@ -5,10 +5,10 @@ polarization qubit and 0,1,+,-,i,-i for the spatial-momentum qubit, paired
 into the z, x, y axes in that order.  Reconstruction is linear inversion of
 Stokes parameters followed by the eigenvalue-redistribution projection onto
 physical states, matching the count levels of the experiments (iterative
-maximum likelihood is deliberately out of scope).  Each state and
-truth-table estimator has a stacked kernel (`*_stack`) that takes plain
-arrays with a leading trial axis, so a Monte Carlo run is reconstructed in
-one call; the public dict/`TruthTable` functions are its one-trial case.
+maximum likelihood is deliberately out of scope).  Every estimator is a
+stacked kernel (`*_stack`) that takes plain arrays with a leading trial
+axis, so a Monte Carlo run is reconstructed in one call; the
+`TruthTable` / `ProcessMatrix` functions are their one-value case.
 Fringe scans are fitted in closed form: A (1 + V cos(phi + delta)) is
 rewritten as A + B cos(phi) + C sin(phi) and solved by weighted linear
 least squares, a stack of scans at once (`fringe_fit_stack`; `fringe_fit`
@@ -27,7 +27,6 @@ from .qcore import (
     DensityMatrix,
     PauliBasis,
     ProcessMatrix,
-    QuantumChannel,
     check_chi_stack,
     dagger,
     ket2,
@@ -40,15 +39,12 @@ __all__ = [
     "MOMENTUM_LABELS",
     "MeasurementSetting",
     "CountRecord",
-    "counts_to_csv",
     "counts_from_csv",
     "TruthTable",
     "ideal_truth_table",
     "truth_table_fidelity",
     "truth_table_fidelity_stack",
-    "state_tomo_1q",
     "state_tomo_1q_stack",
-    "state_tomo_2q",
     "state_tomo_2q_stack",
     "column_normalize_stack",
     "process_tomo",
@@ -91,9 +87,6 @@ class MeasurementSetting:
         v = self.state_vector()
         return np.outer(v, v.conj())
 
-    def channel(self) -> QuantumChannel:
-        return QuantumChannel(2, 2, (self.projector(),))
-
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -116,27 +109,13 @@ CSV_HEADER = ["setting_label_q1", "setting_label_q2", "counts",
               "integration_time_s", "seed"]
 
 
-def counts_to_csv(records) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for r in records:
-        w.writerow([r.setting_label_q1, r.setting_label_q2, r.counts,
-                    repr(r.integration_time_s), r.seed])
-    return buf.getvalue()
-
-
 def counts_from_csv(text: str) -> list:
-    rd = csv.reader(io.StringIO(text))
-    header = next(rd)
+    """The `CountRecord`s of a count-record CSV, such as the
+    `count_records.csv` of a `tomo-state` report (header `CSV_HEADER`)."""
+    header, *rows = csv.reader(io.StringIO(text))
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header {header}")
-    out = []
-    for row in rd:
-        if not row:
-            continue
-        out.append(CountRecord(row[0], row[1], int(row[2]), float(row[3]), int(row[4])))
-    return out
+    return [CountRecord(r[0], r[1], int(r[2]), float(r[3]), int(r[4])) for r in rows if r]
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +137,10 @@ class TruthTable:
         if m.min() < -1e-12 or m.max() > 1.0 + 1e-9:
             raise ValueError("truth-table entries must lie in [0, 1]")
 
-    def column_normalized(self) -> "TruthTable":
-        return TruthTable(column_normalize_stack(self.matrix))
-
 
 def column_normalize_stack(m: np.ndarray) -> np.ndarray:
     """Each table of `m` (shape (..., 4, 4)) with its columns normalized to
-    1; raises on a column with zero total, as `column_normalized` does."""
+    1; raises on a column with zero total."""
     sums = m.sum(axis=-2, keepdims=True)
     if np.any(sums <= 0):
         raise ValueError("cannot normalize a column with zero total")
@@ -214,14 +190,6 @@ def truth_table_fidelity(m_exp: TruthTable, m_ideal: TruthTable) -> float:
 # state tomography
 # ---------------------------------------------------------------------------
 
-def _flavor_labels(labels) -> tuple:
-    """The label tuple (polarization or momentum) holding all of `labels`."""
-    for flavor in (POLARIZATION_LABELS, MOMENTUM_LABELS):
-        if set(labels) <= set(flavor):
-            return flavor
-    raise ValueError(f"mixed or unknown setting labels: {sorted(labels)}")
-
-
 # A count array lists the six settings of a qubit in label order, which is
 # the same for both flavors: z+, z-, x+, x-, y+, y-.
 # _SIGNS is the eigenvalue of each setting's axis operator, and
@@ -242,8 +210,9 @@ def _check_axis_totals(total: np.ndarray, what: str) -> None:
 
 def state_tomo_1q_stack(counts) -> np.ndarray:
     """Single-qubit tomography of every trial in `counts`, shape (n, 6)
-    with the settings in label order; returns the (n, 2, 2) projected
-    estimates.  The plain-ndarray kernel of `state_tomo_1q`.
+    with the settings in label order (either flavor); returns the (n, 2, 2)
+    projected estimates.  Stokes components come from antipodal count
+    ratios; the linear estimate is projected to the physical set.
     """
     c = np.asarray(counts, dtype=float).reshape(-1, 3, 2)
     total = c.sum(axis=2)
@@ -253,29 +222,10 @@ def state_tomo_1q_stack(counts) -> np.ndarray:
     return project_to_physical_stack(0.5 * (coef @ _PAULI_1Q_ROWS).reshape(-1, 2, 2))
 
 
-def _counts_in_label_order(counts, labels) -> np.ndarray:
-    missing = [k for k in labels if k not in counts]
-    if missing:
-        raise ValueError(f"missing counts for settings {missing}")
-    return np.array([[float(counts[k]) for k in labels]])
-
-
-def state_tomo_1q(counts) -> DensityMatrix:
-    """Single-qubit linear-inversion tomography from six-setting counts.
-
-    `counts` maps the six setting labels (either polarization or momentum
-    flavor) to nonnegative numbers.  Stokes components come from antipodal
-    count ratios; the linear estimate is projected to the physical set.
-    """
-    labels = _flavor_labels(counts.keys())
-    return DensityMatrix(2, state_tomo_1q_stack(_counts_in_label_order(counts, labels))[0])
-
-
 def state_tomo_2q_stack(counts) -> np.ndarray:
     """Two-qubit tomography of every trial in `counts`, shape (n, 36) with
     the settings in (label_q1, label_q2) label order, q1 major; returns the
-    (n, 4, 4) projected estimates.  The plain-ndarray kernel of
-    `state_tomo_2q`.
+    (n, 4, 4) projected estimates.
 
     The counts are read as (n, axis1, sign1, axis2, sign2).  Each Pauli
     expectation is a ratio within its axis pair; a single-qubit term is
@@ -292,22 +242,6 @@ def state_tomo_2q_stack(counts) -> np.ndarray:
         np.einsum("nasbt,s,t->nab", c, _SIGNS, _SIGNS) / total
     lin = coef.reshape(-1, 16) @ _PAULI_2Q_ROWS / 4.0
     return project_to_physical_stack(lin.reshape(-1, 4, 4))
-
-
-def state_tomo_2q(counts) -> DensityMatrix:
-    """Two-qubit linear-inversion tomography from the 36-setting local grid.
-
-    `counts` maps (label_q1, label_q2) pairs to numbers, covering all six
-    settings per qubit.  Pauli expectation values are estimated from count
-    ratios within each axis pair (single-qubit terms are averaged over the
-    partner axis); the linear estimate is projected to the physical set.
-    """
-    labels1 = _flavor_labels({l1 for l1, _ in counts})
-    labels2 = _flavor_labels({l2 for _, l2 in counts})
-    if len(counts) < 36:
-        raise ValueError("two-qubit tomography needs the full 36-setting grid")
-    grid = [(l1, l2) for l1 in labels1 for l2 in labels2]
-    return DensityMatrix(4, state_tomo_2q_stack(_counts_in_label_order(counts, grid))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +415,10 @@ def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
     from the data as-is; the subtracted one from the data with the constant
     `background` (counts per point) removed.  Both are fitted in one batch
     (see `_fit_cosine`).  The fit is linear, so it has one global minimum;
-    `converged` is False when a solve is not finite or a fitted amplitude
-    A is not positive (a flat or all-zero scan has no fringe to fit), on
-    the raw or on the subtracted scan.
+    `converged` is False when a solve is not finite, a fitted amplitude A
+    is not positive (a flat or all-zero scan has no fringe to fit) or a
+    fitted visibility lies outside [0, 1] (a fit to noise, such as a
+    spike on a dark scan), on the raw or on the subtracted scan.
     """
     phis = np.asarray(phis, dtype=float)
     vals = np.asarray(counts, dtype=float)
@@ -498,7 +433,7 @@ def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
     if background > 0:
         vals = np.concatenate([vals, np.maximum(vals - background, 0.0)])
     a, v, d, v_err, finite = _fit_cosine(phis, vals)
-    ok = finite & (a > 0)
+    ok = finite & (a > 0) & (v >= 0.0) & (v <= 1.0)
     return FringeFit(
         visibility=v[:n],
         phase_offset=d[:n],
@@ -513,7 +448,6 @@ def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
 def fringe_fit(scan, background: float = 0.0) -> FringeFit:
     """Fit a sequence of (phi, counts) fringe points: the one-scan case of
     `fringe_fit_stack`, with float fields."""
-    phis = np.array([p for p, _ in scan], dtype=float)
-    vals = np.array([c for _, c in scan], dtype=float)
+    phis, vals = np.array(scan, dtype=float).T.copy()
     fit = fringe_fit_stack(phis, vals[None], background)
     return FringeFit(*(getattr(fit, f.name)[0].item() for f in fields(FringeFit)))

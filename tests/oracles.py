@@ -1,0 +1,110 @@
+"""Reference implementations that the tests compare the kernels against.
+
+These are the one-state, object-level forms of operations that `swapsim`
+computes on arrays: the partial trace and subsystem permutation of a
+`DensityMatrix`, the biphoton joint state assembled by Kronecker products,
+and the Uhlmann fidelity by matrix square roots.  No runner uses them.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from swapsim.qcore import PSD_TOL, DensityMatrix, dagger, ket2, ket4
+
+
+def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Iterable[int]) -> DensityMatrix:
+    """Trace out all subsystems not listed in `keep` (indices into `dims`)."""
+    dims = list(dims)
+    keep = sorted(keep)
+    if int(np.prod(dims)) != rho.dim:
+        raise ValueError("subsystem dims do not multiply to the state dim")
+    n = len(dims)
+    t = rho.entries.reshape(dims + dims)
+    traced = [i for i in range(n) if i not in keep]
+    for offset, ax in enumerate(traced):
+        a = ax - offset
+        t = np.trace(t, axis1=a, axis2=a + (n - offset))
+    d = int(np.prod([dims[i] for i in keep])) if keep else 1
+    return DensityMatrix(d, t.reshape(d, d))
+
+
+def permute_subsystems(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Reorder tensor factors of an operator: output factor i is input factor perm[i]."""
+    dims = list(dims)
+    n = len(dims)
+    t = np.asarray(mat, dtype=complex).reshape(dims + dims)
+    axes = list(perm) + [p + n for p in perm]
+    t = t.transpose(axes)
+    d = int(np.prod(dims))
+    return t.reshape(d, d)
+
+
+def assemble_joint(spatial_pol_pairs, pol_rho: np.ndarray | None = None) -> DensityMatrix:
+    """Build the 16-dim joint state.
+
+    Either pass a pure assignment [(m_s, p_s), (m_i, p_i)] of state labels,
+    or pass spatial labels [m_s, m_i] plus a 4x4 polarization density matrix
+    on (p_s, p_i).
+    """
+    if pol_rho is None:
+        (ms, ps), (mi, pi) = spatial_pol_pairs
+        v = np.kron(ket4(ms, ps), ket4(mi, pi))
+        return DensityMatrix(16, np.outer(v, v.conj()))
+    ms, mi = spatial_pol_pairs
+    spatial = np.kron(ket2(ms), ket2(mi))
+    big = np.kron(np.outer(spatial, spatial.conj()), np.asarray(pol_rho, dtype=complex))
+    # reorder (m_s m_i p_s p_i) -> (m_s p_s m_i p_i)
+    return DensityMatrix(16, permute_subsystems(big, [2, 2, 2, 2], [0, 2, 1, 3]))
+
+
+def _psd_sqrt(m: np.ndarray, floor_tol: float) -> np.ndarray:
+    """Matrix square root of each matrix in `m` (shape (..., d, d)) via
+    eigendecomposition with eigenvalue floor 0.
+
+    Eigenvalues in [-floor_tol, 0) are clipped to zero; anything more
+    negative raises.  Positive eigenvalues at the numerical noise floor are
+    zeroed too, since sqrt would amplify them from ~1e-16 to ~1e-8.
+    """
+    evals, vecs = np.linalg.eigh(m)
+    if evals.min() < -floor_tol:
+        raise ValueError(f"matrix is not PSD within tolerance (min eig {evals.min():.3e})")
+    noise = 64.0 * np.finfo(float).eps * np.maximum(evals.max(axis=-1, keepdims=True), 0.0)
+    evals = np.where(evals < noise, 0.0, evals)
+    return (vecs * np.sqrt(evals)[..., None, :]) @ dagger(vecs)
+
+
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if tr.min() <= 1e-15:
+        raise ValueError("vacuum state: trace is zero, photon was lost")
+    return m / tr[..., None, None]
+
+
+def uhlmann_fidelity_stack(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity of each state in `rhos` (shape (n, d, d)) with the
+    one state `sigma` (shape (d, d)), as an (n,) array in [0, 1].
+
+    Each input is normalized to trace 1 and checked PSD within tolerance.
+    (Tr sqrt(sqrt(r) s sqrt(r)))^2 equals the trace norm of sqrt(r)
+    sqrt(s), squared; singular values avoid taking square roots of
+    eigenvalue-level noise.  sqrt(s) is computed once.  For a rank-1
+    sigma = |psi><psi| this equals `qcore.pure_fidelity_stack` of psi.
+    """
+    sq_r = _psd_sqrt(_unit_trace(rhos), PSD_TOL)
+    sq_s = _psd_sqrt(_unit_trace(sigma), PSD_TOL)
+    f = np.sum(np.linalg.svd(sq_r @ sq_s, compute_uv=False), axis=-1) ** 2
+    return np.minimum(f, 1.0)
+
+
+def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
+
+    Both arguments are normalized to trace 1 before comparison (sub-trace
+    states encode loss, which is not a state-overlap property).
+    """
+    if rho.dim != sigma.dim:
+        raise ValueError("dimension mismatch")
+    return float(uhlmann_fidelity_stack(rho.entries[None], sigma.entries)[0])

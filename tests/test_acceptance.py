@@ -204,21 +204,30 @@ def test_criterion_07_hom():
     # (a) source-only dip floor
     cfg = _calibrated(n_trials=1)
     src_cfg = replace(cfg, hom_input="source", fpc_mode="ideal")
-    state = ex._hom_state(src_cfg)
-    floor = bp.hom_coincidence(state, 0.0)
+    overlap = bp.exchange_overlap(ex._hom_joint(src_cfg))
+    spectral = bp.SpectralOverlap(src_cfg.source.coherence_time_ps, src_cfg.source.dip_shape)
+    floor = bp.hom_dip(overlap, 0.0, spectral)
     ok_a = floor <= 1e-9
     # (b) fitted coherence time within 1% of configured 3.15 ps
     delays = np.linspace(-12, 12, 49)
-    exact = [(t, 1e6 * bp.hom_coincidence(state, t)) for t in delays]
-    fit = bp.hom_visibility(exact)
-    ok_b = abs(fit.coherence_time_ps - 3.15) / 3.15 <= 0.01
+    fit = bp.hom_fit_stack(delays, 1e6 * bp.hom_dip(overlap, delays, spectral)[None])
+    tc = float(fit.coherence_time_ps[0])
+    ok_b = abs(tc - 3.15) / 3.15 <= 0.01
     # (c) post-chip subtracted visibility bracket
     r = ex.run_hom_scan(replace(cfg, hom_input="TV_BH", n_trials=1))
     sub = r.payload["visibility_subtracted_exact"]
     ok_c = 0.93 <= sub <= 0.99
     _report(7, "HOM: perfect source dip, coherence time, post-chip visibility",
             ok_a and ok_b and ok_c,
-            f"floor={floor:.1e} tc={fit.coherence_time_ps:.4f}ps sub={sub:.4f}")
+            f"floor={floor:.1e} tc={tc:.4f}ps sub={sub:.4f}")
+
+
+def _bell_fidelities(cfg):
+    """Exact fidelity of each Bell label after chips 0 and 1 and the link."""
+    labels = list(bp.BellLabel)
+    link = ex._bell_link(cfg, cfg.chip(0), cfg.chip(1))
+    rho, _ = ex._bell_polarization_stack(cfg, labels, link)
+    return qc.pure_fidelity_stack(rho, np.array([bp.bell_state_vector(l) for l in labels]))
 
 
 def test_criterion_08_bell_distribution():
@@ -226,20 +235,8 @@ def test_criterion_08_bell_distribution():
         ideal_cfg = ExperimentConfig.ideal(
             n_trials=1, rng_seed=8,
             source=ExperimentConfig.ideal().source.__class__(bell_visibility=1.0))
-        worst_ideal = 1.0
-        for label in bp.BellLabel:
-            rho, _ = ex._bell_final_polarization(ideal_cfg, label)
-            vec = bp.bell_state_vector(label)
-            f = qc.uhlmann_fidelity(rho, qc.DensityMatrix(4, np.outer(vec, vec.conj())))
-            worst_ideal = min(worst_ideal, f)
-        cal = _calibrated(n_trials=1)
-        fids = []
-        for label in bp.BellLabel:
-            rho, _ = ex._bell_final_polarization(cal, label)
-            vec = bp.bell_state_vector(label)
-            fids.append(qc.uhlmann_fidelity(
-                rho, qc.DensityMatrix(4, np.outer(vec, vec.conj()))))
-        avg = float(np.mean(fids))
+        worst_ideal = float(_bell_fidelities(ideal_cfg).min())
+        avg = float(np.mean(_bell_fidelities(_calibrated(n_trials=1))))
     _report(8, "Bell distribution: ideal unity, calibrated average bracket",
             worst_ideal >= 1 - 1e-9 and 0.88 <= avg <= 0.95 and t.elapsed < 30.0,
             f"ideal min={worst_ideal:.10f} calibrated avg={avg:.4f} "

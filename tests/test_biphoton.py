@@ -2,98 +2,66 @@ import numpy as np
 import pytest
 
 from swapsim import biphoton as bp
+from swapsim import experiments as ex
 from swapsim import qcore as qc
-from swapsim.config import ChipConfig
+from swapsim.config import ChipConfig, ConfigError, ExperimentConfig, SourceConfig
 
 
-def ideal_chip_channel():
-    return ChipConfig().build().channel()
+def ideal_chip_superoperator():
+    return ChipConfig().build().superoperator
+
+
+def werner(label, visibility):
+    """The (16, 16) joint state of one Bell label, spatial part |T_S B_I>."""
+    return bp.werner_joint_stack([label], visibility)[0]
+
+
+def bell_fidelity(joint, label):
+    """<Bell|blk|Bell> of the (T_S, B_I) polarization block of `joint`,
+    with the sector probability."""
+    blk, w = bp.sector_block_stack(joint[None], (0, 1))
+    vec = bp.bell_state_vector(label)
+    return np.real(vec.conj() @ blk[0] @ vec), w[0]
 
 
 class TestSpdc:
-    def test_degenerate_pair(self):
-        st = bp.spdc_state(778.0, 1556.0, 3.15)
-        assert st.wavelengths_nm[2] == pytest.approx(1556.0, abs=1e-9)
-
-    def test_idler_wavelength_against_mpmath_oracle(self):
-        # oracle: arbitrary-precision evaluation of 1/(1/793 - 1/1559.6)
-        import mpmath
-
-        mpmath.mp.dps = 50
-        expect = float(1 / (mpmath.mpf(1) / 793 - mpmath.mpf(1) / mpmath.mpf("1559.6")))
-        got = bp.idler_wavelength(793.0, 1559.6)
-        assert got == pytest.approx(expect, rel=1e-12)
-        assert got == pytest.approx(1613.3, abs=0.5)  # near the quoted ~1613.6 nm
-
     def test_signal_must_exceed_pump(self):
-        with pytest.raises(ValueError):
-            bp.spdc_state(1556.0, 778.0, 3.15)
-
-    def test_energy_conservation_invariant(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            lp = rng.uniform(775.0, 793.0)
-            ls = rng.uniform(1552.5, 1559.6)
-            st = bp.spdc_state(lp, ls, 3.15)
-            lp_, ls_, li_ = st.wavelengths_nm
-            assert abs(1 / lp_ - 1 / ls_ - 1 / li_) <= 1e-6
+        with pytest.raises(ConfigError):
+            SourceConfig(lambda_pump_nm=1556.0, lambda_signal_nm=778.0)
 
     def test_state_structure(self):
-        st = bp.spdc_state(778.0, 1556.0, 3.15)
-        diag = np.diag(st.joint.entries).real
+        # the HOM runner's bare source pair, no polarization controller
+        joint = ex._hom_joint(ExperimentConfig(hom_input="source", fpc_mode="none"))
+        diag = np.diag(joint).real
         # |T_S V_S> (x) |B_I H_I> = index (0,1,1,0) -> 6
         assert diag[6] == pytest.approx(1.0)
-
-    def test_configurable_signal_channel(self):
-        st = bp.spdc_state(778.0, 1556.0, 3.15, signal_channel="B")
-        diag = np.diag(st.joint.entries).real
-        # |B_S V_S> (x) |T_I H_I> = (1,1,0,0) -> 12
-        assert diag[12] == pytest.approx(1.0)
 
 
 class TestPrepareBell:
     def test_pure_psi_plus(self):
-        st = bp.prepare_bell(bp.BellLabel.PSI_PLUS, 1.0)
-        blk, w = bp.conditional_polarization(st.joint, (0, 1))
+        f, w = bell_fidelity(werner(bp.BellLabel.PSI_PLUS, 1.0), bp.BellLabel.PSI_PLUS)
         assert w == pytest.approx(1.0)
-        vec = bp.bell_state_vector(bp.BellLabel.PSI_PLUS)
-        f = np.real(vec.conj() @ blk @ vec)
         assert f == pytest.approx(1.0, abs=1e-12)
 
     def test_white_noise_limit(self):
-        st = bp.prepare_bell(bp.BellLabel.PSI_PLUS, 0.0)
-        blk, _ = bp.conditional_polarization(st.joint, (0, 1))
-        vec = bp.bell_state_vector(bp.BellLabel.PSI_PLUS)
-        assert np.real(vec.conj() @ blk @ vec) == pytest.approx(0.25, abs=1e-12)
+        f, _ = bell_fidelity(werner(bp.BellLabel.PSI_PLUS, 0.0), bp.BellLabel.PSI_PLUS)
+        assert f == pytest.approx(0.25, abs=1e-12)
 
     def test_werner_algebra(self):
-        st = bp.prepare_bell(bp.BellLabel.PSI_PLUS, 0.9)
-        blk, _ = bp.conditional_polarization(st.joint, (0, 1))
-        vec = bp.bell_state_vector(bp.BellLabel.PSI_PLUS)
-        assert np.real(vec.conj() @ blk @ vec) == pytest.approx(0.925, abs=1e-12)
+        f, _ = bell_fidelity(werner(bp.BellLabel.PSI_PLUS, 0.9), bp.BellLabel.PSI_PLUS)
+        assert f == pytest.approx(0.925, abs=1e-12)
 
 
 class TestApplyLocal:
+    # the same local map on each photon, through the two-photon stack kernel
     def test_identity_leaves_state(self):
-        st = bp.spdc_state(778.0, 1556.0, 3.15)
-        out = bp.apply_local(st, qc.identity_channel(4), bp.SIGNAL)
-        np.testing.assert_allclose(out.joint.entries, st.joint.entries, atol=1e-14)
-
-    def test_signal_idler_commute(self):
-        rng = np.random.default_rng(1)
-        g1, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        g2, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        st = bp.prepare_bell(bp.BellLabel.PHI_MINUS, 0.8)
-        a = bp.apply_local(bp.apply_local(st, qc.unitary_channel(g1), bp.SIGNAL),
-                           qc.unitary_channel(g2), bp.IDLER)
-        b = bp.apply_local(bp.apply_local(st, qc.unitary_channel(g2), bp.IDLER),
-                           qc.unitary_channel(g1), bp.SIGNAL)
-        np.testing.assert_allclose(a.joint.entries, b.joint.entries, atol=1e-12)
+        joint = werner(bp.BellLabel.PHI_MINUS, 0.8)
+        out = bp.apply_chip_both_stack(joint[None], np.eye(16))
+        np.testing.assert_allclose(out[0], joint, atol=1e-14)
 
     def test_bell_through_ideal_chip_gives_spatial_entanglement(self):
-        st = bp.prepare_bell(bp.BellLabel.PSI_PLUS, 1.0)
-        out = bp.apply_chip_both(st, ideal_chip_channel())
-        rho = out.joint.entries
+        rho = bp.apply_chip_both_stack(werner(bp.BellLabel.PSI_PLUS, 1.0)[None],
+                                       ideal_chip_superoperator())[0]
         # expect (|T_S B_I> + |B_S T_I>)/sqrt(2) on channels with fixed pols
         # = (|TV;BH> + |BV;TH>)/sqrt(2) in (m_s p_s m_i p_i) indexing
         i1 = 0b0110  # T V B H
@@ -103,10 +71,19 @@ class TestApplyLocal:
         assert abs(rho[i1, i2]) == pytest.approx(0.5, abs=1e-12)
 
     def test_six_db_loss_scales_trace(self):
-        st = bp.spdc_state(778.0, 1556.0, 3.15)
-        lossy = qc.attenuator_channel(4, 10 ** (-0.6))
-        out = bp.apply_local(st, lossy, bp.SIGNAL)
-        assert out.joint.trace == pytest.approx(10 ** (-0.6), abs=1e-12)
+        # 3 dB on each photon
+        lossy = qc.QuantumChannel(4, 4, (10 ** (-0.15) * np.eye(4),))
+        out = bp.apply_chip_both_stack(werner(bp.BellLabel.PSI_PLUS, 0.9)[None],
+                                       lossy.superoperator)
+        assert np.trace(out[0]).real == pytest.approx(10 ** (-0.6), abs=1e-12)
+
+
+def source_pair(aligned=True):
+    """The type-II pair |T_S V_S> (x) |B_I H_I> as a (16, 16) array; with
+    `aligned` the idler's polarization is flipped to V, so the photons are
+    identical at the combiner."""
+    v = np.kron(qc.ket4("T", "V"), qc.ket4("B", "V" if aligned else "H"))
+    return np.outer(v, v.conj())
 
 
 class TestSpectralOverlap:
@@ -121,14 +98,10 @@ class TestSpectralOverlap:
         assert bp.spectral_overlap(tau, s) == pytest.approx(0.5, abs=1e-12)
 
     def test_dip_fwhm_matches_numeric_scan(self):
-        # oracle: numeric scan of hom_coincidence for an ideal pair
+        # oracle: numeric scan of the coincidence dip of an ideal pair
         tc = 3.15
-        st = bp.spdc_state(778.0, 1556.0, tc)
-        # align polarizations so the photons are identical at the combiner
-        flip = qc.unitary_channel(np.kron(np.eye(2), qc.PAULI_X))
-        st = bp.apply_local(st, flip, bp.IDLER)
         taus = np.linspace(0.0, 12.0, 20001)
-        p = np.array([bp.hom_coincidence(st, t) for t in taus])
+        p = bp.hom_dip(bp.exchange_overlap(source_pair()), taus, bp.SpectralOverlap(tc))
         half = 0.25  # dip from 0 to 0.5: half depth
         idx = np.argmin(np.abs(p - half))
         fwhm_numeric = 2.0 * taus[idx]
@@ -148,32 +121,27 @@ class TestSpectralOverlap:
 
 
 class TestHomCoincidence:
-    def aligned_pair(self, tc=3.15):
-        st = bp.spdc_state(778.0, 1556.0, tc)
-        flip = qc.unitary_channel(np.kron(np.eye(2), qc.PAULI_X))
-        return bp.apply_local(st, flip, bp.IDLER)
+    @staticmethod
+    def coincidence(joint, tau, background=0.0):
+        return bp.hom_dip(bp.exchange_overlap(joint), tau, bp.SpectralOverlap(3.15), background)
 
     def test_identical_photons_bunch_perfectly(self):
-        st = self.aligned_pair()
-        assert bp.hom_coincidence(st, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert self.coincidence(source_pair(), 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_large_delay_gives_half(self):
-        st = self.aligned_pair()
-        assert bp.hom_coincidence(st, 1e6) == pytest.approx(0.5, abs=1e-12)
+        assert self.coincidence(source_pair(), 1e6) == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_polarizations_give_half(self):
-        st = bp.spdc_state(778.0, 1556.0, 3.15)  # V vs H, no alignment
-        assert bp.hom_coincidence(st, 0.0) == pytest.approx(0.5, abs=1e-12)
+        # V vs H, no alignment
+        assert self.coincidence(source_pair(aligned=False), 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_even_in_tau(self):
-        st = self.aligned_pair()
         for tau in (0.7, 1.9, 3.4):
-            assert bp.hom_coincidence(st, tau) == pytest.approx(
-                bp.hom_coincidence(st, -tau), abs=1e-12)
+            assert self.coincidence(source_pair(), tau) == pytest.approx(
+                self.coincidence(source_pair(), -tau), abs=1e-12)
 
     def test_background_shifts_floor(self):
-        st = self.aligned_pair()
-        assert bp.hom_coincidence(st, 0.0, background=0.05) == pytest.approx(0.05)
+        assert self.coincidence(source_pair(), 0.0, background=0.05) == pytest.approx(0.05)
 
 
 class TestHomVisibility:
@@ -272,15 +240,13 @@ class TestHomVisibility:
 
 class TestReversibility:
     def test_twice_swapped_bell_states_return(self):
-        ch = ideal_chip_channel()
-        for label in bp.BellLabel:
-            st = bp.prepare_bell(label, 1.0)
-            out = bp.apply_chip_both(bp.apply_chip_both(st, ch), ch)
-            rho, _ = qc.heralded_normalize(out.joint)
-            blk, w = bp.conditional_polarization(rho, (0, 1))
+        s = ideal_chip_superoperator()
+        joints = bp.werner_joint_stack(list(bp.BellLabel), 1.0)
+        out = bp.apply_chip_both_stack(bp.apply_chip_both_stack(joints, s), s)
+        rho, _ = qc.heralded_normalize_stack(out)
+        for joint, label in zip(rho, bp.BellLabel):
+            f, w = bell_fidelity(joint, label)
             assert w == pytest.approx(1.0, abs=1e-12)
-            vec = bp.bell_state_vector(label)
-            f = np.real(vec.conj() @ blk @ vec)
             assert f == pytest.approx(1.0, abs=1e-10)
 
 

@@ -23,6 +23,15 @@ def ideal_chip():
     return ChipConfig().build()
 
 
+def through(chip, rho):
+    """One state through the chip, read off its superoperator."""
+    return qc.DensityMatrix(4, (chip.superoperator @ rho.entries.reshape(16)).reshape(4, 4))
+
+
+def in_frame(rho, frame):
+    return qc.DensityMatrix(rho.dim, dv.logical_frame_stack(rho.entries, frame))
+
+
 def calibrated_chip():
     return ChipConfig(pcnot_extinction_db=18.0, mcnot_extinction_db=20.0,
                       pcnot_loss_imbalance_db=0.45, mcnot_loss_db_t=1.0).build()
@@ -213,7 +222,7 @@ class TestSwapChip:
         assert np.linalg.norm(u - target) <= 1e-10
 
     def test_ideal_th_to_bv(self):
-        out = ideal_chip().apply(basis_rho(0))
+        out = through(ideal_chip(), basis_rho(0))
         np.testing.assert_allclose(np.diag(out.entries).real, [0, 0, 0, 1], atol=1e-12)
 
     def test_ideal_tv_stays_up_to_phase(self):
@@ -223,7 +232,7 @@ class TestSwapChip:
         product = pc @ mc @ pc
         col = product[:, 1]
         assert abs(col[1]) == pytest.approx(1.0, abs=1e-12)
-        out = ideal_chip().apply(basis_rho(1))
+        out = through(ideal_chip(), basis_rho(1))
         assert out.entries[1, 1].real == pytest.approx(1.0, abs=1e-12)
 
     def test_phase_coherence_transfer(self):
@@ -251,20 +260,20 @@ class TestSwapChip:
 
 class TestLogicalFrame:
     def test_relabel_recovers_input(self):
-        out = ideal_chip().apply(basis_rho(0))
-        rel = dv.logical_frame(out, "relabeled")
+        out = through(ideal_chip(), basis_rho(0))
+        rel = in_frame(out, "relabeled")
         np.testing.assert_allclose(np.diag(rel.entries).real, [1, 0, 0, 0], atol=1e-12)
 
     def test_raw_untouched(self):
-        out = ideal_chip().apply(basis_rho(0))
-        raw = dv.logical_frame(out, "raw")
+        out = through(ideal_chip(), basis_rho(0))
+        raw = in_frame(out, "raw")
         np.testing.assert_allclose(raw.entries, out.entries)
 
     def test_relabel_twice_is_identity(self):
         rng = np.random.default_rng(13)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = qc.DensityMatrix(4, (a @ a.conj().T) / np.trace(a @ a.conj().T).real)
-        twice = dv.logical_frame(dv.logical_frame(rho, "relabeled"), "relabeled")
+        twice = in_frame(in_frame(rho, "relabeled"), "relabeled")
         np.testing.assert_allclose(twice.entries, rho.entries, atol=1e-14)
 
     def test_relabeled_chip_equals_pure_swap_on_16_inputs(self):

@@ -13,17 +13,20 @@ values it replaced, the two-photon stack kernel (`apply_chip_both_stack`,
 each photon through S) against each photon's Kraus operators lifted to the
 16-dim space and applied with `apply_channel`, the stacked process
 tomography against single calls and the Choi matrix of S, and the batched
-error-budget grid against a per-point build and tomography.
+error-budget grid against a per-point build and tomography.  Every exact
+fidelity must also be the same in the raw and the relabeled frame.
 """
 
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import assemble_joint, partial_trace
 from swapsim import biphoton as bp
 from swapsim import devices as dv
 from swapsim import experiments as ex
@@ -112,9 +115,9 @@ def stagewise(chip: dv.ChipModel, rho: qc.DensityMatrix) -> qc.DensityMatrix:
 @given(CHIPS, density_matrices(4))
 def test_apply_equals_stagewise(chip, rho):
     assert len(chip.channel().kraus) > 1
-    out = chip.apply(rho)
-    np.testing.assert_allclose(out.entries, stagewise(chip, rho).entries, rtol=0, atol=TOL)
-    assert out.trace <= rho.trace + TOL
+    out = (chip.superoperator @ rho.entries.reshape(16)).reshape(4, 4)
+    np.testing.assert_allclose(out, stagewise(chip, rho).entries, rtol=0, atol=TOL)
+    assert np.trace(out).real <= rho.trace + TOL
 
 
 @PROPERTY
@@ -155,7 +158,7 @@ def test_fringe_probabilities_equal_per_phase(chip, phases):
 
 
 _EYE4 = np.eye(4, dtype=complex)
-_LIFTS = {bp.SIGNAL: lambda k: np.kron(k, _EYE4), bp.IDLER: lambda k: np.kron(_EYE4, k)}
+_LIFTS = {"signal": lambda k: np.kron(k, _EYE4), "idler": lambda k: np.kron(_EYE4, k)}
 
 
 def lifted(rho: qc.DensityMatrix, ch: qc.QuantumChannel, which: str) -> qc.DensityMatrix:
@@ -166,7 +169,7 @@ def lifted(rho: qc.DensityMatrix, ch: qc.QuantumChannel, which: str) -> qc.Densi
 
 
 def lifted_both(rho: qc.DensityMatrix, ch: qc.QuantumChannel) -> qc.DensityMatrix:
-    return lifted(lifted(rho, ch, bp.SIGNAL), ch, bp.IDLER)
+    return lifted(lifted(rho, ch, "signal"), ch, "idler")
 
 
 @PROPERTY
@@ -174,11 +177,11 @@ def lifted_both(rho: qc.DensityMatrix, ch: qc.QuantumChannel) -> qc.DensityMatri
        st.integers(0, 2**16), st.floats(-0.5, 0.5))
 def test_bell_link_equals_sequential(chip1, chip2, label, visibility, seed, residual):
     cfg = ExperimentConfig(fiber_seed=seed, fiber_residual_rad=residual)
-    state = bp.prepare_bell(label, visibility)
-    got = bp.apply_chip_both_stack(state.joint.entries[None], ex._bell_link(cfg, chip1, chip2))[0]
+    joint = bp.werner_joint_stack([label], visibility)
+    got = bp.apply_chip_both_stack(joint, ex._bell_link(cfg, chip1, chip2))[0]
     # both photons through chip 1, forward fiber, compensation and chip 2:
     # eight 16-dim applications
-    rho = state.joint
+    rho = qc.DensityMatrix(16, joint[0])
     for ch in link_channels(cfg, chip1, chip2):
         rho = lifted_both(rho, ch)
     np.testing.assert_allclose(got, rho.entries, rtol=0, atol=TOL)
@@ -196,7 +199,7 @@ def werner_oracle(label, visibility) -> np.ndarray:
     permutation (`assemble_joint`)."""
     bell = bp.bell_state_vector(label)
     pol = visibility * np.outer(bell, bell.conj()) + (1.0 - visibility) * np.eye(4) / 4.0
-    return bp.assemble_joint(["T", "B"], pol).entries
+    return assemble_joint(["T", "B"], pol).entries
 
 
 def bell_polarization_oracle(joint, channels):
@@ -256,12 +259,13 @@ def test_two_photon_stack_equals_lifted_kraus(chip1, chip2, visibilities, seed, 
 
 
 @PROPERTY
-@given(CHIPS, density_matrices(16), st.sampled_from([bp.SIGNAL, bp.IDLER]))
-def test_apply_local_equals_lifted_kraus(chip, rho, which):
-    state = bp.BiphotonState(rho, 3.15, (778.0, 1556.0, 1556.0))
-    got = bp.apply_local(state, chip.channel(), which).joint
-    want = lifted(rho, chip.channel(), which)
-    np.testing.assert_allclose(got.entries, want.entries, rtol=0, atol=TOL)
+@given(CHIPS, density_matrices(16))
+def test_apply_local_equals_lifted_kraus(chip, rho):
+    # the chip as a local map on each photon of an arbitrary (entangled,
+    # lossy) joint state, not only a Werner pair
+    got = bp.apply_chip_both_stack(rho.entries[None], chip.superoperator)[0]
+    want = lifted_both(rho, chip.channel())
+    np.testing.assert_allclose(got, want.entries, rtol=0, atol=TOL)
 
 
 # the 16 separable inputs of two-qubit process tomography, momentum major
@@ -275,8 +279,8 @@ def output_state_oracle(chip, vec, frame, trace_polarization):
     out = stagewise(chip, qc.DensityMatrix(4, np.outer(vec, vec.conj())))
     out, survival = qc.heralded_normalize(out)
     if trace_polarization:
-        out = qc.partial_trace(out, [2, 2], [0])
-    return dv.logical_frame(out, frame), survival
+        out = partial_trace(out, [2, 2], [0])
+    return qc.DensityMatrix(out.dim, dv.logical_frame_stack(out.entries, frame)), survival
 
 
 def momentum_probabilities_oracle(rho2):
@@ -439,7 +443,7 @@ def test_error_budget_equals_per_point_oracle(base, sweep, frame):
         assert g["truth_table_fidelity"] == pytest.approx(
             ex.truth_table_fidelity_exact(chip, frame), rel=0, abs=TOL)
         # T-input momentum qubit, relabeled frame: the per-state chain
-        red = [output_state_oracle(chip, vec, "relabeled", True)[0]
+        red = [output_state_oracle(chip, vec, "relabeled", True)[0].entries
                for vec in ex._PROCESS_VECS[:4]]
         chi = tm.process_tomo(ex._PROCESS_INPUTS_1Q, red, 1)
         assert g["process_fidelity_T"] == pytest.approx(tm.process_fidelity(chi, ideal),
@@ -455,3 +459,56 @@ def test_unknown_sweep_axis_raises_before_any_chip_is_built(monkeypatch):
     with pytest.raises(ValueError, match="^unknown sweep axis 'zz_axis'; known: "):
         ex.run_error_budget(cfg, {"pcnot_extinction_db": [18.0, 35.0], "zz_axis": [1.0]})
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the raw and relabeled frames give equal fidelities
+# ---------------------------------------------------------------------------
+
+def _both_frames(f):
+    """[f("raw"), f("relabeled")], with the message of an error in place of
+    a value."""
+    out = []
+    for frame in ("raw", "relabeled"):
+        try:
+            out.append(f(frame))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+@PROPERTY
+@given(CHIPS)
+def test_exact_fidelities_are_frame_invariant(chip):
+    # the relabeled frame applies X (x) X to every output and compares with
+    # the correspondingly relabeled ideal, so no fidelity may change
+    def fidelities(frame):
+        cfg = ExperimentConfig(n_trials=1, logical_frame=frame)
+        with mock.patch.object(ExperimentConfig, "chip", lambda self, index=0: chip):
+            per_input = ex.run_process_tomography(cfg).payload["per_spatial_input"]
+            two_qubit = ex.run_process_tomography_2q(cfg).payload["process_fidelity"]
+        return [v["process_fidelity"] for v in per_input.values()] + [two_qubit]
+
+    for f in (lambda frame: [ex.truth_table_fidelity_exact(chip, frame)], fidelities):
+        raw, relabeled = _both_frames(f)
+        if isinstance(raw, str) or isinstance(relabeled, str):
+            assert raw == relabeled
+        else:
+            np.testing.assert_allclose(relabeled, raw, rtol=0, atol=TOL)
+
+
+@PROPERTY
+@given(BASELINES, st.sampled_from(sorted(SWEEP_VALUES)).flatmap(
+    lambda axis: st.tuples(st.just(axis), SWEEP_VALUES[axis])))
+def test_error_budget_row_is_frame_invariant(base, point):
+    # a sweep rebuilds its chips from a ChipConfig, so the baselines are
+    # configs rather than random netlists
+    axis, value = point
+    raw, relabeled = _both_frames(lambda frame: ex.run_error_budget(
+        ExperimentConfig(chips=(base,), logical_frame=frame), {axis: [value]}).payload["grid"])
+    if isinstance(raw, str) or isinstance(relabeled, str):
+        assert raw == relabeled
+    else:
+        (raw,), (relabeled,) = raw, relabeled
+        for key in ("truth_table_fidelity", "process_fidelity_T"):
+            assert relabeled[key] == pytest.approx(raw[key], rel=0, abs=TOL)

@@ -139,12 +139,16 @@ class TestFringe:
 
 
 class TestHom:
-    def test_source_only_perfect_dip(self, ideal):
-        cfg = replace(ideal, hom_input="source", fpc_mode="ideal")
-        state = ex._hom_state(cfg)
+    @staticmethod
+    def zero_delay_coincidence(cfg):
         from swapsim import biphoton as bp
 
-        assert bp.hom_coincidence(state, 0.0) <= 1e-9
+        spectral = bp.SpectralOverlap(cfg.source.coherence_time_ps, cfg.source.dip_shape)
+        return bp.hom_dip(bp.exchange_overlap(ex._hom_joint(cfg)), 0.0, spectral)
+
+    def test_source_only_perfect_dip(self, ideal):
+        cfg = replace(ideal, hom_input="source", fpc_mode="ideal")
+        assert self.zero_delay_coincidence(cfg) <= 1e-9
 
     def test_coherence_time_recovery(self, calibrated):
         cfg = replace(calibrated, hom_input="source", n_trials=6,
@@ -159,10 +163,7 @@ class TestHom:
 
     def test_orthogonal_fpc_none_gives_no_dip(self, ideal):
         cfg = replace(ideal, hom_input="source", fpc_mode="none")
-        state = ex._hom_state(cfg)
-        from swapsim import biphoton as bp
-
-        assert bp.hom_coincidence(state, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert self.zero_delay_coincidence(cfg) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestFitDiagnostics:
@@ -179,16 +180,20 @@ class TestFitDiagnostics:
 
 class TestBell:
     def test_ideal_pipeline_unity(self, ideal):
+        from oracles import uhlmann_fidelity
+        from swapsim import biphoton as bp
+        from swapsim import qcore as qc
+
         cfg = replace(ideal, n_trials=1,
                       source=ideal.source.__class__(bell_visibility=1.0))
-        for label in BellLabel:
-            rho, _ = ex._bell_final_polarization(cfg, label)
-            from swapsim import biphoton as bp
-            from swapsim import qcore as qc
-
+        labels = list(BellLabel)
+        rho, _ = ex._bell_polarization_stack(cfg, labels,
+                                             ex._bell_link(cfg, cfg.chip(0), cfg.chip(1)))
+        for r, label in zip(rho, labels):
             vec = bp.bell_state_vector(label)
             ideal_dm = qc.DensityMatrix(4, np.outer(vec, vec.conj()))
-            assert qc.uhlmann_fidelity(rho, ideal_dm) == pytest.approx(1.0, abs=1e-9)
+            f = uhlmann_fidelity(qc.DensityMatrix(4, r), ideal_dm)
+            assert f == pytest.approx(1.0, abs=1e-9)
 
     def test_calibrated_average_bracket(self, calibrated):
         cfg = replace(calibrated, n_trials=1)
@@ -299,6 +304,34 @@ class TestConvergence:
             if gap <= 3 * stderr + bias_allowance:
                 hits += 1
         assert hits >= total - 1
+
+    # `bell` is left out: its Monte Carlo fidelity sits well below the exact
+    # one, the estimator bias of ROADMAP item 2
+    @pytest.mark.parametrize("run, mc, exact, bias_allowance", [
+        # the clipped counts and the positivity projection bias a pure-target
+        # fidelity low (ROADMAP item 2): over 20000 default trials the mean
+        # is 1.2e-4 below the exact value
+        (ex.run_state_tomography, "fidelity_mc_mean", "fidelity_exact", 1.5e-4),
+        (ex.run_fringe_scan, "visibility_subtracted_mean", "visibility_exact_fit", 0.0),
+    ], ids=["tomo-state", "fringe"])
+    def test_mc_means_converge_to_exact(self, run, mc, exact, bias_allowance):
+        # |mean - exact| <= 3 spread / sqrt(n) for almost all seeds, at defaults
+        hits = 0
+        total = 12
+        for seed in range(total):
+            cfg = ExperimentConfig.measured_chip(n_trials=24, rng_seed=seed)
+            p = run(cfg).payload
+            stderr = p[mc.replace("_mean", "_stderr")] / np.sqrt(cfg.n_trials)
+            if abs(p[mc] - p[exact]) <= 3 * stderr + bias_allowance:
+                hits += 1
+        assert hits >= total - 1
+
+    def test_tomo_process_is_exact(self):
+        # process tomography reconstructs the exact outputs only: there is no
+        # Monte Carlo mean to converge, and no seed or trial count changes it
+        runs = [ex.run_process_tomography(ExperimentConfig.measured_chip(n_trials=n, rng_seed=seed))
+                for n, seed in ((1, 0), (24, 11))]
+        assert runs[0].payload == runs[1].payload
 
 
 class TestBellAllLabels:

@@ -114,11 +114,11 @@ def fringe_oracle(phis, vals, background):
     if phis.max() - phis.min() < 2 * np.pi * 0.99:
         raise ValueError("scan must span at least one period")
     a, v_raw, d, v_err, ok = _cosine_oracle(phis, vals)
-    ok = ok and a > 0
+    ok = ok and a > 0 and 0.0 <= v_raw <= 1.0
     v_sub = v_raw
     if background > 0:
         a_sub, v_sub, _, _, ok_sub = _cosine_oracle(phis, np.maximum(vals - background, 0.0))
-        ok = ok and ok_sub and a_sub > 0
+        ok = ok and ok_sub and a_sub > 0 and 0.0 <= v_sub <= 1.0
     return tm.FringeFit(v_raw, d, a, v_raw, v_sub, v_err, ok)
 
 

@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from oracles import uhlmann_fidelity
 from swapsim import qcore as qc
 
 
 def dm(mat):
     mat = np.asarray(mat, dtype=complex)
     return qc.DensityMatrix(mat.shape[0], mat)
-
-
-def pure(vec):
-    vec = np.asarray(vec, dtype=complex)
-    return qc.PureState(len(vec), vec / np.linalg.norm(vec))
 
 
 def random_density(rng, dim):
@@ -22,10 +18,6 @@ def random_density(rng, dim):
 
 
 class TestTypes:
-    def test_pure_state_requires_normalization(self):
-        with pytest.raises(ValueError):
-            qc.PureState(2, np.array([1.0, 1.0]))
-
     def test_density_matrix_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
             dm([[1.0, 0.5], [0.0, 0.0]])
@@ -59,45 +51,44 @@ class TestTypes:
 
 
 class TestTensor:
+    # the spatial channel is the most significant factor of the dim-4 space
     def test_basis_order_th_is_index_zero(self):
-        out = qc.tensor(pure(qc.ket2("T")), pure(qc.ket2("H")))
-        assert out.dim == 4
-        np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0])
+        np.testing.assert_array_equal(qc.ket4("T", "H"), [1, 0, 0, 0])
 
     def test_basis_order_bv_is_index_three(self):
-        out = qc.tensor(pure(qc.ket2("B")), pure(qc.ket2("V")))
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1])
+        np.testing.assert_array_equal(qc.ket4("B", "V"), [0, 0, 0, 1])
 
     def test_identity_tensor(self):
-        out = qc.tensor(np.eye(2), np.eye(2))
-        np.testing.assert_allclose(out, np.eye(4))
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            qc.tensor(pure([1, 0]), np.eye(2))
+        # the two-qubit Pauli basis is the Kronecker product of the one-qubit
+        # bases, the left factor most significant: II is the identity
+        basis = qc.PauliBasis(2)
+        np.testing.assert_array_equal(basis.operators[0], np.eye(4))
+        assert basis.labels[6] == "XY"
+        np.testing.assert_array_equal(basis.operators[6], np.kron(qc.PAULI_X, qc.PAULI_Y))
 
 
 class TestApplyChannel:
     def test_identity_channel(self):
         rho = random_density(np.random.default_rng(0), 4)
-        out = qc.apply_channel(qc.identity_channel(4), rho)
+        out = qc.apply_channel(qc.QuantumChannel(4, 4, (np.eye(4),)), rho)
         np.testing.assert_allclose(out.entries, rho.entries, atol=1e-14)
 
     def test_attenuator_halves_trace(self):
         rho = random_density(np.random.default_rng(1), 2)
-        out = qc.apply_channel(qc.attenuator_channel(2, 0.5), rho)
+        out = qc.apply_channel(qc.QuantumChannel(2, 2, (np.sqrt(0.5) * np.eye(2),)), rho)
         assert out.trace == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            qc.apply_channel(qc.identity_channel(2), random_density(np.random.default_rng(2), 4))
+            qc.apply_channel(qc.QuantumChannel(2, 2, (np.eye(2),)),
+                             random_density(np.random.default_rng(2), 4))
 
     def test_trace_preserving_channels_preserve_trace(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             u, _ = np.linalg.qr(g)
-            ch = qc.unitary_channel(u)
+            ch = qc.QuantumChannel(4, 4, (u,))
             rho = random_density(rng, 4)
             assert qc.apply_channel(ch, rho).trace == pytest.approx(rho.trace, abs=1e-12)
 
@@ -155,24 +146,24 @@ class TestHeraldedNormalize:
 class TestUhlmannFidelity:
     def test_identical_pure(self):
         rho = dm([[1, 0], [0, 0]])
-        assert qc.uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+        assert uhlmann_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure(self):
         a = dm([[1, 0], [0, 0]])
         b = dm([[0, 0], [0, 1]])
-        assert qc.uhlmann_fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
+        assert uhlmann_fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_plus_state_overlap(self):
         a = dm([[1, 0], [0, 0]])
         plus = dm(np.full((2, 2), 0.5))
-        assert qc.uhlmann_fidelity(a, plus) == pytest.approx(0.5, abs=1e-12)
+        assert uhlmann_fidelity(a, plus) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             a, b = random_density(rng, 4), random_density(rng, 4)
-            assert qc.uhlmann_fidelity(a, b) == pytest.approx(
-                qc.uhlmann_fidelity(b, a), abs=1e-10)
+            assert uhlmann_fidelity(a, b) == pytest.approx(
+                uhlmann_fidelity(b, a), abs=1e-10)
 
     def test_pure_sigma_reduces_to_expectation(self):
         rng = np.random.default_rng(6)
@@ -182,12 +173,12 @@ class TestUhlmannFidelity:
             v /= np.linalg.norm(v)
             sigma = dm(np.outer(v, v.conj()))
             expect = float(np.real(v.conj() @ rho.entries @ v))
-            assert qc.uhlmann_fidelity(rho, sigma) == pytest.approx(expect, abs=1e-10)
+            assert uhlmann_fidelity(rho, sigma) == pytest.approx(expect, abs=1e-10)
 
     def test_normalizes_subtrace_inputs(self):
         rho = dm([[0.5, 0], [0, 0]])
         sigma = dm([[1.0, 0], [0, 0]])
-        assert qc.uhlmann_fidelity(rho, sigma) == pytest.approx(1.0, abs=1e-12)
+        assert uhlmann_fidelity(rho, sigma) == pytest.approx(1.0, abs=1e-12)
 
 
 def nearest_physical_oracle(h):
@@ -215,14 +206,20 @@ def nearest_physical_oracle(h):
     return unpack(best.x)
 
 
+def project(h):
+    """`project_to_physical_stack` of one matrix, validated as a `DensityMatrix`."""
+    h = np.asarray(h, dtype=complex)
+    return qc.DensityMatrix(len(h), qc.project_to_physical_stack(h[None])[0])
+
+
 class TestProjectToPhysical:
     def test_physical_input_unchanged(self):
         rho = random_density(np.random.default_rng(7), 4)
-        out = qc.project_to_physical(rho.entries)
+        out = project(rho.entries)
         np.testing.assert_allclose(out.entries, rho.entries, atol=1e-10)
 
     def test_single_negative_eigenvalue(self):
-        out = qc.project_to_physical(np.diag([1.1, -0.1]))
+        out = project(np.diag([1.1, -0.1]))
         np.testing.assert_allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_matches_direct_minimization_oracle(self):
@@ -232,7 +229,7 @@ class TestProjectToPhysical:
             noisy = rho + 0.25 * _random_herm(rng, 2)
             noisy = noisy / np.trace(noisy).real
             try:
-                ours = qc.project_to_physical(noisy).entries
+                ours = project(noisy).entries
             except ValueError:
                 continue
             oracle = nearest_physical_oracle(noisy)
@@ -245,17 +242,17 @@ class TestProjectToPhysical:
         rng = np.random.default_rng(9)
         for _ in range(10):
             h = _random_herm(rng, 4) + np.eye(4)
-            once = qc.project_to_physical(h)
-            twice = qc.project_to_physical(once.entries)
+            once = project(h)
+            twice = project(once.entries)
             np.testing.assert_allclose(once.entries, twice.entries, atol=1e-12)
 
     def test_all_nonpositive_spectrum_raises(self):
         with pytest.raises(ValueError):
-            qc.project_to_physical(np.diag([-1.0, -0.5]))
+            project(np.diag([-1.0, -0.5]))
 
     def test_nonhermitian_raises(self):
         with pytest.raises(ValueError):
-            qc.project_to_physical(np.array([[1.0, 1.0], [0.0, 0.0]]))
+            project(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("pos", [(2, 1), (2, 3)])
     def test_near_zero_trace_raises(self, pos):
@@ -265,7 +262,7 @@ class TestProjectToPhysical:
         a = np.full((4, 4), 1e-15 + 1e-15j)
         a[pos] = 0.75 + 1e-15j
         with pytest.raises(ValueError, match="spectrum sum is not positive"):
-            qc.project_to_physical(0.5 * (a + a.conj().T))
+            project(0.5 * (a + a.conj().T))
 
 
 def _random_herm(rng, dim):
@@ -273,20 +270,27 @@ def _random_herm(rng, dim):
     return (a + a.conj().T) / 2
 
 
+def pauli_coefficients(rho, basis):
+    """c_m = Tr(E_m rho) / 2^n over the operators of `basis`, in its order."""
+    return np.array([np.trace(e @ rho.entries).real / basis.dim for e in basis.operators])
+
+
 class TestPauliCoefficients:
+    # the order (I, X, Y, Z) of `PauliBasis` that tomography's coefficient
+    # rows and chi matrices are indexed by, and the completeness of the basis
     def test_ground_state(self):
         basis = qc.PauliBasis(1)
-        c = qc.pauli_coefficients(dm([[1, 0], [0, 0]]), basis)
+        c = pauli_coefficients(dm([[1, 0], [0, 0]]), basis)
         np.testing.assert_allclose(c, [0.5, 0, 0, 0.5], atol=1e-14)
 
     def test_maximally_mixed(self):
         basis = qc.PauliBasis(1)
-        c = qc.pauli_coefficients(dm(np.eye(2) / 2), basis)
+        c = pauli_coefficients(dm(np.eye(2) / 2), basis)
         np.testing.assert_allclose(c, [0.5, 0, 0, 0], atol=1e-14)
 
     def test_plus_state(self):
         basis = qc.PauliBasis(1)
-        c = qc.pauli_coefficients(dm(np.full((2, 2), 0.5)), basis)
+        c = pauli_coefficients(dm(np.full((2, 2), 0.5)), basis)
         np.testing.assert_allclose(c, [0.5, 0.5, 0, 0], atol=1e-14)
 
     def test_reconstruction_roundtrip(self):
@@ -294,7 +298,7 @@ class TestPauliCoefficients:
         for n in (1, 2):
             basis = qc.PauliBasis(n)
             rho = random_density(rng, 2**n)
-            c = qc.pauli_coefficients(rho, basis)
+            c = pauli_coefficients(rho, basis)
             rebuilt = sum(cm * e for cm, e in zip(c, basis.operators))
             np.testing.assert_allclose(rebuilt, rho.entries, atol=1e-12)
 
@@ -304,7 +308,8 @@ class TestComposition:
         rng = np.random.default_rng(11)
         g1, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         g2, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        combined = qc.compose_channels(qc.unitary_channel(g1), qc.unitary_channel(g2))
+        combined = qc.compose_channels(qc.QuantumChannel(4, 4, (g1,)),
+                                       qc.QuantumChannel(4, 4, (g2,)))
         np.testing.assert_allclose(combined.kraus[0], g2 @ g1, atol=1e-14)
 
     def test_kraus_reduction_preserves_action(self):

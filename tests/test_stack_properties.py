@@ -1,8 +1,10 @@
-"""Stacked estimator kernels against their one-trial public functions.
+"""Stacked estimator kernels, trial by trial and against their oracles.
 
 Each kernel takes a leading trial axis; on random stacks it must equal the
-public function applied trial by trial (and raise where that raises), and
-its outputs must be physical: unit-trace PSD states, fidelities in [0, 1].
+kernel applied to each trial alone (and raise where that raises), so no
+trial's estimate depends on the others, and its outputs must be physical:
+unit-trace PSD states, fidelities in [0, 1].  The fidelity kernels are
+checked against the Uhlmann fidelity of `oracles`.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import uhlmann_fidelity, uhlmann_fidelity_stack
 from swapsim import qcore as qc
 from swapsim import tomography as tm
 
@@ -35,9 +38,12 @@ def complex_stacks(dim, cols=None):
     ).map(lambda a: a[0] + 1j * a[1])
 
 
-def _entries_or_none(fn, arg):
+def _one_or_none(stack_fn, trial):
+    """`stack_fn` of the one trial `trial`, validated as a `DensityMatrix`
+    (None when either raises)."""
     try:
-        return fn(arg).entries
+        out = stack_fn(trial[None])[0]
+        return qc.DensityMatrix(len(out), out).entries
     except ValueError:
         return None
 
@@ -64,8 +70,7 @@ def _assert_physical(rhos, trace_tol=TOL):
 @PROPERTY
 @given(count_stacks(6))
 def test_state_tomo_1q_stack(counts):
-    per_trial = [_entries_or_none(tm.state_tomo_1q, dict(zip(tm.MOMENTUM_LABELS, c)))
-                 for c in counts]
+    per_trial = [_one_or_none(tm.state_tomo_1q_stack, c) for c in counts]
     out = _assert_stack_matches(tm.state_tomo_1q_stack, counts, per_trial)
     if out is not None:
         _assert_physical(out)
@@ -74,8 +79,7 @@ def test_state_tomo_1q_stack(counts):
 @PROPERTY
 @given(count_stacks(36))
 def test_state_tomo_2q_stack(counts):
-    grid = [(l1, l2) for l1 in tm.POLARIZATION_LABELS for l2 in tm.POLARIZATION_LABELS]
-    per_trial = [_entries_or_none(tm.state_tomo_2q, dict(zip(grid, c))) for c in counts]
+    per_trial = [_one_or_none(tm.state_tomo_2q_stack, c) for c in counts]
     out = _assert_stack_matches(tm.state_tomo_2q_stack, counts, per_trial)
     if out is not None:
         _assert_physical(out)
@@ -89,7 +93,7 @@ def test_project_to_physical_stack(data):
     # cut or several in one stack (and some with a trace near zero)
     shift = data.draw(arrays(np.float64, len(a), elements=st.floats(0.0, 2.0)))
     h = 0.5 * (a + np.swapaxes(a, -1, -2).conj()) + shift[:, None, None] * np.eye(a.shape[-1])
-    per_trial = [_entries_or_none(qc.project_to_physical, m) for m in h]
+    per_trial = [_one_or_none(qc.project_to_physical_stack, m) for m in h]
     out = _assert_stack_matches(qc.project_to_physical_stack, h, per_trial)
     if out is not None:
         # the trace error grows with the spectrum's size over its trace,
@@ -102,7 +106,7 @@ def test_project_to_physical_stack_mixed_walks():
     spectra = ([0.4, 0.3, 0.2, 0.1], [0.7, 0.2, 0.2, -0.1], [1.2, 0.3, -0.2, -0.3])
     u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4) * 3j)[0]
     h = np.array([u @ np.diag(lam) @ u.conj().T for lam in spectra])
-    expect = [qc.project_to_physical(m).entries for m in h]
+    expect = [_one_or_none(qc.project_to_physical_stack, m) for m in h]
     np.testing.assert_allclose(qc.project_to_physical_stack(h), expect, rtol=0, atol=TOL)
     evals = np.linalg.eigvalsh(qc.project_to_physical_stack(h))[:, ::-1]
     np.testing.assert_allclose(evals, [[0.4, 0.3, 0.2, 0.1],
@@ -125,8 +129,8 @@ def test_uhlmann_fidelity_stack(data):
     loss = data.draw(arrays(np.float64, len(rhos), elements=st.floats(0.1, 1.0)))
     rhos = rhos * (loss / tr)[:, None, None]
     sigma = qc.DensityMatrix(dim, sigma / np.trace(sigma).real)
-    f = qc.uhlmann_fidelity_stack(rhos, sigma.entries)
-    expect = [qc.uhlmann_fidelity(qc.DensityMatrix(dim, r), sigma) for r in rhos]
+    f = uhlmann_fidelity_stack(rhos, sigma.entries)
+    expect = [uhlmann_fidelity(qc.DensityMatrix(dim, r), sigma) for r in rhos]
     np.testing.assert_allclose(f, expect, rtol=0, atol=TOL)
     assert np.all((f >= 0.0) & (f <= 1.0))
 
@@ -149,13 +153,13 @@ def test_pure_fidelity_stack_equals_uhlmann(data):
     loss = data.draw(arrays(np.float64, len(rhos), elements=st.floats(0.1, 1.0)))
     rhos = rhos * (loss / tr)[:, None, None]
     f = qc.pure_fidelity_stack(rhos, psis)
-    expect = [qc.uhlmann_fidelity_stack(r[None], np.outer(p, p.conj()))[0]
+    expect = [uhlmann_fidelity_stack(r[None], np.outer(p, p.conj()))[0]
               for r, p in zip(rhos, psis)]
     np.testing.assert_allclose(f, expect, rtol=0, atol=TOL)
     assert np.all((f >= 0.0) & (f <= 1.0))
     # one target for the whole stack broadcasts over it
     np.testing.assert_allclose(qc.pure_fidelity_stack(rhos, psis[0]),
-                               qc.uhlmann_fidelity_stack(rhos, np.outer(psis[0], psis[0].conj())),
+                               uhlmann_fidelity_stack(rhos, np.outer(psis[0], psis[0].conj())),
                                rtol=0, atol=TOL)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import uhlmann_fidelity
 from swapsim import qcore as qc
 from swapsim import tomography as tm
 
@@ -10,19 +11,27 @@ def dm(mat):
     return qc.DensityMatrix(mat.shape[0], mat)
 
 
-def probabilities_1q(rho2):
-    return {lbl: float(np.real(qc.ket2(lbl).conj() @ rho2 @ qc.ket2(lbl)))
-            for lbl in tm.MOMENTUM_LABELS}
+def probabilities_1q(rho2, labels=tm.MOMENTUM_LABELS):
+    """Setting probabilities of `rho2` in label order, shape (6,)."""
+    return np.array([np.real(qc.ket2(lbl).conj() @ rho2 @ qc.ket2(lbl)) for lbl in labels])
 
 
 def probabilities_2q(rho4):
-    out = {}
-    for l1 in tm.POLARIZATION_LABELS:
-        for l2 in tm.POLARIZATION_LABELS:
-            proj = np.kron(tm.MeasurementSetting("polarization", l1).projector(),
-                           tm.MeasurementSetting("polarization", l2).projector())
-            out[(l1, l2)] = float(np.trace(proj @ rho4).real)
-    return out
+    """Setting probabilities of `rho4` in (label_q1, label_q2) label order, shape (36,)."""
+    return np.array([
+        np.trace(np.kron(tm.MeasurementSetting("polarization", l1).projector(),
+                         tm.MeasurementSetting("polarization", l2).projector()) @ rho4).real
+        for l1 in tm.POLARIZATION_LABELS for l2 in tm.POLARIZATION_LABELS])
+
+
+def tomo_1q(counts):
+    """`state_tomo_1q_stack` of one trial's label-ordered counts."""
+    return tm.state_tomo_1q_stack(np.asarray(counts)[None])[0]
+
+
+def tomo_2q(counts):
+    """`state_tomo_2q_stack` of one trial's label-ordered counts."""
+    return tm.state_tomo_2q_stack(np.asarray(counts)[None])[0]
 
 
 class TestMeasurementSetting:
@@ -40,14 +49,21 @@ class TestMeasurementSetting:
 
 
 class TestCountRecordCsv:
-    def test_roundtrip(self):
-        records = [
-            tm.CountRecord("H", "V", 120, 10.0, 7),
-            tm.CountRecord("0", "", 98, 26.666666666666668, 7),
-        ]
-        text = tm.counts_to_csv(records)
-        back = tm.counts_from_csv(text)
-        assert back == records
+    def test_roundtrip(self, tmp_path):
+        # the count records a tomo-state report writes, read back
+        from swapsim import cli
+        from swapsim import experiments as ex
+        from swapsim.config import ExperimentConfig
+
+        cfg = ExperimentConfig.measured_chip(n_trials=2, rng_seed=7)
+        report = ex.run_state_tomography(cfg)
+        cli._write_report(report, cfg, str(tmp_path))
+        back = tm.counts_from_csv((tmp_path / "count_records.csv").read_text())
+        rows = report.tables["count_records"]
+        assert rows[0] == tm.CSV_HEADER
+        assert back == [tm.CountRecord(r[0], r[1], r[2], float(r[3]), r[4]) for r in rows[1:]]
+        assert [r.setting_label_q1 for r in back] == list(tm.MOMENTUM_LABELS)
+        assert back[0].integration_time_s == cfg.integration_time_s / 6.0
 
     def test_header_checked(self):
         with pytest.raises(ValueError):
@@ -99,27 +115,25 @@ class TestTruthTableFidelity:
 class TestStateTomo1q:
     def test_ground_state_exact(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        rec = tm.state_tomo_1q(probabilities_1q(rho))
-        np.testing.assert_allclose(rec.entries, rho, atol=1e-12)
+        rec = tomo_1q(probabilities_1q(rho))
+        np.testing.assert_allclose(rec, rho, atol=1e-12)
 
     def test_plus_i_exact(self):
         v = qc.ket2("i")
         rho = np.outer(v, v.conj())
-        rec = tm.state_tomo_1q(probabilities_1q(rho))
-        np.testing.assert_allclose(rec.entries, rho, atol=1e-12)
+        rec = tomo_1q(probabilities_1q(rho))
+        np.testing.assert_allclose(rec, rho, atol=1e-12)
 
     def test_polarization_flavor(self):
         v = qc.ket2("D")
         rho = np.outer(v, v.conj())
-        counts = {lbl: float(np.real(qc.ket2(lbl).conj() @ rho @ qc.ket2(lbl)))
-                  for lbl in tm.POLARIZATION_LABELS}
-        rec = tm.state_tomo_1q(counts)
-        np.testing.assert_allclose(rec.entries, rho, atol=1e-12)
+        rec = tomo_1q(probabilities_1q(rho, tm.POLARIZATION_LABELS))
+        np.testing.assert_allclose(rec, rho, atol=1e-12)
 
     def test_zero_count_pair_raises(self):
-        counts = {"0": 0, "1": 0, "+": 5, "-": 5, "i": 5, "-i": 5}
-        with pytest.raises(ValueError):
-            tm.state_tomo_1q(counts)
+        # settings 0 and 1, the z axis, saw nothing
+        with pytest.raises(ValueError, match=r"^zero total counts for axis \(z\)$"):
+            tomo_1q([0, 0, 5, 5, 5, 5])
 
     def test_poisson_recovery_statistics(self):
         # 1e5 total counts from a known state: fidelity >= 0.995 in >= 95%
@@ -134,23 +148,21 @@ class TestStateTomo1q:
         good = 0
         trials = 1000
         for _ in range(trials):
-            counts = {lbl: rng.poisson(per_setting * p) for lbl, p in probs.items()}
-            rec = tm.state_tomo_1q(counts)
-            if qc.uhlmann_fidelity(rec, target) >= 0.995:
+            rec = tomo_1q(rng.poisson(per_setting * probs))
+            if uhlmann_fidelity(dm(rec), target) >= 0.995:
                 good += 1
         assert good / trials >= 0.95
 
     def test_always_physical_for_arbitrary_counts(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            counts = {lbl: int(rng.integers(0, 50)) for lbl in tm.MOMENTUM_LABELS}
             try:
-                rec = tm.state_tomo_1q(counts)
+                rec = tomo_1q(rng.integers(0, 50, size=6))
             except ValueError:
                 continue  # zero-count axis
-            evals = np.linalg.eigvalsh(rec.entries)
+            evals = np.linalg.eigvalsh(rec)
             assert evals.min() >= -1e-12
-            assert np.trace(rec.entries).real == pytest.approx(1.0, abs=1e-10)
+            assert np.trace(rec).real == pytest.approx(1.0, abs=1e-10)
 
 
 class TestStateTomo2q:
@@ -158,32 +170,28 @@ class TestStateTomo2q:
         v = (np.kron(qc.ket2("H"), qc.ket2("V")) + np.kron(qc.ket2("V"), qc.ket2("H")))
         v /= np.linalg.norm(v)
         rho = np.outer(v, v.conj())
-        rec = tm.state_tomo_2q(probabilities_2q(rho))
-        assert qc.uhlmann_fidelity(rec, dm(rho)) == pytest.approx(1.0, abs=1e-10)
+        rec = tomo_2q(probabilities_2q(rho))
+        assert uhlmann_fidelity(dm(rec), dm(rho)) == pytest.approx(1.0, abs=1e-10)
 
     def test_maximally_mixed_exact(self):
-        rec = tm.state_tomo_2q(probabilities_2q(np.eye(4) / 4))
-        np.testing.assert_allclose(rec.entries, np.eye(4) / 4, atol=1e-12)
+        rec = tomo_2q(probabilities_2q(np.eye(4) / 4))
+        np.testing.assert_allclose(rec, np.eye(4) / 4, atol=1e-12)
 
     def test_incomplete_grid_raises(self):
-        probs = probabilities_2q(np.eye(4) / 4)
-        probs.pop(("H", "V"))
+        probs = np.delete(probabilities_2q(np.eye(4) / 4), 1)  # (H, V) missing
         with pytest.raises(ValueError):
-            tm.state_tomo_2q(probs)
+            tomo_2q(probs)
 
     def test_always_physical_for_arbitrary_counts(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            counts = {(l1, l2): int(rng.integers(0, 40))
-                      for l1 in tm.POLARIZATION_LABELS
-                      for l2 in tm.POLARIZATION_LABELS}
             try:
-                rec = tm.state_tomo_2q(counts)
+                rec = tomo_2q(rng.integers(0, 40, size=36))
             except ValueError:
                 continue  # a fully dead axis pair
-            evals = np.linalg.eigvalsh(rec.entries)
+            evals = np.linalg.eigvalsh(rec)
             assert evals.min() >= -1e-12
-            assert np.trace(rec.entries).real == pytest.approx(1.0, abs=1e-10)
+            assert np.trace(rec).real == pytest.approx(1.0, abs=1e-10)
 
 
 def random_cptp_kraus(rng, dim, n_kraus):
@@ -348,6 +356,19 @@ class TestFringeFit:
         assert fit.visibility_subtracted == 0.0
         assert not fit.converged
         assert tm.fringe_fit(scan).converged
+
+    def test_visibility_outside_unit_interval_is_not_converged(self):
+        # a one-period scan that is dark but for a spike at phi = 0: the
+        # cosine fit reads V = 2 on the raw and on the subtracted scan, which
+        # no fringe has
+        phis = np.linspace(0, 2 * np.pi, 13)
+        counts = np.zeros(13)
+        counts[0] = counts[-1] = 3.0
+        fit = tm.fringe_fit_stack(phis, counts[None], background=0.5)
+        assert fit.amplitude[0] > 0
+        assert fit.visibility_raw[0] == pytest.approx(2.0)
+        assert fit.visibility_subtracted[0] == pytest.approx(2.0)
+        assert not fit.converged[0]
 
     def test_matches_least_squares_oracle(self):
         # oracle: scipy's iterative fit of the same weighted residual in the
