@@ -21,9 +21,10 @@ one-scan case).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,7 @@ class BellLabel(Enum):
     PHI_MINUS = "phi-"
 
 
+@functools.cache
 def _bell_vectors() -> dict:
     h, v = ket2("H"), ket2("V")
     pairs = {
@@ -70,25 +72,16 @@ def _bell_vectors() -> dict:
     return {label: pair / np.sqrt(2.0) for label, pair in pairs.items()}
 
 
-_BELL_VECTORS = _bell_vectors()
-
-
 def bell_state_vector(label: BellLabel) -> np.ndarray:
-    return _BELL_VECTORS[label].copy()
+    return _bell_vectors()[label].copy()
 
 
-@dataclass(frozen=True)
-class SpectralOverlap:
-    """Scalar spectral-overlap model mu(tau) of the two-photon wavepacket."""
+class SpectralOverlap(NamedTuple):
+    """Scalar spectral-overlap model mu(tau) of the two-photon wavepacket;
+    `spectral_overlap` checks it."""
 
     coherence_time_ps: float
     shape: str = "gaussian"
-
-    def __post_init__(self):
-        if self.coherence_time_ps <= 0:
-            raise ValueError("coherence time must be positive")
-        if self.shape not in ("gaussian", "triangular"):
-            raise ValueError(f"unknown overlap shape {self.shape!r}")
 
 
 def spectral_overlap(tau_ps, s: SpectralOverlap):
@@ -101,10 +94,14 @@ def spectral_overlap(tau_ps, s: SpectralOverlap):
     """
     tau = np.asarray(tau_ps, dtype=float)
     tc = s.coherence_time_ps
+    if tc <= 0:
+        raise ValueError("coherence time must be positive")
     if s.shape == "gaussian":
         mu = np.exp(-(tau**2) / (2.0 * tc * tc))
-    else:
+    elif s.shape == "triangular":
         mu = np.maximum(0.0, 1.0 - np.abs(tau) / (2.0 * tc))
+    else:
+        raise ValueError(f"unknown overlap shape {s.shape!r}")
     return float(mu) if mu.ndim == 0 else mu
 
 
@@ -113,7 +110,7 @@ def werner_joint_stack(labels, visibility: float) -> np.ndarray:
     v |Bell><Bell| + (1 - v) I/4 of `labels`, spatial part |T_S B_I>."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    bells = np.array([_BELL_VECTORS[label] for label in labels])
+    bells = np.array([_bell_vectors()[label] for label in labels])
     pol = (visibility * np.einsum("la,lb->lab", bells, bells.conj())
            + (1.0 - visibility) * np.eye(4) / 4.0)
     # joint axes (m_s, p_s, m_i, p_i) for the row, then for the column
@@ -188,8 +185,7 @@ def hom_dip(overlap: float, tau_ps, s: SpectralOverlap, background: float = 0.0)
     return 0.5 * (1.0 - spectral_overlap(tau_ps, s) * overlap) + background
 
 
-@dataclass(frozen=True)
-class HomFit:
+class HomFit(NamedTuple):
     """Gaussian-dip fit of a HOM scan: floats for one scan (`hom_visibility`),
     (n,) arrays for a stack of scans (`hom_fit_stack`)."""
 
@@ -368,7 +364,7 @@ def hom_visibility(scan, background: float = 0.0) -> HomFit:
     points: the one-scan case of `hom_fit_stack`, with float fields."""
     taus, vals = np.array(scan, dtype=float).T.copy()
     fit = hom_fit_stack(taus, vals[None], background)
-    return HomFit(*(getattr(fit, f.name)[0].item() for f in fields(HomFit)))
+    return HomFit(*(v[0].item() for v in fit))
 
 
 def fiber_link(seed: int, residual_angle_rad: float = 0.0) -> tuple:

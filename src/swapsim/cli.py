@@ -19,27 +19,26 @@ so identical (config, seed) inputs produce byte-identical payload sections.
 argument parser once, parses each netlist text once and lowers each
 distinct chip stage once (`netlist`'s bounded caches); no state that
 changes a result is kept between calls, so a warm call gives the same
-payload as a fresh process.
+payload as a fresh process.  A command imports only what it uses: `fmt`
+and `check` load no numpy and no experiment module.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import experiments as ex
 from . import netlist as nl
-from .biphoton import BellLabel
-from .config import ChipConfig, ConfigError, ExperimentConfig, dump_config, load_config
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+    from .experiments import Report
 
 __all__ = ["main", "dispatch"]
 
@@ -48,6 +47,10 @@ EXIT_CONFIG = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 64
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+# the values of `biphoton.BellLabel`, written out so that parsing the
+# command line imports no experiment module
+BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", dest="hom_input",
                             choices=("TV_BH", "TH_BV", "source"), default=None)
         if name == "bell":
-            sp.add_argument("--label", choices=[l.value for l in BellLabel],
+            sp.add_argument("--label", choices=BELL_LABELS,
                             default=None, help="single Bell state (default: all four)")
         if name == "tomo-state":
             sp.add_argument("--spatial", choices=("T", "B", "+", "+i"), default="T")
@@ -110,6 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
+    from dataclasses import replace
+
+    from .config import ChipConfig, ConfigError, ExperimentConfig, load_config
+
     if args.config is not None:
         cfg = load_config(args.config)
     else:
@@ -132,7 +139,9 @@ def _load_experiment_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None) -> None:
+def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) -> None:
+    from .config import dump_config
+
     doc = {
         "schema_version": 1,
         "experiment": report.kind,
@@ -148,6 +157,8 @@ def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None)
     if out_dir is None:
         print(text)
         return
+    import csv
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text + "\n", encoding="utf-8")
@@ -163,6 +174,8 @@ def _write_report(report: ex.Report, cfg: ExperimentConfig, out_dir: str | None)
 
 
 def _parse_grid(args_grid) -> dict:
+    from .config import ConfigError
+
     sweep = {}
     for spec in args_grid:
         if "=" not in spec:
@@ -187,6 +200,12 @@ def _parse_grid(args_grid) -> dict:
 
 
 def _run_experiment(args) -> int:
+    from dataclasses import replace
+
+    import numpy as np
+
+    from . import experiments as ex
+
     cfg = _load_experiment_config(args)
     if args.command == "truth-table":
         report = ex.run_truth_table(cfg)
@@ -201,6 +220,8 @@ def _run_experiment(args) -> int:
         delays = np.linspace(-12.0, 12.0, args.points)
         report = ex.run_hom_scan(cfg, delays)
     elif args.command == "bell":
+        from .biphoton import BellLabel
+
         report = ex.run_bell_distribution(cfg, BellLabel(args.label) if args.label else None)
     elif args.command == "tomo-state":
         report = ex.run_state_tomography(cfg, args.spatial, args.pol)
@@ -251,6 +272,8 @@ def dispatch(argv) -> int:
         return EXIT_USAGE
     if args.command in ("fmt", "check"):
         return _netlist_tool(args)
+    from .config import ConfigError
+
     try:
         return _run_experiment(args)
     except ConfigError as exc:

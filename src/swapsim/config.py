@@ -1,7 +1,7 @@
 """Experiment configuration: JSON schema (version 1) and chip builders.
 
-All physical quantities carry unit-suffixed field names (`*_db`, `*_nm`,
-`*_ps`, `*_hz`, `*_s`, `*_rad`).  A chip is configured either inline
+All physical quantities carry unit-suffixed field names (`*_db`, `*_ps`,
+`*_hz`, `*_s`, `*_rad`).  A chip is configured either inline
 through its imperfection parameters or by pointing at a `.pnl` netlist;
 either way it is built by the netlist compiler (`ChipConfig.to_netlist`).
 A relative `netlist_path` in a config file is resolved against the file's
@@ -19,9 +19,12 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import netlist as nl
-from .devices import ChipModel
+
+if TYPE_CHECKING:
+    from .devices import ChipModel
 
 __all__ = ["ConfigError", "ChipConfig", "SourceConfig", "ExperimentConfig",
            "load_config", "dump_config"]
@@ -147,8 +150,6 @@ class ChipConfig:
 class SourceConfig:
     """SPDC source and Bell-preparation parameters."""
 
-    lambda_pump_nm: float = 778.5
-    lambda_signal_nm: float = 1557.0
     coherence_time_ps: float = 3.15
     bell_visibility: float = 0.96
     dip_shape: str = "gaussian"
@@ -159,8 +160,6 @@ class SourceConfig:
             raise ConfigError("coherence_time_ps must be positive")
         if not 0.0 <= self.bell_visibility <= 1.0:
             raise ConfigError("bell_visibility must lie in [0, 1]")
-        if not 0 < self.lambda_pump_nm < self.lambda_signal_nm:
-            raise ConfigError("need 0 < lambda_pump_nm < lambda_signal_nm")
         if self.dip_shape not in ("gaussian", "triangular"):
             raise ConfigError(f"unknown dip_shape {self.dip_shape!r}")
 
@@ -293,8 +292,9 @@ def load_config(path_or_text) -> ExperimentConfig:
 
     A relative chip `netlist_path` in a file is rewritten against the
     file's directory and normalised, so `o1/../x.pnl` reads `x.pnl`.  The
-    `wavelength_nm` key of older schema-1 documents never had an effect and
-    is dropped.
+    `wavelength_nm` key and the source's `lambda_pump_nm` and
+    `lambda_signal_nm` keys of older schema-1 documents never had an effect
+    and are dropped.
     """
     text = str(path_or_text)
     base_dir = None
@@ -317,7 +317,11 @@ def load_config(path_or_text) -> ExperimentConfig:
     data.pop("wavelength_nm", None)
     chips = tuple(_resolve_netlist(_build(ChipConfig, c, "chip"), base_dir)
                   for c in data.pop("chips", []))
-    source = _build(SourceConfig, data.pop("source", {}), "source")
+    source = data.pop("source", {})
+    if isinstance(source, dict):
+        source = {k: v for k, v in source.items()
+                  if k not in ("lambda_pump_nm", "lambda_signal_nm")}
+    source = _build(SourceConfig, source, "source")
     return _build(ExperimentConfig, {**data, "chips": chips, "source": source}, "experiment")
 
 

@@ -33,6 +33,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +81,7 @@ class ComponentKind(Enum):
     LOSS = "loss"
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(NamedTuple):
     """A component kind plus its named real parameters.
 
     Recognized parameters (all optional, ideal defaults):
@@ -96,26 +96,32 @@ class ComponentSpec:
       phase_rad                programmable phase (PHASE_V, MZI)
       xtalk_amp                spatial-mode contamination amplitude (facets)
       depol_prob               incoherent leakage knob (PC-NOT / MC-NOT)
+
+    The channel constructor that reads a spec checks its kind and ranges.
     """
 
     kind: ComponentKind
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", dict(self.params))
-        for name, value in self.params.items():
-            if not math.isfinite(value) and not (
-                name.startswith("extinction") and value == math.inf
-            ):
-                raise ValueError(f"parameter {name} must be finite, got {value}")
-        for name in self.params:
-            if name.startswith("extinction") and self.params[name] <= 0:
-                raise ValueError(f"{name} must be > 0 dB")
-            if name.startswith("loss") and self.params[name] < 0:
-                raise ValueError(f"{name} must be >= 0 dB")
+    params: dict
 
     def get(self, name: str, default: float = 0.0) -> float:
         return float(self.params.get(name, default))
+
+
+def _check_spec(spec: ComponentSpec, kind: ComponentKind) -> None:
+    """Raise unless `spec` is of `kind` and every parameter is finite (an
+    extinction may be infinite) and in range."""
+    if spec.kind is not kind:
+        raise ValueError(f"expected a {kind.name} spec, got {spec.kind}")
+    for name, value in spec.params.items():
+        if not math.isfinite(value) and not (
+            name.startswith("extinction") and value == math.inf
+        ):
+            raise ValueError(f"parameter {name} must be finite, got {value}")
+    for name, value in spec.params.items():
+        if name.startswith("extinction") and value <= 0:
+            raise ValueError(f"{name} must be > 0 dB")
+        if name.startswith("loss") and value < 0:
+            raise ValueError(f"{name} must be >= 0 dB")
 
 
 def er_to_leakage(er_db: float | None) -> float:
@@ -200,8 +206,7 @@ def pcnot_channel(spec: ComponentSpec) -> QuantumChannel:
     leakage amplitude bypasses the coupling region and is not attenuated).
     A uniform `loss_db` and the incoherent `depol_prob` knob compose on top.
     """
-    if spec.kind is not ComponentKind.PCNOT:
-        raise ValueError(f"expected a PCNOT spec, got {spec.kind}")
+    _check_spec(spec, ComponentKind.PCNOT)
     er = spec.params.get("extinction_db", math.inf)
     eps_h = er_to_leakage(spec.params.get("extinction_db_h", er))
     eps_v = er_to_leakage(spec.params.get("extinction_db_v", er))
@@ -225,8 +230,7 @@ def mcnot_channel(spec: ComponentSpec) -> QuantumChannel:
     form (exactly X when ideal).  Channel-resolved losses model the extra
     attenuation of the rotator path.
     """
-    if spec.kind is not ComponentKind.MCNOT:
-        raise ValueError(f"expected a MCNOT spec, got {spec.kind}")
+    _check_spec(spec, ComponentKind.MCNOT)
     eps = er_to_leakage(spec.params.get("extinction_db", math.inf))
     dtheta = math.asin(math.sqrt(eps)) + spec.get("rotation_error_rad")
     s, c = math.sin(dtheta), math.cos(dtheta)
@@ -331,6 +335,62 @@ def facet_channel(loss_h_db: float, loss_v_db: float, xtalk_amp: float = 0.0) ->
         mix = np.array([[math.sqrt(1 - x * x), x], [-x, math.sqrt(1 - x * x)]])
         k = np.kron(mix, np.eye(2)) @ k
     return QuantumChannel(4, 4, (k,))
+
+
+# exchange of the two spatial ports, T <-> B, polarization kept
+_SWAP_PORTS = np.eye(4, dtype=complex)[[2, 3, 0, 1]]
+
+
+def _per_port_pol(op: np.ndarray, ports) -> QuantumChannel:
+    """The 2x2 polarization operator `op` on each spatial port of `ports`."""
+    k = np.eye(4, dtype=complex)
+    for p in ports:
+        lifted = np.eye(4, dtype=complex)
+        lifted[2 * p:2 * p + 2, 2 * p:2 * p + 2] = op
+        k = lifted @ k
+    return QuantumChannel(4, 4, (k,))
+
+
+def _reorient(ch: QuantumChannel, idx) -> QuantumChannel:
+    """Conjugate a channel built in (first, second) port order when the
+    statement references the chip ports in reversed order."""
+    if tuple(idx) == (0, 1):
+        return ch
+    return QuantumChannel(4, 4, tuple(_SWAP_PORTS @ k @ _SWAP_PORTS for k in ch.kraus))
+
+
+def stage_channel(kind: str, idx: tuple, params: dict) -> QuantumChannel:
+    """The dim-4 channel of one netlist statement: a component of `kind`
+    (a `ComponentKind` value) on the chip ports `idx` (indices into the
+    chip's port order), with `params` named as `ComponentSpec` names them.
+    Raises ValueError on a parameter out of range."""
+    if kind == "pcnot":
+        return _reorient(pcnot_channel(ComponentSpec(ComponentKind.PCNOT, params)), idx)
+    if kind == "mcnot":
+        ch = mcnot_channel(ComponentSpec(ComponentKind.MCNOT, params))
+        return _reorient(ch, (idx[0], 1 - idx[0]))
+    if kind in ("hwp", "qwp"):
+        return _per_port_pol(waveplate_jones(ComponentKind(kind), params.get("angle_rad", 0.0)),
+                             idx)
+    if kind == "phase_v":
+        return _per_port_pol(phase_v(params.get("phase_rad", 0.0)), idx)
+    if kind == "polarizer":
+        return _per_port_pol(np.asarray(polarizer(params.get("angle_rad", 0.0)).kraus[0]), idx)
+    if kind == "bs5050":
+        return _reorient(QuantumChannel(4, 4, (np.kron(BS_5050, np.eye(2)),)), idx)
+    if kind == "mzi":
+        u = mzi_transfer(params.get("phase_rad", 0.0), params.get("input_phase_rad", 0.0))
+        return _reorient(QuantumChannel(4, 4, (np.kron(u, np.eye(2)),)), idx)
+    if kind == "fiber":
+        amp = db_to_amplitude(params.get("loss_db", 0.0))
+        return _per_port_pol(amp * phase_v(params.get("phase_rad", 0.0)), idx)
+    if kind == "facet":
+        return facet_channel(params.get("loss_db_h", 0.0), params.get("loss_db_v", 0.0),
+                             params.get("xtalk_amp", 0.0))
+    if kind == "loss":
+        amp = db_to_amplitude(params.get("loss_db", 0.0))
+        return _per_port_pol(amp * np.eye(2, dtype=complex), idx)
+    raise ValueError(f"unknown component kind {kind!r}")
 
 
 @dataclass(frozen=True)

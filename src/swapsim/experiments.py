@@ -17,7 +17,9 @@ once per run, not once per trial) and wraps the results in a `Report`; the
 fit runners report their non-converged fits in a `diagnostics` block.  The
 exact (infinite-count) value of every estimate is always computed
 alongside the Monte Carlo one, so the noiseless pipeline doubles as the
-oracle for the sampled one.
+oracle for the sampled one.  Only `hom` and `bell` import `biphoton`, and
+each constant table (settings, inputs, ideal processes) is built on its
+first use, so a fresh process pays for what its command runs.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
 and every estimate bit-exactly.  Each run draws from one PCG64 generator
@@ -29,14 +31,15 @@ input); trial 0 comes first in the stream, so it does not depend on
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 from itertools import product
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import biphoton as bp
 from . import tomography as tm
 from .config import ExperimentConfig, config_digest
 from .devices import (
@@ -57,6 +60,9 @@ from .qcore import (
     ket4,
     pure_fidelity_stack,
 )
+
+if TYPE_CHECKING:
+    from .biphoton import BellLabel
 
 __all__ = [
     "Report",
@@ -109,15 +115,14 @@ def sample_counts(cfg: ExperimentConfig, path: tuple, probs, time_s: float) -> n
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Experiment result: deterministic payload plus provenance."""
 
     kind: str
     payload: dict
     config_hash: str
     seed: int
-    tables: dict = field(default_factory=dict)  # name -> list of rows (CSV-able)
+    tables: dict  # name -> list of rows (CSV-able)
 
     def canonical_payload(self) -> str:
         """Byte-stable JSON of the deterministic payload."""
@@ -335,6 +340,8 @@ def _hom_joint(cfg: ExperimentConfig) -> np.ndarray:
     """The (16, 16) joint state of the HOM pair at the combiner: the input
     pair through chip 0 (unless it is the bare source), heralded and
     validated once, then the idler's polarization controller."""
+    from . import biphoton as bp
+
     (ms, ps), (mi, pi) = _HOM_INPUTS[cfg.hom_input]
     v = np.kron(ket4(ms, ps), ket4(mi, pi))
     joint = np.outer(v, v.conj())[None]
@@ -347,6 +354,8 @@ def _hom_joint(cfg: ExperimentConfig) -> np.ndarray:
 
 def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
     """Hong-Ou-Mandel dip scan after the SWAP operation (or source-only)."""
+    from . import biphoton as bp
+
     if delays_ps is None:
         delays_ps = np.linspace(-12.0, 12.0, 49)
     delays = np.asarray(list(delays_ps), dtype=float)
@@ -395,6 +404,8 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
 def _bell_link(cfg: ExperimentConfig, chip1: ChipModel, chip2: ChipModel) -> np.ndarray:
     """The 16x16 superoperator of chip 1, the fiber link, its compensation
     and chip 2 in cascade (chip 1 acts first)."""
+    from . import biphoton as bp
+
     forward, compensation = bp.fiber_link(cfg.fiber_seed, cfg.fiber_residual_rad)
     return (chip2.superoperator @ compensation.superoperator @ forward.superoperator
             @ chip1.superoperator)
@@ -409,6 +420,8 @@ def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: np.ndarray) ->
     (T_S, B_I) coincidence sector and the (L,) probabilities of heralding
     into that sector.
     """
+    from . import biphoton as bp
+
     joints = bp.werner_joint_stack(labels, cfg.source.bell_visibility)
     rho, survival = heralded_normalize_stack(bp.apply_chip_both_stack(joints, link))
     blk, sector_p = bp.sector_block_stack(rho, (0, 1))
@@ -419,18 +432,22 @@ def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: np.ndarray) ->
 # order, the order in which their counts are drawn, and the column of each
 # grid-order (label order, q1 major) setting within them.
 _TOMO_2Q_PAIRS = sorted(product(tm.POLARIZATION_LABELS, repeat=2))
-_POL_PROJECTORS = {l: tm.MeasurementSetting("polarization", l).projector()
-                   for l in tm.POLARIZATION_LABELS}
-_TOMO_2Q_PROJECTORS = np.array([np.kron(_POL_PROJECTORS[l1], _POL_PROJECTORS[l2])
-                                for l1, l2 in _TOMO_2Q_PAIRS])
 _TOMO_2Q_GRID_COLUMNS = [_TOMO_2Q_PAIRS.index(p)
                          for p in product(tm.POLARIZATION_LABELS, repeat=2)]
+
+
+@functools.cache
+def _tomo_2q_projectors() -> np.ndarray:
+    """The (36, 4, 4) projectors of the settings of `_TOMO_2Q_PAIRS`."""
+    pol = {l: tm.MeasurementSetting("polarization", l).projector()
+           for l in tm.POLARIZATION_LABELS}
+    return np.array([np.kron(pol[l1], pol[l2]) for l1, l2 in _TOMO_2Q_PAIRS])
 
 
 def _tomo_2q_probabilities(rho_pols: np.ndarray) -> np.ndarray:
     """Probability of each setting of `_TOMO_2Q_PAIRS` for each state of
     `rho_pols` (L, 4, 4): shape (L, 36)."""
-    return np.einsum("sab,lba->ls", _TOMO_2Q_PROJECTORS, rho_pols).real
+    return np.einsum("sab,lba->ls", _tomo_2q_projectors(), rho_pols).real
 
 
 _BELL_TABLE_BASIS = ("HH", "HV", "VH", "VV")
@@ -445,8 +462,10 @@ def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) 
     `state_tomo_2q_stack` call.  Both fidelities have a pure Bell target,
     so they are <psi|rho|psi> (`pure_fidelity_stack`).
     """
+    from .biphoton import bell_state_vector
+
     rho_pol, success_p = _bell_polarization_stack(cfg, labels, link)
-    targets = np.array([bp.bell_state_vector(label) for label in labels])
+    targets = np.array([bell_state_vector(label) for label in labels])
     f_exact = pure_fidelity_stack(rho_pol, targets)
 
     t_setting = cfg.integration_time_s / 36.0
@@ -482,7 +501,7 @@ def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) 
     return runs
 
 
-def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel | None = None) -> Report:
+def run_bell_distribution(cfg: ExperimentConfig, label: BellLabel | None = None) -> Report:
     """Chip-to-chip Bell distribution with two-qubit polarization tomography.
 
     One label gives that state's full report; `None` runs all four and
@@ -490,13 +509,15 @@ def run_bell_distribution(cfg: ExperimentConfig, label: bp.BellLabel | None = No
     built, and multiplied with the fiber link, once per call, and the labels
     run as one stack (`_bell_runs`).
     """
+    from .biphoton import BellLabel
+
     chip2 = cfg.chip(1)
     link = _bell_link(cfg, cfg.chip(0), chip2)
     chip2_f = truth_table_fidelity_exact(chip2, cfg.logical_frame)
     if label is not None:
         [(payload, rows)] = _bell_runs(cfg, [label], link, chip2_f)
         return _mk_report("bell", cfg, payload, {"density_matrix": rows})
-    labels = list(bp.BellLabel)
+    labels = list(BellLabel)
     runs = _bell_runs(cfg, labels, link, chip2_f)
     payload = {
         "bell_labels": [l.value for l in labels],
@@ -542,16 +563,18 @@ def _exact_outputs(s: np.ndarray, vecs: np.ndarray, frame: str,
     return logical_frame_stack(out, frame)
 
 
-# The POVM element sum_k K^dag K of the MZI projector of each momentum
-# setting, in `tm.MOMENTUM_LABELS` order.
-_MZI_POVMS = np.array([sum(dagger(k) @ k for k in mzi_projector(MZISetting(lbl)).kraus)
-                       for lbl in tm.MOMENTUM_LABELS])
+@functools.cache
+def _mzi_povms() -> np.ndarray:
+    """The POVM element sum_k K^dag K of the MZI projector of each momentum
+    setting, in `tm.MOMENTUM_LABELS` order: shape (6, 2, 2)."""
+    return np.array([sum(dagger(k) @ k for k in mzi_projector(MZISetting(lbl)).kraus)
+                     for lbl in tm.MOMENTUM_LABELS])
 
 
 def _mzi_probabilities(rho2: np.ndarray) -> np.ndarray:
     """Detection probability behind the MZI of each momentum setting, for
     each state of `rho2` (J, 2, 2): shape (J, 6), settings in label order."""
-    return np.einsum("jab,sba->js", rho2, _MZI_POVMS).real
+    return np.einsum("jab,sba->js", rho2, _mzi_povms()).real
 
 
 def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
@@ -597,22 +620,31 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
 
 _PROCESS_INPUT_POLS = (("H", "H"), ("V", "V"), ("+", "D"), ("+i", "R"))
 _PROCESS_SPATIAL_INPUTS = ("T", "B", "+", "+i")
-# the polarization inputs as kets and as the density matrices of process_tomo
-_PROCESS_POL_KETS = np.array([ket2(pol) for _, pol in _PROCESS_INPUT_POLS])
-_PROCESS_INPUTS_1Q = np.einsum("ja,jb->jab", _PROCESS_POL_KETS, _PROCESS_POL_KETS.conj())
-# the ideal process of each frame: the identity (relabeled) or a bit flip
-# (raw) on the momentum qubit
-_CHI_IDEAL_1Q = {"relabeled": tm.chi_from_unitary(np.eye(2, dtype=complex)),
-                 "raw": tm.chi_from_unitary(PAULI_X)}
-# the 16 separable chip inputs |spatial> (x) |pol>, spatial major: rows
-# 4s to 4s + 3 are the polarization inputs of spatial input s, and all 16
-# are the inputs of two-qubit process tomography
-_PROCESS_VECS = np.kron(np.array([_spatial_ket(sp) for sp in _PROCESS_SPATIAL_INPUTS]),
-                        _PROCESS_POL_KETS)
-_PROCESS_INPUTS_2Q = np.einsum("ja,jb->jab", _PROCESS_VECS, _PROCESS_VECS.conj())
-# the ideal two-qubit process of each frame: (X (x) X) SWAP (raw) or SWAP
-_CHI_IDEAL_2Q = {"raw": tm.chi_from_unitary(ideal_swap_unitary()),
-                 "relabeled": tm.chi_from_unitary(swap_unitary())}
+
+
+@functools.cache
+def _process_inputs() -> tuple:
+    """(vecs, inputs_1q, inputs_2q): the 16 separable chip inputs
+    |spatial> (x) |pol> as (16, 4) kets, spatial major (rows 4s to 4s + 3
+    are the polarization inputs of spatial input s); the four polarization
+    inputs as the density matrices of one-qubit process tomography; and
+    all 16 as those of two-qubit process tomography."""
+    pol_kets = np.array([ket2(pol) for _, pol in _PROCESS_INPUT_POLS])
+    vecs = np.kron(np.array([_spatial_ket(sp) for sp in _PROCESS_SPATIAL_INPUTS]), pol_kets)
+    return (vecs, np.einsum("ja,jb->jab", pol_kets, pol_kets.conj()),
+            np.einsum("ja,jb->jab", vecs, vecs.conj()))
+
+
+@functools.cache
+def _chi_ideal(n: int, frame: str) -> np.ndarray:
+    """The chi matrix of the ideal process of `frame`: on the momentum
+    qubit (n = 1) the identity (relabeled) or a bit flip (raw); on both
+    qubits (n = 2) SWAP (relabeled) or (X (x) X) SWAP (raw)."""
+    if n == 1:
+        u = np.eye(2, dtype=complex) if frame == "relabeled" else PAULI_X
+    else:
+        u = swap_unitary() if frame == "relabeled" else ideal_swap_unitary()
+    return tm.chi_from_unitary(u).chi
 
 
 def run_process_tomography(cfg: ExperimentConfig) -> Report:
@@ -626,11 +658,12 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
     inputs are propagated in one `_exact_outputs` call, and the four chi
     matrices come from one `process_tomo_stack` call.
     """
-    red = _exact_outputs(cfg.chip(0).superoperator, _PROCESS_VECS, cfg.logical_frame,
+    vecs, inputs_1q, _ = _process_inputs()
+    red = _exact_outputs(cfg.chip(0).superoperator, vecs, cfg.logical_frame,
                          trace_polarization=True)
     rho_est = tm.state_tomo_1q_stack(_mzi_probabilities(red)).reshape(-1, 4, 2, 2)
-    chis = tm.process_tomo_stack(_PROCESS_INPUTS_1Q, rho_est, 1)
-    fids = tm.process_fidelity_stack(chis, _CHI_IDEAL_1Q[cfg.logical_frame].chi)
+    chis = tm.process_tomo_stack(inputs_1q, rho_est, 1)
+    fids = tm.process_fidelity_stack(chis, _chi_ideal(1, cfg.logical_frame))
     purities = tm.process_purity_stack(chis)
     per_input = {
         spatial: {"process_fidelity": float(f), "process_purity": float(p),
@@ -653,9 +686,10 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
 
 def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
     """Two-qubit chi matrix of the full chip over 16 separable inputs."""
-    outs = _exact_outputs(cfg.chip(0).superoperator, _PROCESS_VECS, cfg.logical_frame)
-    chi = tm.process_tomo_stack(_PROCESS_INPUTS_2Q, outs[None], 2)[0]
-    chi_ideal = _CHI_IDEAL_2Q[cfg.logical_frame].chi
+    vecs, _, inputs_2q = _process_inputs()
+    outs = _exact_outputs(cfg.chip(0).superoperator, vecs, cfg.logical_frame)
+    chi = tm.process_tomo_stack(inputs_2q, outs[None], 2)[0]
+    chi_ideal = _chi_ideal(2, cfg.logical_frame)
     payload = {
         "frame": cfg.logical_frame,
         "process_fidelity": float(tm.process_fidelity_stack(chi, chi_ideal)),
@@ -705,9 +739,10 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict) -> Report:
         s = np.array([replace(base, **{_SWEEP_AXES[axis]: v}).build().superoperator
                       for axis, v in points])
         f_tt = _table_fidelities(s, cfg.logical_frame)
-        red = _exact_outputs(s, _PROCESS_VECS[:4], "relabeled", trace_polarization=True)
-        chis = tm.process_tomo_stack(_PROCESS_INPUTS_1Q, red, 1)
-        f_chi = tm.process_fidelity_stack(chis, _CHI_IDEAL_1Q["relabeled"].chi)
+        vecs, inputs_1q, _ = _process_inputs()
+        red = _exact_outputs(s, vecs[:4], "relabeled", trace_polarization=True)
+        chis = tm.process_tomo_stack(inputs_1q, red, 1)
+        f_chi = tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled"))
     rows = [["axis", "value", "truth_table_fidelity", "process_fidelity_T"]]
     results = []
     for (axis, v), tt, chi in zip(points, f_tt, f_chi):

@@ -15,9 +15,11 @@ order.  The formatter emits a canonical layout; comments are discarded.
 
 A process parses each netlist text once and lowers each distinct stage
 once: `parse` keeps a bounded LRU cache keyed on the source text, and
-statement lowering one keyed on everything the lowering reads (kind,
-ports, the chip's port order, each parameter's name, unit and exact
-value).  Every cached value is immutable, and errors are never cached.
+statement lowering one keyed on everything the lowering reads (kind, the
+statement's port indices into the chip's port order, each checked
+parameter's name and exact value).  Every cached value is immutable, and
+errors are never cached.  The parser and the formatter are pure Python:
+only lowering imports the device models (and with them numpy).
 
 Example:
 
@@ -34,13 +36,11 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from . import devices
-from .devices import ChipModel, ComponentKind, ComponentSpec
-from .qcore import QuantumChannel
+if TYPE_CHECKING:
+    from .devices import ChipModel
+    from .qcore import QuantumChannel
 
 __all__ = [
     "SourceSpan",
@@ -59,7 +59,10 @@ __all__ = [
 
 UNITS = ("dB", "deg", "rad", "nm")
 
-KINDS = tuple(k.value for k in ComponentKind)
+# the values of `devices.ComponentKind`, written out so that parsing
+# imports no device model
+KINDS = ("pcnot", "mcnot", "hwp", "qwp", "phase_v", "polarizer", "bs5050", "mzi",
+         "fiber", "facet", "loss")
 
 # bounds of the per-process caches: distinct netlist texts kept parsed, and
 # distinct statements kept lowered (a default sweep lowers 18)
@@ -103,9 +106,13 @@ _PARAM_TABLE = {
     "loss": {"loss": ("loss_db", "db")},
 }
 
+# statement kind -> the numbers of ports it may name
+_PORT_COUNTS = {"pcnot": {2}, "mcnot": {1}, "hwp": {1, 2}, "qwp": {1, 2}, "phase_v": {1, 2},
+                "polarizer": {1, 2}, "bs5050": {2}, "mzi": {2}, "fiber": {1, 2},
+                "facet": {2}, "loss": {1, 2}}
 
-@dataclass(frozen=True)
-class SourceSpan:
+
+class SourceSpan(NamedTuple):
     start: int
     end: int
     line: int
@@ -135,8 +142,7 @@ class CompileError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     name: str
     value: float
     unit: str | None
@@ -146,8 +152,7 @@ class Param:
         return ("param", self.name, self.value, self.unit)
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     kind: str
     name: str
     ports: tuple
@@ -159,8 +164,7 @@ class Statement:
                 tuple(p.structure() for p in self.params))
 
 
-@dataclass(frozen=True)
-class ChipDecl:
+class ChipDecl(NamedTuple):
     name: str
     ports: tuple
     statements: tuple
@@ -171,8 +175,7 @@ class ChipDecl:
                 tuple(s.structure() for s in self.statements))
 
 
-@dataclass(frozen=True)
-class NetlistAst:
+class NetlistAst(NamedTuple):
     chips: tuple
 
     def structure(self):
@@ -183,20 +186,23 @@ class NetlistAst:
 # lexer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<unit>[A-Za-z]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[{}();,=])
-    """,
-    re.VERBOSE,
-)
+@functools.cache
+def _token_re() -> re.Pattern:
+    """The lexer's pattern, compiled on first use: building an inline
+    chip from a config parses no text."""
+    return re.compile(
+        r"""
+        (?P<ws>[ \t\r\n]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<unit>[A-Za-z]*)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[{}();,=])
+        """,
+        re.VERBOSE,
+    )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number", "ident", "punct", "eof"
     text: str
     value: float | None
@@ -210,8 +216,9 @@ def _tokenize(text: str):
     line = 1
     line_start = 0
     n = len(text)
+    match = _token_re().match
     while pos < n:
-        m = _TOKEN_RE.match(text, pos)
+        m = match(text, pos)
         if m is None:
             span = SourceSpan(pos, pos + 1, line, pos - line_start + 1)
             raise ParseError(f"unexpected character {text[pos]!r}", span)
@@ -394,22 +401,13 @@ def format_netlist(ast: NetlistAst) -> str:
 # compiler
 # ---------------------------------------------------------------------------
 
-def _embed_pol_op(op: np.ndarray, port: int) -> np.ndarray:
-    """Lift a 2x2 polarization operator onto one spatial port of dim 4."""
-    out = np.eye(4, dtype=complex)
-    out[2 * port:2 * port + 2, 2 * port:2 * port + 2] = op
-    return out
-
-
-_SWAP_PORTS = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2, dtype=complex))
-
-
-def _port_indices(st: Statement, chip_ports, want, span) -> list:
+def _port_indices(st: Statement, chip_ports) -> tuple:
+    want = _PORT_COUNTS[st.kind]
     if len(st.ports) not in want:
         raise CompileError(
             f"{st.kind} takes {' or '.join(map(str, sorted(want)))} port(s), "
-            f"got {len(st.ports)}", span, code="bad-ports")
-    return [chip_ports.index(p) for p in st.ports]
+            f"got {len(st.ports)}", st.span, code="bad-ports")
+    return tuple(chip_ports.index(p) for p in st.ports)
 
 
 def _spec_params(st: Statement) -> dict:
@@ -431,93 +429,25 @@ def _spec_params(st: Statement) -> dict:
     return params
 
 
-@dataclass(frozen=True)
-class _StageKey:
-    """What lowering a statement reads.  Instance names and spans only feed
-    error messages, so the statement rides along uncompared."""
-
-    kind: str
-    ports: tuple
-    chip_ports: tuple
-    params: tuple  # (name, unit, float.hex(value)): +0 and -0 differ
-    statement: Statement = field(compare=False)
-
-
 def _lower_statement(st: Statement, chip_ports) -> QuantumChannel:
-    """The statement's stage, lowered once per distinct `_StageKey`."""
-    params = tuple((p.name, p.unit, float(p.value).hex()) for p in st.params)
-    return _lower_stage(_StageKey(st.kind, tuple(st.ports), tuple(chip_ports), params, st))
+    """The statement's stage: its names, units and ports are checked here,
+    against the statement's spans, and the channel is lowered once per
+    distinct (kind, port indices, parameters)."""
+    params = _spec_params(st)
+    idx = _port_indices(st, chip_ports)
+    try:
+        return _lower_stage(st.kind, idx, tuple((k, float(v).hex()) for k, v in params.items()))
+    except ValueError as exc:
+        raise CompileError(str(exc), st.span, code="param-range") from exc
 
 
 @functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
-def _lower_stage(key: _StageKey) -> QuantumChannel:
-    st, chip_ports = key.statement, key.chip_ports
-    params = _spec_params(st)
-    span = st.span
-    try:
-        if st.kind == "pcnot":
-            idx = _port_indices(st, chip_ports, {2}, span)
-            ch = devices.pcnot_channel(ComponentSpec(ComponentKind.PCNOT, params))
-            return _reorient(ch, idx)
-        if st.kind == "mcnot":
-            idx = _port_indices(st, chip_ports, {1}, span)
-            ch = devices.mcnot_channel(ComponentSpec(ComponentKind.MCNOT, params))
-            return _reorient(ch, [idx[0], 1 - idx[0]])
-        if st.kind in ("hwp", "qwp"):
-            idx = _port_indices(st, chip_ports, {1, 2}, span)
-            kind = ComponentKind.HWP if st.kind == "hwp" else ComponentKind.QWP
-            j = devices.waveplate_jones(kind, params.get("angle_rad", 0.0))
-            return _per_port_pol(j, idx)
-        if st.kind == "phase_v":
-            idx = _port_indices(st, chip_ports, {1, 2}, span)
-            return _per_port_pol(devices.phase_v(params.get("phase_rad", 0.0)), idx)
-        if st.kind == "polarizer":
-            idx = _port_indices(st, chip_ports, {1, 2}, span)
-            proj = devices.polarizer(params.get("angle_rad", 0.0)).kraus[0]
-            return _per_port_pol(np.asarray(proj), idx)
-        if st.kind == "bs5050":
-            _port_indices(st, chip_ports, {2}, span)
-            ch = QuantumChannel(4, 4, (np.kron(devices.BS_5050, np.eye(2)),))
-            return _reorient(ch, [chip_ports.index(p) for p in st.ports])
-        if st.kind == "mzi":
-            _port_indices(st, chip_ports, {2}, span)
-            u = devices.mzi_transfer(params.get("phase_rad", 0.0),
-                                     params.get("input_phase_rad", 0.0))
-            ch = QuantumChannel(4, 4, (np.kron(u, np.eye(2)),))
-            return _reorient(ch, [chip_ports.index(p) for p in st.ports])
-        if st.kind == "fiber":
-            idx = _port_indices(st, chip_ports, {1, 2}, span)
-            amp = devices.db_to_amplitude(params.get("loss_db", 0.0))
-            op = amp * devices.phase_v(params.get("phase_rad", 0.0))
-            return _per_port_pol(op, idx)
-        if st.kind == "facet":
-            _port_indices(st, chip_ports, {2}, span)
-            return devices.facet_channel(params.get("loss_db_h", 0.0),
-                                         params.get("loss_db_v", 0.0),
-                                         params.get("xtalk_amp", 0.0))
-        if st.kind == "loss":
-            idx = _port_indices(st, chip_ports, {1, 2}, span)
-            amp = devices.db_to_amplitude(params.get("loss_db", 0.0))
-            return _per_port_pol(amp * np.eye(2, dtype=complex), idx)
-    except (ValueError,) as exc:
-        raise CompileError(str(exc), span, code="param-range") from exc
-    raise CompileError(f"unhandled kind {st.kind}", span, code="unknown-kind")
+def _lower_stage(kind: str, idx: tuple, params: tuple) -> QuantumChannel:
+    """`devices.stage_channel` of one distinct stage; `params` holds
+    (name, float.hex(value)) pairs, so +0 and -0 differ."""
+    from .devices import stage_channel
 
-
-def _per_port_pol(op: np.ndarray, ports: list) -> QuantumChannel:
-    k = np.eye(4, dtype=complex)
-    for p in ports:
-        k = _embed_pol_op(op, p) @ k
-    return QuantumChannel(4, 4, (k,))
-
-
-def _reorient(ch: QuantumChannel, idx: list) -> QuantumChannel:
-    """Conjugate a channel built in (first, second) port order when the
-    statement references the chip ports in reversed order."""
-    if idx == [0, 1]:
-        return ch
-    kraus = tuple(_SWAP_PORTS @ k @ _SWAP_PORTS for k in ch.kraus)
-    return QuantumChannel(4, 4, kraus)
+    return stage_channel(kind, idx, {name: float.fromhex(h) for name, h in params})
 
 
 def compile_chip(chip: ChipDecl) -> ChipModel:
@@ -525,9 +455,11 @@ def compile_chip(chip: ChipDecl) -> ChipModel:
         raise CompileError(
             f"this simulator models exactly 2 spatial ports, chip "
             f"{chip.name!r} declares {len(chip.ports)}", chip.span, code="port-count")
+    from .devices import ChipModel, facet_channel
+
     stages = tuple(_lower_statement(st, chip.ports) for st in chip.statements)
     if not stages:
-        stages = (devices.facet_channel(0.0, 0.0),)  # identity chip
+        stages = (facet_channel(0.0, 0.0),)  # identity chip
     return ChipModel(stages, label=chip.name)
 
 

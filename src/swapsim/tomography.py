@@ -18,8 +18,10 @@ is its one-scan case).
 from __future__ import annotations
 
 import csv
+import functools
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +63,6 @@ __all__ = [
 
 POLARIZATION_LABELS = ("H", "V", "D", "A", "R", "L")
 MOMENTUM_LABELS = ("0", "1", "+", "-", "i", "-i")
-
-_PAULI_1Q = PauliBasis(1)
-_PAULI_2Q = PauliBasis(2)
 
 
 @dataclass(frozen=True)
@@ -196,10 +195,14 @@ def truth_table_fidelity(m_exp: TruthTable, m_ideal: TruthTable) -> float:
 # _AXIS_TO_PAULI the index into PauliBasis order (I, X, Y, Z) of z, x, y.
 _SIGNS = np.array([1.0, -1.0])
 _AXIS_TO_PAULI = np.array([3, 1, 2])
-# Rows of _PAULI_*_ROWS are the flattened Pauli operators, so a
-# coefficient row times it is the flattened operator sum.
-_PAULI_1Q_ROWS = np.array(_PAULI_1Q.operators).reshape(4, 4)
-_PAULI_2Q_ROWS = np.array(_PAULI_2Q.operators).reshape(16, 16)
+
+
+@functools.cache
+def _pauli_rows(n: int) -> np.ndarray:
+    """The operators of `PauliBasis(n)`, flattened into the rows of a
+    (4^n, 4^n) array, so a coefficient row times it is the flattened
+    operator sum; built on first use."""
+    return np.array(PauliBasis(n).operators).reshape(4**n, 4**n)
 
 
 def _check_axis_totals(total: np.ndarray, what: str) -> None:
@@ -219,7 +222,7 @@ def state_tomo_1q_stack(counts) -> np.ndarray:
     _check_axis_totals(total, "axis")
     coef = np.ones((len(c), 4))
     coef[:, _AXIS_TO_PAULI] = (c @ _SIGNS) / total
-    return project_to_physical_stack(0.5 * (coef @ _PAULI_1Q_ROWS).reshape(-1, 2, 2))
+    return project_to_physical_stack(0.5 * (coef @ _pauli_rows(1)).reshape(-1, 2, 2))
 
 
 def state_tomo_2q_stack(counts) -> np.ndarray:
@@ -240,7 +243,7 @@ def state_tomo_2q_stack(counts) -> np.ndarray:
     coef[:, 0, _AXIS_TO_PAULI] = (np.einsum("nasbt,t->nab", c, _SIGNS) / total).mean(axis=1)
     coef[:, _AXIS_TO_PAULI[:, None], _AXIS_TO_PAULI] = \
         np.einsum("nasbt,s,t->nab", c, _SIGNS, _SIGNS) / total
-    lin = coef.reshape(-1, 16) @ _PAULI_2Q_ROWS / 4.0
+    lin = coef.reshape(-1, 16) @ _pauli_rows(2) / 4.0
     return project_to_physical_stack(lin.reshape(-1, 4, 4))
 
 
@@ -295,7 +298,7 @@ def process_tomo_stack(inputs, outputs, n: int) -> np.ndarray:
     # t[k, (a, c), (b, d)]: the contraction is then one product with the
     # flattened Pauli rows
     t = s_t.reshape(d, d, g, d, d).transpose(2, 3, 0, 4, 1).reshape(g, d2, d2)
-    e_rows = _PAULI_1Q_ROWS if n == 1 else _PAULI_2Q_ROWS
+    e_rows = _pauli_rows(n)
     chi = e_rows.conj() @ t @ e_rows.T / d2
     chi = 0.5 * (chi + dagger(chi))
     evals, vecs = np.linalg.eigh(chi)
@@ -321,8 +324,7 @@ def chi_from_unitary(u: np.ndarray) -> ProcessMatrix:
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
     n = int(round(np.log2(d)))
-    basis = _PAULI_1Q if n == 1 else _PAULI_2Q
-    c = np.array([np.trace(e @ u) / d for e in basis.operators])
+    c = np.array([np.trace(e @ u) / d for e in _pauli_rows(n).reshape(-1, d, d)])
     chi = np.outer(c, c.conj())
     return ProcessMatrix(n, chi / float(np.trace(chi).real))
 
@@ -362,8 +364,7 @@ def process_purity(chi: ProcessMatrix) -> float:
 # fringe fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FringeFit:
+class FringeFit(NamedTuple):
     """Least-squares fit of C(phi) = A (1 + V cos(phi + delta)): floats for
     one scan (`fringe_fit`), (n,) arrays for a stack (`fringe_fit_stack`)."""
 
@@ -450,4 +451,4 @@ def fringe_fit(scan, background: float = 0.0) -> FringeFit:
     `fringe_fit_stack`, with float fields."""
     phis, vals = np.array(scan, dtype=float).T.copy()
     fit = fringe_fit_stack(phis, vals[None], background)
-    return FringeFit(*(getattr(fit, f.name)[0].item() for f in fields(FringeFit)))
+    return FringeFit(*(v[0].item() for v in fit))

@@ -4,7 +4,7 @@ import pytest
 from swapsim import biphoton as bp
 from swapsim import experiments as ex
 from swapsim import qcore as qc
-from swapsim.config import ChipConfig, ConfigError, ExperimentConfig, SourceConfig
+from swapsim.config import ChipConfig, ExperimentConfig
 
 
 def ideal_chip_superoperator():
@@ -25,10 +25,6 @@ def bell_fidelity(joint, label):
 
 
 class TestSpdc:
-    def test_signal_must_exceed_pump(self):
-        with pytest.raises(ConfigError):
-            SourceConfig(lambda_pump_nm=1556.0, lambda_signal_nm=778.0)
-
     def test_state_structure(self):
         # the HOM runner's bare source pair, no polarization controller
         joint = ex._hom_joint(ExperimentConfig(hom_input="source", fpc_mode="none"))

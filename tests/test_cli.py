@@ -393,6 +393,24 @@ def test_runtime_does_not_import_scipy():
     assert out.strip() == "False"
 
 
+def test_bell_label_choices_are_the_bell_labels():
+    from swapsim.biphoton import BellLabel
+
+    assert cli.BELL_LABELS == tuple(label.value for label in BellLabel)
+
+
+def test_fmt_imports_no_numpy():
+    # the parser and formatter are pure Python: a fresh `swapsim fmt` loads
+    # neither numpy nor an experiment module
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    code = ("import sys; from swapsim.cli import dispatch; "
+            "assert dispatch(['fmt', 'demos/data/swap_measured.pnl']) == 0; "
+            "print(sorted({'numpy', 'swapsim.config', 'swapsim.experiments'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+
+
 def test_closed_stdout_exits_quietly():
     # `swapsim bell | head -1`: the reader is gone before the report is
     # printed; the CLI exits with its documented code and no traceback

@@ -86,6 +86,13 @@ class TestLegacyKeys:
         doc["wavelength_nm"] = 1550.0
         assert load_config(json.dumps(doc)) == cfg
 
+    def test_source_wavelength_keys_of_older_documents_are_dropped(self):
+        cfg = ExperimentConfig.measured_chip()
+        doc = json.loads(dump_config(cfg))
+        assert "lambda_pump_nm" not in doc["source"]
+        doc["source"].update(lambda_pump_nm=778.5, lambda_signal_nm=1557.0)
+        assert load_config(json.dumps(doc)) == cfg
+
     def test_unknown_key_still_rejected(self):
         with pytest.raises(ConfigError, match="bad experiment fields"):
             load_config(json.dumps({"schema_version": 1, "base_dir": "."}))

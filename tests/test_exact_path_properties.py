@@ -438,14 +438,15 @@ def test_error_budget_equals_per_point_oracle(base, sweep, frame):
     points = [(a, float(v)) for a, values in sorted(sweep.items()) for v in values]
     assert [(g["axis"], g["value"]) for g in grid] == points
     ideal = tm.chi_from_unitary(np.eye(2, dtype=complex))
+    vecs, inputs_1q, _ = ex._process_inputs()
     for g, (axis, v) in zip(grid, points):
         chip = replace(base, **{ex._SWEEP_AXES[axis]: v}).build()
         assert g["truth_table_fidelity"] == pytest.approx(
             ex.truth_table_fidelity_exact(chip, frame), rel=0, abs=TOL)
         # T-input momentum qubit, relabeled frame: the per-state chain
         red = [output_state_oracle(chip, vec, "relabeled", True)[0].entries
-               for vec in ex._PROCESS_VECS[:4]]
-        chi = tm.process_tomo(ex._PROCESS_INPUTS_1Q, red, 1)
+               for vec in vecs[:4]]
+        chi = tm.process_tomo(inputs_1q, red, 1)
         assert g["process_fidelity_T"] == pytest.approx(tm.process_fidelity(chi, ideal),
                                                         rel=0, abs=TOL)
 

@@ -173,7 +173,7 @@ def _oracle_or_error(oracle, grid, vals, background):
 
 
 def _fields(fit):
-    return {name: np.asarray(value) for name, value in vars(fit).items()}
+    return {name: np.asarray(value) for name, value in fit._asdict().items()}
 
 
 def _assert_matches_oracle(kernel, oracle, grid, counts, background, v_fields):

@@ -83,6 +83,9 @@ def _corpus():
 
 
 class TestParse:
+    def test_kinds_are_the_component_kinds(self):
+        assert nl.KINDS == tuple(k.value for k in CK)
+
     def test_example_cascade(self):
         ast = nl.parse(SWAP_SRC)
         assert len(ast.chips) == 1

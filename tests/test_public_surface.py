@@ -6,11 +6,17 @@ code in `src/`, `demos/` or `perfbench/` names it outside its own body, or
 the README library tour documents it.  A function that only the README
 keeps is a public wrapper over an array kernel, so it stays small: at most
 three statements, its docstring aside.
+
+The package namespace is lazy: `import swapsim` and `import swapsim.cli`
+load no experiment module, yet every name of `swapsim.__all__` resolves.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,18 +26,41 @@ SRC = ROOT / "src" / "swapsim"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", ["swapsim", *MODULES])
 def test_every_all_name_resolves(name):
-    module = importlib.import_module(f"swapsim.{name}")
+    module = importlib.import_module(name if name == "swapsim" else f"swapsim.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_star_import_binds_every_all_name():
+    import swapsim
+
+    namespace = {}
+    exec("from swapsim import *", namespace)
+    assert [n for n in swapsim.__all__ if n not in namespace] == []
+    assert namespace["ExperimentConfig"] is importlib.import_module("swapsim.config").ExperimentConfig
+
+
+def test_cli_and_a_chip_build_load_no_experiment_module():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import sys, swapsim.cli\n"
+            "from swapsim.config import ExperimentConfig\n"
+            "ExperimentConfig.measured_chip().chip(0)\n"
+            "print(sorted({'swapsim.experiments', 'swapsim.biphoton', 'swapsim.tomography'}"
+            " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _definitions():
     """(file, qualified name, node) of every top-level function and class
-    of `src/swapsim/` and of every method of those classes but dunders."""
+    of `src/swapsim/` and of every method of those classes, but dunders
+    (the interpreter calls them, as it calls the package's PEP 562
+    `__getattr__` and `__dir__`)."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
                 yield path, node.name, node
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:

@@ -4,7 +4,8 @@ Each kernel takes a leading trial axis; on random stacks it must equal the
 kernel applied to each trial alone (and raise where that raises), so no
 trial's estimate depends on the others, and its outputs must be physical:
 unit-trace PSD states, fidelities in [0, 1].  The fidelity kernels are
-checked against the Uhlmann fidelity of `oracles`.
+checked against the Uhlmann fidelity of `oracles`, and that oracle against
+the closed form of the qubit fidelity.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import uhlmann_fidelity, uhlmann_fidelity_stack
+from oracles import uhlmann_fidelity_stack
 from swapsim import qcore as qc
 from swapsim import tomography as tm
 
@@ -114,24 +115,34 @@ def test_project_to_physical_stack_mixed_walks():
                                        [0.95, 0.05, 0.0, 0.0]], rtol=0, atol=TOL)
 
 
+# Bloch lengths: pure, maximally mixed, and mixed away from the eigenvalue
+# noise floor below which the oracle's matrix square root zeroes an
+# eigenvalue (there the closed form keeps a ~1e-8 term the oracle drops)
+BLOCH_LENGTHS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0 - 1e-6))
+BLOCH_DIRECTIONS = arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) > 1e-3)
+
+
+def _qubit_state(length, direction):
+    """(I + r . sigma) / 2 for r of `length` along `direction`, with its
+    determinant (1 - |r|^2) / 4."""
+    r = length * direction / np.linalg.norm(direction)
+    rho = 0.5 * (qc.PAULI_I + r[0] * qc.PAULI_X + r[1] * qc.PAULI_Y + r[2] * qc.PAULI_Z)
+    return rho, (1.0 - length**2) / 4.0
+
+
 @PROPERTY
-@given(st.data())
-def test_uhlmann_fidelity_stack(data):
-    dim = data.draw(st.sampled_from([2, 4]))
-    # g g^dag / Tr: states of every rank up to dim
-    g = data.draw(complex_stacks(dim, data.draw(st.integers(1, dim))))
-    target = data.draw(complex_stacks(dim, data.draw(st.integers(1, dim))))[0]
-    rhos = g @ np.swapaxes(g, -1, -2).conj()
-    sigma = target @ target.conj().T
-    tr = np.trace(rhos, axis1=1, axis2=2).real
-    assume(tr.min() > 1e-6 and np.trace(sigma).real > 1e-6)
-    # sub-trace (lossy) states are compared after normalization
-    loss = data.draw(arrays(np.float64, len(rhos), elements=st.floats(0.1, 1.0)))
-    rhos = rhos * (loss / tr)[:, None, None]
-    sigma = qc.DensityMatrix(dim, sigma / np.trace(sigma).real)
-    f = uhlmann_fidelity_stack(rhos, sigma.entries)
-    expect = [uhlmann_fidelity(qc.DensityMatrix(dim, r), sigma) for r in rhos]
-    np.testing.assert_allclose(f, expect, rtol=0, atol=TOL)
+@given(st.lists(st.tuples(BLOCH_LENGTHS, BLOCH_DIRECTIONS), min_size=1, max_size=5),
+       st.tuples(BLOCH_LENGTHS, BLOCH_DIRECTIONS))
+def test_uhlmann_fidelity_stack(states, target):
+    # the oracle against the closed form of the fidelity of two qubit
+    # states, Tr(rho sigma) + 2 sqrt(det rho det sigma) (Jozsa, J. Mod.
+    # Opt. 41, 2315, 1994)
+    rhos, dets = map(np.array, zip(*(_qubit_state(*s) for s in states)))
+    sigma, det_sigma = _qubit_state(*target)
+    expect = np.einsum("nab,ba->n", rhos, sigma).real + 2.0 * np.sqrt(dets * det_sigma)
+    f = uhlmann_fidelity_stack(rhos, sigma)
+    np.testing.assert_allclose(f, np.minimum(expect, 1.0), rtol=0, atol=TOL)
     assert np.all((f >= 0.0) & (f <= 1.0))
 
 
