@@ -215,14 +215,15 @@ def _dip_resid_jac(p, taus, vals, weights, work) -> tuple:
     in place into the first k rows of the `_dip_work` arrays `work`."""
     dt, dt2, g, r, jac = (a[:len(p)] for a in work)
     base, depth, center = (p[:, i, None] for i in range(3))
-    # the powers of the width are taken one numpy scalar per trial, through
-    # the C library's pow: numpy's vectorised power may round the last bit
-    # differently (depending on the CPU), and along the flat valley of a
-    # poorly resolved dip that bit grows into parameter differences of
-    # ~1e-8.  This keeps every trial's iterates bit-identical to the same
-    # fit carried out in scalars.
-    w2 = np.array([[w**2] for w in p[:, 3]])
-    w3 = np.array([[w**3] for w in p[:, 3]])
+    # the powers of the width are products, not `np.power`: numpy's
+    # vectorised power may round the last bit differently depending on the
+    # CPU, and along the flat valley of a poorly resolved dip that bit grows
+    # into parameter differences of ~1e-8.  An IEEE multiply is exactly
+    # rounded, so every CPU gives the same bits, and each trial's iterates
+    # do not depend on the other rows of the stack.
+    w = p[:, 3, None]
+    w2 = w * w
+    w3 = w2 * w
     # in place, one operation at a time in the evaluation order of the
     # expression in the line's comment, so each value is bit-equal to it
     np.subtract(taus, center, out=dt)

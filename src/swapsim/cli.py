@@ -14,6 +14,9 @@ Reports are written as `report.json` plus CSV data tables and the
 against the output directory).  The JSON document separates the
 deterministic `payload` (hashed into `payload_sha256`) from run metadata,
 so identical (config, seed) inputs produce byte-identical payload sections.
+The document, in `report.json` or on stdout, is one line of canonical JSON
+(sorted keys, no whitespace), and the bytes of its `"payload":` member are
+the bytes that `payload_sha256` hashes.
 
 `dispatch` may be called repeatedly in one process.  The process builds the
 argument parser once, parses each netlist text once and lowers each
@@ -140,20 +143,21 @@ def _load_experiment_config(args) -> ExperimentConfig:
 
 
 def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) -> None:
+    import hashlib
+
     from .config import dump_config
 
-    doc = {
-        "schema_version": 1,
-        "experiment": report.kind,
-        "payload": report.payload,
-        "payload_sha256": report.payload_sha256(),
-        "meta": {
-            "config_hash": report.config_hash,
-            "seed": report.seed,
-            "created_unix": time.time(),
-        },
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # the payload is encoded once: its canonical text is hashed and spliced
+    # verbatim into a document that is itself canonical JSON (the members in
+    # sorted key order, no whitespace), so the file's own payload bytes are
+    # the bytes that `payload_sha256` hashes
+    payload = report.canonical_payload()
+    meta = json.dumps({"config_hash": report.config_hash, "seed": report.seed,
+                       "created_unix": time.time()},
+                      sort_keys=True, separators=(",", ":"), allow_nan=False)
+    sha256 = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    text = (f'{{"experiment":{json.dumps(report.kind)},"meta":{meta},'
+            f'"payload":{payload},"payload_sha256":"{sha256}","schema_version":1}}')
     if out_dir is None:
         print(text)
         return

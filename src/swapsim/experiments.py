@@ -125,12 +125,11 @@ class Report(NamedTuple):
     tables: dict  # name -> list of rows (CSV-able)
 
     def canonical_payload(self) -> str:
-        """Byte-stable JSON of the deterministic payload."""
+        """Byte-stable JSON of the deterministic payload (sorted keys, no
+        whitespace, no NaN): the text that `report.json` carries verbatim
+        and whose UTF-8 bytes `payload_sha256` hashes."""
         return json.dumps(self.payload, sort_keys=True, separators=(",", ":"),
                           allow_nan=False)
-
-    def payload_sha256(self) -> str:
-        return hashlib.sha256(self.canonical_payload().encode("utf-8")).hexdigest()
 
 
 def _mk_report(kind: str, cfg: ExperimentConfig, payload: dict, tables=None) -> Report:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -381,6 +382,67 @@ class TestBadValues:
     @pytest.mark.parametrize("flag", [["--wavelength", "1550"], ["--format", "csv"]])
     def test_removed_flags_are_usage_errors(self, flag, capsys):
         assert cli.dispatch(["truth-table", *flag]) == 64
+
+
+EXPERIMENT_OPS = (["truth-table"], ["fringe"], ["hom"], ["bell"], ["bell", "--label", "psi-"],
+                  ["tomo-state"], ["tomo-process"], ["tomo-process", "--two-qubit"],
+                  ["sweep"])
+
+
+class TestReportDocument:
+    """A report is one line of canonical JSON whose payload bytes are the
+    bytes its `payload_sha256` hashes, in `report.json` and on stdout."""
+
+    @staticmethod
+    def _check(text):
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False)
+        start = text.index('"payload":') + len('"payload":')
+        payload = text[start:json.JSONDecoder().raw_decode(text, start)[1]]
+        assert json.loads(payload) == doc["payload"]
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == doc["payload_sha256"]
+        return payload
+
+    @pytest.mark.parametrize("op", EXPERIMENT_OPS, ids=" ".join)
+    def test_report_checks_itself(self, op, tmp_path, capsys):
+        argv = [*op, "--trials", "2", "--seed", "7"]
+        assert cli.dispatch(argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        on_stdout = self._check(out[:-1])
+        assert cli.dispatch([*argv, "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert self._check(text[:-1]) == on_stdout
+
+    def test_payload_is_encoded_once(self, tmp_path, monkeypatch, capsys):
+        from swapsim import experiments as ex
+
+        reports, encoded = [], []
+        run, dumps = ex.run_process_tomography_2q, json.dumps
+
+        def run_and_keep(cfg):
+            reports.append(run(cfg))
+            return reports[-1]
+
+        def counting_dumps(obj, *args, **kwargs):
+            encoded.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        def holds(obj, target):
+            if obj is target:
+                return True
+            values = obj.values() if isinstance(obj, dict) else obj
+            return isinstance(obj, (dict, list, tuple)) and any(holds(v, target)
+                                                                 for v in values)
+
+        monkeypatch.setattr(ex, "run_process_tomography_2q", run_and_keep)
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        assert cli.dispatch(["tomo-process", "--two-qubit", "--trials", "1",
+                             "--out", str(tmp_path / "out")]) == 0
+        [report] = reports
+        assert sum(holds(obj, report.payload) for obj in encoded) == 1
 
 
 def test_runtime_does_not_import_scipy():
