@@ -22,10 +22,9 @@ _SUBMODULES = ("biphoton", "cli", "config", "devices", "experiments", "netlist",
 _EXPORTS = {
     **dict.fromkeys(("DensityMatrix", "QuantumChannel", "PauliBasis", "ProcessMatrix",
                      "apply_channel", "heralded_normalize"), "qcore"),
-    **dict.fromkeys(("ComponentKind", "ComponentSpec", "ChipModel", "er_to_leakage",
-                     "pcnot_channel", "mcnot_channel", "waveplate_jones", "phase_v",
-                     "polarizer", "mzi_projector", "facet_channel", "ideal_swap_unitary",
-                     "swap_unitary"), "devices"),
+    **dict.fromkeys(("ChipModel", "er_to_leakage", "pcnot_channel", "mcnot_channel",
+                     "waveplate_jones", "phase_v", "polarizer", "mzi_projector",
+                     "facet_channel", "ideal_swap_unitary", "swap_unitary"), "devices"),
     **dict.fromkeys(("parse", "format_netlist", "compile_netlist", "ParseError",
                      "CompileError"), "netlist"),
     **dict.fromkeys(("BellLabel", "SpectralOverlap", "spectral_overlap", "hom_visibility",

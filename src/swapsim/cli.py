@@ -177,7 +177,9 @@ def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) ->
                       "summary": summary}, indent=2, sort_keys=True))
 
 
-def _parse_grid(args_grid) -> dict:
+def _parse_grid(args_grid) -> dict | None:
+    """The `--grid AXIS=V1,V2,...` options as {axis: values}, None when
+    there are none; `run_error_budget` checks the axes and their values."""
     from .config import ConfigError
 
     sweep = {}
@@ -186,21 +188,12 @@ def _parse_grid(args_grid) -> dict:
             raise ConfigError(f"bad --grid value {spec!r}, expected AXIS=V1,V2,...")
         axis, _, vals = spec.partition("=")
         axis = axis.strip()
-        alias = {"er": "pcnot_extinction_db", "imbalance": "loss_imbalance_db"}
-        axis = alias.get(axis, axis)
+        sweep.pop(axis, None)  # the last option naming an axis, by any name, wins
         try:
             sweep[axis] = [float(v) for v in vals.split(",") if v]
         except ValueError as exc:
             raise ConfigError(f"bad --grid numbers in {spec!r}: {exc}") from exc
-    if not sweep:
-        sweep = {
-            "pcnot_extinction_db": [18.0, 25.0, 30.0, 35.0],
-            "mcnot_extinction_db": [20.0, 25.0, 30.0, 35.0],
-            "loss_imbalance_db": [0.0, 0.3, 0.6, 0.9],
-            "mcnot_loss_db_t": [0.0, 0.5, 1.0, 2.0],
-            "facet_xtalk": [0.0, 0.05, 0.1],
-        }
-    return sweep
+    return sweep or None
 
 
 def _run_experiment(args) -> int:

@@ -24,7 +24,11 @@ leaked amplitudes of multi-gate paths do not pile up perfectly in phase
 (an all +i quadrature convention would make them, grossly overstating
 two-chip crosstalk).  The MC-NOT polarization flip uses the matching
 half-wave-retarder form, again exactly X in the ideal limit.  Optional
-incoherent leakage is exposed as `depol_prob`.
+incoherent leakage is exposed as `depol`.
+
+The constructors of the netlist's components take the statement's
+parameter names (`netlist.COMPONENTS`) as keyword arguments, in the units
+the netlist writes them: dB for extinction and loss, radians for angles.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +50,6 @@ from .qcore import (
 )
 
 __all__ = [
-    "ComponentKind",
-    "ComponentSpec",
     "ChipModel",
     "er_to_leakage",
     "pcnot_channel",
@@ -63,65 +63,7 @@ __all__ = [
     "logical_frame_stack",
     "ideal_swap_unitary",
     "swap_unitary",
-    "MZISetting",
 ]
-
-
-class ComponentKind(Enum):
-    PCNOT = "pcnot"
-    MCNOT = "mcnot"
-    HWP = "hwp"
-    QWP = "qwp"
-    PHASE_V = "phase_v"
-    POLARIZER = "polarizer"
-    BS5050 = "bs5050"
-    MZI = "mzi"
-    FIBER = "fiber"
-    FACET = "facet"
-    LOSS = "loss"
-
-
-class ComponentSpec(NamedTuple):
-    """A component kind plus its named real parameters.
-
-    Recognized parameters (all optional, ideal defaults):
-      extinction_db            power extinction ratio; absent/inf = perfect
-      extinction_db_h / _v     per-polarization override for PC-NOT
-      loss_db                  insertion loss
-      loss_db_t / loss_db_b    per-channel loss (MC-NOT asymmetry)
-      loss_db_h / loss_db_v    per-polarization loss (facets)
-      loss_imbalance_db        H-vs-V coupling difference of a PC-NOT
-      rotation_error_rad       extra MC-NOT flip-angle error
-      angle_rad                waveplate / polarizer axis angle
-      phase_rad                programmable phase (PHASE_V, MZI)
-      xtalk_amp                spatial-mode contamination amplitude (facets)
-      depol_prob               incoherent leakage knob (PC-NOT / MC-NOT)
-
-    The channel constructor that reads a spec checks its kind and ranges.
-    """
-
-    kind: ComponentKind
-    params: dict
-
-    def get(self, name: str, default: float = 0.0) -> float:
-        return float(self.params.get(name, default))
-
-
-def _check_spec(spec: ComponentSpec, kind: ComponentKind) -> None:
-    """Raise unless `spec` is of `kind` and every parameter is finite (an
-    extinction may be infinite) and in range."""
-    if spec.kind is not kind:
-        raise ValueError(f"expected a {kind.name} spec, got {spec.kind}")
-    for name, value in spec.params.items():
-        if not math.isfinite(value) and not (
-            name.startswith("extinction") and value == math.inf
-        ):
-            raise ValueError(f"parameter {name} must be finite, got {value}")
-    for name, value in spec.params.items():
-        if name.startswith("extinction") and value <= 0:
-            raise ValueError(f"{name} must be > 0 dB")
-        if name.startswith("loss") and value < 0:
-            raise ValueError(f"{name} must be >= 0 dB")
 
 
 def er_to_leakage(er_db: float | None) -> float:
@@ -186,7 +128,7 @@ def _depolarize(ch: QuantumChannel, prob: float) -> QuantumChannel:
     if prob <= 0:
         return ch
     if not 0 < prob <= 1:
-        raise ValueError("depol_prob must lie in [0, 1]")
+        raise ValueError("depol must lie in [0, 1]")
     dim = ch.dim_out
     full = PauliBasis(int(round(math.log2(dim)))).operators
     d2 = len(full)
@@ -196,62 +138,65 @@ def _depolarize(ch: QuantumChannel, prob: float) -> QuantumChannel:
     return QuantumChannel(dim, dim, tuple(d @ k for d in kraus for k in ch.kraus))
 
 
-def pcnot_channel(spec: ComponentSpec) -> QuantumChannel:
+def pcnot_channel(*, extinction: float = math.inf, extinction_h: float | None = None,
+                  extinction_v: float | None = None, imbalance: float = 0.0,
+                  loss: float = 0.0, depol: float = 0.0) -> QuantumChannel:
     """Polarization-controlled NOT: V crosses channels, H stays put.
 
-    Coherent leakage per polarization from the extinction ratio.
-    `loss_imbalance_db` is the H-vs-V coupling difference: the V crossing
+    Coherent leakage per polarization from the extinction ratio (dB;
+    `extinction_h` / `extinction_v` override it for one polarization).
+    `imbalance` is the H-vs-V coupling difference (dB): the V crossing
     amplitude is attenuated by that much relative to the H bar path, which
     both costs V photons and degrades the effective V extinction (the
     leakage amplitude bypasses the coupling region and is not attenuated).
-    A uniform `loss_db` and the incoherent `depol_prob` knob compose on top.
+    A uniform `loss` (dB) and the incoherent `depol` knob compose on top.
     """
-    _check_spec(spec, ComponentKind.PCNOT)
-    er = spec.params.get("extinction_db", math.inf)
-    eps_h = er_to_leakage(spec.params.get("extinction_db_h", er))
-    eps_v = er_to_leakage(spec.params.get("extinction_db_v", er))
+    eps_h = er_to_leakage(extinction if extinction_h is None else extinction_h)
+    eps_v = er_to_leakage(extinction if extinction_v is None else extinction_v)
     u_v = _coupler_cross(eps_v)
-    imb = spec.get("loss_imbalance_db")
-    if imb:
-        a = db_to_amplitude(imb)
+    if imbalance:
+        a = db_to_amplitude(imbalance)
         u_v = u_v.copy()
         u_v[0, 1] *= a
         u_v[1, 0] *= a
     u = _pol_controlled(_coupler_bar(eps_h), u_v)
-    u *= db_to_amplitude(spec.get("loss_db"))
-    return _depolarize(QuantumChannel(4, 4, (u,)), spec.get("depol_prob"))
+    u *= db_to_amplitude(loss)
+    return _depolarize(QuantumChannel(4, 4, (u,)), depol)
 
 
-def mcnot_channel(spec: ComponentSpec) -> QuantumChannel:
+def mcnot_channel(*, extinction: float = math.inf, loss: float = 0.0,
+                  loss_other: float = 0.0, rotation_error: float = 0.0,
+                  depol: float = 0.0) -> QuantumChannel:
     """Momentum-controlled NOT: flips polarization on the T channel only.
 
-    The rotator flips polarization through angle pi/2 - dtheta with
-    sin^2(dtheta) equal to the extinction leakage, in half-wave-retarder
-    form (exactly X when ideal).  Channel-resolved losses model the extra
+    The rotator flips polarization through angle pi/2 - dtheta, where
+    dtheta is the angle whose sin^2 is the extinction leakage plus the
+    flip-angle error `rotation_error` (rad), in half-wave-retarder form
+    (exactly X when ideal).  Channel-resolved losses (dB), `loss` on the
+    rotator's channel and `loss_other` on the other, model the extra
     attenuation of the rotator path.
     """
-    _check_spec(spec, ComponentKind.MCNOT)
-    eps = er_to_leakage(spec.params.get("extinction_db", math.inf))
-    dtheta = math.asin(math.sqrt(eps)) + spec.get("rotation_error_rad")
+    eps = er_to_leakage(extinction)
+    dtheta = math.asin(math.sqrt(eps)) + rotation_error
     s, c = math.sin(dtheta), math.cos(dtheta)
     flip = np.array([[s, c], [c, -s]], dtype=complex)
-    a_t = db_to_amplitude(spec.get("loss_db_t", spec.get("loss_db")))
-    a_b = db_to_amplitude(spec.get("loss_db_b"))
-    k = _channel_controlled(a_t * flip, a_b * PAULI_I)
-    return _depolarize(QuantumChannel(4, 4, (k,)), spec.get("depol_prob"))
+    k = _channel_controlled(db_to_amplitude(loss) * flip,
+                            db_to_amplitude(loss_other) * PAULI_I)
+    return _depolarize(QuantumChannel(4, 4, (k,)), depol)
 
 
-def waveplate_jones(kind: ComponentKind, theta: float) -> np.ndarray:
+def waveplate_jones(kind: str, theta: float) -> np.ndarray:
     """Jones matrix of a retarder with fast axis at `theta` in the H/V frame.
 
-    Retardance pi for HWP, pi/2 for QWP; the slow axis acquires e^{-i gamma}.
+    Retardance pi for kind "hwp", pi/2 for "qwp"; the slow axis acquires
+    e^{-i gamma}.
     """
-    if kind is ComponentKind.HWP:
+    if kind == "hwp":
         gamma = math.pi
-    elif kind is ComponentKind.QWP:
+    elif kind == "qwp":
         gamma = math.pi / 2
     else:
-        raise ValueError(f"not a waveplate kind: {kind}")
+        raise ValueError(f"not a waveplate kind: {kind!r}")
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]], dtype=complex)
     return rot @ np.diag([1.0, np.exp(-1j * gamma)]) @ rot.conj().T
@@ -268,48 +213,41 @@ def polarizer(theta: float) -> QuantumChannel:
     return QuantumChannel(2, 2, (np.outer(v, v.conj()),))
 
 
-class MZISetting(Enum):
-    T = "0"
-    B = "1"
-    PLUS = "+"
-    MINUS = "-"
-    PLUS_I = "i"
-    MINUS_I = "-i"
-
-
-# (input-arm phase, internal phase) realizing each projection at the T output
+# momentum label (`tomography.MOMENTUM_LABELS`) -> (input-arm phase,
+# internal phase) realizing its projection at the T output
 _MZI_PHASES = {
-    MZISetting.T: (0.0, math.pi),
-    MZISetting.B: (0.0, 0.0),
-    MZISetting.PLUS: (0.0, math.pi / 2),
-    MZISetting.MINUS: (0.0, -math.pi / 2),
-    MZISetting.PLUS_I: (-math.pi / 2, math.pi / 2),
-    MZISetting.MINUS_I: (math.pi / 2, math.pi / 2),
+    "0": (0.0, math.pi),
+    "1": (0.0, 0.0),
+    "+": (0.0, math.pi / 2),
+    "-": (0.0, -math.pi / 2),
+    "i": (-math.pi / 2, math.pi / 2),
+    "-i": (math.pi / 2, math.pi / 2),
 }
 
 # symmetric 50:50 splitter on the (T, B) channel pair
 BS_5050 = np.array([[1.0, 1j], [1j, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
-def mzi_transfer(internal_phase: float, input_phase: float = 0.0) -> np.ndarray:
+def mzi_transfer(phase: float = 0.0, input_phase: float = 0.0) -> np.ndarray:
     """2x2 spatial transfer matrix: input phase, 50:50, internal phase, 50:50."""
     d_in = np.diag([1.0, np.exp(1j * input_phase)])
-    d_mid = np.diag([np.exp(1j * internal_phase), 1.0])
+    d_mid = np.diag([np.exp(1j * phase), 1.0])
     return BS_5050 @ d_mid @ BS_5050 @ d_in
 
 
-def mzi_projector(setting: MZISetting, extinction_db: float = math.inf) -> QuantumChannel:
+def mzi_projector(label: str, extinction: float = math.inf) -> QuantumChannel:
     """Spatial-momentum projector realized as a BS-phase-BS interferometer.
 
-    The T output port of the interferometer selects the named Bloch state;
-    finite extinction contaminates the projection with the orthogonal state
+    The T output port of the interferometer selects the Bloch state of the
+    momentum `label` ("0", "1", "+", "-", "i", "-i"); a finite extinction
+    (dB) contaminates the projection with the orthogonal state
     incoherently.  Trace-decreasing dim-2 channel.
     """
-    alpha, phi = _MZI_PHASES[setting]
+    alpha, phi = _MZI_PHASES[label]
     u = mzi_transfer(phi, alpha)
     row = u[0:1, :]  # amplitude reaching the monitored output port
     k_main = np.vstack([row, np.zeros((1, 2), dtype=complex)])
-    eps = er_to_leakage(extinction_db)
+    eps = er_to_leakage(extinction)
     if eps == 0.0:
         return QuantumChannel(2, 2, (k_main,))
     # Orthogonal-state contamination at the suppressed-port level.
@@ -320,18 +258,18 @@ def mzi_projector(setting: MZISetting, extinction_db: float = math.inf) -> Quant
     )
 
 
-def facet_channel(loss_h_db: float, loss_v_db: float, xtalk_amp: float = 0.0) -> QuantumChannel:
-    """Facet coupling: per-polarization attenuation, identical on T and B.
+def facet_channel(loss_h: float = 0.0, loss_v: float = 0.0, xtalk: float = 0.0) -> QuantumChannel:
+    """Facet coupling: per-polarization attenuation (dB), identical on T and B.
 
-    `xtalk_amp` adds a small coherent T<->B coupling (spatial-mode
-    contamination), zero by default.
+    `xtalk` is the amplitude of a small coherent T<->B coupling
+    (spatial-mode contamination), zero by default.
     """
-    a = np.diag([db_to_amplitude(loss_h_db), db_to_amplitude(loss_v_db)])
+    a = np.diag([db_to_amplitude(loss_h), db_to_amplitude(loss_v)])
     k = np.kron(np.eye(2), a).astype(complex)
-    if xtalk_amp != 0.0:
-        if not -1.0 <= xtalk_amp <= 1.0:
-            raise ValueError("xtalk_amp must lie in [-1, 1]")
-        x = xtalk_amp
+    if xtalk != 0.0:
+        if not -1.0 <= xtalk <= 1.0:
+            raise ValueError("xtalk must lie in [-1, 1]")
+        x = xtalk
         mix = np.array([[math.sqrt(1 - x * x), x], [-x, math.sqrt(1 - x * x)]])
         k = np.kron(mix, np.eye(2)) @ k
     return QuantumChannel(4, 4, (k,))
@@ -360,35 +298,33 @@ def _reorient(ch: QuantumChannel, idx) -> QuantumChannel:
 
 
 def stage_channel(kind: str, idx: tuple, params: dict) -> QuantumChannel:
-    """The dim-4 channel of one netlist statement: a component of `kind`
-    (a `ComponentKind` value) on the chip ports `idx` (indices into the
-    chip's port order), with `params` named as `ComponentSpec` names them.
-    Raises ValueError on a parameter out of range."""
+    """The dim-4 channel of one netlist statement: a component of `kind` (a
+    key of `netlist.COMPONENTS`) on the chip ports `idx` (indices into the
+    chip's port order), with `params` the statement's checked parameters
+    under their netlist names, passed straight to the constructor (the
+    netlist has checked every name, unit and range).  Raises ValueError on
+    a parameter out of range."""
     if kind == "pcnot":
-        return _reorient(pcnot_channel(ComponentSpec(ComponentKind.PCNOT, params)), idx)
+        return _reorient(pcnot_channel(**params), idx)
     if kind == "mcnot":
-        ch = mcnot_channel(ComponentSpec(ComponentKind.MCNOT, params))
-        return _reorient(ch, (idx[0], 1 - idx[0]))
+        return _reorient(mcnot_channel(**params), (idx[0], 1 - idx[0]))
     if kind in ("hwp", "qwp"):
-        return _per_port_pol(waveplate_jones(ComponentKind(kind), params.get("angle_rad", 0.0)),
-                             idx)
+        return _per_port_pol(waveplate_jones(kind, params.get("angle", 0.0)), idx)
     if kind == "phase_v":
-        return _per_port_pol(phase_v(params.get("phase_rad", 0.0)), idx)
+        return _per_port_pol(phase_v(params.get("phase", 0.0)), idx)
     if kind == "polarizer":
-        return _per_port_pol(np.asarray(polarizer(params.get("angle_rad", 0.0)).kraus[0]), idx)
+        return _per_port_pol(np.asarray(polarizer(params.get("angle", 0.0)).kraus[0]), idx)
     if kind == "bs5050":
         return _reorient(QuantumChannel(4, 4, (np.kron(BS_5050, np.eye(2)),)), idx)
     if kind == "mzi":
-        u = mzi_transfer(params.get("phase_rad", 0.0), params.get("input_phase_rad", 0.0))
-        return _reorient(QuantumChannel(4, 4, (np.kron(u, np.eye(2)),)), idx)
+        return _reorient(QuantumChannel(4, 4, (np.kron(mzi_transfer(**params), np.eye(2)),)), idx)
     if kind == "fiber":
-        amp = db_to_amplitude(params.get("loss_db", 0.0))
-        return _per_port_pol(amp * phase_v(params.get("phase_rad", 0.0)), idx)
+        amp = db_to_amplitude(params.get("loss", 0.0))
+        return _per_port_pol(amp * phase_v(params.get("phase", 0.0)), idx)
     if kind == "facet":
-        return facet_channel(params.get("loss_db_h", 0.0), params.get("loss_db_v", 0.0),
-                             params.get("xtalk_amp", 0.0))
+        return facet_channel(**params)
     if kind == "loss":
-        amp = db_to_amplitude(params.get("loss_db", 0.0))
+        amp = db_to_amplitude(params.get("loss", 0.0))
         return _per_port_pol(amp * np.eye(2, dtype=complex), idx)
     raise ValueError(f"unknown component kind {kind!r}")
 

@@ -41,11 +41,10 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import tomography as tm
-from .config import ExperimentConfig, config_digest
+from .config import ConfigError, ExperimentConfig, config_digest
 from .devices import (
     BS_5050,
     ChipModel,
-    MZISetting,
     ideal_swap_unitary,
     logical_frame_stack,
     mzi_projector,
@@ -566,7 +565,7 @@ def _exact_outputs(s: np.ndarray, vecs: np.ndarray, frame: str,
 def _mzi_povms() -> np.ndarray:
     """The POVM element sum_k K^dag K of the MZI projector of each momentum
     setting, in `tm.MOMENTUM_LABELS` order: shape (6, 2, 2)."""
-    return np.array([sum(dagger(k) @ k for k in mzi_projector(MZISetting(lbl)).kraus)
+    return np.array([sum(dagger(k) @ k for k in mzi_projector(lbl).kraus)
                      for lbl in tm.MOMENTUM_LABELS])
 
 
@@ -713,35 +712,53 @@ _SWEEP_AXES = {
     "rotation_error_rad": "mcnot_rotation_error_rad",
 }
 
+# short names of two sweep axes
+_SWEEP_ALIASES = {"er": "pcnot_extinction_db", "imbalance": "loss_imbalance_db"}
 
-def run_error_budget(cfg: ExperimentConfig, sweep: dict) -> Report:
+# the grid of a sweep that names no axis
+_DEFAULT_SWEEP = {
+    "pcnot_extinction_db": [18.0, 25.0, 30.0, 35.0],
+    "mcnot_extinction_db": [20.0, 25.0, 30.0, 35.0],
+    "loss_imbalance_db": [0.0, 0.3, 0.6, 0.9],
+    "mcnot_loss_db_t": [0.0, 0.5, 1.0, 2.0],
+    "facet_xtalk": [0.0, 0.05, 0.1],
+}
+
+
+def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report:
     """Noiseless sensitivity table over imperfection-parameter grids.
 
-    For each axis the chip is rebuilt from the baseline configuration with
-    only that parameter changed; truth-table fidelity (configured frame)
-    and the process fidelity of the T-input momentum qubit with the
-    identity (relabeled frame) are tabulated.  Every axis is checked before
-    any chip is built; then the G chips' superoperators are stacked, and
-    all truth tables, T-input outputs (validated once) and chi matrices
-    (one `process_tomo_stack` solve) are read off that stack.
+    `sweep` maps each axis (a `_SWEEP_AXES` name or a `_SWEEP_ALIASES`
+    short name) to its values; None runs the default grid.  For each axis
+    the chip is rebuilt from the baseline configuration with only that
+    parameter changed; truth-table fidelity (configured frame) and the
+    process fidelity of the T-input momentum qubit with the identity
+    (relabeled frame) are tabulated.  Every axis is checked before any chip
+    is built (ConfigError on an empty grid, an unknown axis or an axis
+    without values); then the G chips' superoperators are stacked, and all
+    truth tables, T-input outputs (validated once) and chi matrices (one
+    `process_tomo_stack` solve) are read off that stack.
     """
+    if sweep is None:
+        sweep = _DEFAULT_SWEEP
+    sweep = {_SWEEP_ALIASES.get(axis, axis): values for axis, values in sweep.items()}
     if not sweep:
-        raise ValueError("sweep grid is empty")
+        raise ConfigError("sweep grid is empty")
     for axis in sorted(sweep):
         if axis not in _SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {axis!r}; "
-                             f"known: {sorted(_SWEEP_AXES)}")
+            raise ConfigError(f"unknown sweep axis {axis!r}; known: {sorted(_SWEEP_AXES)} "
+                              f"and the short names {sorted(_SWEEP_ALIASES)}")
+        if len(sweep[axis]) == 0:
+            raise ConfigError(f"sweep axis {axis!r} has no values")
     base = cfg.chips[0]
     points = [(axis, float(v)) for axis, values in sorted(sweep.items()) for v in values]
-    f_tt = f_chi = ()
-    if points:
-        s = np.array([replace(base, **{_SWEEP_AXES[axis]: v}).build().superoperator
-                      for axis, v in points])
-        f_tt = _table_fidelities(s, cfg.logical_frame)
-        vecs, inputs_1q, _ = _process_inputs()
-        red = _exact_outputs(s, vecs[:4], "relabeled", trace_polarization=True)
-        chis = tm.process_tomo_stack(inputs_1q, red, 1)
-        f_chi = tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled"))
+    s = np.array([replace(base, **{_SWEEP_AXES[axis]: v}).build().superoperator
+                  for axis, v in points])
+    f_tt = _table_fidelities(s, cfg.logical_frame)
+    vecs, inputs_1q, _ = _process_inputs()
+    red = _exact_outputs(s, vecs[:4], "relabeled", trace_polarization=True)
+    chis = tm.process_tomo_stack(inputs_1q, red, 1)
+    f_chi = tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled"))
     rows = [["axis", "value", "truth_table_fidelity", "process_fidelity_T"]]
     results = []
     for (axis, v), tt, chi in zip(points, f_tt, f_chi):

@@ -8,10 +8,13 @@ Grammar (EBNF):
     param   := IDENT "=" NUMBER UNIT?
 
 `#` starts a line comment; whitespace is insignificant.  UNIT is one of
-dB, deg, rad, nm.  Angles are stored in radians (deg converts at parse
-time); dB values are stored as written and converted to linear factors by
-the device constructors.  Statement order defines optical propagation
-order.  The formatter emits a canonical layout; comments are discarded.
+dB, deg, rad.  Angles are stored in radians (deg converts at parse time);
+dB values are stored as written and converted to linear factors by the
+device constructors.  `COMPONENTS` is the vocabulary: each KIND, the
+number of ports it names, and its parameters with their unit class (the
+unit and the range of values).  Statement order defines optical
+propagation order.  The formatter emits a canonical layout; comments are
+discarded.
 
 A process parses each netlist text once and lowers each distinct stage
 once: `parse` keeps a bounded LRU cache keyed on the source text, and
@@ -57,59 +60,43 @@ __all__ = [
     "select_chip",
 ]
 
-UNITS = ("dB", "deg", "rad", "nm")
-
-# the values of `devices.ComponentKind`, written out so that parsing
-# imports no device model
-KINDS = ("pcnot", "mcnot", "hwp", "qwp", "phase_v", "polarizer", "bs5050", "mzi",
-         "fiber", "facet", "loss")
+UNITS = ("dB", "deg", "rad")
 
 # bounds of the per-process caches: distinct netlist texts kept parsed, and
 # distinct statements kept lowered (a default sweep lowers 18)
 _PARSE_CACHE_SIZE = 32
 _STAGE_CACHE_SIZE = 256
 
-# netlist parameter name -> (ComponentSpec parameter, expected unit class)
-# unit classes: "db", "angle" (rad, deg accepted), "plain" (unitless)
-_PARAM_TABLE = {
-    "pcnot": {
-        "extinction": ("extinction_db", "db"),
-        "extinction_h": ("extinction_db_h", "db"),
-        "extinction_v": ("extinction_db_v", "db"),
-        "imbalance": ("loss_imbalance_db", "db"),
-        "loss": ("loss_db", "db"),
-        "depol": ("depol_prob", "plain"),
-    },
-    "mcnot": {
-        "extinction": ("extinction_db", "db"),
-        "loss": ("loss_db_t", "db"),
-        "loss_other": ("loss_db_b", "db"),
-        "rotation_error": ("rotation_error_rad", "angle"),
-        "depol": ("depol_prob", "plain"),
-    },
-    "hwp": {"angle": ("angle_rad", "angle")},
-    "qwp": {"angle": ("angle_rad", "angle")},
-    "phase_v": {"phase": ("phase_rad", "angle")},
-    "polarizer": {"angle": ("angle_rad", "angle")},
-    "bs5050": {},
-    "mzi": {
-        "phase": ("phase_rad", "angle"),
-        "input_phase": ("input_phase_rad", "angle"),
-        "extinction": ("extinction_db", "db"),
-    },
-    "fiber": {"loss": ("loss_db", "db"), "phase": ("phase_rad", "angle")},
-    "facet": {
-        "loss_h": ("loss_db_h", "db"),
-        "loss_v": ("loss_db_v", "db"),
-        "xtalk": ("xtalk_amp", "plain"),
-    },
-    "loss": {"loss": ("loss_db", "db")},
+# unit class -> (the unit its values are written in, None for a plain
+# number; whether a value is in range; that range in words).  An infinite
+# extinction is a perfect component.
+_UNIT_CLASSES = {
+    "extinction": ("dB", lambda v: v > 0, "> 0 dB"),
+    "loss": ("dB", lambda v: 0 <= v < math.inf, "finite and >= 0 dB"),
+    "angle": ("rad", math.isfinite, "finite"),
+    "probability": (None, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "amplitude": (None, lambda v: -1 <= v <= 1, "in [-1, 1]"),
 }
 
-# statement kind -> the numbers of ports it may name
-_PORT_COUNTS = {"pcnot": {2}, "mcnot": {1}, "hwp": {1, 2}, "qwp": {1, 2}, "phase_v": {1, 2},
-                "polarizer": {1, 2}, "bs5050": {2}, "mzi": {2}, "fiber": {1, 2},
-                "facet": {2}, "loss": {1, 2}}
+# The component vocabulary: kind -> (the numbers of ports a statement may
+# name, {parameter name -> unit class}).  The device constructors take
+# these parameter names as keyword arguments.
+COMPONENTS = {
+    "pcnot": ((2,), {"extinction": "extinction", "extinction_h": "extinction",
+                     "extinction_v": "extinction", "imbalance": "loss", "loss": "loss",
+                     "depol": "probability"}),
+    "mcnot": ((1,), {"extinction": "extinction", "loss": "loss", "loss_other": "loss",
+                     "rotation_error": "angle", "depol": "probability"}),
+    "hwp": ((1, 2), {"angle": "angle"}),
+    "qwp": ((1, 2), {"angle": "angle"}),
+    "phase_v": ((1, 2), {"phase": "angle"}),
+    "polarizer": ((1, 2), {"angle": "angle"}),
+    "bs5050": ((2,), {}),
+    "mzi": ((2,), {"phase": "angle", "input_phase": "angle"}),
+    "fiber": ((1, 2), {"loss": "loss", "phase": "angle"}),
+    "facet": ((2,), {"loss_h": "loss", "loss_v": "loss", "xtalk": "amplitude"}),
+    "loss": ((1, 2), {"loss": "loss"}),
+}
 
 
 class SourceSpan(NamedTuple):
@@ -309,7 +296,7 @@ class _Parser:
 
     def parse_statement(self, ports, seen_names) -> Statement:
         kind_tok = self.expect_ident("component kind")
-        if kind_tok.text not in KINDS:
+        if kind_tok.text not in COMPONENTS:
             raise ParseError(f"unknown component kind {kind_tok.text!r}",
                              kind_tok.span, code="unknown-kind")
         name_tok = self.expect_ident("instance name")
@@ -372,6 +359,8 @@ def parse(text: str) -> NetlistAst:
 # ---------------------------------------------------------------------------
 
 def _fmt_number(value: float) -> str:
+    if math.isinf(value):  # the lexer reads no "inf"
+        return "-1e999" if value < 0 else "1e999"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
@@ -402,38 +391,40 @@ def format_netlist(ast: NetlistAst) -> str:
 # ---------------------------------------------------------------------------
 
 def _port_indices(st: Statement, chip_ports) -> tuple:
-    want = _PORT_COUNTS[st.kind]
+    want = COMPONENTS[st.kind][0]
     if len(st.ports) not in want:
         raise CompileError(
-            f"{st.kind} takes {' or '.join(map(str, sorted(want)))} port(s), "
+            f"{st.kind} takes {' or '.join(map(str, want))} port(s), "
             f"got {len(st.ports)}", st.span, code="bad-ports")
     return tuple(chip_ports.index(p) for p in st.ports)
 
 
-def _spec_params(st: Statement) -> dict:
-    table = _PARAM_TABLE[st.kind]
+def _checked_params(st: Statement) -> dict:
+    """The statement's parameters by name, each checked against the
+    component table: a known name, its unit class's unit (or none) and a
+    value in its class's range."""
+    table = COMPONENTS[st.kind][1]
     params = {}
     for p in st.params:
         if p.name not in table:
             raise CompileError(f"unknown parameter {p.name!r} for {st.kind}",
                                p.span, code="unknown-param")
-        target, unit_class = table[p.name]
-        if unit_class == "db" and p.unit not in (None, "dB"):
-            raise CompileError(f"parameter {p.name} expects dB", p.span, code="bad-unit")
-        if unit_class == "angle" and p.unit not in (None, "rad"):
-            raise CompileError(f"parameter {p.name} expects an angle", p.span,
-                               code="bad-unit")
-        if unit_class == "plain" and p.unit is not None:
-            raise CompileError(f"parameter {p.name} is unitless", p.span, code="bad-unit")
-        params[target] = p.value
+        unit, in_range, bounds = _UNIT_CLASSES[table[p.name]]
+        if p.unit not in (None, unit):
+            want = {"dB": "dB", "rad": "an angle"}.get(unit, "no unit")
+            raise CompileError(f"parameter {p.name} expects {want}", p.span, code="bad-unit")
+        if not in_range(p.value):
+            raise CompileError(f"parameter {p.name} must be {bounds}, got {p.value!r}",
+                               p.span, code="param-range")
+        params[p.name] = p.value
     return params
 
 
 def _lower_statement(st: Statement, chip_ports) -> QuantumChannel:
-    """The statement's stage: its names, units and ports are checked here,
-    against the statement's spans, and the channel is lowered once per
-    distinct (kind, port indices, parameters)."""
-    params = _spec_params(st)
+    """The statement's stage: its names, units, values and ports are checked
+    here, against the statement's spans, and the channel is lowered once
+    per distinct (kind, port indices, parameters)."""
+    params = _checked_params(st)
     idx = _port_indices(st, chip_ports)
     try:
         return _lower_stage(st.kind, idx, tuple((k, float(v).hex()) for k, v in params.items()))

@@ -23,30 +23,34 @@ from swapsim.config import ChipConfig
 # derandomized: tier-1 runs the same examples every time
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
+# spellings of a value by the unit of its unit class (None: a plain number)
 SPELLINGS = {
-    "db": ["0dB", "-0dB", "+0dB", "0", "-0", "0.5dB", "1 dB", "18dB", "25dB"],
-    "angle": ["0rad", "-0rad", "0deg", "-0deg", "0", "-0", "90deg",
-              "1.5707963267948966rad", "-30deg", "0.5rad"],
-    "plain": ["0", "-0", "+0", "0.05", "0.2"],
+    "dB": ["0dB", "-0dB", "+0dB", "0", "-0", "0.5dB", "1 dB", "18dB", "25dB"],
+    "rad": ["0rad", "-0rad", "0deg", "-0deg", "0", "-0", "90deg",
+            "1.5707963267948966rad", "-30deg", "0.5rad"],
+    None: ["0", "-0", "+0", "0.05", "0.2"],
 }
-# a spelling in the wrong unit for each unit class (a bad-unit error)
-WRONG_UNIT = {"db": "1rad", "angle": "1dB", "plain": "1dB"}
-PORTS = {"pcnot": ["T, B", "B, T"], "bs5050": ["T, B", "B, T"], "mzi": ["T, B", "B, T"],
-         "facet": ["T, B"], "mcnot": ["T", "B"]}
-ANY_PORTS = ["T", "B", "T, B", "B, T"]
+# a spelling in the wrong unit for each unit (a bad-unit error)
+WRONG_UNIT = {"dB": "1rad", "rad": "1dB", None: "1dB"}
+# each number of ports a statement may name -> its spellings
+PORT_SPELLINGS = {1: ["T", "B"], 2: ["T, B", "B, T"]}
+
+
+def _unit(unit_class):
+    return nl._UNIT_CLASSES[unit_class][0]
 
 
 @st.composite
 def statements(draw):
-    kind = draw(st.sampled_from(sorted(nl._PARAM_TABLE)))
-    ports = draw(st.sampled_from(PORTS.get(kind, ANY_PORTS)))
-    table = nl._PARAM_TABLE[kind]
+    kind = draw(st.sampled_from(sorted(nl.COMPONENTS)))
+    counts, table = nl.COMPONENTS[kind]
+    ports = draw(st.sampled_from([p for n in counts for p in PORT_SPELLINGS[n]]))
     names = draw(st.lists(st.sampled_from(sorted(table)), unique=True)) if table else []
     params = []
     for name in names:
-        unit_class = table[name][1]
+        unit = _unit(table[name])
         wrong = draw(st.integers(0, 19)) == 0
-        value = WRONG_UNIT[unit_class] if wrong else draw(st.sampled_from(SPELLINGS[unit_class]))
+        value = WRONG_UNIT[unit] if wrong else draw(st.sampled_from(SPELLINGS[unit]))
         params.append(f"{name}={value}")
     return f"{kind} {{name}} ({ports}) " + " ".join(params) + ";"
 
@@ -78,12 +82,13 @@ def strip_units(text):
 
 
 def rename_params(text):
-    """Each parameter renamed to the next one of its kind and unit class."""
+    """Each parameter renamed to the next one of its kind written in the
+    same unit."""
     def statement(m):
-        table = nl._PARAM_TABLE[m.group(1)]
+        table = nl.COMPONENTS[m.group(1)][1]
         nxt = {}
-        for unit_class in {c for _, c in table.values()}:
-            names = [n for n in table if table[n][1] == unit_class]
+        for unit in {_unit(c) for c in table.values()}:
+            names = [n for n in table if _unit(table[n]) == unit]
             nxt.update(zip(names, names[1:] + names[:1]))
         return re.sub(r"(\w+)=", lambda p: nxt[p.group(1)] + "=", m.group(0))
     return re.sub(r"^  (\w+) \w+ \(.*$", statement, text, flags=re.M)

@@ -383,6 +383,34 @@ class TestBadValues:
     def test_removed_flags_are_usage_errors(self, flag, capsys):
         assert cli.dispatch(["truth-table", *flag]) == 64
 
+    @pytest.mark.parametrize("grid, words", [
+        ("foo=1", "unknown sweep axis 'foo'"),
+        ("er=", "sweep axis 'pcnot_extinction_db' has no values"),
+    ])
+    def test_bad_sweep_grid_exits_1_with_one_line(self, grid, words, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.dispatch(["sweep", "--grid", grid, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error:") and words in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, stmt, code", [
+        ("check", "mzi z (T, B) phase=0.3rad extinction=20dB", "unknown-param"),
+        ("check", "phase_v p (T) phase=1e999rad", "param-range"),
+        ("check", "hwp w (T) angle=1e999rad", "param-range"),
+        ("check", "loss l (T) loss=1e999dB", "param-range"),
+        ("check", "hwp w (T) angle=800nm", "unknown-unit"),
+        ("fmt", "hwp w (T) angle=800nm", "unknown-unit"),
+    ])
+    def test_bad_statement_exits_2_with_one_line(self, command, stmt, code, tmp_path, capsys):
+        p = tmp_path / "bad.pnl"
+        p.write_text(f"chip c {{\n  ports T, B;\n  {stmt};\n}}\n")
+        assert cli.dispatch([command, str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"{p}:3:") and f": {code}: " in err
+
 
 EXPERIMENT_OPS = (["truth-table"], ["fringe"], ["hom"], ["bell"], ["bell", "--label", "psi-"],
                   ["tomo-state"], ["tomo-process"], ["tomo-process", "--two-qubit"],

@@ -6,17 +6,12 @@ import pytest
 from swapsim import devices as dv
 from swapsim import qcore as qc
 from swapsim.config import ChipConfig
-from swapsim.devices import ComponentKind as CK, ComponentSpec as CS
 
 
 def basis_rho(idx):
     v = np.zeros(4, dtype=complex)
     v[idx] = 1.0
     return qc.DensityMatrix(4, np.outer(v, v.conj()))
-
-
-IDEAL_PC = CS(CK.PCNOT, {})
-IDEAL_MC = CS(CK.MCNOT, {})
 
 
 def ideal_chip():
@@ -55,54 +50,50 @@ class TestErToLeakage:
 
 class TestPcnot:
     def test_ideal_v_crosses(self):
-        ch = dv.pcnot_channel(IDEAL_PC)
+        ch = dv.pcnot_channel()
         out = qc.apply_channel(ch, basis_rho(1))  # |TV>
         np.testing.assert_allclose(np.diag(out.entries).real, [0, 0, 0, 1], atol=1e-12)
 
     def test_ideal_h_stays(self):
-        ch = dv.pcnot_channel(IDEAL_PC)
+        ch = dv.pcnot_channel()
         out = qc.apply_channel(ch, basis_rho(0))  # |TH>
         np.testing.assert_allclose(np.diag(out.entries).real, [1, 0, 0, 0], atol=1e-12)
 
     def test_leakage_probability_at_18db(self):
-        ch = dv.pcnot_channel(CS(CK.PCNOT, {"extinction_db": 18.0}))
+        ch = dv.pcnot_channel(extinction=18.0)
         out = qc.apply_channel(ch, basis_rho(1))
         stay = out.entries[1, 1].real  # |TV> stays in T
         assert stay == pytest.approx(10 ** (-1.8), abs=1e-12)
 
     def test_unitary_at_finite_er(self):
-        ch = dv.pcnot_channel(CS(CK.PCNOT, {"extinction_db": 18.0}))
+        ch = dv.pcnot_channel(extinction=18.0)
         k = ch.kraus[0]
         np.testing.assert_allclose(k.conj().T @ k, np.eye(4), atol=1e-12)
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError):
-            dv.pcnot_channel(IDEAL_MC)
 
 
 class TestMcnot:
     def test_ideal_flips_top_polarization(self):
-        ch = dv.mcnot_channel(IDEAL_MC)
+        ch = dv.mcnot_channel()
         out = qc.apply_channel(ch, basis_rho(0))  # |TH> -> |TV|
         np.testing.assert_allclose(np.diag(out.entries).real, [0, 1, 0, 0], atol=1e-12)
 
     def test_bottom_channel_untouched(self):
-        ch = dv.mcnot_channel(IDEAL_MC)
+        ch = dv.mcnot_channel()
         out = qc.apply_channel(ch, basis_rho(2))  # |BH>
         np.testing.assert_allclose(np.diag(out.entries).real, [0, 0, 1, 0], atol=1e-12)
 
     def test_residual_population_at_20db(self):
-        ch = dv.mcnot_channel(CS(CK.MCNOT, {"extinction_db": 20.0}))
+        ch = dv.mcnot_channel(extinction=20.0)
         out = qc.apply_channel(ch, basis_rho(0))
         assert out.entries[0, 0].real == pytest.approx(0.01, abs=1e-12)
 
     def test_unitary_at_finite_er_without_loss(self):
-        ch = dv.mcnot_channel(CS(CK.MCNOT, {"extinction_db": 20.0}))
+        ch = dv.mcnot_channel(extinction=20.0)
         k = ch.kraus[0]
         np.testing.assert_allclose(k.conj().T @ k, np.eye(4), atol=1e-12)
 
     def test_channel_resolved_loss(self):
-        ch = dv.mcnot_channel(CS(CK.MCNOT, {"loss_db_t": 1.0}))
+        ch = dv.mcnot_channel(loss=1.0)
         out_t = qc.apply_channel(ch, basis_rho(0))
         out_b = qc.apply_channel(ch, basis_rho(2))
         assert out_t.trace == pytest.approx(10 ** (-0.1), abs=1e-12)
@@ -111,24 +102,24 @@ class TestMcnot:
 
 class TestWaveplates:
     def test_hwp_at_pi8_rotates_h_to_d(self):
-        j = dv.waveplate_jones(CK.HWP, math.pi / 8)
+        j = dv.waveplate_jones("hwp", math.pi / 8)
         out = j @ qc.ket2("H")
         np.testing.assert_allclose(out, qc.ket2("D"), atol=1e-12)
 
     def test_hwp_at_zero_flips_v_phase(self):
-        j = dv.waveplate_jones(CK.HWP, 0.0)
+        j = dv.waveplate_jones("hwp", 0.0)
         out = j @ qc.ket2("V")
         np.testing.assert_allclose(out, -qc.ket2("V"), atol=1e-12)
 
     def test_qwp_at_pi4_makes_circular(self):
-        j = dv.waveplate_jones(CK.QWP, math.pi / 4)
+        j = dv.waveplate_jones("qwp", math.pi / 4)
         out = j @ qc.ket2("H")
         target = qc.ket2("R")  # (|H> + i|V>)/sqrt(2)
         overlap = abs(np.vdot(target, out))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_unitarity(self):
-        for kind in (CK.HWP, CK.QWP):
+        for kind in ("hwp", "qwp"):
             for theta in (0.0, 0.3, 1.1):
                 j = dv.waveplate_jones(kind, theta)
                 np.testing.assert_allclose(j.conj().T @ j, np.eye(2), atol=1e-12)
@@ -171,23 +162,20 @@ class TestMziProjector:
         return qc.apply_channel(dv.mzi_projector(setting, er), rho).trace
 
     def test_t_setting_on_t(self):
-        assert self.survival(dv.MZISetting.T, "T") == pytest.approx(1.0, abs=1e-12)
+        assert self.survival("0", "T") == pytest.approx(1.0, abs=1e-12)
 
     def test_plus_setting_on_t(self):
-        assert self.survival(dv.MZISetting.PLUS, "T") == pytest.approx(0.5, abs=1e-12)
+        assert self.survival("+", "T") == pytest.approx(0.5, abs=1e-12)
 
     def test_plus_i_setting_on_plus_i(self):
-        assert self.survival(dv.MZISetting.PLUS_I, "i") == pytest.approx(1.0, abs=1e-12)
+        assert self.survival("i", "i") == pytest.approx(1.0, abs=1e-12)
 
     def test_all_settings_select_their_state(self):
-        pairs = {dv.MZISetting.T: "0", dv.MZISetting.B: "1",
-                 dv.MZISetting.PLUS: "+", dv.MZISetting.MINUS: "-",
-                 dv.MZISetting.PLUS_I: "i", dv.MZISetting.MINUS_I: "-i"}
-        for setting, lbl in pairs.items():
-            assert self.survival(setting, lbl) == pytest.approx(1.0, abs=1e-12)
+        for lbl in ("0", "1", "+", "-", "i", "-i"):
+            assert self.survival(lbl, lbl) == pytest.approx(1.0, abs=1e-12)
 
     def test_finite_extinction_leaks(self):
-        p = self.survival(dv.MZISetting.T, "1", er=20.0)
+        p = self.survival("0", "1", er=20.0)
         assert p == pytest.approx(0.01, abs=1e-12)
 
 
@@ -209,7 +197,7 @@ class TestFacet:
         assert out.trace == pytest.approx(0.501, abs=5e-4)
 
     def test_crosstalk_stays_physical(self):
-        ch = dv.facet_channel(0.0, 0.0, xtalk_amp=0.1)
+        ch = dv.facet_channel(0.0, 0.0, xtalk=0.1)
         out = qc.apply_channel(ch, basis_rho(0))
         assert out.trace == pytest.approx(1.0, abs=1e-12)
         assert out.entries[2, 2].real == pytest.approx(0.01, abs=1e-12)
@@ -227,8 +215,8 @@ class TestSwapChip:
 
     def test_ideal_tv_stays_up_to_phase(self):
         # oracle: direct product of the three ideal stage matrices
-        pc = dv.pcnot_channel(IDEAL_PC).kraus[0]
-        mc = dv.mcnot_channel(IDEAL_MC).kraus[0]
+        pc = dv.pcnot_channel().kraus[0]
+        mc = dv.mcnot_channel().kraus[0]
         product = pc @ mc @ pc
         col = product[:, 1]
         assert abs(col[1]) == pytest.approx(1.0, abs=1e-12)

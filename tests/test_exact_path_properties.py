@@ -33,7 +33,7 @@ from swapsim import experiments as ex
 from swapsim import netlist as nl
 from swapsim import qcore as qc
 from swapsim import tomography as tm
-from swapsim.config import ChipConfig, ExperimentConfig, SourceConfig
+from swapsim.config import ChipConfig, ConfigError, ExperimentConfig, SourceConfig
 
 # derandomized: tier-1 runs the same examples every time
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -285,7 +285,7 @@ def output_state_oracle(chip, vec, frame, trace_polarization):
 
 def momentum_probabilities_oracle(rho2):
     """One `apply_channel` of the MZI projector per momentum setting."""
-    return [qc.apply_channel(dv.mzi_projector(dv.MZISetting(lbl)), rho2).trace
+    return [qc.apply_channel(dv.mzi_projector(lbl), rho2).trace
             for lbl in ("0", "1", "+", "-", "i", "-i")]
 
 
@@ -457,7 +457,7 @@ def test_unknown_sweep_axis_raises_before_any_chip_is_built(monkeypatch):
     monkeypatch.setattr(ChipConfig, "build", lambda self: built.append(self) or build(self))
     cfg = ExperimentConfig.measured_chip(n_trials=1)
     # the known axis sorts first, so a per-axis loop would build its chips
-    with pytest.raises(ValueError, match="^unknown sweep axis 'zz_axis'; known: "):
+    with pytest.raises(ConfigError, match="^unknown sweep axis 'zz_axis'; known: "):
         ex.run_error_budget(cfg, {"pcnot_extinction_db": [18.0, 35.0], "zz_axis": [1.0]})
     assert built == []
 

@@ -5,7 +5,7 @@ import pytest
 
 from swapsim import experiments as ex
 from swapsim.biphoton import BellLabel
-from swapsim.config import ChipConfig, ExperimentConfig
+from swapsim.config import ChipConfig, ConfigError, ExperimentConfig
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +284,7 @@ class TestErrorBudget:
             assert all(b >= a - 1e-9 for a, b in zip(fids, fids[1:])), axis
 
     def test_empty_grid_rejected(self, calibrated):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ex.run_error_budget(calibrated, {})
 
 
@@ -410,7 +410,6 @@ class TestStackedEstimators:
         from swapsim import biphoton as bp
         from swapsim import devices as dv
         from swapsim import qcore as qc
-        from swapsim.cli import _parse_grid
 
         made, applied = [], []
         post_init = qc.DensityMatrix.__post_init__
@@ -423,7 +422,7 @@ class TestStackedEstimators:
                                     lambda *a: applied.append(1) or apply_channel(*a))
         ex.run_process_tomography(cfg)
         ex.run_process_tomography_2q(cfg)
-        ex.run_error_budget(cfg, _parse_grid([]))  # the CLI's default grid
+        ex.run_error_budget(cfg)  # the default grid
         assert (len(made), len(applied)) == (0, 0)
 
     def test_runners_read_the_superoperator(self, cfg, monkeypatch):
@@ -432,7 +431,6 @@ class TestStackedEstimators:
         # sweep solves for the chi matrices of its whole grid at once
         from swapsim import devices as dv
         from swapsim import qcore as qc
-        from swapsim.cli import _parse_grid
 
         calls = []
 
@@ -456,9 +454,9 @@ class TestStackedEstimators:
         ex.run_process_tomography_2q(small)
         assert calls == ["lstsq", "lstsq"]
         calls.clear()
-        grid = _parse_grid([])
+        grid = ex._DEFAULT_SWEEP
         assert sum(map(len, grid.values())) == 19
-        ex.run_error_budget(small, grid)
+        ex.run_error_budget(small)
         assert calls == ["lstsq"]
 
     def test_bell_is_one_batched_pass(self, cfg, monkeypatch):

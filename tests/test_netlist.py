@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from pathlib import Path
 from swapsim import devices as dv
 from swapsim import netlist as nl
 from swapsim.config import ChipConfig, ExperimentConfig
-from swapsim.devices import ComponentKind as CK, ComponentSpec as CS
 
 SAMPLE_PNL = Path(__file__).resolve().parent.parent / "demos" / "data" / "swap_measured.pnl"
 
@@ -35,8 +35,8 @@ def oracle_chip(pc_params, mc_params, facet=(0.0, 0.0, 0.0)):
     """The facet / PC-NOT / MC-NOT / PC-NOT / facet cascade composed
     directly from the device channel functions, without the compiler."""
     f = dv.facet_channel(*facet)
-    pc = dv.pcnot_channel(CS(CK.PCNOT, pc_params))
-    mc = dv.mcnot_channel(CS(CK.MCNOT, mc_params))
+    pc = dv.pcnot_channel(**pc_params)
+    mc = dv.mcnot_channel(**mc_params)
     return dv.ChipModel((f, pc, mc, pc, f))
 
 
@@ -54,7 +54,7 @@ def _corpus():
     ]
     kinds_double = [
         "bs5050 b1 (T, B);",
-        "mzi z1 (T, B) phase=1.5707963267948966 extinction=20dB;",
+        "mzi z1 (T, B) phase=1.5707963267948966;",
         "facet fa (T, B) loss_h=3dB loss_v=3.45dB xtalk=0.05;",
         "pcnot pc (T, B) extinction=18dB imbalance=0.45dB;",
         "pcnot pr (B, T) extinction=22dB;",
@@ -83,9 +83,6 @@ def _corpus():
 
 
 class TestParse:
-    def test_kinds_are_the_component_kinds(self):
-        assert nl.KINDS == tuple(k.value for k in CK)
-
     def test_example_cascade(self):
         ast = nl.parse(SWAP_SRC)
         assert len(ast.chips) == 1
@@ -119,6 +116,11 @@ class TestParse:
     def test_unknown_unit(self):
         with pytest.raises(nl.ParseError) as exc:
             nl.parse("chip c { ports T, B; pcnot c1 (T, B) extinction=18qB; }")
+        assert exc.value.code == "unknown-unit"
+
+    def test_nm_is_an_unknown_unit(self):
+        with pytest.raises(nl.ParseError) as exc:
+            nl.parse("chip c { ports T, B; hwp w (T) angle=800nm; }")
         assert exc.value.code == "unknown-unit"
 
     def test_duplicate_instance(self):
@@ -182,6 +184,12 @@ class TestFormat:
             twice = nl.format_netlist(nl.parse(once))
             assert once == twice
 
+    def test_infinite_values_round_trip(self):
+        src = "chip c { ports T, B; pcnot a (T, B) extinction=1e999dB depol=-1e999; }"
+        out = nl.format_netlist(nl.parse(src))
+        assert "extinction=1e999dB depol=-1e999;" in out
+        assert nl.parse(out).structure() == nl.parse(src).structure()
+
     def test_comments_discarded(self):
         src = "# top comment\nchip c { ports T, B; # inline\n pcnot a (T, B); }"
         out = nl.format_netlist(nl.parse(src))
@@ -207,8 +215,8 @@ class TestCompile:
 
     def test_measured_cascade_bit_identical_to_builder(self):
         chip = nl.compile_netlist(nl.parse(SWAP_SRC))
-        built = oracle_chip({"extinction_db": 18.0},
-                            {"extinction_db": 20.0, "loss_db_t": 1.0})
+        built = oracle_chip({"extinction": 18.0},
+                            {"extinction": 20.0, "loss": 1.0})
         a = chip.channel().kraus[0]
         b = built.channel().kraus[0]
         assert np.array_equal(a, b)
@@ -278,6 +286,79 @@ class TestCompile:
         np.testing.assert_allclose(k, expect, atol=1e-12)
 
 
+# every (kind, parameter) pair of the component table
+PAIRS = [(kind, name) for kind, (_, table) in nl.COMPONENTS.items() for name in table]
+# unit class -> (values out of its range, extreme values in it, a value
+# that is not the constructor's default), spelled in the class's unit
+VALUES = {
+    "extinction": (["0dB", "-3dB", "-1e999dB"], ["1e999dB", "1e-300dB", "1e308dB"], "10dB"),
+    "loss": (["-1dB", "1e999dB"], ["0dB", "1e308dB"], "1dB"),
+    "angle": (["1e999rad", "-1e999rad"], ["1e308rad", "-1e308rad"], "0.3rad"),
+    "probability": (["-0.5", "1.5", "1e999"], ["0", "1"], "0.1"),
+    "amplitude": (["-1.5", "1.5", "1e999"], ["-1", "1"], "0.1"),
+}
+
+
+def _statement(kind, params=""):
+    ports = "T" if 1 in nl.COMPONENTS[kind][0] else "T, B"
+    return f"chip c {{ ports T, B; {kind} s ({ports}) {params}; }}"
+
+
+def _compile(src):
+    return nl.compile_netlist(nl.parse(src))
+
+
+class TestComponentTable:
+    def test_values_cover_every_unit_class(self):
+        assert set(VALUES) == set(nl._UNIT_CLASSES)
+
+    @pytest.mark.parametrize("kind, name", PAIRS)
+    def test_out_of_range_is_param_range_naming_the_parameter(self, kind, name):
+        for value in VALUES[nl.COMPONENTS[kind][1][name]][0]:
+            src = _statement(kind, f"{name}={value}")
+            with pytest.raises(nl.CompileError) as exc:
+                _compile(src)
+            assert exc.value.code == "param-range"
+            assert exc.value.message.startswith(f"parameter {name} must be ")
+            assert src[exc.value.span.start:exc.value.span.end] == f"{name}={value}"
+
+    @pytest.mark.parametrize("kind, name", PAIRS)
+    def test_extreme_values_in_range_compile(self, kind, name):
+        for value in VALUES[nl.COMPONENTS[kind][1][name]][1]:
+            assert _compile(_statement(kind, f"{name}={value}")).superoperator.shape == (16, 16)
+
+    @pytest.mark.parametrize("kind, name", PAIRS)
+    def test_every_parameter_changes_its_stage(self, kind, name):
+        value = VALUES[nl.COMPONENTS[kind][1][name]][2]
+        plain = _compile(_statement(kind)).superoperator
+        assert not np.array_equal(_compile(_statement(kind, f"{name}={value}")).superoperator,
+                                  plain)
+
+    @pytest.mark.parametrize("stmt, message", [
+        ("phase_v p (T) phase=1e999rad", "parameter phase must be finite, got inf"),
+        ("hwp w (T) angle=1e999rad", "parameter angle must be finite, got inf"),
+        ("loss l (T) loss=1e999dB", "parameter loss must be finite and >= 0 dB, got inf"),
+    ])
+    def test_infinite_values_are_param_range_without_warnings(self, stmt, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nl.CompileError) as exc:
+                _compile(f"chip c {{ ports T, B; {stmt}; }}")
+        assert (exc.value.code, exc.value.message) == ("param-range", message)
+
+    def test_a_parameter_an_override_leaves_unused_is_still_checked(self):
+        with pytest.raises(nl.CompileError) as exc:
+            _compile("chip c { ports T, B; pcnot c (T, B) extinction=-3dB "
+                     "extinction_h=18dB extinction_v=18dB; }")
+        assert exc.value.code == "param-range"
+        assert exc.value.message == "parameter extinction must be > 0 dB, got -3.0"
+
+    def test_mzi_takes_no_extinction(self):
+        with pytest.raises(nl.CompileError) as exc:
+            _compile("chip c { ports T, B; mzi z (T, B) phase=0.3rad extinction=20dB; }")
+        assert exc.value.code == "unknown-param"
+
+
 class TestConfigLowering:
     def test_measured_config_formats_as_sample_netlist(self):
         decl = ExperimentConfig.measured_chip().chips[0].to_netlist()
@@ -286,8 +367,8 @@ class TestConfigLowering:
 
     def test_measured_config_stages_bit_identical_to_oracle(self):
         chip = ExperimentConfig.measured_chip().chip(0)
-        oracle = oracle_chip({"extinction_db": 18.0, "loss_imbalance_db": 0.45},
-                             {"extinction_db": 20.0, "loss_db_t": 1.0},
+        oracle = oracle_chip({"extinction": 18.0, "imbalance": 0.45},
+                             {"extinction": 20.0, "loss": 1.0},
                              facet=(3.0, 3.0, 0.0))
         assert len(chip.stages) == len(oracle.stages) == 5
         for got, want in zip(chip.stages, oracle.stages):
@@ -300,9 +381,9 @@ class TestConfigLowering:
                          facet_loss_db_h=2.5, facet_loss_db_v=3.5, facet_xtalk=-0.05,
                          depol_prob=0.01)
         oracle = oracle_chip(
-            {"extinction_db": 22.0, "loss_imbalance_db": 0.3, "depol_prob": 0.01},
-            {"extinction_db": 25.0, "loss_db_t": 0.7, "loss_db_b": 0.2,
-             "rotation_error_rad": -0.02, "depol_prob": 0.01},
+            {"extinction": 22.0, "imbalance": 0.3, "depol": 0.01},
+            {"extinction": 25.0, "loss": 0.7, "loss_other": 0.2,
+             "rotation_error": -0.02, "depol": 0.01},
             facet=(2.5, 3.5, -0.05))
         chip = cfg.build()
         for got, want in zip(chip.stages, oracle.stages):
