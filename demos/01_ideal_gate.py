@@ -1,8 +1,10 @@
 """The ideal three-gate cascade is a SWAP (plus a bit flip on both qubits).
 
 Builds the PC-NOT / MC-NOT / PC-NOT chip with every imperfection switched
-off and shows that the composed operator equals (X (x) X) . SWAP exactly,
-which gives the computational-basis truth table
+off and shows that its superoperator S equals U (x) conj(U) for
+U = (X (x) X) . SWAP exactly.  Its Choi matrix then has rank 1, and the top
+eigenvector recovers the cascade's operator U (up to a global phase), which
+gives the computational-basis truth table
 
     |TH> -> |BV>     |TV> -> |TV>     |BH> -> |BH>     |BV> -> |TH>
 
@@ -17,12 +19,20 @@ from swapsim.config import ChipConfig
 from swapsim.experiments import exact_truth_table
 
 chip = ChipConfig().build()
-u = chip.channel().kraus[0]
+s = chip.superoperator
 target = dv.ideal_swap_unitary()
+print("Frobenius distance of S to U (x) conj(U), U = (X x X).SWAP:",
+      np.linalg.norm(s - np.kron(target, target.conj())))
 
-print("composed ideal cascade:")
+# row-major vec: S[(a, b), (c, d)] = sum_k K[a, c] conj(K[b, d]), and the
+# Choi matrix J[(a, c), (b, d)] is the same sum
+choi = s.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+evals, vecs = np.linalg.eigh(choi)
+print("top two Choi eigenvalues:", evals[::-1][:2])
+u = np.sqrt(evals[-1]) * vecs[:, -1].reshape(4, 4)
+u *= np.exp(-1j * np.angle(u.flat[np.argmax(np.abs(u))]))  # fix the global phase
+print("\nrecovered ideal cascade:")
 print(np.round(u.real, 6))
-print("\nFrobenius distance to (X x X).SWAP:", np.linalg.norm(u - target))
 
 labels = ("TH", "TV", "BH", "BV")
 probs = exact_truth_table(chip)

@@ -2,13 +2,15 @@
 
 A chip is a pair of spatial ports plus an ordered list of component
 statements; compiling lowers each statement to a Kraus channel on the
-four-dimensional (channel x polarization) space and composes them in
-statement order.
+four-dimensional (channel x polarization) space and multiplies their
+superoperators, in statement order, into the chip's one 16x16
+superoperator.
 """
 
 import numpy as np
 
 from swapsim import netlist as nl
+from swapsim.experiments import exact_truth_table
 
 SRC = """\
 # the measured SWAP chip, facets included
@@ -27,9 +29,10 @@ print("canonical form (comments are discarded):\n")
 print(nl.format_netlist(ast))
 
 chip = nl.compile_netlist(ast)
-k = chip.channel().kraus[0]
+# the chip is unitary up to loss, so its transfer magnitudes are the square
+# roots of the exact truth table's probabilities
 print("composed transfer matrix magnitudes:")
-print(np.round(np.abs(k), 3))
+print(np.round(np.sqrt(exact_truth_table(chip)), 3))
 
 print("\nerrors carry source spans and stable codes:")
 for bad in (

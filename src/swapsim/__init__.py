@@ -21,7 +21,7 @@ _SUBMODULES = ("biphoton", "cli", "config", "devices", "experiments", "netlist",
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("DensityMatrix", "QuantumChannel", "PauliBasis", "ProcessMatrix",
-                     "apply_channel", "heralded_normalize"), "qcore"),
+                     "heralded_normalize"), "qcore"),
     **dict.fromkeys(("ChipModel", "er_to_leakage", "pcnot_channel", "mcnot_channel",
                      "waveplate_jones", "phase_v", "polarizer", "mzi_projector",
                      "facet_channel", "ideal_swap_unitary", "swap_unitary"), "devices"),

@@ -3,8 +3,10 @@
 Each component is a Kraus channel on the four-dimensional single-photon
 space |T,H>, |T,V>, |B,H>, |B,V> (channel major, polarization minor).  The
 chip itself is a cascade PC-NOT / MC-NOT / PC-NOT between input and output
-facets; with every imperfection switched off the composed operator equals
-(X (x) X) . SWAP on the (momentum, polarization) logical pair exactly.
+facets, held as one 16x16 superoperator (`ChipModel.superoperator`); with
+every imperfection switched off that superoperator equals U (x) conj(U)
+for U = (X (x) X) . SWAP on the (momentum, polarization) logical pair,
+exactly.
 
 Phase conventions
 -----------------
@@ -33,7 +35,6 @@ the netlist writes them: dB for extinction and loss, radians for angles.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,7 +45,6 @@ from .qcore import (
     PauliBasis,
     QuantumChannel,
     check_trace_nonincreasing,
-    compose_channels,
     PAULI_I,
     PAULI_X,
 )
@@ -125,10 +125,10 @@ def _coupler_cross(eps: float) -> np.ndarray:
 
 def _depolarize(ch: QuantumChannel, prob: float) -> QuantumChannel:
     """Mix the channel with the fully depolarizing map at rate `prob`."""
-    if prob <= 0:
-        return ch
-    if not 0 < prob <= 1:
+    if not 0 <= prob <= 1:
         raise ValueError("depol must lie in [0, 1]")
+    if prob == 0:
+        return ch
     dim = ch.dim_out
     full = PauliBasis(int(round(math.log2(dim)))).operators
     d2 = len(full)
@@ -322,7 +322,7 @@ def stage_channel(kind: str, idx: tuple, params: dict) -> QuantumChannel:
         amp = db_to_amplitude(params.get("loss", 0.0))
         return _per_port_pol(amp * phase_v(params.get("phase", 0.0)), idx)
     if kind == "facet":
-        return facet_channel(**params)
+        return _reorient(facet_channel(**params), idx)
     if kind == "loss":
         amp = db_to_amplitude(params.get("loss", 0.0))
         return _per_port_pol(amp * np.eye(2, dtype=complex), idx)
@@ -355,15 +355,6 @@ class ChipModel:
         check_trace_nonincreasing(s[::5].sum(axis=0).reshape(4, 4))
         s.flags.writeable = False
         object.__setattr__(self, "superoperator", s)
-
-    @functools.cached_property
-    def _channel(self) -> QuantumChannel:
-        return compose_channels(*self.stages)
-
-    def channel(self) -> QuantumChannel:
-        """All stages composed into one Kraus channel (first stage acts
-        first), on the first call; no runner reads it."""
-        return self._channel
 
 
 _XX = np.kron(PAULI_X, PAULI_X)

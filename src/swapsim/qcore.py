@@ -1,4 +1,4 @@
-"""Complex linear algebra core: states, density matrices, Kraus channels.
+"""Complex linear algebra core: states, density matrices, channels.
 
 Everything downstream (device models, tomography, experiment runners) is
 built on the small set of value types defined here.  The four-dimensional
@@ -9,11 +9,11 @@ single-photon space uses one fixed basis order everywhere:
 i.e. spatial channel is the most significant subsystem and polarization the
 least significant.  Density matrices are allowed to carry trace < 1: the
 missing trace is unheralded photon loss, and `heralded_normalize` recovers
-it as a survival probability.  A channel also carries its row-major
-superoperator (`QuantumChannel.superoperator`, computed once per channel
-object), the one representation the exact paths propagate with.  All
-values are immutable (backing arrays are marked read-only), so everything
-in this module is safe to share across threads.
+it as a survival probability.  A channel is given by Kraus operators and
+carries its row-major superoperator (`QuantumChannel.superoperator`,
+computed once per channel object), the one representation the exact paths
+propagate with.  All values are immutable (backing arrays are marked
+read-only), so everything in this module is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "QuantumChannel",
     "PauliBasis",
     "ProcessMatrix",
-    "apply_channel",
     "heralded_normalize",
     "heralded_normalize_stack",
     "pure_fidelity_stack",
@@ -37,7 +36,6 @@ __all__ = [
     "solve_stack",
     "check_trace_nonincreasing",
     "check_chi_stack",
-    "compose_channels",
     "dagger",
     "ket2",
     "ket4",
@@ -252,18 +250,6 @@ def check_chi_stack(m: np.ndarray) -> None:
 # operations
 # ---------------------------------------------------------------------------
 
-def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply sum_k K rho K^dag.  The output trace is the survival probability;
-    no renormalization happens here."""
-    if ch.dim_in != rho.dim:
-        raise ValueError(f"channel dim_in {ch.dim_in} != state dim {rho.dim}")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for k in ch.kraus:
-        out += k @ rho.entries @ dagger(k)
-    out = 0.5 * (out + dagger(out))
-    return DensityMatrix(ch.dim_out, out)
-
-
 def heralded_normalize(rho: DensityMatrix) -> tuple:
     """Renormalize a lossy state, returning (rho / tr, tr).
 
@@ -373,43 +359,3 @@ def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
             except np.linalg.LinAlgError:
                 pass
         return x, solved
-
-
-# ---------------------------------------------------------------------------
-# channel constructors / composition
-# ---------------------------------------------------------------------------
-
-def compose_channels(*channels: QuantumChannel) -> QuantumChannel:
-    """Compose channels left to right: the first argument acts first.
-
-    Unitary (single-Kraus) compositions stay bit-exact matrix products.
-    When the Kraus product set outgrows the d_in*d_out bound it is reduced
-    to a minimal canonical set through the Choi matrix, which preserves the
-    channel action exactly (up to numerical eigendecomposition accuracy).
-    """
-    if not channels:
-        raise ValueError("nothing to compose")
-    current = list(channels[0].kraus)
-    dim_in = channels[0].dim_in
-    for ch in channels[1:]:
-        if ch.dim_in != current[0].shape[0]:
-            raise ValueError("channel dimension mismatch in composition")
-        current = [k2 @ k1 for k2 in ch.kraus for k1 in current]
-        if len(current) > dim_in * ch.dim_out:
-            current = _minimal_kraus(current, dim_in, ch.dim_out)
-    return QuantumChannel(dim_in, current[0].shape[0], tuple(current))
-
-
-def _minimal_kraus(kraus, dim_in: int, dim_out: int) -> list:
-    """Minimal Kraus set of the map given by `kraus`, via its Choi matrix."""
-    choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
-    for k in kraus:
-        v = np.asarray(k).reshape(-1)  # row-major vec: index (out, in)
-        choi += np.outer(v, v.conj())
-    evals, vecs = np.linalg.eigh(choi)
-    out = []
-    for lam, col in zip(evals[::-1], vecs[:, ::-1].T):
-        if lam <= 1e-14:
-            break
-        out.append(np.sqrt(lam) * col.reshape(dim_out, dim_in))
-    return out

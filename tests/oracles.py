@@ -4,6 +4,12 @@ These are the one-state, object-level forms of operations that `swapsim`
 computes on arrays: the partial trace and subsystem permutation of a
 `DensityMatrix`, the biphoton joint state assembled by Kronecker products,
 and the Uhlmann fidelity by matrix square roots.  No runner uses them.
+
+The Kraus composition of a cascade (`compose_channels`, reduced to a
+minimal Kraus set through the Choi matrix) and its action on one state
+(`apply_channel`) are the oracle of the superoperator path: a chip is its
+16x16 `ChipModel.superoperator`, and the tests check that matrix against
+`compose_channels(*chip.stages)`.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from swapsim.qcore import PSD_TOL, DensityMatrix, dagger, ket2, ket4
+from swapsim.qcore import PSD_TOL, DensityMatrix, QuantumChannel, dagger, ket2, ket4
 
 
 def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Iterable[int]) -> DensityMatrix:
@@ -108,3 +114,51 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
     return float(uhlmann_fidelity_stack(rho.entries[None], sigma.entries)[0])
+
+
+def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
+    """Apply sum_k K rho K^dag.  The output trace is the survival probability;
+    no renormalization happens here."""
+    if ch.dim_in != rho.dim:
+        raise ValueError(f"channel dim_in {ch.dim_in} != state dim {rho.dim}")
+    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
+    for k in ch.kraus:
+        out += k @ rho.entries @ dagger(k)
+    out = 0.5 * (out + dagger(out))
+    return DensityMatrix(ch.dim_out, out)
+
+
+def compose_channels(*channels: QuantumChannel) -> QuantumChannel:
+    """Compose channels left to right: the first argument acts first.
+
+    Unitary (single-Kraus) compositions stay bit-exact matrix products.
+    When the Kraus product set outgrows the d_in*d_out bound it is reduced
+    to a minimal canonical set through the Choi matrix, which preserves the
+    channel action exactly (up to numerical eigendecomposition accuracy).
+    """
+    if not channels:
+        raise ValueError("nothing to compose")
+    current = list(channels[0].kraus)
+    dim_in = channels[0].dim_in
+    for ch in channels[1:]:
+        if ch.dim_in != current[0].shape[0]:
+            raise ValueError("channel dimension mismatch in composition")
+        current = [k2 @ k1 for k2 in ch.kraus for k1 in current]
+        if len(current) > dim_in * ch.dim_out:
+            current = _minimal_kraus(current, dim_in, ch.dim_out)
+    return QuantumChannel(dim_in, current[0].shape[0], tuple(current))
+
+
+def _minimal_kraus(kraus, dim_in: int, dim_out: int) -> list:
+    """Minimal Kraus set of the map given by `kraus`, via its Choi matrix."""
+    choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=complex)
+    for k in kraus:
+        v = np.asarray(k).reshape(-1)  # row-major vec: index (out, in)
+        choi += np.outer(v, v.conj())
+    evals, vecs = np.linalg.eigh(choi)
+    out = []
+    for lam, col in zip(evals[::-1], vecs[:, ::-1].T):
+        if lam <= 1e-14:
+            break
+        out.append(np.sqrt(lam) * col.reshape(dim_out, dim_in))
+    return out

@@ -47,12 +47,12 @@ class TestNetlistPath:
         pnl = tmp_path / "swap.pnl"
         pnl.write_text(PNL)
         chip = ChipConfig(netlist_path=str(pnl))
-        before = chip.build().channel().kraus
+        before = chip.build().superoperator
         edited = PNL.replace("18dB", "25dB")
         pnl.write_text(edited)
-        after = chip.build().channel().kraus
-        assert not np.array_equal(after[0], before[0])
-        assert np.array_equal(after[0], nl.compile_netlist(nl.parse(edited)).channel().kraus[0])
+        after = chip.build().superoperator
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, nl.compile_netlist(nl.parse(edited)).superoperator)
 
     def test_missing_netlist_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read netlist"):

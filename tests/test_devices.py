@@ -7,6 +7,8 @@ from swapsim import devices as dv
 from swapsim import qcore as qc
 from swapsim.config import ChipConfig
 
+from oracles import apply_channel, compose_channels
+
 
 def basis_rho(idx):
     v = np.zeros(4, dtype=complex)
@@ -51,17 +53,17 @@ class TestErToLeakage:
 class TestPcnot:
     def test_ideal_v_crosses(self):
         ch = dv.pcnot_channel()
-        out = qc.apply_channel(ch, basis_rho(1))  # |TV>
+        out = apply_channel(ch, basis_rho(1))  # |TV>
         np.testing.assert_allclose(np.diag(out.entries).real, [0, 0, 0, 1], atol=1e-12)
 
     def test_ideal_h_stays(self):
         ch = dv.pcnot_channel()
-        out = qc.apply_channel(ch, basis_rho(0))  # |TH>
+        out = apply_channel(ch, basis_rho(0))  # |TH>
         np.testing.assert_allclose(np.diag(out.entries).real, [1, 0, 0, 0], atol=1e-12)
 
     def test_leakage_probability_at_18db(self):
         ch = dv.pcnot_channel(extinction=18.0)
-        out = qc.apply_channel(ch, basis_rho(1))
+        out = apply_channel(ch, basis_rho(1))
         stay = out.entries[1, 1].real  # |TV> stays in T
         assert stay == pytest.approx(10 ** (-1.8), abs=1e-12)
 
@@ -74,17 +76,17 @@ class TestPcnot:
 class TestMcnot:
     def test_ideal_flips_top_polarization(self):
         ch = dv.mcnot_channel()
-        out = qc.apply_channel(ch, basis_rho(0))  # |TH> -> |TV|
+        out = apply_channel(ch, basis_rho(0))  # |TH> -> |TV|
         np.testing.assert_allclose(np.diag(out.entries).real, [0, 1, 0, 0], atol=1e-12)
 
     def test_bottom_channel_untouched(self):
         ch = dv.mcnot_channel()
-        out = qc.apply_channel(ch, basis_rho(2))  # |BH>
+        out = apply_channel(ch, basis_rho(2))  # |BH>
         np.testing.assert_allclose(np.diag(out.entries).real, [0, 0, 1, 0], atol=1e-12)
 
     def test_residual_population_at_20db(self):
         ch = dv.mcnot_channel(extinction=20.0)
-        out = qc.apply_channel(ch, basis_rho(0))
+        out = apply_channel(ch, basis_rho(0))
         assert out.entries[0, 0].real == pytest.approx(0.01, abs=1e-12)
 
     def test_unitary_at_finite_er_without_loss(self):
@@ -94,10 +96,18 @@ class TestMcnot:
 
     def test_channel_resolved_loss(self):
         ch = dv.mcnot_channel(loss=1.0)
-        out_t = qc.apply_channel(ch, basis_rho(0))
-        out_b = qc.apply_channel(ch, basis_rho(2))
+        out_t = apply_channel(ch, basis_rho(0))
+        out_b = apply_channel(ch, basis_rho(2))
         assert out_t.trace == pytest.approx(10 ** (-0.1), abs=1e-12)
         assert out_b.trace == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [dv.pcnot_channel, dv.mcnot_channel])
+@pytest.mark.parametrize("depol", [1.5, -0.2])
+def test_depol_out_of_range_rejected(make, depol):
+    # a negative rate is as invalid as one above 1, not a silent no-op
+    with pytest.raises(ValueError, match=r"^depol must lie in \[0, 1\]$"):
+        make(depol=depol)
 
 
 class TestWaveplates:
@@ -141,17 +151,17 @@ class TestPhaseV:
 class TestPolarizer:
     def test_aligned_passes(self):
         rho = qc.DensityMatrix(2, np.diag([1.0, 0.0]).astype(complex))
-        out = qc.apply_channel(dv.polarizer(0.0), rho)
+        out = apply_channel(dv.polarizer(0.0), rho)
         assert out.trace == pytest.approx(1.0)
 
     def test_crossed_blocks(self):
         rho = qc.DensityMatrix(2, np.diag([1.0, 0.0]).astype(complex))
-        out = qc.apply_channel(dv.polarizer(math.pi / 2), rho)
+        out = apply_channel(dv.polarizer(math.pi / 2), rho)
         assert out.trace == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_halves(self):
         rho = qc.DensityMatrix(2, np.diag([1.0, 0.0]).astype(complex))
-        out = qc.apply_channel(dv.polarizer(math.pi / 4), rho)
+        out = apply_channel(dv.polarizer(math.pi / 4), rho)
         assert out.trace == pytest.approx(0.5, abs=1e-12)
 
 
@@ -159,7 +169,7 @@ class TestMziProjector:
     def survival(self, setting, state_label, er=math.inf):
         v = qc.ket2(state_label)
         rho = qc.DensityMatrix(2, np.outer(v, v.conj()))
-        return qc.apply_channel(dv.mzi_projector(setting, er), rho).trace
+        return apply_channel(dv.mzi_projector(setting, er), rho).trace
 
     def test_t_setting_on_t(self):
         assert self.survival("0", "T") == pytest.approx(1.0, abs=1e-12)
@@ -186,28 +196,27 @@ class TestFacet:
 
     def test_v_to_h_survival_ratio(self):
         ch = dv.facet_channel(0.0, 0.9)
-        out_h = qc.apply_channel(ch, basis_rho(0))
-        out_v = qc.apply_channel(ch, basis_rho(1))
+        out_h = apply_channel(ch, basis_rho(0))
+        out_v = apply_channel(ch, basis_rho(1))
         assert out_v.trace / out_h.trace == pytest.approx(10 ** (-0.09), abs=1e-9)
         assert out_v.trace / out_h.trace == pytest.approx(0.813, abs=5e-4)
 
     def test_three_db_survival(self):
         ch = dv.facet_channel(3.0, 3.0)
-        out = qc.apply_channel(ch, basis_rho(0))
+        out = apply_channel(ch, basis_rho(0))
         assert out.trace == pytest.approx(0.501, abs=5e-4)
 
     def test_crosstalk_stays_physical(self):
         ch = dv.facet_channel(0.0, 0.0, xtalk=0.1)
-        out = qc.apply_channel(ch, basis_rho(0))
+        out = apply_channel(ch, basis_rho(0))
         assert out.trace == pytest.approx(1.0, abs=1e-12)
         assert out.entries[2, 2].real == pytest.approx(0.01, abs=1e-12)
 
 
 class TestSwapChip:
     def test_ideal_matches_xx_swap_exactly(self):
-        u = ideal_chip().channel().kraus[0]
-        target = dv.ideal_swap_unitary()
-        assert np.linalg.norm(u - target) <= 1e-10
+        u = dv.ideal_swap_unitary()
+        assert np.linalg.norm(ideal_chip().superoperator - np.kron(u, u.conj())) <= 1e-10
 
     def test_ideal_th_to_bv(self):
         out = through(ideal_chip(), basis_rho(0))
@@ -225,7 +234,7 @@ class TestSwapChip:
 
     def test_phase_coherence_transfer(self):
         # |T> (x) (|H> + e^{i phi}|V>)/sqrt(2) -> |V> (x) (|B> + e^{i(phi+delta)}|T>)
-        u = ideal_chip().channel().kraus[0]
+        u = compose_channels(*ideal_chip().stages).kraus[0]
         deltas = []
         for phi in (0.3, 1.2, 2.5):
             pol = (qc.ket2("H") + np.exp(1j * phi) * qc.ket2("V")) / np.sqrt(2)
@@ -240,8 +249,7 @@ class TestSwapChip:
         assert spread < 1e-10  # constant offset delta
 
     def test_composed_is_trace_nonincreasing(self):
-        chip = calibrated_chip()
-        k = chip.channel().kraus[0]
+        k = compose_channels(*calibrated_chip().stages).kraus[0]
         evals = np.linalg.eigvalsh(k.conj().T @ k)
         assert evals.max() <= 1.0 + 1e-10
 
@@ -265,7 +273,7 @@ class TestLogicalFrame:
         np.testing.assert_allclose(twice.entries, rho.entries, atol=1e-14)
 
     def test_relabeled_chip_equals_pure_swap_on_16_inputs(self):
-        u = ideal_chip().channel().kraus[0]
+        u = compose_channels(*ideal_chip().stages).kraus[0]
         swap = dv.swap_unitary()
         states = []
         for i in range(4):

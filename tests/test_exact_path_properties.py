@@ -3,10 +3,11 @@
 A chip is its 16x16 superoperator S, the product of its stages'
 superoperators, and every runner reads its exact quantities off S.  The
 oracle here propagates through each stage's Kraus operators in turn
-(`apply_channel` for states, `stagewise_op` for any operator), on random
+(`apply_channel` for states, `stagewise_op` for any operator), or through
+the stages' Kraus operators composed (`compose_channels`), on random
 grammar-valid chips that mix depolarizing stages (several Kraus operators;
-two of them, so the lazily composed Kraus set is reduced through the Choi
-matrix) with trace-decreasing polarizers and losses.  The tomography
+two of them, so the composed Kraus set is reduced through the Choi matrix)
+with trace-decreasing polarizers and losses.  The tomography
 runners' batched propagation of all their inputs (`_exact_outputs`,
 `_mzi_probabilities`) is checked against the per-state chain of validated
 values it replaced, the two-photon stack kernel (`apply_chip_both_stack`,
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_joint, partial_trace
+from oracles import apply_channel, assemble_joint, compose_channels, partial_trace
 from swapsim import biphoton as bp
 from swapsim import devices as dv
 from swapsim import experiments as ex
@@ -107,14 +108,14 @@ def density_matrices(dim):
 def stagewise(chip: dv.ChipModel, rho: qc.DensityMatrix) -> qc.DensityMatrix:
     """The oracle: one `apply_channel` per stage, first stage first."""
     for stage in chip.stages:
-        rho = qc.apply_channel(stage, rho)
+        rho = apply_channel(stage, rho)
     return rho
 
 
 @PROPERTY
 @given(CHIPS, density_matrices(4))
 def test_apply_equals_stagewise(chip, rho):
-    assert len(chip.channel().kraus) > 1
+    assert len(compose_channels(*chip.stages).kraus) > 1
     out = (chip.superoperator @ rho.entries.reshape(16)).reshape(4, 4)
     np.testing.assert_allclose(out, stagewise(chip, rho).entries, rtol=0, atol=TOL)
     assert np.trace(out).real <= rho.trace + TOL
@@ -130,19 +131,54 @@ def test_exact_truth_table_equals_columnwise(chip):
     np.testing.assert_allclose(ex.exact_truth_table(chip), expect, rtol=0, atol=TOL)
 
 
+# every kind that names two ports, each parameter drawn over its range
+TWO_PORT_PARAMS = {
+    "pcnot": dict(extinction_h=EXTINCTION, extinction_v=EXTINCTION, imbalance=DB, loss=DB,
+                  depol=_num(0.0, 0.5)),
+    "hwp": dict(angle=ANGLE),
+    "qwp": dict(angle=ANGLE),
+    "phase_v": dict(phase=ANGLE),
+    "polarizer": dict(angle=ANGLE),
+    "bs5050": {},
+    "mzi": dict(phase=ANGLE, input_phase=ANGLE),
+    "fiber": dict(loss=DB, phase=ANGLE),
+    "facet": dict(loss_h=DB, loss_v=DB, xtalk=_num(-0.3, 0.3)),
+    "loss": dict(loss=DB),
+}
+# the exchange T <-> B of the two spatial ports, polarization kept
+PORT_SWAP = np.eye(4)[[2, 3, 0, 1]]
+
+
+def test_two_port_params_cover_every_two_port_kind():
+    assert set(TWO_PORT_PARAMS) == {k for k, (ports, _) in nl.COMPONENTS.items() if 2 in ports}
+
+
+@pytest.mark.parametrize("kind", sorted(TWO_PORT_PARAMS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reversed_ports_conjugate_by_the_port_swap(kind, data):
+    # a statement on (B, T) is its (T, B) twin seen with the ports
+    # exchanged: S' = (P (x) P) S (P (x) P), P real and its own inverse
+    stmt = data.draw(_stmt(kind, st.just("{ports}"), **TWO_PORT_PARAMS[kind]))
+    forward, backward = (_compile([stmt.format(name="{name}", ports=ports)]).superoperator
+                         for ports in ("T, B", "B, T"))
+    pp = np.kron(PORT_SWAP, PORT_SWAP)
+    np.testing.assert_allclose(backward, pp @ forward @ pp, rtol=0, atol=TOL)
+
+
 def _fringe_oracle(chip, phi, port, use_polarizer) -> float:
     """One phase: stagewise chip, 50:50 combiner and monitored output as
     channels on the density matrix."""
     v = np.kron(qc.ket2(port), dv.phase_v(phi) @ qc.ket2("D"))
     out = stagewise(chip, qc.DensityMatrix(4, np.outer(v, v.conj())))
     bs = np.kron(dv.BS_5050, np.eye(2))
-    out = qc.apply_channel(qc.QuantumChannel(4, 4, (bs,)), out)
+    out = apply_channel(qc.QuantumChannel(4, 4, (bs,)), out)
     sel_pol = np.eye(2)
     if use_polarizer:
         sel_pol = np.diag([0.0, 1.0]) if port == "T" else np.diag([1.0, 0.0])
     sel_sp = np.diag([1.0, 0.0]) if port == "T" else np.diag([0.0, 1.0])
     sel = np.kron(sel_sp, sel_pol).astype(complex)
-    return qc.apply_channel(qc.QuantumChannel(4, 4, (sel,)), out).trace
+    return apply_channel(qc.QuantumChannel(4, 4, (sel,)), out).trace
 
 
 @PROPERTY
@@ -165,7 +201,7 @@ def lifted(rho: qc.DensityMatrix, ch: qc.QuantumChannel, which: str) -> qc.Densi
     """The oracle: one photon through `ch`, its Kraus operators lifted to
     the 16-dim space by a Kronecker product with the identity."""
     kraus = tuple(_LIFTS[which](k) for k in ch.kraus)
-    return qc.apply_channel(qc.QuantumChannel(16, 16, kraus), rho)
+    return apply_channel(qc.QuantumChannel(16, 16, kraus), rho)
 
 
 def lifted_both(rho: qc.DensityMatrix, ch: qc.QuantumChannel) -> qc.DensityMatrix:
@@ -191,7 +227,8 @@ def test_bell_link_equals_sequential(chip1, chip2, label, visibility, seed, resi
 def link_channels(cfg, chip1, chip2) -> tuple:
     """The Bell link stage by stage: chip 1, the fiber, its compensation, chip 2."""
     forward, compensation = bp.fiber_link(cfg.fiber_seed, cfg.fiber_residual_rad)
-    return chip1.channel(), forward, compensation, chip2.channel()
+    return (compose_channels(*chip1.stages), forward, compensation,
+            compose_channels(*chip2.stages))
 
 
 def werner_oracle(label, visibility) -> np.ndarray:
@@ -232,7 +269,7 @@ def test_two_photon_stack_equals_lifted_kraus(chip1, chip2, visibilities, seed, 
                            source=SourceConfig(bell_visibility=visibilities[0]))
     link = ex._bell_link(cfg, chip1, chip2)
     stages = link_channels(cfg, chip1, chip2)
-    assert len(chip1.channel().kraus) > 1  # depolarizing: several Kraus operators
+    assert len(stages[0].kraus) > 1  # depolarizing: several Kraus operators
     for s, channels in ((chip1.superoperator, stages[:1]), (link, stages)):
         got = bp.apply_chip_both_stack(joints, s)
         for g, joint in zip(got, joints):
@@ -264,7 +301,7 @@ def test_apply_local_equals_lifted_kraus(chip, rho):
     # the chip as a local map on each photon of an arbitrary (entangled,
     # lossy) joint state, not only a Werner pair
     got = bp.apply_chip_both_stack(rho.entries[None], chip.superoperator)[0]
-    want = lifted_both(rho, chip.channel())
+    want = lifted_both(rho, compose_channels(*chip.stages))
     np.testing.assert_allclose(got, want.entries, rtol=0, atol=TOL)
 
 
@@ -285,7 +322,7 @@ def output_state_oracle(chip, vec, frame, trace_polarization):
 
 def momentum_probabilities_oracle(rho2):
     """One `apply_channel` of the MZI projector per momentum setting."""
-    return [qc.apply_channel(dv.mzi_projector(lbl), rho2).trace
+    return [apply_channel(dv.mzi_projector(lbl), rho2).trace
             for lbl in ("0", "1", "+", "-", "i", "-i")]
 
 
@@ -373,9 +410,9 @@ def test_probabilities_of_a_dark_chip_are_zero_not_negative(chip, phases):
 @PROPERTY
 @given(CHIPS)
 def test_lazy_kraus_channel_is_the_superoperator_map(chip):
-    kraus = np.array(chip.channel().kraus)
+    # the oracle's Kraus composition of the stages is the map S holds
+    kraus = np.array(compose_channels(*chip.stages).kraus)
     assert len(kraus) > 1  # two depolarizing stages
-    assert chip.channel() is chip.channel()  # composed once
     np.testing.assert_allclose(np.einsum("kac,kbd->abcd", kraus, kraus.conj()).reshape(16, 16),
                                chip.superoperator, rtol=0, atol=TOL)
     # the effect sum K^dag K that the trace-nonincreasing check reads off S

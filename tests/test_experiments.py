@@ -405,31 +405,22 @@ class TestStackedEstimators:
 
     def test_exact_tomography_makes_no_per_state_values(self, cfg, monkeypatch):
         # process tomography and the sweep propagate all their inputs in one
-        # batch, validated once as a stack: no per-state DensityMatrix and
-        # no apply_channel
-        from swapsim import biphoton as bp
-        from swapsim import devices as dv
+        # batch, validated once as a stack: no per-state DensityMatrix
         from swapsim import qcore as qc
 
-        made, applied = [], []
+        made = []
         post_init = qc.DensityMatrix.__post_init__
         monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
                             lambda self: made.append(self.dim) or post_init(self))
-        apply_channel = qc.apply_channel
-        for module in (qc, dv, bp, ex):
-            if hasattr(module, "apply_channel"):
-                monkeypatch.setattr(module, "apply_channel",
-                                    lambda *a: applied.append(1) or apply_channel(*a))
         ex.run_process_tomography(cfg)
         ex.run_process_tomography_2q(cfg)
         ex.run_error_budget(cfg)  # the default grid
-        assert (len(made), len(applied)) == (0, 0)
+        assert made == []
 
     def test_runners_read_the_superoperator(self, cfg, monkeypatch):
-        # every runner reads each chip's superoperator: none composes a Kraus
-        # set, asks a chip for one or builds a DensityMatrix, and a default
-        # sweep solves for the chi matrices of its whole grid at once
-        from swapsim import devices as dv
+        # every runner reads each chip's superoperator: none builds a
+        # DensityMatrix, and a default sweep solves for the chi matrices of
+        # its whole grid at once
         from swapsim import qcore as qc
 
         calls = []
@@ -437,10 +428,6 @@ class TestStackedEstimators:
         def spy(name, f):
             return lambda *a, **k: calls.append(name) or f(*a, **k)
 
-        for module in (qc, dv):
-            monkeypatch.setattr(module, "compose_channels",
-                                spy("compose_channels", qc.compose_channels))
-        monkeypatch.setattr(dv.ChipModel, "channel", spy("channel", dv.ChipModel.channel))
         monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
                             spy("DensityMatrix", qc.DensityMatrix.__post_init__))
         monkeypatch.setattr(np.linalg, "lstsq", spy("lstsq", np.linalg.lstsq))
@@ -461,23 +448,16 @@ class TestStackedEstimators:
 
     def test_bell_is_one_batched_pass(self, cfg, monkeypatch):
         # all four labels go through the link as one stack, validated once
-        # at the boundary: no apply_channel and no DensityMatrix; each
-        # label's counts come from its own run path, and all labels are
-        # reconstructed in one state_tomo_2q_stack call
-        from swapsim import biphoton as bp
-        from swapsim import devices as dv
+        # at the boundary: no DensityMatrix; each label's counts come from
+        # its own run path, and all labels are reconstructed in one
+        # state_tomo_2q_stack call
         from swapsim import qcore as qc
         from swapsim import tomography as tm
 
-        made, applied, paths, rows = [], [], [], []
+        made, paths, rows = [], [], []
         post_init = qc.DensityMatrix.__post_init__
         monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
                             lambda self: made.append(self.dim) or post_init(self))
-        apply_channel = qc.apply_channel
-        for module in (qc, dv, bp, ex):
-            if hasattr(module, "apply_channel"):
-                monkeypatch.setattr(module, "apply_channel",
-                                    lambda *a: applied.append(1) or apply_channel(*a))
         sample_counts = ex.sample_counts
         monkeypatch.setattr(ex, "sample_counts",
                             lambda c, path, *a: paths.append(path) or sample_counts(c, path, *a))
@@ -487,7 +467,7 @@ class TestStackedEstimators:
         ex.run_bell_distribution(cfg)
         assert rows == [4 * cfg.n_trials]
         assert paths == [("bell", l.value) for l in BellLabel]
-        assert (len(made), len(applied)) == (0, 0)
+        assert made == []
 
     def test_counts_unchanged(self, cfg, monkeypatch):
         # the draws at seed 4242 as made by the per-trial estimators before

@@ -208,18 +208,17 @@ class TestCompile:
     def test_ideal_cascade_matches_builder_oracle(self):
         chip = nl.compile_netlist(nl.parse(IDEAL_SRC))
         built = oracle_chip({}, {})
-        d = np.linalg.norm(chip.channel().kraus[0] - built.channel().kraus[0])
+        d = np.linalg.norm(chip.superoperator - built.superoperator)
         assert d <= 1e-10
-        d2 = np.linalg.norm(chip.channel().kraus[0] - dv.ideal_swap_unitary())
+        u = dv.ideal_swap_unitary()
+        d2 = np.linalg.norm(chip.superoperator - np.kron(u, u.conj()))
         assert d2 <= 1e-10
 
     def test_measured_cascade_bit_identical_to_builder(self):
         chip = nl.compile_netlist(nl.parse(SWAP_SRC))
         built = oracle_chip({"extinction": 18.0},
                             {"extinction": 20.0, "loss": 1.0})
-        a = chip.channel().kraus[0]
-        b = built.channel().kraus[0]
-        assert np.array_equal(a, b)
+        assert np.array_equal(chip.superoperator, built.superoperator)
 
     def test_three_ports_rejected(self):
         ast = nl.parse("chip c { ports T, B, C; pcnot a (T, B); }")
@@ -246,8 +245,8 @@ class TestCompile:
         assert exc.value.code == "bad-unit"
 
     def test_deterministic_bit_identical(self):
-        a = nl.compile_netlist(nl.parse(SWAP_SRC)).channel().kraus[0]
-        b = nl.compile_netlist(nl.parse(SWAP_SRC)).channel().kraus[0]
+        a = nl.compile_netlist(nl.parse(SWAP_SRC)).superoperator
+        b = nl.compile_netlist(nl.parse(SWAP_SRC)).superoperator
         assert np.array_equal(a, b)
 
     def test_caches_stay_within_their_bounds(self):
@@ -267,23 +266,23 @@ class TestCompile:
             ast = nl.parse(src)
             for chip in ast.chips:
                 model = nl.compile_chip(chip)
-                k = model.channel()
-                assert k.dim_in == 4 and k.dim_out == 4
+                assert model.superoperator.shape == (16, 16)
 
     def test_reversed_ports_swap_roles(self):
         fwd = nl.compile_netlist(nl.parse(
-            "chip c { ports T, B; mcnot m (T); }")).channel().kraus[0]
+            "chip c { ports T, B; mcnot m (T); }")).superoperator
         rev = nl.compile_netlist(nl.parse(
-            "chip c { ports T, B; mcnot m (B); }")).channel().kraus[0]
+            "chip c { ports T, B; mcnot m (B); }")).superoperator
         swap = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
-        np.testing.assert_allclose(rev, swap @ fwd @ swap, atol=1e-15)
+        swap2 = np.kron(swap, swap)
+        np.testing.assert_allclose(rev, swap2 @ fwd @ swap2, atol=1e-15)
 
     def test_mzi_statement_is_spatial_transfer(self):
         chip = nl.compile_netlist(nl.parse(
             "chip c { ports T, B; mzi z (T, B) phase=180deg; }"))
-        k = chip.channel().kraus[0]
         expect = np.kron(dv.mzi_transfer(math.pi), np.eye(2))
-        np.testing.assert_allclose(k, expect, atol=1e-12)
+        np.testing.assert_allclose(chip.superoperator, np.kron(expect, expect.conj()),
+                                   atol=1e-12)
 
 
 # every (kind, parameter) pair of the component table
@@ -390,7 +389,7 @@ class TestConfigLowering:
             assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want.kraus))
         # the printed netlist compiles back to the same chip
         again = nl.compile_netlist(nl.parse(nl.format_netlist(nl.NetlistAst((cfg.to_netlist(),)))))
-        assert np.array_equal(again.channel().kraus[0], chip.channel().kraus[0])
+        assert np.array_equal(again.superoperator, chip.superoperator)
 
     def test_ideal_config_lowers_without_parameters(self):
         decl = ChipConfig().to_netlist()

