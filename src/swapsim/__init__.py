@@ -20,18 +20,15 @@ _SUBMODULES = ("biphoton", "cli", "config", "devices", "experiments", "netlist",
 
 # exported name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("DensityMatrix", "QuantumChannel", "PauliBasis", "ProcessMatrix",
-                     "heralded_normalize"), "qcore"),
+    "QuantumChannel": "qcore",
     **dict.fromkeys(("ChipModel", "er_to_leakage", "pcnot_channel", "mcnot_channel",
                      "waveplate_jones", "phase_v", "polarizer", "mzi_projector",
                      "facet_channel", "ideal_swap_unitary", "swap_unitary"), "devices"),
     **dict.fromkeys(("parse", "format_netlist", "compile_netlist", "ParseError",
                      "CompileError"), "netlist"),
-    **dict.fromkeys(("BellLabel", "SpectralOverlap", "spectral_overlap", "hom_visibility",
-                     "fiber_link"), "biphoton"),
-    **dict.fromkeys(("MeasurementSetting", "CountRecord", "TruthTable", "ideal_truth_table",
-                     "truth_table_fidelity", "process_tomo", "chi_from_unitary",
-                     "process_fidelity", "process_purity", "fringe_fit"), "tomography"),
+    **dict.fromkeys(("BellLabel", "SpectralOverlap", "spectral_overlap", "fiber_link"),
+                    "biphoton"),
+    **dict.fromkeys(("ideal_truth_table", "chi_from_unitary"), "tomography"),
     **dict.fromkeys(("ChipConfig", "SourceConfig", "ExperimentConfig", "ConfigError",
                      "load_config"), "config"),
     **dict.fromkeys(("Report", "sample_counts", "run_truth_table", "run_fringe_scan",

@@ -15,8 +15,8 @@ pairs and `sector_block_stack` reads the polarization block of fixed
 photon channels.  The HOM dip reads the exchange overlap off a joint-state
 array (`exchange_overlap`, then `hom_dip`).
 HOM scans are fitted with a Gaussian dip by one numpy Levenberg-Marquardt
-loop over a whole stack of scans (`hom_fit_stack`; `hom_visibility` is its
-one-scan case).
+loop over a whole stack of scans (`hom_fit_stack`); one scan is a one-row
+stack.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "spectral_overlap",
     "exchange_overlap",
     "hom_dip",
-    "hom_visibility",
     "hom_fit_stack",
     "HomFit",
     "fiber_link",
@@ -186,8 +185,8 @@ def hom_dip(overlap: float, tau_ps, s: SpectralOverlap, background: float = 0.0)
 
 
 class HomFit(NamedTuple):
-    """Gaussian-dip fit of a HOM scan: floats for one scan (`hom_visibility`),
-    (n,) arrays for a stack of scans (`hom_fit_stack`)."""
+    """Gaussian-dip fit of a stack of n HOM scans (`hom_fit_stack`): each
+    field an (n,) array."""
 
     visibility_raw: float
     visibility_subtracted: float
@@ -258,7 +257,7 @@ def _dip_normal_equations(p, taus, vals, weights, work) -> tuple:
 def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     """Least-squares Gaussian-dip fit of every scan in `counts`, shape
     (n, m): one row per trial over the m delays `taus`.  Returns a `HomFit`
-    of (n,) arrays; the stacked kernel of `hom_visibility`.
+    of (n,) arrays.
 
     The model base - depth exp(-(tau - center)^2 / (2 width^2)) is fitted
     by Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431, 1963)
@@ -358,14 +357,6 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
         depth=depth,
         converged=converged & ~unresolved & (depth > 0),
     )
-
-
-def hom_visibility(scan, background: float = 0.0) -> HomFit:
-    """Least-squares Gaussian-dip fit of a sequence of (tau, coincidence)
-    points: the one-scan case of `hom_fit_stack`, with float fields."""
-    taus, vals = np.array(scan, dtype=float).T.copy()
-    fit = hom_fit_stack(taus, vals[None], background)
-    return HomFit(*(v[0].item() for v in fit))
 
 
 def fiber_link(seed: int, residual_angle_rad: float = 0.0) -> tuple:

@@ -3,11 +3,12 @@
 All physical quantities carry unit-suffixed field names (`*_db`, `*_ps`,
 `*_hz`, `*_s`, `*_rad`).  A chip is configured either inline
 through its imperfection parameters or by pointing at a `.pnl` netlist;
-either way it is built by the netlist compiler (`ChipConfig.to_netlist`).
-A relative `netlist_path` in a config file is resolved against the file's
-directory when the file is loaded.  `measured_chip()` is the parameter set
-used to bracket the reported hardware numbers; `ideal()` turns every
-imperfection off.
+either way it is built by the netlist compiler (`ChipConfig.to_netlist`),
+and each inline parameter has the unit and range of the netlist parameter
+it lowers to (`_CHIP_PARAMS`).  A relative `netlist_path` in a config file
+is resolved against the file's directory when the file is loaded.
+`measured_chip()` is the parameter set used to bracket the reported
+hardware numbers; `ideal()` turns every imperfection off.
 """
 
 from __future__ import annotations
@@ -76,6 +77,30 @@ def _check_numbers(obj) -> None:
 # source span of netlist nodes lowered from a config rather than parsed
 _NO_SPAN = nl.SourceSpan(0, 0, 1, 1)
 
+# inline chip parameter -> (the kinds of the statements it lowers to, the
+# netlist parameter it sets on them), in the order `to_netlist` writes them
+_CHIP_PARAMS = {
+    "pcnot_extinction_db": (("pcnot",), "extinction"),
+    "mcnot_extinction_db": (("mcnot",), "extinction"),
+    "pcnot_loss_imbalance_db": (("pcnot",), "imbalance"),
+    "mcnot_loss_db_t": (("mcnot",), "loss"),
+    "mcnot_loss_db_b": (("mcnot",), "loss_other"),
+    "mcnot_rotation_error_rad": (("mcnot",), "rotation_error"),
+    "facet_loss_db_h": (("facet",), "loss_h"),
+    "facet_loss_db_v": (("facet",), "loss_v"),
+    "facet_xtalk": (("facet",), "xtalk"),
+    "depol_prob": (("pcnot", "mcnot"), "depol"),
+}
+# inline chip parameter -> the (unit, in-range test, range in words) of its
+# netlist parameter's unit class
+_CHIP_UNITS = {name: nl._UNIT_CLASSES[nl.COMPONENTS[kinds[0]][1][param]]
+               for name, (kinds, param) in _CHIP_PARAMS.items()}
+# statement kind -> the (field, netlist parameter, unit) of each inline chip
+# parameter written on it, in `_CHIP_PARAMS` order
+_KIND_PARAMS = {kind: tuple((name, param, _CHIP_UNITS[name][0])
+                            for name, (kinds, param) in _CHIP_PARAMS.items() if kind in kinds)
+                for kind in ("facet", "pcnot", "mcnot")}
+
 
 @dataclass(frozen=True)
 class ChipConfig:
@@ -96,25 +121,18 @@ class ChipConfig:
 
     def __post_init__(self):
         _check_numbers(self)
-        for name in ("pcnot_loss_imbalance_db", "mcnot_loss_db_t", "mcnot_loss_db_b",
-                     "facet_loss_db_h", "facet_loss_db_v"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        for name in ("pcnot_extinction_db", "mcnot_extinction_db"):
+        for name, (_, in_range, bounds) in _CHIP_UNITS.items():
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be > 0 dB")
-        if not 0.0 <= self.depol_prob <= 1.0:
-            raise ConfigError("depol_prob must lie in [0, 1]")
-        if not -1.0 <= self.facet_xtalk <= 1.0:
-            raise ConfigError("facet_xtalk must lie in [-1, 1]")
+            if v is not None and not in_range(v):
+                raise ConfigError(f"{name} must be {bounds}, got {v!r}")
 
     def to_netlist(self) -> nl.ChipDecl:
         """The chip as a netlist declaration.
 
         With `netlist_path` set this is the referenced file's chip.  Inline
         parameters lower to the cascade facet / PC-NOT / MC-NOT / PC-NOT /
-        facet; zero and None parameters are omitted.
+        facet through `_CHIP_PARAMS`, each with its unit class's unit; zero
+        and None parameters are omitted.
         """
         if self.netlist_path is not None:
             try:
@@ -122,25 +140,16 @@ class ChipConfig:
             except OSError as exc:
                 raise ConfigError(f"cannot read netlist {self.netlist_path}: {exc}") from exc
             return nl.select_chip(nl.parse(text), self.netlist_chip)
-        facet = (("loss_h", self.facet_loss_db_h, "dB"), ("loss_v", self.facet_loss_db_v, "dB"),
-                 ("xtalk", self.facet_xtalk, None))
-        pcnot = (("extinction", self.pcnot_extinction_db, "dB"),
-                 ("imbalance", self.pcnot_loss_imbalance_db, "dB"),
-                 ("depol", self.depol_prob, None))
-        mcnot = (("extinction", self.mcnot_extinction_db, "dB"),
-                 ("loss", self.mcnot_loss_db_t, "dB"), ("loss_other", self.mcnot_loss_db_b, "dB"),
-                 ("rotation_error", self.mcnot_rotation_error_rad, "rad"),
-                 ("depol", self.depol_prob, None))
 
-        def stmt(kind, name, ports, params):
-            kept = tuple(nl.Param(p, float(v), unit, _NO_SPAN) for p, v, unit in params if v)
+        def stmt(kind, name, ports):
+            kept = tuple(nl.Param(param, float(v), unit, _NO_SPAN)
+                         for name, param, unit in _KIND_PARAMS[kind] if (v := getattr(self, name)))
             return nl.Statement(kind, name, ports, kept, _NO_SPAN)
 
         both = ("T", "B")
         return nl.ChipDecl("swap", both, (
-            stmt("facet", "fin", both, facet), stmt("pcnot", "c1", both, pcnot),
-            stmt("mcnot", "rot", ("T",), mcnot), stmt("pcnot", "c2", both, pcnot),
-            stmt("facet", "fout", both, facet)), _NO_SPAN)
+            stmt("facet", "fin", both), stmt("pcnot", "c1", both), stmt("mcnot", "rot", ("T",)),
+            stmt("pcnot", "c2", both), stmt("facet", "fout", both)), _NO_SPAN)
 
     def build(self) -> ChipModel:
         return nl.compile_chip(self.to_netlist())

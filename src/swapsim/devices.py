@@ -42,9 +42,9 @@ import numpy as np
 
 from .qcore import (
     SWAP,
-    PauliBasis,
     QuantumChannel,
     check_trace_nonincreasing,
+    pauli_operators,
     PAULI_I,
     PAULI_X,
 )
@@ -130,7 +130,7 @@ def _depolarize(ch: QuantumChannel, prob: float) -> QuantumChannel:
     if prob == 0:
         return ch
     dim = ch.dim_out
-    full = PauliBasis(int(round(math.log2(dim)))).operators
+    full = pauli_operators(int(round(math.log2(dim))))
     d2 = len(full)
     kraus = [np.sqrt(1.0 - prob * (d2 - 1) / d2) * np.eye(dim, dtype=complex)]
     kraus += [np.sqrt(prob / d2) * p for p in full[1:]]

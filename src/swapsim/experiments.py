@@ -34,12 +34,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, replace
+from dataclasses import replace
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import netlist as nl
 from . import tomography as tm
 from .config import ConfigError, ExperimentConfig, config_digest
 from .devices import (
@@ -168,7 +169,7 @@ def _frame_fidelities(tables: np.ndarray, frame: str) -> np.ndarray:
     i as 3 - i, so the fidelity is the same in both frames."""
     if frame == "relabeled":
         tables = tables[..., ::-1, :]
-    return tm.truth_table_fidelity_stack(tables, tm.ideal_truth_table(frame).matrix)
+    return tm.truth_table_fidelity_stack(tables, tm.ideal_truth_table(frame))
 
 
 def _table_fidelities(s: np.ndarray, frame: str) -> np.ndarray:
@@ -271,7 +272,7 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
     exact = _fringe_probabilities(cfg.chip(0), phases, cfg.fringe_port,
                                   cfg.fringe_output_polarizer)
     exact_v = float((exact.max() - exact.min()) / (exact.max() + exact.min()))
-    fit_exact = tm.fringe_fit(list(zip(phases, exact * 1e6)))  # noiseless, scaled
+    fit_exact = tm.fringe_fit_stack(phases, exact[None] * 1e6)  # noiseless, scaled
 
     t_point = cfg.fringe_time_per_point_s
     bg = cfg.background_rate_hz * t_point
@@ -283,8 +284,8 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
         "port": cfg.fringe_port,
         "output_polarizer": cfg.fringe_output_polarizer,
         "visibility_exact": exact_v,
-        "visibility_exact_fit": fit_exact.visibility,
-        "phase_offset_exact_fit": fit_exact.phase_offset,
+        "visibility_exact_fit": float(fit_exact.visibility[0]),
+        "phase_offset_exact_fit": float(fit_exact.phase_offset[0]),
         "visibility_raw_mean": raw_mean,
         "visibility_raw_stderr": raw_err,
         "visibility_subtracted_mean": sub_mean,
@@ -437,8 +438,7 @@ _TOMO_2Q_GRID_COLUMNS = [_TOMO_2Q_PAIRS.index(p)
 @functools.cache
 def _tomo_2q_projectors() -> np.ndarray:
     """The (36, 4, 4) projectors of the settings of `_TOMO_2Q_PAIRS`."""
-    pol = {l: tm.MeasurementSetting("polarization", l).projector()
-           for l in tm.POLARIZATION_LABELS}
+    pol = {l: np.outer(ket2(l), ket2(l).conj()) for l in tm.POLARIZATION_LABELS}
     return np.array([np.kron(pol[l1], pol[l2]) for l1, l2 in _TOMO_2Q_PAIRS])
 
 
@@ -642,7 +642,7 @@ def _chi_ideal(n: int, frame: str) -> np.ndarray:
         u = np.eye(2, dtype=complex) if frame == "relabeled" else PAULI_X
     else:
         u = swap_unitary() if frame == "relabeled" else ideal_swap_unitary()
-    return tm.chi_from_unitary(u).chi
+    return tm.chi_from_unitary(u)
 
 
 def run_process_tomography(cfg: ExperimentConfig) -> Report:
@@ -737,7 +737,8 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     is built (ConfigError on an empty grid, an unknown axis or an axis
     without values); then the G chips' superoperators are stacked, and all
     truth tables, T-input outputs (validated once) and chi matrices (one
-    `process_tomo_stack` solve) are read off that stack.
+    `process_tomo_stack` solve) are read off that stack.  The payload's
+    `baseline` is the baseline chip's canonical netlist text.
     """
     if sweep is None:
         sweep = _DEFAULT_SWEEP
@@ -765,5 +766,6 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
         results.append({"axis": axis, "value": v, "truth_table_fidelity": float(tt),
                         "process_fidelity_T": float(chi)})
         rows.append([axis, repr(v), repr(float(tt)), repr(float(chi))])
-    payload = {"frame": cfg.logical_frame, "baseline": asdict(base), "grid": results}
+    baseline = nl.format_netlist(nl.NetlistAst((base.to_netlist(),)))
+    payload = {"frame": cfg.logical_frame, "baseline": baseline, "grid": results}
     return _mk_report("sweep", cfg, payload, {"sweep": rows})

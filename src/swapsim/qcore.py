@@ -1,35 +1,33 @@
 """Complex linear algebra core: states, density matrices, channels.
 
 Everything downstream (device models, tomography, experiment runners) is
-built on the small set of value types defined here.  The four-dimensional
-single-photon space uses one fixed basis order everywhere:
+built on the channel type and the array kernels defined here.  The
+four-dimensional single-photon space uses one fixed basis order everywhere:
 
     index 0: |T,H>    index 1: |T,V>    index 2: |B,H>    index 3: |B,V>
 
 i.e. spatial channel is the most significant subsystem and polarization the
-least significant.  Density matrices are allowed to carry trace < 1: the
-missing trace is unheralded photon loss, and `heralded_normalize` recovers
-it as a survival probability.  A channel is given by Kraus operators and
-carries its row-major superoperator (`QuantumChannel.superoperator`,
-computed once per channel object), the one representation the exact paths
-propagate with.  All values are immutable (backing arrays are marked
+least significant.  Density matrices are plain (n, d, d) arrays with a
+leading stack axis, and may carry trace < 1: the missing trace is
+unheralded photon loss, and `heralded_normalize_stack` validates a stack
+and recovers it as survival probabilities.  A channel is given by Kraus
+operators and carries its row-major superoperator
+(`QuantumChannel.superoperator`, computed once per channel object), the one
+representation the exact paths propagate with.  Channels and the Pauli
+operators (`pauli_operators`) are immutable (backing arrays are marked
 read-only), so everything in this module is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DensityMatrix",
     "QuantumChannel",
-    "PauliBasis",
-    "ProcessMatrix",
-    "heralded_normalize",
+    "pauli_operators",
     "heralded_normalize_stack",
     "pure_fidelity_stack",
     "project_to_physical_stack",
@@ -46,7 +44,7 @@ __all__ = [
     "SWAP",
 ]
 
-# Tolerances used by the value-type invariants.
+# Tolerances of the density-matrix and channel checks.
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -112,8 +110,8 @@ def ket4(channel: str, pol: str) -> np.ndarray:
 
 def _check_density(m: np.ndarray) -> np.ndarray:
     """Raise unless every matrix of `m` (shape (..., d, d)) is Hermitian,
-    PSD and of trace in [0, 1], within the value-type tolerances; returns
-    the traces."""
+    PSD and of trace in [0, 1], within the tolerances above; returns the
+    traces."""
     if np.max(np.abs(m - dagger(m))) > HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
     low = np.linalg.eigvalsh(m).min()
@@ -126,29 +124,6 @@ def _check_density(m: np.ndarray) -> np.ndarray:
                          "outside [0, 1]")
     return tr
 
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian PSD matrix with 0 <= trace <= 1 (+ tolerance).
-
-    Trace strictly below 1 encodes unheralded loss; a trace of exactly zero
-    is the vacuum left behind by total loss (e.g. a crossed polarizer) and
-    is representable, but cannot be heralded.
-    """
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = _frozen(self.entries)
-        object.__setattr__(self, "entries", m)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix shape {m.shape} != ({self.dim},{self.dim})")
-        _check_density(m)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
 
 def check_trace_nonincreasing(effect: np.ndarray) -> None:
     """Raise unless the effect sum_k K^dag K of a map (or its complex
@@ -187,54 +162,24 @@ class QuantumChannel:
         return s
 
 
-@dataclass(frozen=True)
-class PauliBasis:
-    """Ordered n-qubit Pauli operator basis {I,X,Y,Z}^(tensor n), lexicographic."""
-
-    n_qubits: int
-    operators: tuple = field(init=False, default=None)
-    labels: tuple = field(init=False, default=None)
-
-    def __post_init__(self):
-        if self.n_qubits not in (1, 2):
-            raise ValueError("only 1- and 2-qubit bases are supported")
-        singles = [("I", PAULI_I), ("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z)]
-        ops, labels = [], []
-        for combo in product(singles, repeat=self.n_qubits):
-            label = "".join(name for name, _ in combo)
-            op = combo[0][1]
-            for _, factor in combo[1:]:
-                op = np.kron(op, factor)
-            ops.append(_frozen(op))
-            labels.append(label)
-        object.__setattr__(self, "operators", tuple(ops))
-        object.__setattr__(self, "labels", tuple(labels))
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """Chi matrix of a process over the ordered Pauli basis."""
-
-    n_qubits: int
-    chi: np.ndarray
-
-    def __post_init__(self):
-        m = _frozen(self.chi)
-        object.__setattr__(self, "chi", m)
-        d2 = 4**self.n_qubits
-        if m.shape != (d2, d2):
-            raise ValueError(f"chi shape {m.shape} != ({d2},{d2})")
-        check_chi_stack(m)
+@functools.cache
+def pauli_operators(n: int) -> np.ndarray:
+    """The n-qubit Pauli operators {I, X, Y, Z}^(x n) in lexicographic
+    order (the first qubit's factor major), as one read-only (4^n, 2^n,
+    2^n) array built once per n; n is 1 or 2."""
+    if n not in (1, 2):
+        raise ValueError("only 1- and 2-qubit bases are supported")
+    ops = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+    if n == 2:  # kron(P_i, P_j)[(a, c), (b, d)] = P_i[a, b] P_j[c, d]
+        ops = np.einsum("iab,jcd->ijacbd", ops, ops).reshape(16, 4, 4)
+    ops.flags.writeable = False
+    return ops
 
 
 def check_chi_stack(m: np.ndarray) -> None:
     """Raise unless every matrix of `m` (shape (..., d2, d2)) is a chi
-    matrix as `ProcessMatrix` checks it, in one batch: Hermitian, no
-    eigenvalue below -1e-8 and a trace in (0, 1 + 1e-8]."""
+    matrix, in one batch: Hermitian, no eigenvalue below -1e-8 and a trace
+    in (0, 1 + 1e-8]."""
     if np.max(np.abs(m - dagger(m))) > HERM_TOL:
         raise ValueError("chi matrix is not Hermitian")
     low = np.linalg.eigvalsh(m).min()
@@ -250,21 +195,11 @@ def check_chi_stack(m: np.ndarray) -> None:
 # operations
 # ---------------------------------------------------------------------------
 
-def heralded_normalize(rho: DensityMatrix) -> tuple:
-    """Renormalize a lossy state, returning (rho / tr, tr).
-
-    The returned probability is the heralding/coincidence probability.
-    Raises on a vacuum state (trace ~ 0, total loss).  The one-state case
-    of `heralded_normalize_stack`.
-    """
-    out, tr = heralded_normalize_stack(rho.entries[None])
-    return DensityMatrix(rho.dim, out[0]), float(tr[0])
-
-
 def heralded_normalize_stack(m: np.ndarray) -> tuple:
-    """Validate each matrix of `m` (shape (n, d, d)) as a `DensityMatrix`
-    would, in one batch, and renormalize it: returns (m / tr, tr) as arrays.
-    Raises on a vacuum state (any trace ~ 0, total loss).
+    """Validate each matrix of `m` (shape (n, d, d)) as a density matrix
+    (Hermitian, PSD, trace in [0, 1]), in one batch, and renormalize it:
+    returns (m / tr, tr) as arrays.  Raises on a vacuum state (any trace
+    ~ 0, total loss).
     """
     tr = _check_density(m)
     return _unit_trace(m), tr

@@ -7,31 +7,23 @@ Stokes parameters followed by the eigenvalue-redistribution projection onto
 physical states, matching the count levels of the experiments (iterative
 maximum likelihood is deliberately out of scope).  Every estimator is a
 stacked kernel (`*_stack`) that takes plain arrays with a leading trial
-axis, so a Monte Carlo run is reconstructed in one call; the
-`TruthTable` / `ProcessMatrix` functions are their one-value case.
-Fringe scans are fitted in closed form: A (1 + V cos(phi + delta)) is
-rewritten as A + B cos(phi) + C sin(phi) and solved by weighted linear
-least squares, a stack of scans at once (`fringe_fit_stack`; `fringe_fit`
-is its one-scan case).
+axis, so a Monte Carlo run is reconstructed in one call; one value is a
+one-row stack.  Fringe scans are fitted in closed form: A (1 + V cos(phi +
+delta)) is rewritten as A + B cos(phi) + C sin(phi) and solved by
+weighted linear least squares, a stack of scans at once
+(`fringe_fit_stack`).
 """
 
 from __future__ import annotations
 
-import csv
-import functools
-import io
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .qcore import (
-    DensityMatrix,
-    PauliBasis,
-    ProcessMatrix,
     check_chi_stack,
     dagger,
-    ket2,
+    pauli_operators,
     project_to_physical_stack,
     solve_stack,
 )
@@ -39,103 +31,31 @@ from .qcore import (
 __all__ = [
     "POLARIZATION_LABELS",
     "MOMENTUM_LABELS",
-    "MeasurementSetting",
-    "CountRecord",
-    "counts_from_csv",
-    "TruthTable",
     "ideal_truth_table",
-    "truth_table_fidelity",
     "truth_table_fidelity_stack",
     "state_tomo_1q_stack",
     "state_tomo_2q_stack",
     "column_normalize_stack",
-    "process_tomo",
     "process_tomo_stack",
     "chi_from_unitary",
-    "process_fidelity",
     "process_fidelity_stack",
-    "process_purity",
     "process_purity_stack",
     "FringeFit",
-    "fringe_fit",
     "fringe_fit_stack",
 ]
 
 POLARIZATION_LABELS = ("H", "V", "D", "A", "R", "L")
 MOMENTUM_LABELS = ("0", "1", "+", "-", "i", "-i")
 
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """A rank-1 projective setting on one qubit."""
-
-    subsystem: str  # "polarization" | "momentum"
-    label: str
-
-    def __post_init__(self):
-        allowed = POLARIZATION_LABELS if self.subsystem == "polarization" else MOMENTUM_LABELS
-        if self.subsystem not in ("polarization", "momentum"):
-            raise ValueError(f"unknown subsystem {self.subsystem!r}")
-        if self.label not in allowed:
-            raise ValueError(f"label {self.label!r} not valid for {self.subsystem}")
-
-    def state_vector(self) -> np.ndarray:
-        return ket2(self.label)
-
-    def projector(self) -> np.ndarray:
-        v = self.state_vector()
-        return np.outer(v, v.conj())
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One integrated coincidence count for a measurement setting."""
-
-    setting_label_q1: str
-    setting_label_q2: str  # empty string for single-qubit data
-    counts: int
-    integration_time_s: float
-    seed: int
-
-    def __post_init__(self):
-        if self.counts < 0:
-            raise ValueError("counts must be nonnegative")
-        if self.integration_time_s <= 0:
-            raise ValueError("integration time must be positive")
-
-
+# the header of a count-record CSV, such as the `count_records.csv` of a
+# `tomo-state` report
 CSV_HEADER = ["setting_label_q1", "setting_label_q2", "counts",
               "integration_time_s", "seed"]
-
-
-def counts_from_csv(text: str) -> list:
-    """The `CountRecord`s of a count-record CSV, such as the
-    `count_records.csv` of a `tomo-state` report (header `CSV_HEADER`)."""
-    header, *rows = csv.reader(io.StringIO(text))
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header}")
-    return [CountRecord(r[0], r[1], int(r[2]), float(r[3]), int(r[4])) for r in rows if r]
 
 
 # ---------------------------------------------------------------------------
 # truth tables
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TruthTable:
-    """4x4 table of output-basis probabilities, columns indexed by input."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (4, 4):
-            raise ValueError("truth table must be 4x4")
-        if m.min() < -1e-12 or m.max() > 1.0 + 1e-9:
-            raise ValueError("truth-table entries must lie in [0, 1]")
-
 
 def column_normalize_stack(m: np.ndarray) -> np.ndarray:
     """Each table of `m` (shape (..., 4, 4)) with its columns normalized to
@@ -146,9 +66,10 @@ def column_normalize_stack(m: np.ndarray) -> np.ndarray:
     return m / sums
 
 
-def ideal_truth_table(frame: str = "raw") -> TruthTable:
-    """Ideal SWAP-chip table: raw frame {00->11, 01->01, 10->10, 11->00},
-    relabeled frame {00->00, 01->10, 10->01, 11->11}."""
+def ideal_truth_table(frame: str = "raw") -> np.ndarray:
+    """Ideal SWAP-chip 0/1 table (4, 4), columns indexed by input: raw
+    frame {00->11, 01->01, 10->10, 11->00}, relabeled frame {00->00,
+    01->10, 10->01, 11->11}."""
     m = np.zeros((4, 4))
     if frame == "raw":
         for j, i in enumerate((3, 1, 2, 0)):
@@ -158,14 +79,17 @@ def ideal_truth_table(frame: str = "raw") -> TruthTable:
             m[i, j] = 1.0
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    return TruthTable(m)
+    return m
 
 
 def truth_table_fidelity_stack(m_exp: np.ndarray, m_ideal: np.ndarray) -> np.ndarray:
-    """Fidelity of each table in `m_exp` (shape (n, 4, 4), columns
-    normalized to 1) with the 0/1 table `m_ideal`, as an (n,) array.
+    """Fidelity F = (1/4) sum_ij ideal_ij exp_ij of each table in `m_exp`
+    (shape (n, 4, 4), columns normalized to 1) with the 0/1 table
+    `m_ideal`, as an (n,) array.
 
-    The plain-ndarray kernel of `truth_table_fidelity`.
+    For the permutation-style ideal tables used here the trace
+    normalization Tr(M_ideal M_ideal^T) equals 4, so this matches the
+    quoted fidelity convention exactly.
     """
     sums = m_exp.sum(axis=-2)
     if np.max(np.abs(sums - 1.0)) > 1e-9:
@@ -175,16 +99,6 @@ def truth_table_fidelity_stack(m_exp: np.ndarray, m_ideal: np.ndarray) -> np.nda
     return (m_exp * m_ideal).sum(axis=(-2, -1)) / 4.0
 
 
-def truth_table_fidelity(m_exp: TruthTable, m_ideal: TruthTable) -> float:
-    """F = (1/4) sum_ij ideal_ij exp_ij with column-normalized measurements.
-
-    For the permutation-style ideal tables used here the trace
-    normalization Tr(M_ideal M_ideal^T) equals 4, so this matches the
-    quoted fidelity convention exactly.
-    """
-    return float(truth_table_fidelity_stack(m_exp.matrix[None], m_ideal.matrix)[0])
-
-
 # ---------------------------------------------------------------------------
 # state tomography
 # ---------------------------------------------------------------------------
@@ -192,17 +106,16 @@ def truth_table_fidelity(m_exp: TruthTable, m_ideal: TruthTable) -> float:
 # A count array lists the six settings of a qubit in label order, which is
 # the same for both flavors: z+, z-, x+, x-, y+, y-.
 # _SIGNS is the eigenvalue of each setting's axis operator, and
-# _AXIS_TO_PAULI the index into PauliBasis order (I, X, Y, Z) of z, x, y.
+# _AXIS_TO_PAULI the index into `pauli_operators` order (I, X, Y, Z) of
+# z, x, y.
 _SIGNS = np.array([1.0, -1.0])
 _AXIS_TO_PAULI = np.array([3, 1, 2])
 
 
-@functools.cache
 def _pauli_rows(n: int) -> np.ndarray:
-    """The operators of `PauliBasis(n)`, flattened into the rows of a
-    (4^n, 4^n) array, so a coefficient row times it is the flattened
-    operator sum; built on first use."""
-    return np.array(PauliBasis(n).operators).reshape(4**n, 4**n)
+    """`pauli_operators(n)` flattened into the rows of a (4^n, 4^n)
+    array, so a coefficient row times it is the flattened operator sum."""
+    return pauli_operators(n).reshape(4**n, 4**n)
 
 
 def _check_axis_totals(total: np.ndarray, what: str) -> None:
@@ -251,12 +164,6 @@ def state_tomo_2q_stack(counts) -> np.ndarray:
 # process tomography
 # ---------------------------------------------------------------------------
 
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, DensityMatrix):
-        return x.entries
-    return np.asarray(x, dtype=complex)
-
-
 def process_tomo_stack(inputs, outputs, n: int) -> np.ndarray:
     """The (G, 4^n, 4^n) chi matrices over the Pauli basis of the G
     processes of `outputs` (G, J, d, d) on the J fixed `inputs`.
@@ -274,13 +181,13 @@ def process_tomo_stack(inputs, outputs, n: int) -> np.ndarray:
     Tr(P_k rho'_j): by Pauli orthogonality their squared residual is d
     times the squared Frobenius residual of the outputs, and chi <-> S is
     linear and one to one.  Each chi is then Hermitized, clipped to PSD
-    (one batched eigh), normalized to Tr(chi) = 1 and validated as
-    `ProcessMatrix` checks one, in one batch.  Requires 4^n linearly
-    independent inputs.
+    (one batched eigh), normalized to Tr(chi) = 1 and validated by
+    `check_chi_stack`, in one batch.  Requires 4^n linearly independent
+    inputs (J, d, d).
     """
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    rhos = np.array([_as_matrix(r) for r in inputs])
+    rhos = np.asarray(inputs, dtype=complex)
     outs = np.asarray(outputs, dtype=complex)
     if len(rhos) != outs.shape[1]:
         raise ValueError("inputs and outputs must pair up")
@@ -311,22 +218,16 @@ def process_tomo_stack(inputs, outputs, n: int) -> np.ndarray:
     return chi
 
 
-def process_tomo(inputs, outputs, n: int) -> ProcessMatrix:
-    """Chi matrix of one process from input/output pairs: the one-process
-    case of `process_tomo_stack`."""
-    outs = np.array([_as_matrix(r) for r in outputs])
-    return ProcessMatrix(n, process_tomo_stack(inputs, outs[None], n)[0])
-
-
-def chi_from_unitary(u: np.ndarray) -> ProcessMatrix:
-    """Chi matrix of a unitary process, chi_mn = c_m conj(c_n) with
-    c_m = Tr(E_m U) / 2^n."""
+def chi_from_unitary(u: np.ndarray) -> np.ndarray:
+    """Chi matrix of a unitary process over the Pauli basis, chi_mn =
+    c_m conj(c_n) with c_m = Tr(E_m U) / 2^n, checked by `check_chi_stack`."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    n = int(round(np.log2(d)))
-    c = np.array([np.trace(e @ u) / d for e in _pauli_rows(n).reshape(-1, d, d)])
+    c = np.array([np.trace(e @ u) / d for e in pauli_operators(int(round(np.log2(d))))])
     chi = np.outer(c, c.conj())
-    return ProcessMatrix(n, chi / float(np.trace(chi).real))
+    chi = chi / float(np.trace(chi).real)
+    check_chi_stack(chi)
+    return chi
 
 
 def process_fidelity_stack(chis: np.ndarray, chi_ideal: np.ndarray) -> np.ndarray:
@@ -339,13 +240,6 @@ def process_fidelity_stack(chis: np.ndarray, chi_ideal: np.ndarray) -> np.ndarra
     return np.trace(chis @ chi_ideal, axis1=-2, axis2=-1).real / (t1 * t2)
 
 
-def process_fidelity(chi: ProcessMatrix, chi_ideal: ProcessMatrix) -> float:
-    """`process_fidelity_stack` of one chi matrix."""
-    if chi.n_qubits != chi_ideal.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    return float(process_fidelity_stack(chi.chi, chi_ideal.chi))
-
-
 def process_purity_stack(chis: np.ndarray) -> np.ndarray:
     """P_chi = Tr(chi^2) / Tr(chi)^2 of each chi of `chis` (shape (...,
     d2, d2)); unity for a unitary process."""
@@ -355,18 +249,13 @@ def process_purity_stack(chis: np.ndarray) -> np.ndarray:
     return np.trace(chis @ chis, axis1=-2, axis2=-1).real / tr**2
 
 
-def process_purity(chi: ProcessMatrix) -> float:
-    """`process_purity_stack` of one chi matrix."""
-    return float(process_purity_stack(chi.chi))
-
-
 # ---------------------------------------------------------------------------
 # fringe fitting
 # ---------------------------------------------------------------------------
 
 class FringeFit(NamedTuple):
-    """Least-squares fit of C(phi) = A (1 + V cos(phi + delta)): floats for
-    one scan (`fringe_fit`), (n,) arrays for a stack (`fringe_fit_stack`)."""
+    """Least-squares fit of C(phi) = A (1 + V cos(phi + delta)) of a stack
+    of n scans (`fringe_fit_stack`): each field an (n,) array."""
 
     visibility: float
     phase_offset: float
@@ -409,8 +298,7 @@ def _fit_cosine(phis, vals) -> tuple:
 def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
     """Fit interference-fringe counts C(phi) = A (1 + V cos(phi + delta)) to
     every scan in `counts`, shape (n, m): one row per trial over the m
-    phases `phis`.  Returns a `FringeFit` of (n,) arrays; the stacked
-    kernel of `fringe_fit`.
+    phases `phis`.  Returns a `FringeFit` of (n,) arrays.
 
     Needs at least 5 points spanning a period.  The raw visibility comes
     from the data as-is; the subtracted one from the data with the constant
@@ -444,11 +332,3 @@ def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
         visibility_stderr=v_err[:n],
         converged=ok[:n] & ok[len(v) - n:],
     )
-
-
-def fringe_fit(scan, background: float = 0.0) -> FringeFit:
-    """Fit a sequence of (phi, counts) fringe points: the one-scan case of
-    `fringe_fit_stack`, with float fields."""
-    phis, vals = np.array(scan, dtype=float).T.copy()
-    fit = fringe_fit_stack(phis, vals[None], background)
-    return FringeFit(*(v[0].item() for v in fit))

@@ -1,9 +1,11 @@
 """Reference implementations that the tests compare the kernels against.
 
-These are the one-state, object-level forms of operations that `swapsim`
-computes on arrays: the partial trace and subsystem permutation of a
-`DensityMatrix`, the biphoton joint state assembled by Kronecker products,
-and the Uhlmann fidelity by matrix square roots.  No runner uses them.
+These are the one-state forms of operations that `swapsim` computes on
+stacks: the partial trace and subsystem permutation of a density matrix,
+the biphoton joint state assembled by Kronecker products, and the Uhlmann
+fidelity by matrix square roots.  No runner uses them.  `density` is the
+check a test puts a one-state result through: it raises unless its
+argument is a density matrix, as `swapsim` checks a stack of them.
 
 The Kraus composition of a cascade (`compose_channels`, reduced to a
 minimal Kraus set through the Choi matrix) and its action on one state
@@ -18,23 +20,43 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from swapsim.qcore import PSD_TOL, DensityMatrix, QuantumChannel, dagger, ket2, ket4
+from swapsim.qcore import (HERM_TOL, PSD_TOL, TRACE_TOL, QuantumChannel, dagger, ket2,
+                           ket4)
 
 
-def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Iterable[int]) -> DensityMatrix:
+def density(m) -> np.ndarray:
+    """`m` as a read-only complex (d, d) array, raising unless it is a
+    density matrix: Hermitian, PSD and of trace in [0, 1] (a trace below 1
+    is unheralded loss, 0 the vacuum) within the `qcore` tolerances."""
+    out = np.array(m, dtype=complex)
+    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+        raise ValueError(f"matrix shape {out.shape} is not square")
+    if np.max(np.abs(out - dagger(out))) > HERM_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    low = np.linalg.eigvalsh(out).min()
+    if low < -PSD_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+    tr = np.trace(out).real
+    if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr} outside [0, 1]")
+    out.flags.writeable = False
+    return out
+
+
+def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out all subsystems not listed in `keep` (indices into `dims`)."""
     dims = list(dims)
     keep = sorted(keep)
-    if int(np.prod(dims)) != rho.dim:
+    if int(np.prod(dims)) != len(rho):
         raise ValueError("subsystem dims do not multiply to the state dim")
     n = len(dims)
-    t = rho.entries.reshape(dims + dims)
+    t = np.asarray(rho).reshape(dims + dims)
     traced = [i for i in range(n) if i not in keep]
     for offset, ax in enumerate(traced):
         a = ax - offset
         t = np.trace(t, axis1=a, axis2=a + (n - offset))
     d = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return DensityMatrix(d, t.reshape(d, d))
+    return density(t.reshape(d, d))
 
 
 def permute_subsystems(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -48,7 +70,7 @@ def permute_subsystems(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]
     return t.reshape(d, d)
 
 
-def assemble_joint(spatial_pol_pairs, pol_rho: np.ndarray | None = None) -> DensityMatrix:
+def assemble_joint(spatial_pol_pairs, pol_rho: np.ndarray | None = None) -> np.ndarray:
     """Build the 16-dim joint state.
 
     Either pass a pure assignment [(m_s, p_s), (m_i, p_i)] of state labels,
@@ -58,12 +80,12 @@ def assemble_joint(spatial_pol_pairs, pol_rho: np.ndarray | None = None) -> Dens
     if pol_rho is None:
         (ms, ps), (mi, pi) = spatial_pol_pairs
         v = np.kron(ket4(ms, ps), ket4(mi, pi))
-        return DensityMatrix(16, np.outer(v, v.conj()))
+        return density(np.outer(v, v.conj()))
     ms, mi = spatial_pol_pairs
     spatial = np.kron(ket2(ms), ket2(mi))
     big = np.kron(np.outer(spatial, spatial.conj()), np.asarray(pol_rho, dtype=complex))
     # reorder (m_s m_i p_s p_i) -> (m_s p_s m_i p_i)
-    return DensityMatrix(16, permute_subsystems(big, [2, 2, 2, 2], [0, 2, 1, 3]))
+    return density(permute_subsystems(big, [2, 2, 2, 2], [0, 2, 1, 3]))
 
 
 def _psd_sqrt(m: np.ndarray, floor_tol: float) -> np.ndarray:
@@ -105,27 +127,27 @@ def uhlmann_fidelity_stack(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.minimum(f, 1.0)
 
 
-def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
     Both arguments are normalized to trace 1 before comparison (sub-trace
     states encode loss, which is not a state-overlap property).
     """
-    if rho.dim != sigma.dim:
+    if len(rho) != len(sigma):
         raise ValueError("dimension mismatch")
-    return float(uhlmann_fidelity_stack(rho.entries[None], sigma.entries)[0])
+    return float(uhlmann_fidelity_stack(np.asarray(rho)[None], np.asarray(sigma))[0])
 
 
-def apply_channel(ch: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply sum_k K rho K^dag.  The output trace is the survival probability;
-    no renormalization happens here."""
-    if ch.dim_in != rho.dim:
-        raise ValueError(f"channel dim_in {ch.dim_in} != state dim {rho.dim}")
+def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
+    """Apply sum_k K rho K^dag to the density matrix `rho`.  The output trace
+    is the survival probability; no renormalization happens here."""
+    if ch.dim_in != len(rho):
+        raise ValueError(f"channel dim_in {ch.dim_in} != state dim {len(rho)}")
     out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
     for k in ch.kraus:
-        out += k @ rho.entries @ dagger(k)
+        out += k @ rho @ dagger(k)
     out = 0.5 * (out + dagger(out))
-    return DensityMatrix(ch.dim_out, out)
+    return density(out)
 
 
 def compose_channels(*channels: QuantumChannel) -> QuantumChannel:

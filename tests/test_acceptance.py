@@ -6,6 +6,7 @@ lines.  Tolerances are pinned here and never loosened at runtime.
 
 import json
 import time
+from itertools import product
 from dataclasses import replace
 
 import numpy as np
@@ -91,11 +92,10 @@ def _random_cptp(rng, dim, n_kraus):
 
 
 def _chi_of_kraus(kraus, n):
-    basis = qc.PauliBasis(n)
     d = 2**n
     chi = np.zeros((4**n, 4**n), dtype=complex)
     for k in kraus:
-        c = np.array([np.trace(e @ k) / d for e in basis.operators])
+        c = np.array([np.trace(e @ k) / d for e in qc.pauli_operators(n)])
         chi += np.outer(c, c.conj())
     return chi / np.trace(chi).real
 
@@ -118,13 +118,13 @@ def test_criterion_03_tomography_roundtrip():
             for _ in range(cases):
                 kraus = _random_cptp(rng, 2**n, rng.integers(1, 5))
                 outs = [sum(k @ r @ k.conj().T for k in kraus) for r in ins]
-                chi = tm.process_tomo(ins, outs, n)
+                chi = tm.process_tomo_stack(ins, np.array(outs)[None], n)[0]
                 truth = _chi_of_kraus(kraus, n)
-                num = float(np.trace(chi.chi @ truth).real)
-                den = float(np.sqrt(np.trace(chi.chi @ chi.chi).real
+                num = float(np.trace(chi @ truth).real)
+                den = float(np.sqrt(np.trace(chi @ chi).real
                                     * np.trace(truth @ truth).real))
                 worst = min(worst, num / den)
-                if np.linalg.eigvalsh(chi.chi).min() < -1e-10:
+                if np.linalg.eigvalsh(chi).min() < -1e-10:
                     all_psd = False
     _report(3, "exact process tomography inverts 250 random CPTP channels",
             worst >= 1 - 1e-6 and all_psd and t.elapsed < 60.0,
@@ -135,20 +135,20 @@ def test_criterion_04_swap_chi_structure():
     ins = _tomo_inputs(2)
     u = dv.swap_unitary()  # relabeled-frame ideal chip process
     outs = [u @ r @ u.conj().T for r in ins]
-    chi = tm.process_tomo(ins, outs, 2)
-    labels = qc.PauliBasis(2).labels
+    chi = tm.process_tomo_stack(ins, np.array(outs)[None], 2)[0]
+    labels = ["".join(p) for p in product("IXYZ", repeat=2)]  # `pauli_operators` order
     want_block = {"II", "XX", "YY", "ZZ"}
     err = 0.0
     for i, li in enumerate(labels):
         for j, lj in enumerate(labels):
             expect = 0.25 if (li in want_block and lj in want_block) else 0.0
-            err = max(err, abs(chi.chi[i, j] - expect))
+            err = max(err, abs(chi[i, j] - expect))
     rng = np.random.default_rng(404)
     purity_err = 0.0
     for _ in range(10):
         g, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         purity_err = max(purity_err,
-                         abs(tm.process_purity(tm.chi_from_unitary(g)) - 1.0))
+                         abs(tm.process_purity_stack(tm.chi_from_unitary(g)) - 1.0))
     _report(4, "ideal SWAP chi sits on the {II,XX,YY,ZZ} block at 1/4",
             err <= 1e-10 and purity_err <= 1e-10,
             f"max entry err={err:.2e} max purity err={purity_err:.2e}")
@@ -189,9 +189,8 @@ def test_criterion_06_fringe_coherence():
     for seed in range(100):
         gen = np.random.default_rng(np.random.SeedSequence([606, seed]))
         clean = 1e4 * (1 + v_inj * np.cos(phis))
-        noisy = list(zip(phis, gen.poisson(clean)))
-        fit = tm.fringe_fit(noisy)
-        worst = max(worst, abs(fit.visibility - v_inj))
+        fit = tm.fringe_fit_stack(phis, gen.poisson(clean)[None])
+        worst = max(worst, abs(fit.visibility[0] - v_inj))
     ok_c = worst <= 0.005
     _report(6, "fringe: ideal V=1, raw/subtracted pair, fit recovery",
             ok_a and ok_b and ok_c,

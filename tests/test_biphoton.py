@@ -140,6 +140,13 @@ class TestHomCoincidence:
         assert self.coincidence(source_pair(), 0.0, background=0.05) == pytest.approx(0.05)
 
 
+def hom_fit(scan, background=0.0):
+    """`hom_fit_stack` of one scan of (tau, counts) points, as floats."""
+    taus, vals = np.array(scan, dtype=float).T
+    fit = bp.hom_fit_stack(taus, vals[None], background)
+    return bp.HomFit(*(v[0].item() for v in fit))
+
+
 class TestHomVisibility:
     def scan(self, overlap, tc, taus, scale=1.0, background=0.0):
         return [(t, scale * (0.5 * (1 - overlap * np.exp(-t * t / (2 * tc * tc)))
@@ -147,7 +154,7 @@ class TestHomVisibility:
 
     def test_ideal_scan_gives_unity(self):
         taus = np.linspace(-12, 12, 61)
-        fit = bp.hom_visibility(self.scan(1.0, 3.15, taus, scale=1e4))
+        fit = hom_fit(self.scan(1.0, 3.15, taus, scale=1e4))
         assert fit.visibility_raw == pytest.approx(1.0, abs=1e-6)
         assert fit.coherence_time_ps == pytest.approx(3.15, abs=1e-6)
 
@@ -158,9 +165,8 @@ class TestHomVisibility:
         b = 0.5 * (v_true / 0.924 - 1.0)
         taus = np.linspace(-12, 12, 61)
         scale = 1e5
-        fit = bp.hom_visibility(self.scan(v_true, 3.15, taus, scale=scale,
-                                          background=b),
-                                background=scale * b)
+        fit = hom_fit(self.scan(v_true, 3.15, taus, scale=scale, background=b),
+                      background=scale * b)
         assert fit.visibility_raw == pytest.approx(0.924, abs=1e-3)
         assert fit.visibility_subtracted == pytest.approx(0.969, abs=1e-3)
 
@@ -170,18 +176,17 @@ class TestHomVisibility:
         taus = np.linspace(-12, 12, 41)
         clean = self.scan(0.9, 3.15, taus, scale=2e4)  # wings at 1e4/point
         noisy = [(t, rng.poisson(v)) for t, v in clean]
-        fit = bp.hom_visibility(noisy)
+        fit = hom_fit(noisy)
         assert fit.visibility_raw == pytest.approx(0.9, abs=0.01)
 
     def test_degenerate_scan_raises(self):
         with pytest.raises(ValueError):
-            bp.hom_visibility([(0.0, 5.0), (0.1, 5.0), (0.2, 5.0), (0.3, 5.0)])
+            hom_fit([(0.0, 5.0), (0.1, 5.0), (0.2, 5.0), (0.3, 5.0)])
 
     def test_dip_at_scan_edge(self):
         # only four points see the dip; the fit must not drift past the edge
         taus = np.linspace(-12, 12, 49)
-        fit = bp.hom_visibility([(t, 100.0 - 60.0 * np.exp(-(t - 12.0) ** 2 / 0.5))
-                                 for t in taus])
+        fit = hom_fit([(t, 100.0 - 60.0 * np.exp(-(t - 12.0) ** 2 / 0.5)) for t in taus])
         assert fit.converged
         assert fit.visibility_raw == pytest.approx(0.6, abs=1e-9)
         assert fit.coherence_time_ps == pytest.approx(0.5, abs=1e-9)
@@ -193,13 +198,13 @@ class TestHomVisibility:
         taus = np.linspace(-12, 12, 49)
         vals = np.full(49, 100.0)
         vals[24] = 50.0
-        fit = bp.hom_visibility(list(zip(taus, vals)))
+        fit = hom_fit(list(zip(taus, vals)))
         assert fit.coherence_time_ps < 0.5
         assert not fit.converged
 
     def test_default_scan_converges(self):
         taus = np.linspace(-12, 12, 49)
-        fit = bp.hom_visibility(self.scan(0.96, 3.15, taus, scale=1e4))
+        fit = hom_fit(self.scan(0.96, 3.15, taus, scale=1e4))
         assert fit.converged
         assert fit.coherence_time_ps == pytest.approx(3.15, abs=1e-6)
 
@@ -225,7 +230,7 @@ class TestHomVisibility:
             ref = least_squares(resid, x0=[base, depth, center, tc],
                                 xtol=1e-14, ftol=1e-14, gtol=1e-14)
             r_base, r_depth, r_center, r_width = ref.x
-            fit = bp.hom_visibility(list(zip(taus, vals)), background=wing * bg)
+            fit = hom_fit(list(zip(taus, vals)), background=wing * bg)
             assert fit.converged
             assert fit.visibility_raw == pytest.approx(r_depth / r_base, abs=1e-6)
             assert fit.visibility_subtracted == pytest.approx(

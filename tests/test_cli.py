@@ -172,9 +172,10 @@ class TestDispatch:
         rc = cli.dispatch(["tomo-state", "--config", str(config_file),
                            "--out", str(out), "--trials", "2"])
         assert rc == 0
-        from swapsim.tomography import counts_from_csv
+        from swapsim.tomography import CSV_HEADER
 
-        records = counts_from_csv((out / "count_records.csv").read_text())
+        header, *records = (out / "count_records.csv").read_text().splitlines()
+        assert header.split(",") == CSV_HEADER
         assert len(records) == 6
 
     def test_tomo_process_summary(self, tmp_path, config_file):
@@ -303,6 +304,26 @@ class TestChipPaths:
         chip = nl.compile_netlist(nl.parse(GOOD_NETLIST))
         want = ex.truth_table_fidelity_exact(chip, "raw")
         assert report["payload"]["grid"][0]["truth_table_fidelity"] == want
+
+    def test_sweep_hash_does_not_depend_on_the_netlist_path(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # the sweep payload names its baseline chip by the chip's canonical
+        # netlist text, so one netlist read by a relative path, by an
+        # absolute path and from a copy elsewhere gives one hash
+        sample = REPO / "demos" / "data" / "swap_measured.pnl"
+        copy = tmp_path / "elsewhere" / "copy.pnl"
+        copy.parent.mkdir()
+        copy.write_text(sample.read_text())
+        monkeypatch.chdir(REPO)
+        docs = []
+        for i, path in enumerate(("demos/data/swap_measured.pnl", str(sample), str(copy))):
+            out = tmp_path / f"out{i}"
+            assert cli.dispatch(["sweep", "--netlist", path, "--grid", "er=18,35",
+                                 "--trials", "1", "--out", str(out)]) == 0
+            docs.append(json.loads((out / "report.json").read_text()))
+        capsys.readouterr()
+        assert len({d["payload_sha256"] for d in docs}) == 1
+        assert docs[0]["payload"]["baseline"] == nl.format_netlist(nl.parse(sample.read_text()))
 
     def test_written_config_reloads(self, tmp_path, config_file):
         out = tmp_path / "out"

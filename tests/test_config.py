@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -107,3 +109,49 @@ class TestFacetXtalk:
     def test_bounds_accepted(self):
         for value in (-1.0, 0.0, 1.0):
             ChipConfig(facet_xtalk=value).build()
+
+
+# one out-of-range value of each inline chip parameter
+OUT_OF_RANGE = {
+    "pcnot_extinction_db": 0.0, "mcnot_extinction_db": -3.0, "pcnot_loss_imbalance_db": -0.5,
+    "mcnot_loss_db_t": -0.5, "mcnot_loss_db_b": -0.5, "mcnot_rotation_error_rad": math.inf,
+    "facet_loss_db_h": -0.5, "facet_loss_db_v": -0.5, "facet_xtalk": 1.5, "depol_prob": 1.5,
+}
+
+
+class TestChipParameterRanges:
+    # an inline chip parameter has the unit and the range of the netlist
+    # parameter it lowers to
+    def test_every_inline_parameter_is_covered(self):
+        names = {f.name for f in fields(ChipConfig)} - {"netlist_path", "netlist_chip"}
+        assert set(OUT_OF_RANGE) == names
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+    def test_out_of_range_value_names_the_field(self, name, tmp_path):
+        with pytest.raises(ConfigError, match=f"^{name} must be ") as exc:
+            ChipConfig(**{name: OUT_OF_RANGE[name]})
+        assert "\n" not in str(exc.value)
+        path = tmp_path / "cfg.json"
+        path.write_text(_doc(**{name: OUT_OF_RANGE[name]}))
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+    def test_the_netlist_rejects_the_same_value(self, name):
+        from swapsim import config
+
+        kinds, param = config._CHIP_PARAMS[name]
+        for kind in kinds:
+            ports = ", ".join(("T", "B")[:nl.COMPONENTS[kind][0][0]])
+            text = (f"chip c {{ ports T, B; {kind} x ({ports}) "
+                    f"{param}={nl._fmt_number(OUT_OF_RANGE[name])}; }}")
+            with pytest.raises(nl.CompileError) as exc:
+                nl.compile_netlist(nl.parse(text))
+            assert exc.value.code == "param-range"
+
+    def test_lowered_units_are_the_unit_classes(self):
+        chip = ChipConfig(**{name: 0.5 for name in OUT_OF_RANGE}).to_netlist()
+        for st in chip.statements:
+            for p in st.params:
+                unit_class = nl.COMPONENTS[st.kind][1][p.name]
+                assert p.unit == nl._UNIT_CLASSES[unit_class][0]

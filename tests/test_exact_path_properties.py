@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_channel, assemble_joint, compose_channels, partial_trace
+from oracles import apply_channel, assemble_joint, compose_channels, density, partial_trace
 from swapsim import biphoton as bp
 from swapsim import devices as dv
 from swapsim import experiments as ex
@@ -101,11 +101,11 @@ def density_matrices(dim):
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = g @ g.conj().T
-        return qc.DensityMatrix(dim, trace * rho / np.trace(rho).real)
+        return density(trace * rho / np.trace(rho).real)
     return st.builds(build, st.integers(0, 2**32 - 1), st.floats(0.1, 1.0))
 
 
-def stagewise(chip: dv.ChipModel, rho: qc.DensityMatrix) -> qc.DensityMatrix:
+def stagewise(chip: dv.ChipModel, rho: np.ndarray) -> np.ndarray:
     """The oracle: one `apply_channel` per stage, first stage first."""
     for stage in chip.stages:
         rho = apply_channel(stage, rho)
@@ -116,9 +116,9 @@ def stagewise(chip: dv.ChipModel, rho: qc.DensityMatrix) -> qc.DensityMatrix:
 @given(CHIPS, density_matrices(4))
 def test_apply_equals_stagewise(chip, rho):
     assert len(compose_channels(*chip.stages).kraus) > 1
-    out = (chip.superoperator @ rho.entries.reshape(16)).reshape(4, 4)
-    np.testing.assert_allclose(out, stagewise(chip, rho).entries, rtol=0, atol=TOL)
-    assert np.trace(out).real <= rho.trace + TOL
+    out = (chip.superoperator @ rho.reshape(16)).reshape(4, 4)
+    np.testing.assert_allclose(out, stagewise(chip, rho), rtol=0, atol=TOL)
+    assert np.trace(out).real <= np.trace(rho).real + TOL
 
 
 @PROPERTY
@@ -127,7 +127,7 @@ def test_exact_truth_table_equals_columnwise(chip):
     expect = np.zeros((4, 4))
     for j in range(4):
         v = np.eye(4, dtype=complex)[j]
-        expect[:, j] = np.diag(stagewise(chip, qc.DensityMatrix(4, np.outer(v, v))).entries).real
+        expect[:, j] = np.diag(stagewise(chip, density(np.outer(v, v)))).real
     np.testing.assert_allclose(ex.exact_truth_table(chip), expect, rtol=0, atol=TOL)
 
 
@@ -170,7 +170,7 @@ def _fringe_oracle(chip, phi, port, use_polarizer) -> float:
     """One phase: stagewise chip, 50:50 combiner and monitored output as
     channels on the density matrix."""
     v = np.kron(qc.ket2(port), dv.phase_v(phi) @ qc.ket2("D"))
-    out = stagewise(chip, qc.DensityMatrix(4, np.outer(v, v.conj())))
+    out = stagewise(chip, density(np.outer(v, v.conj())))
     bs = np.kron(dv.BS_5050, np.eye(2))
     out = apply_channel(qc.QuantumChannel(4, 4, (bs,)), out)
     sel_pol = np.eye(2)
@@ -178,7 +178,7 @@ def _fringe_oracle(chip, phi, port, use_polarizer) -> float:
         sel_pol = np.diag([0.0, 1.0]) if port == "T" else np.diag([1.0, 0.0])
     sel_sp = np.diag([1.0, 0.0]) if port == "T" else np.diag([0.0, 1.0])
     sel = np.kron(sel_sp, sel_pol).astype(complex)
-    return apply_channel(qc.QuantumChannel(4, 4, (sel,)), out).trace
+    return np.trace(apply_channel(qc.QuantumChannel(4, 4, (sel,)), out)).real
 
 
 @PROPERTY
@@ -197,14 +197,14 @@ _EYE4 = np.eye(4, dtype=complex)
 _LIFTS = {"signal": lambda k: np.kron(k, _EYE4), "idler": lambda k: np.kron(_EYE4, k)}
 
 
-def lifted(rho: qc.DensityMatrix, ch: qc.QuantumChannel, which: str) -> qc.DensityMatrix:
+def lifted(rho: np.ndarray, ch: qc.QuantumChannel, which: str) -> np.ndarray:
     """The oracle: one photon through `ch`, its Kraus operators lifted to
     the 16-dim space by a Kronecker product with the identity."""
     kraus = tuple(_LIFTS[which](k) for k in ch.kraus)
     return apply_channel(qc.QuantumChannel(16, 16, kraus), rho)
 
 
-def lifted_both(rho: qc.DensityMatrix, ch: qc.QuantumChannel) -> qc.DensityMatrix:
+def lifted_both(rho: np.ndarray, ch: qc.QuantumChannel) -> np.ndarray:
     return lifted(lifted(rho, ch, "signal"), ch, "idler")
 
 
@@ -217,10 +217,10 @@ def test_bell_link_equals_sequential(chip1, chip2, label, visibility, seed, resi
     got = bp.apply_chip_both_stack(joint, ex._bell_link(cfg, chip1, chip2))[0]
     # both photons through chip 1, forward fiber, compensation and chip 2:
     # eight 16-dim applications
-    rho = qc.DensityMatrix(16, joint[0])
+    rho = density(joint[0])
     for ch in link_channels(cfg, chip1, chip2):
         rho = lifted_both(rho, ch)
-    np.testing.assert_allclose(got, rho.entries, rtol=0, atol=TOL)
+    np.testing.assert_allclose(got, rho, rtol=0, atol=TOL)
     assert np.trace(got).real <= 1.0 + TOL
 
 
@@ -236,18 +236,18 @@ def werner_oracle(label, visibility) -> np.ndarray:
     permutation (`assemble_joint`)."""
     bell = bp.bell_state_vector(label)
     pol = visibility * np.outer(bell, bell.conj()) + (1.0 - visibility) * np.eye(4) / 4.0
-    return assemble_joint(["T", "B"], pol).entries
+    return assemble_joint(["T", "B"], pol)
 
 
 def bell_polarization_oracle(joint, channels):
     """One label: lifted Kraus propagation through each of `channels` in
     turn, heralding, the (T_S, B_I) block and its probability, each through
     validated values."""
-    rho = qc.DensityMatrix(16, joint)
+    rho = density(joint)
     for ch in channels:
         rho = lifted_both(rho, ch)
-    rho, survival = qc.heralded_normalize(rho)
-    t = rho.entries.reshape((2,) * 8)
+    rho, survival = herald(rho)
+    t = rho.reshape((2,) * 8)
     blk = t[0, :, 1, :, 0, :, 1, :].reshape(4, 4)
     w = float(np.trace(blk).real)
     blk = blk / w if w > 1e-15 else blk
@@ -273,10 +273,10 @@ def test_two_photon_stack_equals_lifted_kraus(chip1, chip2, visibilities, seed, 
     for s, channels in ((chip1.superoperator, stages[:1]), (link, stages)):
         got = bp.apply_chip_both_stack(joints, s)
         for g, joint in zip(got, joints):
-            want = qc.DensityMatrix(16, joint)
+            want = density(joint)
             for ch in channels:
                 want = lifted_both(want, ch)
-            np.testing.assert_allclose(g, want.entries, rtol=0, atol=TOL)
+            np.testing.assert_allclose(g, want, rtol=0, atol=TOL)
 
     # the runner's stack at the config's visibility: propagation,
     # validation, heralding and the sector block
@@ -300,9 +300,9 @@ def test_two_photon_stack_equals_lifted_kraus(chip1, chip2, visibilities, seed, 
 def test_apply_local_equals_lifted_kraus(chip, rho):
     # the chip as a local map on each photon of an arbitrary (entangled,
     # lossy) joint state, not only a Werner pair
-    got = bp.apply_chip_both_stack(rho.entries[None], chip.superoperator)[0]
+    got = bp.apply_chip_both_stack(rho[None], chip.superoperator)[0]
     want = lifted_both(rho, compose_channels(*chip.stages))
-    np.testing.assert_allclose(got, want.entries, rtol=0, atol=TOL)
+    np.testing.assert_allclose(got, want, rtol=0, atol=TOL)
 
 
 # the 16 separable inputs of two-qubit process tomography, momentum major
@@ -310,19 +310,26 @@ SEPARABLE = np.array([np.kron(qc.ket2(m), qc.ket2(p))
                       for m in ("0", "1", "+", "i") for p in ("H", "V", "D", "R")])
 
 
+def herald(rho):
+    """`heralded_normalize_stack` of one state: (rho / tr, tr), the state
+    validated as a density matrix."""
+    out, survival = qc.heralded_normalize_stack(rho[None])
+    return density(out[0]), float(survival[0])
+
+
 def output_state_oracle(chip, vec, frame, trace_polarization):
     """One input at a time: stagewise chip, heralding, partial trace and
-    frame, each a validated `DensityMatrix`; returns (state, survival)."""
-    out = stagewise(chip, qc.DensityMatrix(4, np.outer(vec, vec.conj())))
-    out, survival = qc.heralded_normalize(out)
+    frame, each a validated density matrix; returns (state, survival)."""
+    out = stagewise(chip, density(np.outer(vec, vec.conj())))
+    out, survival = herald(out)
     if trace_polarization:
         out = partial_trace(out, [2, 2], [0])
-    return qc.DensityMatrix(out.dim, dv.logical_frame_stack(out.entries, frame)), survival
+    return density(dv.logical_frame_stack(out, frame)), survival
 
 
 def momentum_probabilities_oracle(rho2):
     """One `apply_channel` of the MZI projector per momentum setting."""
-    return [apply_channel(dv.mzi_projector(lbl), rho2).trace
+    return [np.trace(apply_channel(dv.mzi_projector(lbl), rho2)).real
             for lbl in ("0", "1", "+", "-", "i", "-i")]
 
 
@@ -340,7 +347,7 @@ def test_exact_outputs_equal_per_state_chain(chip, frame, trace_polarization):
     assert got.shape == ((16, 2, 2) if trace_polarization else (16, 4, 4))
     for g, (w, survival) in zip(got, want):
         # heralding divides the rounding of the chip output by the survival
-        np.testing.assert_allclose(g, w.entries, rtol=0, atol=TOL / survival)
+        np.testing.assert_allclose(g, w, rtol=0, atol=TOL / survival)
         if trace_polarization:
             np.testing.assert_allclose(ex._mzi_probabilities(g[None])[0],
                                        momentum_probabilities_oracle(w),
@@ -427,7 +434,7 @@ def choi_chi(s: np.ndarray) -> np.ndarray:
     Appl. 10, 285, 1975): chi_mn = <<E_m|J|E_n>> / d^2 with |E>> the
     column-stacked vec of the Pauli operator E, normalized to trace 1."""
     j = sum(np.kron(e, (s @ e.reshape(16)).reshape(4, 4)) for e in BASIS_OPS)
-    vecs = [e.T.reshape(16) for e in qc.PauliBasis(2).operators]
+    vecs = [e.T.reshape(16) for e in qc.pauli_operators(2)]
     chi = np.array([[np.vdot(vm, j @ vn) for vn in vecs] for vm in vecs]) / 16.0
     return chi / np.trace(chi).real
 
@@ -442,7 +449,8 @@ def test_stacked_process_tomo_equals_single_calls_and_the_choi_matrix(chips):
     stacked = tm.process_tomo_stack(rhos, outs, 2)
     assert stacked.shape == (len(chips), 16, 16)
     for chi, out, chip in zip(stacked, outs, chips):
-        np.testing.assert_allclose(chi, tm.process_tomo(rhos, out, 2).chi, rtol=0, atol=TOL)
+        np.testing.assert_allclose(chi, tm.process_tomo_stack(rhos, out[None], 2)[0],
+                                   rtol=0, atol=TOL)
         np.testing.assert_allclose(chi, choi_chi(chip.superoperator), rtol=0, atol=TOL)
 
 
@@ -481,10 +489,10 @@ def test_error_budget_equals_per_point_oracle(base, sweep, frame):
         assert g["truth_table_fidelity"] == pytest.approx(
             ex.truth_table_fidelity_exact(chip, frame), rel=0, abs=TOL)
         # T-input momentum qubit, relabeled frame: the per-state chain
-        red = [output_state_oracle(chip, vec, "relabeled", True)[0].entries
+        red = [output_state_oracle(chip, vec, "relabeled", True)[0]
                for vec in vecs[:4]]
-        chi = tm.process_tomo(inputs_1q, red, 1)
-        assert g["process_fidelity_T"] == pytest.approx(tm.process_fidelity(chi, ideal),
+        chi = tm.process_tomo_stack(inputs_1q, np.array(red)[None], 1)[0]
+        assert g["process_fidelity_T"] == pytest.approx(tm.process_fidelity_stack(chi, ideal),
                                                         rel=0, abs=TOL)
 
 

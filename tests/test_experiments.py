@@ -179,9 +179,8 @@ class TestFitDiagnostics:
 
 class TestBell:
     def test_ideal_pipeline_unity(self, ideal):
-        from oracles import uhlmann_fidelity
+        from oracles import density, uhlmann_fidelity
         from swapsim import biphoton as bp
-        from swapsim import qcore as qc
 
         cfg = replace(ideal, n_trials=1,
                       source=ideal.source.__class__(bell_visibility=1.0))
@@ -190,8 +189,8 @@ class TestBell:
                                              ex._bell_link(cfg, cfg.chip(0), cfg.chip(1)))
         for r, label in zip(rho, labels):
             vec = bp.bell_state_vector(label)
-            ideal_dm = qc.DensityMatrix(4, np.outer(vec, vec.conj()))
-            f = uhlmann_fidelity(qc.DensityMatrix(4, r), ideal_dm)
+            ideal_dm = density(np.outer(vec, vec.conj()))
+            f = uhlmann_fidelity(density(r), ideal_dm)
             assert f == pytest.approx(1.0, abs=1e-9)
 
     def test_calibrated_average_bracket(self, calibrated):
@@ -388,48 +387,27 @@ class TestStackedEstimators:
     def cfg(self):
         return ExperimentConfig.measured_chip(n_trials=100, rng_seed=4242)
 
-    def test_density_matrix_constructions_do_not_grow_with_trials(self, cfg, monkeypatch):
-        # every trial is reconstructed by the plain-ndarray kernels; only
-        # the exact pipeline builds validated DensityMatrix values
-        from swapsim import qcore as qc
-
-        made = []
-        post_init = qc.DensityMatrix.__post_init__
-        monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
-                            lambda self: made.append(self.dim) or post_init(self))
-        ex.run_bell_distribution(replace(cfg, n_trials=1))
-        one_trial = len(made)
-        made.clear()
-        ex.run_bell_distribution(cfg)
-        assert len(made) == one_trial
-
     def test_exact_tomography_makes_no_per_state_values(self, cfg, monkeypatch):
         # process tomography and the sweep propagate all their inputs in one
-        # batch, validated once as a stack: no per-state DensityMatrix
-        from swapsim import qcore as qc
-
-        made = []
-        post_init = qc.DensityMatrix.__post_init__
-        monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
-                            lambda self: made.append(self.dim) or post_init(self))
+        # batch, validated once as a stack: one validation per run, of all
+        # 16 inputs, or of the 4 T inputs of all 19 default grid points
+        checked = []
+        validate = ex.heralded_normalize_stack
+        monkeypatch.setattr(ex, "heralded_normalize_stack",
+                            lambda m: checked.append(m.shape[:-2]) or validate(m))
         ex.run_process_tomography(cfg)
         ex.run_process_tomography_2q(cfg)
         ex.run_error_budget(cfg)  # the default grid
-        assert made == []
+        assert checked == [(16,), (16,), (19, 4)]
 
     def test_runners_read_the_superoperator(self, cfg, monkeypatch):
-        # every runner reads each chip's superoperator: none builds a
-        # DensityMatrix, and a default sweep solves for the chi matrices of
-        # its whole grid at once
-        from swapsim import qcore as qc
-
+        # every runner reads each chip's superoperator, and a default sweep
+        # solves for the chi matrices of its whole grid at once
         calls = []
 
         def spy(name, f):
             return lambda *a, **k: calls.append(name) or f(*a, **k)
 
-        monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
-                            spy("DensityMatrix", qc.DensityMatrix.__post_init__))
         monkeypatch.setattr(np.linalg, "lstsq", spy("lstsq", np.linalg.lstsq))
         small = replace(cfg, n_trials=2)
         for run in (ex.run_truth_table, ex.run_fringe_scan, ex.run_hom_scan,
@@ -448,16 +426,14 @@ class TestStackedEstimators:
 
     def test_bell_is_one_batched_pass(self, cfg, monkeypatch):
         # all four labels go through the link as one stack, validated once
-        # at the boundary: no DensityMatrix; each label's counts come from
-        # its own run path, and all labels are reconstructed in one
-        # state_tomo_2q_stack call
-        from swapsim import qcore as qc
+        # at the boundary; each label's counts come from its own run path,
+        # and all labels are reconstructed in one state_tomo_2q_stack call
         from swapsim import tomography as tm
 
-        made, paths, rows = [], [], []
-        post_init = qc.DensityMatrix.__post_init__
-        monkeypatch.setattr(qc.DensityMatrix, "__post_init__",
-                            lambda self: made.append(self.dim) or post_init(self))
+        checked, paths, rows = [], [], []
+        validate = ex.heralded_normalize_stack
+        monkeypatch.setattr(ex, "heralded_normalize_stack",
+                            lambda m: checked.append(len(m)) or validate(m))
         sample_counts = ex.sample_counts
         monkeypatch.setattr(ex, "sample_counts",
                             lambda c, path, *a: paths.append(path) or sample_counts(c, path, *a))
@@ -467,7 +443,7 @@ class TestStackedEstimators:
         ex.run_bell_distribution(cfg)
         assert rows == [4 * cfg.n_trials]
         assert paths == [("bell", l.value) for l in BellLabel]
-        assert made == []
+        assert checked == [4]
 
     def test_counts_unchanged(self, cfg, monkeypatch):
         # the draws at seed 4242 as made by the per-trial estimators before
@@ -500,7 +476,6 @@ class TestStackedEstimators:
             monkeypatch.setattr(module, name, lambda grid, counts, background=0.0, _k=kernel,
                                 _n=name: fitted.append((_n, len(counts)))
                                 or _k(grid, counts, background))
-        monkeypatch.setattr(bp, "hom_visibility", None)
         ex.run_hom_scan(cfg)
         ex.run_fringe_scan(cfg)
         assert fitted == [("hom_fit_stack", 100), ("fringe_fit_stack", 1),

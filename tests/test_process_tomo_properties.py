@@ -1,7 +1,7 @@
 """Superoperator process tomography against the Pauli-expectation system.
 
-`tomography.process_tomo` solves R S^T = O for the channel's superoperator
-S on the stacked input and output vecs, then reads chi off S.  The oracle
+`tomography.process_tomo_stack` solves R S^T = O for the channel's
+superoperator S on the stacked input and output vecs, then reads chi off S.  The oracle
 below is the solver it replaced: one (J 4^n) x 16^n least-squares system
 over the Pauli expectations Tr(P_k eps(rho_j)) = sum_mn chi_mn
 Tr(P_k E_m rho_j E_n), followed by the same Hermitize, PSD clip and trace
@@ -25,12 +25,11 @@ TOL = 1e-12
 
 def oracle_process_tomo(inputs, outputs, n):
     """The (J 4^n) x 16^n Pauli-expectation least-squares solve."""
-    basis = qc.PauliBasis(n)
     rhos, outs = np.array(inputs), np.array(outputs)
     d2 = 4**n
     if np.linalg.matrix_rank(rhos.reshape(len(rhos), -1), tol=1e-10) < d2:
         raise ValueError("input states are rank-deficient; cannot invert")
-    e_ops = np.array(basis.operators)
+    e_ops = qc.pauli_operators(n)
     left = np.einsum("mab,jbc->mjac", e_ops, rhos)
     x = np.einsum("mjac,ncd->mjnad", left, e_ops)
     a = np.einsum("kda,mjnad->jkmn", e_ops, x).reshape(len(rhos) * d2, d2 * d2)
@@ -82,11 +81,8 @@ def _case(n, seed, extra, pure, noise):
 def test_process_tomo_equals_pauli_expectation_solve(case):
     n = case[0]
     _, rhos, outs = _case(*case)
-    chi = tm.process_tomo(rhos, outs, n)
-    np.testing.assert_allclose(chi.chi, oracle_process_tomo(rhos, outs, n), rtol=0, atol=TOL)
-    # DensityMatrix inputs and plain arrays are the same data
-    dms = [qc.DensityMatrix(2**n, r) for r in rhos]
-    np.testing.assert_array_equal(tm.process_tomo(dms, outs, n).chi, chi.chi)
+    chi = tm.process_tomo_stack(rhos, outs[None], n)[0]
+    np.testing.assert_allclose(chi, oracle_process_tomo(rhos, outs, n), rtol=0, atol=TOL)
 
 
 @PROPERTY
@@ -101,5 +97,5 @@ def test_rank_deficient_inputs_raise_as_before(case):
     with pytest.raises(ValueError) as want:
         oracle_process_tomo(rhos, outs, n)
     with pytest.raises(ValueError) as got:
-        tm.process_tomo(rhos, outs, n)
+        tm.process_tomo_stack(rhos, outs[None], n)
     assert str(got.value) == str(want.value)

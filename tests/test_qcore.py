@@ -1,14 +1,13 @@
+import functools
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from oracles import apply_channel, compose_channels, uhlmann_fidelity
+from oracles import density as dm
 from swapsim import qcore as qc
-
-
-def dm(mat):
-    mat = np.asarray(mat, dtype=complex)
-    return qc.DensityMatrix(mat.shape[0], mat)
 
 
 def random_density(rng, dim):
@@ -17,22 +16,29 @@ def random_density(rng, dim):
     return dm(rho / np.trace(rho).real)
 
 
+def validated(mat):
+    """`heralded_normalize_stack` of the one-row stack of `mat`: the
+    density-matrix check of the stack kernels."""
+    return qc.heralded_normalize_stack(np.array([mat], dtype=complex))
+
+
 class TestTypes:
+    # the density-matrix check of `heralded_normalize_stack`
     def test_density_matrix_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
-            dm([[1.0, 0.5], [0.0, 0.0]])
+            validated([[1.0, 0.5], [0.0, 0.0]])
 
     def test_density_matrix_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
-            dm([[1.1, 0.0], [0.0, -0.1]])
+            validated([[1.1, 0.0], [0.0, -0.1]])
 
     def test_density_matrix_rejects_trace_above_one(self):
         with pytest.raises(ValueError):
-            dm([[0.8, 0.0], [0.0, 0.4]])
+            validated([[0.8, 0.0], [0.0, 0.4]])
 
     def test_subnormalized_trace_is_allowed(self):
-        rho = dm([[0.5, 0.0], [0.0, 0.2]])
-        assert rho.trace == pytest.approx(0.7)
+        _, tr = validated([[0.5, 0.0], [0.0, 0.2]])
+        assert tr[0] == pytest.approx(0.7)
 
     def test_channel_rejects_trace_increasing(self):
         with pytest.raises(ValueError):
@@ -40,8 +46,7 @@ class TestTypes:
 
     def test_pauli_basis_orthogonality(self):
         for n in (1, 2):
-            basis = qc.PauliBasis(n)
-            ops = basis.operators
+            ops = qc.pauli_operators(n)
             for i, a in enumerate(ops):
                 for j, b in enumerate(ops):
                     expect = 2.0**n if i == j else 0.0
@@ -60,11 +65,31 @@ class TestTensor:
 
     def test_identity_tensor(self):
         # the two-qubit Pauli basis is the Kronecker product of the one-qubit
-        # bases, the left factor most significant: II is the identity
-        basis = qc.PauliBasis(2)
-        np.testing.assert_array_equal(basis.operators[0], np.eye(4))
-        assert basis.labels[6] == "XY"
-        np.testing.assert_array_equal(basis.operators[6], np.kron(qc.PAULI_X, qc.PAULI_Y))
+        # bases, the left factor most significant: II is the identity, and
+        # operator 6 is XY
+        ops = qc.pauli_operators(2)
+        np.testing.assert_array_equal(ops[0], np.eye(4))
+        np.testing.assert_array_equal(ops[6], np.kron(qc.PAULI_X, qc.PAULI_Y))
+
+
+class TestPauliOperators:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_the_lexicographic_kronecker_products(self, n):
+        singles = (qc.PAULI_I, qc.PAULI_X, qc.PAULI_Y, qc.PAULI_Z)
+        want = [functools.reduce(np.kron, combo) for combo in product(singles, repeat=n)]
+        np.testing.assert_array_equal(qc.pauli_operators(n), np.array(want))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_read_only_and_built_once(self, n):
+        ops = qc.pauli_operators(n)
+        assert not ops.flags.writeable
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 2.0
+        assert qc.pauli_operators(n) is ops
+
+    def test_three_qubits_rejected(self):
+        with pytest.raises(ValueError, match="only 1- and 2-qubit"):
+            qc.pauli_operators(3)
 
 
 class TestApplyChannel:
@@ -72,12 +97,12 @@ class TestApplyChannel:
     def test_identity_channel(self):
         rho = random_density(np.random.default_rng(0), 4)
         out = apply_channel(qc.QuantumChannel(4, 4, (np.eye(4),)), rho)
-        np.testing.assert_allclose(out.entries, rho.entries, atol=1e-14)
+        np.testing.assert_allclose(out, rho, atol=1e-14)
 
     def test_attenuator_halves_trace(self):
         rho = random_density(np.random.default_rng(1), 2)
         out = apply_channel(qc.QuantumChannel(2, 2, (np.sqrt(0.5) * np.eye(2),)), rho)
-        assert out.trace == pytest.approx(0.5, abs=1e-12)
+        assert np.trace(out).real == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -91,43 +116,43 @@ class TestApplyChannel:
             u, _ = np.linalg.qr(g)
             ch = qc.QuantumChannel(4, 4, (u,))
             rho = random_density(rng, 4)
-            assert apply_channel(ch, rho).trace == pytest.approx(rho.trace, abs=1e-12)
+            assert np.trace(apply_channel(ch, rho)).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHeraldedNormalize:
+    # `heralded_normalize_stack` of one state is its one-row stack
     def test_trace_one_passthrough(self):
         rho = random_density(np.random.default_rng(4), 2)
-        out, p = qc.heralded_normalize(rho)
-        assert p == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(out.entries, rho.entries, atol=1e-14)
+        out, p = qc.heralded_normalize_stack(rho[None])
+        assert p[0] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out[0], rho, atol=1e-14)
 
     def test_quarter_trace(self):
         base = np.zeros((4, 4), dtype=complex)
         base[0, 0] = 0.25
-        out, p = qc.heralded_normalize(dm(base))
-        assert p == pytest.approx(0.25)
-        assert out.entries[0, 0] == pytest.approx(1.0)
+        out, p = qc.heralded_normalize_stack(dm(base)[None])
+        assert p[0] == pytest.approx(0.25)
+        assert out[0, 0, 0] == pytest.approx(1.0)
 
     def test_six_db_insertion_loss(self):
         # 3 dB per facet at both ends of a lossless chip
         survival = 10 ** (-0.6)
         rho = dm(np.diag([survival, 0, 0, 0]))
-        _, p = qc.heralded_normalize(rho)
-        assert p == pytest.approx(0.251, abs=5e-4)
+        _, p = qc.heralded_normalize_stack(rho[None])
+        assert p[0] == pytest.approx(0.251, abs=5e-4)
 
     def test_vacuum_raises(self):
         with pytest.raises(ValueError):
-            qc.heralded_normalize(dm(np.zeros((2, 2))))
+            qc.heralded_normalize_stack(dm(np.zeros((2, 2)))[None])
 
     def test_stack_equals_one_state_at_a_time(self):
         rng = np.random.default_rng(6)
-        rhos = [qc.DensityMatrix(4, rng.uniform(0.01, 1.0) * random_density(rng, 4).entries)
-                for _ in range(5)]
-        out, p = qc.heralded_normalize_stack(np.array([r.entries for r in rhos]))
+        rhos = [dm(rng.uniform(0.01, 1.0) * random_density(rng, 4)) for _ in range(5)]
+        out, p = qc.heralded_normalize_stack(np.array(rhos))
         for k, rho in enumerate(rhos):
-            one, p_one = qc.heralded_normalize(rho)
-            np.testing.assert_array_equal(out[k], one.entries)
-            assert p[k] == p_one
+            one, p_one = qc.heralded_normalize_stack(rho[None])
+            np.testing.assert_array_equal(out[k], one[0])
+            assert p[k] == p_one[0]
 
     @pytest.mark.parametrize("bad, message", [
         ([[0.5, 0.1], [0.0, 0.5]], "not Hermitian"),
@@ -136,10 +161,10 @@ class TestHeraldedNormalize:
         (np.zeros((2, 2)), "^vacuum state"),
     ])
     def test_stack_validates_like_density_matrix(self, bad, message):
-        # one bad matrix in the stack raises what the one-state path raises
-        good = random_density(np.random.default_rng(7), 2).entries
+        # one bad matrix in the stack raises what its one-row stack raises
+        good = random_density(np.random.default_rng(7), 2)
         with pytest.raises(ValueError, match=message):
-            qc.heralded_normalize(qc.DensityMatrix(2, np.array(bad, dtype=complex)))
+            qc.heralded_normalize_stack(np.array([bad], dtype=complex))
         with pytest.raises(ValueError, match=message):
             qc.heralded_normalize_stack(np.array([good, bad, good], dtype=complex))
 
@@ -173,7 +198,7 @@ class TestUhlmannFidelity:
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             v /= np.linalg.norm(v)
             sigma = dm(np.outer(v, v.conj()))
-            expect = float(np.real(v.conj() @ rho.entries @ v))
+            expect = float(np.real(v.conj() @ rho @ v))
             assert uhlmann_fidelity(rho, sigma) == pytest.approx(expect, abs=1e-10)
 
     def test_normalizes_subtrace_inputs(self):
@@ -208,29 +233,29 @@ def nearest_physical_oracle(h):
 
 
 def project(h):
-    """`project_to_physical_stack` of one matrix, validated as a `DensityMatrix`."""
+    """`project_to_physical_stack` of one matrix, validated as a density matrix."""
     h = np.asarray(h, dtype=complex)
-    return qc.DensityMatrix(len(h), qc.project_to_physical_stack(h[None])[0])
+    return dm(qc.project_to_physical_stack(h[None])[0])
 
 
 class TestProjectToPhysical:
     def test_physical_input_unchanged(self):
         rho = random_density(np.random.default_rng(7), 4)
-        out = project(rho.entries)
-        np.testing.assert_allclose(out.entries, rho.entries, atol=1e-10)
+        out = project(rho)
+        np.testing.assert_allclose(out, rho, atol=1e-10)
 
     def test_single_negative_eigenvalue(self):
         out = project(np.diag([1.1, -0.1]))
-        np.testing.assert_allclose(out.entries, np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_matches_direct_minimization_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
-            rho = random_density(rng, 2).entries
+            rho = random_density(rng, 2)
             noisy = rho + 0.25 * _random_herm(rng, 2)
             noisy = noisy / np.trace(noisy).real
             try:
-                ours = project(noisy).entries
+                ours = project(noisy)
             except ValueError:
                 continue
             oracle = nearest_physical_oracle(noisy)
@@ -244,8 +269,8 @@ class TestProjectToPhysical:
         for _ in range(10):
             h = _random_herm(rng, 4) + np.eye(4)
             once = project(h)
-            twice = project(once.entries)
-            np.testing.assert_allclose(once.entries, twice.entries, atol=1e-12)
+            twice = project(once)
+            np.testing.assert_allclose(once, twice, atol=1e-12)
 
     def test_all_nonpositive_spectrum_raises(self):
         with pytest.raises(ValueError):
@@ -259,7 +284,7 @@ class TestProjectToPhysical:
     def test_near_zero_trace_raises(self, pos):
         # trace 4e-15 against eigenvalues of about +-0.375: normalizing the
         # spectrum to unit sum amplifies its rounding by ~1e14 (a trace-0.98
-        # "state" came out, or a trace error from DensityMatrix)
+        # "state" came out, or a trace error from the density check)
         a = np.full((4, 4), 1e-15 + 1e-15j)
         a[pos] = 0.75 + 1e-15j
         with pytest.raises(ValueError, match="spectrum sum is not positive"):
@@ -272,36 +297,37 @@ def _random_herm(rng, dim):
 
 
 def pauli_coefficients(rho, basis):
-    """c_m = Tr(E_m rho) / 2^n over the operators of `basis`, in its order."""
-    return np.array([np.trace(e @ rho.entries).real / basis.dim for e in basis.operators])
+    """c_m = Tr(E_m rho) / 2^n over the operators `basis`, in their order."""
+    return np.array([np.trace(e @ rho).real / len(rho) for e in basis])
 
 
 class TestPauliCoefficients:
-    # the order (I, X, Y, Z) of `PauliBasis` that tomography's coefficient
-    # rows and chi matrices are indexed by, and the completeness of the basis
+    # the order (I, X, Y, Z) of `pauli_operators` that tomography's
+    # coefficient rows and chi matrices are indexed by, and the completeness
+    # of the basis
     def test_ground_state(self):
-        basis = qc.PauliBasis(1)
+        basis = qc.pauli_operators(1)
         c = pauli_coefficients(dm([[1, 0], [0, 0]]), basis)
         np.testing.assert_allclose(c, [0.5, 0, 0, 0.5], atol=1e-14)
 
     def test_maximally_mixed(self):
-        basis = qc.PauliBasis(1)
+        basis = qc.pauli_operators(1)
         c = pauli_coefficients(dm(np.eye(2) / 2), basis)
         np.testing.assert_allclose(c, [0.5, 0, 0, 0], atol=1e-14)
 
     def test_plus_state(self):
-        basis = qc.PauliBasis(1)
+        basis = qc.pauli_operators(1)
         c = pauli_coefficients(dm(np.full((2, 2), 0.5)), basis)
         np.testing.assert_allclose(c, [0.5, 0.5, 0, 0], atol=1e-14)
 
     def test_reconstruction_roundtrip(self):
         rng = np.random.default_rng(10)
         for n in (1, 2):
-            basis = qc.PauliBasis(n)
+            basis = qc.pauli_operators(n)
             rho = random_density(rng, 2**n)
             c = pauli_coefficients(rho, basis)
-            rebuilt = sum(cm * e for cm, e in zip(c, basis.operators))
-            np.testing.assert_allclose(rebuilt, rho.entries, atol=1e-12)
+            rebuilt = sum(cm * e for cm, e in zip(c, basis))
+            np.testing.assert_allclose(rebuilt, rho, atol=1e-12)
 
 
 class TestComposition:
@@ -330,4 +356,4 @@ class TestComposition:
         rho = random_density(rng, 2)
         direct = apply_channel(ch, apply_channel(ch, rho))
         reduced = apply_channel(twice, rho)
-        np.testing.assert_allclose(direct.entries, reduced.entries, atol=1e-12)
+        np.testing.assert_allclose(direct, reduced, atol=1e-12)

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import uhlmann_fidelity_stack
+from oracles import density, uhlmann_fidelity_stack
 from swapsim import qcore as qc
 from swapsim import tomography as tm
 
@@ -40,11 +40,10 @@ def complex_stacks(dim, cols=None):
 
 
 def _one_or_none(stack_fn, trial):
-    """`stack_fn` of the one trial `trial`, validated as a `DensityMatrix`
+    """`stack_fn` of the one trial `trial`, validated as a density matrix
     (None when either raises)."""
     try:
-        out = stack_fn(trial[None])[0]
-        return qc.DensityMatrix(len(out), out).entries
+        return density(stack_fn(trial[None])[0])
     except ValueError:
         return None
 

@@ -1,14 +1,20 @@
+import csv
+import io
+from itertools import product
+
 import numpy as np
 import pytest
 
+from oracles import density as dm
 from oracles import uhlmann_fidelity
 from swapsim import qcore as qc
 from swapsim import tomography as tm
 
 
-def dm(mat):
-    mat = np.asarray(mat, dtype=complex)
-    return qc.DensityMatrix(mat.shape[0], mat)
+def projector(label):
+    """The rank-1 projector of the named single-qubit setting."""
+    v = qc.ket2(label)
+    return np.outer(v, v.conj())
 
 
 def probabilities_1q(rho2, labels=tm.MOMENTUM_LABELS):
@@ -19,8 +25,7 @@ def probabilities_1q(rho2, labels=tm.MOMENTUM_LABELS):
 def probabilities_2q(rho4):
     """Setting probabilities of `rho4` in (label_q1, label_q2) label order, shape (36,)."""
     return np.array([
-        np.trace(np.kron(tm.MeasurementSetting("polarization", l1).projector(),
-                         tm.MeasurementSetting("polarization", l2).projector()) @ rho4).real
+        np.trace(np.kron(projector(l1), projector(l2)) @ rho4).real
         for l1 in tm.POLARIZATION_LABELS for l2 in tm.POLARIZATION_LABELS])
 
 
@@ -34,18 +39,22 @@ def tomo_2q(counts):
     return tm.state_tomo_2q_stack(np.asarray(counts)[None])[0]
 
 
+def tt_fidelity(table, ideal):
+    """`truth_table_fidelity_stack` of one table."""
+    return float(tm.truth_table_fidelity_stack(np.asarray(table)[None], ideal)[0])
+
+
 class TestMeasurementSetting:
+    # a setting is a label of `ket2`, measured by its rank-1 projector
     def test_projectors_are_rank_one(self):
-        for flavor, labels in (("polarization", tm.POLARIZATION_LABELS),
-                               ("momentum", tm.MOMENTUM_LABELS)):
-            for lbl in labels:
-                p = tm.MeasurementSetting(flavor, lbl).projector()
-                assert np.linalg.matrix_rank(p) == 1
-                np.testing.assert_allclose(p @ p, p, atol=1e-14)
+        for lbl in tm.POLARIZATION_LABELS + tm.MOMENTUM_LABELS:
+            p = projector(lbl)
+            assert np.linalg.matrix_rank(p) == 1
+            np.testing.assert_allclose(p @ p, p, atol=1e-14)
 
     def test_bad_label_rejected(self):
-        with pytest.raises(ValueError):
-            tm.MeasurementSetting("polarization", "0")
+        with pytest.raises(ValueError, match="unknown state label 'Q'"):
+            projector("Q")
 
 
 class TestCountRecordCsv:
@@ -58,32 +67,29 @@ class TestCountRecordCsv:
         cfg = ExperimentConfig.measured_chip(n_trials=2, rng_seed=7)
         report = ex.run_state_tomography(cfg)
         cli._write_report(report, cfg, str(tmp_path))
-        back = tm.counts_from_csv((tmp_path / "count_records.csv").read_text())
+        text = (tmp_path / "count_records.csv").read_text()
+        header, *back = csv.reader(io.StringIO(text))
         rows = report.tables["count_records"]
-        assert rows[0] == tm.CSV_HEADER
-        assert back == [tm.CountRecord(r[0], r[1], r[2], float(r[3]), r[4]) for r in rows[1:]]
-        assert [r.setting_label_q1 for r in back] == list(tm.MOMENTUM_LABELS)
-        assert back[0].integration_time_s == cfg.integration_time_s / 6.0
-
-    def test_header_checked(self):
-        with pytest.raises(ValueError):
-            tm.counts_from_csv("a,b,c\n1,2,3\n")
+        assert header == rows[0] == tm.CSV_HEADER
+        assert [[r[0], r[1], int(r[2]), float(r[3]), int(r[4])] for r in back] == \
+            [[r[0], r[1], r[2], float(r[3]), r[4]] for r in rows[1:]]
+        assert [r[0] for r in back] == list(tm.MOMENTUM_LABELS)
+        assert float(back[0][3]) == cfg.integration_time_s / 6.0
 
 
 class TestTruthTableFidelity:
     def test_perfect_match(self):
         ideal = tm.ideal_truth_table("raw")
-        assert tm.truth_table_fidelity(ideal, ideal) == pytest.approx(1.0)
+        assert tt_fidelity(ideal, ideal) == pytest.approx(1.0)
 
     def test_uniform_table(self):
-        uniform = tm.TruthTable(np.full((4, 4), 0.25))
-        assert tm.truth_table_fidelity(uniform, tm.ideal_truth_table("raw")) == \
-            pytest.approx(0.25)
+        uniform = np.full((4, 4), 0.25)
+        assert tt_fidelity(uniform, tm.ideal_truth_table("raw")) == pytest.approx(0.25)
 
     def test_requires_normalized_columns(self):
-        bad = tm.TruthTable(np.full((4, 4), 0.2))
+        bad = np.full((4, 4), 0.2)
         with pytest.raises(ValueError):
-            tm.truth_table_fidelity(bad, tm.ideal_truth_table("raw"))
+            tt_fidelity(bad, tm.ideal_truth_table("raw"))
 
     def test_linear_in_measurement(self):
         rng = np.random.default_rng(0)
@@ -93,21 +99,20 @@ class TestTruthTableFidelity:
         b = rng.uniform(0.01, 1.0, size=(4, 4))
         b /= b.sum(axis=0)
         lam = 0.3
-        mix = tm.TruthTable(lam * a + (1 - lam) * b)
-        fa = tm.truth_table_fidelity(tm.TruthTable(a), ideal)
-        fb = tm.truth_table_fidelity(tm.TruthTable(b), ideal)
-        fm = tm.truth_table_fidelity(mix, ideal)
+        fa = tt_fidelity(a, ideal)
+        fb = tt_fidelity(b, ideal)
+        fm = tt_fidelity(lam * a + (1 - lam) * b, ideal)
         assert fm == pytest.approx(lam * fa + (1 - lam) * fb, abs=1e-12)
 
     def test_unity_only_on_ideal_support(self):
         ideal = tm.ideal_truth_table("raw")
-        m = np.array(ideal.matrix, copy=True)
+        m = np.array(ideal, copy=True)
         m[:, 0] = [0.01, 0.0, 0.0, 0.99]
-        assert tm.truth_table_fidelity(tm.TruthTable(m), ideal) < 1.0
+        assert tt_fidelity(m, ideal) < 1.0
 
     def test_frames(self):
-        raw = tm.ideal_truth_table("raw").matrix
-        rel = tm.ideal_truth_table("relabeled").matrix
+        raw = tm.ideal_truth_table("raw")
+        rel = tm.ideal_truth_table("relabeled")
         assert raw[3, 0] == 1.0 and raw[1, 1] == 1.0 and raw[2, 2] == 1.0 and raw[0, 3] == 1.0
         assert rel[0, 0] == 1.0 and rel[2, 1] == 1.0 and rel[1, 2] == 1.0 and rel[3, 3] == 1.0
 
@@ -203,11 +208,10 @@ def random_cptp_kraus(rng, dim, n_kraus):
 
 
 def chi_of_kraus(kraus, n):
-    basis = qc.PauliBasis(n)
     d = 2**n
     chi = np.zeros((4**n, 4**n), dtype=complex)
     for k in kraus:
-        c = np.array([np.trace(e @ k) / d for e in basis.operators])
+        c = np.array([np.trace(e @ k) / d for e in qc.pauli_operators(n)])
         chi += np.outer(c, c.conj())
     return chi / np.trace(chi).real
 
@@ -220,22 +224,27 @@ def tomo_inputs(n):
     return [np.kron(a, b) for a in singles for b in singles]
 
 
+def process_tomo(ins, outs, n):
+    """`process_tomo_stack` of one process."""
+    return tm.process_tomo_stack(ins, np.array(outs)[None], n)[0]
+
+
 class TestProcessTomo:
     def test_identity_channel(self):
         ins = tomo_inputs(1)
-        chi = tm.process_tomo(ins, ins, 1)
+        chi = process_tomo(ins, ins, 1)
         expect = np.zeros((4, 4))
         expect[0, 0] = 1.0
-        np.testing.assert_allclose(chi.chi, expect, atol=1e-10)
+        np.testing.assert_allclose(chi, expect, atol=1e-10)
 
     def test_x_channel(self):
         ins = tomo_inputs(1)
         x = qc.PAULI_X
         outs = [x @ r @ x for r in ins]
-        chi = tm.process_tomo(ins, outs, 1)
+        chi = process_tomo(ins, outs, 1)
         expect = np.zeros((4, 4))
         expect[1, 1] = 1.0
-        np.testing.assert_allclose(chi.chi, expect, atol=1e-10)
+        np.testing.assert_allclose(chi, expect, atol=1e-10)
 
     def test_swap_chi_structure(self):
         from swapsim.devices import swap_unitary
@@ -243,18 +252,18 @@ class TestProcessTomo:
         ins = tomo_inputs(2)
         u = swap_unitary()
         outs = [u @ r @ u.conj().T for r in ins]
-        chi = tm.process_tomo(ins, outs, 2)
-        labels = qc.PauliBasis(2).labels
+        chi = process_tomo(ins, outs, 2)
+        labels = ["".join(p) for p in product("IXYZ", repeat=2)]  # `pauli_operators` order
         want = {"II", "XX", "YY", "ZZ"}
         for i, li in enumerate(labels):
             for j, lj in enumerate(labels):
                 expect = 0.25 if (li in want and lj in want) else 0.0
-                assert abs(chi.chi[i, j] - expect) <= 1e-10
+                assert abs(chi[i, j] - expect) <= 1e-10
 
     def test_rank_deficient_inputs_rejected(self):
         ins = [np.diag([1.0, 0.0]).astype(complex)] * 4
         with pytest.raises(ValueError):
-            tm.process_tomo(ins, ins, 1)
+            process_tomo(ins, ins, 1)
 
     def test_random_cptp_roundtrip(self):
         rng = np.random.default_rng(11)
@@ -263,36 +272,44 @@ class TestProcessTomo:
             for _ in range(n_cases):
                 kraus = random_cptp_kraus(rng, 2**n, 3)
                 outs = [sum(k @ r @ k.conj().T for k in kraus) for r in ins]
-                chi = tm.process_tomo(ins, outs, n)
+                chi = process_tomo(ins, outs, n)
                 truth = chi_of_kraus(kraus, n)
                 # scale-invariant overlap: 1 iff the matrices coincide
-                num = np.trace(chi.chi @ truth).real
-                den = np.sqrt(np.trace(chi.chi @ chi.chi).real
+                num = np.trace(chi @ truth).real
+                den = np.sqrt(np.trace(chi @ chi).real
                               * np.trace(truth @ truth).real)
                 assert num / den >= 1 - 1e-9
-                assert np.max(np.abs(chi.chi - truth)) < 1e-8
+                assert np.max(np.abs(chi - truth)) < 1e-8
 
 
 class TestProcessMetrics:
     def test_fidelity_of_identical_unitary(self):
         chi = tm.chi_from_unitary(qc.PAULI_X)
-        assert tm.process_fidelity(chi, chi) == pytest.approx(1.0, abs=1e-12)
+        assert tm.process_fidelity_stack(chi, chi) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_processes(self):
         chi_x = tm.chi_from_unitary(qc.PAULI_X)
         chi_i = tm.chi_from_unitary(np.eye(2))
-        assert tm.process_fidelity(chi_x, chi_i) == pytest.approx(0.0, abs=1e-12)
+        assert tm.process_fidelity_stack(chi_x, chi_i) == pytest.approx(0.0, abs=1e-12)
 
     def test_unitary_purity_is_one(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             g, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
             chi = tm.chi_from_unitary(g)
-            assert tm.process_purity(chi) == pytest.approx(1.0, abs=1e-10)
+            assert tm.process_purity_stack(chi) == pytest.approx(1.0, abs=1e-10)
 
     def test_depolarizing_purity(self):
-        chi = qc.ProcessMatrix(1, np.eye(4) / 4)
-        assert tm.process_purity(chi) == pytest.approx(0.25)
+        chi = np.eye(4, dtype=complex) / 4
+        qc.check_chi_stack(chi)
+        assert tm.process_purity_stack(chi) == pytest.approx(0.25)
+
+
+def fringe_fit(scan, background=0.0):
+    """`fringe_fit_stack` of one scan of (phi, counts) points, as floats."""
+    phis, vals = np.array(scan, dtype=float).T
+    fit = tm.fringe_fit_stack(phis, vals[None], background)
+    return tm.FringeFit(*(v[0].item() for v in fit))
 
 
 class TestFringeFit:
@@ -301,20 +318,20 @@ class TestFringeFit:
 
     def test_ideal_fringe(self):
         phis = np.linspace(0, 2 * np.pi, 25)
-        fit = tm.fringe_fit(self.analytic(phis, a=500.0))
+        fit = fringe_fit(self.analytic(phis, a=500.0))
         assert fit.visibility == pytest.approx(1.0, abs=1e-6)
         assert abs(fit.phase_offset) < 1e-6
 
     def test_constant_scan(self):
         phis = np.linspace(0, 2 * np.pi, 25)
-        fit = tm.fringe_fit([(p, 100.0) for p in phis])
+        fit = fringe_fit([(p, 100.0) for p in phis])
         assert fit.visibility == pytest.approx(0.0, abs=1e-6)
 
     def test_rescaling_invariance(self):
         phis = np.linspace(0, 2 * np.pi, 25)
         base = self.analytic(phis, a=200.0, v=0.8, delta=0.4)
-        f1 = tm.fringe_fit(base)
-        f2 = tm.fringe_fit([(p, 3.0 * c) for p, c in base])
+        f1 = fringe_fit(base)
+        f2 = fringe_fit([(p, 3.0 * c) for p, c in base])
         assert f2.visibility == pytest.approx(f1.visibility, abs=1e-10)
         assert f2.phase_offset == pytest.approx(f1.phase_offset, abs=1e-10)
         assert f2.amplitude == pytest.approx(3.0 * f1.amplitude, rel=1e-9)
@@ -325,24 +342,24 @@ class TestFringeFit:
         phis = np.linspace(0, 2 * np.pi, 25)
         clean = self.analytic(phis, a=18750.0, v=0.987)  # ~30 s at typical rates
         noisy = [(p, rng.poisson(c)) for p, c in clean]
-        fit = tm.fringe_fit(noisy)
+        fit = fringe_fit(noisy)
         assert fit.visibility == pytest.approx(0.987, abs=0.005)
 
     def test_background_subtraction(self):
         phis = np.linspace(0, 2 * np.pi, 25)
         a, v, bg = 1000.0, 0.994, 10.7
         scan = self.analytic(phis, a=a, v=v, bg=bg)
-        fit = tm.fringe_fit(scan, background=bg)
+        fit = fringe_fit(scan, background=bg)
         raw_expect = a * v / (a + bg)
         assert fit.visibility_raw == pytest.approx(raw_expect, abs=1e-6)
         assert fit.visibility_subtracted == pytest.approx(v, abs=1e-6)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            tm.fringe_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 1.0), (3.0, 2.0)])
+            fringe_fit([(0.0, 1.0), (1.0, 2.0), (2.0, 1.0), (3.0, 2.0)])
 
     def test_all_zero_scan_has_zero_visibility(self):
-        fit = tm.fringe_fit([(p, 0.0) for p in np.linspace(0, 2 * np.pi, 17)],
+        fit = fringe_fit([(p, 0.0) for p in np.linspace(0, 2 * np.pi, 17)],
                             background=1.0)
         assert fit.visibility == 0.0
         assert fit.visibility_subtracted == 0.0
@@ -351,11 +368,11 @@ class TestFringeFit:
     def test_fringe_below_background_is_not_converged(self):
         # the raw fit has A > 0, but nothing is left after subtraction
         scan = [(p, 5.0 * (1.0 + 0.5 * np.cos(p))) for p in np.linspace(0, 2 * np.pi, 17)]
-        fit = tm.fringe_fit(scan, background=10.0)
+        fit = fringe_fit(scan, background=10.0)
         assert fit.amplitude == pytest.approx(5.0)
         assert fit.visibility_subtracted == 0.0
         assert not fit.converged
-        assert tm.fringe_fit(scan).converged
+        assert fringe_fit(scan).converged
 
     def test_visibility_outside_unit_interval_is_not_converged(self):
         # a one-period scan that is dark but for a spike at phi = 0: the
@@ -394,7 +411,7 @@ class TestFringeFit:
                                 xtol=1e-14, ftol=1e-14, gtol=1e-14)
             j = ref.jac
             ref_err = np.sqrt(np.linalg.inv(j.T @ j)[1, 1])
-            fit = tm.fringe_fit(list(zip(phis, vals)))
+            fit = fringe_fit(list(zip(phis, vals)))
             assert fit.converged
             assert fit.visibility == pytest.approx(ref.x[1], abs=1e-6)
             assert abs(np.angle(np.exp(1j * (fit.phase_offset - ref.x[2])))) <= 1e-6
