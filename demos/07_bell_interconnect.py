@@ -5,6 +5,13 @@ the spatial-momentum pair; a fiber link (with polarization rotation and
 its compensation) carries the photons to chip 2, which converts the
 entanglement back to polarization for tomography.  All four Bell states
 survive the double conversion.
+
+The tomography fidelity is <psi|rho_lin|psi> of each simulated
+experiment's background-subtracted counts (linear inversion, no
+positivity projection), averaged over 100 experiments at the measured
+chip's count level, about 8 counts per setting.  At that level a projected
+estimate reads about 0.09 low; the linear one converges to the exact
+fidelity, and the +/- is the standard error of the mean.
 """
 
 from dataclasses import replace
@@ -15,9 +22,7 @@ from swapsim.biphoton import BellLabel
 from swapsim.config import ExperimentConfig
 from swapsim.experiments import run_bell_distribution
 
-cfg = ExperimentConfig.measured_chip(
-    n_trials=10, rng_seed=55, pair_rate_hz=500000.0,
-    integration_time_s=720.0, background_rate_hz=1.0)
+cfg = ExperimentConfig.measured_chip(n_trials=100, rng_seed=55)
 
 fids = {}
 for label in BellLabel:
@@ -26,7 +31,7 @@ for label in BellLabel:
     fids[label.value] = p["fidelity_exact"]
     print(f"|{label.value}>  exact F = {p['fidelity_exact']:.4f}   "
           f"tomography F = {p['fidelity_mc_mean']:.4f}"
-          f" +/- {p['fidelity_mc_stderr']:.4f}   "
+          f" +/- {p['fidelity_mc_stderr'] / np.sqrt(cfg.n_trials):.4f}   "
           f"coincidence prob = {p['coincidence_probability']:.4f}")
 
 print(f"\naverage fidelity: {np.mean(list(fids.values())):.4f} "

@@ -11,15 +11,17 @@ as one stack through `biphoton.apply_chip_both_stack`, also validated
 once; the HOM pair is its one-state case.  From the per-setting
 detection probabilities each runner draws the Poissonian counts of all
 trials at once (`sample_counts`), runs the matching stacked estimator on
-all trials in one call (state tomography, over all Bell labels together,
-and truth-table fidelity; the fringe and HOM fits too, so each fit runs
-once per run, not once per trial) and wraps the results in a `Report`; the
-fit runners report their non-converged fits in a `diagnostics` block.  The
-exact (infinite-count) value of every estimate is always computed
-alongside the Monte Carlo one, so the noiseless pipeline doubles as the
-oracle for the sampled one.  Only `hom` and `bell` import `biphoton`, and
-each constant table (settings, inputs, ideal processes) is built on its
-first use, so a fresh process pays for what its command runs.
+all trials in one call (the linear pure-target fidelity of `tomo-state`
+and, over all labels together, of `bell`; truth-table fidelity; the
+fringe and HOM fits too, so each fit runs once per run, not once per
+trial) and wraps the results in a `Report`, whose `diagnostics` block
+counts the fits that did not converge and the fidelity means clamped to
+[0, 1].  The exact (infinite-count) value of every estimate is always
+computed alongside the Monte Carlo one, so the noiseless pipeline doubles
+as the oracle for the sampled one.  Only `hom` and `bell` import
+`biphoton`, and each constant table (settings, inputs, ideal processes)
+is built on its first use, so a fresh process pays for what its command
+runs.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
 and every estimate bit-exactly.  Each run draws from one PCG64 generator
@@ -145,6 +147,15 @@ def _mean_spread(values) -> tuple:
     """
     a = np.asarray(values, dtype=float)
     return float(a.mean()), float(a.std(ddof=1)) if len(a) > 1 else 0.0
+
+
+def _fidelity_mean_spread(values) -> tuple:
+    """`_mean_spread` of per-trial fidelities, whose estimator may leave
+    [0, 1], with the mean clamped to [0, 1] and the spread left that of
+    the unclamped values; returns (mean, spread, 1 if clamped else 0)."""
+    mean, spread = _mean_spread(values)
+    clamped = min(max(mean, 0.0), 1.0)
+    return clamped, spread, int(clamped != mean)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +455,8 @@ def _tomo_2q_projectors() -> np.ndarray:
 
 def _tomo_2q_probabilities(rho_pols: np.ndarray) -> np.ndarray:
     """Probability of each setting of `_TOMO_2Q_PAIRS` for each state of
-    `rho_pols` (L, 4, 4): shape (L, 36)."""
-    return np.einsum("sab,lba->ls", _tomo_2q_projectors(), rho_pols).real
+    `rho_pols` (L, 4, 4): shape (L, 36), clipped at 0 as in `_truth_tables`."""
+    return np.maximum(np.einsum("sab,lba->ls", _tomo_2q_projectors(), rho_pols).real, 0.0)
 
 
 _BELL_TABLE_BASIS = ("HH", "HV", "VH", "VV")
@@ -455,10 +466,11 @@ def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) 
     """(payload, density-matrix table) of each Bell state of `labels`.
 
     All labels go through the link as one stack.  Each label's counts are
-    drawn from its own run path ("bell", label), and the background-
-    subtracted counts of all labels are reconstructed in one
-    `state_tomo_2q_stack` call.  Both fidelities have a pure Bell target,
-    so they are <psi|rho|psi> (`pure_fidelity_stack`).
+    drawn from its own run path ("bell", label).  The exact fidelity is
+    <psi|rho|psi> of the exact state (`pure_fidelity_stack`); the Monte
+    Carlo one is that of the linear estimate of each trial's background-
+    subtracted, unclipped counts, for all labels in one
+    `tm.linear_fidelity_stack` call.
     """
     from .biphoton import bell_state_vector
 
@@ -469,14 +481,12 @@ def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) 
     t_setting = cfg.integration_time_s / 36.0
     bg_counts = cfg.background_rate_hz * t_setting
     probs = _tomo_2q_probabilities(rho_pol) * success_p[:, None]
-    counts = np.concatenate([sample_counts(cfg, ("bell", label.value), p, t_setting)
-                             for label, p in zip(labels, probs)])
-    net = np.maximum(counts[:, _TOMO_2Q_GRID_COLUMNS] - bg_counts, 0.0)
-    rho_mc = tm.state_tomo_2q_stack(net).reshape(len(labels), cfg.n_trials, 4, 4)
-    f_mc = pure_fidelity_stack(rho_mc, targets[:, None])
+    counts = np.stack([sample_counts(cfg, ("bell", label.value), p, t_setting)
+                       for label, p in zip(labels, probs)])
+    f_mc = tm.linear_fidelity_stack(counts[..., _TOMO_2Q_GRID_COLUMNS] - bg_counts, targets)
     runs = []
     for i, label in enumerate(labels):
-        f_mean, f_err = _mean_spread(f_mc[i])
+        f_mean, f_err, clamped = _fidelity_mean_spread(f_mc[i])
         payload = {
             "bell_label": label.value,
             "source_visibility": cfg.source.bell_visibility,
@@ -488,6 +498,7 @@ def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) 
             "density_matrix_real": rho_pol[i].real.tolist(),
             "density_matrix_imag": rho_pol[i].imag.tolist(),
             "n_trials": cfg.n_trials,
+            "diagnostics": {"fidelity_means_clamped": clamped},
         }
         rows = [["row", "col", "real", "imag"]]
         for r in range(4):
@@ -525,6 +536,8 @@ def run_bell_distribution(cfg: ExperimentConfig, label: BellLabel | None = None)
         "fidelity_mc_mean_by_label": {
             l.value: p["fidelity_mc_mean"] for l, (p, _) in zip(labels, runs)},
         "second_chip_truth_table_fidelity": chip2_f,
+        "diagnostics": {"fidelity_means_clamped": sum(
+            p["diagnostics"]["fidelity_means_clamped"] for p, _ in runs)},
     }
     tables = {f"density_matrix_{l.value.replace('+', 'p').replace('-', 'm')}": rows
               for l, (_, rows) in zip(labels, runs)}
@@ -571,8 +584,9 @@ def _mzi_povms() -> np.ndarray:
 
 def _mzi_probabilities(rho2: np.ndarray) -> np.ndarray:
     """Detection probability behind the MZI of each momentum setting, for
-    each state of `rho2` (J, 2, 2): shape (J, 6), settings in label order."""
-    return np.einsum("jab,sba->js", rho2, _mzi_povms()).real
+    each state of `rho2` (J, 2, 2): shape (J, 6), settings in label order,
+    clipped at 0 as in `_truth_tables`."""
+    return np.maximum(np.einsum("jab,sba->js", rho2, _mzi_povms()).real, 0.0)
 
 
 def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
@@ -583,6 +597,8 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     state itself; in the raw frame it is that state with the bit flipped
     (the ideal chip maps pol value p to momentum value NOT p).  The two
     frames give identical fidelities, only the reported state differs.
+    The Monte Carlo fidelity is that of the linear estimate of each trial's
+    background-subtracted, unclipped counts (`tm.linear_fidelity_stack`).
     """
     pol = ket2(pol_label)
     vec = np.kron(_spatial_ket(spatial_input), pol)
@@ -595,10 +611,12 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     f_exact = float(pure_fidelity_stack(rho_exact, target))
 
     t_setting = cfg.integration_time_s / 6.0
+    bg_counts = cfg.background_rate_hz * t_setting
     labels = tm.MOMENTUM_LABELS
     counts = sample_counts(cfg, ("tomo-state", spatial_input, pol_label),
                            setting_p[0], t_setting)
-    f_mean, f_err = _mean_spread(pure_fidelity_stack(tm.state_tomo_1q_stack(counts), target))
+    f_mc = tm.linear_fidelity_stack(counts[None] - bg_counts, target[None])[0]
+    f_mean, f_err, clamped = _fidelity_mean_spread(f_mc)
     payload = {
         "spatial_input": spatial_input,
         "polarization_input": pol_label,
@@ -610,6 +628,7 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
         "reconstructed_real": rho_exact.real.tolist(),
         "reconstructed_imag": rho_exact.imag.tolist(),
         "n_trials": cfg.n_trials,
+        "diagnostics": {"fidelity_means_clamped": clamped},
     }
     rows = [tm.CSV_HEADER] + [
         [lbl, "", int(c), repr(t_setting), cfg.rng_seed] for lbl, c in zip(labels, counts[0])]

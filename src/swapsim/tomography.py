@@ -2,20 +2,23 @@
 
 Measurement settings are named by their Bloch states: H,V,D,A,R,L for the
 polarization qubit and 0,1,+,-,i,-i for the spatial-momentum qubit, paired
-into the z, x, y axes in that order.  Reconstruction is linear inversion of
-Stokes parameters followed by the eigenvalue-redistribution projection onto
-physical states, matching the count levels of the experiments (iterative
-maximum likelihood is deliberately out of scope).  Every estimator is a
-stacked kernel (`*_stack`) that takes plain arrays with a leading trial
-axis, so a Monte Carlo run is reconstructed in one call; one value is a
-one-row stack.  Fringe scans are fitted in closed form: A (1 + V cos(phi +
-delta)) is rewritten as A + B cos(phi) + C sin(phi) and solved by
-weighted linear least squares, a stack of scans at once
-(`fringe_fit_stack`).
+into the z, x, y axes in that order.  A state is reconstructed by linear
+inversion of Stokes parameters followed by the eigenvalue-redistribution
+projection onto physical states (iterative maximum likelihood is
+deliberately out of scope).  A fidelity with a pure target needs no
+state: it is linear in the counts (`linear_fidelity_stack`), so it takes
+no decomposition and its mean is not biased low at low counts, as the
+projected estimate's is.  Every estimator is a stacked kernel
+(`*_stack`) that takes plain arrays with a leading trial axis, so a Monte
+Carlo run is estimated in one call; one value is a one-row stack.  Fringe
+scans are fitted in closed form: A (1 + V cos(phi + delta)) is rewritten
+as A + B cos(phi) + C sin(phi) and solved by weighted linear least
+squares, a stack of scans at once (`fringe_fit_stack`).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +37,7 @@ __all__ = [
     "ideal_truth_table",
     "truth_table_fidelity_stack",
     "state_tomo_1q_stack",
-    "state_tomo_2q_stack",
+    "linear_fidelity_stack",
     "column_normalize_stack",
     "process_tomo_stack",
     "chi_from_unitary",
@@ -118,12 +121,6 @@ def _pauli_rows(n: int) -> np.ndarray:
     return pauli_operators(n).reshape(4**n, 4**n)
 
 
-def _check_axis_totals(total: np.ndarray, what: str) -> None:
-    if (total <= 0).any():
-        axes = ",".join("zxy"[k] for k in np.argwhere(total <= 0)[0][1:])
-        raise ValueError(f"zero total counts for {what} ({axes})")
-
-
 def state_tomo_1q_stack(counts) -> np.ndarray:
     """Single-qubit tomography of every trial in `counts`, shape (n, 6)
     with the settings in label order (either flavor); returns the (n, 2, 2)
@@ -132,32 +129,58 @@ def state_tomo_1q_stack(counts) -> np.ndarray:
     """
     c = np.asarray(counts, dtype=float).reshape(-1, 3, 2)
     total = c.sum(axis=2)
-    _check_axis_totals(total, "axis")
+    if (total <= 0).any():
+        axes = ",".join("zxy"[k] for k in np.argwhere(total <= 0)[0][1:])
+        raise ValueError(f"zero total counts for axis ({axes})")
     coef = np.ones((len(c), 4))
     coef[:, _AXIS_TO_PAULI] = (c @ _SIGNS) / total
     return project_to_physical_stack(0.5 * (coef @ _pauli_rows(1)).reshape(-1, 2, 2))
 
 
-def state_tomo_2q_stack(counts) -> np.ndarray:
-    """Two-qubit tomography of every trial in `counts`, shape (n, 36) with
-    the settings in (label_q1, label_q2) label order, q1 major; returns the
-    (n, 4, 4) projected estimates.
+@functools.cache
+def _pooled_stokes_map(n: int) -> np.ndarray:
+    """The read-only (6^n, 4^n) map from label-ordered counts to Pauli
+    coefficients times the pooled normaliser: the Kronecker power of the
+    one-qubit rows (1/3, the setting's sign at its axis's Pauli), so an
+    identity factor averages over its 3 axes; the all-identity column,
+    fixed at 1 by the trace, is zeroed."""
+    one = np.zeros((6, 4))
+    one[:, 0] = 1.0 / 3.0
+    one[np.arange(6), np.repeat(_AXIS_TO_PAULI, 2)] = np.tile(_SIGNS, 3)
+    rows = one if n == 1 else np.kron(one, one)
+    rows[:, 0] = 0.0
+    rows.flags.writeable = False
+    return rows
 
-    The counts are read as (n, axis1, sign1, axis2, sign2).  Each Pauli
-    expectation is a ratio within its axis pair; a single-qubit term is
-    averaged over the partner's three axes.
+
+def linear_fidelity_stack(counts, targets) -> np.ndarray:
+    """Fidelity <psi|rho_lin|psi> of every trial of `counts` (L, T, 6^n),
+    settings in label order (q1 major), with the pure target of its row of
+    `targets` (L, 2^n); returns the (L, T) fidelities, not clipped; n is 1
+    or 2.
+
+    rho_lin is linear inversion with one pooled normaliser per trial, N =
+    its total counts / 3^n, in place of each axis tuple's own total, so the
+    fidelity is linear in the counts: (1 + c . w / N) / 2^n with w = A
+    <psi|P|psi> (`_pooled_stokes_map`).  With no projection, clipping or
+    per-tuple ratio, the mean over background-subtracted trials is unbiased
+    up to the one ratio to N (Schwemmer et al., PRL 114, 080403, 2015).
+    Raises on a trial whose N is not positive.
     """
-    c = np.asarray(counts, dtype=float).reshape(-1, 3, 2, 3, 2)
-    total = c.sum(axis=(2, 4))
-    _check_axis_totals(total, "axis pair")
-    coef = np.zeros((len(c), 4, 4))
-    coef[:, 0, 0] = 1.0
-    coef[:, _AXIS_TO_PAULI, 0] = (np.einsum("nasbt,s->nab", c, _SIGNS) / total).mean(axis=2)
-    coef[:, 0, _AXIS_TO_PAULI] = (np.einsum("nasbt,t->nab", c, _SIGNS) / total).mean(axis=1)
-    coef[:, _AXIS_TO_PAULI[:, None], _AXIS_TO_PAULI] = \
-        np.einsum("nasbt,s,t->nab", c, _SIGNS, _SIGNS) / total
-    lin = coef.reshape(-1, 16) @ _pauli_rows(2) / 4.0
-    return project_to_physical_stack(lin.reshape(-1, 4, 4))
+    c = np.ascontiguousarray(counts, dtype=float)
+    psi = np.ascontiguousarray(targets, dtype=complex)
+    n = {2: 1, 4: 2}.get(psi.shape[-1])
+    if n is None or c.ndim != 3 or c.shape[-1] != 6**n or psi.shape != (len(c), 2**n):
+        raise ValueError("counts must have shape (L, T, 6^n) and targets (L, 2^n), n = 1 or 2")
+    pooled = c.sum(axis=-1) / 3**n
+    if (pooled <= 0).any():
+        raise ValueError("a trial's pooled total counts are not positive")
+    # products and sums along contiguous last axes only, no BLAS call: each
+    # row's value does not depend on how many rows share the stack
+    ops = psi.conj()[:, None, :, None] * pauli_operators(n) * psi[:, None, None, :]
+    expect = ops.sum(axis=(-2, -1)).real
+    w = (expect[:, None, :] * _pooled_stokes_map(n)).sum(axis=-1)
+    return (1.0 + (c * w[:, None, :]).sum(axis=-1) / pooled) / 2**n
 
 
 # ---------------------------------------------------------------------------

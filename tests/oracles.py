@@ -3,9 +3,12 @@
 These are the one-state forms of operations that `swapsim` computes on
 stacks: the partial trace and subsystem permutation of a density matrix,
 the biphoton joint state assembled by Kronecker products, and the Uhlmann
-fidelity by matrix square roots.  No runner uses them.  `density` is the
-check a test puts a one-state result through: it raises unless its
-argument is a density matrix, as `swapsim` checks a stack of them.
+fidelity by matrix square roots, and the linear-inversion estimate of
+state tomography written out term by term (`linear_inversion_stack`, with
+each axis tuple's own total or the pooled one) and its projection
+(`state_tomo_2q_stack`).  No runner uses them.  `density` is the check a
+test puts a one-state result through: it raises unless its argument is a
+density matrix, as `swapsim` checks a stack of them.
 
 The Kraus composition of a cascade (`compose_channels`, reduced to a
 minimal Kraus set through the Choi matrix) and its action on one state
@@ -16,12 +19,13 @@ minimal Kraus set through the Choi matrix) and its action on one state
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from swapsim.qcore import (HERM_TOL, PSD_TOL, TRACE_TOL, QuantumChannel, dagger, ket2,
-                           ket4)
+                           ket4, pauli_operators, project_to_physical_stack)
 
 
 def density(m) -> np.ndarray:
@@ -184,3 +188,52 @@ def _minimal_kraus(kraus, dim_in: int, dim_out: int) -> list:
             break
         out.append(np.sqrt(lam) * col.reshape(dim_out, dim_in))
     return out
+
+
+# the axis (z, x, y: the order of the settings in a label-ordered count
+# array) that measures each Pauli operator X, Y, Z
+_PAULI_AXIS = {1: 1, 2: 2, 3: 0}
+
+
+def linear_inversion_stack(counts, n: int, pooled: bool = False) -> np.ndarray:
+    """Unprojected linear-inversion estimates (T, 2^n, 2^n) of the trials
+    of `counts` (T, 6^n), the settings in label order (z+, z-, x+, x-, y+,
+    y- per qubit, q1 major), one Pauli term at a time.
+
+    The expectation of a Pauli string is read from each axis tuple whose
+    axes measure its non-identity factors: the sign-weighted sum of the
+    tuple's 2^n counts over the tuple's own total or, with `pooled`, over
+    the trial's total / 3^n; a string with identity factors averages over
+    the axes of those factors.  Raises on a zero normaliser.
+    """
+    c_all = np.asarray(counts, dtype=float).reshape(-1, 6**n)
+    paulis = pauli_operators(1)
+    out = []
+    for trial in c_all:
+        c = trial.reshape((3, 2) * n)
+        rho = np.zeros((2**n, 2**n), dtype=complex)
+        for string in product(range(4), repeat=n):
+            terms = []
+            for axes in product(range(3), repeat=n):
+                if any(p and a != _PAULI_AXIS[p] for p, a in zip(string, axes)):
+                    continue
+                block = c[sum(((a, slice(None)) for a in axes), ())]
+                total = trial.sum() / 3**n if pooled else block.sum()
+                if total <= 0:
+                    raise ValueError("zero total counts for an axis tuple")
+                signed = sum(block[signs] * np.prod([(1.0, -1.0)[s]
+                                                     for s, p in zip(signs, string) if p])
+                             for signs in product(range(2), repeat=n))
+                terms.append(signed / total)
+            op = paulis[string[0]] if n == 1 else np.kron(paulis[string[0]], paulis[string[1]])
+            rho += np.mean(terms) * op
+        out.append(rho / 2**n)
+    return np.array(out)
+
+
+def state_tomo_2q_stack(counts) -> np.ndarray:
+    """Two-qubit tomography of every trial in `counts`, shape (T, 36) with
+    the settings in label order, q1 major: the linear-inversion estimate
+    with each axis pair's own total, projected to the physical set; (T, 4,
+    4).  Raises on an axis pair with zero total counts."""
+    return project_to_physical_stack(linear_inversion_stack(counts, 2))

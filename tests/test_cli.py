@@ -178,6 +178,22 @@ class TestDispatch:
         assert header.split(",") == CSV_HEADER
         assert len(records) == 6
 
+    def test_tomo_state_runs_on_the_ideal_chip(self, tmp_path, capsys):
+        # an exactly-zero setting probability must not reach the sampler
+        # as -1e-17 (a negative Poisson mean)
+        config = tmp_path / "ideal.json"
+        config.write_text(dump_config(ExperimentConfig.ideal()))
+        capsys.readouterr()
+        for spatial in ("T", "B", "+", "+i"):
+            for pol in ("H", "V", "D", "A", "R", "L"):
+                rc = cli.dispatch(["tomo-state", "--config", str(config), "--trials", "3",
+                                   f"--spatial={spatial}", "--pol", pol])
+                out, err = capsys.readouterr()
+                assert (rc, err) == (0, ""), (spatial, pol)
+                payload = json.loads(out)["payload"]
+                assert payload["fidelity_exact"] == pytest.approx(1.0, abs=1e-12)
+                assert 0.0 <= payload["fidelity_mc_mean"] <= 1.0
+
     def test_tomo_process_summary(self, tmp_path, config_file):
         out = tmp_path / "out"
         rc = cli.dispatch(["tomo-process", "--config", str(config_file),

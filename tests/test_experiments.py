@@ -1,9 +1,12 @@
+import functools
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 from swapsim import experiments as ex
+from swapsim import tomography as tm
 from swapsim.biphoton import BellLabel
 from swapsim.config import ChipConfig, ConfigError, ExperimentConfig
 
@@ -303,26 +306,31 @@ class TestConvergence:
                 hits += 1
         assert hits >= total - 1
 
-    # `bell` is left out: its Monte Carlo fidelity sits well below the exact
-    # one, the estimator bias of ROADMAP item 2
-    @pytest.mark.parametrize("run, mc, exact, bias_allowance", [
-        # the clipped counts and the positivity projection bias a pure-target
-        # fidelity low (ROADMAP item 2): over 20000 default trials the mean
-        # is 1.2e-4 below the exact value
-        (ex.run_state_tomography, "fidelity_mc_mean", "fidelity_exact", 1.5e-4),
-        (ex.run_fringe_scan, "visibility_subtracted_mean", "visibility_exact_fit", 0.0),
-    ], ids=["tomo-state", "fringe"])
-    def test_mc_means_converge_to_exact(self, run, mc, exact, bias_allowance):
-        # |mean - exact| <= 3 spread / sqrt(n) for almost all seeds, at defaults
-        hits = 0
+    @pytest.mark.parametrize("run, mc, exact", [
+        (ex.run_state_tomography, "fidelity_mc_mean", "fidelity_exact"),
+        (ex.run_fringe_scan, "visibility_subtracted_mean", "visibility_exact_fit"),
+        *[(functools.partial(ex.run_bell_distribution, label=label),
+           "fidelity_mc_mean", "fidelity_exact") for label in BellLabel],
+    ], ids=["tomo-state", "fringe", *(f"bell-{label.value}" for label in BellLabel)])
+    def test_mc_means_converge_to_exact(self, run, mc, exact):
+        # |mean - exact| <= 3 spread / sqrt(n) for almost all seeds, with no
+        # bias allowance, at 0.1x, 1x and 10x the default integration times
+        # (the background scales along, so the signal-to-background ratio
+        # stays that of the defaults)
+        defaults = ExperimentConfig.measured_chip()
         total = 12
-        for seed in range(total):
-            cfg = ExperimentConfig.measured_chip(n_trials=24, rng_seed=seed)
-            p = run(cfg).payload
-            stderr = p[mc.replace("_mean", "_stderr")] / np.sqrt(cfg.n_trials)
-            if abs(p[mc] - p[exact]) <= 3 * stderr + bias_allowance:
-                hits += 1
-        assert hits >= total - 1
+        for scale in (0.1, 1.0, 10.0):
+            hits = 0
+            for seed in range(total):
+                cfg = ExperimentConfig.measured_chip(
+                    n_trials=24, rng_seed=seed,
+                    integration_time_s=scale * defaults.integration_time_s,
+                    fringe_time_per_point_s=scale * defaults.fringe_time_per_point_s)
+                p = run(cfg).payload
+                stderr = p[mc.replace("_mean", "_stderr")] / np.sqrt(cfg.n_trials)
+                if abs(p[mc] - p[exact]) <= 3 * stderr:
+                    hits += 1
+            assert hits >= total - 1, scale
 
     def test_tomo_process_is_exact(self):
         # process tomography reconstructs the exact outputs only: there is no
@@ -330,6 +338,47 @@ class TestConvergence:
         runs = [ex.run_process_tomography(ExperimentConfig.measured_chip(n_trials=n, rng_seed=seed))
                 for n, seed in ((1, 0), (24, 11))]
         assert runs[0].payload == runs[1].payload
+
+
+class TestLinearFidelity:
+    @staticmethod
+    def poisson_means(cfg, path, probs, time_s):
+        """Noise-free counts: every trial counts the Poisson means."""
+        lam = (cfg.pair_rate_hz * np.asarray(probs) + cfg.background_rate_hz) * time_s
+        return np.broadcast_to(lam, (cfg.n_trials, *lam.shape))
+
+    @pytest.mark.parametrize("preset", [ExperimentConfig.measured_chip, ExperimentConfig.ideal],
+                             ids=["measured", "ideal"])
+    def test_noise_free_counts_give_the_exact_fidelity(self, monkeypatch, preset):
+        # the scaled exact probabilities, background added and subtracted,
+        # give each pure-target fidelity exactly
+        monkeypatch.setattr(ex, "sample_counts", self.poisson_means)
+        cfg = preset(n_trials=2, rng_seed=3)
+        bell = ex.run_bell_distribution(cfg).payload
+        for label, f in bell["fidelity_exact_by_label"].items():
+            assert abs(bell["fidelity_mc_mean_by_label"][label] - f) <= 1e-12
+        for spatial, pol in product(("T", "B", "+", "+i"), tm.POLARIZATION_LABELS):
+            p = ex.run_state_tomography(cfg, spatial, pol).payload
+            assert abs(p["fidelity_mc_mean"] - p["fidelity_exact"]) <= 1e-12
+
+    def test_means_clamped_and_counted(self, monkeypatch):
+        # the per-trial estimate is not clipped, so a mean can leave [0, 1]:
+        # the payload reports it clamped, counts the clamp, and keeps the
+        # spread of the unclamped values
+        monkeypatch.setattr(tm, "linear_fidelity_stack",
+                            lambda counts, targets: np.tile([[1.5, 0.75]], (len(counts), 1)))
+        cfg = ExperimentConfig.measured_chip(n_trials=2, rng_seed=3)
+        for p in (ex.run_state_tomography(cfg).payload,
+                  ex.run_bell_distribution(cfg, BellLabel.PHI_MINUS).payload):
+            assert p["fidelity_mc_mean"] == 1.0
+            assert p["fidelity_mc_stderr"] == pytest.approx(np.std([1.5, 0.75], ddof=1))
+            assert p["diagnostics"] == {"fidelity_means_clamped": 1}
+        agg = ex.run_bell_distribution(cfg).payload
+        assert set(agg["fidelity_mc_mean_by_label"].values()) == {1.0}
+        assert agg["diagnostics"] == {"fidelity_means_clamped": 4}
+        monkeypatch.undo()
+        assert ex.run_bell_distribution(cfg).payload["diagnostics"] == \
+            {"fidelity_means_clamped": 0}
 
 
 class TestBellAllLabels:
@@ -427,21 +476,21 @@ class TestStackedEstimators:
     def test_bell_is_one_batched_pass(self, cfg, monkeypatch):
         # all four labels go through the link as one stack, validated once
         # at the boundary; each label's counts come from its own run path,
-        # and all labels are reconstructed in one state_tomo_2q_stack call
-        from swapsim import tomography as tm
-
-        checked, paths, rows = [], [], []
+        # and the fidelities of all labels come from one linear_fidelity_stack
+        # call
+        checked, paths, shapes = [], [], []
         validate = ex.heralded_normalize_stack
         monkeypatch.setattr(ex, "heralded_normalize_stack",
                             lambda m: checked.append(len(m)) or validate(m))
         sample_counts = ex.sample_counts
         monkeypatch.setattr(ex, "sample_counts",
                             lambda c, path, *a: paths.append(path) or sample_counts(c, path, *a))
-        tomo = tm.state_tomo_2q_stack
-        monkeypatch.setattr(tm, "state_tomo_2q_stack",
-                            lambda counts: rows.append(len(counts)) or tomo(counts))
+        fidelity = tm.linear_fidelity_stack
+        monkeypatch.setattr(tm, "linear_fidelity_stack",
+                            lambda counts, targets: shapes.append(counts.shape)
+                            or fidelity(counts, targets))
         ex.run_bell_distribution(cfg)
-        assert rows == [4 * cfg.n_trials]
+        assert shapes == [(4, cfg.n_trials, 36)]
         assert paths == [("bell", l.value) for l in BellLabel]
         assert checked == [4]
 

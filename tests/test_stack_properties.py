@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import density, uhlmann_fidelity_stack
+from oracles import density, linear_inversion_stack, state_tomo_2q_stack, uhlmann_fidelity_stack
 from swapsim import qcore as qc
 from swapsim import tomography as tm
 
@@ -79,10 +79,59 @@ def test_state_tomo_1q_stack(counts):
 @PROPERTY
 @given(count_stacks(36))
 def test_state_tomo_2q_stack(counts):
-    per_trial = [_one_or_none(tm.state_tomo_2q_stack, c) for c in counts]
-    out = _assert_stack_matches(tm.state_tomo_2q_stack, counts, per_trial)
+    # the oracle that replaced the runtime kernel keeps its contract
+    per_trial = [_one_or_none(state_tomo_2q_stack, c) for c in counts]
+    out = _assert_stack_matches(state_tomo_2q_stack, counts, per_trial)
     if out is not None:
         _assert_physical(out)
+
+
+@st.composite
+def linear_fidelity_inputs(draw):
+    """(counts (L, T, 6^n), targets (L, 2^n)) for n = 1 or 2: background-
+    subtracted counts, so some are negative, and unit-norm targets."""
+    n = draw(st.sampled_from([1, 2]))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), 6**n)
+    counts = draw(arrays(np.int64, shape, elements=st.integers(0, 60)))
+    bg = draw(st.sampled_from([0.0, 0.4, 1.7]))
+    psi = draw(complex_stacks(2**n, 1))[:, :, 0]
+    assume(np.linalg.norm(psi, axis=1).min() > 1e-3)
+    psi = np.resize(psi, (shape[0], 2**n))
+    return counts - bg, psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+@PROPERTY
+@given(linear_fidelity_inputs())
+def test_linear_fidelity_stack_is_the_pooled_linear_estimate(inputs):
+    # <psi|rho_lin|psi> of the unprojected estimate, written out term by
+    # term, with the pooled normaliser; a trial without a positive pooled
+    # total raises
+    counts, psi = inputs
+    n = {2: 1, 4: 2}[psi.shape[1]]
+    if (counts.sum(axis=-1) <= 0).any():
+        with pytest.raises(ValueError, match="^a trial's pooled total counts are not positive$"):
+            tm.linear_fidelity_stack(counts, psi)
+        return
+    out = tm.linear_fidelity_stack(counts, psi)
+    for l, (trials, target) in enumerate(zip(counts, psi)):
+        rho = linear_inversion_stack(trials, n, pooled=True)
+        expect = np.einsum("a,tab,b->t", target.conj(), rho, target).real
+        np.testing.assert_allclose(out[l], expect, rtol=TOL, atol=TOL)
+
+
+@PROPERTY
+@given(linear_fidelity_inputs())
+def test_linear_fidelity_stack_rows_are_independent(inputs):
+    # a stacked run equals its per-trial runs bit for bit, also on a
+    # fancy-indexed (non-contiguous) stack as the Bell runner passes it
+    counts, psi = inputs
+    assume((counts.sum(axis=-1) > 0).all())
+    fancy = counts[..., np.arange(counts.shape[-1])]
+    for stack in (counts, fancy):
+        out = tm.linear_fidelity_stack(stack, psi)
+        for l, t in np.ndindex(out.shape):
+            one = tm.linear_fidelity_stack(counts[l:l + 1, t:t + 1].copy(), psi[l:l + 1])
+            assert one[0, 0] == out[l, t]
 
 
 @PROPERTY

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import density as dm
-from oracles import uhlmann_fidelity
+from oracles import state_tomo_2q_stack, uhlmann_fidelity
 from swapsim import qcore as qc
 from swapsim import tomography as tm
 
@@ -35,8 +35,8 @@ def tomo_1q(counts):
 
 
 def tomo_2q(counts):
-    """`state_tomo_2q_stack` of one trial's label-ordered counts."""
-    return tm.state_tomo_2q_stack(np.asarray(counts)[None])[0]
+    """The oracle `state_tomo_2q_stack` of one trial's label-ordered counts."""
+    return state_tomo_2q_stack(np.asarray(counts)[None])[0]
 
 
 def tt_fidelity(table, ideal):
