@@ -16,11 +16,15 @@ unit and the range of values).  Statement order defines optical
 propagation order.  The formatter emits a canonical layout; comments are
 discarded.
 
-A process parses each netlist text once and lowers each distinct stage
-once: `parse` keeps a bounded LRU cache keyed on the source text, and
-statement lowering one keyed on everything the lowering reads (kind, the
-statement's port indices into the chip's port order, each checked
-parameter's name and exact value).  Every cached value is immutable, and
+A process parses each netlist text once, lowers each distinct stage once
+and compiles each distinct chip once, through three bounded LRU caches:
+`parse` is keyed on the source text; statement lowering on everything the
+lowering reads (kind, the statement's port indices into the chip's port
+order, each checked parameter's name and exact value); and `compile_chip`
+on the `ChipDecl` together with the exact bits of every parameter value,
+so that declarations equal but for the signs of their zeros stay apart.
+A repeated chip therefore returns the same `ChipModel`, whose stages are
+multiplied and trace-checked once.  Every cached value is immutable, and
 errors are never cached.  The parser and the formatter are pure Python:
 only lowering imports the device models (and with them numpy).
 
@@ -62,10 +66,13 @@ __all__ = [
 
 UNITS = ("dB", "deg", "rad")
 
-# bounds of the per-process caches: distinct netlist texts kept parsed, and
-# distinct statements kept lowered (a default sweep lowers 18)
+# bounds of the per-process caches: distinct netlist texts kept parsed,
+# distinct statements kept lowered (a default sweep lowers 18) and distinct
+# chips kept compiled (one run of every subcommand on the measured config
+# compiles 17)
 _PARSE_CACHE_SIZE = 32
 _STAGE_CACHE_SIZE = 256
+_CHIP_CACHE_SIZE = 32
 
 # unit class -> (the unit its values are written in, None for a plain
 # number; whether a value is in range; that range in words).  An infinite
@@ -442,6 +449,16 @@ def _lower_stage(kind: str, idx: tuple, params: tuple) -> QuantumChannel:
 
 
 def compile_chip(chip: ChipDecl) -> ChipModel:
+    """The chip's model, compiled once per distinct declaration: a repeated
+    declaration returns the same (immutable) `ChipModel`."""
+    values = tuple(float(p.value).hex() for st in chip.statements for p in st.params)
+    return _compile_chip(chip, values)
+
+
+@functools.lru_cache(maxsize=_CHIP_CACHE_SIZE)
+def _compile_chip(chip: ChipDecl, values: tuple) -> ChipModel:
+    """`values` holds every parameter's float.hex: `ChipDecl` equality
+    takes +0 and -0 for equal, and the key must not."""
     if len(chip.ports) != 2:
         raise CompileError(
             f"this simulator models exactly 2 spatial ports, chip "

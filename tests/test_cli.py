@@ -215,11 +215,13 @@ def _clear_caches():
     cli._build_parser.cache_clear()
     nl.parse.cache_clear()
     nl._lower_stage.cache_clear()
+    nl._compile_chip.cache_clear()
 
 
 class TestRepeatedDispatch:
-    """One process builds the parser once, parses each netlist text once and
-    lowers each distinct stage once; none of it shows in what a call gives."""
+    """One process builds the parser once, parses each netlist text once,
+    lowers each distinct stage once and compiles each distinct chip once;
+    none of it shows in what a call gives."""
 
     @staticmethod
     def _result(argv, out, capsys):

@@ -45,16 +45,21 @@ class TestNetlistPath:
         assert cfg.chips[0].netlist_path == "swap.pnl"
 
     def test_edited_netlist_builds_the_new_chip(self, tmp_path):
-        # the file is read on every build; only its text is cached
+        # the file is read on every build; its text, stages and chip are
+        # cached by what the file holds, never by the path, so an edit gives
+        # the new chip and an edit back gives the chip first compiled
         pnl = tmp_path / "swap.pnl"
         pnl.write_text(PNL)
         chip = ChipConfig(netlist_path=str(pnl))
-        before = chip.build().superoperator
+        before = chip.build()
         edited = PNL.replace("18dB", "25dB")
         pnl.write_text(edited)
-        after = chip.build().superoperator
-        assert not np.array_equal(after, before)
-        assert np.array_equal(after, nl.compile_netlist(nl.parse(edited)).superoperator)
+        after = chip.build()
+        assert not np.array_equal(after.superoperator, before.superoperator)
+        assert np.array_equal(after.superoperator,
+                              nl.compile_netlist(nl.parse(edited)).superoperator)
+        pnl.write_text(PNL)
+        assert chip.build() is before
 
     def test_missing_netlist_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read netlist"):

@@ -289,6 +289,29 @@ class TestErrorBudget:
         with pytest.raises(ConfigError):
             ex.run_error_budget(calibrated, {})
 
+    def test_repeated_sweep_compiles_no_chip(self, calibrated, monkeypatch):
+        # each distinct chip is compiled once per process: a second sweep of
+        # the same config constructs no ChipModel, and it gives the bytes of
+        # the first and of a sweep whose netlist caches were cleared
+        from swapsim import devices
+        from swapsim import netlist as nl
+
+        first = ex.run_error_budget(calibrated)
+        built = []
+        post_init = devices.ChipModel.__post_init__
+        monkeypatch.setattr(devices.ChipModel, "__post_init__",
+                            lambda chip: built.append(chip.label) or post_init(chip))
+        second = ex.run_error_budget(calibrated)
+        assert built == []
+        for cache in (nl.parse, nl._lower_stage, nl._compile_chip):
+            cache.cache_clear()
+        cold = ex.run_error_budget(calibrated)
+        # the baseline and the 19 grid points: 4 points are the baseline chip
+        assert len(built) == 16
+        for run in (second, cold):
+            assert run.canonical_payload() == first.canonical_payload()
+            assert run.tables == first.tables
+
 
 class TestConvergence:
     def test_mc_estimates_converge_to_exact(self):
@@ -309,9 +332,10 @@ class TestConvergence:
     @pytest.mark.parametrize("run, mc, exact", [
         (ex.run_state_tomography, "fidelity_mc_mean", "fidelity_exact"),
         (ex.run_fringe_scan, "visibility_subtracted_mean", "visibility_exact_fit"),
+        (ex.run_hom_scan, "visibility_subtracted_mean", "visibility_subtracted_exact"),
         *[(functools.partial(ex.run_bell_distribution, label=label),
            "fidelity_mc_mean", "fidelity_exact") for label in BellLabel],
-    ], ids=["tomo-state", "fringe", *(f"bell-{label.value}" for label in BellLabel)])
+    ], ids=["tomo-state", "fringe", "hom", *(f"bell-{label.value}" for label in BellLabel)])
     def test_mc_means_converge_to_exact(self, run, mc, exact):
         # |mean - exact| <= 3 spread / sqrt(n) for almost all seeds, with no
         # bias allowance, at 0.1x, 1x and 10x the default integration times

@@ -250,16 +250,44 @@ class TestCompile:
         assert np.array_equal(a, b)
 
     def test_caches_stay_within_their_bounds(self):
-        # more distinct texts and stages than either cache holds
-        n = max(nl._PARSE_CACHE_SIZE, nl._STAGE_CACHE_SIZE) + 8
-        for i in range(0, n, 8):
+        # more distinct texts, stages and chips than any cache holds: each
+        # chip is a text of its own with 8 stages of its own
+        n = max(nl._PARSE_CACHE_SIZE, nl._STAGE_CACHE_SIZE // 8, nl._CHIP_CACHE_SIZE) + 1
+        for i in range(0, 8 * n, 8):
             body = " ".join(f"loss l{j} (T) loss={j / 1000}dB;" for j in range(i, i + 8))
             nl.compile_netlist(nl.parse(f"chip c {{ ports T, B; {body} }}"))
-        parses, stages = nl.parse.cache_info(), nl._lower_stage.cache_info()
-        assert parses.maxsize == nl._PARSE_CACHE_SIZE
-        assert stages.maxsize == nl._STAGE_CACHE_SIZE
-        assert parses.currsize == nl._PARSE_CACHE_SIZE
-        assert stages.currsize == nl._STAGE_CACHE_SIZE
+        for cache, size in ((nl.parse, nl._PARSE_CACHE_SIZE),
+                            (nl._lower_stage, nl._STAGE_CACHE_SIZE),
+                            (nl._compile_chip, nl._CHIP_CACHE_SIZE)):
+            info = cache.cache_info()
+            assert (info.maxsize, info.currsize) == (size, size)
+
+    def test_each_distinct_chip_compiled_once(self):
+        chip = nl.parse(SWAP_SRC).chips[0]
+        nl._compile_chip.cache_clear()
+        assert nl.compile_chip(chip) is nl.compile_chip(chip)
+        assert nl.compile_netlist(nl.parse(SWAP_SRC)) is nl.compile_chip(chip)
+        info = nl._compile_chip.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_chip_key_tells_the_signs_of_zeros_apart(self):
+        # equal declarations as tuples (+0 == -0, the same spans), so only
+        # the bits of the values keep the two chips apart
+        plus, minus = (nl.parse(f"chip c {{ ports T, B; phase_v p (T) phase={v}rad; }}")
+                       .chips[0] for v in ("+0", "-0"))
+        assert plus == minus
+        assert nl.compile_chip(plus) is not nl.compile_chip(minus)
+        assert nl.compile_chip(minus) is nl.compile_chip(minus)
+
+    def test_compile_errors_are_not_cached(self):
+        chip = nl.parse("chip c { ports T, B; loss a (T) loss=1dB;\n"
+                        "  pcnot b (T, B) extinction=18rad; }").chips[0]
+        nl._compile_chip.cache_clear()
+        for _ in range(2):
+            with pytest.raises(nl.CompileError) as exc:
+                nl.compile_chip(chip)
+            assert (exc.value.code, str(exc.value.span)) == ("bad-unit", "2:18")
+        assert nl._compile_chip.cache_info().currsize == 0
 
     def test_whole_corpus_compiles(self):
         for src in _corpus():
