@@ -4,7 +4,8 @@ polarization / spatial-momentum SWAP gate chip.
 The package models the imperfect physical components of the three-gate
 cascade (PC-NOT / MC-NOT / PC-NOT), compiles photonic circuits from a small
 netlist language, runs the chip experiments under Poissonian shot noise and
-reconstructs states and processes with linear-inversion tomography.
+characterizes the gate tomographically: fidelities by linear inversion of
+the counts, process matrices from the exact output states.
 
 The namespace is lazy (PEP 562): `import swapsim` loads no submodule, and
 each name of `__all__` imports its module on first access, so a process

@@ -134,7 +134,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"bad SWAPSIM_SEED: {exc}") from exc
     if seed is not None:
-        cfg = cfg.with_seed(seed)
+        cfg = replace(cfg, rng_seed=seed)
     if args.trials is not None:
         if args.trials < 1:
             raise ConfigError("--trials must be >= 1")

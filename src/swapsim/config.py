@@ -2,10 +2,11 @@
 
 All physical quantities carry unit-suffixed field names (`*_db`, `*_ps`,
 `*_hz`, `*_s`, `*_rad`).  A chip is configured either inline
-through its imperfection parameters or by pointing at a `.pnl` netlist;
-either way it is built by the netlist compiler (`ChipConfig.to_netlist`),
-and each inline parameter has the unit and range of the netlist parameter
-it lowers to (`_CHIP_PARAMS`).  A relative `netlist_path` in a config file
+through its imperfection parameters or by pointing at a `.pnl` netlist,
+never both (a nonzero inline parameter beside `netlist_path` is a
+`ConfigError`); either way it is built by the netlist compiler
+(`ChipConfig.to_netlist`), and each inline parameter has the unit and
+range of the netlist parameter it lowers to (`_CHIP_PARAMS`).  A relative `netlist_path` in a config file
 is resolved against the file's directory when the file is loaded.
 `measured_chip()` is the parameter set used to bracket the reported
 hardware numbers; `ideal()` turns every imperfection off.
@@ -125,6 +126,10 @@ class ChipConfig:
             v = getattr(self, name)
             if v is not None and not in_range(v):
                 raise ConfigError(f"{name} must be {bounds}, got {v!r}")
+        beside = [name for name in _CHIP_PARAMS if getattr(self, name)]
+        if self.netlist_path is not None and beside:
+            raise ConfigError(f"chip sets netlist_path, so its inline parameters would be "
+                              f"ignored: {', '.join(beside)}")
 
     def to_netlist(self) -> nl.ChipDecl:
         """The chip as a netlist declaration.
@@ -229,9 +234,6 @@ class ExperimentConfig:
         cfgs = self.chips
         cc = cfgs[index] if index < len(cfgs) else cfgs[-1]
         return cc.build()
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, rng_seed=seed)
 
     # -- presets ---------------------------------------------------------
 

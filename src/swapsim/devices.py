@@ -235,27 +235,16 @@ def mzi_transfer(phase: float = 0.0, input_phase: float = 0.0) -> np.ndarray:
     return BS_5050 @ d_mid @ BS_5050 @ d_in
 
 
-def mzi_projector(label: str, extinction: float = math.inf) -> QuantumChannel:
+def mzi_projector(label: str) -> QuantumChannel:
     """Spatial-momentum projector realized as a BS-phase-BS interferometer.
 
     The T output port of the interferometer selects the Bloch state of the
-    momentum `label` ("0", "1", "+", "-", "i", "-i"); a finite extinction
-    (dB) contaminates the projection with the orthogonal state
-    incoherently.  Trace-decreasing dim-2 channel.
+    momentum `label` ("0", "1", "+", "-", "i", "-i").  Trace-decreasing
+    dim-2 channel with one Kraus operator.
     """
     alpha, phi = _MZI_PHASES[label]
-    u = mzi_transfer(phi, alpha)
-    row = u[0:1, :]  # amplitude reaching the monitored output port
-    k_main = np.vstack([row, np.zeros((1, 2), dtype=complex)])
-    eps = er_to_leakage(extinction)
-    if eps == 0.0:
-        return QuantumChannel(2, 2, (k_main,))
-    # Orthogonal-state contamination at the suppressed-port level.
-    ortho = np.array([-row[0, 1].conj(), row[0, 0].conj()], dtype=complex)
-    k_leak = np.vstack([ortho.reshape(1, 2), np.zeros((1, 2), dtype=complex)])
-    return QuantumChannel(
-        2, 2, (math.sqrt(1.0 - eps) * k_main, math.sqrt(eps) * k_leak)
-    )
+    row = mzi_transfer(phi, alpha)[0:1, :]  # amplitude reaching the monitored port
+    return QuantumChannel(2, 2, (np.vstack([row, np.zeros((1, 2), dtype=complex)]),))
 
 
 def facet_channel(loss_h: float = 0.0, loss_v: float = 0.0, xtalk: float = 0.0) -> QuantumChannel:

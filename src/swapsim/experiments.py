@@ -593,21 +593,24 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
                          pol_label: str = "D") -> Report:
     """Single-qubit tomography of the output spatial-momentum qubit.
 
-    In the relabeled frame the fidelity target is the input polarization
-    state itself; in the raw frame it is that state with the bit flipped
-    (the ideal chip maps pol value p to momentum value NOT p).  The two
-    frames give identical fidelities, only the reported state differs.
-    The Monte Carlo fidelity is that of the linear estimate of each trial's
+    The reported state and the exact fidelity are those of the heralded
+    momentum state itself (`_exact_outputs`); the counts of the six MZI
+    settings are drawn from its detection probabilities.  In the relabeled
+    frame the fidelity target is the input polarization state itself; in
+    the raw frame it is that state with the bit flipped (the ideal chip
+    maps pol value p to momentum value NOT p).  The two frames give
+    identical fidelities, only the reported state differs.  The Monte
+    Carlo fidelity is that of the linear estimate of each trial's
     background-subtracted, unclipped counts (`tm.linear_fidelity_stack`).
     """
     pol = ket2(pol_label)
     vec = np.kron(_spatial_ket(spatial_input), pol)
     red = _exact_outputs(cfg.chip(0).superoperator, vec[None], cfg.logical_frame,
                          trace_polarization=True)
+    rho_exact = red[0]
     setting_p = _mzi_probabilities(red)
     probs = dict(zip(tm.MOMENTUM_LABELS, setting_p[0]))
     target = pol if cfg.logical_frame == "relabeled" else PAULI_X @ pol
-    rho_exact = tm.state_tomo_1q_stack(setting_p)[0]
     f_exact = float(pure_fidelity_stack(rho_exact, target))
 
     t_setting = cfg.integration_time_s / 6.0
@@ -664,22 +667,30 @@ def _chi_ideal(n: int, frame: str) -> np.ndarray:
     return tm.chi_from_unitary(u)
 
 
+def _momentum_chis(s: np.ndarray, vecs: np.ndarray, frame: str) -> np.ndarray:
+    """The one-qubit chi matrices, polarization in and momentum out, of the
+    chip(s) with superoperator `s` (..., 16, 16): the heralded momentum
+    outputs in `frame` of the inputs `vecs`, whose every four rows are the
+    polarization inputs of one spatial input, through one
+    `process_tomo_stack` solve; shape (G, 4, 4), one chi per four rows per
+    chip."""
+    red = _exact_outputs(s, vecs, frame, trace_polarization=True)
+    return tm.process_tomo_stack(_process_inputs()[1], red.reshape(-1, 4, 2, 2), 1)
+
+
 def run_process_tomography(cfg: ExperimentConfig) -> Report:
     """Single-qubit chi-matrix tomography for the four spatial input modes.
 
-    The polarization qubit is prepared in |0>, |1>, |+>, |+i>; the output
-    spatial-momentum qubit is reconstructed (exactly, i.e. infinite counts)
-    and the process compared against the frame's ideal: the identity in the
-    relabeled frame, a bit flip in the raw frame (the fidelity and purity
-    values agree between frames, only chi itself is conjugated).  All 16
-    inputs are propagated in one `_exact_outputs` call, and the four chi
-    matrices come from one `process_tomo_stack` call.
+    The polarization qubit is prepared in |0>, |1>, |+>, |+i>; the chi
+    matrix of each spatial input is solved from the heralded output
+    spatial-momentum states themselves (infinite counts) and compared
+    against the frame's ideal: the identity in the relabeled frame, a bit
+    flip in the raw frame (the fidelity and purity values agree between
+    frames, only chi itself is conjugated).  All 16 inputs are propagated
+    in one `_exact_outputs` call, and the four chi matrices come from one
+    `process_tomo_stack` call (`_momentum_chis`).
     """
-    vecs, inputs_1q, _ = _process_inputs()
-    red = _exact_outputs(cfg.chip(0).superoperator, vecs, cfg.logical_frame,
-                         trace_polarization=True)
-    rho_est = tm.state_tomo_1q_stack(_mzi_probabilities(red)).reshape(-1, 4, 2, 2)
-    chis = tm.process_tomo_stack(inputs_1q, rho_est, 1)
+    chis = _momentum_chis(cfg.chip(0).superoperator, _process_inputs()[0], cfg.logical_frame)
     fids = tm.process_fidelity_stack(chis, _chi_ideal(1, cfg.logical_frame))
     purities = tm.process_purity_stack(chis)
     per_input = {
@@ -750,14 +761,16 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     `sweep` maps each axis (a `_SWEEP_AXES` name or a `_SWEEP_ALIASES`
     short name) to its values; None runs the default grid.  For each axis
     the chip is rebuilt from the baseline configuration with only that
-    parameter changed; truth-table fidelity (configured frame) and the
-    process fidelity of the T-input momentum qubit with the identity
-    (relabeled frame) are tabulated.  Every axis is checked before any chip
-    is built (ConfigError on an empty grid, an unknown axis or an axis
-    without values); then the G chips' superoperators are stacked, and all
-    truth tables, T-input outputs (validated once) and chi matrices (one
-    `process_tomo_stack` solve) are read off that stack.  The payload's
-    `baseline` is the baseline chip's canonical netlist text.
+    parameter changed (a netlist baseline has no such parameter, so every
+    point is the baseline chip); truth-table fidelity (configured frame)
+    and the process fidelity of the T-input momentum qubit with the
+    identity (relabeled frame) are tabulated.  Every axis is checked before
+    any chip is built (ConfigError on an empty grid, an unknown axis or an
+    axis without values); then the G chips' superoperators are stacked,
+    and all truth tables, T-input outputs (validated once) and chi matrices
+    (one `process_tomo_stack` solve, `_momentum_chis`) are read off that
+    stack.  The payload's `baseline` is the baseline chip's canonical
+    netlist text.
     """
     if sweep is None:
         sweep = _DEFAULT_SWEEP
@@ -772,12 +785,13 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
             raise ConfigError(f"sweep axis {axis!r} has no values")
     base = cfg.chips[0]
     points = [(axis, float(v)) for axis, values in sorted(sweep.items()) for v in values]
-    s = np.array([replace(base, **{_SWEEP_AXES[axis]: v}).build().superoperator
+    # a netlist chip sets none of the inline parameters an axis varies, so
+    # each of its points is the baseline chip
+    s = np.array([(base if base.netlist_path is not None
+                   else replace(base, **{_SWEEP_AXES[axis]: v})).build().superoperator
                   for axis, v in points])
     f_tt = _table_fidelities(s, cfg.logical_frame)
-    vecs, inputs_1q, _ = _process_inputs()
-    red = _exact_outputs(s, vecs[:4], "relabeled", trace_polarization=True)
-    chis = tm.process_tomo_stack(inputs_1q, red, 1)
+    chis = _momentum_chis(s, _process_inputs()[0][:4], "relabeled")
     f_chi = tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled"))
     rows = [["axis", "value", "truth_table_fidelity", "process_fidelity_T"]]
     results = []

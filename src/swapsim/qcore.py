@@ -10,7 +10,9 @@ i.e. spatial channel is the most significant subsystem and polarization the
 least significant.  Density matrices are plain (n, d, d) arrays with a
 leading stack axis, and may carry trace < 1: the missing trace is
 unheralded photon loss, and `heralded_normalize_stack` validates a stack
-and recovers it as survival probabilities.  A channel is given by Kraus
+and recovers it as survival probabilities.  Every state is an exact
+propagation result, never one reconstructed from counts, so nothing here
+projects onto the physical set.  A channel is given by Kraus
 operators and carries its row-major superoperator
 (`QuantumChannel.superoperator`, computed once per channel object), the one
 representation the exact paths propagate with.  Channels and the Pauli
@@ -30,7 +32,6 @@ __all__ = [
     "pauli_operators",
     "heralded_normalize_stack",
     "pure_fidelity_stack",
-    "project_to_physical_stack",
     "solve_stack",
     "check_trace_nonincreasing",
     "check_chi_stack",
@@ -49,9 +50,6 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 CP_TOL = 1e-10
-# smallest trace, relative to the largest eigenvalue magnitude, that
-# project_to_physical_stack accepts
-PROJECT_RTOL = 1e-4
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -225,53 +223,6 @@ def pure_fidelity_stack(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """
     f = np.einsum("...a,...ab,...b->...", psis.conj(), _unit_trace(rhos), psis).real
     return np.clip(f, 0.0, 1.0)
-
-
-def project_to_physical_stack(h: np.ndarray) -> np.ndarray:
-    """Project each Hermitian matrix of `h` (shape (n, d, d)) onto the
-    nearest physical density matrix; returns an (n, d, d) array.
-
-    Eigenvalue-redistribution projection (Smolin, Gambetta and Smith, PRL
-    108, 070502, 2012): normalize the spectrum to unit sum, then walk the
-    sorted eigenvalues from the most negative up, zeroing each negative one
-    and spreading the deficit uniformly over all remaining larger
-    eigenvalues.  This is the closed-form maximum-likelihood projection for
-    additive Gaussian noise and equals the Frobenius-nearest trace-1 PSD
-    matrix.  The walk runs over the d eigenvalue positions, vectorised over
-    the stack.
-
-    Raises if any input is not Hermitian within 1e-8 or has a trace not
-    above PROJECT_RTOL of its largest eigenvalue magnitude (including any
-    all-nonpositive spectrum).
-    """
-    m = np.asarray(h, dtype=complex)
-    if np.max(np.abs(m - dagger(m))) > 1e-8:
-        raise ValueError("input is not Hermitian within 1e-8")
-    evals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
-    total = evals.sum(axis=-1)
-    # normalizing divides the rounding error of the eigenvalues (~eps times
-    # the largest magnitude) by the trace; a trace below PROJECT_RTOL of that
-    # magnitude (or not positive) would leave the result's trace off by more
-    # than TRACE_TOL
-    if (total <= PROJECT_RTOL * np.abs(evals).max(axis=-1)).any():
-        raise ValueError("spectrum sum is not positive relative to its largest "
-                         "eigenvalue: nothing to project onto")
-    lam = (evals / total[:, None])[:, ::-1].copy()  # descending
-    vecs = vecs[..., ::-1]
-    d = lam.shape[-1]
-    acc = np.zeros(len(lam))
-    kept = np.full(len(lam), d)  # eigenvalues not (yet) zeroed
-    for i in range(d, 0, -1):
-        cut = (kept == i) & (lam[:, i - 1] + acc / i < 0)
-        if not cut.any():
-            break  # a trial not cut here stops, so no trial walks further
-        acc = np.where(cut, acc + lam[:, i - 1], acc)
-        lam[cut, i - 1] = 0.0
-        kept -= cut
-    if acc.any():  # spread each trial's deficit over its kept eigenvalues
-        lam += np.where(np.arange(d) < kept[:, None], (acc / kept)[:, None], 0.0)
-    out = (vecs * lam[:, None, :]) @ dagger(vecs)
-    return 0.5 * (out + dagger(out))
 
 
 def solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:

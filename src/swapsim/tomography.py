@@ -2,13 +2,13 @@
 
 Measurement settings are named by their Bloch states: H,V,D,A,R,L for the
 polarization qubit and 0,1,+,-,i,-i for the spatial-momentum qubit, paired
-into the z, x, y axes in that order.  A state is reconstructed by linear
-inversion of Stokes parameters followed by the eigenvalue-redistribution
-projection onto physical states (iterative maximum likelihood is
-deliberately out of scope).  A fidelity with a pure target needs no
-state: it is linear in the counts (`linear_fidelity_stack`), so it takes
-no decomposition and its mean is not biased low at low counts, as the
-projected estimate's is.  Every estimator is a stacked kernel
+into the z, x, y axes in that order.  No state is reconstructed from
+counts: the counts estimate a fidelity with a pure target, which is
+linear in them (`linear_fidelity_stack`), so it takes no state, no
+projection and no decomposition, and its mean is not biased low at low
+counts.  An exact state is read off the chip's superoperator, never
+re-estimated, and process tomography solves for chi from such exact
+outputs (`process_tomo_stack`).  Every estimator is a stacked kernel
 (`*_stack`) that takes plain arrays with a leading trial axis, so a Monte
 Carlo run is estimated in one call; one value is a one-row stack.  Fringe
 scans are fitted in closed form: A (1 + V cos(phi + delta)) is rewritten
@@ -23,20 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import (
-    check_chi_stack,
-    dagger,
-    pauli_operators,
-    project_to_physical_stack,
-    solve_stack,
-)
+from .qcore import check_chi_stack, dagger, pauli_operators, solve_stack
 
 __all__ = [
     "POLARIZATION_LABELS",
     "MOMENTUM_LABELS",
     "ideal_truth_table",
     "truth_table_fidelity_stack",
-    "state_tomo_1q_stack",
     "linear_fidelity_stack",
     "column_normalize_stack",
     "process_tomo_stack",
@@ -119,22 +112,6 @@ def _pauli_rows(n: int) -> np.ndarray:
     """`pauli_operators(n)` flattened into the rows of a (4^n, 4^n)
     array, so a coefficient row times it is the flattened operator sum."""
     return pauli_operators(n).reshape(4**n, 4**n)
-
-
-def state_tomo_1q_stack(counts) -> np.ndarray:
-    """Single-qubit tomography of every trial in `counts`, shape (n, 6)
-    with the settings in label order (either flavor); returns the (n, 2, 2)
-    projected estimates.  Stokes components come from antipodal count
-    ratios; the linear estimate is projected to the physical set.
-    """
-    c = np.asarray(counts, dtype=float).reshape(-1, 3, 2)
-    total = c.sum(axis=2)
-    if (total <= 0).any():
-        axes = ",".join("zxy"[k] for k in np.argwhere(total <= 0)[0][1:])
-        raise ValueError(f"zero total counts for axis ({axes})")
-    coef = np.ones((len(c), 4))
-    coef[:, _AXIS_TO_PAULI] = (c @ _SIGNS) / total
-    return project_to_physical_stack(0.5 * (coef @ _pauli_rows(1)).reshape(-1, 2, 2))
 
 
 @functools.cache

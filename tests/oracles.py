@@ -4,9 +4,8 @@ These are the one-state forms of operations that `swapsim` computes on
 stacks: the partial trace and subsystem permutation of a density matrix,
 the biphoton joint state assembled by Kronecker products, and the Uhlmann
 fidelity by matrix square roots, and the linear-inversion estimate of
-state tomography written out term by term (`linear_inversion_stack`, with
-each axis tuple's own total or the pooled one) and its projection
-(`state_tomo_2q_stack`).  No runner uses them.  `density` is the check a
+state tomography with the pooled normaliser written out term by term
+(`linear_inversion_stack`).  No runner uses them.  `density` is the check a
 test puts a one-state result through: it raises unless its argument is a
 density matrix, as `swapsim` checks a stack of them.
 
@@ -25,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from swapsim.qcore import (HERM_TOL, PSD_TOL, TRACE_TOL, QuantumChannel, dagger, ket2,
-                           ket4, pauli_operators, project_to_physical_stack)
+                           ket4, pauli_operators)
 
 
 def density(m) -> np.ndarray:
@@ -195,16 +194,16 @@ def _minimal_kraus(kraus, dim_in: int, dim_out: int) -> list:
 _PAULI_AXIS = {1: 1, 2: 2, 3: 0}
 
 
-def linear_inversion_stack(counts, n: int, pooled: bool = False) -> np.ndarray:
+def linear_inversion_stack(counts, n: int) -> np.ndarray:
     """Unprojected linear-inversion estimates (T, 2^n, 2^n) of the trials
     of `counts` (T, 6^n), the settings in label order (z+, z-, x+, x-, y+,
     y- per qubit, q1 major), one Pauli term at a time.
 
     The expectation of a Pauli string is read from each axis tuple whose
     axes measure its non-identity factors: the sign-weighted sum of the
-    tuple's 2^n counts over the tuple's own total or, with `pooled`, over
-    the trial's total / 3^n; a string with identity factors averages over
-    the axes of those factors.  Raises on a zero normaliser.
+    tuple's 2^n counts over the pooled normaliser, the trial's total /
+    3^n; a string with identity factors averages over the axes of those
+    factors.  Raises on a nonpositive normaliser.
     """
     c_all = np.asarray(counts, dtype=float).reshape(-1, 6**n)
     paulis = pauli_operators(1)
@@ -218,9 +217,9 @@ def linear_inversion_stack(counts, n: int, pooled: bool = False) -> np.ndarray:
                 if any(p and a != _PAULI_AXIS[p] for p, a in zip(string, axes)):
                     continue
                 block = c[sum(((a, slice(None)) for a in axes), ())]
-                total = trial.sum() / 3**n if pooled else block.sum()
+                total = trial.sum() / 3**n
                 if total <= 0:
-                    raise ValueError("zero total counts for an axis tuple")
+                    raise ValueError("a trial's pooled total counts are not positive")
                 signed = sum(block[signs] * np.prod([(1.0, -1.0)[s]
                                                      for s, p in zip(signs, string) if p])
                              for signs in product(range(2), repeat=n))
@@ -229,11 +228,3 @@ def linear_inversion_stack(counts, n: int, pooled: bool = False) -> np.ndarray:
             rho += np.mean(terms) * op
         out.append(rho / 2**n)
     return np.array(out)
-
-
-def state_tomo_2q_stack(counts) -> np.ndarray:
-    """Two-qubit tomography of every trial in `counts`, shape (T, 36) with
-    the settings in label order, q1 major: the linear-inversion estimate
-    with each axis pair's own total, projected to the physical set; (T, 4,
-    4).  Raises on an axis pair with zero total counts."""
-    return project_to_physical_stack(linear_inversion_stack(counts, 2))

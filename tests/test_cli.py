@@ -308,8 +308,8 @@ class TestChipPaths:
         cfg_dir.mkdir()
         (cfg_dir / "swap.pnl").write_text(GOOD_NETLIST)
         doc = json.loads(dump_config(ExperimentConfig.measured_chip(n_trials=1)))
-        for chip in doc["chips"]:
-            chip["netlist_path"] = "swap.pnl"
+        # a netlist chip sets no inline parameter beside its path
+        doc["chips"] = [{"netlist_path": "swap.pnl"} for _ in doc["chips"]]
         (cfg_dir / "cfg.json").write_text(json.dumps(doc))
         monkeypatch.chdir(tmp_path)
         rc = cli.dispatch(["sweep", "--config", "cfg/cfg.json", "--grid", "er=18",
@@ -360,8 +360,7 @@ class TestChipPaths:
             chip_args = ["--netlist", "cfg/swap.pnl"]
         else:
             doc = json.loads(dump_config(ExperimentConfig.measured_chip()))
-            for chip in doc["chips"]:
-                chip["netlist_path"] = "swap.pnl"
+            doc["chips"] = [{"netlist_path": "swap.pnl"} for _ in doc["chips"]]
             (tmp_path / "cfg" / "cfg.json").write_text(json.dumps(doc))
             chip_args = ["--config", "cfg/cfg.json"]
         common = ["truth-table", "--trials", "2", "--seed", "3"]
@@ -395,6 +394,19 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("config error:") and "facet_xtalk" in err
+
+    def test_inline_parameters_beside_a_netlist_path_exit_1_with_one_line(self, tmp_path,
+                                                                        capsys):
+        doc = json.loads(dump_config(ExperimentConfig.measured_chip()))
+        doc["chips"][0]["netlist_path"] = str(REPO / "demos" / "data" / "swap_measured.pnl")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert cli.dispatch(["truth-table", "--config", str(p), "--trials", "1",
+                             "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: chip sets netlist_path") and "facet_loss_db_h" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where, key, value", [
         ("chip", "pcnot_extinction_db", float("nan")),

@@ -65,6 +65,18 @@ class TestNetlistPath:
         with pytest.raises(ConfigError, match="cannot read netlist"):
             ChipConfig(netlist_path=str(tmp_path / "absent.pnl")).build()
 
+    def test_inline_parameters_beside_the_path_are_a_config_error(self):
+        # a netlist chip takes its parameters from its netlist, so an inline
+        # parameter set beside the path would be silently ignored
+        with pytest.raises(ConfigError, match=r"^chip sets netlist_path, so its inline "
+                           r"parameters would be ignored: pcnot_extinction_db, facet_xtalk$"):
+            ChipConfig(netlist_path="swap.pnl", pcnot_extinction_db=35.0, facet_xtalk=0.3)
+        with pytest.raises(ConfigError, match=r": depol_prob$"):
+            load_config(_doc(netlist_path="swap.pnl", depol_prob=0.1))
+        # zero and None are the defaults, which lower to nothing
+        assert ChipConfig(netlist_path="swap.pnl", pcnot_extinction_db=None,
+                          facet_xtalk=0.0) == ChipConfig(netlist_path="swap.pnl")
+
 
     @pytest.mark.parametrize("path", ["demos/data/swap_measured.pnl", "/abs/swap.pnl", None],
                              ids=["relative", "absolute", "inline"])

@@ -166,10 +166,10 @@ class TestPolarizer:
 
 
 class TestMziProjector:
-    def survival(self, setting, state_label, er=math.inf):
+    def survival(self, setting, state_label):
         v = qc.ket2(state_label)
         rho = density(np.outer(v, v.conj()))
-        return np.trace(apply_channel(dv.mzi_projector(setting, er), rho)).real
+        return np.trace(apply_channel(dv.mzi_projector(setting), rho)).real
 
     def test_t_setting_on_t(self):
         assert self.survival("0", "T") == pytest.approx(1.0, abs=1e-12)
@@ -184,9 +184,11 @@ class TestMziProjector:
         for lbl in ("0", "1", "+", "-", "i", "-i"):
             assert self.survival(lbl, lbl) == pytest.approx(1.0, abs=1e-12)
 
-    def test_finite_extinction_leaks(self):
-        p = self.survival("0", "1", er=20.0)
-        assert p == pytest.approx(0.01, abs=1e-12)
+    def test_orthogonal_state_is_blocked(self):
+        for lbl, ortho in (("0", "1"), ("1", "0"), ("+", "-"), ("-", "+"), ("i", "-i"),
+                           ("-i", "i")):
+            assert self.survival(lbl, ortho) == pytest.approx(0.0, abs=1e-12)
+        assert len(dv.mzi_projector("+").kraus) == 1
 
 
 class TestFacet:

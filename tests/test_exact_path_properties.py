@@ -14,8 +14,11 @@ values it replaced, the two-photon stack kernel (`apply_chip_both_stack`,
 each photon through S) against each photon's Kraus operators lifted to the
 16-dim space and applied with `apply_channel`, the stacked process
 tomography against single calls and the Choi matrix of S, and the batched
-error-budget grid against a per-point build and tomography.  Every exact
-fidelity must also be the same in the raw and the relabeled frame.
+error-budget grid against a per-point build and tomography.  `tomo-state`
+must report the per-state chain's output state and its overlap with the
+target, and a sweep row at the baseline must equal `tomo-process`'s
+T-input fidelity.  Every exact fidelity must also be the same in the raw
+and the relabeled frame.
 """
 
 import re
@@ -354,6 +357,38 @@ def test_exact_outputs_equal_per_state_chain(chip, frame, trace_polarization):
                                        rtol=0, atol=TOL / survival)
 
 
+# the 24 inputs of `tomo-state`: each spatial input with each polarization
+STATE_TOMO_INPUTS = [(sp, pol) for sp in ("T", "B", "+", "+i")
+                     for pol in ("H", "V", "D", "A", "R", "L")]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(CHIPS, st.sampled_from(["raw", "relabeled"]))
+def test_state_tomography_reports_the_exact_output_state(chip, frame):
+    # the reported state is the heralded, frame-mapped momentum state of
+    # the per-state chain, and the exact fidelity its overlap with the
+    # frame's target: the input polarization, bit-flipped in the raw frame
+    cfg = ExperimentConfig(n_trials=1, logical_frame=frame)
+    for spatial, pol in STATE_TOMO_INPUTS:
+        vec = np.kron(qc.ket2("i" if spatial == "+i" else spatial), qc.ket2(pol))
+        with mock.patch.object(ExperimentConfig, "chip", lambda self, index=0: chip):
+            try:
+                want, survival = output_state_oracle(chip, vec, frame, True)
+            except ValueError as exc:
+                assert str(exc).startswith("vacuum state")
+                with pytest.raises(ValueError, match="^vacuum state"):
+                    ex.run_state_tomography(cfg, spatial, pol)
+                continue
+            payload = ex.run_state_tomography(cfg, spatial, pol).payload
+        got = np.array(payload["reconstructed_real"]) + 1j * np.array(
+            payload["reconstructed_imag"])
+        # heralding divides the rounding of the chip output by the survival
+        np.testing.assert_allclose(got, want, rtol=0, atol=TOL / survival)
+        psi = qc.ket2(pol) if frame == "relabeled" else qc.PAULI_X @ qc.ket2(pol)
+        assert payload["fidelity_exact"] == pytest.approx(
+            (psi.conj() @ want @ psi).real, rel=0, abs=TOL / survival)
+
+
 def test_exact_outputs_of_a_dark_chip_raise_the_vacuum_error():
     # crossed polarizers on both ports pass no photon
     dark = nl.compile_netlist(nl.parse(
@@ -494,6 +529,20 @@ def test_error_budget_equals_per_point_oracle(base, sweep, frame):
         chi = tm.process_tomo_stack(inputs_1q, np.array(red)[None], 1)[0]
         assert g["process_fidelity_T"] == pytest.approx(tm.process_fidelity_stack(chi, ideal),
                                                         rel=0, abs=TOL)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(BASELINES, st.sampled_from(sorted(SWEEP_VALUES)), st.sampled_from(["raw", "relabeled"]))
+def test_sweep_row_at_the_baseline_equals_process_tomography(base, axis, frame):
+    # one quantity, two runners: the T-input process fidelity of the chip
+    # that `tomo-process` reports and that a sweep tabulates at the
+    # baseline's own value of an axis
+    cfg = ExperimentConfig(chips=(base,), logical_frame=frame)
+    value = getattr(base, ex._SWEEP_AXES[axis])
+    [row] = ex.run_error_budget(cfg, {axis: [value]}).payload["grid"]
+    per_input = ex.run_process_tomography(cfg).payload["per_spatial_input"]
+    assert row["process_fidelity_T"] == pytest.approx(per_input["T"]["process_fidelity"],
+                                                      rel=0, abs=1e-14)
 
 
 def test_unknown_sweep_axis_raises_before_any_chip_is_built(monkeypatch):

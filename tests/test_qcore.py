@@ -3,7 +3,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from oracles import apply_channel, compose_channels, uhlmann_fidelity
 from oracles import density as dm
@@ -205,95 +204,6 @@ class TestUhlmannFidelity:
         rho = dm([[0.5, 0], [0, 0]])
         sigma = dm([[1.0, 0], [0, 0]])
         assert uhlmann_fidelity(rho, sigma) == pytest.approx(1.0, abs=1e-12)
-
-
-def nearest_physical_oracle(h):
-    """Direct numerical likelihood maximization over the 2x2 state simplex."""
-
-    def unpack(x):
-        bloch = x
-        eye = np.eye(2, dtype=complex)
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        return 0.5 * (eye + bloch[0] * sx + bloch[1] * sy + bloch[2] * sz)
-
-    def cost(x):
-        if np.linalg.norm(x) > 1.0:
-            return 1e6 + np.linalg.norm(x)
-        return np.linalg.norm(unpack(x) - h) ** 2
-
-    best = None
-    for start in ([0, 0, 0], [0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5], [0, 0, -0.5]):
-        res = minimize(cost, start, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 20000})
-        if best is None or res.fun < best.fun:
-            best = res
-    return unpack(best.x)
-
-
-def project(h):
-    """`project_to_physical_stack` of one matrix, validated as a density matrix."""
-    h = np.asarray(h, dtype=complex)
-    return dm(qc.project_to_physical_stack(h[None])[0])
-
-
-class TestProjectToPhysical:
-    def test_physical_input_unchanged(self):
-        rho = random_density(np.random.default_rng(7), 4)
-        out = project(rho)
-        np.testing.assert_allclose(out, rho, atol=1e-10)
-
-    def test_single_negative_eigenvalue(self):
-        out = project(np.diag([1.1, -0.1]))
-        np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_matches_direct_minimization_oracle(self):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            rho = random_density(rng, 2)
-            noisy = rho + 0.25 * _random_herm(rng, 2)
-            noisy = noisy / np.trace(noisy).real
-            try:
-                ours = project(noisy)
-            except ValueError:
-                continue
-            oracle = nearest_physical_oracle(noisy)
-            assert np.max(np.abs(ours - oracle)) < 5e-4
-            evals = np.linalg.eigvalsh(ours)
-            assert evals.min() >= -1e-12
-            assert np.trace(ours).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            h = _random_herm(rng, 4) + np.eye(4)
-            once = project(h)
-            twice = project(once)
-            np.testing.assert_allclose(once, twice, atol=1e-12)
-
-    def test_all_nonpositive_spectrum_raises(self):
-        with pytest.raises(ValueError):
-            project(np.diag([-1.0, -0.5]))
-
-    def test_nonhermitian_raises(self):
-        with pytest.raises(ValueError):
-            project(np.array([[1.0, 1.0], [0.0, 0.0]]))
-
-    @pytest.mark.parametrize("pos", [(2, 1), (2, 3)])
-    def test_near_zero_trace_raises(self, pos):
-        # trace 4e-15 against eigenvalues of about +-0.375: normalizing the
-        # spectrum to unit sum amplifies its rounding by ~1e14 (a trace-0.98
-        # "state" came out, or a trace error from the density check)
-        a = np.full((4, 4), 1e-15 + 1e-15j)
-        a[pos] = 0.75 + 1e-15j
-        with pytest.raises(ValueError, match="spectrum sum is not positive"):
-            project(0.5 * (a + a.conj().T))
-
-
-def _random_herm(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
 
 
 def pauli_coefficients(rho, basis):

@@ -5,8 +5,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import density as dm
-from oracles import state_tomo_2q_stack, uhlmann_fidelity
 from swapsim import qcore as qc
 from swapsim import tomography as tm
 
@@ -15,28 +13,6 @@ def projector(label):
     """The rank-1 projector of the named single-qubit setting."""
     v = qc.ket2(label)
     return np.outer(v, v.conj())
-
-
-def probabilities_1q(rho2, labels=tm.MOMENTUM_LABELS):
-    """Setting probabilities of `rho2` in label order, shape (6,)."""
-    return np.array([np.real(qc.ket2(lbl).conj() @ rho2 @ qc.ket2(lbl)) for lbl in labels])
-
-
-def probabilities_2q(rho4):
-    """Setting probabilities of `rho4` in (label_q1, label_q2) label order, shape (36,)."""
-    return np.array([
-        np.trace(np.kron(projector(l1), projector(l2)) @ rho4).real
-        for l1 in tm.POLARIZATION_LABELS for l2 in tm.POLARIZATION_LABELS])
-
-
-def tomo_1q(counts):
-    """`state_tomo_1q_stack` of one trial's label-ordered counts."""
-    return tm.state_tomo_1q_stack(np.asarray(counts)[None])[0]
-
-
-def tomo_2q(counts):
-    """The oracle `state_tomo_2q_stack` of one trial's label-ordered counts."""
-    return state_tomo_2q_stack(np.asarray(counts)[None])[0]
 
 
 def tt_fidelity(table, ideal):
@@ -115,88 +91,6 @@ class TestTruthTableFidelity:
         rel = tm.ideal_truth_table("relabeled")
         assert raw[3, 0] == 1.0 and raw[1, 1] == 1.0 and raw[2, 2] == 1.0 and raw[0, 3] == 1.0
         assert rel[0, 0] == 1.0 and rel[2, 1] == 1.0 and rel[1, 2] == 1.0 and rel[3, 3] == 1.0
-
-
-class TestStateTomo1q:
-    def test_ground_state_exact(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        rec = tomo_1q(probabilities_1q(rho))
-        np.testing.assert_allclose(rec, rho, atol=1e-12)
-
-    def test_plus_i_exact(self):
-        v = qc.ket2("i")
-        rho = np.outer(v, v.conj())
-        rec = tomo_1q(probabilities_1q(rho))
-        np.testing.assert_allclose(rec, rho, atol=1e-12)
-
-    def test_polarization_flavor(self):
-        v = qc.ket2("D")
-        rho = np.outer(v, v.conj())
-        rec = tomo_1q(probabilities_1q(rho, tm.POLARIZATION_LABELS))
-        np.testing.assert_allclose(rec, rho, atol=1e-12)
-
-    def test_zero_count_pair_raises(self):
-        # settings 0 and 1, the z axis, saw nothing
-        with pytest.raises(ValueError, match=r"^zero total counts for axis \(z\)$"):
-            tomo_1q([0, 0, 5, 5, 5, 5])
-
-    def test_poisson_recovery_statistics(self):
-        # 1e5 total counts from a known state: fidelity >= 0.995 in >= 95%
-        # of seeded trials (oracle: repeat sampling against ground truth)
-        rng = np.random.default_rng(123)
-        v = (qc.ket2("0") + 0.6 * qc.ket2("1"))
-        v /= np.linalg.norm(v)
-        rho = np.outer(v, v.conj())
-        target = dm(rho)
-        probs = probabilities_1q(rho)
-        per_setting = 1e5 / 6
-        good = 0
-        trials = 1000
-        for _ in range(trials):
-            rec = tomo_1q(rng.poisson(per_setting * probs))
-            if uhlmann_fidelity(dm(rec), target) >= 0.995:
-                good += 1
-        assert good / trials >= 0.95
-
-    def test_always_physical_for_arbitrary_counts(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            try:
-                rec = tomo_1q(rng.integers(0, 50, size=6))
-            except ValueError:
-                continue  # zero-count axis
-            evals = np.linalg.eigvalsh(rec)
-            assert evals.min() >= -1e-12
-            assert np.trace(rec).real == pytest.approx(1.0, abs=1e-10)
-
-
-class TestStateTomo2q:
-    def test_bell_exact(self):
-        v = (np.kron(qc.ket2("H"), qc.ket2("V")) + np.kron(qc.ket2("V"), qc.ket2("H")))
-        v /= np.linalg.norm(v)
-        rho = np.outer(v, v.conj())
-        rec = tomo_2q(probabilities_2q(rho))
-        assert uhlmann_fidelity(dm(rec), dm(rho)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_maximally_mixed_exact(self):
-        rec = tomo_2q(probabilities_2q(np.eye(4) / 4))
-        np.testing.assert_allclose(rec, np.eye(4) / 4, atol=1e-12)
-
-    def test_incomplete_grid_raises(self):
-        probs = np.delete(probabilities_2q(np.eye(4) / 4), 1)  # (H, V) missing
-        with pytest.raises(ValueError):
-            tomo_2q(probs)
-
-    def test_always_physical_for_arbitrary_counts(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            try:
-                rec = tomo_2q(rng.integers(0, 40, size=36))
-            except ValueError:
-                continue  # a fully dead axis pair
-            evals = np.linalg.eigvalsh(rec)
-            assert evals.min() >= -1e-12
-            assert np.trace(rec).real == pytest.approx(1.0, abs=1e-10)
 
 
 def random_cptp_kraus(rng, dim, n_kraus):
