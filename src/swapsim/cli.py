@@ -9,14 +9,17 @@ parse/compile error (message carries a line:column span), 64 usage error,
 141 stdout closed before the output was written (e.g. `| head -1`; the
 code a shell reports for a process ended by SIGPIPE, without a traceback).
 
-Reports are written as `report.json` plus CSV data tables and the
-`config.json` that reruns them (relative chip netlist paths rewritten
-against the output directory).  The JSON document separates the
-deterministic `payload` (hashed into `payload_sha256`) from run metadata,
-so identical (config, seed) inputs produce byte-identical payload sections.
-The document, in `report.json` or on stdout, is one line of canonical JSON
-(sorted keys, no whitespace), and the bytes of its `"payload":` member are
-the bytes that `payload_sha256` hashes.
+Without --out the report document goes to stdout.  With --out it is
+written to `report.json`, the whole report (it holds every number of the
+run: no data table beside it), next to the `config.json` that reruns it
+(relative chip netlist paths rewritten against the output directory), and
+stdout gets a one-line summary of the payload's scalar fields.  The JSON
+document separates the deterministic `payload` (hashed into
+`payload_sha256`) from run metadata, so identical (config, seed) inputs
+produce byte-identical payload sections.  The document, in `report.json`
+or on stdout, is one line of canonical JSON (sorted keys, no whitespace),
+and the bytes of its `"payload":` member are the bytes that
+`payload_sha256` hashes.
 
 `dispatch` may be called repeatedly in one process.  The process builds the
 argument parser once, parses each netlist text once and lowers each
@@ -161,20 +164,14 @@ def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) ->
     if out_dir is None:
         print(text)
         return
-    import csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text + "\n", encoding="utf-8")
     (out / "config.json").write_text(dump_config(cfg, relative_to=out), encoding="utf-8")
-    for name, rows in report.tables.items():
-        with (out / f"{name}.csv").open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)  # RFC-4180 quoting via the csv module
-            w.writerows(rows)
     summary = {k: v for k, v in report.payload.items()
                if isinstance(v, (int, float, str, bool))}
-    print(json.dumps({"experiment": report.kind, "out": str(out),
-                      "summary": summary}, indent=2, sort_keys=True))
+    print(json.dumps({"experiment": report.kind, "out": str(out), "summary": summary},
+                     sort_keys=True, separators=(",", ":")))
 
 
 def _parse_grid(args_grid) -> dict | None:

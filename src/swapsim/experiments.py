@@ -8,20 +8,25 @@ in one product, validated once (`_exact_outputs`); the sweep does all this
 for the stacked S of its whole grid at once.  The Bell link, the product
 of both chips' and the fiber's S, takes the joint states of all Bell labels
 as one stack through `biphoton.apply_chip_both_stack`, also validated
-once; the HOM pair is its one-state case.  From the per-setting
-detection probabilities each runner draws the Poissonian counts of all
-trials at once (`sample_counts`), runs the matching stacked estimator on
-all trials in one call (the linear pure-target fidelity of `tomo-state`
-and, over all labels together, of `bell`; truth-table fidelity; the
-fringe and HOM fits too, so each fit runs once per run, not once per
-trial) and wraps the results in a `Report`, whose `diagnostics` block
-counts the fits that did not converge and the fidelity means clamped to
-[0, 1].  The exact (infinite-count) value of every estimate is always
-computed alongside the Monte Carlo one, so the noiseless pipeline doubles
-as the oracle for the sampled one.  Only `hom` and `bell` import
-`biphoton`, and each constant table (settings, inputs, ideal processes)
-is built on its first use, so a fresh process pays for what its command
-runs.
+once; the HOM pair is its one-state case.  The five sampling runners
+(truth-table, fringe, hom, bell, tomo-state) share one Monte Carlo
+skeleton (`_monte_carlo`), the only caller of `sample_counts`: from the
+per-setting detection probabilities it draws the Poissonian counts of all
+trials of each run at once, calls the runner's stacked estimator once on
+all of them (the linear pure-target fidelity of `tomo-state` and, over
+all labels together, of `bell`; truth-table fidelity; the fringe and HOM
+fits, so each fit runs once per run, not once per trial), and aggregates
+every named estimate into the same payload fields: `*_mean`, `*_stderr`,
+trial 0's counts as drawn (`first_trial_counts`), `n_trials` and a
+`diagnostics` block, which counts the fits that did not converge and the
+fidelity means clamped to [0, 1].  A runner keeps only its exact physics
+and its exact fields.  The payload is the whole result: no runner builds
+a data table beside it.  The exact (infinite-count) value of every
+estimate is always computed alongside the Monte Carlo one, so the
+noiseless pipeline doubles as the oracle for the sampled one.  Only `hom`
+and `bell` import `biphoton`, and each constant table (settings, inputs,
+ideal processes) is built on its first use, so a fresh process pays for
+what its command runs.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
 and every estimate bit-exactly.  Each run draws from one PCG64 generator
@@ -124,7 +129,6 @@ class Report(NamedTuple):
     payload: dict
     config_hash: str
     seed: int
-    tables: dict  # name -> list of rows (CSV-able)
 
     def canonical_payload(self) -> str:
         """Byte-stable JSON of the deterministic payload (sorted keys, no
@@ -134,36 +138,51 @@ class Report(NamedTuple):
                           allow_nan=False)
 
 
-def _mk_report(kind: str, cfg: ExperimentConfig, payload: dict, tables=None) -> Report:
-    return Report(kind, payload, config_digest(cfg), cfg.rng_seed, tables or {})
+def _mk_report(kind: str, cfg: ExperimentConfig, payload: dict) -> Report:
+    return Report(kind, payload, config_digest(cfg), cfg.rng_seed)
 
 
-def _mean_spread(values) -> tuple:
-    """Monte Carlo mean and per-trial spread of `values`.
+def _monte_carlo(cfg: ExperimentConfig, paths, probs, time_s: float, estimate) -> list:
+    """The Monte Carlo payload fields of each run of `paths`, in order.
 
-    The spread is the sample standard deviation (ddof=1; 0 for one trial):
-    the scatter of one simulated experiment, not the error of the mean,
-    which is smaller by sqrt(n_trials).  Payloads store it under `*_stderr`.
+    Run r draws all its trials' counts from its own path `paths[r]`, with
+    the exact probabilities `probs[r]` and `time_s` per setting.
+    `estimate(counts, bg_counts)` is called once, on the (R, n_trials, ...)
+    counts of all runs and the background counts per setting, and returns
+    per run a pair (trials, fields): named per-trial estimates and plain
+    payload fields.  Each name becomes `<name>_mean` and `<name>_stderr`
+    (a name holding `{}` is the template of both).  The `*_stderr` value
+    is the per-trial spread (ddof=1; 0 for one trial), not the error of
+    the mean, which is smaller by sqrt(n_trials).  A fidelity estimator may
+    leave [0, 1]: the mean of a name starting with "fidelity" is clamped,
+    its spread is not, and `diagnostics.fidelity_means_clamped` counts the
+    clamps.  Every run also gets trial 0's counts as drawn
+    (`first_trial_counts`), `n_trials` and `diagnostics`, the estimator's
+    own merged in.
     """
-    a = np.asarray(values, dtype=float)
-    return float(a.mean()), float(a.std(ddof=1)) if len(a) > 1 else 0.0
-
-
-def _fidelity_mean_spread(values) -> tuple:
-    """`_mean_spread` of per-trial fidelities, whose estimator may leave
-    [0, 1], with the mean clamped to [0, 1] and the spread left that of
-    the unclamped values; returns (mean, spread, 1 if clamped else 0)."""
-    mean, spread = _mean_spread(values)
-    clamped = min(max(mean, 0.0), 1.0)
-    return clamped, spread, int(clamped != mean)
+    counts = np.stack([sample_counts(cfg, path, p, time_s) for path, p in zip(paths, probs)])
+    runs = []
+    for run_counts, (trials, fields) in zip(counts, estimate(
+            counts, cfg.background_rate_hz * time_s)):
+        diagnostics = fields.pop("diagnostics", {})
+        for name, values in trials.items():
+            mean = float(values.mean())
+            spread = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+            if name.startswith("fidelity"):
+                clamped = min(max(mean, 0.0), 1.0)
+                diagnostics["fidelity_means_clamped"] = (
+                    diagnostics.get("fidelity_means_clamped", 0) + int(clamped != mean))
+                mean = clamped
+            key = name if "{}" in name else name + "_{}"
+            fields[key.format("mean")], fields[key.format("stderr")] = mean, spread
+        runs.append({**fields, "first_trial_counts": run_counts[0].tolist(),
+                     "n_trials": cfg.n_trials, "diagnostics": diagnostics})
+    return runs
 
 
 # ---------------------------------------------------------------------------
 # truth table
 # ---------------------------------------------------------------------------
-
-_BASIS_LABELS = ("TH", "TV", "BH", "BV")
-
 
 def _truth_tables(s: np.ndarray) -> np.ndarray:
     """Unnormalized detection probabilities of the chip(s) with
@@ -207,7 +226,7 @@ def _counts_fidelity(counts: np.ndarray, bg_counts: float, frame: str) -> np.nda
 
 
 def run_truth_table(cfg: ExperimentConfig) -> Report:
-    """Measure the chip truth table: 16 settings, Poisson counts, bootstrap.
+    """Measure the chip truth table: 16 settings, Poisson counts per trial.
 
     Time splits equally over the 16 (input, output) settings.  The known
     accidental-background expectation is subtracted from each count before
@@ -215,30 +234,21 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
     """
     chip = cfg.chip(0)
     probs = exact_truth_table(chip)
-    f_exact = truth_table_fidelity_exact(chip, cfg.logical_frame)
 
-    t_setting = cfg.integration_time_s / 16.0
-    bg_counts = cfg.background_rate_hz * t_setting
-    counts = sample_counts(cfg, ("truth-table",), probs, t_setting)
-    f_mean, f_err = _mean_spread(_counts_fidelity(counts, bg_counts, cfg.logical_frame))
-    first_counts = counts[0]
+    def estimate(counts, bg_counts):
+        return [({"fidelity_mc": _counts_fidelity(counts[0], bg_counts, cfg.logical_frame)},
+                 {"total_counts_mean": float(counts[0].sum(axis=(1, 2)).mean())})]
+
+    [mc] = _monte_carlo(cfg, [("truth-table",)], probs[None], cfg.integration_time_s / 16.0,
+                        estimate)
     payload = {
         "frame": cfg.logical_frame,
-        "fidelity_exact": f_exact,
-        "fidelity_mc_mean": f_mean,
-        "fidelity_mc_stderr": f_err,
-        "total_counts_mean": float(counts.sum(axis=(1, 2)).mean()),
+        "fidelity_exact": truth_table_fidelity_exact(chip, cfg.logical_frame),
         "exact_probabilities": probs.tolist(),
-        "first_trial_counts": first_counts.tolist(),
         "column_survival": probs.sum(axis=0).tolist(),
-        "n_trials": cfg.n_trials,
+        **mc,
     }
-    rows = [["input", "output", "probability", "counts_trial0"]]
-    for j in range(4):
-        for i in range(4):
-            rows.append([_BASIS_LABELS[j], _BASIS_LABELS[i],
-                         repr(float(probs[i, j])), int(first_counts[i, j])])
-    return _mk_report("truth-table", cfg, payload, {"truth_table": rows})
+    return _mk_report("truth-table", cfg, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +295,25 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
     exact_v = float((exact.max() - exact.min()) / (exact.max() + exact.min()))
     fit_exact = tm.fringe_fit_stack(phases, exact[None] * 1e6)  # noiseless, scaled
 
-    t_point = cfg.fringe_time_per_point_s
-    bg = cfg.background_rate_hz * t_point
-    counts = sample_counts(cfg, ("fringe",), exact, t_point)
-    fits = tm.fringe_fit_stack(phases, counts, background=bg)
-    raw_mean, raw_err = _mean_spread(fits.visibility_raw)
-    sub_mean, sub_err = _mean_spread(fits.visibility_subtracted)
+    def estimate(counts, bg_counts):
+        fits = tm.fringe_fit_stack(phases, counts[0], background=bg_counts)
+        return [({"visibility_raw": fits.visibility_raw,
+                  "visibility_subtracted": fits.visibility_subtracted},
+                 {"first_trial_visibility_stderr": float(fits.visibility_stderr[0]),
+                  "diagnostics": {"fits_not_converged": int(np.count_nonzero(~fits.converged))}})]
+
+    [mc] = _monte_carlo(cfg, [("fringe",)], exact[None], cfg.fringe_time_per_point_s, estimate)
     payload = {
         "port": cfg.fringe_port,
         "output_polarizer": cfg.fringe_output_polarizer,
         "visibility_exact": exact_v,
         "visibility_exact_fit": float(fit_exact.visibility[0]),
         "phase_offset_exact_fit": float(fit_exact.phase_offset[0]),
-        "visibility_raw_mean": raw_mean,
-        "visibility_raw_stderr": raw_err,
-        "visibility_subtracted_mean": sub_mean,
-        "visibility_subtracted_stderr": sub_err,
-        "first_trial_visibility_stderr": float(fits.visibility_stderr[0]),
         "phases_rad": phases.tolist(),
         "exact_probabilities": exact.tolist(),
-        "first_trial_counts": counts[0].tolist(),
-        "n_trials": cfg.n_trials,
-        "diagnostics": {"fits_not_converged": int(np.count_nonzero(~fits.converged))},
+        **mc,
     }
-    rows = [["phase_rad", "probability", "counts_trial0"]]
-    for k, p in enumerate(phases):
-        rows.append([repr(float(p)), repr(float(exact[k])), int(counts[0, k])])
-    return _mk_report("fringe", cfg, payload, {"fringe_scan": rows})
+    return _mk_report("fringe", cfg, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +375,15 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
     exact_p = bp.hom_dip(overlap, delays, bp.SpectralOverlap(cfg.source.coherence_time_ps,
                                                               cfg.source.dip_shape))
 
-    t_point = cfg.integration_time_s / len(delays)
-    bg = cfg.background_rate_hz * t_point
-    counts = sample_counts(cfg, ("hom",), exact_p, t_point)
-    fits = bp.hom_fit_stack(delays, counts, background=bg)
-    raw_mean, raw_err = _mean_spread(fits.visibility_raw)
-    sub_mean, sub_err = _mean_spread(fits.visibility_subtracted)
-    tc_mean, tc_err = _mean_spread(fits.coherence_time_ps)
+    def estimate(counts, bg_counts):
+        fits = bp.hom_fit_stack(delays, counts[0], background=bg_counts)
+        return [({"visibility_raw": fits.visibility_raw,
+                  "visibility_subtracted": fits.visibility_subtracted,
+                  "coherence_time_fit_{}_ps": fits.coherence_time_ps},
+                 {"diagnostics": {"fits_not_converged": int(np.count_nonzero(~fits.converged))}})]
+
+    [mc] = _monte_carlo(cfg, [("hom",)], exact_p[None], cfg.integration_time_s / len(delays),
+                        estimate)
     bg_rel = cfg.background_rate_hz / cfg.pair_rate_hz
     payload = {
         "input": cfg.hom_input,
@@ -389,22 +393,11 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
         "visibility_raw_exact": (overlap / 2.0) / (0.5 + bg_rel),
         "coherence_time_configured_ps": cfg.source.coherence_time_ps,
         "dip_fwhm_ps": 2.0 * np.sqrt(2.0 * np.log(2.0)) * cfg.source.coherence_time_ps,
-        "visibility_raw_mean": raw_mean,
-        "visibility_raw_stderr": raw_err,
-        "visibility_subtracted_mean": sub_mean,
-        "visibility_subtracted_stderr": sub_err,
-        "coherence_time_fit_mean_ps": tc_mean,
-        "coherence_time_fit_stderr_ps": tc_err,
         "delays_ps": delays.tolist(),
         "exact_probabilities": exact_p.tolist(),
-        "first_trial_counts": counts[0].tolist(),
-        "n_trials": cfg.n_trials,
-        "diagnostics": {"fits_not_converged": int(np.count_nonzero(~fits.converged))},
+        **mc,
     }
-    rows = [["delay_ps", "probability", "counts_trial0"]]
-    for k, d in enumerate(delays):
-        rows.append([repr(float(d)), repr(float(exact_p[k])), int(counts[0, k])])
-    return _mk_report("hom", cfg, payload, {"hom_scan": rows})
+    return _mk_report("hom", cfg, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +452,15 @@ def _tomo_2q_probabilities(rho_pols: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("sab,lba->ls", _tomo_2q_projectors(), rho_pols).real, 0.0)
 
 
-_BELL_TABLE_BASIS = ("HH", "HV", "VH", "VV")
-
-
 def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) -> list:
-    """(payload, density-matrix table) of each Bell state of `labels`.
+    """The payload of each Bell state of `labels`.
 
     All labels go through the link as one stack.  Each label's counts are
-    drawn from its own run path ("bell", label).  The exact fidelity is
-    <psi|rho|psi> of the exact state (`pure_fidelity_stack`); the Monte
-    Carlo one is that of the linear estimate of each trial's background-
-    subtracted, unclipped counts, for all labels in one
-    `tm.linear_fidelity_stack` call.
+    drawn from its own run path ("bell", label), in `_TOMO_2Q_PAIRS`
+    order.  The exact fidelity is <psi|rho|psi> of the exact state
+    (`pure_fidelity_stack`); the Monte Carlo one is that of the linear
+    estimate of each trial's background-subtracted, unclipped counts, for
+    all labels in one `tm.linear_fidelity_stack` call.
     """
     from .biphoton import bell_state_vector
 
@@ -478,43 +468,30 @@ def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) 
     targets = np.array([bell_state_vector(label) for label in labels])
     f_exact = pure_fidelity_stack(rho_pol, targets)
 
-    t_setting = cfg.integration_time_s / 36.0
-    bg_counts = cfg.background_rate_hz * t_setting
+    def estimate(counts, bg_counts):
+        f_mc = tm.linear_fidelity_stack(counts[..., _TOMO_2Q_GRID_COLUMNS] - bg_counts, targets)
+        return [({"fidelity_mc": f}, {}) for f in f_mc]
+
     probs = _tomo_2q_probabilities(rho_pol) * success_p[:, None]
-    counts = np.stack([sample_counts(cfg, ("bell", label.value), p, t_setting)
-                       for label, p in zip(labels, probs)])
-    f_mc = tm.linear_fidelity_stack(counts[..., _TOMO_2Q_GRID_COLUMNS] - bg_counts, targets)
-    runs = []
-    for i, label in enumerate(labels):
-        f_mean, f_err, clamped = _fidelity_mean_spread(f_mc[i])
-        payload = {
-            "bell_label": label.value,
-            "source_visibility": cfg.source.bell_visibility,
-            "fidelity_exact": float(f_exact[i]),
-            "fidelity_mc_mean": f_mean,
-            "fidelity_mc_stderr": f_err,
-            "coincidence_probability": float(success_p[i]),
-            "second_chip_truth_table_fidelity": chip2_f,
-            "density_matrix_real": rho_pol[i].real.tolist(),
-            "density_matrix_imag": rho_pol[i].imag.tolist(),
-            "n_trials": cfg.n_trials,
-            "diagnostics": {"fidelity_means_clamped": clamped},
-        }
-        rows = [["row", "col", "real", "imag"]]
-        for r in range(4):
-            for c in range(4):
-                rows.append([_BELL_TABLE_BASIS[r], _BELL_TABLE_BASIS[c],
-                             repr(float(rho_pol[i, r, c].real)),
-                             repr(float(rho_pol[i, r, c].imag))])
-        runs.append((payload, rows))
-    return runs
+    mc_runs = _monte_carlo(cfg, [("bell", label.value) for label in labels], probs,
+                           cfg.integration_time_s / 36.0, estimate)
+    return [{"bell_label": label.value,
+             "source_visibility": cfg.source.bell_visibility,
+             "fidelity_exact": float(f),
+             "coincidence_probability": float(p),
+             "second_chip_truth_table_fidelity": chip2_f,
+             "density_matrix_real": rho.real.tolist(),
+             "density_matrix_imag": rho.imag.tolist(),
+             **mc}
+            for label, f, p, rho, mc in zip(labels, f_exact, success_p, rho_pol, mc_runs)]
 
 
 def run_bell_distribution(cfg: ExperimentConfig, label: BellLabel | None = None) -> Report:
     """Chip-to-chip Bell distribution with two-qubit polarization tomography.
 
     One label gives that state's full report; `None` runs all four and
-    reports the per-label fidelities and their average.  Chips 0 and 1 are
+    reports each label's fidelities and density matrix by label, and the
+    exact fidelities' average.  Chips 0 and 1 are
     built, and multiplied with the fiber link, once per call, and the labels
     run as one stack (`_bell_runs`).
     """
@@ -524,24 +501,21 @@ def run_bell_distribution(cfg: ExperimentConfig, label: BellLabel | None = None)
     link = _bell_link(cfg, cfg.chip(0), chip2)
     chip2_f = truth_table_fidelity_exact(chip2, cfg.logical_frame)
     if label is not None:
-        [(payload, rows)] = _bell_runs(cfg, [label], link, chip2_f)
-        return _mk_report("bell", cfg, payload, {"density_matrix": rows})
-    labels = list(BellLabel)
-    runs = _bell_runs(cfg, labels, link, chip2_f)
+        [payload] = _bell_runs(cfg, [label], link, chip2_f)
+        return _mk_report("bell", cfg, payload)
+    runs = _bell_runs(cfg, list(BellLabel), link, chip2_f)
     payload = {
-        "bell_labels": [l.value for l in labels],
-        "fidelity_exact_by_label": {
-            l.value: p["fidelity_exact"] for l, (p, _) in zip(labels, runs)},
-        "fidelity_exact_avg": float(np.mean([p["fidelity_exact"] for p, _ in runs])),
-        "fidelity_mc_mean_by_label": {
-            l.value: p["fidelity_mc_mean"] for l, (p, _) in zip(labels, runs)},
+        "bell_labels": [run["bell_label"] for run in runs],
+        **{f"{key}_by_label": {run["bell_label"]: run[key] for run in runs}
+           for key in ("fidelity_exact", "fidelity_mc_mean", "fidelity_mc_stderr",
+                       "density_matrix_real", "density_matrix_imag")},
+        "fidelity_exact_avg": float(np.mean([run["fidelity_exact"] for run in runs])),
         "second_chip_truth_table_fidelity": chip2_f,
+        "n_trials": cfg.n_trials,
         "diagnostics": {"fidelity_means_clamped": sum(
-            p["diagnostics"]["fidelity_means_clamped"] for p, _ in runs)},
+            run["diagnostics"]["fidelity_means_clamped"] for run in runs)},
     }
-    tables = {f"density_matrix_{l.value.replace('+', 'p').replace('-', 'm')}": rows
-              for l, (_, rows) in zip(labels, runs)}
-    return _mk_report("bell", cfg, payload, tables)
+    return _mk_report("bell", cfg, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -609,33 +583,26 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
                          trace_polarization=True)
     rho_exact = red[0]
     setting_p = _mzi_probabilities(red)
-    probs = dict(zip(tm.MOMENTUM_LABELS, setting_p[0]))
     target = pol if cfg.logical_frame == "relabeled" else PAULI_X @ pol
-    f_exact = float(pure_fidelity_stack(rho_exact, target))
 
-    t_setting = cfg.integration_time_s / 6.0
-    bg_counts = cfg.background_rate_hz * t_setting
-    labels = tm.MOMENTUM_LABELS
-    counts = sample_counts(cfg, ("tomo-state", spatial_input, pol_label),
-                           setting_p[0], t_setting)
-    f_mc = tm.linear_fidelity_stack(counts[None] - bg_counts, target[None])[0]
-    f_mean, f_err, clamped = _fidelity_mean_spread(f_mc)
+    def estimate(counts, bg_counts):
+        return [({"fidelity_mc": tm.linear_fidelity_stack(counts - bg_counts, target[None])[0]},
+                 {})]
+
+    [mc] = _monte_carlo(cfg, [("tomo-state", spatial_input, pol_label)], setting_p,
+                        cfg.integration_time_s / 6.0, estimate)
     payload = {
         "spatial_input": spatial_input,
         "polarization_input": pol_label,
         "frame": cfg.logical_frame,
-        "fidelity_exact": f_exact,
-        "fidelity_mc_mean": f_mean,
-        "fidelity_mc_stderr": f_err,
-        "setting_probabilities": {k: float(v) for k, v in sorted(probs.items())},
+        "fidelity_exact": float(pure_fidelity_stack(rho_exact, target)),
+        "setting_probabilities": {k: float(v) for k, v in
+                                  sorted(zip(tm.MOMENTUM_LABELS, setting_p[0]))},
         "reconstructed_real": rho_exact.real.tolist(),
         "reconstructed_imag": rho_exact.imag.tolist(),
-        "n_trials": cfg.n_trials,
-        "diagnostics": {"fidelity_means_clamped": clamped},
+        **mc,
     }
-    rows = [tm.CSV_HEADER] + [
-        [lbl, "", int(c), repr(t_setting), cfg.rng_seed] for lbl, c in zip(labels, counts[0])]
-    return _mk_report("tomo-state", cfg, payload, {"count_records": rows})
+    return _mk_report("tomo-state", cfg, payload)
 
 
 _PROCESS_INPUT_POLS = (("H", "H"), ("V", "V"), ("+", "D"), ("+i", "R"))
@@ -706,10 +673,7 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
         "process_fidelity_avg": f_avg,
         "process_purity_avg": p_avg,
     }
-    rows = [["spatial_input", "process_fidelity", "process_purity"]]
-    for k, v in per_input.items():
-        rows.append([k, repr(v["process_fidelity"]), repr(v["process_purity"])])
-    return _mk_report("tomo-process", cfg, payload, {"process_summary": rows})
+    return _mk_report("tomo-process", cfg, payload)
 
 
 def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
@@ -793,12 +757,9 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     f_tt = _table_fidelities(s, cfg.logical_frame)
     chis = _momentum_chis(s, _process_inputs()[0][:4], "relabeled")
     f_chi = tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled"))
-    rows = [["axis", "value", "truth_table_fidelity", "process_fidelity_T"]]
-    results = []
-    for (axis, v), tt, chi in zip(points, f_tt, f_chi):
-        results.append({"axis": axis, "value": v, "truth_table_fidelity": float(tt),
-                        "process_fidelity_T": float(chi)})
-        rows.append([axis, repr(v), repr(float(tt)), repr(float(chi))])
+    results = [{"axis": axis, "value": v, "truth_table_fidelity": float(tt),
+                "process_fidelity_T": float(chi)}
+               for (axis, v), tt, chi in zip(points, f_tt, f_chi)]
     baseline = nl.format_netlist(nl.NetlistAst((base.to_netlist(),)))
     payload = {"frame": cfg.logical_frame, "baseline": baseline, "grid": results}
-    return _mk_report("sweep", cfg, payload, {"sweep": rows})
+    return _mk_report("sweep", cfg, payload)

@@ -43,11 +43,6 @@ __all__ = [
 POLARIZATION_LABELS = ("H", "V", "D", "A", "R", "L")
 MOMENTUM_LABELS = ("0", "1", "+", "-", "i", "-i")
 
-# the header of a count-record CSV, such as the `count_records.csv` of a
-# `tomo-state` report
-CSV_HEADER = ["setting_label_q1", "setting_label_q2", "counts",
-              "integration_time_s", "seed"]
-
 
 # ---------------------------------------------------------------------------
 # truth tables

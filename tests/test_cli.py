@@ -90,7 +90,6 @@ class TestDispatch:
         doc = json.loads((out / "report.json").read_text())
         assert doc["experiment"] == "truth-table"
         assert 0.9 < doc["payload"]["fidelity_exact"] < 1.0
-        assert (out / "truth_table.csv").exists()
         assert (out / "config.json").exists()
 
     def test_byte_identical_payload_on_rerun(self, tmp_path, config_file):
@@ -103,12 +102,26 @@ class TestDispatch:
             doc = json.loads((out / "report.json").read_text())
             payloads.append((json.dumps(doc["payload"], sort_keys=True),
                              doc["payload_sha256"]))
-            tables = sorted(p.name for p in out.glob("*.csv"))
-            assert tables == ["truth_table.csv"]
         assert payloads[0] == payloads[1]
-        csv_a = (tmp_path / "a" / "truth_table.csv").read_bytes()
-        csv_b = (tmp_path / "b" / "truth_table.csv").read_bytes()
-        assert csv_a == csv_b
+
+    @pytest.mark.parametrize("cmd", [
+        ["truth-table"], ["fringe"], ["hom"], ["bell"], ["bell", "--label", "psi-"],
+        ["tomo-state"], ["tomo-process"], ["tomo-process", "--two-qubit"], ["sweep"]],
+        ids=lambda cmd: " ".join(cmd))
+    def test_out_writes_the_report_and_its_config(self, cmd, tmp_path, config_file, capsys):
+        # report.json is the whole report, beside the config that reruns it;
+        # stdout gets one line of compact JSON summarizing the payload's scalars
+        out = tmp_path / "out"
+        assert cli.dispatch([*cmd, "--config", str(config_file), "--trials", "1",
+                             "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "report.json"]
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1 and text.endswith("\n")
+        summary = json.loads(text)
+        assert text == json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
+        doc = json.loads((out / "report.json").read_text())
+        assert summary == {"experiment": doc["experiment"], "out": str(out), "summary": {
+            k: v for k, v in doc["payload"].items() if not isinstance(v, (dict, list))}}
 
     def test_netlist_flag_overrides_chips(self, tmp_path, netlist_file, config_file):
         out = tmp_path / "out"
@@ -144,18 +157,16 @@ class TestDispatch:
         rc = cli.dispatch(["sweep", "--config", str(config_file),
                            "--grid", "er=18,25,35", "--out", str(out)])
         assert rc == 0
-        rows = (out / "sweep.csv").read_text().strip().splitlines()
-        assert rows[0].startswith("axis,value")
-        assert len(rows) == 4  # header + 3 grid points
+        grid = json.loads((out / "report.json").read_text())["payload"]["grid"]
+        assert [(g["axis"], g["value"]) for g in grid] == [
+            ("pcnot_extinction_db", v) for v in (18.0, 25.0, 35.0)]
         # values must match the error-budget oracle run directly
         from swapsim import experiments as ex
         from swapsim.config import load_config
 
         cfg = load_config(str(config_file))
         oracle = ex.run_error_budget(cfg, {"pcnot_extinction_db": [18.0, 25.0, 35.0]})
-        want = [repr(g["truth_table_fidelity"]) for g in oracle.payload["grid"]]
-        got = [r.split(",")[2] for r in rows[1:]]
-        assert got == want
+        assert grid == oracle.payload["grid"]
 
     def test_bell_all_labels(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -168,15 +179,14 @@ class TestDispatch:
         assert 0.85 < doc["payload"]["fidelity_exact_avg"] < 1.0
 
     def test_tomo_state_emits_count_records(self, tmp_path, config_file):
+        # trial 0's counts of the six MZI settings, in MOMENTUM_LABELS order
         out = tmp_path / "out"
         rc = cli.dispatch(["tomo-state", "--config", str(config_file),
                            "--out", str(out), "--trials", "2"])
         assert rc == 0
-        from swapsim.tomography import CSV_HEADER
-
-        header, *records = (out / "count_records.csv").read_text().splitlines()
-        assert header.split(",") == CSV_HEADER
-        assert len(records) == 6
+        counts = json.loads((out / "report.json").read_text())["payload"]["first_trial_counts"]
+        assert len(counts) == 6
+        assert all(isinstance(c, int) and c >= 0 for c in counts)
 
     def test_tomo_state_runs_on_the_ideal_chip(self, tmp_path, capsys):
         # an exactly-zero setting probability must not reach the sampler
@@ -230,10 +240,9 @@ class TestRepeatedDispatch:
         if not (out / "report.json").exists():
             return rc, captured.out, captured.err
         doc = json.loads((out / "report.json").read_text())
-        tables = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
         for p in out.iterdir():
             p.unlink()
-        return rc, doc["payload"], doc["payload_sha256"], tables
+        return rc, doc["payload"], doc["payload_sha256"]
 
     def test_warm_calls_equal_cold_calls(self, tmp_path, config_file, netlist_file, capsys):
         out = tmp_path / "out"

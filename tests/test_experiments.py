@@ -310,7 +310,28 @@ class TestErrorBudget:
         assert len(built) == 16
         for run in (second, cold):
             assert run.canonical_payload() == first.canonical_payload()
-            assert run.tables == first.tables
+
+
+class TestMonteCarloSkeleton:
+    @pytest.mark.parametrize("run", [
+        ex.run_truth_table, ex.run_fringe_scan, ex.run_hom_scan,
+        functools.partial(ex.run_bell_distribution, label=BellLabel.PSI_MINUS),
+        ex.run_state_tomography,
+    ], ids=["truth-table", "fringe", "hom", "bell-psi-", "tomo-state"])
+    def test_every_sampling_run_reports_the_same_fields(self, calibrated, monkeypatch, run):
+        # one draw per run, whose trial 0 the payload carries as drawn, with
+        # the trial count and a diagnostics block of counts
+        drawn = []
+        sample_counts = ex.sample_counts
+        monkeypatch.setattr(ex, "sample_counts",
+                            lambda *a: drawn.append(sample_counts(*a)) or drawn[-1])
+        payload = run(calibrated).payload
+        assert len(drawn) == 1
+        assert payload["first_trial_counts"] == drawn[0][0].tolist()
+        assert payload["n_trials"] == calibrated.n_trials
+        diagnostics = payload["diagnostics"]
+        assert isinstance(diagnostics, dict) and diagnostics
+        assert all(type(v) is int and v >= 0 for v in diagnostics.values())
 
 
 class TestConvergence:
@@ -424,8 +445,8 @@ class TestBellAllLabels:
         for lbl, r in singles.items():
             assert agg.payload["fidelity_exact_by_label"][lbl] == r.payload["fidelity_exact"]
             assert agg.payload["fidelity_mc_mean_by_label"][lbl] == r.payload["fidelity_mc_mean"]
-            tag = lbl.replace("+", "p").replace("-", "m")
-            assert agg.tables[f"density_matrix_{tag}"] == r.tables["density_matrix"]
+            for key in ("fidelity_mc_stderr", "density_matrix_real", "density_matrix_imag"):
+                assert agg.payload[f"{key}_by_label"][lbl] == r.payload[key]
         assert agg.payload["second_chip_truth_table_fidelity"] == \
             singles["psi+"].payload["second_chip_truth_table_fidelity"]
         assert agg.config_hash == singles["psi+"].config_hash
@@ -534,8 +555,7 @@ class TestStackedEstimators:
         assert tt.payload["first_trial_counts"] == [
             [44, 112, 162, 5577], [110, 6234, 4, 133], [160, 2, 7863, 97], [5579, 142, 94, 37]]
         ts = ex.run_state_tomography(cfg)
-        assert [row[2] for row in ts.tables["count_records"][1:]] == [
-            33419, 52019, 84009, 1374, 42354, 42950]
+        assert ts.payload["first_trial_counts"] == [33419, 52019, 84009, 1374, 42354, 42950]
 
     def test_fits_run_once_per_run(self, cfg, monkeypatch):
         # one stacked fit of all trials per run (the fringe adds one fit of

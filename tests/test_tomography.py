@@ -1,5 +1,3 @@
-import csv
-import io
 from itertools import product
 
 import numpy as np
@@ -31,26 +29,6 @@ class TestMeasurementSetting:
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="unknown state label 'Q'"):
             projector("Q")
-
-
-class TestCountRecordCsv:
-    def test_roundtrip(self, tmp_path):
-        # the count records a tomo-state report writes, read back
-        from swapsim import cli
-        from swapsim import experiments as ex
-        from swapsim.config import ExperimentConfig
-
-        cfg = ExperimentConfig.measured_chip(n_trials=2, rng_seed=7)
-        report = ex.run_state_tomography(cfg)
-        cli._write_report(report, cfg, str(tmp_path))
-        text = (tmp_path / "count_records.csv").read_text()
-        header, *back = csv.reader(io.StringIO(text))
-        rows = report.tables["count_records"]
-        assert header == rows[0] == tm.CSV_HEADER
-        assert [[r[0], r[1], int(r[2]), float(r[3]), int(r[4])] for r in back] == \
-            [[r[0], r[1], r[2], float(r[3]), r[4]] for r in rows[1:]]
-        assert [r[0] for r in back] == list(tm.MOMENTUM_LABELS)
-        assert float(back[0][3]) == cfg.integration_time_s / 6.0
 
 
 class TestTruthTableFidelity:
