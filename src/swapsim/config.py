@@ -122,10 +122,9 @@ class ChipConfig:
 
     def __post_init__(self):
         _check_numbers(self)
-        for name, (_, in_range, bounds) in _CHIP_UNITS.items():
-            v = getattr(self, name)
-            if v is not None and not in_range(v):
-                raise ConfigError(f"{name} must be {bounds}, got {v!r}")
+        for name in _CHIP_PARAMS:
+            if (v := getattr(self, name)) is not None:
+                check_chip_param(name, v)
         beside = [name for name in _CHIP_PARAMS if getattr(self, name)]
         if self.netlist_path is not None and beside:
             raise ConfigError(f"chip sets netlist_path, so its inline parameters would be "
@@ -147,9 +146,8 @@ class ChipConfig:
             return nl.select_chip(nl.parse(text), self.netlist_chip)
 
         def stmt(kind, name, ports):
-            kept = tuple(nl.Param(param, float(v), unit, _NO_SPAN)
-                         for name, param, unit in _KIND_PARAMS[kind] if (v := getattr(self, name)))
-            return nl.Statement(kind, name, ports, kept, _NO_SPAN)
+            params = _lowered_params(kind, lambda name, _: getattr(self, name))
+            return nl.Statement(kind, name, ports, params, _NO_SPAN)
 
         both = ("T", "B")
         return nl.ChipDecl("swap", both, (
@@ -158,6 +156,41 @@ class ChipConfig:
 
     def build(self) -> ChipModel:
         return nl.compile_chip(self.to_netlist())
+
+
+def check_chip_param(name: str, value: float) -> None:
+    """ConfigError unless `value` is a finite number in the range of inline
+    chip parameter `name` (the range of the netlist parameter it lowers to)."""
+    _, in_range, bounds = _CHIP_UNITS[name]
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not in_range(value):
+        raise ConfigError(f"{name} must be {bounds}, got {value!r}")
+
+
+def _lowered_params(kind: str, value) -> tuple:
+    """The netlist parameters of a `kind` statement lowered from inline chip
+    parameters, `value(field, netlist parameter)` giving each one's value:
+    in `_KIND_PARAMS` order, zero and None values omitted."""
+    return tuple(nl.Param(param, float(v), unit, _NO_SPAN)
+                 for name, param, unit in _KIND_PARAMS[kind] if (v := value(name, param)))
+
+
+def edit_chip_param(chip: nl.ChipDecl, name: str, value: float) -> nl.ChipDecl:
+    """`chip`, lowered by `ChipConfig.to_netlist`, with inline parameter
+    `name` set to `value` on every statement it lowers to: equal to lowering
+    the config with that field replaced, so it compiles to the same cached
+    `ChipModel`.  `value` is not checked (`check_chip_param`)."""
+    kinds, param = _CHIP_PARAMS[name]
+
+    def edit(st):
+        if st.kind not in kinds:
+            return st
+        have = {p.name: p.value for p in st.params}
+        return st._replace(params=_lowered_params(
+            st.kind, lambda field, p: value if field == name else have.get(p)))
+
+    return chip._replace(statements=tuple(map(edit, chip.statements)))
 
 
 @dataclass(frozen=True)

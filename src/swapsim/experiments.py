@@ -17,16 +17,17 @@ all of them (the linear pure-target fidelity of `tomo-state` and, over
 all labels together, of `bell`; truth-table fidelity; the fringe and HOM
 fits, so each fit runs once per run, not once per trial), and aggregates
 every named estimate into the same payload fields: `*_mean`, `*_stderr`,
-trial 0's counts as drawn (`first_trial_counts`), `n_trials` and a
-`diagnostics` block, which counts the fits that did not converge and the
-fidelity means clamped to [0, 1].  A runner keeps only its exact physics
-and its exact fields.  The payload is the whole result: no runner builds
-a data table beside it.  The exact (infinite-count) value of every
-estimate is always computed alongside the Monte Carlo one, so the
-noiseless pipeline doubles as the oracle for the sampled one.  Only `hom`
-and `bell` import `biphoton`, and each constant table (settings, inputs,
-ideal processes) is built on its first use, so a fresh process pays for
-what its command runs.
+trial 0's counts as drawn (`first_trial_counts`; `tomo-state` and a
+single `bell` label name their settings in `first_trial_settings`),
+`n_trials` and a `diagnostics` block, which counts the fits that did not
+converge and the fidelity means clamped to [0, 1].  A runner keeps only
+its exact physics and its exact fields.  The payload is the whole result:
+no runner builds a data table beside it.  The exact (infinite-count)
+value of every estimate is always computed alongside the Monte Carlo one,
+so the noiseless pipeline doubles as the oracle for the sampled one.  Only
+`hom` and `bell` import `biphoton`, and each constant table (settings,
+inputs, ideal processes) is built on its first use, so a fresh process
+pays for what its command runs.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
 and every estimate bit-exactly.  Each run draws from one PCG64 generator
@@ -41,7 +42,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import replace
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -49,14 +49,19 @@ import numpy as np
 
 from . import netlist as nl
 from . import tomography as tm
-from .config import ConfigError, ExperimentConfig, config_digest
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    check_chip_param,
+    config_digest,
+    edit_chip_param,
+)
 from .devices import (
     BS_5050,
     ChipModel,
     ideal_swap_unitary,
     logical_frame_stack,
     mzi_projector,
-    phase_v,
     swap_unitary,
 )
 from .qcore import (
@@ -261,7 +266,8 @@ def _fringe_probabilities(chip: ChipModel, phases: np.ndarray, port: str,
     at each phase, for the input rho(phi) of v(phi) = |port> (x)
     phase_v(phi)|D>: the chip's superoperator S, then the detector operator
     M = D^dag D of the 50:50 combiner and the monitored output D."""
-    v = np.array([np.kron(ket2(port), phase_v(p) @ ket2("D")) for p in phases])
+    pol = ket2("D") * np.stack([np.ones(len(phases)), np.exp(1j * phases)], axis=1)
+    v = (ket2(port)[None, :, None] * pol[:, None, :]).reshape(-1, 4)
     if use_polarizer:
         # analyzer aligned with the ideal output polarization: the swapped
         # qubit leaves in V for T-port input and in H for B-port input
@@ -457,10 +463,11 @@ def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) 
 
     All labels go through the link as one stack.  Each label's counts are
     drawn from its own run path ("bell", label), in `_TOMO_2Q_PAIRS`
-    order.  The exact fidelity is <psi|rho|psi> of the exact state
-    (`pure_fidelity_stack`); the Monte Carlo one is that of the linear
-    estimate of each trial's background-subtracted, unclipped counts, for
-    all labels in one `tm.linear_fidelity_stack` call.
+    order, which `first_trial_settings` names ("q1,q2").  The exact
+    fidelity is <psi|rho|psi> of the exact state (`pure_fidelity_stack`);
+    the Monte Carlo one is that of the linear estimate of each trial's
+    background-subtracted, unclipped counts, for all labels in one
+    `tm.linear_fidelity_stack` call.
     """
     from .biphoton import bell_state_vector
 
@@ -480,6 +487,7 @@ def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) 
              "fidelity_exact": float(f),
              "coincidence_probability": float(p),
              "second_chip_truth_table_fidelity": chip2_f,
+             "first_trial_settings": [f"{q1},{q2}" for q1, q2 in _TOMO_2Q_PAIRS],
              "density_matrix_real": rho.real.tolist(),
              "density_matrix_imag": rho.imag.tolist(),
              **mc}
@@ -569,7 +577,8 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
 
     The reported state and the exact fidelity are those of the heralded
     momentum state itself (`_exact_outputs`); the counts of the six MZI
-    settings are drawn from its detection probabilities.  In the relabeled
+    settings are drawn from its detection probabilities, in
+    `tm.MOMENTUM_LABELS` order (`first_trial_settings`).  In the relabeled
     frame the fidelity target is the input polarization state itself; in
     the raw frame it is that state with the bit flipped (the ideal chip
     maps pol value p to momentum value NOT p).  The two frames give
@@ -600,6 +609,7 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
                                   sorted(zip(tm.MOMENTUM_LABELS, setting_p[0]))},
         "reconstructed_real": rho_exact.real.tolist(),
         "reconstructed_imag": rho_exact.imag.tolist(),
+        "first_trial_settings": list(tm.MOMENTUM_LABELS),
         **mc,
     }
     return _mk_report("tomo-state", cfg, payload)
@@ -723,18 +733,22 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     """Noiseless sensitivity table over imperfection-parameter grids.
 
     `sweep` maps each axis (a `_SWEEP_AXES` name or a `_SWEEP_ALIASES`
-    short name) to its values; None runs the default grid.  For each axis
-    the chip is rebuilt from the baseline configuration with only that
-    parameter changed (a netlist baseline has no such parameter, so every
-    point is the baseline chip); truth-table fidelity (configured frame)
-    and the process fidelity of the T-input momentum qubit with the
-    identity (relabeled frame) are tabulated.  Every axis is checked before
-    any chip is built (ConfigError on an empty grid, an unknown axis or an
-    axis without values); then the G chips' superoperators are stacked,
-    and all truth tables, T-input outputs (validated once) and chi matrices
-    (one `process_tomo_stack` solve, `_momentum_chis`) are read off that
-    stack.  The payload's `baseline` is the baseline chip's canonical
-    netlist text.
+    short name) to its values; None runs the default grid.  Every axis and
+    every value is checked before any chip is read or compiled
+    (ConfigError on an empty grid, an unknown axis, an axis without values
+    or a value outside its parameter's range, `check_chip_param`).  The
+    baseline chip is lowered to a netlist once; each point of a config
+    baseline is an edit of that one declaration with only the axis's
+    parameter changed (`edit_chip_param`, equal to lowering the config with
+    that field replaced).  A netlist baseline is not edited yet: it sets
+    none of the inline parameters an axis varies, so each of its points is
+    the baseline chip, compiled once, and its rows are flat.  Truth-table
+    fidelity (configured frame) and the process fidelity of the T-input
+    momentum qubit with the identity (relabeled frame) are tabulated: the
+    G chips' superoperators are stacked, and all truth tables, T-input
+    outputs (validated once) and chi matrices (one `process_tomo_stack`
+    solve, `_momentum_chis`) are read off that stack.  The payload's
+    `baseline` is the baseline chip's canonical netlist text.
     """
     if sweep is None:
         sweep = _DEFAULT_SWEEP
@@ -747,19 +761,22 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
                               f"and the short names {sorted(_SWEEP_ALIASES)}")
         if len(sweep[axis]) == 0:
             raise ConfigError(f"sweep axis {axis!r} has no values")
-    base = cfg.chips[0]
     points = [(axis, float(v)) for axis, values in sorted(sweep.items()) for v in values]
-    # a netlist chip sets none of the inline parameters an axis varies, so
-    # each of its points is the baseline chip
-    s = np.array([(base if base.netlist_path is not None
-                   else replace(base, **{_SWEEP_AXES[axis]: v})).build().superoperator
-                  for axis, v in points])
+    for axis, v in points:
+        check_chip_param(_SWEEP_AXES[axis], v)
+    base = cfg.chips[0]
+    decl = base.to_netlist()
+    if base.netlist_path is not None:
+        s = np.repeat(nl.compile_chip(decl).superoperator[None], len(points), axis=0)
+    else:
+        s = np.array([nl.compile_chip(edit_chip_param(decl, _SWEEP_AXES[axis], v)).superoperator
+                      for axis, v in points])
     f_tt = _table_fidelities(s, cfg.logical_frame)
     chis = _momentum_chis(s, _process_inputs()[0][:4], "relabeled")
     f_chi = tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled"))
     results = [{"axis": axis, "value": v, "truth_table_fidelity": float(tt),
                 "process_fidelity_T": float(chi)}
                for (axis, v), tt, chi in zip(points, f_tt, f_chi)]
-    baseline = nl.format_netlist(nl.NetlistAst((base.to_netlist(),)))
+    baseline = nl.format_netlist(nl.NetlistAst((decl,)))
     payload = {"frame": cfg.logical_frame, "baseline": baseline, "grid": results}
     return _mk_report("sweep", cfg, payload)

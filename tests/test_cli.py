@@ -455,6 +455,18 @@ class TestBadValues:
         assert err.startswith("config error:") and words in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["config", "netlist"])
+    def test_out_of_range_sweep_value_exits_1_on_both_sources(self, source, netlist_file,
+                                                             tmp_path, capsys):
+        # a netlist chip sets no inline parameter, yet a grid value outside
+        # its parameter's range is the same config error as for a config chip
+        out = tmp_path / "out"
+        flags = ["--netlist", str(netlist_file)] if source == "netlist" else []
+        assert cli.dispatch(["sweep", *flags, "--grid", "er=-5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "config error: pcnot_extinction_db must be > 0 dB, got -5.0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, stmt, code", [
         ("check", "mzi z (T, B) phase=0.3rad extinction=20dB", "unknown-param"),
         ("check", "phase_v p (T) phase=1e999rad", "param-range"),

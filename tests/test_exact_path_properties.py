@@ -23,6 +23,7 @@ and the relabeled frame.
 
 import re
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 
 from oracles import apply_channel, assemble_joint, compose_channels, density, partial_trace
 from swapsim import biphoton as bp
+from swapsim import config as cfgmod
 from swapsim import devices as dv
 from swapsim import experiments as ex
 from swapsim import netlist as nl
@@ -194,6 +196,24 @@ def test_fringe_probabilities_equal_per_phase(chip, phases):
             expect = [_fringe_oracle(chip, p, port, use_polarizer) for p in phases]
             np.testing.assert_allclose(got, expect, rtol=0, atol=TOL)
             assert np.all((got >= 0.0) & (got <= 1.0 + TOL))
+
+
+@PROPERTY
+@given(CHIPS, st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=20),
+       st.sampled_from(["T", "B"]), st.booleans())
+def test_fringe_inputs_equal_the_per_phase_kron_bit_for_bit(chip, phases, port, use_polarizer):
+    # the input kets are built as one broadcast; the oracle is the per-phase
+    # |port> (x) phase_v(phi)|D>, and the probabilities computed from it
+    phases = np.array(phases)
+    oracle = np.array([np.kron(qc.ket2(port), dv.phase_v(p) @ qc.ket2("D")) for p in phases])
+    vec_states, seen = ex._vec_states, []
+    with mock.patch.object(ex, "_vec_states", lambda v: seen.append(v) or vec_states(v)):
+        got = ex._fringe_probabilities(chip, phases, port, use_polarizer)
+    with mock.patch.object(ex, "_vec_states", lambda v: vec_states(oracle)):
+        expect = ex._fringe_probabilities(chip, phases, port, use_polarizer)
+    [states] = seen
+    assert states.dtype == oracle.dtype and states.tobytes() == oracle.tobytes()
+    assert got.tobytes() == expect.tobytes()
 
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -545,15 +565,97 @@ def test_sweep_row_at_the_baseline_equals_process_tomography(base, axis, frame):
                                                       rel=0, abs=1e-14)
 
 
+def _watch_chip_work(monkeypatch) -> list:
+    """Record every `ChipConfig.to_netlist`, `ChipConfig.build` and
+    `nl.compile_chip` call, by name."""
+    calls = []
+    for owner, name in ((ChipConfig, "to_netlist"), (ChipConfig, "build"), (nl, "compile_chip")):
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=f, _n=name: calls.append(_n) or _f(*a))
+    return calls
+
+
 def test_unknown_sweep_axis_raises_before_any_chip_is_built(monkeypatch):
-    built = []
-    build = ChipConfig.build
-    monkeypatch.setattr(ChipConfig, "build", lambda self: built.append(self) or build(self))
+    built = _watch_chip_work(monkeypatch)
     cfg = ExperimentConfig.measured_chip(n_trials=1)
     # the known axis sorts first, so a per-axis loop would build its chips
     with pytest.raises(ConfigError, match="^unknown sweep axis 'zz_axis'; known: "):
         ex.run_error_budget(cfg, {"pcnot_extinction_db": [18.0, 35.0], "zz_axis": [1.0]})
     assert built == []
+
+
+NETLIST = str(Path(__file__).resolve().parent.parent / "demos" / "data" / "swap_measured.pnl")
+SOURCES = {"config": ExperimentConfig.measured_chip(n_trials=1),
+           "netlist": ExperimentConfig(chips=(ChipConfig(netlist_path=NETLIST),), n_trials=1)}
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+@pytest.mark.parametrize("sweep, message", [
+    ({"er": [18.0, -5.0]}, "pcnot_extinction_db must be > 0 dB, got -5.0"),
+    ({"facet_xtalk": [0.0], "imbalance": [0.3, float("nan")]},
+     "pcnot_loss_imbalance_db must be a finite number, got nan"),
+    ({"mcnot_loss_db_t": [1.0, -0.5, -1.0]},
+     "mcnot_loss_db_t must be finite and >= 0 dB, got -0.5"),
+], ids=["extinction", "nan", "first-of-two"])
+def test_out_of_range_sweep_value_raises_before_any_chip_is_read(monkeypatch, source, sweep,
+                                                                 message):
+    # both chip sources check every grid value with the config's own rule
+    # before the baseline is lowered, read or compiled
+    calls = _watch_chip_work(monkeypatch)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ex.run_error_budget(SOURCES[source], sweep)
+    assert calls == []
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_sweep_lowers_its_baseline_once(monkeypatch, source):
+    # one lowering per run: a netlist file is read once, and its chip is
+    # compiled once for the whole grid; a config chip's points are edits
+    calls = _watch_chip_work(monkeypatch)
+    grid = ex.run_error_budget(SOURCES[source]).payload["grid"]
+    assert calls.count("to_netlist") == 1 and calls.count("build") == 0
+    assert calls.count("compile_chip") == (1 if source == "netlist" else len(grid))
+
+
+_UNIT_VALUES = {"extinction": st.floats(0.5, 60.0), "loss": st.floats(0.0, 10.0),
+                "angle": st.floats(-3.0, 3.0), "probability": st.floats(0.0, 1.0),
+                "amplitude": st.floats(-1.0, 1.0)}
+
+
+@st.composite
+def chip_param_edits(draw):
+    """(baseline, inline parameter, value): any inline parameter, a value of
+    its unit class, zero of either sign, the baseline's own value, or one
+    outside the range."""
+    base = draw(BASELINES)
+    name = draw(st.sampled_from(sorted(cfgmod._CHIP_PARAMS)))
+    kinds, param = cfgmod._CHIP_PARAMS[name]
+    unit_class = nl.COMPONENTS[kinds[0]][1][param]
+    own = getattr(base, name)
+    value = draw(_UNIT_VALUES[unit_class] | st.sampled_from(
+        [0.0, -0.0, -1.5, 2.0, own if own is not None else 0.0]))
+    return base, name, value
+
+
+@PROPERTY
+@given(chip_param_edits())
+def test_chip_param_edit_equals_lowering_the_replaced_config(edit):
+    # a sweep point of a config baseline is an edit of the lowered baseline:
+    # the same declaration, the same cached chip, the same superoperator bits
+    # as the config with that field replaced; a value the config rejects is
+    # rejected with the same message by the sweep's up-front check
+    base, name, value = edit
+    try:
+        replaced = replace(base, **{name: value})
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            cfgmod.check_chip_param(name, value)
+        return
+    cfgmod.check_chip_param(name, value)
+    edited = cfgmod.edit_chip_param(base.to_netlist(), name, value)
+    assert edited == replaced.to_netlist()
+    # one compile-cache entry, keyed on the bits of every value: one superoperator
+    assert nl.compile_chip(edited) is replaced.build()
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +698,7 @@ def test_exact_fidelities_are_frame_invariant(chip):
 @given(BASELINES, st.sampled_from(sorted(SWEEP_VALUES)).flatmap(
     lambda axis: st.tuples(st.just(axis), SWEEP_VALUES[axis])))
 def test_error_budget_row_is_frame_invariant(base, point):
-    # a sweep rebuilds its chips from a ChipConfig, so the baselines are
+    # a sweep varies a ChipConfig's inline parameters, so the baselines are
     # configs rather than random netlists
     axis, value = point
     raw, relabeled = _both_frames(lambda frame: ex.run_error_budget(
