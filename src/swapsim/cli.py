@@ -22,9 +22,9 @@ and the bytes of its `"payload":` member are the bytes that
 `payload_sha256` hashes.
 
 `dispatch` may be called repeatedly in one process.  The process builds the
-argument parser once, parses each netlist text once and lowers each
-distinct chip stage once (`netlist`'s bounded caches); no state that
-changes a result is kept between calls, so a warm call gives the same
+argument parser once, parses each netlist text once and compiles each
+distinct chip once (`netlist`'s bounded caches); no state that changes a
+result is kept between calls, so a warm call gives the same
 payload as a fresh process.  A command imports only what it uses: `fmt`
 and `check` load no numpy and no experiment module.
 """
@@ -148,7 +148,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
 def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) -> None:
     import hashlib
 
-    from .config import dump_config
+    from .config import ConfigError, dump_config
 
     # the payload is encoded once: its canonical text is hashed and spliced
     # verbatim into a document that is itself canonical JSON (the members in
@@ -165,9 +165,12 @@ def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) ->
         print(text)
         return
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(text + "\n", encoding="utf-8")
-    (out / "config.json").write_text(dump_config(cfg, relative_to=out), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(text + "\n", encoding="utf-8")
+        (out / "config.json").write_text(dump_config(cfg, relative_to=out), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {out}: {exc}") from exc
     summary = {k: v for k, v in report.payload.items()
                if isinstance(v, (int, float, str, bool))}
     print(json.dumps({"experiment": report.kind, "out": str(out), "summary": summary},
@@ -199,8 +202,12 @@ def _run_experiment(args) -> int:
     import numpy as np
 
     from . import experiments as ex
+    from .config import ConfigError
 
     cfg = _load_experiment_config(args)
+    # np.linspace rejects a negative count before the runner can check it
+    if getattr(args, "points", 0) < 0:
+        raise ConfigError(f"--points must not be negative, got {args.points}")
     if args.command == "truth-table":
         report = ex.run_truth_table(cfg)
     elif args.command == "fringe":
@@ -245,10 +252,7 @@ def _netlist_tool(args) -> int:
         else:
             nl.compile_all(ast)
             print(f"ok: {len(ast.chips)} chip(s)")
-    except nl.ParseError as exc:
-        print(f"{args.path}:{exc.span}: {exc.code}: {exc.message}", file=sys.stderr)
-        return EXIT_PARSE
-    except nl.CompileError as exc:
+    except (nl.ParseError, nl.CompileError) as exc:
         print(f"{args.path}:{exc.span}: {exc.code}: {exc.message}", file=sys.stderr)
         return EXIT_PARSE
     return EXIT_OK

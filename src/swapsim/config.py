@@ -5,11 +5,13 @@ All physical quantities carry unit-suffixed field names (`*_db`, `*_ps`,
 through its imperfection parameters or by pointing at a `.pnl` netlist,
 never both (a nonzero inline parameter beside `netlist_path` is a
 `ConfigError`); either way it is built by the netlist compiler
-(`ChipConfig.to_netlist`), and each inline parameter has the unit and
-range of the netlist parameter it lowers to (`_CHIP_PARAMS`).  A relative `netlist_path` in a config file
-is resolved against the file's directory when the file is loaded.
-`measured_chip()` is the parameter set used to bracket the reported
-hardware numbers; `ideal()` turns every imperfection off.
+(`ChipConfig.to_netlist`).  Inline parameters reach it through one
+lowering, `lower_chip_fields`, and each has the unit and range of the
+netlist parameter it lowers to (`_CHIP_PARAMS`).  A relative
+`netlist_path` in a config file is resolved against the file's directory
+when the file is loaded.  `measured_chip()` is the parameter set used to
+bracket the reported hardware numbers; `ideal()` turns every imperfection
+off.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _check_numbers(obj) -> None:
 _NO_SPAN = nl.SourceSpan(0, 0, 1, 1)
 
 # inline chip parameter -> (the kinds of the statements it lowers to, the
-# netlist parameter it sets on them), in the order `to_netlist` writes them
+# netlist parameter it sets on them), in the order `lower_chip_fields` writes them
 _CHIP_PARAMS = {
     "pcnot_extinction_db": (("pcnot",), "extinction"),
     "mcnot_extinction_db": (("mcnot",), "extinction"),
@@ -101,6 +103,9 @@ _CHIP_UNITS = {name: nl._UNIT_CLASSES[nl.COMPONENTS[kinds[0]][1][param]]
 _KIND_PARAMS = {kind: tuple((name, param, _CHIP_UNITS[name][0])
                             for name, (kinds, param) in _CHIP_PARAMS.items() if kind in kinds)
                 for kind in ("facet", "pcnot", "mcnot")}
+# the inline chip's statements in propagation order: (kind, instance name, ports)
+_CASCADE = (("facet", "fin", ("T", "B")), ("pcnot", "c1", ("T", "B")), ("mcnot", "rot", ("T",)),
+            ("pcnot", "c2", ("T", "B")), ("facet", "fout", ("T", "B")))
 
 
 @dataclass(frozen=True)
@@ -131,28 +136,16 @@ class ChipConfig:
                               f"ignored: {', '.join(beside)}")
 
     def to_netlist(self) -> nl.ChipDecl:
-        """The chip as a netlist declaration.
-
-        With `netlist_path` set this is the referenced file's chip.  Inline
-        parameters lower to the cascade facet / PC-NOT / MC-NOT / PC-NOT /
-        facet through `_CHIP_PARAMS`, each with its unit class's unit; zero
-        and None parameters are omitted.
-        """
+        """The chip as a netlist declaration: the referenced file's chip with
+        `netlist_path` set, else the lowering of its inline parameters
+        (`lower_chip_fields`)."""
         if self.netlist_path is not None:
             try:
                 text = Path(self.netlist_path).read_text(encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(f"cannot read netlist {self.netlist_path}: {exc}") from exc
             return nl.select_chip(nl.parse(text), self.netlist_chip)
-
-        def stmt(kind, name, ports):
-            params = _lowered_params(kind, lambda name, _: getattr(self, name))
-            return nl.Statement(kind, name, ports, params, _NO_SPAN)
-
-        both = ("T", "B")
-        return nl.ChipDecl("swap", both, (
-            stmt("facet", "fin", both), stmt("pcnot", "c1", both), stmt("mcnot", "rot", ("T",)),
-            stmt("pcnot", "c2", both), stmt("facet", "fout", both)), _NO_SPAN)
+        return lower_chip_fields(vars(self))
 
     def build(self) -> ChipModel:
         return nl.compile_chip(self.to_netlist())
@@ -168,29 +161,20 @@ def check_chip_param(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be {bounds}, got {value!r}")
 
 
-def _lowered_params(kind: str, value) -> tuple:
-    """The netlist parameters of a `kind` statement lowered from inline chip
-    parameters, `value(field, netlist parameter)` giving each one's value:
-    in `_KIND_PARAMS` order, zero and None values omitted."""
-    return tuple(nl.Param(param, float(v), unit, _NO_SPAN)
-                 for name, param, unit in _KIND_PARAMS[kind] if (v := value(name, param)))
-
-
-def edit_chip_param(chip: nl.ChipDecl, name: str, value: float) -> nl.ChipDecl:
-    """`chip`, lowered by `ChipConfig.to_netlist`, with inline parameter
-    `name` set to `value` on every statement it lowers to: equal to lowering
-    the config with that field replaced, so it compiles to the same cached
-    `ChipModel`.  `value` is not checked (`check_chip_param`)."""
-    kinds, param = _CHIP_PARAMS[name]
-
-    def edit(st):
-        if st.kind not in kinds:
-            return st
-        have = {p.name: p.value for p in st.params}
-        return st._replace(params=_lowered_params(
-            st.kind, lambda field, p: value if field == name else have.get(p)))
-
-    return chip._replace(statements=tuple(map(edit, chip.statements)))
+def lower_chip_fields(values: dict) -> nl.ChipDecl:
+    """The inline chip whose `_CHIP_PARAMS` fields have `values` (a mapping
+    from each such field to its value; other keys are ignored) as a netlist
+    declaration: the cascade `_CASCADE`, each statement's parameters in
+    `_KIND_PARAMS` order with their unit class's unit, zero and None values
+    omitted.  Equal values lower to equal declarations, which compile to
+    the same cached `ChipModel`.  The values are not checked
+    (`check_chip_param`)."""
+    return nl.ChipDecl("swap", ("T", "B"), tuple(
+        nl.Statement(kind, name, ports,
+                     tuple(nl.Param(param, float(v), unit, _NO_SPAN)
+                           for field, param, unit in _KIND_PARAMS[kind] if (v := values[field])),
+                     _NO_SPAN)
+        for kind, name, ports in _CASCADE), _NO_SPAN)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ from .config import (
     ExperimentConfig,
     check_chip_param,
     config_digest,
-    edit_chip_param,
+    lower_chip_fields,
 )
 from .devices import (
     BS_5050,
@@ -295,7 +295,7 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
         phases = np.linspace(0.0, 2.0 * np.pi, 17)
     phases = np.asarray(list(phases), dtype=float)
     if len(phases) < 5:
-        raise ValueError("need at least 5 phase points")
+        raise ConfigError(f"a fringe scan needs at least 5 phase points, got {len(phases)}")
     exact = _fringe_probabilities(cfg.chip(0), phases, cfg.fringe_port,
                                   cfg.fringe_output_polarizer)
     exact_v = float((exact.max() - exact.min()) / (exact.max() + exact.min()))
@@ -377,6 +377,8 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
     if delays_ps is None:
         delays_ps = np.linspace(-12.0, 12.0, 49)
     delays = np.asarray(list(delays_ps), dtype=float)
+    if len(delays) < 4:
+        raise ConfigError(f"a HOM scan needs at least 4 delay points, got {len(delays)}")
     overlap = bp.exchange_overlap(_hom_joint(cfg))
     exact_p = bp.hom_dip(overlap, delays, bp.SpectralOverlap(cfg.source.coherence_time_ps,
                                                               cfg.source.dip_shape))
@@ -736,19 +738,19 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     short name) to its values; None runs the default grid.  Every axis and
     every value is checked before any chip is read or compiled
     (ConfigError on an empty grid, an unknown axis, an axis without values
-    or a value outside its parameter's range, `check_chip_param`).  The
-    baseline chip is lowered to a netlist once; each point of a config
-    baseline is an edit of that one declaration with only the axis's
-    parameter changed (`edit_chip_param`, equal to lowering the config with
-    that field replaced).  A netlist baseline is not edited yet: it sets
-    none of the inline parameters an axis varies, so each of its points is
-    the baseline chip, compiled once, and its rows are flat.  Truth-table
-    fidelity (configured frame) and the process fidelity of the T-input
-    momentum qubit with the identity (relabeled frame) are tabulated: the
-    G chips' superoperators are stacked, and all truth tables, T-input
-    outputs (validated once) and chi matrices (one `process_tomo_stack`
-    solve, `_momentum_chis`) are read off that stack.  The payload's
-    `baseline` is the baseline chip's canonical netlist text.
+    or a value outside its parameter's range, `check_chip_param`).  Each
+    point of a config baseline is the lowering of the baseline's fields
+    with the axis's field replaced (`lower_chip_fields`, the lowering
+    `ChipConfig.to_netlist` uses), so it compiles to the cached model of
+    the replaced config.  A netlist baseline is not edited yet: it sets
+    none of the inline parameters an axis varies, so its chip is read and
+    compiled once, each of its points is that chip, and its rows are
+    flat.  Truth-table fidelity (configured frame) and the process fidelity
+    of the T-input momentum qubit with the identity (relabeled frame) are
+    tabulated: the G chips' superoperators are stacked, and all truth
+    tables, T-input outputs (validated once) and chi matrices (one
+    `process_tomo_stack` solve, `_momentum_chis`) are read off that stack.
+    The payload's `baseline` is the baseline chip's canonical netlist text.
     """
     if sweep is None:
         sweep = _DEFAULT_SWEEP
@@ -769,8 +771,9 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     if base.netlist_path is not None:
         s = np.repeat(nl.compile_chip(decl).superoperator[None], len(points), axis=0)
     else:
-        s = np.array([nl.compile_chip(edit_chip_param(decl, _SWEEP_AXES[axis], v)).superoperator
-                      for axis, v in points])
+        fields = vars(base)
+        s = np.array([nl.compile_chip(lower_chip_fields({**fields, _SWEEP_AXES[axis]: v}))
+                      .superoperator for axis, v in points])
     f_tt = _table_fidelities(s, cfg.logical_frame)
     chis = _momentum_chis(s, _process_inputs()[0][:4], "relabeled")
     f_chi = tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled"))

@@ -16,17 +16,15 @@ unit and the range of values).  Statement order defines optical
 propagation order.  The formatter emits a canonical layout; comments are
 discarded.
 
-A process parses each netlist text once, lowers each distinct stage once
-and compiles each distinct chip once, through three bounded LRU caches:
-`parse` is keyed on the source text; statement lowering on everything the
-lowering reads (kind, the statement's port indices into the chip's port
-order, each checked parameter's name and exact value); and `compile_chip`
-on the `ChipDecl` together with the exact bits of every parameter value,
-so that declarations equal but for the signs of their zeros stay apart.
-A repeated chip therefore returns the same `ChipModel`, whose stages are
-multiplied and trace-checked once.  Every cached value is immutable, and
-errors are never cached.  The parser and the formatter are pure Python:
-only lowering imports the device models (and with them numpy).
+A process parses each netlist text once and compiles each distinct chip
+once, through two bounded LRU caches: `parse` is keyed on the source
+text, and `compile_chip` on the `ChipDecl` together with the exact bits
+of every parameter value, so that declarations equal but for the signs
+of their zeros stay apart.  A repeated chip therefore returns the same
+`ChipModel`, whose stages are lowered, multiplied and trace-checked once.
+Every cached value is immutable, and errors are never cached.  The parser
+and the formatter are pure Python: only lowering imports the device models
+(and with them numpy).
 
 Example:
 
@@ -66,12 +64,10 @@ __all__ = [
 
 UNITS = ("dB", "deg", "rad")
 
-# bounds of the per-process caches: distinct netlist texts kept parsed,
-# distinct statements kept lowered (a default sweep lowers 18) and distinct
-# chips kept compiled (one run of every subcommand on the measured config
-# compiles 17)
+# bounds of the per-process caches: distinct netlist texts kept parsed and
+# distinct chips kept compiled (one run of every subcommand on the measured
+# config compiles 17)
 _PARSE_CACHE_SIZE = 32
-_STAGE_CACHE_SIZE = 256
 _CHIP_CACHE_SIZE = 32
 
 # unit class -> (the unit its values are written in, None for a plain
@@ -429,23 +425,15 @@ def _checked_params(st: Statement) -> dict:
 
 def _lower_statement(st: Statement, chip_ports) -> QuantumChannel:
     """The statement's stage: its names, units, values and ports are checked
-    here, against the statement's spans, and the channel is lowered once
-    per distinct (kind, port indices, parameters)."""
+    here, against the statement's spans."""
+    from .devices import stage_channel
+
     params = _checked_params(st)
     idx = _port_indices(st, chip_ports)
     try:
-        return _lower_stage(st.kind, idx, tuple((k, float(v).hex()) for k, v in params.items()))
+        return stage_channel(st.kind, idx, params)
     except ValueError as exc:
         raise CompileError(str(exc), st.span, code="param-range") from exc
-
-
-@functools.lru_cache(maxsize=_STAGE_CACHE_SIZE)
-def _lower_stage(kind: str, idx: tuple, params: tuple) -> QuantumChannel:
-    """`devices.stage_channel` of one distinct stage; `params` holds
-    (name, float.hex(value)) pairs, so +0 and -0 differ."""
-    from .devices import stage_channel
-
-    return stage_channel(kind, idx, {name: float.fromhex(h) for name, h in params})
 
 
 def compile_chip(chip: ChipDecl) -> ChipModel:

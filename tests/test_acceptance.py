@@ -277,10 +277,8 @@ def test_criterion_09_error_budget():
 
 
 def _cold_compile(src):
-    # two independent compilations: nothing parsed, lowered or compiled is
-    # reused
+    # two independent compilations: nothing parsed or compiled is reused
     nl.parse.cache_clear()
-    nl._lower_stage.cache_clear()
     nl._compile_chip.cache_clear()
     return nl.compile_netlist(nl.parse(src))
 

@@ -1,18 +1,17 @@
 """The netlist caches cannot be seen from outside.
 
-A process parses each netlist text once (`parse`), lowers each distinct
-statement once (`_lower_stage`) and compiles each distinct chip once
-(`_compile_chip`, keyed on the declaration and the bits of its values).
-Here every chip of a random batch, compiled one after another with the
-caches warm, must give what a cold compile gives after all three caches
-are cleared: the same Kraus bytes of every stage and the same bytes of the
-chip's superoperator, or the same error with the same code, message and
-span.  The batch holds random grammar-valid chips (with `+0`/`-0` values,
-`deg`/`rad` spellings and the odd parameter in a wrong unit) and siblings
-of one chip that differ only in what the keys must tell apart or the stage
-key must ignore: the signs of its zeros, the chip's port order, its
-statements' ports, its units, its parameter names, and its spans and
-instance names.
+A process parses each netlist text once (`parse`) and compiles each
+distinct chip once (`_compile_chip`, keyed on the declaration and the bits
+of its values).  Here every chip of a random batch, compiled one after
+another with the caches warm, must give what a cold compile gives after
+both caches are cleared: the same Kraus bytes of every stage and the same
+bytes of the chip's superoperator, or the same error with the same code,
+message and span.  The batch holds random grammar-valid chips (with
+`+0`/`-0` values, `deg`/`rad` spellings and the odd parameter in a wrong
+unit) and siblings of one chip that differ only in what the chip key must
+tell apart or what must not change a stage: the signs of its zeros, the
+chip's port order, its statements' ports, its units, its parameter names,
+and its spans and instance names.
 """
 
 import re
@@ -104,7 +103,6 @@ def shift_spans(text):
 
 def clear_caches():
     nl.parse.cache_clear()
-    nl._lower_stage.cache_clear()
     nl._compile_chip.cache_clear()
 
 

@@ -224,14 +224,13 @@ class TestDispatch:
 def _clear_caches():
     cli._build_parser.cache_clear()
     nl.parse.cache_clear()
-    nl._lower_stage.cache_clear()
     nl._compile_chip.cache_clear()
 
 
 class TestRepeatedDispatch:
-    """One process builds the parser once, parses each netlist text once,
-    lowers each distinct stage once and compiles each distinct chip once;
-    none of it shows in what a call gives."""
+    """One process builds the parser once, parses each netlist text once
+    and compiles each distinct chip once; none of it shows in what a call
+    gives."""
 
     @staticmethod
     def _result(argv, out, capsys):
@@ -454,6 +453,30 @@ class TestBadValues:
         assert err.count("\n") == 1
         assert err.startswith("config error:") and words in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, words", [
+        (["fringe", "--points", "3"], "a fringe scan needs at least 5 phase points, got 3"),
+        (["hom", "--points", "2"], "a HOM scan needs at least 4 delay points, got 2"),
+        (["hom", "--points", "0"], "a HOM scan needs at least 4 delay points, got 0"),
+        (["fringe", "--points", "-1"], "--points must not be negative, got -1"),
+    ], ids=["fringe-3", "hom-2", "hom-0", "fringe-negative"])
+    def test_too_few_scan_points_exit_1_with_one_line(self, argv, words, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.dispatch([*argv, "--trials", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {words}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_1_with_one_line(self, below, tmp_path,
+                                                                  capsys):
+        existing = tmp_path / "existing"
+        existing.write_text("kept\n")
+        out = existing / below if below else existing
+        assert cli.dispatch(["truth-table", "--trials", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"config error: cannot write the report to {out}: ")
+        assert existing.read_text() == "kept\n"
 
     @pytest.mark.parametrize("source", ["config", "netlist"])
     def test_out_of_range_sweep_value_exits_1_on_both_sources(self, source, netlist_file,

@@ -609,8 +609,9 @@ def test_out_of_range_sweep_value_raises_before_any_chip_is_read(monkeypatch, so
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_sweep_lowers_its_baseline_once(monkeypatch, source):
-    # one lowering per run: a netlist file is read once, and its chip is
-    # compiled once for the whole grid; a config chip's points are edits
+    # one baseline lowering per run: a netlist file is read once, and its
+    # chip is compiled once for the whole grid; a config chip's points are
+    # lowerings of its edited fields, one compile each
     calls = _watch_chip_work(monkeypatch)
     grid = ex.run_error_budget(SOURCES[source]).payload["grid"]
     assert calls.count("to_netlist") == 1 and calls.count("build") == 0
@@ -640,10 +641,11 @@ def chip_param_edits(draw):
 @PROPERTY
 @given(chip_param_edits())
 def test_chip_param_edit_equals_lowering_the_replaced_config(edit):
-    # a sweep point of a config baseline is an edit of the lowered baseline:
-    # the same declaration, the same cached chip, the same superoperator bits
-    # as the config with that field replaced; a value the config rejects is
-    # rejected with the same message by the sweep's up-front check
+    # a sweep point of a config baseline is the lowering of the baseline's
+    # fields with one replaced: the same declaration, the same cached chip,
+    # the same superoperator bits as the config with that field replaced; a
+    # value the config rejects is rejected with the same message by the
+    # sweep's up-front check
     base, name, value = edit
     try:
         replaced = replace(base, **{name: value})
@@ -652,7 +654,7 @@ def test_chip_param_edit_equals_lowering_the_replaced_config(edit):
             cfgmod.check_chip_param(name, value)
         return
     cfgmod.check_chip_param(name, value)
-    edited = cfgmod.edit_chip_param(base.to_netlist(), name, value)
+    edited = cfgmod.lower_chip_fields({**vars(base), name: value})
     assert edited == replaced.to_netlist()
     # one compile-cache entry, keyed on the bits of every value: one superoperator
     assert nl.compile_chip(edited) is replaced.build()

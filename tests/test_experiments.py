@@ -303,7 +303,7 @@ class TestErrorBudget:
                             lambda chip: built.append(chip.label) or post_init(chip))
         second = ex.run_error_budget(calibrated)
         assert built == []
-        for cache in (nl.parse, nl._lower_stage, nl._compile_chip):
+        for cache in (nl.parse, nl._compile_chip):
             cache.cache_clear()
         cold = ex.run_error_budget(calibrated)
         # the baseline and the 19 grid points: 4 points are the baseline chip
