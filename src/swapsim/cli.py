@@ -11,10 +11,11 @@ code a shell reports for a process ended by SIGPIPE, without a traceback).
 
 Without --out the report document goes to stdout.  With --out it is
 written to `report.json`, the whole report (it holds every number of the
-run: no data table beside it), next to the `config.json` that reruns it
-(relative chip netlist paths rewritten against the output directory), and
-stdout gets a one-line summary of the payload's scalar fields.  The JSON
-document separates the deterministic `payload` (hashed into
+run: no data table beside it), next to the `config.json` that reruns it:
+the config's canonical line, whose bytes `meta.config_hash` hashes unless
+a relative chip netlist path in it is rewritten against the output
+directory.  Stdout gets a one-line summary of the payload's scalar fields.
+The JSON document separates the deterministic `payload` (hashed into
 `payload_sha256`) from run metadata, so identical (config, seed) inputs
 produce byte-identical payload sections.  The document, in `report.json`
 or on stdout, is one line of canonical JSON (sorted keys, no whitespace),
@@ -123,26 +124,23 @@ def _load_experiment_config(args) -> ExperimentConfig:
 
     from .config import ChipConfig, ConfigError, ExperimentConfig, load_config
 
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig.measured_chip()
-    if args.netlist is not None:
-        chip = ChipConfig(netlist_path=args.netlist)
-        cfg = replace(cfg, chips=(chip,) * max(len(cfg.chips), 1))
+    cfg = ExperimentConfig.measured_chip() if args.config is None else load_config(args.config)
     seed = args.seed
     if seed is None and os.environ.get("SWAPSIM_SEED"):
         try:
             seed = int(os.environ["SWAPSIM_SEED"])
         except ValueError as exc:
             raise ConfigError(f"bad SWAPSIM_SEED: {exc}") from exc
-    if seed is not None:
-        cfg = replace(cfg, rng_seed=seed)
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("--trials must be >= 1")
-        cfg = replace(cfg, n_trials=args.trials)
-    return cfg
+    if args.trials is not None and args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
+    # every flag's field in one `replace`, so the config is checked once more
+    edits = {name: value for name, value in (
+        ("rng_seed", seed), ("n_trials", args.trials),
+        ("fringe_port", getattr(args, "port", None)),
+        ("hom_input", getattr(args, "hom_input", None))) if value is not None}
+    if args.netlist is not None:
+        edits["chips"] = (ChipConfig(netlist_path=args.netlist),) * len(cfg.chips)
+    return replace(cfg, **edits) if edits else cfg
 
 
 def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) -> None:
@@ -197,8 +195,6 @@ def _parse_grid(args_grid) -> dict | None:
 
 
 def _run_experiment(args) -> int:
-    from dataclasses import replace
-
     import numpy as np
 
     from . import experiments as ex
@@ -211,13 +207,9 @@ def _run_experiment(args) -> int:
     if args.command == "truth-table":
         report = ex.run_truth_table(cfg)
     elif args.command == "fringe":
-        if args.port is not None:
-            cfg = replace(cfg, fringe_port=args.port)
         phases = np.linspace(0.0, 2.0 * np.pi, args.points)
         report = ex.run_fringe_scan(cfg, phases)
     elif args.command == "hom":
-        if args.hom_input is not None:
-            cfg = replace(cfg, hom_input=args.hom_input)
         delays = np.linspace(-12.0, 12.0, args.points)
         report = ex.run_hom_scan(cfg, delays)
     elif args.command == "bell":

@@ -1,17 +1,17 @@
 """Experiment configuration: JSON schema (version 1) and chip builders.
 
 All physical quantities carry unit-suffixed field names (`*_db`, `*_ps`,
-`*_hz`, `*_s`, `*_rad`).  A chip is configured either inline
-through its imperfection parameters or by pointing at a `.pnl` netlist,
-never both (a nonzero inline parameter beside `netlist_path` is a
-`ConfigError`); either way it is built by the netlist compiler
-(`ChipConfig.to_netlist`).  Inline parameters reach it through one
-lowering, `lower_chip_fields`, and each has the unit and range of the
-netlist parameter it lowers to (`_CHIP_PARAMS`).  A relative
-`netlist_path` in a config file is resolved against the file's directory
-when the file is loaded.  `measured_chip()` is the parameter set used to
-bracket the reported hardware numbers; `ideal()` turns every imperfection
-off.
+`*_hz`, `*_s`, `*_rad`).  A chip is configured either inline through its
+imperfection parameters or by pointing at a `.pnl` netlist, never both (a
+nonzero inline parameter beside `netlist_path` is a `ConfigError`); either
+way it is built by the netlist compiler (`ChipConfig.to_netlist`).  Inline
+parameters reach it through one lowering, `lower_chip_fields`, and each has
+the unit and range of the netlist parameter it lowers to (`_CHIP_PARAMS`).
+A relative `netlist_path` in a config file is resolved against the file's
+directory when the file is loaded.  A config's canonical document
+(`dump_config`, the text `config_digest` hashes) is one line of compact JSON
+with sorted keys.  `measured_chip()` is the parameter set used to bracket
+the reported hardware numbers; `ideal()` turns every imperfection off.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,7 +54,8 @@ def _number_fields(cls) -> tuple:
 
 
 def _check_numbers(obj) -> None:
-    """Every `float` field must be a finite number, every `int` field an integer.
+    """Each `float` field must be a finite number, each `int` field an integer;
+    both are stored plain (float, int; -0.0 as 0.0), so equal configs encode alike.
 
     JSON admits NaN, Infinity, fractions, strings and booleans anywhere, and
     Python's bool is an int; none of them is a valid count or parameter.
@@ -75,6 +76,8 @@ def _check_numbers(obj) -> None:
             what = "an integer"
         if not ok:
             raise ConfigError(f"{name} must be {what}, got {v!r}")
+        if v == 0 or type(v) is not (float if kind == "float" else int):
+            object.__setattr__(obj, name, float(v) + 0.0 if kind == "float" else int(v))
 
 
 # source span of netlist nodes lowered from a config rather than parsed
@@ -235,15 +238,10 @@ class ExperimentConfig:
         if self.fpc_mode not in ("auto", "ideal", "none"):
             raise ConfigError(f"unknown fpc_mode {self.fpc_mode!r}")
 
-    # `asdict` and `dump_config` text, once per config object: the config
-    # and everything it holds are immutable
+    # the canonical document, encoded once: the config and its parts are immutable
     @functools.cached_property
-    def _fields(self) -> dict:
-        return asdict(self)
-
-    @functools.cached_property
-    def _json(self) -> str:
-        return _json_text(self._fields)
+    def _document(self) -> str:
+        return _encode(self, self.chips)
 
     # -- chip access ---------------------------------------------------
 
@@ -286,26 +284,32 @@ class ExperimentConfig:
 # JSON round trip
 # ---------------------------------------------------------------------------
 
-def _json_text(fields: dict) -> str:
-    return json.dumps({"schema_version": SCHEMA_VERSION, **fields},
-                      indent=2, sort_keys=True) + "\n"
+def _field_dict(obj) -> dict:
+    """A config dataclass's fields by name, uncopied: the JSON encoder's `default`."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
+
+
+def _encode(cfg: ExperimentConfig, chips: tuple) -> str:
+    """The canonical document of `cfg` holding `chips` (config objects or
+    their field dicts): one line of compact JSON, keys sorted, no NaN."""
+    return json.dumps({**_field_dict(cfg), "chips": chips, "schema_version": SCHEMA_VERSION},
+                      default=_field_dict, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def dump_config(cfg: ExperimentConfig, relative_to: str | os.PathLike | None = None) -> str:
-    """The config as an indented JSON document (schema version 1); with
-    `relative_to` (a directory), each relative chip `netlist_path` written
-    relative to it, the inverse of `load_config` resolving it, so the
-    document saved there reruns the same chips.  A config object runs
-    `asdict` once, however often it is dumped, rewritten or hashed."""
-    if relative_to is None:
-        return cfg._json
-    chips = tuple(
-        {**c, "netlist_path": os.path.relpath(c["netlist_path"], relative_to)}
-        if c["netlist_path"] is not None and not os.path.isabs(c["netlist_path"]) else c
-        for c in cfg._fields["chips"])
-    if chips == cfg._fields["chips"]:
-        return cfg._json
-    return _json_text({**cfg._fields, "chips": chips})
+    """The config's canonical document (schema version 1), the text that
+    `config_digest` hashes, encoded once per config object.  With
+    `relative_to` (a directory), each relative chip `netlist_path` is
+    written relative to it, the inverse of `load_config` resolving it, so
+    the document saved there reruns the same chips; only a changed path
+    encodes the document again."""
+    chips = cfg.chips if relative_to is None else tuple(
+        {**_field_dict(c), "netlist_path": rel}
+        if c.netlist_path is not None and not os.path.isabs(c.netlist_path)
+        and (rel := os.path.relpath(c.netlist_path, relative_to)) != c.netlist_path else c
+        for c in cfg.chips)
+    return cfg._document if chips == cfg.chips else _encode(cfg, chips)
 
 
 def _build(cls, data: dict, what: str):
@@ -360,7 +364,6 @@ def _resolve_netlist(chip: ChipConfig, base_dir: Path | None) -> ChipConfig:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    """Stable hash of the configuration (used for report provenance)."""
-    import hashlib
-
+    """sha256 of the config's canonical document (`dump_config`): report provenance."""
+    import hashlib  # here: importing it (OpenSSL) would slow every import of this module
     return hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest()

@@ -384,7 +384,11 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
                                                               cfg.source.dip_shape))
 
     def estimate(counts, bg_counts):
-        fits = bp.hom_fit_stack(delays, counts[0], background=bg_counts)
+        try:
+            fits = bp.hom_fit_stack(delays, counts[0], background=bg_counts)
+        except ValueError as exc:
+            raise ConfigError(f"cannot fit the HOM dip ({exc}): use fewer delay points "
+                              "(--points) or a longer integration_time_s") from exc
         return [({"visibility_raw": fits.visibility_raw,
                   "visibility_subtracted": fits.visibility_subtracted,
                   "coherence_time_fit_{}_ps": fits.coherence_time_ps},

@@ -9,7 +9,7 @@ import pytest
 
 from swapsim import cli
 from swapsim import netlist as nl
-from swapsim.config import ExperimentConfig, dump_config, load_config
+from swapsim.config import ChipConfig, ExperimentConfig, dump_config, load_config
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -293,22 +293,51 @@ class TestChipPaths:
                            "--trials", "1", "--out", str(tmp_path / "out")])
         assert rc == 0
 
-    @pytest.mark.parametrize("chip_args", [
-        ["--netlist", "demos/data/swap_measured.pnl"],
-        ["--config", "demos/data/config_measured.json"]], ids=["netlist", "config"])
-    def test_one_asdict_per_report(self, chip_args, tmp_path, monkeypatch):
-        # the report's config hash and its config.json, whose relative
-        # netlist path is rewritten against the output directory, both
-        # read the one asdict of the config
+    @pytest.mark.parametrize("chip_args, encodes", [
+        (["--netlist", "demos/data/swap_measured.pnl"], 2),
+        (["--config", "demos/data/config_measured.json"], 1)], ids=["netlist", "config"])
+    def test_config_encodes_per_report(self, chip_args, encodes, tmp_path, monkeypatch):
+        # the report's config hash and its config.json read the one
+        # canonical document of the config; only a netlist path that
+        # config.json rewrites against the output directory encodes again
         from swapsim import config
 
         calls = []
-        asdict = config.asdict
-        monkeypatch.setattr(config, "asdict", lambda obj: calls.append(1) or asdict(obj))
+        encode = config._encode
+        monkeypatch.setattr(config, "_encode",
+                            lambda *args: calls.append(1) or encode(*args))
         monkeypatch.chdir(REPO)
         assert cli.dispatch(["truth-table", *chip_args, "--trials", "1",
                              "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == 1
+        assert len(calls) == encodes
+
+    def test_the_flags_replace_the_config_once(self, netlist_file, tmp_path, monkeypatch):
+        # the preset is built once, and every flag's field is set in one replace
+        calls = []
+        post_init = ExperimentConfig.__post_init__
+        monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                            lambda cfg: calls.append(1) or post_init(cfg))
+        assert cli.dispatch(["fringe", "--netlist", str(netlist_file), "--seed", "3",
+                             "--trials", "1", "--port", "B",
+                             "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2
+        cfg = load_config(str(tmp_path / "out" / "config.json"))
+        assert (cfg.rng_seed, cfg.n_trials, cfg.fringe_port) == (3, 1, "B")
+        assert cfg.chips == (ChipConfig(netlist_path=str(netlist_file)),) * 2
+
+    def test_config_json_is_the_line_config_hash_hashes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(REPO)
+        out = tmp_path / "out"
+        assert cli.dispatch(["truth-table", "--config", "demos/data/config_measured.json",
+                             "--trials", "1", "--out", str(out)]) == 0
+        raw = (out / "config.json").read_bytes()
+        text = raw.decode("utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert text[:-1] == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"),
+                                       allow_nan=False)
+        meta = json.loads((out / "report.json").read_text())["meta"]
+        assert hashlib.sha256(raw).hexdigest() == meta["config_hash"]
+        assert load_config(str(out / "config.json")) == ExperimentConfig.measured_chip(n_trials=1)
 
     def test_sweep_resolves_config_netlist_against_config_dir(self, tmp_path,
                                                               monkeypatch, capsys):
@@ -464,6 +493,18 @@ class TestBadValues:
         out = tmp_path / "out"
         assert cli.dispatch([*argv, "--trials", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {words}\n"
+        assert not out.exists()
+
+    def test_unfittable_hom_scan_exits_1_with_one_line(self, tmp_path, capsys):
+        # 49 delays of 20 us each: too few counts to find the dip's wings
+        p = tmp_path / "cfg.json"
+        p.write_text(dump_config(ExperimentConfig.measured_chip(integration_time_s=0.001)))
+        out = tmp_path / "out"
+        assert cli.dispatch(["hom", "--config", str(p), "--trials", "1",
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: cannot fit the HOM dip (degenerate scan: no dip wings to fit): "
+            "use fewer delay points (--points) or a longer integration_time_s\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])

@@ -4,10 +4,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swapsim import config as cfgmod
 from swapsim import netlist as nl
-from swapsim.config import (ChipConfig, ConfigError, ExperimentConfig, dump_config,
-                            load_config)
+from swapsim.config import (ChipConfig, ConfigError, ExperimentConfig, SourceConfig,
+                            config_digest, dump_config, load_config)
 
 PNL = "chip swap { ports T, B; pcnot c1 (T, B) extinction=18dB; }\n"
 
@@ -172,3 +175,74 @@ class TestChipParameterRanges:
             for p in st.params:
                 unit_class = nl.COMPONENTS[st.kind][1][p.name]
                 assert p.unit == nl._UNIT_CLASSES[unit_class][0]
+
+
+# ---------------------------------------------------------------------------
+# the canonical document
+# ---------------------------------------------------------------------------
+
+def _numbers(lo, hi, ok=lambda v: True):
+    """(value, twin) pairs of equal numbers in [lo, hi] that pass `ok`: the
+    value a float (-0.0 among them) or an int, the twin the plain float."""
+    return ((st.floats(lo, hi) | st.integers(math.ceil(lo), math.floor(hi))).filter(ok)
+            .map(lambda v: (v, float(v) + 0.0)))
+
+
+def _same(values):
+    return values.map(lambda v: (v, v))
+
+
+def _both(cls, pairs: dict) -> tuple:
+    return tuple(cls(**{name: pair[i] for name, pair in pairs.items()}) for i in (0, 1))
+
+
+@st.composite
+def twin_configs(draw):
+    """Two equal valid configs built apart: inline chips with parameters in
+    range, netlist chips and sources; a number drawn as an int or as -0.0
+    in the first is a plain float in the second."""
+    chips = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            path, name = draw(st.text(max_size=12)), draw(st.none() | st.text(max_size=6))
+            chips.append((ChipConfig(netlist_path=path, netlist_chip=name),) * 2)
+        else:
+            chips.append(_both(ChipConfig, draw(st.fixed_dictionaries({}, optional={
+                name: _numbers(-100, 100, cfgmod._CHIP_UNITS[name][1])
+                for name in cfgmod._CHIP_PARAMS}))))
+    source = _both(SourceConfig, draw(st.fixed_dictionaries({}, optional={
+        "coherence_time_ps": _numbers(0, 100, lambda v: v > 0),
+        "bell_visibility": _numbers(0, 1),
+        "dip_shape": _same(st.sampled_from(["gaussian", "triangular"]))})))
+    fields = draw(st.fixed_dictionaries({}, optional={
+        "pair_rate_hz": _numbers(0, 1e6, lambda v: v > 0),
+        "integration_time_s": _numbers(0, 1e3, lambda v: v > 0),
+        "background_rate_hz": _numbers(0, 1e3),
+        "n_trials": _same(st.integers(1, 1000)),
+        "rng_seed": _same(st.integers(-2**63, 2**64)),
+        "logical_frame": _same(st.sampled_from(["raw", "relabeled"])),
+        "fringe_port": _same(st.sampled_from(["T", "B"])),
+        "fringe_output_polarizer": _same(st.booleans()),
+        "hom_input": _same(st.sampled_from(["TV_BH", "TH_BV", "source"])),
+        "fiber_residual_rad": _numbers(-10, 10)}))
+    return tuple(ExperimentConfig(chips=tuple(c[i] for c in chips), source=source[i],
+                                  **{name: pair[i] for name, pair in fields.items()})
+                 for i in (0, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(twin_configs())
+def test_the_document_round_trips_and_equal_configs_hash_alike(twins):
+    cfg, twin = twins
+    assert cfg == twin
+    text = dump_config(cfg)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text[:-1] == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+    assert load_config(text) == cfg
+    assert dump_config(twin) == text
+    assert config_digest(twin) == config_digest(cfg)
+
+
+def test_indented_documents_still_load():
+    cfg = ExperimentConfig.measured_chip()
+    assert load_config(json.dumps(json.loads(dump_config(cfg)), indent=2)) == cfg
