@@ -16,7 +16,10 @@ photon channels.  The HOM dip reads the exchange overlap off a joint-state
 array (`exchange_overlap`, then `hom_dip`).
 HOM scans are fitted with a Gaussian dip by one numpy Levenberg-Marquardt
 loop over a whole stack of scans (`hom_fit_stack`); one scan is a one-row
-stack.
+stack.  The loop stops at MINPACK's default step tolerance, sqrt(eps)
+(`_LM_XTOL`): a least-squares minimum is only defined to about that
+relative precision, so a tighter tolerance only multiplies the damping by
+10 at the rounding floor until the step shrinks below it.
 """
 
 from __future__ import annotations
@@ -198,20 +201,21 @@ class HomFit(NamedTuple):
 
 
 _LM_MAX_ITER = 100
-_LM_XTOL = 1e-10
+_LM_XTOL = float(np.sqrt(np.finfo(float).eps))  # MINPACK's default step tolerance
 
 
 def _dip_work(n: int, m: int) -> tuple:
     """Work arrays of the dip fit of n scans of m delays: four (n, m) and
-    one (n, m, 4), allocated once per fit; an iteration over k running
+    one (n, 4, m), allocated once per fit; an iteration over k running
     trials writes the first k rows of each."""
-    return (*np.empty((4, n, m)), np.empty((n, m, 4)))
+    return (*np.empty((4, n, m)), np.empty((n, 4, m)))
 
 
 def _dip_resid_jac(p, taus, vals, weights, work) -> tuple:
-    """Weighted residuals (k, m) and Jacobian (k, m, 4) of the dip model at
-    the parameter rows `p` (k, 4) = (base, depth, center, width), written
-    in place into the first k rows of the `_dip_work` arrays `work`."""
+    """Weighted residuals (k, m) and Jacobian (k, 4, m), one contiguous
+    column per parameter, of the dip model at the parameter rows `p`
+    (k, 4) = (base, depth, center, width), written in place into the first
+    k rows of the `_dip_work` arrays `work`."""
     dt, dt2, g, r, jac = (a[:len(p)] for a in work)
     base, depth, center = (p[:, i, None] for i in range(3))
     # the powers of the width are products, not `np.power`: numpy's
@@ -228,15 +232,15 @@ def _dip_resid_jac(p, taus, vals, weights, work) -> tuple:
     np.subtract(taus, center, out=dt)
     np.multiply(dt, dt, out=dt2)
     np.exp(np.negative(np.divide(dt2, 2.0 * w2, out=g), out=g), out=g)  # exp(-dt^2 / 2 w^2)
-    jac[..., 0] = 1.0
-    np.negative(g, out=jac[..., 1])
+    jac[:, 0] = 1.0
+    np.negative(g, out=jac[:, 1])
     np.multiply(-depth, g, out=r)
-    np.divide(np.multiply(r, dt, out=jac[..., 2]), w2, out=jac[..., 2])   # -depth g dt / w^2
-    np.divide(np.multiply(r, dt2, out=jac[..., 3]), w3, out=jac[..., 3])  # -depth g dt^2 / w^3
+    np.divide(np.multiply(r, dt, out=jac[:, 2]), w2, out=jac[:, 2])   # -depth g dt / w^2
+    np.divide(np.multiply(r, dt2, out=jac[:, 3]), w3, out=jac[:, 3])  # -depth g dt^2 / w^3
     np.multiply(depth, g, out=r)
     np.multiply(np.subtract(np.subtract(base, r, out=r), vals, out=r), weights,
                 out=r)  # (base - depth g - vals) weights
-    np.multiply(jac, weights[..., None], out=jac)
+    np.multiply(jac, weights[:, None], out=jac)
     return r, jac
 
 
@@ -248,10 +252,10 @@ def _row_dot(a, b):
 
 def _dip_normal_equations(p, taus, vals, weights, work) -> tuple:
     """(J^T J (k, 4, 4), -J^T r (k, 4, 1), r^T r (k,)) of the weighted dip
-    fit at the parameter rows `p`; new arrays, so `work` may be reused."""
-    r, jac = _dip_resid_jac(p, taus, vals, weights, work)
-    jac_t = np.swapaxes(jac, 1, 2)
-    return jac_t @ jac, -(jac_t @ r[..., None]), _row_dot(r, r)
+    fit at the parameter rows `p`; new arrays, so `work` may be reused.
+    `_dip_resid_jac` stores J^T, so both products run over contiguous rows."""
+    r, jac_t = _dip_resid_jac(p, taus, vals, weights, work)
+    return jac_t @ np.swapaxes(jac_t, 1, 2), -(jac_t @ r[..., None]), _row_dot(r, r)
 
 
 def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
@@ -270,7 +274,12 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     its own damping, column scale and stop test, so its iterates are those
     of a fit of its scan alone.  A trial stops converged once its scaled
     step is below _LM_XTOL of its scaled parameters, and unconverged when
-    its damped system is singular or after _LM_MAX_ITER iterations.  The
+    its damped system is singular or after _LM_MAX_ITER iterations.
+    _LM_XTOL is sqrt(eps), MINPACK's default (More, Garbow and Hillstrom,
+    ANL-80-74, 1980): near the minimum the cost changes by about eps times
+    itself over such a step, so the cost of a smaller one is lost to
+    rounding, it is rejected, and a tighter tolerance only multiplies the
+    damping by 10 until the step falls below it.  The
     (trials x delays) work arrays are allocated once per call and updated
     in place; only an iteration in which trials stop allocates arrays of
     that size, when it drops their rows.

@@ -7,8 +7,10 @@ nonzero inline parameter beside `netlist_path` is a `ConfigError`); either
 way it is built by the netlist compiler (`ChipConfig.to_netlist`).  Inline
 parameters reach it through one lowering, `lower_chip_fields`, and each has
 the unit and range of the netlist parameter it lowers to (`_CHIP_PARAMS`).
-A relative `netlist_path` in a config file is resolved against the file's
-directory when the file is loaded.  A config's canonical document
+Each number, flag and text field is type-checked on construction
+(`_check_types`), so a JSON value of another type is a `ConfigError` naming
+the field.  A relative `netlist_path` in a config file is resolved against
+the file's directory when the file is loaded.  A config's canonical document
 (`dump_config`, the text `config_digest` hashes) is one line of compact JSON
 with sorted keys.  `measured_chip()` is the parameter set used to bracket
 the reported hardware numbers; `ideal()` turns every imperfection off.
@@ -40,44 +42,50 @@ class ConfigError(Exception):
     """Invalid configuration content."""
 
 
+# the JSON values each field type admits, in words
+_KINDS = {"float": "a finite number", "int": "an integer", "bool": "true or false",
+          "str": "a string"}
+
+
 @functools.cache
-def _number_fields(cls) -> tuple:
-    """(name, kind, optional) of each `float` or `int` field of the
-    dataclass `cls`: kind "float" or "int", optional when None is allowed."""
-    table = []
-    for f in fields(cls):
-        if f.type.startswith("float"):
-            table.append((f.name, "float", "None" in f.type))
-        elif f.type == "int":
-            table.append((f.name, "int", False))
-    return tuple(table)
+def _typed_fields(cls) -> tuple:
+    """(name, kind, optional) of each `float`, `int`, `bool` or `str` field
+    of the dataclass `cls`: kind a key of `_KINDS`, optional when None is
+    allowed."""
+    return tuple((f.name, kind, "None" in f.type) for f in fields(cls)
+                 if (kind := f.type.split(" ")[0]) in _KINDS)
 
 
-def _check_numbers(obj) -> None:
-    """Each `float` field must be a finite number, each `int` field an integer;
-    both are stored plain (float, int; -0.0 as 0.0), so equal configs encode alike.
+def _check_types(obj) -> None:
+    """Each `float` field must be a finite number, each `int` field an
+    integer, each `bool` field true or false and each `str` field a string,
+    or None where the field allows it.  Numbers are stored plain (float,
+    int; -0.0 as 0.0), so equal configs encode alike.
 
-    JSON admits NaN, Infinity, fractions, strings and booleans anywhere, and
-    Python's bool is an int; none of them is a valid count or parameter.
-    The fields to check are looked up once per class (`_number_fields`).
+    JSON admits NaN, Infinity, fractions, strings, booleans and null
+    anywhere, and Python's bool is an int; none of them is a valid count or
+    parameter, and a flag is only true or false (a truthy "no" would switch
+    it on).  The fields to check are looked up once per class (`_typed_fields`).
     """
-    for name, kind, optional in _number_fields(type(obj)):
+    for name, kind, optional in _typed_fields(type(obj)):
         v = getattr(obj, name)
+        if v is None and optional:
+            continue
         if kind == "float":
-            if v is None and optional:
-                continue
             if type(v) is float:
                 ok = math.isfinite(v)
             else:
                 ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-            what = "a finite number"
-        else:
+        elif kind == "int":
             ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            what = "an integer"
+        else:
+            ok = isinstance(v, bool if kind == "bool" else str)
         if not ok:
-            raise ConfigError(f"{name} must be {what}, got {v!r}")
-        if v == 0 or type(v) is not (float if kind == "float" else int):
-            object.__setattr__(obj, name, float(v) + 0.0 if kind == "float" else int(v))
+            raise ConfigError(f"{name} must be {_KINDS[kind]}, got {v!r}")
+        if kind == "float" and (v == 0 or type(v) is not float):
+            object.__setattr__(obj, name, float(v) + 0.0)
+        elif kind == "int" and type(v) is not int:
+            object.__setattr__(obj, name, int(v))
 
 
 # source span of netlist nodes lowered from a config rather than parsed
@@ -129,7 +137,7 @@ class ChipConfig:
     netlist_chip: str | None = None
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_types(self)
         for name in _CHIP_PARAMS:
             if (v := getattr(self, name)) is not None:
                 check_chip_param(name, v)
@@ -189,7 +197,7 @@ class SourceConfig:
     dip_shape: str = "gaussian"
 
     def __post_init__(self):
-        _check_numbers(self)
+        _check_types(self)
         if self.coherence_time_ps <= 0:
             raise ConfigError("coherence_time_ps must be positive")
         if not 0.0 <= self.bell_visibility <= 1.0:
@@ -222,7 +230,7 @@ class ExperimentConfig:
     def __post_init__(self):
         chips = tuple(self.chips) if self.chips else (ChipConfig(),)
         object.__setattr__(self, "chips", chips)
-        _check_numbers(self)
+        _check_types(self)
         if self.pair_rate_hz <= 0 or self.integration_time_s <= 0:
             raise ConfigError("rates and times must be positive")
         if self.background_rate_hz < 0:
@@ -347,8 +355,10 @@ def load_config(path_or_text) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
     data.pop("wavelength_nm", None)
-    chips = tuple(_resolve_netlist(_build(ChipConfig, c, "chip"), base_dir)
-                  for c in data.pop("chips", []))
+    chips = data.pop("chips", [])
+    if not isinstance(chips, list):
+        raise ConfigError(f"chips must be a JSON list, got {chips!r}")
+    chips = tuple(_resolve_netlist(_build(ChipConfig, c, "chip"), base_dir) for c in chips)
     source = data.pop("source", {})
     if isinstance(source, dict):
         source = {k: v for k, v in source.items()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -118,6 +119,50 @@ class TestLegacyKeys:
     def test_unknown_key_still_rejected(self):
         with pytest.raises(ConfigError, match="bad experiment fields"):
             load_config(json.dumps({"schema_version": 1, "base_dir": "."}))
+
+
+class TestIllTypedValues:
+    # JSON admits any value anywhere: a value of the wrong type is one
+    # config error naming the field, never a traceback or a silent coercion
+    @pytest.mark.parametrize("chips", [5, None, "ab", {"netlist_path": "x.pnl"}])
+    def test_chips_must_be_a_list(self, chips):
+        words = f"^chips must be a JSON list, got {re.escape(repr(chips))}$"
+        with pytest.raises(ConfigError, match=words):
+            load_config(json.dumps({"schema_version": 1, "chips": chips}))
+
+    @pytest.mark.parametrize("where, key, value, words", [
+        ("chip", "netlist_path", 5, "a string"),
+        ("chip", "netlist_chip", ["swap"], "a string"),
+        ("experiment", "fringe_output_polarizer", "no", "true or false"),
+        # `1` once gave a config equal to `true`'s, with another config_hash
+        ("experiment", "fringe_output_polarizer", 1, "true or false"),
+        ("experiment", "fringe_output_polarizer", None, "true or false"),
+        ("experiment", "hom_input", None, "a string"),
+        ("source", "dip_shape", 0, "a string"),
+    ])
+    def test_wrong_type_names_the_field(self, tmp_path, where, key, value, words):
+        doc = {"schema_version": 1, "chips": [{}], "source": {}}
+        {"chip": doc["chips"][0], "experiment": doc, "source": doc["source"]}[where][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError,
+                           match=f"^{key} must be {words}, got {re.escape(repr(value))}$"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("doc", [
+        {"schema_version": 1, "chips": 5},
+        {"schema_version": 1, "chips": [{"netlist_path": 5}]},
+        {"schema_version": 1, "fringe_output_polarizer": "no"},
+    ], ids=["chips", "netlist_path", "fringe_output_polarizer"])
+    def test_cli_exits_1_with_one_line(self, tmp_path, capsys, doc):
+        from swapsim import cli
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.dispatch(["fringe", "--config", str(path), "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: ")
 
 
 class TestFacetXtalk:

@@ -74,7 +74,7 @@ def hom_oracle(taus, vals, background):
             p, r, jac, lam = p + step, r_new, jac_new, lam / 10.0
         else:
             lam *= 10.0
-        if np.linalg.norm(scale * step) <= 1e-10 * np.linalg.norm(scale * p):
+        if np.linalg.norm(scale * step) <= bp._LM_XTOL * np.linalg.norm(scale * p):
             converged = True
             break
     base, depth, center, width = p
@@ -295,3 +295,63 @@ def test_solve_stack_leaves_singular_systems_alone():
     assert np.isnan(x[2]).all()
     for k in (0, 1, 3):
         np.testing.assert_array_equal(x[k], np.linalg.solve(a[k], b[k]))
+
+
+# ---------------------------------------------------------------------------
+# the stop rule: sqrt(eps), MINPACK's default step tolerance
+# ---------------------------------------------------------------------------
+
+def _measured_hom_scans(monkeypatch, scale):
+    """(taus, counts (100, m), background) of each `run_hom_scan` fit of the
+    measured config at `scale` x the default integration time, seeds 0-11."""
+    defaults = ExperimentConfig.measured_chip()
+    scans = []
+    fit_stack = bp.hom_fit_stack
+
+    def recording(taus, counts, background=0.0):
+        scans.append((taus, counts, background))
+        return fit_stack(taus, counts, background)
+
+    with monkeypatch.context() as m:
+        m.setattr(bp, "hom_fit_stack", recording)
+        for seed in range(12):
+            ex.run_hom_scan(ExperimentConfig.measured_chip(
+                n_trials=100, rng_seed=seed,
+                integration_time_s=scale * defaults.integration_time_s))
+    return scans
+
+
+def test_hom_fit_stops_within_its_iteration_budget(monkeypatch):
+    # a tolerance of 1e-10 takes 14-16 iterations per 100-trial fit, about
+    # half of them multiplying the damping by 10 at the rounding floor; one
+    # normal-equations evaluation starts the fit, one more per iteration
+    calls = 0
+    normal_equations = bp._dip_normal_equations
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return normal_equations(*args)
+
+    monkeypatch.setattr(bp, "_dip_normal_equations", counted)
+    for seed in range(12):
+        calls = 0
+        ex.run_hom_scan(ExperimentConfig.measured_chip(n_trials=100, rng_seed=seed))
+        assert calls - 1 <= 8, seed
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+def test_step_tolerance_does_not_move_the_minimum(monkeypatch, scale):
+    # stopping at sqrt(eps) instead of 1e-10 ends the fit at the same
+    # least-squares minimum, to far below the scans' statistical spread
+    for taus, counts, background in _measured_hom_scans(monkeypatch, scale):
+        fit = bp.hom_fit_stack(taus, counts, background)
+        with monkeypatch.context() as m:
+            m.setattr(bp, "_LM_XTOL", 1e-10)
+            tight = bp.hom_fit_stack(taus, counts, background)
+        for name in HOM_V:
+            np.testing.assert_allclose(getattr(fit, name), getattr(tight, name),
+                                       rtol=0, atol=1e-9, err_msg=name)
+        np.testing.assert_allclose(fit.coherence_time_ps, tight.coherence_time_ps,
+                                   rtol=0, atol=1e-7)
+        np.testing.assert_array_equal(fit.converged, tight.converged)
