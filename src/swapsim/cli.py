@@ -23,10 +23,14 @@ and the bytes of its `"payload":` member are the bytes that
 `payload_sha256` hashes.
 
 `dispatch` may be called repeatedly in one process.  The process builds the
-argument parser once, parses each netlist text once and compiles each
-distinct chip once (`netlist`'s bounded caches); no state that changes a
-result is kept between calls, so a warm call gives the same
-payload as a fresh process.  A command imports only what it uses: `fmt`
+argument parser once and the preset of a run without --config once, decodes
+each config text once (`load_config` still reads the file on every call),
+parses each netlist text once and compiles each distinct chip once (bounded
+caches); no state that changes a result is kept between calls, so a warm
+call gives the same payload as a fresh process.  A report's config is
+encoded once: the `config.json` of a run whose netlist path is rewritten
+is that encoding with the path swapped in.  Both files are written with raw
+writes of their encoded bytes.  A command imports only what it uses: `fmt`
 and `check` load no numpy and no experiment module.
 """
 
@@ -119,12 +123,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _measured_chip() -> ExperimentConfig:
+    """The config of a run without --config, built once per process (it is immutable)."""
+    from .config import ExperimentConfig
+
+    return ExperimentConfig.measured_chip()
+
+
 def _load_experiment_config(args) -> ExperimentConfig:
     from dataclasses import replace
 
-    from .config import ChipConfig, ConfigError, ExperimentConfig, load_config
+    from .config import ChipConfig, ConfigError, load_config
 
-    cfg = ExperimentConfig.measured_chip() if args.config is None else load_config(args.config)
+    cfg = _measured_chip() if args.config is None else load_config(args.config)
     seed = args.seed
     if seed is None and os.environ.get("SWAPSIM_SEED"):
         try:
@@ -164,15 +176,28 @@ def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) ->
         return
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(text + "\n", encoding="utf-8")
-        (out / "config.json").write_text(dump_config(cfg, relative_to=out), encoding="utf-8")
+        os.makedirs(out, exist_ok=True)
+        _write_file(os.path.join(out, "report.json"), (text + "\n").encode("utf-8"))
+        _write_file(os.path.join(out, "config.json"),
+                    dump_config(cfg, relative_to=out).encode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot write the report to {out}: {exc}") from exc
     summary = {k: v for k, v in report.payload.items()
                if isinstance(v, (int, float, str, bool))}
     print(json.dumps({"experiment": report.kind, "out": str(out), "summary": summary},
                      sort_keys=True, separators=(",", ":")))
+
+
+def _write_file(path, data: bytes) -> None:
+    """Replace the file at `path` with `data` by unbuffered writes: the
+    bytes are encoded already, so a text file object would only copy them."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _parse_grid(args_grid) -> dict | None:

@@ -10,10 +10,15 @@ the unit and range of the netlist parameter it lowers to (`_CHIP_PARAMS`).
 Each number, flag and text field is type-checked on construction
 (`_check_types`), so a JSON value of another type is a `ConfigError` naming
 the field.  A relative `netlist_path` in a config file is resolved against
-the file's directory when the file is loaded.  A config's canonical document
+the file's directory when the file is loaded.  `load_config` reads a file
+on every call, and decodes and validates each distinct (text, directory)
+once per process (a bounded cache; errors are never cached), so a repeated
+text returns the same immutable config.  A config's canonical document
 (`dump_config`, the text `config_digest` hashes) is one line of compact JSON
-with sorted keys.  `measured_chip()` is the parameter set used to bracket
-the reported hardware numbers; `ideal()` turns every imperfection off.
+with sorted keys, encoded once per config object; the copy written beside a
+report swaps its rewritten netlist paths into that encoding.
+`measured_chip()` is the parameter set used to bracket the reported
+hardware numbers; `ideal()` turns every imperfection off.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import json
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -36,6 +42,7 @@ __all__ = ["ConfigError", "ChipConfig", "SourceConfig", "ExperimentConfig",
            "load_config", "dump_config"]
 
 SCHEMA_VERSION = 1
+_DECODE_CACHE_SIZE = 32   # config texts decoded per process (`_decode`)
 
 
 class ConfigError(Exception):
@@ -249,7 +256,7 @@ class ExperimentConfig:
     # the canonical document, encoded once: the config and its parts are immutable
     @functools.cached_property
     def _document(self) -> str:
-        return _encode(self, self.chips)
+        return _encode(self)
 
     # -- chip access ---------------------------------------------------
 
@@ -297,10 +304,10 @@ def _field_dict(obj) -> dict:
     return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
-def _encode(cfg: ExperimentConfig, chips: tuple) -> str:
-    """The canonical document of `cfg` holding `chips` (config objects or
-    their field dicts): one line of compact JSON, keys sorted, no NaN."""
-    return json.dumps({**_field_dict(cfg), "chips": chips, "schema_version": SCHEMA_VERSION},
+def _encode(cfg: ExperimentConfig) -> str:
+    """The canonical document of `cfg`: one line of compact JSON, keys
+    sorted, no NaN."""
+    return json.dumps({**_field_dict(cfg), "schema_version": SCHEMA_VERSION},
                       default=_field_dict, sort_keys=True, separators=(",", ":"),
                       allow_nan=False) + "\n"
 
@@ -310,14 +317,22 @@ def dump_config(cfg: ExperimentConfig, relative_to: str | os.PathLike | None = N
     `config_digest` hashes, encoded once per config object.  With
     `relative_to` (a directory), each relative chip `netlist_path` is
     written relative to it, the inverse of `load_config` resolving it, so
-    the document saved there reruns the same chips; only a changed path
-    encodes the document again."""
-    chips = cfg.chips if relative_to is None else tuple(
-        {**_field_dict(c), "netlist_path": rel}
-        if c.netlist_path is not None and not os.path.isabs(c.netlist_path)
-        and (rel := os.path.relpath(c.netlist_path, relative_to)) != c.netlist_path else c
-        for c in cfg.chips)
-    return cfg._document if chips == cfg.chips else _encode(cfg, chips)
+    the document saved there reruns the same chips.  The paths are swapped
+    into the encoded document, not encoded again: a `"netlist_path":` key
+    followed by the path's JSON string occurs only as that member, since a
+    quote inside a JSON string is escaped."""
+    doc = cfg._document
+    if relative_to is None:
+        return doc
+    rewrites = {json.dumps(path): json.dumps(rel) for path in {
+        c.netlist_path for c in cfg.chips
+        if c.netlist_path is not None and not os.path.isabs(c.netlist_path)}
+        if (rel := os.path.relpath(path, relative_to)) != path}
+    if not rewrites:
+        return doc
+    # one pass, so that a path rewritten to another chip's path is not rewritten twice
+    return re.sub('"netlist_path":(' + "|".join(map(re.escape, rewrites)) + ")",
+                  lambda m: '"netlist_path":' + rewrites[m[1]], doc)
 
 
 def _build(cls, data: dict, what: str):
@@ -334,7 +349,8 @@ def load_config(path_or_text) -> ExperimentConfig:
     file's directory and normalised, so `o1/../x.pnl` reads `x.pnl`.  The
     `wavelength_nm` key and the source's `lambda_pump_nm` and
     `lambda_signal_nm` keys of older schema-1 documents never had an effect
-    and are dropped.
+    and are dropped.  A file is read on every call, so an edited file gives
+    the new config; its text is decoded once per process (`_decode`).
     """
     text = str(path_or_text)
     base_dir = None
@@ -345,6 +361,15 @@ def load_config(path_or_text) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         base_dir = path.parent
+    return _decode(text, base_dir)
+
+
+@functools.lru_cache(maxsize=_DECODE_CACHE_SIZE)
+def _decode(text: str, base_dir: Path | None) -> ExperimentConfig:
+    """The config of the JSON document `text`, its relative chip netlist
+    paths resolved against `base_dir` (None: kept as written).  Cached on
+    both, so a repeated text returns the same (immutable) config, whose
+    canonical document is then encoded once; errors are never cached."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

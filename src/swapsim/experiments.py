@@ -107,20 +107,33 @@ def derive_seed(master_seed: int, *path) -> np.random.SeedSequence:
     return np.random.SeedSequence(parts)
 
 
+# the most int64 counts one array can hold: numpy indexes its bytes with intp
+_MAX_COUNTS = np.iinfo(np.intp).max // 8
+
+
 def sample_counts(cfg: ExperimentConfig, path: tuple, probs, time_s: float) -> np.ndarray:
     """Poisson counts of every trial of one run, shape (n_trials, *probs.shape).
 
     Setting k has mean (pair_rate * probs[k] + background_rate) * time_s.
     One PCG64 generator, seeded from (cfg.rng_seed, *path), draws all
     trials in one call; the algorithm is pinned, so identical inputs give
-    identical counts on every platform.
+    identical counts on every platform.  A trial count whose array cannot
+    be drawn (more bytes than numpy can index, or than the machine can
+    allocate) is a `ConfigError` naming `n_trials`.
     """
     lam = (cfg.pair_rate_hz * np.asarray(probs, dtype=float)
            + cfg.background_rate_hz) * time_s
     if not np.all(lam >= 0):
         raise ValueError("Poisson means must be nonnegative")
+    too_many = f"n_trials (--trials) is too large: cannot draw {cfg.n_trials} trials"
+    # numpy's own refusal is a ValueError that names no field
+    if cfg.n_trials * lam.size > _MAX_COUNTS:
+        raise ConfigError(f"{too_many} of {lam.size} counts")
     gen = np.random.Generator(np.random.PCG64(derive_seed(cfg.rng_seed, *path)))
-    return gen.poisson(lam, size=(cfg.n_trials, *lam.shape))
+    try:
+        return gen.poisson(lam, size=(cfg.n_trials, *lam.shape))
+    except MemoryError as exc:
+        raise ConfigError(f"{too_many}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from swapsim import cli
+from swapsim import cli, config
 from swapsim import netlist as nl
 from swapsim.config import ChipConfig, ExperimentConfig, dump_config, load_config
 
@@ -223,14 +223,16 @@ class TestDispatch:
 
 def _clear_caches():
     cli._build_parser.cache_clear()
+    cli._measured_chip.cache_clear()
+    config._decode.cache_clear()
     nl.parse.cache_clear()
     nl._compile_chip.cache_clear()
 
 
 class TestRepeatedDispatch:
-    """One process builds the parser once, parses each netlist text once
-    and compiles each distinct chip once; none of it shows in what a call
-    gives."""
+    """One process builds the parser and the preset once, decodes each
+    config text once, parses each netlist text once and compiles each
+    distinct chip once; none of it shows in what a call gives."""
 
     @staticmethod
     def _result(argv, out, capsys):
@@ -239,9 +241,10 @@ class TestRepeatedDispatch:
         if not (out / "report.json").exists():
             return rc, captured.out, captured.err
         doc = json.loads((out / "report.json").read_text())
+        config_bytes = (out / "config.json").read_bytes()
         for p in out.iterdir():
             p.unlink()
-        return rc, doc["payload"], doc["payload_sha256"]
+        return rc, doc["payload"], doc["payload_sha256"], doc["meta"]["config_hash"], config_bytes
 
     def test_warm_calls_equal_cold_calls(self, tmp_path, config_file, netlist_file, capsys):
         out = tmp_path / "out"
@@ -294,14 +297,12 @@ class TestChipPaths:
         assert rc == 0
 
     @pytest.mark.parametrize("chip_args, encodes", [
-        (["--netlist", "demos/data/swap_measured.pnl"], 2),
+        (["--netlist", "demos/data/swap_measured.pnl"], 1),
         (["--config", "demos/data/config_measured.json"], 1)], ids=["netlist", "config"])
     def test_config_encodes_per_report(self, chip_args, encodes, tmp_path, monkeypatch):
         # the report's config hash and its config.json read the one
-        # canonical document of the config; only a netlist path that
-        # config.json rewrites against the output directory encodes again
-        from swapsim import config
-
+        # canonical document of the config; a netlist path that config.json
+        # rewrites against the output directory is swapped into it
         calls = []
         encode = config._encode
         monkeypatch.setattr(config, "_encode",
@@ -312,7 +313,9 @@ class TestChipPaths:
         assert len(calls) == encodes
 
     def test_the_flags_replace_the_config_once(self, netlist_file, tmp_path, monkeypatch):
-        # the preset is built once, and every flag's field is set in one replace
+        # the preset is built once per process, and every flag's field is
+        # set in one replace
+        cli._measured_chip()
         calls = []
         post_init = ExperimentConfig.__post_init__
         monkeypatch.setattr(ExperimentConfig, "__post_init__",
@@ -320,7 +323,7 @@ class TestChipPaths:
         assert cli.dispatch(["fringe", "--netlist", str(netlist_file), "--seed", "3",
                              "--trials", "1", "--port", "B",
                              "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         cfg = load_config(str(tmp_path / "out" / "config.json"))
         assert (cfg.rng_seed, cfg.n_trials, cfg.fringe_port) == (3, 1, "B")
         assert cfg.chips == (ChipConfig(netlist_path=str(netlist_file)),) * 2
@@ -505,6 +508,43 @@ class TestBadValues:
         assert capsys.readouterr().err == (
             "config error: cannot fit the HOM dip (degenerate scan: no dip wings to fit): "
             "use fewer delay points (--points) or a longer integration_time_s\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("op", ["truth-table", "fringe", "hom", "bell", "tomo-state"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_trial_count_that_cannot_be_drawn_exits_1_with_one_line(self, op, source,
+                                                                      tmp_path, capsys):
+        # numpy refuses a count array of 10**20 trials by its shape, before
+        # it allocates anything
+        argv = [op, "--trials", str(10**20)]
+        if source == "config":
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps({"schema_version": 1, "n_trials": 10**20}))
+            argv = [op, "--config", str(p)]
+        out = tmp_path / "out"
+        assert cli.dispatch([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: n_trials (--trials) is too large: "
+                              f"cannot draw {10**20} trials of ")
+        assert not out.exists()
+
+    def test_a_count_array_the_machine_cannot_allocate_exits_1_with_one_line(
+            self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        class Refusing:
+            def __init__(self, bit_generator):
+                pass
+
+            def poisson(self, lam, size):
+                raise MemoryError("Unable to allocate 7.28 PiB")
+
+        monkeypatch.setattr(np.random, "Generator", Refusing)
+        out = tmp_path / "out"
+        assert cli.dispatch(["truth-table", "--trials", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("config error: n_trials (--trials) is too large: "
+                                           "cannot draw 100 trials: Unable to allocate 7.28 PiB\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])

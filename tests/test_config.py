@@ -82,9 +82,15 @@ class TestNetlistPath:
                           facet_xtalk=0.0) == ChipConfig(netlist_path="swap.pnl")
 
 
-    @pytest.mark.parametrize("path", ["demos/data/swap_measured.pnl", "/abs/swap.pnl", None],
-                             ids=["relative", "absolute", "inline"])
-    def test_rewritten_config_equals_the_rewritten_config_object(self, tmp_path, path):
+    @pytest.mark.parametrize("paths, out", [
+        (("demos/data/swap_measured.pnl", None), None),
+        (("/abs/swap.pnl", None), None),
+        ((None, None), None),
+        # each path rewritten in one pass: each but the last becomes the next one's text
+        (("out/out/out/x.pnl", "out/out/x.pnl", "out/x.pnl", "x.pnl"), "out"),
+        (('q "a"\\b/\u00e9\n.pnl', "/abs/swap.pnl"), None),
+    ], ids=["relative", "absolute", "inline", "onto-another-path", "escaped"])
+    def test_rewritten_config_equals_the_rewritten_config_object(self, tmp_path, paths, out):
         # config.json reruns from the output directory: a relative netlist
         # path is rewritten against it, byte for byte as a config object
         # holding the rewritten path dumps
@@ -92,13 +98,57 @@ class TestNetlistPath:
         from dataclasses import replace
 
         cfg = replace(ExperimentConfig.measured_chip(),
-                      chips=(ChipConfig(netlist_path=path), ChipConfig()))
-        out = tmp_path / "out"
+                      chips=tuple(ChipConfig(netlist_path=p) for p in paths) + (ChipConfig(),))
+        out = tmp_path / "out" if out is None else out
         rel = tuple(replace(c, netlist_path=os.path.relpath(c.netlist_path, out))
                     if c.netlist_path is not None and not os.path.isabs(c.netlist_path)
                     else c for c in cfg.chips)
         assert dump_config(cfg, relative_to=out) == dump_config(replace(cfg, chips=rel))
         assert (dump_config(cfg, relative_to=out) == dump_config(cfg)) == (rel == cfg.chips)
+
+
+class TestDecodeCache:
+    # a config file is read on every call, and its text decoded once per
+    # process (`config._decode`, keyed on the text and on the directory that
+    # resolves its relative netlist paths)
+    def test_a_repeated_text_is_decoded_once(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(dump_config(ExperimentConfig.measured_chip(fiber_seed=11)))
+        assert load_config(str(path)) is load_config(str(path))
+
+    def test_a_file_edited_between_dispatches_gives_the_new_config(self, tmp_path, capsys):
+        from swapsim import cli
+
+        path = tmp_path / "cfg.json"
+        runs = []
+        for fiber_seed in (11, 12, 11):
+            path.write_text(dump_config(ExperimentConfig.measured_chip(fiber_seed=fiber_seed)))
+            out = tmp_path / f"out{len(runs)}"
+            assert cli.dispatch(["fringe", "--config", str(path), "--trials", "1",
+                                 "--out", str(out)]) == 0
+            runs.append((json.loads((out / "report.json").read_text())["meta"]["config_hash"],
+                         load_config(str(out / "config.json")).fiber_seed))
+        assert [seed for _, seed in runs] == [11, 12, 11]
+        assert runs[0][0] != runs[1][0] and runs[0][0] == runs[2][0]
+
+    def test_a_bad_config_raises_on_every_call(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(dump_config(ExperimentConfig.measured_chip()))
+        load_config(str(path))
+        path.write_text(json.dumps({"schema_version": 1, "n_trials": 0}))
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="^n_trials must be >= 1$"):
+                load_config(str(path))
+
+    def test_the_same_text_resolves_against_each_directory(self, tmp_path):
+        text = _doc(netlist_path="swap.pnl")
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in dirs:
+            d.mkdir()
+            (d / "cfg.json").write_text(text)
+        assert [load_config(str(d / "cfg.json")).chips[0].netlist_path for d in dirs] == [
+            str(d / "swap.pnl") for d in dirs]
+        assert load_config(text).chips[0].netlist_path == "swap.pnl"
 
 
 class TestLegacyKeys:
