@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 
+_FIBER_LINK_CACHE_SIZE = 16   # fiber links built per process (`fiber_link`)
+
+
 class BellLabel(Enum):
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
@@ -368,6 +371,7 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     )
 
 
+@functools.lru_cache(maxsize=_FIBER_LINK_CACHE_SIZE)
 def fiber_link(seed: int, residual_angle_rad: float = 0.0) -> tuple:
     """Polarization rotation of a fiber link plus its compensation.
 
@@ -375,7 +379,9 @@ def fiber_link(seed: int, residual_angle_rad: float = 0.0) -> tuple:
     deterministically from `seed`, identical on both spatial channels); the
     compensation applies the exact inverse followed by a small residual
     rotation of `residual_angle_rad` (0 = perfect compensation).  Returns
-    (forward, compensation) as dim-4 channels.
+    (forward, compensation) as dim-4 channels, built once per (seed, angle)
+    in a bounded cache: a channel is immutable (read-only Kraus operators,
+    its superoperator computed once and read-only).
     """
     rng = np.random.default_rng(np.random.SeedSequence([0x5F1BE, seed]))
     q = rng.normal(size=4)

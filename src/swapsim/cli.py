@@ -22,16 +22,19 @@ or on stdout, is one line of canonical JSON (sorted keys, no whitespace),
 and the bytes of its `"payload":` member are the bytes that
 `payload_sha256` hashes.
 
-`dispatch` may be called repeatedly in one process.  The process builds the
-argument parser once and the preset of a run without --config once, decodes
-each config text once (`load_config` still reads the file on every call),
-parses each netlist text once and compiles each distinct chip once (bounded
-caches); no state that changes a result is kept between calls, so a warm
-call gives the same payload as a fresh process.  A report's config is
-encoded once: the `config.json` of a run whose netlist path is rewritten
-is that encoding with the path swapped in.  Both files are written with raw
-writes of their encoded bytes.  A command imports only what it uses: `fmt`
-and `check` load no numpy and no experiment module.
+`dispatch` may be called repeatedly in one process.  An argv that starts
+with a command is parsed by that command's own parser, built on its first
+use; the full parser, which holds each command's parser as a subparser with
+the same help text, is built only for other argv (no command, --help, an
+unknown command).  The process builds the preset of a run without --config once,
+decodes each config text once (`load_config` still reads the file on every
+call), parses each netlist text once and compiles each distinct chip once
+(bounded caches); no state that changes a result is kept between calls, so
+a warm call gives the same payload as a fresh process.  A report's config
+is encoded once: the `config.json` of a run whose netlist path is
+rewritten is that encoding with the path swapped in.  Both files are
+written with raw writes of their encoded bytes.  A command imports only
+what it uses: `fmt` and `check` load no numpy and no experiment module.
 """
 
 from __future__ import annotations
@@ -63,63 +66,78 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 # command line imports no experiment module
 BELL_LABELS = ("psi+", "psi-", "phi+", "phi-")
 
+# command -> its help line
+_COMMANDS = {
+    "truth-table": "measure the chip truth table",
+    "fringe": "phase-coherence fringe scan",
+    "hom": "Hong-Ou-Mandel dip scan",
+    "bell": "chip-to-chip Bell-state distribution",
+    "tomo-state": "single-qubit output-state tomography",
+    "tomo-process": "process (chi-matrix) tomography",
+    "sweep": "error-budget parameter sweep",
+    "fmt": "canonically format a netlist",
+    "check": "validate a netlist (parse + compile)",
+}
+
+
+def _add_arguments(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """`sp` with the arguments of command `name`: their one definition, for
+    the command's own parser and for its subparser in the full parser."""
+    if name in ("fmt", "check"):
+        sp.add_argument("path", type=str)
+        return sp
+    sp.add_argument("--netlist", type=str, default=None,
+                    help="chip netlist (.pnl); overrides the config chips")
+    sp.add_argument("--config", type=str, default=None,
+                    help="experiment config JSON (default: measured-chip calibration)")
+    sp.add_argument("--out", type=str, default=None,
+                    help="output directory for report files")
+    sp.add_argument("--seed", type=int, default=None, help="RNG master seed")
+    sp.add_argument("--trials", type=int, default=None,
+                    help="Monte Carlo trials")
+    if name == "fringe":
+        sp.add_argument("--points", type=int, default=17)
+        sp.add_argument("--port", choices=("T", "B"), default=None)
+    if name == "hom":
+        sp.add_argument("--points", type=int, default=49)
+        sp.add_argument("--input", dest="hom_input",
+                        choices=("TV_BH", "TH_BV", "source"), default=None)
+    if name == "bell":
+        sp.add_argument("--label", choices=BELL_LABELS,
+                        default=None, help="single Bell state (default: all four)")
+    if name == "tomo-state":
+        sp.add_argument("--spatial", choices=("T", "B", "+", "+i"), default="T")
+        sp.add_argument("--pol", choices=("H", "V", "D", "A", "R", "L"),
+                        default="D")
+    if name == "tomo-process":
+        sp.add_argument("--two-qubit", action="store_true",
+                        help="full two-qubit chi matrix instead of per-input")
+    if name == "sweep":
+        sp.add_argument("--grid", action="append", default=[],
+                        metavar="AXIS=V1,V2,...",
+                        help="sweep axis values, repeatable")
+    return sp
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command `name`, built on the command's first use: the
+    subparser that `_build_parser` makes for it (the same prog, arguments
+    and help text), without the other commands'."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"swapsim {name}"), name)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: `parse_args` does not change
-    it, and the `--grid` append action copies its default list."""
+    """The full CLI parser, for an argv that names no command (no command,
+    --help, an unknown command); built once per process: `parse_args` does
+    not change it, and the `--grid` append action copies its default list."""
     p = argparse.ArgumentParser(
         prog="swapsim",
         description="Simulator for the single-photon two-qubit SWAP chip.")
     sub = p.add_subparsers(dest="command")
-
-    def add_common(sp):
-        sp.add_argument("--netlist", type=str, default=None,
-                        help="chip netlist (.pnl); overrides the config chips")
-        sp.add_argument("--config", type=str, default=None,
-                        help="experiment config JSON (default: measured-chip calibration)")
-        sp.add_argument("--out", type=str, default=None,
-                        help="output directory for report files")
-        sp.add_argument("--seed", type=int, default=None, help="RNG master seed")
-        sp.add_argument("--trials", type=int, default=None,
-                        help="Monte Carlo trials")
-
-    for name, descr in (
-        ("truth-table", "measure the chip truth table"),
-        ("fringe", "phase-coherence fringe scan"),
-        ("hom", "Hong-Ou-Mandel dip scan"),
-        ("bell", "chip-to-chip Bell-state distribution"),
-        ("tomo-state", "single-qubit output-state tomography"),
-        ("tomo-process", "process (chi-matrix) tomography"),
-        ("sweep", "error-budget parameter sweep"),
-    ):
-        sp = sub.add_parser(name, help=descr)
-        add_common(sp)
-        if name == "fringe":
-            sp.add_argument("--points", type=int, default=17)
-            sp.add_argument("--port", choices=("T", "B"), default=None)
-        if name == "hom":
-            sp.add_argument("--points", type=int, default=49)
-            sp.add_argument("--input", dest="hom_input",
-                            choices=("TV_BH", "TH_BV", "source"), default=None)
-        if name == "bell":
-            sp.add_argument("--label", choices=BELL_LABELS,
-                            default=None, help="single Bell state (default: all four)")
-        if name == "tomo-state":
-            sp.add_argument("--spatial", choices=("T", "B", "+", "+i"), default="T")
-            sp.add_argument("--pol", choices=("H", "V", "D", "A", "R", "L"),
-                            default="D")
-        if name == "tomo-process":
-            sp.add_argument("--two-qubit", action="store_true",
-                            help="full two-qubit chi matrix instead of per-input")
-        if name == "sweep":
-            sp.add_argument("--grid", action="append", default=[],
-                            metavar="AXIS=V1,V2,...",
-                            help="sweep axis values, repeatable")
-
-    fmt = sub.add_parser("fmt", help="canonically format a netlist")
-    fmt.add_argument("path", type=str)
-    chk = sub.add_parser("check", help="validate a netlist (parse + compile)")
-    chk.add_argument("path", type=str)
+    for name, descr in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=descr), name)
     return p
 
 
@@ -276,14 +294,17 @@ def _netlist_tool(args) -> int:
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:  # only the command's own parser is built
+            args = _command_parser(argv[0]).parse_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; remap to the documented code
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.command is None:
-        parser.print_usage(sys.stderr)
+        _build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
     if args.command in ("fmt", "check"):
         return _netlist_tool(args)

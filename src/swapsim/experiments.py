@@ -26,8 +26,10 @@ no runner builds a data table beside it.  The exact (infinite-count)
 value of every estimate is always computed alongside the Monte Carlo one,
 so the noiseless pipeline doubles as the oracle for the sampled one.  Only
 `hom` and `bell` import `biphoton`, and each constant table (settings,
-inputs, ideal processes) is built on its first use, so a fresh process
-pays for what its command runs.
+inputs, ideal processes) and each operator that a config's fields fix (the
+fringe detector of a port and polarizer, the HOM input pair, the fiber
+link) is built on its first use, once, and read-only, so a fresh process
+pays for what its command runs and a warm one does not pay again.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
 and every estimate bit-exactly.  Each run draws from one PCG64 generator
@@ -109,6 +111,8 @@ def derive_seed(master_seed: int, *path) -> np.random.SeedSequence:
 
 # the most int64 counts one array can hold: numpy indexes its bytes with intp
 _MAX_COUNTS = np.iinfo(np.intp).max // 8
+# the largest Poisson mean numpy draws from (its POISSON_LAM_MAX)
+_MAX_POISSON_MEAN = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
 
 
 def sample_counts(cfg: ExperimentConfig, path: tuple, probs, time_s: float) -> np.ndarray:
@@ -119,14 +123,21 @@ def sample_counts(cfg: ExperimentConfig, path: tuple, probs, time_s: float) -> n
     trials in one call; the algorithm is pinned, so identical inputs give
     identical counts on every platform.  A trial count whose array cannot
     be drawn (more bytes than numpy can index, or than the machine can
-    allocate) is a `ConfigError` naming `n_trials`.
+    allocate) is a `ConfigError` naming `n_trials`; a mean above the
+    largest numpy draws from is one naming the rates and the time.
     """
     lam = (cfg.pair_rate_hz * np.asarray(probs, dtype=float)
            + cfg.background_rate_hz) * time_s
     if not np.all(lam >= 0):
         raise ValueError("Poisson means must be nonnegative")
+    # numpy's own refusals are ValueErrors that name no field
+    if (top := float(np.max(lam, initial=0.0))) > _MAX_POISSON_MEAN:
+        raise ConfigError(
+            f"pair_rate_hz ({cfg.pair_rate_hz:g}) and background_rate_hz "
+            f"({cfg.background_rate_hz:g}) are too large for {time_s:g} s per setting: "
+            f"a mean of {top:.3g} counts exceeds the largest that can be drawn, "
+            f"{_MAX_POISSON_MEAN:.3g}")
     too_many = f"n_trials (--trials) is too large: cannot draw {cfg.n_trials} trials"
-    # numpy's own refusal is a ValueError that names no field
     if cfg.n_trials * lam.size > _MAX_COUNTS:
         raise ConfigError(f"{too_many} of {lam.size} counts")
     gen = np.random.Generator(np.random.PCG64(derive_seed(cfg.rng_seed, *path)))
@@ -273,14 +284,11 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
 # fringe scan
 # ---------------------------------------------------------------------------
 
-def _fringe_probabilities(chip: ChipModel, phases: np.ndarray, port: str,
-                          use_polarizer: bool) -> np.ndarray:
-    """Detection probability Tr(M chip(rho(phi))) = vec(M^T) . S . vec(rho(phi))
-    at each phase, for the input rho(phi) of v(phi) = |port> (x)
-    phase_v(phi)|D>: the chip's superoperator S, then the detector operator
-    M = D^dag D of the 50:50 combiner and the monitored output D."""
-    pol = ket2("D") * np.stack([np.ones(len(phases)), np.exp(1j * phases)], axis=1)
-    v = (ket2(port)[None, :, None] * pol[:, None, :]).reshape(-1, 4)
+@functools.cache
+def _fringe_effect(port: str, use_polarizer: bool) -> np.ndarray:
+    """vec(M^T) for the detector operator M = D^dag D of the 50:50 combiner
+    and the output D monitored for input `port`, behind the output
+    polarizer or not: read-only, built once per (port, polarizer)."""
     if use_polarizer:
         # analyzer aligned with the ideal output polarization: the swapped
         # qubit leaves in V for T-port input and in H for B-port input
@@ -292,7 +300,20 @@ def _fringe_probabilities(chip: ChipModel, phases: np.ndarray, port: str,
     # carries the high-contrast fringe)
     sel_sp = np.diag([1.0, 0.0]) if port == "T" else np.diag([0.0, 1.0])
     detect = np.kron(sel_sp, sel_pol) @ np.kron(BS_5050, np.eye(2))
-    effect = (dagger(detect) @ detect).T.reshape(16) @ chip.superoperator
+    effect = (dagger(detect) @ detect).T.reshape(16)
+    effect.flags.writeable = False
+    return effect
+
+
+def _fringe_probabilities(chip: ChipModel, phases: np.ndarray, port: str,
+                          use_polarizer: bool) -> np.ndarray:
+    """Detection probability Tr(M chip(rho(phi))) = vec(M^T) . S . vec(rho(phi))
+    at each phase, for the input rho(phi) of v(phi) = |port> (x)
+    phase_v(phi)|D>: the chip's superoperator S, then the detector operator
+    M of `_fringe_effect`."""
+    pol = ket2("D") * np.stack([np.ones(len(phases)), np.exp(1j * phases)], axis=1)
+    v = (ket2(port)[None, :, None] * pol[:, None, :]).reshape(-1, 4)
+    effect = _fringe_effect(port, use_polarizer) @ chip.superoperator
     return np.maximum((_vec_states(v) @ effect).real, 0.0)  # as in `_truth_tables`
 
 
@@ -367,15 +388,24 @@ def _fpc_unitary(rho: np.ndarray, mode: str) -> np.ndarray:
     return np.outer(s_dom, i_dom.conj()) + np.outer(s_perp, i_perp.conj())
 
 
-def _hom_joint(cfg: ExperimentConfig) -> np.ndarray:
-    """The (16, 16) joint state of the HOM pair at the combiner: the input
-    pair through chip 0 (unless it is the bare source), heralded and
-    validated once, then the idler's polarization controller."""
-    from . import biphoton as bp
-
-    (ms, ps), (mi, pi) = _HOM_INPUTS[cfg.hom_input]
+@functools.cache
+def _hom_pair(hom_input: str) -> np.ndarray:
+    """The (1, 16, 16) joint state of the input pair `hom_input`, a
+    one-state stack: read-only, built once per input."""
+    (ms, ps), (mi, pi) = _HOM_INPUTS[hom_input]
     v = np.kron(ket4(ms, ps), ket4(mi, pi))
     joint = np.outer(v, v.conj())[None]
+    joint.flags.writeable = False
+    return joint
+
+
+def _hom_joint(cfg: ExperimentConfig) -> np.ndarray:
+    """The (16, 16) joint state of the HOM pair at the combiner: the input
+    pair (`_hom_pair`) through chip 0 (unless it is the bare source),
+    heralded and validated once, then the idler's polarization controller."""
+    from . import biphoton as bp
+
+    joint = _hom_pair(cfg.hom_input)
     if cfg.hom_input != "source":
         joint = bp.apply_chip_both_stack(joint, cfg.chip(0).superoperator)
     rho = heralded_normalize_stack(joint)[0][0]

@@ -259,10 +259,17 @@ class TestFiberLink:
 
     def test_deterministic_by_seed(self):
         a1, _ = bp.fiber_link(seed=3)
-        a2, _ = bp.fiber_link(seed=3)
+        a2, _ = bp.fiber_link.__wrapped__(seed=3)  # built again, past the cache
         b, _ = bp.fiber_link(seed=4)
         assert np.array_equal(a1.kraus[0], a2.kraus[0])
         assert not np.allclose(a1.kraus[0], b.kraus[0])
+
+    def test_built_once_and_read_only(self):
+        link = bp.fiber_link(6, 0.2)
+        assert bp.fiber_link(6, 0.2) is link
+        for channel in link:
+            assert not channel.kraus[0].flags.writeable
+            assert not channel.superoperator.flags.writeable
 
     def test_residual_angle_leaves_rotation(self):
         fwd, comp = bp.fiber_link(seed=5, residual_angle_rad=0.1)

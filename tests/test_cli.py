@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -222,11 +223,12 @@ class TestDispatch:
 
 
 def _clear_caches():
-    cli._build_parser.cache_clear()
-    cli._measured_chip.cache_clear()
-    config._decode.cache_clear()
-    nl.parse.cache_clear()
-    nl._compile_chip.cache_clear()
+    from swapsim import biphoton as bp
+    from swapsim import experiments as ex
+
+    for cache in (cli._build_parser, cli._command_parser, cli._measured_chip, config._decode,
+                  nl.parse, nl._compile_chip, bp.fiber_link, ex._fringe_effect, ex._hom_pair):
+        cache.cache_clear()
 
 
 class TestRepeatedDispatch:
@@ -285,6 +287,33 @@ class TestRepeatedDispatch:
         assert args.grid == ["er=18", "imbalance=0"]
         assert cli._build_parser() is parser
         assert parser.parse_args(["sweep"]).grid == []
+        sweep = cli._command_parser("sweep")
+        assert sweep.parse_args(["--grid", "er=18"]).grid == ["er=18"]
+        assert cli._command_parser("sweep") is sweep
+        assert sweep.parse_args([]).grid == []
+
+    def test_a_command_builds_only_its_own_parser(self, tmp_path, capsys):
+        _clear_caches()
+        assert cli.dispatch(["truth-table", "--trials", "1", "--out", str(tmp_path / "o")]) == 0
+        assert cli.dispatch(["check", str(tmp_path / "missing.pnl")]) == 1
+        assert cli._build_parser.cache_info().currsize == 0
+        assert cli._command_parser.cache_info().currsize == 2
+        # an argv naming no command parses with the full parser
+        assert cli.dispatch(["frobnicate"]) == 64
+        assert cli._build_parser.cache_info().currsize == 1
+        assert cli._command_parser.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    def test_each_command_help_equals_the_full_parsers(self, columns, capsys, monkeypatch):
+        # argparse wraps help to $COLUMNS, read each time it formats
+        monkeypatch.setenv("COLUMNS", columns)
+        for command in cli._COMMANDS:
+            with pytest.raises(SystemExit):
+                cli._build_parser().parse_args([command, "--help"])
+            full = capsys.readouterr().out
+            assert full.startswith(f"usage: swapsim {command} [-h]")
+            assert cli.dispatch([command, "--help"]) == 0
+            assert capsys.readouterr().out == full
 
 
 class TestChipPaths:
@@ -296,21 +325,35 @@ class TestChipPaths:
                            "--trials", "1", "--out", str(tmp_path / "out")])
         assert rc == 0
 
-    @pytest.mark.parametrize("chip_args, encodes", [
-        (["--netlist", "demos/data/swap_measured.pnl"], 1),
-        (["--config", "demos/data/config_measured.json"], 1)], ids=["netlist", "config"])
-    def test_config_encodes_per_report(self, chip_args, encodes, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("chip_args", [
+        ["--netlist", "demos/data/swap_measured.pnl"],
+        ["--config", "demos/data/config_measured.json"]], ids=["netlist", "config"])
+    def test_config_encodes_per_report(self, chip_args, tmp_path, monkeypatch):
         # the report's config hash and its config.json read the one
-        # canonical document of the config; a netlist path that config.json
-        # rewrites against the output directory is swapped into it
+        # canonical document of the config that the flags make, encoded
+        # once per report; a netlist path that config.json rewrites against
+        # the output directory is swapped into it
+        _clear_caches()
+        monkeypatch.chdir(REPO)
+        base = (ExperimentConfig.measured_chip() if chip_args[0] == "--netlist"
+                else load_config(chip_args[1]))
         calls = []
         encode = config._encode
         monkeypatch.setattr(config, "_encode",
                             lambda *args: calls.append(1) or encode(*args))
-        monkeypatch.chdir(REPO)
-        assert cli.dispatch(["truth-table", *chip_args, "--trials", "1",
-                             "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == encodes
+        for seed in (1, 2):
+            calls.clear()
+            out = tmp_path / f"out{seed}"
+            assert cli.dispatch(["truth-table", *chip_args, "--trials", "1", "--seed", str(seed),
+                                 "--out", str(out)]) == 0
+            assert len(calls) == 1
+            edits = {"rng_seed": seed, "n_trials": 1}
+            if chip_args[0] == "--netlist":
+                edits["chips"] = (ChipConfig(netlist_path=chip_args[1]),) * 2
+            expected = replace(base, **edits)
+            meta = json.loads((out / "report.json").read_text())["meta"]
+            assert meta["config_hash"] == hashlib.sha256(encode(expected).encode()).hexdigest()
+            assert (out / "config.json").read_text() == dump_config(expected, relative_to=out)
 
     def test_the_flags_replace_the_config_once(self, netlist_file, tmp_path, monkeypatch):
         # the preset is built once per process, and every flag's field is
@@ -473,6 +516,9 @@ class TestBadValues:
     @pytest.mark.parametrize("flag", [["--wavelength", "1550"], ["--format", "csv"]])
     def test_removed_flags_are_usage_errors(self, flag, capsys):
         assert cli.dispatch(["truth-table", *flag]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: swapsim truth-table [-h]")
+        assert err.endswith(f"swapsim truth-table: error: unrecognized arguments: {' '.join(flag)}\n")
 
     @pytest.mark.parametrize("grid, words", [
         ("foo=1", "unknown sweep axis 'foo'"),
@@ -529,6 +575,21 @@ class TestBadValues:
                               f"cannot draw {10**20} trials of ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("op", ["truth-table", "fringe", "hom", "bell", "tomo-state"])
+    def test_a_poisson_mean_that_cannot_be_drawn_exits_1_with_one_line(self, op, tmp_path,
+                                                                      capsys):
+        # numpy refuses a mean above its limit before it allocates anything
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"schema_version": 1, "pair_rate_hz": 1e20}))
+        out = tmp_path / "out"
+        assert cli.dispatch([op, "--config", str(p), "--trials", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: pair_rate_hz (1e+20) and background_rate_hz (0) "
+                              "are too large for ")
+        assert " s per setting: a mean of " in err
+        assert not out.exists()
+
     def test_a_count_array_the_machine_cannot_allocate_exits_1_with_one_line(
             self, tmp_path, capsys, monkeypatch):
         import numpy as np
@@ -558,6 +619,15 @@ class TestBadValues:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"config error: cannot write the report to {out}: ")
         assert existing.read_text() == "kept\n"
+
+    def test_a_report_json_that_is_a_directory_exits_1_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert cli.dispatch(["truth-table", "--trials", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"config error: cannot write the report to {out}: ")
+        assert (out / "report.json").is_dir()
 
     @pytest.mark.parametrize("source", ["config", "netlist"])
     def test_out_of_range_sweep_value_exits_1_on_both_sources(self, source, netlist_file,
@@ -619,6 +689,26 @@ class TestReportDocument:
         text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
         assert text.endswith("\n") and text.count("\n") == 1
         assert self._check(text[:-1]) == on_stdout
+
+    def test_a_second_report_into_one_out_leaves_exactly_its_bytes(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        # a longer report and config, then shorter ones: nothing of the
+        # first is left
+        monkeypatch.setattr(cli.time, "time", lambda: 1.5)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        second = ["truth-table", "--trials", "1", "--seed", "2"]
+        assert cli.dispatch(["sweep", "--trials", "3", "--seed", "1", "--out", str(out)]) == 0
+        assert cli.dispatch([*second, "--out", str(out)]) == 0
+        assert cli.dispatch([*second, "--out", str(fresh)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "report.json"]
+        for name in ("config.json", "report.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_out_with_missing_parents_is_made(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "out"
+        assert cli.dispatch(["truth-table", "--trials", "1", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "report.json"]
 
     def test_payload_is_encoded_once(self, tmp_path, monkeypatch, capsys):
         from swapsim import experiments as ex

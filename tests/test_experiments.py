@@ -312,6 +312,18 @@ class TestErrorBudget:
             assert run.canonical_payload() == first.canonical_payload()
 
 
+class TestFixedOperators:
+    """The operators that a config's fields fix are built once and read-only."""
+
+    @pytest.mark.parametrize("build, key", [
+        (ex._fringe_effect, ("T", True)), (ex._fringe_effect, ("B", False)),
+        (ex._hom_pair, ("TV_BH",)), (ex._hom_pair, ("source",))])
+    def test_built_once_and_read_only(self, build, key):
+        op = build(*key)
+        assert build(*key) is op
+        assert not op.flags.writeable
+
+
 class TestMonteCarloSkeleton:
     @pytest.mark.parametrize("run", [
         ex.run_truth_table, ex.run_fringe_scan, ex.run_hom_scan,

@@ -252,16 +252,20 @@ class TestCompile:
     def test_caches_stay_within_their_bounds(self):
         # more distinct texts and chips than any cache holds: each chip is
         # a text of its own, and so is each config
+        from swapsim import biphoton as bp
         from swapsim import config
 
-        n = max(nl._PARSE_CACHE_SIZE, nl._CHIP_CACHE_SIZE, config._DECODE_CACHE_SIZE) + 1
+        n = max(nl._PARSE_CACHE_SIZE, nl._CHIP_CACHE_SIZE, config._DECODE_CACHE_SIZE,
+                bp._FIBER_LINK_CACHE_SIZE) + 1
         for i in range(0, 8 * n, 8):
             body = " ".join(f"loss l{j} (T) loss={j / 1000}dB;" for j in range(i, i + 8))
             nl.compile_netlist(nl.parse(f"chip c {{ ports T, B; {body} }}"))
             config.load_config(f'{{"schema_version": 1, "rng_seed": {i}}}')
+            bp.fiber_link(i, 0.0)
         for cache, size in ((nl.parse, nl._PARSE_CACHE_SIZE),
                             (nl._compile_chip, nl._CHIP_CACHE_SIZE),
-                            (config._decode, config._DECODE_CACHE_SIZE)):
+                            (config._decode, config._DECODE_CACHE_SIZE),
+                            (bp.fiber_link, bp._FIBER_LINK_CACHE_SIZE)):
             info = cache.cache_info()
             assert (info.maxsize, info.currsize) == (size, size)
 
