@@ -5,7 +5,7 @@ carrying the (channel (x) polarization) pair in the fixed basis order of
 `qcore`; the signal is the most significant subsystem, so the joint index
 reads (m_s, p_s, m_i, p_i).  Joint states are plain (n, 16, 16) arrays
 with a leading stack axis.  The spectral degree of freedom is compressed
-to a scalar overlap mu(tau) with configurable dip shape; everywhere except
+to a scalar Gaussian overlap mu(tau) (`spectral_overlap`); everywhere except
 the HOM dip the two photons are ordinary distinguishable subsystems.
 Exact propagation of the pair goes through one stack kernel
 (`apply_chip_both_stack`): a dim-4 map acts on each photon as its 16x16
@@ -41,7 +41,6 @@ from .qcore import (
 
 __all__ = [
     "BellLabel",
-    "SpectralOverlap",
     "apply_chip_both_stack",
     "spectral_overlap",
     "exchange_overlap",
@@ -81,32 +80,16 @@ def bell_state_vector(label: BellLabel) -> np.ndarray:
     return _bell_vectors()[label].copy()
 
 
-class SpectralOverlap(NamedTuple):
-    """Scalar spectral-overlap model mu(tau) of the two-photon wavepacket;
-    `spectral_overlap` checks it."""
-
-    coherence_time_ps: float
-    shape: str = "gaussian"
-
-
-def spectral_overlap(tau_ps, s: SpectralOverlap):
-    """Overlap mu(tau), 1 at zero delay, monotone decreasing in |tau|.
-
-    Gaussian: exp(-tau^2 / (2 T_c^2)); the corresponding coincidence-dip
-    FWHM is 2 sqrt(2 ln 2) T_c.  Triangular (CW type-II walk-off shape):
-    max(0, 1 - |tau| / (2 T_c)).  A float for a scalar delay, an array for
-    an array of delays.
+def spectral_overlap(tau_ps, coherence_time_ps: float):
+    """Overlap mu(tau) = exp(-tau^2 / (2 T_c^2)) of the two-photon
+    wavepacket, T_c = `coherence_time_ps`: 1 at zero delay, monotone
+    decreasing in |tau|; the coincidence-dip FWHM is 2 sqrt(2 ln 2) T_c.  A
+    float for a scalar delay, an array for an array of delays.
     """
-    tau = np.asarray(tau_ps, dtype=float)
-    tc = s.coherence_time_ps
-    if tc <= 0:
+    if coherence_time_ps <= 0:
         raise ValueError("coherence time must be positive")
-    if s.shape == "gaussian":
-        mu = np.exp(-(tau**2) / (2.0 * tc * tc))
-    elif s.shape == "triangular":
-        mu = np.maximum(0.0, 1.0 - np.abs(tau) / (2.0 * tc))
-    else:
-        raise ValueError(f"unknown overlap shape {s.shape!r}")
+    tau = np.asarray(tau_ps, dtype=float)
+    mu = np.exp(-(tau**2) / (2.0 * coherence_time_ps * coherence_time_ps))
     return float(mu) if mu.ndim == 0 else mu
 
 
@@ -181,13 +164,12 @@ def exchange_overlap(joint: np.ndarray) -> float:
     return float(np.clip(o, 0.0, 1.0))
 
 
-def hom_dip(overlap: float, tau_ps, s: SpectralOverlap, background: float = 0.0):
-    """Coincidence probability P(tau) = 1/2 (1 - mu(tau) O) + background at
-    the 50:50 combiner outputs, for the exchange overlap O = `overlap`: a
-    float for a scalar delay, an array for an array of delays."""
-    if background < 0:
-        raise ValueError("background must be >= 0")
-    return 0.5 * (1.0 - spectral_overlap(tau_ps, s) * overlap) + background
+def hom_dip(overlap: float, tau_ps, coherence_time_ps: float):
+    """Coincidence probability P(tau) = 1/2 (1 - mu(tau) O) at the 50:50
+    combiner outputs, for the exchange overlap O = `overlap` and the
+    Gaussian mu of `spectral_overlap`: a float for a scalar delay, an array
+    for an array of delays."""
+    return 0.5 * (1.0 - spectral_overlap(tau_ps, coherence_time_ps) * overlap)
 
 
 class HomFit(NamedTuple):

@@ -201,7 +201,6 @@ class SourceConfig:
 
     coherence_time_ps: float = 3.15
     bell_visibility: float = 0.96
-    dip_shape: str = "gaussian"
 
     def __post_init__(self):
         _check_types(self)
@@ -209,8 +208,6 @@ class SourceConfig:
             raise ConfigError("coherence_time_ps must be positive")
         if not 0.0 <= self.bell_visibility <= 1.0:
             raise ConfigError("bell_visibility must lie in [0, 1]")
-        if self.dip_shape not in ("gaussian", "triangular"):
-            raise ConfigError(f"unknown dip_shape {self.dip_shape!r}")
 
 
 @dataclass(frozen=True)
@@ -349,8 +346,10 @@ def load_config(path_or_text) -> ExperimentConfig:
     file's directory and normalised, so `o1/../x.pnl` reads `x.pnl`.  The
     `wavelength_nm` key and the source's `lambda_pump_nm` and
     `lambda_signal_nm` keys of older schema-1 documents never had an effect
-    and are dropped.  A file is read on every call, so an edited file gives
-    the new config; its text is decoded once per process (`_decode`).
+    and are dropped, and so is their source's Gaussian dip shape: the HOM
+    dip is always Gaussian, and any other shape is a `ConfigError`.  A file
+    is read on every call, so an edited file gives the new config; its text
+    is decoded once per process (`_decode`).
     """
     text = str(path_or_text)
     base_dir = None
@@ -388,6 +387,9 @@ def _decode(text: str, base_dir: Path | None) -> ExperimentConfig:
     if isinstance(source, dict):
         source = {k: v for k, v in source.items()
                   if k not in ("lambda_pump_nm", "lambda_signal_nm")}
+        if (shape := source.pop("dip_shape", "gaussian")) != "gaussian":
+            raise ConfigError(f'the HOM dip is Gaussian: dip_shape must be "gaussian", '
+                              f'got {shape!r}')
     source = _build(SourceConfig, source, "source")
     return _build(ExperimentConfig, {**data, "chips": chips, "source": source}, "experiment")
 

@@ -367,7 +367,6 @@ def logical_frame_stack(m: np.ndarray, frame: str) -> np.ndarray:
     "raw" leaves the states untouched; "relabeled" applies X (x) X (dim 4) or
     X (dim 2) so that the ideal chip action reads as a pure SWAP / identity.
     """
-    frame = frame.lower()
     if frame == "raw":
         return m
     if frame != "relabeled":

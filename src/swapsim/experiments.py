@@ -347,7 +347,7 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
         "port": cfg.fringe_port,
         "output_polarizer": cfg.fringe_output_polarizer,
         "visibility_exact": exact_v,
-        "visibility_exact_fit": float(fit_exact.visibility[0]),
+        "visibility_exact_fit": float(fit_exact.visibility_raw[0]),
         "phase_offset_exact_fit": float(fit_exact.phase_offset[0]),
         "phases_rad": phases.tolist(),
         "exact_probabilities": exact.tolist(),
@@ -423,8 +423,7 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
     if len(delays) < 4:
         raise ConfigError(f"a HOM scan needs at least 4 delay points, got {len(delays)}")
     overlap = bp.exchange_overlap(_hom_joint(cfg))
-    exact_p = bp.hom_dip(overlap, delays, bp.SpectralOverlap(cfg.source.coherence_time_ps,
-                                                              cfg.source.dip_shape))
+    exact_p = bp.hom_dip(overlap, delays, cfg.source.coherence_time_ps)
 
     def estimate(counts, bg_counts):
         try:

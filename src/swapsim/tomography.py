@@ -252,7 +252,6 @@ class FringeFit(NamedTuple):
     """Least-squares fit of C(phi) = A (1 + V cos(phi + delta)) of a stack
     of n scans (`fringe_fit_stack`): each field an (n,) array."""
 
-    visibility: float
     phase_offset: float
     amplitude: float
     visibility_raw: float
@@ -319,7 +318,6 @@ def fringe_fit_stack(phis, counts, background: float = 0.0) -> FringeFit:
     a, v, d, v_err, finite = _fit_cosine(phis, vals)
     ok = finite & (a > 0) & (v >= 0.0) & (v <= 1.0)
     return FringeFit(
-        visibility=v[:n],
         phase_offset=d[:n],
         amplitude=a[:n],
         visibility_raw=v[:n],

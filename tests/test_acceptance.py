@@ -190,7 +190,7 @@ def test_criterion_06_fringe_coherence():
         gen = np.random.default_rng(np.random.SeedSequence([606, seed]))
         clean = 1e4 * (1 + v_inj * np.cos(phis))
         fit = tm.fringe_fit_stack(phis, gen.poisson(clean)[None])
-        worst = max(worst, abs(fit.visibility[0] - v_inj))
+        worst = max(worst, abs(fit.visibility_raw[0] - v_inj))
     ok_c = worst <= 0.005
     _report(6, "fringe: ideal V=1, raw/subtracted pair, fit recovery",
             ok_a and ok_b and ok_c,
@@ -203,12 +203,12 @@ def test_criterion_07_hom():
     cfg = _calibrated(n_trials=1)
     src_cfg = replace(cfg, hom_input="source", fpc_mode="ideal")
     overlap = bp.exchange_overlap(ex._hom_joint(src_cfg))
-    spectral = bp.SpectralOverlap(src_cfg.source.coherence_time_ps, src_cfg.source.dip_shape)
-    floor = bp.hom_dip(overlap, 0.0, spectral)
+    tc_configured = src_cfg.source.coherence_time_ps
+    floor = bp.hom_dip(overlap, 0.0, tc_configured)
     ok_a = floor <= 1e-9
     # (b) fitted coherence time within 1% of configured 3.15 ps
     delays = np.linspace(-12, 12, 49)
-    fit = bp.hom_fit_stack(delays, 1e6 * bp.hom_dip(overlap, delays, spectral)[None])
+    fit = bp.hom_fit_stack(delays, 1e6 * bp.hom_dip(overlap, delays, tc_configured)[None])
     tc = float(fit.coherence_time_ps[0])
     ok_b = abs(tc - 3.15) / 3.15 <= 0.01
     # (c) post-chip subtracted visibility bracket

@@ -84,42 +84,33 @@ def source_pair(aligned=True):
 
 class TestSpectralOverlap:
     def test_unity_at_zero(self):
-        s = bp.SpectralOverlap(3.15)
-        assert bp.spectral_overlap(0.0, s) == pytest.approx(1.0)
+        assert bp.spectral_overlap(0.0, 3.15) == pytest.approx(1.0)
 
     def test_gaussian_half_width(self):
         tc = 3.15
-        s = bp.SpectralOverlap(tc)
         tau = tc * np.sqrt(2 * np.log(2))
-        assert bp.spectral_overlap(tau, s) == pytest.approx(0.5, abs=1e-12)
+        assert bp.spectral_overlap(tau, tc) == pytest.approx(0.5, abs=1e-12)
 
     def test_dip_fwhm_matches_numeric_scan(self):
         # oracle: numeric scan of the coincidence dip of an ideal pair
         tc = 3.15
         taus = np.linspace(0.0, 12.0, 20001)
-        p = bp.hom_dip(bp.exchange_overlap(source_pair()), taus, bp.SpectralOverlap(tc))
+        p = bp.hom_dip(bp.exchange_overlap(source_pair()), taus, tc)
         half = 0.25  # dip from 0 to 0.5: half depth
         idx = np.argmin(np.abs(p - half))
         fwhm_numeric = 2.0 * taus[idx]
         assert fwhm_numeric == pytest.approx(2.0 * np.sqrt(2 * np.log(2)) * tc, abs=2e-3)
 
     def test_monotone_decreasing(self):
-        s = bp.SpectralOverlap(2.0)
         taus = np.linspace(0, 10, 50)
-        vals = [bp.spectral_overlap(t, s) for t in taus]
+        vals = [bp.spectral_overlap(t, 2.0) for t in taus]
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
-    def test_triangular_shape(self):
-        s = bp.SpectralOverlap(2.0, shape="triangular")
-        assert bp.spectral_overlap(0.0, s) == 1.0
-        assert bp.spectral_overlap(4.0, s) == 0.0
-        assert bp.spectral_overlap(2.0, s) == pytest.approx(0.5)
 
 
 class TestHomCoincidence:
     @staticmethod
-    def coincidence(joint, tau, background=0.0):
-        return bp.hom_dip(bp.exchange_overlap(joint), tau, bp.SpectralOverlap(3.15), background)
+    def coincidence(joint, tau):
+        return bp.hom_dip(bp.exchange_overlap(joint), tau, 3.15)
 
     def test_identical_photons_bunch_perfectly(self):
         assert self.coincidence(source_pair(), 0.0) == pytest.approx(0.0, abs=1e-12)
@@ -135,9 +126,6 @@ class TestHomCoincidence:
         for tau in (0.7, 1.9, 3.4):
             assert self.coincidence(source_pair(), tau) == pytest.approx(
                 self.coincidence(source_pair(), -tau), abs=1e-12)
-
-    def test_background_shifts_floor(self):
-        assert self.coincidence(source_pair(), 0.0, background=0.05) == pytest.approx(0.05)
 
 
 def hom_fit(scan, background=0.0):

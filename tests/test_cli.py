@@ -501,6 +501,7 @@ class TestBadValues:
         ("experiment", "rng_seed", "abc"),
         ("experiment", "fiber_seed", 7.0),
         ("source", "bell_visibility", float("nan")),
+        ("source", "dip_shape", "triangular"),
     ])
     def test_bad_number_exits_1_with_one_line(self, where, key, value, tmp_path, capsys):
         doc = json.loads(dump_config(ExperimentConfig.measured_chip()))

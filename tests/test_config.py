@@ -166,6 +166,25 @@ class TestLegacyKeys:
         doc["source"].update(lambda_pump_nm=778.5, lambda_signal_nm=1557.0)
         assert load_config(json.dumps(doc)) == cfg
 
+    @pytest.mark.parametrize("preset", [ExperimentConfig, ExperimentConfig.measured_chip])
+    def test_gaussian_dip_shape_of_older_documents_is_dropped(self, preset):
+        # every config.json written while the source had a dip_shape field holds this member
+        cfg = preset()
+        doc = json.loads(dump_config(cfg))
+        doc["source"]["dip_shape"] = "gaussian"
+        older = load_config(json.dumps(doc))
+        assert older == cfg
+        assert config_digest(older) == config_digest(cfg)
+
+    @pytest.mark.parametrize("shape", ["triangular", 0])
+    def test_any_other_dip_shape_is_one_config_error(self, shape):
+        # the HOM dip is fitted as a Gaussian, so no other shape may load as one
+        doc = json.dumps({"schema_version": 1, "source": {"dip_shape": shape}})
+        with pytest.raises(ConfigError) as info:
+            load_config(doc)
+        assert str(info.value) == (
+            f'the HOM dip is Gaussian: dip_shape must be "gaussian", got {shape!r}')
+
     def test_unknown_key_still_rejected(self):
         with pytest.raises(ConfigError, match="bad experiment fields"):
             load_config(json.dumps({"schema_version": 1, "base_dir": "."}))
@@ -188,7 +207,7 @@ class TestIllTypedValues:
         ("experiment", "fringe_output_polarizer", 1, "true or false"),
         ("experiment", "fringe_output_polarizer", None, "true or false"),
         ("experiment", "hom_input", None, "a string"),
-        ("source", "dip_shape", 0, "a string"),
+        ("source", "bell_visibility", "0.9", "a finite number"),
     ])
     def test_wrong_type_names_the_field(self, tmp_path, where, key, value, words):
         doc = {"schema_version": 1, "chips": [{}], "source": {}}
@@ -307,8 +326,7 @@ def twin_configs(draw):
                 for name in cfgmod._CHIP_PARAMS}))))
     source = _both(SourceConfig, draw(st.fixed_dictionaries({}, optional={
         "coherence_time_ps": _numbers(0, 100, lambda v: v > 0),
-        "bell_visibility": _numbers(0, 1),
-        "dip_shape": _same(st.sampled_from(["gaussian", "triangular"]))})))
+        "bell_visibility": _numbers(0, 1)})))
     fields = draw(st.fixed_dictionaries({}, optional={
         "pair_rate_hz": _numbers(0, 1e6, lambda v: v > 0),
         "integration_time_s": _numbers(0, 1e3, lambda v: v > 0),

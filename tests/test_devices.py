@@ -275,6 +275,12 @@ class TestLogicalFrame:
         twice = in_frame(in_frame(rho, "relabeled"), "relabeled")
         np.testing.assert_allclose(twice, rho, atol=1e-14)
 
+    @pytest.mark.parametrize("frame", ["RELABELED", "Raw"])
+    def test_a_frame_has_one_spelling(self, frame):
+        # the config and the ideal truth tables know only the lowercase names
+        with pytest.raises(ValueError, match="unknown logical frame"):
+            dv.logical_frame_stack(basis_rho(0), frame)
+
     def test_relabeled_chip_equals_pure_swap_on_16_inputs(self):
         u = compose_channels(*ideal_chip().stages).kraus[0]
         swap = dv.swap_unitary()

@@ -145,8 +145,8 @@ class TestHom:
     def zero_delay_coincidence(cfg):
         from swapsim import biphoton as bp
 
-        spectral = bp.SpectralOverlap(cfg.source.coherence_time_ps, cfg.source.dip_shape)
-        return bp.hom_dip(bp.exchange_overlap(ex._hom_joint(cfg)), 0.0, spectral)
+        return bp.hom_dip(bp.exchange_overlap(ex._hom_joint(cfg)), 0.0,
+                          cfg.source.coherence_time_ps)
 
     def test_source_only_perfect_dip(self, ideal):
         cfg = replace(ideal, hom_input="source", fpc_mode="ideal")

@@ -119,7 +119,7 @@ def fringe_oracle(phis, vals, background):
     if background > 0:
         a_sub, v_sub, _, _, ok_sub = _cosine_oracle(phis, np.maximum(vals - background, 0.0))
         ok = ok and ok_sub and a_sub > 0 and 0.0 <= v_sub <= 1.0
-    return tm.FringeFit(v_raw, d, a, v_raw, v_sub, v_err, ok)
+    return tm.FringeFit(d, a, v_raw, v_sub, v_err, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -191,20 +191,20 @@ class TestFringeFit:
     def test_ideal_fringe(self):
         phis = np.linspace(0, 2 * np.pi, 25)
         fit = fringe_fit(self.analytic(phis, a=500.0))
-        assert fit.visibility == pytest.approx(1.0, abs=1e-6)
+        assert fit.visibility_raw == pytest.approx(1.0, abs=1e-6)
         assert abs(fit.phase_offset) < 1e-6
 
     def test_constant_scan(self):
         phis = np.linspace(0, 2 * np.pi, 25)
         fit = fringe_fit([(p, 100.0) for p in phis])
-        assert fit.visibility == pytest.approx(0.0, abs=1e-6)
+        assert fit.visibility_raw == pytest.approx(0.0, abs=1e-6)
 
     def test_rescaling_invariance(self):
         phis = np.linspace(0, 2 * np.pi, 25)
         base = self.analytic(phis, a=200.0, v=0.8, delta=0.4)
         f1 = fringe_fit(base)
         f2 = fringe_fit([(p, 3.0 * c) for p, c in base])
-        assert f2.visibility == pytest.approx(f1.visibility, abs=1e-10)
+        assert f2.visibility_raw == pytest.approx(f1.visibility_raw, abs=1e-10)
         assert f2.phase_offset == pytest.approx(f1.phase_offset, abs=1e-10)
         assert f2.amplitude == pytest.approx(3.0 * f1.amplitude, rel=1e-9)
 
@@ -215,7 +215,7 @@ class TestFringeFit:
         clean = self.analytic(phis, a=18750.0, v=0.987)  # ~30 s at typical rates
         noisy = [(p, rng.poisson(c)) for p, c in clean]
         fit = fringe_fit(noisy)
-        assert fit.visibility == pytest.approx(0.987, abs=0.005)
+        assert fit.visibility_raw == pytest.approx(0.987, abs=0.005)
 
     def test_background_subtraction(self):
         phis = np.linspace(0, 2 * np.pi, 25)
@@ -233,7 +233,7 @@ class TestFringeFit:
     def test_all_zero_scan_has_zero_visibility(self):
         fit = fringe_fit([(p, 0.0) for p in np.linspace(0, 2 * np.pi, 17)],
                             background=1.0)
-        assert fit.visibility == 0.0
+        assert fit.visibility_raw == 0.0
         assert fit.visibility_subtracted == 0.0
         assert not fit.converged
 
@@ -285,6 +285,6 @@ class TestFringeFit:
             ref_err = np.sqrt(np.linalg.inv(j.T @ j)[1, 1])
             fit = fringe_fit(list(zip(phis, vals)))
             assert fit.converged
-            assert fit.visibility == pytest.approx(ref.x[1], abs=1e-6)
+            assert fit.visibility_raw == pytest.approx(ref.x[1], abs=1e-6)
             assert abs(np.angle(np.exp(1j * (fit.phase_offset - ref.x[2])))) <= 1e-6
             assert fit.visibility_stderr == pytest.approx(ref_err, abs=1e-6)
