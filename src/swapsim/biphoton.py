@@ -16,10 +16,14 @@ photon channels.  The HOM dip reads the exchange overlap off a joint-state
 array (`exchange_overlap`, then `hom_dip`).
 HOM scans are fitted with a Gaussian dip by one numpy Levenberg-Marquardt
 loop over a whole stack of scans (`hom_fit_stack`); one scan is a one-row
-stack.  The loop stops at MINPACK's default step tolerance, sqrt(eps)
-(`_LM_XTOL`): a least-squares minimum is only defined to about that
-relative precision, so a tighter tolerance only multiplies the damping by
-10 at the rounding floor until the step shrinks below it.
+stack.  The loop starts from the scan's wing level (its 90th percentile,
+taken by one partition) and the width of the Gaussian with the dip's area,
+evaluates the weighted residuals and Jacobian in one pass over
+preallocated work arrays (`_dip_resid_jac`), and stops at MINPACK's
+default step tolerance, sqrt(eps) (`_LM_XTOL`): a least-squares minimum is
+only defined to about that relative precision, so a tighter tolerance only
+multiplies the damping by 10 at the rounding floor until the step shrinks
+below it.
 """
 
 from __future__ import annotations
@@ -190,43 +194,58 @@ _LM_XTOL = float(np.sqrt(np.finfo(float).eps))  # MINPACK's default step toleran
 
 
 def _dip_work(n: int, m: int) -> tuple:
-    """Work arrays of the dip fit of n scans of m delays: four (n, m) and
+    """Work arrays of the dip fit of n scans of m delays: three (n, m) and
     one (n, 4, m), allocated once per fit; an iteration over k running
     trials writes the first k rows of each."""
-    return (*np.empty((4, n, m)), np.empty((n, 4, m)))
+    return (*np.empty((3, n, m)), np.empty((n, 4, m)))
 
 
 def _dip_resid_jac(p, taus, vals, weights, work) -> tuple:
     """Weighted residuals (k, m) and Jacobian (k, 4, m), one contiguous
     column per parameter, of the dip model at the parameter rows `p`
     (k, 4) = (base, depth, center, width), written in place into the first
-    k rows of the `_dip_work` arrays `work`."""
-    dt, dt2, g, r, jac = (a[:len(p)] for a in work)
-    base, depth, center = (p[:, i, None] for i in range(3))
-    # the powers of the width are products, not `np.power`: numpy's
-    # vectorised power may round the last bit differently depending on the
-    # CPU, and along the flat valley of a poorly resolved dip that bit grows
-    # into parameter differences of ~1e-8.  An IEEE multiply is exactly
-    # rounded, so every CPU gives the same bits, and each trial's iterates
-    # do not depend on the other rows of the stack.
-    w = p[:, 3, None]
-    w2 = w * w
-    w3 = w2 * w
-    # in place, one operation at a time in the evaluation order of the
-    # expression in the line's comment, so each value is bit-equal to it
-    np.subtract(taus, center, out=dt)
-    np.multiply(dt, dt, out=dt2)
-    np.exp(np.negative(np.divide(dt2, 2.0 * w2, out=g), out=g), out=g)  # exp(-dt^2 / 2 w^2)
-    jac[:, 0] = 1.0
-    np.negative(g, out=jac[:, 1])
-    np.multiply(-depth, g, out=r)
-    np.divide(np.multiply(r, dt, out=jac[:, 2]), w2, out=jac[:, 2])   # -depth g dt / w^2
-    np.divide(np.multiply(r, dt2, out=jac[:, 3]), w3, out=jac[:, 3])  # -depth g dt^2 / w^3
-    np.multiply(depth, g, out=r)
-    np.multiply(np.subtract(np.subtract(base, r, out=r), vals, out=r), weights,
-                out=r)  # (base - depth g - vals) weights
-    np.multiply(jac, weights[:, None], out=jac)
+    k rows of the `_dip_work` arrays `work`.
+
+    With u = (tau - center) / width, g = exp(-u^2 / 2) and the weights s,
+    the columns are s, -s g, -(depth / width) s g u and that column times
+    u, and the residual is (base - vals - depth g) s: the weights enter
+    each column once, and no power of the width is formed."""
+    u, g, r, jac = (a[:len(p)] for a in work)
+    base, depth, center, width = (p[:, i, None] for i in range(4))
+    # products and quotients only, no `np.power`: numpy's vectorised power
+    # may round the last bit differently depending on the CPU, and along
+    # the flat valley of a poorly resolved dip that bit grows into
+    # parameter differences of ~1e-8.  An IEEE multiply or divide is
+    # exactly rounded, so every CPU gives the same bits, and each trial's
+    # iterates do not depend on the other rows of the stack.  In place,
+    # one operation at a time in the evaluation order of the expression in
+    # the line's comment, so each value is bit-equal to it.
+    np.divide(np.subtract(taus, center, out=u), width, out=u)  # (tau - center) / width
+    np.exp(np.multiply(np.multiply(u, u, out=g), -0.5, out=g), out=g)  # exp(u u (-0.5))
+    jac[:, 0] = weights
+    np.multiply(depth, g, out=jac[:, 1])
+    np.multiply(np.subtract(np.subtract(base, vals, out=r), jac[:, 1], out=r), weights,
+                out=r)  # (base - vals - depth g) s
+    np.negative(np.multiply(weights, g, out=jac[:, 1]), out=jac[:, 1])  # -s g
+    np.multiply(np.multiply(depth / width, jac[:, 1], out=jac[:, 2]), u,
+                out=jac[:, 2])  # -(depth / width) s g u
+    np.multiply(jac[:, 2], u, out=jac[:, 3])
     return r, jac
+
+
+def _wing_level(vals) -> tuple:
+    """(wing level, minimum) of each row of `vals` (n, m), m >= 2: the
+    wing level is the 90th percentile, bit-equal to `np.percentile(vals,
+    90, axis=1)`.  One partition places the minimum and the two order
+    statistics around the virtual index 0.9 (m - 1), which are then
+    interpolated as numpy's 'linear' method does."""
+    at = (vals.shape[1] - 1) * 0.9
+    lo = math.floor(at)
+    t = at - lo
+    part = np.partition(vals, (0, lo, lo + 1), axis=1)
+    a, b = part[:, lo], part[:, lo + 1]
+    d = b - a
+    return (b - d * (1.0 - t) if t >= 0.5 else a + d * t), part[:, 0]
 
 
 def _row_dot(a, b):
@@ -248,26 +267,32 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     (n, m): one row per trial over the m delays `taus`.  Returns a `HomFit`
     of (n,) arrays.
 
-    The model base - depth exp(-(tau - center)^2 / (2 width^2)) is fitted
-    by Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431, 1963)
+    The model base - depth exp(-(tau - center)^2 / (2 width^2)) is fitted by
+    Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431, 1963)
     with the analytic Jacobian, on residuals weighted by
-    1 / sqrt(max(counts, 1)).  The damping is scaled by the running maximum
-    of the Jacobian column norms, as in MINPACK (More, Lecture Notes in
-    Math. 630, 105, 1978): with the current norms alone a dip at the scan
-    edge drifts off to an ever deeper, wider Gaussian.  One loop runs over
-    the stack, with one batched 4x4 solve per iteration; each trial keeps
-    its own damping, column scale and stop test, so its iterates are those
-    of a fit of its scan alone.  A trial stops converged once its scaled
-    step is below _LM_XTOL of its scaled parameters, and unconverged when
-    its damped system is singular or after _LM_MAX_ITER iterations.
-    _LM_XTOL is sqrt(eps), MINPACK's default (More, Garbow and Hillstrom,
-    ANL-80-74, 1980): near the minimum the cost changes by about eps times
-    itself over such a step, so the cost of a smaller one is lost to
-    rounding, it is rejected, and a tighter tolerance only multiplies the
-    damping by 10 until the step falls below it.  The
-    (trials x delays) work arrays are allocated once per call and updated
-    in place; only an iteration in which trials stop allocates arrays of
-    that size, when it drops their rows.
+    1 / sqrt(max(counts, 1)), over the delays in increasing order.  Each trial
+    starts from its wing level, the 90th percentile of its counts
+    (`_wing_level`), the depth of its lowest count below it, that count's
+    delay, and the width of a Gaussian with the dip's area: the trapezoid of
+    the counts below the wing level over depth sqrt(2 pi), clipped to [mean
+    delay spacing, span].  The damping is scaled by the running maximum of
+    the Jacobian column norms, as in MINPACK (More, Lecture Notes in
+    Math. 630, 105, 1978): with the current norms alone a dip at the scan edge
+    drifts off to an ever deeper, wider Gaussian.  One loop runs over the
+    stack, with one batched 4x4 solve per iteration; each trial keeps its
+    own damping, column scale and stop test, so its iterates are those of a
+    fit of its scan alone.  A trial stops converged once its scaled step is
+    below _LM_XTOL of its scaled parameters, and unconverged when its damped
+    system is singular or after _LM_MAX_ITER iterations.  _LM_XTOL is
+    sqrt(eps), MINPACK's default (More, Garbow and Hillstrom, ANL-80-74,
+    1980): near the minimum the cost changes by about eps times itself over
+    such a step, so the cost of a smaller one is lost to rounding, it is
+    rejected, and a tighter tolerance only multiplies the damping by 10
+    until the step falls below it.  One evaluation of the weighted residuals
+    and Jacobian is one pass over three (trials x delays) work arrays and
+    one (trials x 4 x delays), allocated once per call and updated in place;
+    only an iteration in which trials stop allocates arrays of that size,
+    when it drops their rows.
     `converged` also requires a positive depth (a fit that ends on a bump
     has not found a dip) and the fitted width to be at least the smallest
     delay spacing (a narrower dip is not resolved by the scan).
@@ -284,18 +309,27 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
         raise ValueError("counts must have shape (n_trials, len(taus))")
     if len(taus) < 4:
         raise ValueError("need at least 4 scan points")
-    span = taus.max() - taus.min()
-    base0 = np.percentile(vals, 90, axis=1)
-    depth0 = base0 - vals.min(axis=1)
+    # the fit runs over the delays in increasing order, whatever order
+    # they are given in; `np.take` returns C-ordered rows (an index array
+    # on axis 1 would not), so a row's sums are those of the row alone
+    order = np.argsort(taus)
+    taus, vals = taus[order], np.take(vals, order, axis=1)
+    span = taus[-1] - taus[0]
+    base0, low = _wing_level(vals)
+    depth0 = base0 - low
     if span == 0 or np.any(depth0 <= 0):
         raise ValueError("degenerate scan: no dip wings to fit")
+    # the start width: that of the Gaussian with the dip's area
+    below = np.maximum(base0[:, None] - vals, 0.0)
+    area = (np.diff(taus) * (below[:, :-1] + below[:, 1:])).sum(axis=1) * 0.5
+    width0 = np.clip(area / (depth0 * math.sqrt(2.0 * math.pi)),
+                     span / (len(taus) - 1), span)
 
     # the loop works on the rows of the trials still running (`trial`);
     # a row leaves, with its parameters stored in `fitted`, when it stops
     n = len(vals)
     weights = 1.0 / np.sqrt(np.maximum(vals, 1.0))
-    p = np.column_stack([base0, depth0, taus[np.argmin(vals, axis=1)],
-                         np.full(n, span / 6.0)])
+    p = np.column_stack([base0, depth0, taus[np.argmin(vals, axis=1)], width0])
     work = _dip_work(n, len(taus))
     jtj, rhs, cost = _dip_normal_equations(p, taus, vals, weights, work)
     lam, scale = np.full(n, 1e-3), np.zeros((n, 4))

@@ -423,6 +423,8 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
     if len(delays) < 4:
         raise ConfigError(f"a HOM scan needs at least 4 delay points, got {len(delays)}")
     overlap = bp.exchange_overlap(_hom_joint(cfg))
+    if overlap == 0.0:
+        raise ConfigError("no two-photon dip to fit: the photons' exchange overlap is 0")
     exact_p = bp.hom_dip(overlap, delays, cfg.source.coherence_time_ps)
 
     def estimate(counts, bg_counts):

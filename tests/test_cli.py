@@ -557,6 +557,17 @@ class TestBadValues:
             "use fewer delay points (--points) or a longer integration_time_s\n")
         assert not out.exists()
 
+    def test_hom_scan_without_a_dip_exits_1_with_one_line(self, tmp_path, capsys):
+        # no polarization controller: the exchange overlap is 0, and neither
+        # fewer delay points nor a longer integration time gives a dip
+        p = tmp_path / "cfg.json"
+        p.write_text('{"schema_version": 1, "fpc_mode": "none"}')
+        out = tmp_path / "out"
+        assert cli.dispatch(["hom", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: no two-photon dip to fit: the photons' exchange overlap is 0\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("op", ["truth-table", "fringe", "hom", "bell", "tomo-state"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_a_trial_count_that_cannot_be_drawn_exits_1_with_one_line(self, op, source,

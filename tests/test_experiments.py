@@ -167,6 +167,17 @@ class TestHom:
         cfg = replace(ideal, hom_input="source", fpc_mode="none")
         assert self.zero_delay_coincidence(cfg) == pytest.approx(0.5, abs=1e-12)
 
+    def test_no_dip_is_a_config_error_before_sampling(self, monkeypatch):
+        # the default config without a polarization controller: the
+        # photons' exchange overlap is exactly 0, so there is no dip to fit
+        # at any delay count or integration time
+        def no_draws(*args):
+            raise AssertionError("sampled a scan with no dip")
+
+        monkeypatch.setattr(ex, "sample_counts", no_draws)
+        with pytest.raises(ConfigError, match="no two-photon dip to fit"):
+            ex.run_hom_scan(ExperimentConfig(fpc_mode="none"))
+
 
 class TestFitDiagnostics:
     def test_default_fits_converge(self, calibrated):
