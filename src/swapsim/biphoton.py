@@ -16,14 +16,13 @@ photon channels.  The HOM dip reads the exchange overlap off a joint-state
 array (`exchange_overlap`, then `hom_dip`).
 HOM scans are fitted with a Gaussian dip by one numpy Levenberg-Marquardt
 loop over a whole stack of scans (`hom_fit_stack`); one scan is a one-row
-stack.  The loop starts from the scan's wing level (its 90th percentile,
-taken by one partition) and the width of the Gaussian with the dip's area,
-evaluates the weighted residuals and Jacobian in one pass over
-preallocated work arrays (`_dip_resid_jac`), and stops at MINPACK's
-default step tolerance, sqrt(eps) (`_LM_XTOL`): a least-squares minimum is
-only defined to about that relative precision, so a tighter tolerance only
-multiplies the damping by 10 at the rounding floor until the step shrinks
-below it.
+stack.  The loop starts from the scan's wing level (its 90th percentile)
+and the width of the Gaussian with the dip's area, evaluates the weighted
+residuals and Jacobian in one pass over preallocated work arrays
+(`_dip_resid_jac`), and stops at MINPACK's default step tolerance,
+sqrt(eps) (`_LM_XTOL`): a least-squares minimum is only defined to about
+that relative precision, so a tighter tolerance only multiplies the
+damping by 10 at the rounding floor until the step shrinks below it.
 """
 
 from __future__ import annotations
@@ -233,21 +232,6 @@ def _dip_resid_jac(p, taus, vals, weights, work) -> tuple:
     return r, jac
 
 
-def _wing_level(vals) -> tuple:
-    """(wing level, minimum) of each row of `vals` (n, m), m >= 2: the
-    wing level is the 90th percentile, bit-equal to `np.percentile(vals,
-    90, axis=1)`.  One partition places the minimum and the two order
-    statistics around the virtual index 0.9 (m - 1), which are then
-    interpolated as numpy's 'linear' method does."""
-    at = (vals.shape[1] - 1) * 0.9
-    lo = math.floor(at)
-    t = at - lo
-    part = np.partition(vals, (0, lo, lo + 1), axis=1)
-    a, b = part[:, lo], part[:, lo + 1]
-    d = b - a
-    return (b - d * (1.0 - t) if t >= 0.5 else a + d * t), part[:, 0]
-
-
 def _row_dot(a, b):
     """Dot product of each row of `a` with the same row of `b`, summed the
     way `a[k] @ b[k]` sums it."""
@@ -271,11 +255,11 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 431, 1963)
     with the analytic Jacobian, on residuals weighted by
     1 / sqrt(max(counts, 1)), over the delays in increasing order.  Each trial
-    starts from its wing level, the 90th percentile of its counts
-    (`_wing_level`), the depth of its lowest count below it, that count's
-    delay, and the width of a Gaussian with the dip's area: the trapezoid of
-    the counts below the wing level over depth sqrt(2 pi), clipped to [mean
-    delay spacing, span].  The damping is scaled by the running maximum of
+    starts from its wing level, the 90th percentile of its counts, the
+    depth of its lowest count below it, that count's delay, and the width
+    of a Gaussian with the dip's area: the trapezoid of the counts below the
+    wing level over depth sqrt(2 pi), clipped to [mean delay spacing,
+    span].  The damping is scaled by the running maximum of
     the Jacobian column norms, as in MINPACK (More, Lecture Notes in
     Math. 630, 105, 1978): with the current norms alone a dip at the scan edge
     drifts off to an ever deeper, wider Gaussian.  One loop runs over the
@@ -315,8 +299,8 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     order = np.argsort(taus)
     taus, vals = taus[order], np.take(vals, order, axis=1)
     span = taus[-1] - taus[0]
-    base0, low = _wing_level(vals)
-    depth0 = base0 - low
+    base0 = np.percentile(vals, 90, axis=1)
+    depth0 = base0 - vals.min(axis=1)
     if span == 0 or np.any(depth0 <= 0):
         raise ValueError("degenerate scan: no dip wings to fit")
     # the start width: that of the Gaussian with the dip's area
