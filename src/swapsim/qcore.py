@@ -10,7 +10,11 @@ i.e. spatial channel is the most significant subsystem and polarization the
 least significant.  Density matrices are plain (n, d, d) arrays with a
 leading stack axis, and may carry trace < 1: the missing trace is
 unheralded photon loss, and `heralded_normalize_stack` validates a stack
-and recovers it as survival probabilities.  Every state is an exact
+and recovers it as survival probabilities.  The density-matrix, chi and
+trace-nonincreasing checks share one PSD test, a batched Cholesky
+factorisation (`_psd_violation`): eigenvalues are computed only when it
+fails, to decide at the tolerance and word the error, and a matrix that
+is not finite is rejected as such before it.  Every state is an exact
 propagation result, never one reconstructed from counts, so nothing here
 projects onto the physical set.  A channel is given by Kraus
 operators and carries its row-major superoperator
@@ -106,14 +110,40 @@ def ket4(channel: str, pol: str) -> np.ndarray:
     return np.kron(ket2(channel), ket2(pol))
 
 
+def _check_finite(m: np.ndarray, what: str) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} is not finite")
+
+
+def _psd_violation(m: np.ndarray, tol: float) -> float | None:
+    """The PSD test of every check here: None when no matrix of the finite,
+    Hermitian stack `m` (..., d, d) has an eigenvalue below -tol, else the
+    lowest eigenvalue of the stack, for the error to name.
+
+    One batched Cholesky factorisation of m + tol I accepts the stack when
+    it succeeds, which it does exactly when m + tol I is positive definite,
+    up to a backward error of order d eps |m| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10).  Only when it
+    fails are the eigenvalues computed, and the rule min eig < -tol
+    decides, so the verdict is that rule's outside that rounding band.
+    """
+    try:
+        np.linalg.cholesky(m + tol * np.eye(m.shape[-1]))
+        return None
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(m).min()
+        return low if low < -tol else None
+
+
 def _check_density(m: np.ndarray) -> np.ndarray:
-    """Raise unless every matrix of `m` (shape (..., d, d)) is Hermitian,
-    PSD and of trace in [0, 1], within the tolerances above; returns the
-    traces."""
+    """Raise unless every matrix of `m` (shape (..., d, d)) is finite,
+    Hermitian, PSD and of trace in [0, 1], within the tolerances above;
+    returns the traces."""
+    _check_finite(m, "density matrix")
     if np.max(np.abs(m - dagger(m))) > HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
-    low = np.linalg.eigvalsh(m).min()
-    if low < -PSD_TOL:
+    low = _psd_violation(m, PSD_TOL)
+    if low is not None:
         raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
     tr = np.trace(m, axis1=-2, axis2=-1).real
     bad = (tr < -TRACE_TOL) | (tr > 1.0 + TRACE_TOL)
@@ -125,10 +155,14 @@ def _check_density(m: np.ndarray) -> np.ndarray:
 
 def check_trace_nonincreasing(effect: np.ndarray) -> None:
     """Raise unless the effect sum_k K^dag K of a map (or its complex
-    conjugate, which has the same spectrum) has no eigenvalue above 1."""
-    top = np.linalg.eigvalsh(effect).max()
-    if top > 1.0 + CP_TOL:
-        raise ValueError(f"channel is trace-increasing: max eig of sum K^dag K = {top:.6f}")
+    conjugate, which has the same spectrum) is finite and has no eigenvalue
+    above 1 + CP_TOL: the PSD test (`_psd_violation`) of
+    (1 + CP_TOL) I - effect, whose eigenvalues are those of -effect shifted
+    by 1 + CP_TOL."""
+    _check_finite(effect, "sum K^dag K")
+    low = _psd_violation(-effect, 1.0 + CP_TOL)
+    if low is not None:
+        raise ValueError(f"channel is trace-increasing: max eig of sum K^dag K = {-low:.6f}")
 
 
 @dataclass(frozen=True)
@@ -176,12 +210,13 @@ def pauli_operators(n: int) -> np.ndarray:
 
 def check_chi_stack(m: np.ndarray) -> None:
     """Raise unless every matrix of `m` (shape (..., d2, d2)) is a chi
-    matrix, in one batch: Hermitian, no eigenvalue below -1e-8 and a trace
-    in (0, 1 + 1e-8]."""
+    matrix, in one batch: finite, Hermitian, no eigenvalue below -1e-8 (the
+    PSD test of `_psd_violation`) and a trace in (0, 1 + 1e-8]."""
+    _check_finite(m, "chi matrix")
     if np.max(np.abs(m - dagger(m))) > HERM_TOL:
         raise ValueError("chi matrix is not Hermitian")
-    low = np.linalg.eigvalsh(m).min()
-    if low < -1e-8:
+    low = _psd_violation(m, 1e-8)
+    if low is not None:
         raise ValueError(f"chi has negative eigenvalue {low:.3e}")
     tr = np.trace(m, axis1=-2, axis2=-1).real
     bad = (tr <= 0) | (tr > 1.0 + 1e-8)
@@ -195,16 +230,16 @@ def check_chi_stack(m: np.ndarray) -> None:
 
 def heralded_normalize_stack(m: np.ndarray) -> tuple:
     """Validate each matrix of `m` (shape (n, d, d)) as a density matrix
-    (Hermitian, PSD, trace in [0, 1]), in one batch, and renormalize it:
-    returns (m / tr, tr) as arrays.  Raises on a vacuum state (any trace
-    ~ 0, total loss).
+    (finite, Hermitian, PSD, trace in [0, 1]), in one batch, and
+    renormalize it: returns (m / tr, tr) as arrays.  Raises on a vacuum
+    state (any trace ~ 0, total loss).
     """
     tr = _check_density(m)
-    return _unit_trace(m), tr
+    return _unit_trace(m, tr), tr
 
 
-def _unit_trace(m: np.ndarray) -> np.ndarray:
-    tr = np.trace(m, axis1=-2, axis2=-1).real
+def _unit_trace(m: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """`m` over its traces `tr`; raises on a vacuum state."""
     if tr.min() <= 1e-15:
         raise ValueError("vacuum state: trace is zero, photon was lost")
     return m / tr[..., None, None]
@@ -221,7 +256,8 @@ def pure_fidelity_stack(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
     `heralded_normalize_stack` does; the states are not checked PSD, so
     validate them at the boundary they come from.
     """
-    f = np.einsum("...a,...ab,...b->...", psis.conj(), _unit_trace(rhos), psis).real
+    rhos = _unit_trace(rhos, np.trace(rhos, axis1=-2, axis2=-1).real)
+    f = np.einsum("...a,...ab,...b->...", psis.conj(), rhos, psis).real
     return np.clip(f, 0.0, 1.0)
 
 

@@ -57,10 +57,11 @@ def column_normalize_stack(m: np.ndarray) -> np.ndarray:
     return m / sums
 
 
+@functools.cache
 def ideal_truth_table(frame: str = "raw") -> np.ndarray:
     """Ideal SWAP-chip 0/1 table (4, 4), columns indexed by input: raw
     frame {00->11, 01->01, 10->10, 11->00}, relabeled frame {00->00,
-    01->10, 10->01, 11->11}."""
+    01->10, 10->01, 11->11}.  Built once per frame and read-only."""
     m = np.zeros((4, 4))
     if frame == "raw":
         for j, i in enumerate((3, 1, 2, 0)):
@@ -70,6 +71,7 @@ def ideal_truth_table(frame: str = "raw") -> np.ndarray:
             m[i, j] = 1.0
     else:
         raise ValueError(f"unknown frame {frame!r}")
+    m.flags.writeable = False
     return m
 
 
@@ -85,7 +87,7 @@ def truth_table_fidelity_stack(m_exp: np.ndarray, m_ideal: np.ndarray) -> np.nda
     sums = m_exp.sum(axis=-2)
     if np.max(np.abs(sums - 1.0)) > 1e-9:
         raise ValueError("measured table columns must be normalized to 1")
-    if not np.all(np.isin(m_ideal, (0.0, 1.0))) or np.any(m_ideal.sum(axis=0) != 1.0):
+    if not ((m_ideal == 0.0) | (m_ideal == 1.0)).all() or (m_ideal.sum(axis=0) != 1.0).any():
         raise ValueError("ideal table must be a 0/1 table with one entry per column")
     return (m_exp * m_ideal).sum(axis=(-2, -1)) / 4.0
 
@@ -178,7 +180,9 @@ def process_tomo_stack(inputs, outputs, n: int) -> np.ndarray:
     linear and one to one.  Each chi is then Hermitized, clipped to PSD
     (one batched eigh), normalized to Tr(chi) = 1 and validated by
     `check_chi_stack`, in one batch.  Requires 4^n linearly independent
-    inputs (J, d, d).
+    inputs (J, d, d): the rank is read off the singular values the
+    least-squares solve returns (those above 1e-10), so no second
+    decomposition is taken, and a rank-deficient basis raises.
     """
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
@@ -191,11 +195,13 @@ def process_tomo_stack(inputs, outputs, n: int) -> np.ndarray:
     if len(rhos) < d2:
         raise ValueError(f"need at least {d2} input states, got {len(rhos)}")
     stack = rhos.reshape(-1, d2)
-    if np.linalg.matrix_rank(stack, tol=1e-10) < d2:
-        raise ValueError("input states are rank-deficient; cannot invert")
     g = len(outs)
     rhs = outs.reshape(g, -1, d2).transpose(1, 0, 2).reshape(-1, g * d2)
-    s_t, *_ = np.linalg.lstsq(stack, rhs, rcond=None)
+    s_t, _, _, sv = np.linalg.lstsq(stack, rhs, rcond=None)
+    # the rank test of np.linalg.matrix_rank(stack, tol=1e-10), on the
+    # singular values the solve has already taken
+    if np.count_nonzero(sv > 1e-10) < d2:
+        raise ValueError("input states are rank-deficient; cannot invert")
     # s_t[(c, d), (k, a, b)] = S_k[(a, b), (c, d)], regrouped as
     # t[k, (a, c), (b, d)]: the contraction is then one product with the
     # flattened Pauli rows

@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swapsim import cli, config
@@ -749,6 +751,41 @@ class TestReportDocument:
                              "--out", str(tmp_path / "out")]) == 0
         [report] = reports
         assert sum(holds(obj, report.payload) for obj in encoded) == 1
+
+
+class TestExactPathFactorisations:
+    """The exact path decides its PSD checks by Cholesky factorisation and
+    the tomography rank by the singular values of its own least-squares
+    solve: on valid input no eigenvalue or rank decomposition runs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = Counter()
+        for name in ("eigvalsh", "matrix_rank"):
+            def count(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                counted[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, count)
+        return counted
+
+    @pytest.mark.parametrize("command", [["sweep"], ["tomo-process", "--two-qubit"], ["bell"]])
+    @pytest.mark.parametrize("source", ["--config", "--netlist"])
+    def test_no_eigenvalues_or_rank_on_valid_input(self, command, source, calls, config_file,
+                                                   tmp_path, capsys):
+        path = config_file if source == "--config" else REPO / "demos/data/swap_measured.pnl"
+        argv = [*command, source, str(path), "--trials", "3", "--out", str(tmp_path / "out")]
+        assert cli.dispatch(argv) == 0  # the first call may build the chip
+        assert cli.dispatch(argv) == 0  # warm
+        capsys.readouterr()
+        assert calls == Counter()
+
+    def test_a_rank_deficient_basis_still_raises(self, calls):
+        from swapsim import tomography as tm
+
+        ins = np.array([np.diag([1.0, 0.0])] * 4, dtype=complex)
+        with pytest.raises(ValueError, match="^input states are rank-deficient; cannot invert$"):
+            tm.process_tomo_stack(ins, ins[None], 1)
+        assert calls == Counter()
 
 
 def test_runtime_does_not_import_scipy():

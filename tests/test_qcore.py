@@ -3,6 +3,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import apply_channel, compose_channels, uhlmann_fidelity
 from oracles import density as dm
@@ -166,6 +169,108 @@ class TestHeraldedNormalize:
             qc.heralded_normalize_stack(np.array([bad], dtype=complex))
         with pytest.raises(ValueError, match=message):
             qc.heralded_normalize_stack(np.array([good, bad, good], dtype=complex))
+
+
+class TestNonFinite:
+    # a NaN or an infinity anywhere is one ValueError that says so, never
+    # LAPACK's LinAlgError or a verdict on the other entries
+    # an infinite Kraus entry times 0 is a NaN of the channel's effect
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_every_check_says_not_finite(self, value):
+        with pytest.raises(ValueError, match="^density matrix is not finite$"):
+            qc.heralded_normalize_stack(np.full((1, 4, 4), value, dtype=complex))
+        with pytest.raises(ValueError, match="^chi matrix is not finite$"):
+            qc.check_chi_stack(np.full((2, 4, 4), value, dtype=complex))
+        with pytest.raises(ValueError, match="^sum K\\^dag K is not finite$"):
+            qc.check_trace_nonincreasing(np.full((4, 4), value, dtype=complex))
+        with pytest.raises(ValueError, match="^sum K\\^dag K is not finite$"):
+            qc.QuantumChannel(2, 2, (np.array([[value, 0.0], [0.0, 0.5]]),))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_one_entry_of_one_matrix_in_a_stack(self, value):
+        good = random_density(np.random.default_rng(7), 4)
+        stack = np.array([good, good, good])
+        stack[1, 2, 0] = value
+        with pytest.raises(ValueError, match="^density matrix is not finite$"):
+            qc.heralded_normalize_stack(stack)
+        with pytest.raises(ValueError, match="^chi matrix is not finite$"):
+            qc.check_chi_stack(stack)
+
+
+# derandomized: tier-1 runs the same examples every time
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+# eigenvalues this close to a tolerance may be decided either way: they are
+# within the rounding of the decompositions that compute them
+BAND = 1e-14
+
+
+@st.composite
+def stacks_near(draw, dims, edge):
+    """(m, k): an (n, d, d) Hermitian stack U diag(eigs) U^dag, every
+    eigenvalue drawn in [1e-3, 1/d] except one of matrix k, which is `edge`
+    plus an offset of either sign, 3e-14 to 1e-6 in size."""
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n - 1))
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-13.5, -6.0))
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    mats = []
+    for j in range(n):
+        eigs = np.array(draw(st.lists(st.floats(1e-3, 1.0 / d), min_size=d, max_size=d)))
+        if j == k:
+            eigs[0] = edge + offset
+        g = draw(arrays(np.float64, (2, d, d), elements=parts))
+        u, _ = np.linalg.qr(g[0] + 1j * g[1])
+        m = (u * eigs) @ u.conj().T
+        mats.append(0.5 * (m + m.conj().T))
+    return np.array(mats), k
+
+
+class TestPsdRule:
+    """Each check accepts and rejects by its eigenvalue rule, outside `BAND`
+    around its tolerance, with the error texts the rule words."""
+
+    @PROPERTY
+    @given(stacks_near((2, 4), -qc.PSD_TOL))
+    def test_density_check(self, case):
+        m, _ = case
+        low = np.linalg.eigvalsh(m).min()
+        assume(abs(low + qc.PSD_TOL) > BAND)
+        if low < -qc.PSD_TOL:
+            with pytest.raises(ValueError) as err:
+                qc.heralded_normalize_stack(m)
+            assert str(err.value) == f"density matrix has negative eigenvalue {low:.3e}"
+        else:
+            qc.heralded_normalize_stack(m)
+
+    @PROPERTY
+    @given(stacks_near((4, 16), -1e-8))
+    def test_chi_check(self, case):
+        m, _ = case
+        low = np.linalg.eigvalsh(m).min()
+        assume(abs(low + 1e-8) > BAND)
+        if low < -1e-8:
+            with pytest.raises(ValueError) as err:
+                qc.check_chi_stack(m)
+            assert str(err.value) == f"chi has negative eigenvalue {low:.3e}"
+        else:
+            qc.check_chi_stack(m)
+
+    @PROPERTY
+    @given(stacks_near((2, 4, 16), 1.0 + qc.CP_TOL))
+    def test_trace_nonincreasing_check(self, case):
+        m, k = case
+        effect = m[k]
+        top = np.linalg.eigvalsh(effect).max()
+        assume(abs(top - (1.0 + qc.CP_TOL)) > BAND)
+        if top > 1.0 + qc.CP_TOL:
+            with pytest.raises(ValueError) as err:
+                qc.check_trace_nonincreasing(effect)
+            assert str(err.value) == ("channel is trace-increasing: "
+                                      f"max eig of sum K^dag K = {top:.6f}")
+        else:
+            qc.check_trace_nonincreasing(effect)
 
 
 class TestUhlmannFidelity:
