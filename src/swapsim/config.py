@@ -6,7 +6,9 @@ imperfection parameters or by pointing at a `.pnl` netlist, never both (a
 nonzero inline parameter beside `netlist_path` is a `ConfigError`); either
 way it is built by the netlist compiler (`ChipConfig.to_netlist`).  Inline
 parameters reach it through one lowering, `lower_chip_fields`, and each has
-the unit and range of the netlist parameter it lowers to (`_CHIP_PARAMS`).
+the unit and range of the netlist parameter it lowers to (`_CHIP_PARAMS`);
+`edit_chip_field` gives the lowering with one field replaced from the
+lowered declaration, without lowering again.
 Each number, flag and text field is type-checked on construction
 (`_check_types`), so a JSON value of another type is a `ConfigError` naming
 the field.  A relative `netlist_path` in a config file is resolved against
@@ -195,6 +197,27 @@ def lower_chip_fields(values: dict) -> nl.ChipDecl:
         for kind, name, ports in _CASCADE), _NO_SPAN)
 
 
+def edit_chip_field(decl: nl.ChipDecl, field: str, value: float | None) -> nl.ChipDecl:
+    """`decl`, a declaration `lower_chip_fields` gave, with `field` set to
+    `value`: equal to lowering the same fields with `field` replaced,
+    without lowering them again.  On each statement of the field's kinds
+    its netlist parameter is set (in `_KIND_PARAMS` order, with its unit)
+    or, for zero and None, dropped; every other statement is reused.  The
+    value is not checked (`check_chip_param`)."""
+    kinds, param = _CHIP_PARAMS[field]
+    new = nl.Param(param, float(value), _CHIP_UNITS[field][0], _NO_SPAN) if value else None
+    statements = []
+    for st in decl.statements:
+        if st.kind in kinds:
+            have = {p.name: p for p in st.params}
+            have[param] = new
+            st = nl.Statement(st.kind, st.name, st.ports, tuple(
+                p for _, name, _ in _KIND_PARAMS[st.kind] if (p := have.get(name)) is not None),
+                st.span)
+        statements.append(st)
+    return nl.ChipDecl(decl.name, decl.ports, tuple(statements), decl.span)
+
+
 @dataclass(frozen=True)
 class SourceConfig:
     """SPDC source and Bell-preparation parameters."""
@@ -235,8 +258,9 @@ class ExperimentConfig:
         chips = tuple(self.chips) if self.chips else (ChipConfig(),)
         object.__setattr__(self, "chips", chips)
         _check_types(self)
-        if self.pair_rate_hz <= 0 or self.integration_time_s <= 0:
-            raise ConfigError("rates and times must be positive")
+        for name in ("pair_rate_hz", "integration_time_s", "fringe_time_per_point_s"):
+            if (v := getattr(self, name)) <= 0:
+                raise ConfigError(f"rates and times must be positive: {name} is {v!r}")
         if self.background_rate_hz < 0:
             raise ConfigError("background_rate_hz must be >= 0")
         if self.n_trials < 1:

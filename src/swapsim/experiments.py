@@ -56,7 +56,7 @@ from .config import (
     ExperimentConfig,
     check_chip_param,
     config_digest,
-    lower_chip_fields,
+    edit_chip_field,
 )
 from .devices import (
     BS_5050,
@@ -782,19 +782,19 @@ _DEFAULT_SWEEP = {
 def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report:
     """Noiseless sensitivity table over imperfection-parameter grids.
 
-    `sweep` maps each axis (a `_SWEEP_AXES` name or a `_SWEEP_ALIASES`
-    short name) to its values; None runs the default grid.  Every axis and
-    every value is checked before any chip is read or compiled
-    (ConfigError on an empty grid, an unknown axis, an axis without values
-    or a value outside its parameter's range, `check_chip_param`).  Each
-    point of a config baseline is the lowering of the baseline's fields
-    with the axis's field replaced (`lower_chip_fields`, the lowering
-    `ChipConfig.to_netlist` uses), so it compiles to the cached model of
-    the replaced config.  A netlist baseline is not edited yet: it sets
-    none of the inline parameters an axis varies, so its chip is read and
-    compiled once, each of its points is that chip, and its rows are
-    flat.  Truth-table fidelity (configured frame) and the process fidelity
-    of the T-input momentum qubit with the identity (relabeled frame) are
+    `sweep` maps each axis (a `_SWEEP_AXES` name or a `_SWEEP_ALIASES` short
+    name) to its values; None runs the default grid.  Every axis and every
+    value is checked before any chip is read or compiled (ConfigError on an
+    empty grid, an unknown axis, an axis without values or a value outside
+    its parameter's range, `check_chip_param`).  The baseline is lowered
+    once (`ChipConfig.to_netlist`).  Each point of a config baseline is that
+    declaration with the axis's field replaced (`edit_chip_field`, equal to
+    lowering the replaced config), so it compiles to the cached model of the
+    replaced config.  A netlist baseline is not edited yet: it sets none of
+    the inline parameters an axis varies, so its chip is read and compiled
+    once, each of its points is that chip, and its rows are flat.
+    Truth-table fidelity (configured frame) and the process fidelity of the
+    T-input momentum qubit with the identity (relabeled frame) are
     tabulated: the G chips' superoperators are stacked, and all truth
     tables, T-input outputs (validated once) and chi matrices (one
     `process_tomo_stack` solve, `_momentum_chis`) are read off that stack.
@@ -819,8 +819,7 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     if base.netlist_path is not None:
         s = np.repeat(nl.compile_chip(decl).superoperator[None], len(points), axis=0)
     else:
-        fields = vars(base)
-        s = np.array([nl.compile_chip(lower_chip_fields({**fields, _SWEEP_AXES[axis]: v}))
+        s = np.array([nl.compile_chip(edit_chip_field(decl, _SWEEP_AXES[axis], v))
                       .superoperator for axis, v in points])
     f_tt = _table_fidelities(s, cfg.logical_frame)
     chis = _momentum_chis(s, _process_inputs()[0][:4], "relabeled")

@@ -18,11 +18,11 @@ discarded.
 
 A process parses each netlist text once and compiles each distinct chip
 once, through two bounded LRU caches: `parse` is keyed on the source
-text, and `compile_chip` on the `ChipDecl` together with the exact bits
-of every parameter value, so that declarations equal but for the signs
-of their zeros stay apart.  A repeated chip therefore returns the same
-`ChipModel`, whose stages are lowered, multiplied and trace-checked once.
-Every cached value is immutable, and errors are never cached.  The parser
+text, and `compile_chip` on the `ChipDecl` alone: declarations equal but
+for the signs of their zeros share one entry, since a zero compiles as +0
+either way.  A repeated chip therefore returns the same `ChipModel`,
+whose stages are lowered, multiplied and trace-checked once.  Every
+cached value is immutable, and errors are never cached.  The parser
 and the formatter are pure Python: only lowering imports the device models
 (and with them numpy).
 
@@ -405,7 +405,8 @@ def _port_indices(st: Statement, chip_ports) -> tuple:
 def _checked_params(st: Statement) -> dict:
     """The statement's parameters by name, each checked against the
     component table: a known name, its unit class's unit (or none) and a
-    value in its class's range."""
+    value in its class's range.  A zero is stored as +0, so declarations
+    equal but for the signs of their zeros compile alike."""
     table = COMPONENTS[st.kind][1]
     params = {}
     for p in st.params:
@@ -419,7 +420,7 @@ def _checked_params(st: Statement) -> dict:
         if not in_range(p.value):
             raise CompileError(f"parameter {p.name} must be {bounds}, got {p.value!r}",
                                p.span, code="param-range")
-        params[p.name] = p.value
+        params[p.name] = p.value + 0.0
     return params
 
 
@@ -437,16 +438,17 @@ def _lower_statement(st: Statement, chip_ports) -> QuantumChannel:
 
 
 def compile_chip(chip: ChipDecl) -> ChipModel:
-    """The chip's model, compiled once per distinct declaration: a repeated
-    declaration returns the same (immutable) `ChipModel`."""
-    values = tuple(float(p.value).hex() for st in chip.statements for p in st.params)
-    return _compile_chip(chip, values)
+    """The chip's model, compiled once per distinct declaration
+    (`_compile_chip`): a repeated declaration returns the same (immutable)
+    `ChipModel`."""
+    return _compile_chip(chip)
 
 
 @functools.lru_cache(maxsize=_CHIP_CACHE_SIZE)
-def _compile_chip(chip: ChipDecl, values: tuple) -> ChipModel:
-    """`values` holds every parameter's float.hex: `ChipDecl` equality
-    takes +0 and -0 for equal, and the key must not."""
+def _compile_chip(chip: ChipDecl) -> ChipModel:
+    """Keyed on the declaration alone: `ChipDecl` equality takes +0 and -0
+    for equal, and so does the compiled model, since every parameter value
+    is stored with its zero as +0 (`_checked_params`)."""
     if len(chip.ports) != 2:
         raise CompileError(
             f"this simulator models exactly 2 spatial ports, chip "

@@ -181,6 +181,8 @@ class QuantumChannel:
         for k in ops:
             if k.shape != (self.dim_out, self.dim_in):
                 raise ValueError(f"Kraus shape {k.shape} != ({self.dim_out},{self.dim_in})")
+            # before the sum, which would warn on an infinite entry times 0
+            _check_finite(k, "sum K^dag K")
         check_trace_nonincreasing(sum(dagger(k) @ k for k in ops))
 
     @functools.cached_property

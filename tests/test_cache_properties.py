@@ -1,17 +1,18 @@
 """The netlist caches cannot be seen from outside.
 
 A process parses each netlist text once (`parse`) and compiles each
-distinct chip once (`_compile_chip`, keyed on the declaration and the bits
-of its values).  Here every chip of a random batch, compiled one after
-another with the caches warm, must give what a cold compile gives after
-both caches are cleared: the same Kraus bytes of every stage and the same
-bytes of the chip's superoperator, or the same error with the same code,
-message and span.  The batch holds random grammar-valid chips (with
-`+0`/`-0` values, `deg`/`rad` spellings and the odd parameter in a wrong
-unit) and siblings of one chip that differ only in what the chip key must
-tell apart or what must not change a stage: the signs of its zeros, the
-chip's port order, its statements' ports, its units, its parameter names,
-and its spans and instance names.
+distinct chip once (`_compile_chip`, keyed on the declaration alone, which
+takes +0 and -0 for equal; every zero compiles as +0).  Here every chip of
+a random batch, compiled one after another with the caches warm, must give
+what a cold compile gives after both caches are cleared: the same Kraus
+bytes of every stage and the same bytes of the chip's superoperator, or
+the same error with the same code, message and span.  The batch holds
+random grammar-valid chips (with `+0`/`-0` values, `deg`/`rad` spellings
+and the odd parameter in a wrong unit) and siblings of one chip that
+differ only in what the chip key must tell apart or what must not change a
+stage: the signs of its zeros (one key, so a warm compile of either sign
+must equal a cold one), the chip's port order, its statements' ports, its
+units, its parameter names, and its spans and instance names.
 """
 
 import re

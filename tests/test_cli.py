@@ -547,6 +547,20 @@ class TestBadValues:
         assert capsys.readouterr().err == f"config error: {words}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_a_fringe_time_that_is_not_positive_exits_1_with_one_line(self, value, tmp_path,
+                                                                     capsys):
+        # 0 would fit a fringe of no counts, and -1 draw from a negative mean
+        p = tmp_path / "cfg.json"
+        p.write_text(f'{{"schema_version": 1, "fringe_time_per_point_s": {value}}}')
+        out = tmp_path / "out"
+        assert cli.dispatch(["fringe", "--config", str(p), "--trials", "1",
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: rates and times must be positive: "
+            f"fringe_time_per_point_s is {float(value)!r}\n")
+        assert not out.exists()
+
     def test_unfittable_hom_scan_exits_1_with_one_line(self, tmp_path, capsys):
         # 49 delays of 20 us each: too few counts to find the dip's wings
         p = tmp_path / "cfg.json"

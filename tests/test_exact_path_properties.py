@@ -22,6 +22,7 @@ and the relabeled frame.
 """
 
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -618,6 +619,30 @@ def test_sweep_lowers_its_baseline_once(monkeypatch, source):
     assert calls.count("compile_chip") == (1 if source == "netlist" else len(grid))
 
 
+def test_a_warm_config_sweep_lowers_its_chip_once_and_hashes_no_float(monkeypatch):
+    # each point edits the lowered baseline (`edit_chip_field`) rather than
+    # lowering the chip again, and a compile-cache hit keys on the
+    # declaration alone, so no point writes its values out as float.hex
+    cfg = SOURCES["config"]
+    ex.run_error_budget(cfg)  # the first run compiles the grid's chips
+    lower, lowered = cfgmod.lower_chip_fields, []
+    monkeypatch.setattr(cfgmod, "lower_chip_fields",
+                        lambda values: lowered.append(values) or lower(values))
+    hexes = []
+
+    def profile(frame, event, arg):
+        if (event == "c_call" and getattr(arg, "__name__", None) == "hex"
+                and type(getattr(arg, "__self__", None)) is float):
+            hexes.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        ex.run_error_budget(cfg)
+    finally:
+        sys.setprofile(None)
+    assert (len(lowered), len(hexes)) == (1, 0)
+
+
 _UNIT_VALUES = {"extinction": st.floats(0.5, 60.0), "loss": st.floats(0.0, 10.0),
                 "angle": st.floats(-3.0, 3.0), "probability": st.floats(0.0, 1.0),
                 "amplitude": st.floats(-1.0, 1.0)}
@@ -641,11 +666,11 @@ def chip_param_edits(draw):
 @PROPERTY
 @given(chip_param_edits())
 def test_chip_param_edit_equals_lowering_the_replaced_config(edit):
-    # a sweep point of a config baseline is the lowering of the baseline's
-    # fields with one replaced: the same declaration, the same cached chip,
-    # the same superoperator bits as the config with that field replaced; a
-    # value the config rejects is rejected with the same message by the
-    # sweep's up-front check
+    # a sweep point of a config baseline is the lowered baseline with one
+    # field edited: the declaration of the config with that field replaced
+    # (and of lowering its fields), so the same cached chip; a value the
+    # config rejects is rejected with the same message by the sweep's
+    # up-front check
     base, name, value = edit
     try:
         replaced = replace(base, **{name: value})
@@ -654,9 +679,10 @@ def test_chip_param_edit_equals_lowering_the_replaced_config(edit):
             cfgmod.check_chip_param(name, value)
         return
     cfgmod.check_chip_param(name, value)
-    edited = cfgmod.lower_chip_fields({**vars(base), name: value})
-    assert edited == replaced.to_netlist()
-    # one compile-cache entry, keyed on the bits of every value: one superoperator
+    want = replaced.to_netlist()
+    assert cfgmod.lower_chip_fields({**vars(base), name: value}) == want
+    edited = cfgmod.edit_chip_field(base.to_netlist(), name, value)
+    assert edited == want
     assert nl.compile_chip(edited) is replaced.build()
 
 

@@ -277,14 +277,27 @@ class TestCompile:
         info = nl._compile_chip.cache_info()
         assert (info.misses, info.hits) == (1, 3)
 
-    def test_chip_key_tells_the_signs_of_zeros_apart(self):
-        # equal declarations as tuples (+0 == -0, the same spans), so only
-        # the bits of the values keep the two chips apart
-        plus, minus = (nl.parse(f"chip c {{ ports T, B; phase_v p (T) phase={v}rad; }}")
-                       .chips[0] for v in ("+0", "-0"))
+    def test_signs_of_zeros_compile_to_one_chip(self):
+        # equal declarations as tuples (+0 == -0, the same spans) share one
+        # cache entry, which is sound because every zero compiles as +0: the
+        # -0 chip has the bytes of a cold +0 compile
+        src = ("chip c {{ ports T, B; phase_v p (T) phase={0}rad; hwp w (B) angle={0}deg;"
+               " mcnot m (T) loss={0}dB rotation_error={0}rad; facet f (T, B) xtalk={0}; }}")
+        plus, minus = (nl.parse(src.format(v)).chips[0] for v in ("+0", "-0"))
         assert plus == minus
-        assert nl.compile_chip(plus) is not nl.compile_chip(minus)
-        assert nl.compile_chip(minus) is nl.compile_chip(minus)
+        assert all(math.copysign(1.0, v) == 1.0
+                   for st in minus.statements for v in nl._checked_params(st).values())
+
+        def image(model):
+            return ([k.tobytes() for stage in model.stages for k in stage.kraus],
+                    model.superoperator.tobytes())
+
+        nl._compile_chip.cache_clear()
+        cold_plus = image(nl.compile_chip(plus))
+        nl._compile_chip.cache_clear()
+        model = nl.compile_chip(minus)
+        assert nl.compile_chip(plus) is model
+        assert image(model) == cold_plus
 
     def test_compile_errors_are_not_cached(self):
         chip = nl.parse("chip c { ports T, B; loss a (T) loss=1dB;\n"

@@ -173,9 +173,9 @@ class TestHeraldedNormalize:
 
 class TestNonFinite:
     # a NaN or an infinity anywhere is one ValueError that says so, never
-    # LAPACK's LinAlgError or a verdict on the other entries
-    # an infinite Kraus entry times 0 is a NaN of the channel's effect
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    # LAPACK's LinAlgError or a verdict on the other entries, and no numpy
+    # warning before it
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_every_check_says_not_finite(self, value):
         with pytest.raises(ValueError, match="^density matrix is not finite$"):
