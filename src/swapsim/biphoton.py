@@ -27,13 +27,13 @@ damping by 10 at the rounding floor until the step shrinks below it.
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
+from ._memo import memo
 from .qcore import (
     SWAP,
     QuantumChannel,
@@ -57,9 +57,6 @@ __all__ = [
 ]
 
 
-_FIBER_LINK_CACHE_SIZE = 16   # fiber links built per process (`fiber_link`)
-
-
 class BellLabel(Enum):
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
@@ -67,7 +64,7 @@ class BellLabel(Enum):
     PHI_MINUS = "phi-"
 
 
-@functools.cache
+@memo()
 def _bell_vectors() -> dict:
     h, v = ket2("H"), ket2("V")
     pairs = {
@@ -371,7 +368,7 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
     )
 
 
-@functools.lru_cache(maxsize=_FIBER_LINK_CACHE_SIZE)
+@memo(16)  # fiber links kept built
 def fiber_link(seed: int, residual_angle_rad: float = 0.0) -> tuple:
     """Polarization rotation of a fiber link plus its compensation.
 
@@ -379,9 +376,8 @@ def fiber_link(seed: int, residual_angle_rad: float = 0.0) -> tuple:
     deterministically from `seed`, identical on both spatial channels); the
     compensation applies the exact inverse followed by a small residual
     rotation of `residual_angle_rad` (0 = perfect compensation).  Returns
-    (forward, compensation) as dim-4 channels, built once per (seed, angle)
-    in a bounded cache: a channel is immutable (read-only Kraus operators,
-    its superoperator computed once and read-only).
+    (forward, compensation) as dim-4 channels, immutable (read-only Kraus
+    operators, the superoperator computed once and read-only).
     """
     rng = np.random.default_rng(np.random.SeedSequence([0x5F1BE, seed]))
     q = rng.normal(size=4)

@@ -25,14 +25,14 @@ and the bytes of its `"payload":` member are the bytes that
 `dispatch` may be called repeatedly in one process.  An argv that starts
 with a command is parsed by that command's own parser, built on its first
 use; the full parser, which holds each command's parser as a subparser with
-the same help text, is built only for other argv (no command, --help, an
-unknown command).  The process builds the preset of a run without --config once,
-decodes each config text once (`load_config` still reads the file on every
-call), parses each netlist text once and compiles each distinct chip once
-(bounded caches); no state that changes a result is kept between calls, so
-a warm call gives the same payload as a fresh process.  A report's config
-is encoded once: the `config.json` of a run whose netlist path is
-rewritten is that encoding with the path swapped in.  Both files are
+the same help text, is built for each other argv (no command, --help, an
+unknown command).  The process builds the preset of a run without --config
+once, decodes each config text once (`load_config` still reads the file on
+every call), parses each netlist text once and compiles each distinct chip
+once (memos of the registry `swapsim._memo`); no state that changes a
+result is kept between calls, so a warm call gives the same payload as a
+fresh process.  A report's config is encoded for its hash and again for
+`config.json`, with a rewritten netlist path swapped in.  Both files are
 written with raw writes of their encoded bytes.  A command imports only
 what it uses: `fmt` and `check` load no numpy and no experiment module.
 """
@@ -40,7 +40,6 @@ what it uses: `fmt` and `check` load no numpy and no experiment module.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -49,6 +48,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import netlist as nl
+from ._memo import memo
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -119,19 +119,17 @@ def _add_arguments(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentP
     return sp
 
 
-@functools.cache
+@memo()
 def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of command `name`, built on the command's first use: the
-    subparser that `_build_parser` makes for it (the same prog, arguments
-    and help text), without the other commands'."""
+    """The subparser that `_build_parser` makes for command `name` (the same
+    prog, arguments and help text), built on first use and kept: `parse_args`
+    does not change it, and the `--grid` append action copies its default list."""
     return _add_arguments(argparse.ArgumentParser(prog=f"swapsim {name}"), name)
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The full CLI parser, for an argv that names no command (no command,
-    --help, an unknown command); built once per process: `parse_args` does
-    not change it, and the `--grid` append action copies its default list."""
+    --help, an unknown command)."""
     p = argparse.ArgumentParser(
         prog="swapsim",
         description="Simulator for the single-photon two-qubit SWAP chip.")
@@ -141,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
+@memo()
 def _measured_chip() -> ExperimentConfig:
     """The config of a run without --config, built once per process (it is immutable)."""
     from .config import ExperimentConfig

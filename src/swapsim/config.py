@@ -14,18 +14,17 @@ Each number, flag and text field is type-checked on construction
 the field.  A relative `netlist_path` in a config file is resolved against
 the file's directory when the file is loaded.  `load_config` reads a file
 on every call, and decodes and validates each distinct (text, directory)
-once per process (a bounded cache; errors are never cached), so a repeated
-text returns the same immutable config.  A config's canonical document
-(`dump_config`, the text `config_digest` hashes) is one line of compact JSON
-with sorted keys, encoded once per config object; the copy written beside a
-report swaps its rewritten netlist paths into that encoding.
+once per process (`_decode`, a bounded memo of the registry `swapsim._memo`;
+errors are never cached), so a repeated text returns the same immutable
+config.  A config's canonical document (`dump_config`, the text
+`config_digest` hashes) is one line of compact JSON with sorted keys; the
+copy written beside a report swaps its rewritten netlist paths into it.
 `measured_chip()` is the parameter set used to bracket the reported
 hardware numbers; `ideal()` turns every imperfection off.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -36,6 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import netlist as nl
+from ._memo import memo
 
 if TYPE_CHECKING:
     from .devices import ChipModel
@@ -44,7 +44,6 @@ __all__ = ["ConfigError", "ChipConfig", "SourceConfig", "ExperimentConfig",
            "load_config", "dump_config"]
 
 SCHEMA_VERSION = 1
-_DECODE_CACHE_SIZE = 32   # config texts decoded per process (`_decode`)
 
 
 class ConfigError(Exception):
@@ -56,7 +55,7 @@ _KINDS = {"float": "a finite number", "int": "an integer", "bool": "true or fals
           "str": "a string"}
 
 
-@functools.cache
+@memo()
 def _typed_fields(cls) -> tuple:
     """(name, kind, optional) of each `float`, `int`, `bool` or `str` field
     of the dataclass `cls`: kind a key of `_KINDS`, optional when None is
@@ -274,11 +273,6 @@ class ExperimentConfig:
         if self.fpc_mode not in ("auto", "ideal", "none"):
             raise ConfigError(f"unknown fpc_mode {self.fpc_mode!r}")
 
-    # the canonical document, encoded once: the config and its parts are immutable
-    @functools.cached_property
-    def _document(self) -> str:
-        return _encode(self)
-
     # -- chip access ---------------------------------------------------
 
     def chip(self, index: int = 0) -> ChipModel:
@@ -325,24 +319,17 @@ def _field_dict(obj) -> dict:
     return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
-def _encode(cfg: ExperimentConfig) -> str:
-    """The canonical document of `cfg`: one line of compact JSON, keys
-    sorted, no NaN."""
-    return json.dumps({**_field_dict(cfg), "schema_version": SCHEMA_VERSION},
-                      default=_field_dict, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
-
-
 def dump_config(cfg: ExperimentConfig, relative_to: str | os.PathLike | None = None) -> str:
     """The config's canonical document (schema version 1), the text that
-    `config_digest` hashes, encoded once per config object.  With
-    `relative_to` (a directory), each relative chip `netlist_path` is
-    written relative to it, the inverse of `load_config` resolving it, so
-    the document saved there reruns the same chips.  The paths are swapped
-    into the encoded document, not encoded again: a `"netlist_path":` key
-    followed by the path's JSON string occurs only as that member, since a
-    quote inside a JSON string is escaped."""
-    doc = cfg._document
+    `config_digest` hashes.  With `relative_to` (a directory), each relative
+    chip `netlist_path` is written relative to it, the inverse of
+    `load_config` resolving it, so the document saved there reruns the same
+    chips.  The paths are swapped into the encoded document, not encoded
+    again: a `"netlist_path":` key followed by the path's JSON string occurs
+    only as that member, since a quote inside a JSON string is escaped."""
+    doc = json.dumps({**_field_dict(cfg), "schema_version": SCHEMA_VERSION},
+                     default=_field_dict, sort_keys=True, separators=(",", ":"),
+                     allow_nan=False) + "\n"
     if relative_to is None:
         return doc
     rewrites = {json.dumps(path): json.dumps(rel) for path in {
@@ -387,12 +374,10 @@ def load_config(path_or_text) -> ExperimentConfig:
     return _decode(text, base_dir)
 
 
-@functools.lru_cache(maxsize=_DECODE_CACHE_SIZE)
+@memo(32)  # config texts kept decoded
 def _decode(text: str, base_dir: Path | None) -> ExperimentConfig:
     """The config of the JSON document `text`, its relative chip netlist
-    paths resolved against `base_dir` (None: kept as written).  Cached on
-    both, so a repeated text returns the same (immutable) config, whose
-    canonical document is then encoded once; errors are never cached."""
+    paths resolved against `base_dir` (None: kept as written)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

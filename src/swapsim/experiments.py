@@ -25,11 +25,11 @@ its exact physics and its exact fields.  The payload is the whole result:
 no runner builds a data table beside it.  The exact (infinite-count)
 value of every estimate is always computed alongside the Monte Carlo one,
 so the noiseless pipeline doubles as the oracle for the sampled one.  Only
-`hom` and `bell` import `biphoton`, and each constant table (settings,
-inputs, ideal processes) and each operator that a config's fields fix (the
-fringe detector of a port and polarizer, the HOM input pair, the fiber
-link) is built on its first use, once, and read-only, so a fresh process
-pays for what its command runs and a warm one does not pay again.
+`hom` and `bell` import `biphoton`.  Each constant table (settings,
+inputs, ideal processes), the fringe detector of a port and polarizer, the
+HOM input pair and the fiber link are read-only memos of the registry
+`swapsim._memo`, built on first use, so a fresh process pays for what its
+command runs and a warm one does not pay again.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
 and every estimate bit-exactly.  Each run draws from one PCG64 generator
@@ -41,7 +41,6 @@ input); trial 0 comes first in the stream, so it does not depend on
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from itertools import product
@@ -51,6 +50,7 @@ import numpy as np
 
 from . import netlist as nl
 from . import tomography as tm
+from ._memo import memo
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -284,11 +284,11 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
 # fringe scan
 # ---------------------------------------------------------------------------
 
-@functools.cache
+@memo()
 def _fringe_effect(port: str, use_polarizer: bool) -> np.ndarray:
     """vec(M^T) for the detector operator M = D^dag D of the 50:50 combiner
     and the output D monitored for input `port`, behind the output
-    polarizer or not: read-only, built once per (port, polarizer)."""
+    polarizer or not."""
     if use_polarizer:
         # analyzer aligned with the ideal output polarization: the swapped
         # qubit leaves in V for T-port input and in H for B-port input
@@ -300,9 +300,7 @@ def _fringe_effect(port: str, use_polarizer: bool) -> np.ndarray:
     # carries the high-contrast fringe)
     sel_sp = np.diag([1.0, 0.0]) if port == "T" else np.diag([0.0, 1.0])
     detect = np.kron(sel_sp, sel_pol) @ np.kron(BS_5050, np.eye(2))
-    effect = (dagger(detect) @ detect).T.reshape(16)
-    effect.flags.writeable = False
-    return effect
+    return (dagger(detect) @ detect).T.reshape(16)
 
 
 def _fringe_probabilities(chip: ChipModel, phases: np.ndarray, port: str,
@@ -388,15 +386,12 @@ def _fpc_unitary(rho: np.ndarray, mode: str) -> np.ndarray:
     return np.outer(s_dom, i_dom.conj()) + np.outer(s_perp, i_perp.conj())
 
 
-@functools.cache
+@memo()
 def _hom_pair(hom_input: str) -> np.ndarray:
-    """The (1, 16, 16) joint state of the input pair `hom_input`, a
-    one-state stack: read-only, built once per input."""
+    """The (1, 16, 16) joint state of the input pair `hom_input`."""
     (ms, ps), (mi, pi) = _HOM_INPUTS[hom_input]
     v = np.kron(ket4(ms, ps), ket4(mi, pi))
-    joint = np.outer(v, v.conj())[None]
-    joint.flags.writeable = False
-    return joint
+    return np.outer(v, v.conj())[None]
 
 
 def _hom_joint(cfg: ExperimentConfig) -> np.ndarray:
@@ -495,7 +490,7 @@ _TOMO_2Q_GRID_COLUMNS = [_TOMO_2Q_PAIRS.index(p)
                          for p in product(tm.POLARIZATION_LABELS, repeat=2)]
 
 
-@functools.cache
+@memo()
 def _tomo_2q_projectors() -> np.ndarray:
     """The (36, 4, 4) projectors of the settings of `_TOMO_2Q_PAIRS`."""
     pol = {l: np.outer(ket2(l), ket2(l).conj()) for l in tm.POLARIZATION_LABELS}
@@ -606,7 +601,7 @@ def _exact_outputs(s: np.ndarray, vecs: np.ndarray, frame: str,
     return logical_frame_stack(out, frame)
 
 
-@functools.cache
+@memo()
 def _mzi_povms() -> np.ndarray:
     """The POVM element sum_k K^dag K of the MZI projector of each momentum
     setting, in `tm.MOMENTUM_LABELS` order: shape (6, 2, 2)."""
@@ -669,7 +664,7 @@ _PROCESS_INPUT_POLS = (("H", "H"), ("V", "V"), ("+", "D"), ("+i", "R"))
 _PROCESS_SPATIAL_INPUTS = ("T", "B", "+", "+i")
 
 
-@functools.cache
+@memo()
 def _process_inputs() -> tuple:
     """(vecs, inputs_1q, inputs_2q): the 16 separable chip inputs
     |spatial> (x) |pol> as (16, 4) kets, spatial major (rows 4s to 4s + 3
@@ -682,7 +677,7 @@ def _process_inputs() -> tuple:
             np.einsum("ja,jb->jab", vecs, vecs.conj()))
 
 
-@functools.cache
+@memo()
 def _chi_ideal(n: int, frame: str) -> np.ndarray:
     """The chi matrix of the ideal process of `frame`: on the momentum
     qubit (n = 1) the identity (relabeled) or a bit flip (raw); on both

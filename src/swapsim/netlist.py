@@ -17,14 +17,14 @@ propagation order.  The formatter emits a canonical layout; comments are
 discarded.
 
 A process parses each netlist text once and compiles each distinct chip
-once, through two bounded LRU caches: `parse` is keyed on the source
-text, and `compile_chip` on the `ChipDecl` alone: declarations equal but
-for the signs of their zeros share one entry, since a zero compiles as +0
-either way.  A repeated chip therefore returns the same `ChipModel`,
-whose stages are lowered, multiplied and trace-checked once.  Every
-cached value is immutable, and errors are never cached.  The parser
-and the formatter are pure Python: only lowering imports the device models
-(and with them numpy).
+once, through two bounded memos of the registry `swapsim._memo`: `parse`
+is keyed on the source text, and `compile_chip` on the `ChipDecl` alone:
+declarations equal but for the signs of their zeros share one entry, since
+a zero compiles as +0 either way.  A repeated chip therefore returns the
+same `ChipModel`, whose stages are lowered, multiplied and trace-checked
+once.  Every cached value is immutable, and errors are never cached.  The
+parser and the formatter are pure Python: only lowering imports the device
+models (and with them numpy).
 
 Example:
 
@@ -38,10 +38,11 @@ Example:
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from typing import TYPE_CHECKING, NamedTuple
+
+from ._memo import memo
 
 if TYPE_CHECKING:
     from .devices import ChipModel
@@ -63,12 +64,6 @@ __all__ = [
 ]
 
 UNITS = ("dB", "deg", "rad")
-
-# bounds of the per-process caches: distinct netlist texts kept parsed and
-# distinct chips kept compiled (one run of every subcommand on the measured
-# config compiles 17)
-_PARSE_CACHE_SIZE = 32
-_CHIP_CACHE_SIZE = 32
 
 # unit class -> (the unit its values are written in, None for a plain
 # number; whether a value is in range; that range in words).  An infinite
@@ -176,7 +171,7 @@ class NetlistAst(NamedTuple):
 # lexer
 # ---------------------------------------------------------------------------
 
-@functools.cache
+@memo()
 def _token_re() -> re.Pattern:
     """The lexer's pattern, compiled on first use: building an inline
     chip from a config parses no text."""
@@ -349,7 +344,7 @@ class _Parser:
         return Param(name_tok.text, value, unit, span)
 
 
-@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+@memo(32)  # distinct netlist texts kept parsed
 def parse(text: str) -> NetlistAst:
     """Parse netlist source into an AST.  Raises ParseError with a span.
 
@@ -437,18 +432,12 @@ def _lower_statement(st: Statement, chip_ports) -> QuantumChannel:
         raise CompileError(str(exc), st.span, code="param-range") from exc
 
 
+@memo(32)  # distinct chips kept compiled (every subcommand on the measured config: 17)
 def compile_chip(chip: ChipDecl) -> ChipModel:
-    """The chip's model, compiled once per distinct declaration
-    (`_compile_chip`): a repeated declaration returns the same (immutable)
-    `ChipModel`."""
-    return _compile_chip(chip)
-
-
-@functools.lru_cache(maxsize=_CHIP_CACHE_SIZE)
-def _compile_chip(chip: ChipDecl) -> ChipModel:
-    """Keyed on the declaration alone: `ChipDecl` equality takes +0 and -0
-    for equal, and so does the compiled model, since every parameter value
-    is stored with its zero as +0 (`_checked_params`)."""
+    """The chip's model, compiled once per distinct declaration and keyed on
+    it alone: `ChipDecl` equality takes +0 and -0 for equal, and so does
+    the compiled model, since every parameter value is stored with its zero
+    as +0 (`_checked_params`)."""
     if len(chip.ports) != 2:
         raise CompileError(
             f"this simulator models exactly 2 spatial ports, chip "

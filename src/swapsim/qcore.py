@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import memo
+
 __all__ = [
     "QuantumChannel",
     "pauli_operators",
@@ -196,7 +198,7 @@ class QuantumChannel:
         return s
 
 
-@functools.cache
+@memo()
 def pauli_operators(n: int) -> np.ndarray:
     """The n-qubit Pauli operators {I, X, Y, Z}^(x n) in lexicographic
     order (the first qubit's factor major), as one read-only (4^n, 2^n,
@@ -206,7 +208,6 @@ def pauli_operators(n: int) -> np.ndarray:
     ops = np.array([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
     if n == 2:  # kron(P_i, P_j)[(a, c), (b, d)] = P_i[a, b] P_j[c, d]
         ops = np.einsum("iab,jcd->ijacbd", ops, ops).reshape(16, 4, 4)
-    ops.flags.writeable = False
     return ops
 
 

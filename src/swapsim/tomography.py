@@ -18,11 +18,11 @@ squares, a stack of scans at once (`fringe_fit_stack`).
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
 
+from ._memo import memo
 from .qcore import check_chi_stack, dagger, pauli_operators, solve_stack
 
 __all__ = [
@@ -57,11 +57,10 @@ def column_normalize_stack(m: np.ndarray) -> np.ndarray:
     return m / sums
 
 
-@functools.cache
 def ideal_truth_table(frame: str = "raw") -> np.ndarray:
     """Ideal SWAP-chip 0/1 table (4, 4), columns indexed by input: raw
     frame {00->11, 01->01, 10->10, 11->00}, relabeled frame {00->00,
-    01->10, 10->01, 11->11}.  Built once per frame and read-only."""
+    01->10, 10->01, 11->11}."""
     m = np.zeros((4, 4))
     if frame == "raw":
         for j, i in enumerate((3, 1, 2, 0)):
@@ -71,7 +70,6 @@ def ideal_truth_table(frame: str = "raw") -> np.ndarray:
             m[i, j] = 1.0
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    m.flags.writeable = False
     return m
 
 
@@ -111,7 +109,7 @@ def _pauli_rows(n: int) -> np.ndarray:
     return pauli_operators(n).reshape(4**n, 4**n)
 
 
-@functools.cache
+@memo()
 def _pooled_stokes_map(n: int) -> np.ndarray:
     """The read-only (6^n, 4^n) map from label-ordered counts to Pauli
     coefficients times the pooled normaliser: the Kronecker power of the
@@ -123,7 +121,6 @@ def _pooled_stokes_map(n: int) -> np.ndarray:
     one[np.arange(6), np.repeat(_AXIS_TO_PAULI, 2)] = np.tile(_SIGNS, 3)
     rows = one if n == 1 else np.kron(one, one)
     rows[:, 0] = 0.0
-    rows.flags.writeable = False
     return rows
 
 

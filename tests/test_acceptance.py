@@ -18,6 +18,7 @@ from swapsim import experiments as ex
 from swapsim import netlist as nl
 from swapsim import qcore as qc
 from swapsim import tomography as tm
+from swapsim._memo import MEMOS
 from swapsim.config import ChipConfig, ExperimentConfig, dump_config
 
 IDEAL_SRC = """\
@@ -278,8 +279,8 @@ def test_criterion_09_error_budget():
 
 def _cold_compile(src):
     # two independent compilations: nothing parsed or compiled is reused
-    nl.parse.cache_clear()
-    nl._compile_chip.cache_clear()
+    for cached in MEMOS.values():
+        cached.cache_clear()
     return nl.compile_netlist(nl.parse(src))
 
 

@@ -1,18 +1,19 @@
 """The netlist caches cannot be seen from outside.
 
 A process parses each netlist text once (`parse`) and compiles each
-distinct chip once (`_compile_chip`, keyed on the declaration alone, which
+distinct chip once (`compile_chip`, keyed on the declaration alone, which
 takes +0 and -0 for equal; every zero compiles as +0).  Here every chip of
 a random batch, compiled one after another with the caches warm, must give
-what a cold compile gives after both caches are cleared: the same Kraus
-bytes of every stage and the same bytes of the chip's superoperator, or
-the same error with the same code, message and span.  The batch holds
-random grammar-valid chips (with `+0`/`-0` values, `deg`/`rad` spellings
-and the odd parameter in a wrong unit) and siblings of one chip that
-differ only in what the chip key must tell apart or what must not change a
-stage: the signs of its zeros (one key, so a warm compile of either sign
-must equal a cold one), the chip's port order, its statements' ports, its
-units, its parameter names, and its spans and instance names.
+what a cold compile gives after every memo of the registry is cleared: the
+same Kraus bytes of every stage and the same bytes of the chip's
+superoperator, or the same error with the same code, message and span.
+The batch holds random grammar-valid chips (with `+0`/`-0` values,
+`deg`/`rad` spellings and the odd parameter in a wrong unit) and siblings
+of one chip that differ only in what the chip key must tell apart or what
+must not change a stage: the signs of its zeros (one key, so a warm
+compile of either sign must equal a cold one), the chip's port order, its
+statements' ports, its units, its parameter names, and its spans and
+instance names.
 """
 
 import re
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapsim import netlist as nl
+from swapsim._memo import MEMOS
 from swapsim.config import ChipConfig
 
 # derandomized: tier-1 runs the same examples every time
@@ -103,8 +105,8 @@ def shift_spans(text):
 
 
 def clear_caches():
-    nl.parse.cache_clear()
-    nl._compile_chip.cache_clear()
+    for cached in MEMOS.values():
+        cached.cache_clear()
 
 
 def outcome(text):

@@ -12,6 +12,7 @@ import pytest
 
 from swapsim import cli, config
 from swapsim import netlist as nl
+from swapsim._memo import MEMOS
 from swapsim.config import ChipConfig, ExperimentConfig, dump_config, load_config
 
 REPO = Path(__file__).resolve().parent.parent
@@ -225,18 +226,15 @@ class TestDispatch:
 
 
 def _clear_caches():
-    from swapsim import biphoton as bp
-    from swapsim import experiments as ex
-
-    for cache in (cli._build_parser, cli._command_parser, cli._measured_chip, config._decode,
-                  nl.parse, nl._compile_chip, bp.fiber_link, ex._fringe_effect, ex._hom_pair):
-        cache.cache_clear()
+    for cached in MEMOS.values():
+        cached.cache_clear()
 
 
 class TestRepeatedDispatch:
-    """One process builds the parser and the preset once, decodes each
-    config text once, parses each netlist text once and compiles each
-    distinct chip once; none of it shows in what a call gives."""
+    """One process builds each command's parser and the preset once, decodes
+    each config text once, parses each netlist text once and compiles each
+    distinct chip once, through the memos of the registry
+    (`swapsim._memo.MEMOS`); none of it shows in what a call gives."""
 
     @staticmethod
     def _result(argv, out, capsys):
@@ -253,19 +251,21 @@ class TestRepeatedDispatch:
     def test_warm_calls_equal_cold_calls(self, tmp_path, config_file, netlist_file, capsys):
         out = tmp_path / "out"
         exp = ["--config", str(config_file), "--seed", "5", "--out", str(out)]
+        ops = (["truth-table"], ["fringe"], ["hom"], ["bell"], ["tomo-state"], ["tomo-process"],
+               ["tomo-process", "--two-qubit"], ["sweep"])
         calls = [["sweep", "--grid", "er=18,35", *exp],
                  ["sweep", "--grid"],                 # a usage error
-                 ["sweep", *exp],
+                 *([*op, *exp] for op in ops),
                  ["check", str(netlist_file)],
-                 ["truth-table", *exp]]
+                 ["fmt", str(netlist_file)]]
         warm = [self._result(argv, out, capsys) for argv in calls]
         cold = []
         for argv in calls:
             _clear_caches()
             cold.append(self._result(argv, out, capsys))
         assert warm == cold
-        assert [r[0] for r in warm] == [0, 64, 0, 0, 0]
-        assert len(warm[2][1]["grid"]) == 19
+        assert [r[0] for r in warm] == [0, 64, *[0] * len(ops), 0, 0]
+        assert len(warm[9][1]["grid"]) == 19
 
     def test_help_text_does_not_change(self, tmp_path, config_file, capsys):
         def help_texts():
@@ -284,25 +284,23 @@ class TestRepeatedDispatch:
         assert help_texts() == cold
 
     def test_parser_is_built_once_and_not_changed_by_parsing(self):
-        parser = cli._build_parser()
-        args = parser.parse_args(["sweep", "--grid", "er=18", "--grid", "imbalance=0"])
-        assert args.grid == ["er=18", "imbalance=0"]
-        assert cli._build_parser() is parser
-        assert parser.parse_args(["sweep"]).grid == []
         sweep = cli._command_parser("sweep")
         assert sweep.parse_args(["--grid", "er=18"]).grid == ["er=18"]
         assert cli._command_parser("sweep") is sweep
         assert sweep.parse_args([]).grid == []
 
-    def test_a_command_builds_only_its_own_parser(self, tmp_path, capsys):
+    def test_a_command_builds_only_its_own_parser(self, tmp_path, capsys, monkeypatch):
         _clear_caches()
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
         assert cli.dispatch(["truth-table", "--trials", "1", "--out", str(tmp_path / "o")]) == 0
         assert cli.dispatch(["check", str(tmp_path / "missing.pnl")]) == 1
-        assert cli._build_parser.cache_info().currsize == 0
+        assert built == []
         assert cli._command_parser.cache_info().currsize == 2
         # an argv naming no command parses with the full parser
         assert cli.dispatch(["frobnicate"]) == 64
-        assert cli._build_parser.cache_info().currsize == 1
+        assert built == [1]
         assert cli._command_parser.cache_info().currsize == 2
 
     @pytest.mark.parametrize("columns", ["80", "200"])
@@ -331,24 +329,24 @@ class TestChipPaths:
         ["--netlist", "demos/data/swap_measured.pnl"],
         ["--config", "demos/data/config_measured.json"]], ids=["netlist", "config"])
     def test_config_encodes_per_report(self, chip_args, tmp_path, monkeypatch):
-        # the report's config hash and its config.json read the one
-        # canonical document of the config that the flags make, encoded
-        # once per report; a netlist path that config.json rewrites against
-        # the output directory is swapped into it
+        # the report's config hash and its config.json read the canonical
+        # document of the config that the flags make, encoded once for each;
+        # a netlist path that config.json rewrites against the output
+        # directory is swapped into the encoding
         _clear_caches()
         monkeypatch.chdir(REPO)
         base = (ExperimentConfig.measured_chip() if chip_args[0] == "--netlist"
                 else load_config(chip_args[1]))
         calls = []
-        encode = config._encode
-        monkeypatch.setattr(config, "_encode",
-                            lambda *args: calls.append(1) or encode(*args))
+        encode = config.dump_config
+        monkeypatch.setattr(config, "dump_config",
+                            lambda *args, **kwargs: calls.append(1) or encode(*args, **kwargs))
         for seed in (1, 2):
             calls.clear()
             out = tmp_path / f"out{seed}"
             assert cli.dispatch(["truth-table", *chip_args, "--trials", "1", "--seed", str(seed),
                                  "--out", str(out)]) == 0
-            assert len(calls) == 1
+            assert len(calls) == 2
             edits = {"rng_seed": seed, "n_trials": 1}
             if chip_args[0] == "--netlist":
                 edits["chips"] = (ChipConfig(netlist_path=chip_args[1]),) * 2

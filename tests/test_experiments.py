@@ -7,6 +7,7 @@ import pytest
 
 from swapsim import experiments as ex
 from swapsim import tomography as tm
+from swapsim._memo import MEMOS
 from swapsim.biphoton import BellLabel
 from swapsim.config import ChipConfig, ConfigError, ExperimentConfig
 
@@ -303,9 +304,8 @@ class TestErrorBudget:
     def test_repeated_sweep_compiles_no_chip(self, calibrated, monkeypatch):
         # each distinct chip is compiled once per process: a second sweep of
         # the same config constructs no ChipModel, and it gives the bytes of
-        # the first and of a sweep whose netlist caches were cleared
+        # the first and of a sweep after every memo was cleared
         from swapsim import devices
-        from swapsim import netlist as nl
 
         first = ex.run_error_budget(calibrated)
         built = []
@@ -314,25 +314,13 @@ class TestErrorBudget:
                             lambda chip: built.append(chip.label) or post_init(chip))
         second = ex.run_error_budget(calibrated)
         assert built == []
-        for cache in (nl.parse, nl._compile_chip):
-            cache.cache_clear()
+        for cached in MEMOS.values():
+            cached.cache_clear()
         cold = ex.run_error_budget(calibrated)
         # the baseline and the 19 grid points: 4 points are the baseline chip
         assert len(built) == 16
         for run in (second, cold):
             assert run.canonical_payload() == first.canonical_payload()
-
-
-class TestFixedOperators:
-    """The operators that a config's fields fix are built once and read-only."""
-
-    @pytest.mark.parametrize("build, key", [
-        (ex._fringe_effect, ("T", True)), (ex._fringe_effect, ("B", False)),
-        (ex._hom_pair, ("TV_BH",)), (ex._hom_pair, ("source",))])
-    def test_built_once_and_read_only(self, build, key):
-        op = build(*key)
-        assert build(*key) is op
-        assert not op.flags.writeable
 
 
 class TestMonteCarloSkeleton:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from swapsim import devices as dv
 from swapsim import netlist as nl
+from swapsim._memo import MEMOS
 from swapsim.config import ChipConfig, ExperimentConfig
 
 SAMPLE_PNL = Path(__file__).resolve().parent.parent / "demos" / "data" / "swap_measured.pnl"
@@ -204,6 +205,11 @@ class TestFormat:
             assert again.structure() == ast.structure()
 
 
+def _clear_memos():
+    for cached in MEMOS.values():
+        cached.cache_clear()
+
+
 class TestCompile:
     def test_ideal_cascade_matches_builder_oracle(self):
         chip = nl.compile_netlist(nl.parse(IDEAL_SRC))
@@ -250,31 +256,33 @@ class TestCompile:
         assert np.array_equal(a, b)
 
     def test_caches_stay_within_their_bounds(self):
-        # more distinct texts and chips than any cache holds: each chip is
-        # a text of its own, and so is each config
+        # more distinct texts, chips, configs and fiber links than any
+        # bounded memo of the registry holds: each chip is a text of its
+        # own, and so is each config; a bounded memo that this loop does
+        # not overfill fails here
+        import importlib
+
+        import swapsim
         from swapsim import biphoton as bp
         from swapsim import config
 
-        n = max(nl._PARSE_CACHE_SIZE, nl._CHIP_CACHE_SIZE, config._DECODE_CACHE_SIZE,
-                bp._FIBER_LINK_CACHE_SIZE) + 1
-        for i in range(0, 8 * n, 8):
+        for name in swapsim._SUBMODULES:
+            importlib.import_module(f"swapsim.{name}")
+        bounds = {name: cached.cache_info().maxsize for name, cached in MEMOS.items()
+                  if cached.cache_info().maxsize is not None}
+        for i in range(0, 8 * (max(bounds.values()) + 1), 8):
             body = " ".join(f"loss l{j} (T) loss={j / 1000}dB;" for j in range(i, i + 8))
             nl.compile_netlist(nl.parse(f"chip c {{ ports T, B; {body} }}"))
             config.load_config(f'{{"schema_version": 1, "rng_seed": {i}}}')
             bp.fiber_link(i, 0.0)
-        for cache, size in ((nl.parse, nl._PARSE_CACHE_SIZE),
-                            (nl._compile_chip, nl._CHIP_CACHE_SIZE),
-                            (config._decode, config._DECODE_CACHE_SIZE),
-                            (bp.fiber_link, bp._FIBER_LINK_CACHE_SIZE)):
-            info = cache.cache_info()
-            assert (info.maxsize, info.currsize) == (size, size)
+        assert {name: MEMOS[name].cache_info().currsize for name in bounds} == bounds
 
     def test_each_distinct_chip_compiled_once(self):
         chip = nl.parse(SWAP_SRC).chips[0]
-        nl._compile_chip.cache_clear()
+        _clear_memos()
         assert nl.compile_chip(chip) is nl.compile_chip(chip)
         assert nl.compile_netlist(nl.parse(SWAP_SRC)) is nl.compile_chip(chip)
-        info = nl._compile_chip.cache_info()
+        info = nl.compile_chip.cache_info()
         assert (info.misses, info.hits) == (1, 3)
 
     def test_signs_of_zeros_compile_to_one_chip(self):
@@ -292,9 +300,9 @@ class TestCompile:
             return ([k.tobytes() for stage in model.stages for k in stage.kraus],
                     model.superoperator.tobytes())
 
-        nl._compile_chip.cache_clear()
+        _clear_memos()
         cold_plus = image(nl.compile_chip(plus))
-        nl._compile_chip.cache_clear()
+        _clear_memos()
         model = nl.compile_chip(minus)
         assert nl.compile_chip(plus) is model
         assert image(model) == cold_plus
@@ -302,12 +310,12 @@ class TestCompile:
     def test_compile_errors_are_not_cached(self):
         chip = nl.parse("chip c { ports T, B; loss a (T) loss=1dB;\n"
                         "  pcnot b (T, B) extinction=18rad; }").chips[0]
-        nl._compile_chip.cache_clear()
+        _clear_memos()
         for _ in range(2):
             with pytest.raises(nl.CompileError) as exc:
                 nl.compile_chip(chip)
             assert (exc.value.code, str(exc.value.span)) == ("bad-unit", "2:18")
-        assert nl._compile_chip.cache_info().currsize == 0
+        assert nl.compile_chip.cache_info().currsize == 0
 
     def test_whole_corpus_compiles(self):
         for src in _corpus():
