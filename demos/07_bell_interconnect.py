@@ -1,9 +1,10 @@
 """Chip-to-chip Bell-state distribution through two SWAP gates.
 
 A polarization Bell pair enters chip 1, which moves the entanglement onto
-the spatial-momentum pair; a fiber link (with polarization rotation and
-its compensation) carries the photons to chip 2, which converts the
-entanglement back to polarization for tomography.  All four Bell states
+the spatial-momentum pair; a fiber link carries the photons to chip 2,
+which converts the entanglement back to polarization for tomography.  A
+polarization controller undoes the fiber's rotation, so the link leaves
+only the residual rotation `fiber_residual_rad` (0 here).  All four Bell states
 survive the double conversion.
 
 The tomography fidelity is <psi|rho_lin|psi> of each simulated

@@ -27,7 +27,7 @@ _EXPORTS = {
                      "facet_channel", "ideal_swap_unitary", "swap_unitary"), "devices"),
     **dict.fromkeys(("parse", "format_netlist", "compile_netlist", "ParseError",
                      "CompileError"), "netlist"),
-    **dict.fromkeys(("BellLabel", "spectral_overlap", "fiber_link"), "biphoton"),
+    **dict.fromkeys(("BellLabel", "spectral_overlap"), "biphoton"),
     **dict.fromkeys(("ideal_truth_table", "chi_from_unitary"), "tomography"),
     **dict.fromkeys(("ChipConfig", "SourceConfig", "ExperimentConfig", "ConfigError",
                      "load_config"), "config"),

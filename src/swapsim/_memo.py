@@ -3,9 +3,11 @@
 `memo(maxsize)` memoises a function with `functools.lru_cache` (None:
 unbounded) and lists it in `MEMOS` under its module and name, with its
 bound, `cache_info()` and `cache_clear()`.  A value is frozen when it is
-computed: every array in it, also inside a returned tuple or dict, is made
-read-only and a dict is returned as a read-only view, so no caller can
-change what a later call returns.  A hit costs an `lru_cache` hit, errors
+computed: every array in it, also inside a returned plain tuple or dict, is
+made read-only and a dict is returned as a read-only view, so no caller can
+change what a later call returns.  Other containers (a named tuple such as a
+parsed netlist, a compiled chip) are not walked: they hold no array, or
+freeze their own when built.  A hit costs an `lru_cache` hit, errors
 are never cached, and no numpy is imported.
 """
 
@@ -19,10 +21,10 @@ MEMOS = {}
 
 
 def _freeze(value):
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         for item in value:
             _freeze(item)
-    elif isinstance(value, dict):
+    elif type(value) is dict:
         return MappingProxyType({key: _freeze(item) for key, item in value.items()})
     elif (np := sys.modules.get("numpy")) is not None and isinstance(value, np.ndarray):
         value.flags.writeable = False

@@ -1,4 +1,4 @@
-"""Two-photon states: Bell preparation, HOM interference, fiber link.
+"""Two-photon states: Bell preparation and HOM interference.
 
 A biphoton lives on the 16-dimensional space signal (x) idler, each photon
 carrying the (channel (x) polarization) pair in the fixed basis order of
@@ -36,8 +36,6 @@ import numpy as np
 from ._memo import memo
 from .qcore import (
     SWAP,
-    QuantumChannel,
-    dagger,
     ket2,
     solve_stack,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "hom_dip",
     "hom_fit_stack",
     "HomFit",
-    "fiber_link",
     "bell_state_vector",
     "werner_joint_stack",
     "sector_block_stack",
@@ -366,30 +363,3 @@ def hom_fit_stack(taus, counts, background: float = 0.0) -> HomFit:
         depth=depth,
         converged=converged & ~unresolved & (depth > 0),
     )
-
-
-@memo(16)  # fiber links kept built
-def fiber_link(seed: int, residual_angle_rad: float = 0.0) -> tuple:
-    """Polarization rotation of a fiber link plus its compensation.
-
-    The forward channel applies a Haar-random SU(2) on polarization (drawn
-    deterministically from `seed`, identical on both spatial channels); the
-    compensation applies the exact inverse followed by a small residual
-    rotation of `residual_angle_rad` (0 = perfect compensation).  Returns
-    (forward, compensation) as dim-4 channels, immutable (read-only Kraus
-    operators, the superoperator computed once and read-only).
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([0x5F1BE, seed]))
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    a, b, c, d = q
-    u = np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]], dtype=complex)
-    res = np.array(
-        [[math.cos(residual_angle_rad), -math.sin(residual_angle_rad)],
-         [math.sin(residual_angle_rad), math.cos(residual_angle_rad)]],
-        dtype=complex,
-    )
-    eye = np.eye(2, dtype=complex)
-    forward = QuantumChannel(4, 4, (np.kron(eye, u),))
-    compensation = QuantumChannel(4, 4, (np.kron(eye, res @ dagger(u)),))
-    return forward, compensation

@@ -31,10 +31,11 @@ once, decodes each config text once (`load_config` still reads the file on
 every call), parses each netlist text once and compiles each distinct chip
 once (memos of the registry `swapsim._memo`); no state that changes a
 result is kept between calls, so a warm call gives the same payload as a
-fresh process.  A report's config is encoded for its hash and again for
-`config.json`, with a rewritten netlist path swapped in.  Both files are
-written with raw writes of their encoded bytes.  A command imports only
-what it uses: `fmt` and `check` load no numpy and no experiment module.
+fresh process.  A report's config is encoded once: `meta.config_hash`
+hashes that text, and `config.json` is it with each rewritten netlist path
+swapped in.  Both files are written with raw writes of their encoded bytes.
+A command imports only what it uses: `fmt` and `check` load no numpy and
+no experiment module.
 """
 
 from __future__ import annotations
@@ -174,15 +175,18 @@ def _load_experiment_config(args) -> ExperimentConfig:
 def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) -> None:
     import hashlib
 
-    from .config import ConfigError, dump_config
+    from .config import ConfigError, dump_config, relocate_config
 
-    # the payload is encoded once: its canonical text is hashed and spliced
-    # verbatim into a document that is itself canonical JSON (the members in
-    # sorted key order, no whitespace), so the file's own payload bytes are
-    # the bytes that `payload_sha256` hashes
+    # the config and the payload are each encoded once: `meta.config_hash`
+    # hashes the config's canonical text, and config.json is that text with
+    # its rewritten netlist paths; the payload's canonical text is hashed and
+    # spliced verbatim into a document that is itself canonical JSON (the
+    # members in sorted key order, no whitespace), so the file's own payload
+    # bytes are the bytes that `payload_sha256` hashes
     payload = report.canonical_payload()
-    meta = json.dumps({"config_hash": report.config_hash, "seed": report.seed,
-                       "created_unix": time.time()},
+    config = dump_config(cfg)
+    meta = json.dumps({"config_hash": hashlib.sha256(config.encode("utf-8")).hexdigest(),
+                       "seed": cfg.rng_seed, "created_unix": time.time()},
                       sort_keys=True, separators=(",", ":"), allow_nan=False)
     sha256 = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     text = (f'{{"experiment":{json.dumps(report.kind)},"meta":{meta},'
@@ -195,7 +199,7 @@ def _write_report(report: Report, cfg: ExperimentConfig, out_dir: str | None) ->
         os.makedirs(out, exist_ok=True)
         _write_file(os.path.join(out, "report.json"), (text + "\n").encode("utf-8"))
         _write_file(os.path.join(out, "config.json"),
-                    dump_config(cfg, relative_to=out).encode("utf-8"))
+                    relocate_config(config, cfg, out).encode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot write the report to {out}: {exc}") from exc
     summary = {k: v for k, v in report.payload.items()

@@ -4,9 +4,11 @@ All physical quantities carry unit-suffixed field names (`*_db`, `*_ps`,
 `*_hz`, `*_s`, `*_rad`).  A chip is configured either inline through its
 imperfection parameters or by pointing at a `.pnl` netlist, never both (a
 nonzero inline parameter beside `netlist_path` is a `ConfigError`); either
-way it is built by the netlist compiler (`ChipConfig.to_netlist`).  Inline
-parameters reach it through one lowering, `lower_chip_fields`, and each has
-the unit and range of the netlist parameter it lowers to (`_CHIP_PARAMS`);
+way it is built by the netlist compiler (`ChipConfig.to_netlist`).  A
+`netlist_chip` without a `netlist_path`, and a third chip, are
+`ConfigError`s too: nothing would read them.  Inline parameters reach it
+through one lowering, `lower_chip_fields`, and each has the unit and range
+of the netlist parameter it lowers to (`_CHIP_PARAMS`);
 `edit_chip_field` gives the lowering with one field replaced from the
 lowered declaration, without lowering again.
 Each number, flag and text field is type-checked on construction
@@ -18,9 +20,10 @@ once per process (`_decode`, a bounded memo of the registry `swapsim._memo`;
 errors are never cached), so a repeated text returns the same immutable
 config.  A config's canonical document (`dump_config`, the text
 `config_digest` hashes) is one line of compact JSON with sorted keys; the
-copy written beside a report swaps its rewritten netlist paths into it.
-`measured_chip()` is the parameter set used to bracket the reported
-hardware numbers; `ideal()` turns every imperfection off.
+copy written beside a report swaps its rewritten netlist paths into that
+text (`relocate_config`).  `measured_chip()` is the parameter set used to
+bracket the reported hardware numbers; `ExperimentConfig()` has every
+imperfection off.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ if TYPE_CHECKING:
     from .devices import ChipModel
 
 __all__ = ["ConfigError", "ChipConfig", "SourceConfig", "ExperimentConfig",
-           "load_config", "dump_config"]
+           "load_config", "dump_config", "relocate_config"]
 
 SCHEMA_VERSION = 1
 
@@ -153,6 +156,9 @@ class ChipConfig:
         if self.netlist_path is not None and beside:
             raise ConfigError(f"chip sets netlist_path, so its inline parameters would be "
                               f"ignored: {', '.join(beside)}")
+        if self.netlist_path is None and self.netlist_chip is not None:
+            raise ConfigError(f"chip sets netlist_chip {self.netlist_chip!r} but no "
+                              f"netlist_path, so it would be ignored")
 
     def to_netlist(self) -> nl.ChipDecl:
         """The chip as a netlist declaration: the referenced file's chip with
@@ -250,11 +256,13 @@ class ExperimentConfig:
     fringe_time_per_point_s: float = 30.0
     hom_input: str = "TV_BH"  # TV_BH | TH_BV | source
     fpc_mode: str = "auto"    # auto | ideal | none
-    fiber_seed: int = 7
     fiber_residual_rad: float = 0.0
 
     def __post_init__(self):
         chips = tuple(self.chips) if self.chips else (ChipConfig(),)
+        if len(chips) > 2:
+            raise ConfigError(f"at most two chips, since only chips 0 and 1 are read; "
+                              f"got {len(chips)}")
         object.__setattr__(self, "chips", chips)
         _check_types(self)
         for name in ("pair_rate_hz", "integration_time_s", "fringe_time_per_point_s"):
@@ -281,13 +289,6 @@ class ExperimentConfig:
         return cc.build()
 
     # -- presets ---------------------------------------------------------
-
-    @staticmethod
-    def ideal(**overrides) -> "ExperimentConfig":
-        """All imperfections off; infinite extinction, zero loss."""
-        defaults = dict(chips=(ChipConfig(),), background_rate_hz=0.0)
-        defaults.update(overrides)
-        return ExperimentConfig(**defaults)
 
     @staticmethod
     def measured_chip(**overrides) -> "ExperimentConfig":
@@ -319,19 +320,22 @@ def _field_dict(obj) -> dict:
     return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
-def dump_config(cfg: ExperimentConfig, relative_to: str | os.PathLike | None = None) -> str:
+def dump_config(cfg: ExperimentConfig) -> str:
     """The config's canonical document (schema version 1), the text that
-    `config_digest` hashes.  With `relative_to` (a directory), each relative
-    chip `netlist_path` is written relative to it, the inverse of
-    `load_config` resolving it, so the document saved there reruns the same
-    chips.  The paths are swapped into the encoded document, not encoded
-    again: a `"netlist_path":` key followed by the path's JSON string occurs
-    only as that member, since a quote inside a JSON string is escaped."""
-    doc = json.dumps({**_field_dict(cfg), "schema_version": SCHEMA_VERSION},
-                     default=_field_dict, sort_keys=True, separators=(",", ":"),
-                     allow_nan=False) + "\n"
-    if relative_to is None:
-        return doc
+    `config_digest` hashes."""
+    return json.dumps({**_field_dict(cfg), "schema_version": SCHEMA_VERSION},
+                      default=_field_dict, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
+
+
+def relocate_config(doc: str, cfg: ExperimentConfig, relative_to: str | os.PathLike) -> str:
+    """`doc`, the canonical document of `cfg` (`dump_config`), as saved in
+    the directory `relative_to`: each relative chip `netlist_path` is
+    written relative to it, the inverse of `load_config` resolving it, so
+    the document saved there reruns the same chips.  The paths are swapped
+    into `doc`, not encoded again: a `"netlist_path":` key followed by the
+    path's JSON string occurs only as that member, since a quote inside a
+    JSON string is escaped."""
     rewrites = {json.dumps(path): json.dumps(rel) for path in {
         c.netlist_path for c in cfg.chips
         if c.netlist_path is not None and not os.path.isabs(c.netlist_path)}
@@ -355,9 +359,10 @@ def load_config(path_or_text) -> ExperimentConfig:
 
     A relative chip `netlist_path` in a file is rewritten against the
     file's directory and normalised, so `o1/../x.pnl` reads `x.pnl`.  The
-    `wavelength_nm` key and the source's `lambda_pump_nm` and
-    `lambda_signal_nm` keys of older schema-1 documents never had an effect
-    and are dropped, and so is their source's Gaussian dip shape: the HOM
+    `wavelength_nm` and `fiber_seed` keys and the source's `lambda_pump_nm`
+    and `lambda_signal_nm` keys of older schema-1 documents never had an
+    effect and are dropped (the fiber's seeded rotation was compensated
+    exactly), and so is their source's Gaussian dip shape: the HOM
     dip is always Gaussian, and any other shape is a `ConfigError`.  A file
     is read on every call, so an edited file gives the new config; its text
     is decoded once per process (`_decode`).
@@ -388,6 +393,7 @@ def _decode(text: str, base_dir: Path | None) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
     data.pop("wavelength_nm", None)
+    data.pop("fiber_seed", None)
     chips = data.pop("chips", [])
     if not isinstance(chips, list):
         raise ConfigError(f"chips must be a JSON list, got {chips!r}")

@@ -6,9 +6,10 @@ fifth row and column, the fringe is vec(M^T) S vec(rho(phi)) for the
 detector operator M, and a run's pure inputs cross the chip as S vec(rho)
 in one product, validated once (`_exact_outputs`); the sweep does all this
 for the stacked S of its whole grid at once.  The Bell link, the product
-of both chips' and the fiber's S, takes the joint states of all Bell labels
-as one stack through `biphoton.apply_chip_both_stack`, also validated
-once; the HOM pair is its one-state case.  The five sampling runners
+of both chips' S and that of the fiber's residual rotation, takes the
+joint states of all Bell labels as one stack through
+`biphoton.apply_chip_both_stack`, also validated once; the HOM pair is its
+one-state case.  The five sampling runners
 (truth-table, fringe, hom, bell, tomo-state) share one Monte Carlo
 skeleton (`_monte_carlo`), the only caller of `sample_counts`: from the
 per-setting detection probabilities it draws the Poissonian counts of all
@@ -26,9 +27,9 @@ no runner builds a data table beside it.  The exact (infinite-count)
 value of every estimate is always computed alongside the Monte Carlo one,
 so the noiseless pipeline doubles as the oracle for the sampled one.  Only
 `hom` and `bell` import `biphoton`.  Each constant table (settings,
-inputs, ideal processes), the fringe detector of a port and polarizer, the
-HOM input pair and the fiber link are read-only memos of the registry
-`swapsim._memo`, built on first use, so a fresh process pays for what its
+inputs, ideal processes), the fringe detector of a port and polarizer and
+the HOM input pair are read-only memos of the registry `swapsim._memo`,
+built on first use, so a fresh process pays for what its
 command runs and a warm one does not pay again.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
@@ -55,7 +56,6 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     check_chip_param,
-    config_digest,
     edit_chip_field,
 )
 from .devices import (
@@ -152,12 +152,10 @@ def sample_counts(cfg: ExperimentConfig, path: tuple, probs, time_s: float) -> n
 # ---------------------------------------------------------------------------
 
 class Report(NamedTuple):
-    """Experiment result: deterministic payload plus provenance."""
+    """Experiment result: the experiment's name and its deterministic payload."""
 
     kind: str
     payload: dict
-    config_hash: str
-    seed: int
 
     def canonical_payload(self) -> str:
         """Byte-stable JSON of the deterministic payload (sorted keys, no
@@ -165,10 +163,6 @@ class Report(NamedTuple):
         and whose UTF-8 bytes `payload_sha256` hashes."""
         return json.dumps(self.payload, sort_keys=True, separators=(",", ":"),
                           allow_nan=False)
-
-
-def _mk_report(kind: str, cfg: ExperimentConfig, payload: dict) -> Report:
-    return Report(kind, payload, config_digest(cfg), cfg.rng_seed)
 
 
 def _monte_carlo(cfg: ExperimentConfig, paths, probs, time_s: float, estimate) -> list:
@@ -277,7 +271,7 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
         "column_survival": probs.sum(axis=0).tolist(),
         **mc,
     }
-    return _mk_report("truth-table", cfg, payload)
+    return Report("truth-table", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
         "exact_probabilities": exact.tolist(),
         **mc,
     }
-    return _mk_report("fringe", cfg, payload)
+    return Report("fringe", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +442,7 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
         "exact_probabilities": exact_p.tolist(),
         **mc,
     }
-    return _mk_report("hom", cfg, payload)
+    return Report("hom", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +450,14 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
 # ---------------------------------------------------------------------------
 
 def _bell_link(cfg: ExperimentConfig, chip1: ChipModel, chip2: ChipModel) -> np.ndarray:
-    """The 16x16 superoperator of chip 1, the fiber link, its compensation
-    and chip 2 in cascade (chip 1 acts first)."""
-    from . import biphoton as bp
-
-    forward, compensation = bp.fiber_link(cfg.fiber_seed, cfg.fiber_residual_rad)
-    return (chip2.superoperator @ compensation.superoperator @ forward.superoperator
-            @ chip1.superoperator)
+    """The 16x16 superoperator of chip 1, the fiber link and chip 2 in
+    cascade (chip 1 acts first).  The compensated fiber is the rotation R by
+    `fiber_residual_rad` of the polarization of both ports: its
+    superoperator is R (x) R, R being real.  A polarization controller
+    inverts the fiber's own rotation exactly, so only the residual is left."""
+    c, s = np.cos(cfg.fiber_residual_rad), np.sin(cfg.fiber_residual_rad)
+    r = np.kron(np.eye(2), [[c, -s], [s, c]])
+    return chip2.superoperator @ np.kron(r, r) @ chip1.superoperator
 
 
 def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: np.ndarray) -> tuple:
@@ -555,7 +550,7 @@ def run_bell_distribution(cfg: ExperimentConfig, label: BellLabel | None = None)
     chip2_f = truth_table_fidelity_exact(chip2, cfg.logical_frame)
     if label is not None:
         [payload] = _bell_runs(cfg, [label], link, chip2_f)
-        return _mk_report("bell", cfg, payload)
+        return Report("bell", payload)
     runs = _bell_runs(cfg, list(BellLabel), link, chip2_f)
     payload = {
         "bell_labels": [run["bell_label"] for run in runs],
@@ -568,7 +563,7 @@ def run_bell_distribution(cfg: ExperimentConfig, label: BellLabel | None = None)
         "diagnostics": {"fidelity_means_clamped": sum(
             run["diagnostics"]["fidelity_means_clamped"] for run in runs)},
     }
-    return _mk_report("bell", cfg, payload)
+    return Report("bell", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +652,7 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
         "first_trial_settings": list(tm.MOMENTUM_LABELS),
         **mc,
     }
-    return _mk_report("tomo-state", cfg, payload)
+    return Report("tomo-state", payload)
 
 
 _PROCESS_INPUT_POLS = (("H", "H"), ("V", "V"), ("+", "D"), ("+i", "R"))
@@ -728,7 +723,7 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
         "process_fidelity_avg": f_avg,
         "process_purity_avg": p_avg,
     }
-    return _mk_report("tomo-process", cfg, payload)
+    return Report("tomo-process", payload)
 
 
 def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
@@ -744,7 +739,7 @@ def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
         "chi_real": chi.real.tolist(),
         "chi_imag": chi.imag.tolist(),
     }
-    return _mk_report("tomo-process-2q", cfg, payload)
+    return Report("tomo-process-2q", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -824,4 +819,4 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
                for (axis, v), tt, chi in zip(points, f_tt, f_chi)]
     baseline = nl.format_netlist(nl.NetlistAst((decl,)))
     payload = {"frame": cfg.logical_frame, "baseline": baseline, "grid": results}
-    return _mk_report("sweep", cfg, payload)
+    return Report("sweep", payload)

@@ -19,7 +19,7 @@ from swapsim import netlist as nl
 from swapsim import qcore as qc
 from swapsim import tomography as tm
 from swapsim._memo import MEMOS
-from swapsim.config import ChipConfig, ExperimentConfig, dump_config
+from swapsim.config import ChipConfig, ExperimentConfig, SourceConfig, dump_config
 
 IDEAL_SRC = """\
 chip swap {
@@ -169,7 +169,7 @@ def test_criterion_05_single_qubit_process_brackets():
 
 def test_criterion_06_fringe_coherence():
     # (a) ideal chain: fitted V = 1 +/- 1e-6
-    ideal_cfg = ExperimentConfig.ideal(n_trials=1, rng_seed=6)
+    ideal_cfg = ExperimentConfig(n_trials=1, rng_seed=6)
     r = ex.run_fringe_scan(ideal_cfg)
     v_ideal = r.payload["visibility_exact_fit"]
     ok_a = abs(v_ideal - 1.0) <= 1e-6
@@ -231,9 +231,8 @@ def _bell_fidelities(cfg):
 
 def test_criterion_08_bell_distribution():
     with Timer() as t:
-        ideal_cfg = ExperimentConfig.ideal(
-            n_trials=1, rng_seed=8,
-            source=ExperimentConfig.ideal().source.__class__(bell_visibility=1.0))
+        ideal_cfg = ExperimentConfig(n_trials=1, rng_seed=8,
+                                     source=SourceConfig(bell_visibility=1.0))
         worst_ideal = float(_bell_fidelities(ideal_cfg).min())
         avg = float(np.mean(_bell_fidelities(_calibrated(n_trials=1))))
     _report(8, "Bell distribution: ideal unity, calibrated average bracket",

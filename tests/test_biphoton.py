@@ -237,31 +237,3 @@ class TestReversibility:
             f, w = bell_fidelity(joint, label)
             assert w == pytest.approx(1.0, abs=1e-12)
             assert f == pytest.approx(1.0, abs=1e-10)
-
-
-class TestFiberLink:
-    def test_compensation_inverts_forward(self):
-        fwd, comp = bp.fiber_link(seed=11)
-        total = comp.kraus[0] @ fwd.kraus[0]
-        np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
-
-    def test_deterministic_by_seed(self):
-        a1, _ = bp.fiber_link(seed=3)
-        a2, _ = bp.fiber_link.__wrapped__(seed=3)  # built again, past the cache
-        b, _ = bp.fiber_link(seed=4)
-        assert np.array_equal(a1.kraus[0], a2.kraus[0])
-        assert not np.allclose(a1.kraus[0], b.kraus[0])
-
-    def test_built_once_and_read_only(self):
-        link = bp.fiber_link(6, 0.2)
-        assert bp.fiber_link(6, 0.2) is link
-        for channel in link:
-            assert not channel.kraus[0].flags.writeable
-            assert not channel.superoperator.flags.writeable
-
-    def test_residual_angle_leaves_rotation(self):
-        fwd, comp = bp.fiber_link(seed=5, residual_angle_rad=0.1)
-        total = comp.kraus[0] @ fwd.kraus[0]
-        # polarization block is a rotation by 0.1 rad
-        blk = total[0:2, 0:2]
-        assert blk[0, 0].real == pytest.approx(np.cos(0.1), abs=1e-12)

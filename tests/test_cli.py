@@ -196,7 +196,7 @@ class TestDispatch:
         # an exactly-zero setting probability must not reach the sampler
         # as -1e-17 (a negative Poisson mean)
         config = tmp_path / "ideal.json"
-        config.write_text(dump_config(ExperimentConfig.ideal()))
+        config.write_text(dump_config(ExperimentConfig()))
         capsys.readouterr()
         for spatial in ("T", "B", "+", "+i"):
             for pol in ("H", "V", "D", "A", "R", "L"):
@@ -330,9 +330,9 @@ class TestChipPaths:
         ["--config", "demos/data/config_measured.json"]], ids=["netlist", "config"])
     def test_config_encodes_per_report(self, chip_args, tmp_path, monkeypatch):
         # the report's config hash and its config.json read the canonical
-        # document of the config that the flags make, encoded once for each;
-        # a netlist path that config.json rewrites against the output
-        # directory is swapped into the encoding
+        # document of the config that the flags make, encoded once per
+        # report; a netlist path that config.json rewrites against the
+        # output directory is swapped into that text
         _clear_caches()
         monkeypatch.chdir(REPO)
         base = (ExperimentConfig.measured_chip() if chip_args[0] == "--netlist"
@@ -346,14 +346,15 @@ class TestChipPaths:
             out = tmp_path / f"out{seed}"
             assert cli.dispatch(["truth-table", *chip_args, "--trials", "1", "--seed", str(seed),
                                  "--out", str(out)]) == 0
-            assert len(calls) == 2
+            assert len(calls) == 1
             edits = {"rng_seed": seed, "n_trials": 1}
             if chip_args[0] == "--netlist":
                 edits["chips"] = (ChipConfig(netlist_path=chip_args[1]),) * 2
             expected = replace(base, **edits)
             meta = json.loads((out / "report.json").read_text())["meta"]
             assert meta["config_hash"] == hashlib.sha256(encode(expected).encode()).hexdigest()
-            assert (out / "config.json").read_text() == dump_config(expected, relative_to=out)
+            assert (out / "config.json").read_text() == config.relocate_config(
+                encode(expected), expected, out)
 
     def test_the_flags_replace_the_config_once(self, netlist_file, tmp_path, monkeypatch):
         # the preset is built once per process, and every flag's field is
@@ -491,6 +492,23 @@ class TestBadValues:
         assert err.startswith("config error: chip sets netlist_path") and "facet_loss_db_h" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edit, words", [
+        (lambda doc: doc["chips"].append(doc["chips"][0]), "at most two chips"),
+        (lambda doc: doc["chips"][0].update(netlist_chip="swap"), "chip sets netlist_chip 'swap'"),
+    ], ids=["third-chip", "inline-netlist_chip"])
+    def test_a_value_that_nothing_reads_exits_1_with_one_line(self, edit, words, tmp_path,
+                                                              capsys):
+        doc = json.loads(dump_config(ExperimentConfig.measured_chip()))
+        edit(doc)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert cli.dispatch(["bell", "--config", str(p), "--trials", "1",
+                             "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"config error: {words}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("where, key, value", [
         ("chip", "pcnot_extinction_db", float("nan")),
         ("chip", "mcnot_loss_db_t", float("inf")),
@@ -499,7 +517,7 @@ class TestBadValues:
         ("experiment", "n_trials", 2.5),
         ("experiment", "n_trials", True),
         ("experiment", "rng_seed", "abc"),
-        ("experiment", "fiber_seed", 7.0),
+        ("experiment", "rng_seed", 7.0),
         ("source", "bell_visibility", float("nan")),
         ("source", "dip_shape", "triangular"),
     ])

@@ -19,13 +19,13 @@ def calibrated():
 
 @pytest.fixture(scope="module")
 def ideal():
-    return ExperimentConfig.ideal(n_trials=4, rng_seed=5)
+    return ExperimentConfig(n_trials=4, rng_seed=5)
 
 
 class TestSampleCounts:
     @staticmethod
     def cfg(n_trials=7, seed=9, **kw):
-        return ExperimentConfig.ideal(n_trials=n_trials, rng_seed=seed, **kw)
+        return ExperimentConfig(n_trials=n_trials, rng_seed=seed, **kw)
 
     def test_shape(self):
         counts = ex.sample_counts(self.cfg(), ("x",), np.full((4, 3), 0.1), 1.0)
@@ -403,7 +403,7 @@ class TestLinearFidelity:
         lam = (cfg.pair_rate_hz * np.asarray(probs) + cfg.background_rate_hz) * time_s
         return np.broadcast_to(lam, (cfg.n_trials, *lam.shape))
 
-    @pytest.mark.parametrize("preset", [ExperimentConfig.measured_chip, ExperimentConfig.ideal],
+    @pytest.mark.parametrize("preset", [ExperimentConfig.measured_chip, ExperimentConfig],
                              ids=["measured", "ideal"])
     def test_noise_free_counts_give_the_exact_fidelity(self, monkeypatch, preset):
         # the scaled exact probabilities, background added and subtracted,
@@ -460,7 +460,6 @@ class TestBellAllLabels:
                 assert agg.payload[f"{key}_by_label"][lbl] == r.payload[key]
         assert agg.payload["second_chip_truth_table_fidelity"] == \
             singles["psi+"].payload["second_chip_truth_table_fidelity"]
-        assert agg.config_hash == singles["psi+"].config_hash
 
 
 class TestBellDarkChip:

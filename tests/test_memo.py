@@ -33,11 +33,11 @@ ARRAY_MEMOS = {
                                        (2, "relabeled")],
 }
 # registered memos whose values hold no array of their own (a parsed
-# netlist, a compiled chip and a fiber link freeze theirs when built)
+# netlist holds none, a compiled chip freezes its own when built)
 OTHER_MEMOS = {
     "swapsim.netlist._token_re", "swapsim.netlist.parse", "swapsim.netlist.compile_chip",
     "swapsim.config._typed_fields", "swapsim.config._decode", "swapsim.cli._command_parser",
-    "swapsim.cli._measured_chip", "swapsim.biphoton.fiber_link",
+    "swapsim.cli._measured_chip",
 }
 # the one per-object cache, which its class freezes
 PER_OBJECT = {("qcore.py", "QuantumChannel.superoperator")}

@@ -256,14 +256,12 @@ class TestCompile:
         assert np.array_equal(a, b)
 
     def test_caches_stay_within_their_bounds(self):
-        # more distinct texts, chips, configs and fiber links than any
-        # bounded memo of the registry holds: each chip is a text of its
-        # own, and so is each config; a bounded memo that this loop does
-        # not overfill fails here
+        # more distinct texts, chips and configs than any bounded memo of
+        # the registry holds: each chip is a text of its own, and so is each
+        # config; a bounded memo that this loop does not overfill fails here
         import importlib
 
         import swapsim
-        from swapsim import biphoton as bp
         from swapsim import config
 
         for name in swapsim._SUBMODULES:
@@ -274,7 +272,6 @@ class TestCompile:
             body = " ".join(f"loss l{j} (T) loss={j / 1000}dB;" for j in range(i, i + 8))
             nl.compile_netlist(nl.parse(f"chip c {{ ports T, B; {body} }}"))
             config.load_config(f'{{"schema_version": 1, "rng_seed": {i}}}')
-            bp.fiber_link(i, 0.0)
         assert {name: MEMOS[name].cache_info().currsize for name in bounds} == bounds
 
     def test_each_distinct_chip_compiled_once(self):
