@@ -31,14 +31,14 @@ for g in report.payload["grid"]:
     print(f"{g['axis']:>22s} {g['value']:7.2f} {g['truth_table_fidelity']:8.4f} "
           f"{g['process_fidelity_T']:9.4f}")
 
-f0 = truth_table_fidelity_exact(base.build(), "raw")
+f0 = truth_table_fidelity_exact(base.build())
 imb = ChipConfig(pcnot_extinction_db=18.0, mcnot_extinction_db=20.0,
                  pcnot_loss_imbalance_db=0.45)
-f1 = truth_table_fidelity_exact(imb.build(), "raw")
+f1 = truth_table_fidelity_exact(imb.build())
 print(f"\nmarginal cost of the 0.9 dB H/V coupling difference alone: "
       f"{(f0 - f1) * 100:.2f} percentage points")
 
 best = ChipConfig(pcnot_extinction_db=35.0, mcnot_extinction_db=35.0,
                   mcnot_loss_db_t=1.0)
 print(f"all extinction ratios at 35 dB, no imbalance: "
-      f"F_tt = {truth_table_fidelity_exact(best.build(), 'raw'):.4f}")
+      f"F_tt = {truth_table_fidelity_exact(best.build()):.4f}")

@@ -34,8 +34,9 @@ result is kept between calls, so a warm call gives the same payload as a
 fresh process.  A report's config is encoded once: `meta.config_hash`
 hashes that text, and `config.json` is it with each rewritten netlist path
 swapped in.  Both files are written with raw writes of their encoded bytes.
-A command imports only what it uses: `fmt` and `check` load no numpy and
-no experiment module.
+A command imports only what it uses: `fmt` and `check` load no numpy, no
+config and no experiment module (`config`, whose domain table gives the
+--port and --input choices, loads no numpy).
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ def _add_arguments(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentP
     if name in ("fmt", "check"):
         sp.add_argument("path", type=str)
         return sp
+    from .config import _DOMAINS
     sp.add_argument("--netlist", type=str, default=None,
                     help="chip netlist (.pnl); overrides the config chips")
     sp.add_argument("--config", type=str, default=None,
@@ -98,11 +100,11 @@ def _add_arguments(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentP
                     help="Monte Carlo trials")
     if name == "fringe":
         sp.add_argument("--points", type=int, default=17)
-        sp.add_argument("--port", choices=("T", "B"), default=None)
+        sp.add_argument("--port", choices=_DOMAINS["fringe_port"], default=None)
     if name == "hom":
         sp.add_argument("--points", type=int, default=49)
-        sp.add_argument("--input", dest="hom_input",
-                        choices=("TV_BH", "TH_BV", "source"), default=None)
+        sp.add_argument("--input", dest="hom_input", choices=_DOMAINS["hom_input"],
+                        default=None)
     if name == "bell":
         sp.add_argument("--label", choices=BELL_LABELS,
                         default=None, help="single Bell state (default: all four)")
@@ -160,8 +162,6 @@ def _load_experiment_config(args) -> ExperimentConfig:
             seed = int(os.environ["SWAPSIM_SEED"])
         except ValueError as exc:
             raise ConfigError(f"bad SWAPSIM_SEED: {exc}") from exc
-    if args.trials is not None and args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
     # every flag's field in one `replace`, so the config is checked once more
     edits = {name: value for name, value in (
         ("rng_seed", seed), ("n_trials", args.trials),

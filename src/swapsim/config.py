@@ -11,19 +11,20 @@ through one lowering, `lower_chip_fields`, and each has the unit and range
 of the netlist parameter it lowers to (`_CHIP_PARAMS`);
 `edit_chip_field` gives the lowering with one field replaced from the
 lowered declaration, without lowering again.
-Each number, flag and text field is type-checked on construction
-(`_check_types`), so a JSON value of another type is a `ConfigError` naming
-the field.  A relative `netlist_path` in a config file is resolved against
-the file's directory when the file is loaded.  `load_config` reads a file
-on every call, and decodes and validates each distinct (text, directory)
-once per process (`_decode`, a bounded memo of the registry `swapsim._memo`;
-errors are never cached), so a repeated text returns the same immutable
-config.  A config's canonical document (`dump_config`, the text
-`config_digest` hashes) is one line of compact JSON with sorted keys; the
-copy written beside a report swaps its rewritten netlist paths into that
-text (`relocate_config`).  `measured_chip()` is the parameter set used to
-bracket the reported hardware numbers; `ExperimentConfig()` has every
-imperfection off.
+Each field's domain is declared once, in one table (`_DOMAINS`), and one
+value check (`check_value`: the type, then the domain) checks each field on
+construction, so a bad value is a `ConfigError` worded `{field} must be
+{words}, got {value!r}`.  A relative `netlist_path` in a config file is
+resolved against the file's directory when the file is loaded.
+`load_config` reads a file on every call, and decodes and validates each
+distinct (text, directory) once per process (`_decode`, a bounded memo of
+the registry `swapsim._memo`; errors are never cached), so a repeated text
+returns the same immutable config.  A config's canonical document
+(`dump_config`, the text `config_digest` hashes) is one line of compact
+JSON with sorted keys; the copy written beside a report swaps its rewritten
+netlist paths into that text (`relocate_config`).  `measured_chip()` is the
+parameter set used to bracket the reported hardware numbers;
+`ExperimentConfig()` has every imperfection off.
 """
 
 from __future__ import annotations
@@ -68,35 +69,44 @@ def _typed_fields(cls) -> tuple:
 
 
 def _check_types(obj) -> None:
-    """Each `float` field must be a finite number, each `int` field an
-    integer, each `bool` field true or false and each `str` field a string,
-    or None where the field allows it.  Numbers are stored plain (float,
-    int; -0.0 as 0.0), so equal configs encode alike.
-
-    JSON admits NaN, Infinity, fractions, strings, booleans and null
-    anywhere, and Python's bool is an int; none of them is a valid count or
-    parameter, and a flag is only true or false (a truthy "no" would switch
-    it on).  The fields to check are looked up once per class (`_typed_fields`).
-    """
+    """Check each typed field of `obj` (`check_value`) and store it plain."""
     for name, kind, optional in _typed_fields(type(obj)):
         v = getattr(obj, name)
         if v is None and optional:
             continue
-        if kind == "float":
-            if type(v) is float:
-                ok = math.isfinite(v)
-            else:
-                ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-        elif kind == "int":
-            ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        if (plain := check_value(name, kind, v)) is not v:
+            object.__setattr__(obj, name, plain)
+
+
+def check_value(name: str, kind: str, v):
+    """The value that the field `name`, of `kind` (a `_KINDS` key), stores
+    for `v`: a number plain (float, int; -0.0 as 0.0), so equal configs
+    encode alike.  ConfigError `{name} must be {words}, got {v!r}` unless
+    `v` has the kind and lies in the field's domain (`_DOMAINS`).  JSON
+    admits NaN, Infinity, fractions, strings, booleans and null anywhere,
+    and Python's bool is an int; none is a valid count or parameter, and a
+    flag is only true or false (a truthy "no" would switch it on)."""
+    if kind == "float":
+        if type(v) is float:
+            ok = math.isfinite(v)
         else:
-            ok = isinstance(v, bool if kind == "bool" else str)
-        if not ok:
-            raise ConfigError(f"{name} must be {_KINDS[kind]}, got {v!r}")
-        if kind == "float" and (v == 0 or type(v) is not float):
-            object.__setattr__(obj, name, float(v) + 0.0)
-        elif kind == "int" and type(v) is not int:
-            object.__setattr__(obj, name, int(v))
+            ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    elif kind == "int":
+        ok = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    else:
+        ok = isinstance(v, bool if kind == "bool" else str)
+    if not ok:
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {v!r}")
+    if kind == "float" and (v == 0 or type(v) is not float):
+        v = float(v) + 0.0
+    elif kind == "int" and type(v) is not int:
+        v = int(v)
+    if (domain := _DOMAINS.get(name)) is not None:
+        ranged = callable(domain[0])
+        if not (domain[0](v) if ranged else v in domain):
+            words = domain[1] if ranged else "one of " + ", ".join(map(repr, domain))
+            raise ConfigError(f"{name} must be {words}, got {v!r}")
+    return v
 
 
 # source span of netlist nodes lowered from a config rather than parsed
@@ -125,6 +135,24 @@ _CHIP_UNITS = {name: nl._UNIT_CLASSES[nl.COMPONENTS[kinds[0]][1][param]]
 _KIND_PARAMS = {kind: tuple((name, param, _CHIP_UNITS[name][0])
                             for name, (kinds, param) in _CHIP_PARAMS.items() if kind in kinds)
                 for kind in ("facet", "pcnot", "mcnot")}
+_POSITIVE = (lambda v: v > 0, "> 0")
+# field -> its domain: the tuple of its allowed values, or an (in-range
+# test, range in words) pair; an inline chip parameter's is its netlist
+# parameter's (`_CHIP_UNITS`), and a visibility is a netlist probability
+_DOMAINS = {
+    **{name: unit[1:] for name, unit in _CHIP_UNITS.items()},
+    "coherence_time_ps": _POSITIVE,
+    "bell_visibility": nl._UNIT_CLASSES["probability"][1:],
+    "pair_rate_hz": _POSITIVE,
+    "integration_time_s": _POSITIVE,
+    "background_rate_hz": (lambda v: v >= 0, ">= 0"),
+    "n_trials": (lambda v: v >= 1, ">= 1"),
+    "logical_frame": ("raw", "relabeled"),
+    "fringe_port": ("T", "B"),
+    "fringe_time_per_point_s": _POSITIVE,
+    "hom_input": ("TV_BH", "TH_BV", "source"),
+    "fpc_mode": ("auto", "ideal", "none"),
+}
 # the inline chip's statements in propagation order: (kind, instance name, ports)
 _CASCADE = (("facet", "fin", ("T", "B")), ("pcnot", "c1", ("T", "B")), ("mcnot", "rot", ("T",)),
             ("pcnot", "c2", ("T", "B")), ("facet", "fout", ("T", "B")))
@@ -149,9 +177,6 @@ class ChipConfig:
 
     def __post_init__(self):
         _check_types(self)
-        for name in _CHIP_PARAMS:
-            if (v := getattr(self, name)) is not None:
-                check_chip_param(name, v)
         beside = [name for name in _CHIP_PARAMS if getattr(self, name)]
         if self.netlist_path is not None and beside:
             raise ConfigError(f"chip sets netlist_path, so its inline parameters would be "
@@ -176,16 +201,6 @@ class ChipConfig:
         return nl.compile_chip(self.to_netlist())
 
 
-def check_chip_param(name: str, value: float) -> None:
-    """ConfigError unless `value` is a finite number in the range of inline
-    chip parameter `name` (the range of the netlist parameter it lowers to)."""
-    _, in_range, bounds = _CHIP_UNITS[name]
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if not in_range(value):
-        raise ConfigError(f"{name} must be {bounds}, got {value!r}")
-
-
 def lower_chip_fields(values: dict) -> nl.ChipDecl:
     """The inline chip whose `_CHIP_PARAMS` fields have `values` (a mapping
     from each such field to its value; other keys are ignored) as a netlist
@@ -193,7 +208,7 @@ def lower_chip_fields(values: dict) -> nl.ChipDecl:
     `_KIND_PARAMS` order with their unit class's unit, zero and None values
     omitted.  Equal values lower to equal declarations, which compile to
     the same cached `ChipModel`.  The values are not checked
-    (`check_chip_param`)."""
+    (`check_value`)."""
     return nl.ChipDecl("swap", ("T", "B"), tuple(
         nl.Statement(kind, name, ports,
                      tuple(nl.Param(param, float(v), unit, _NO_SPAN)
@@ -208,7 +223,7 @@ def edit_chip_field(decl: nl.ChipDecl, field: str, value: float | None) -> nl.Ch
     without lowering them again.  On each statement of the field's kinds
     its netlist parameter is set (in `_KIND_PARAMS` order, with its unit)
     or, for zero and None, dropped; every other statement is reused.  The
-    value is not checked (`check_chip_param`)."""
+    value is not checked (`check_value`)."""
     kinds, param = _CHIP_PARAMS[field]
     new = nl.Param(param, float(value), _CHIP_UNITS[field][0], _NO_SPAN) if value else None
     statements = []
@@ -232,10 +247,6 @@ class SourceConfig:
 
     def __post_init__(self):
         _check_types(self)
-        if self.coherence_time_ps <= 0:
-            raise ConfigError("coherence_time_ps must be positive")
-        if not 0.0 <= self.bell_visibility <= 1.0:
-            raise ConfigError("bell_visibility must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -254,8 +265,8 @@ class ExperimentConfig:
     fringe_port: str = "T"
     fringe_output_polarizer: bool = True
     fringe_time_per_point_s: float = 30.0
-    hom_input: str = "TV_BH"  # TV_BH | TH_BV | source
-    fpc_mode: str = "auto"    # auto | ideal | none
+    hom_input: str = "TV_BH"
+    fpc_mode: str = "auto"
     fiber_residual_rad: float = 0.0
 
     def __post_init__(self):
@@ -265,21 +276,6 @@ class ExperimentConfig:
                               f"got {len(chips)}")
         object.__setattr__(self, "chips", chips)
         _check_types(self)
-        for name in ("pair_rate_hz", "integration_time_s", "fringe_time_per_point_s"):
-            if (v := getattr(self, name)) <= 0:
-                raise ConfigError(f"rates and times must be positive: {name} is {v!r}")
-        if self.background_rate_hz < 0:
-            raise ConfigError("background_rate_hz must be >= 0")
-        if self.n_trials < 1:
-            raise ConfigError("n_trials must be >= 1")
-        if self.logical_frame not in ("raw", "relabeled"):
-            raise ConfigError(f"unknown logical_frame {self.logical_frame!r}")
-        if self.fringe_port not in ("T", "B"):
-            raise ConfigError("fringe_port must be 'T' or 'B'")
-        if self.hom_input not in ("TV_BH", "TH_BV", "source"):
-            raise ConfigError(f"unknown hom_input {self.hom_input!r}")
-        if self.fpc_mode not in ("auto", "ideal", "none"):
-            raise ConfigError(f"unknown fpc_mode {self.fpc_mode!r}")
 
     # -- chip access ---------------------------------------------------
 

@@ -55,7 +55,7 @@ from ._memo import memo
 from .config import (
     ConfigError,
     ExperimentConfig,
-    check_chip_param,
+    check_value,
     edit_chip_field,
 )
 from .devices import (
@@ -215,37 +215,33 @@ def _truth_tables(s: np.ndarray) -> np.ndarray:
     return np.maximum(s[..., ::5, ::5].real, 0.0)
 
 
-def _frame_fidelities(tables: np.ndarray, frame: str) -> np.ndarray:
-    """Fidelity of each column-normalized table of `tables` (..., 4, 4),
-    whose rows are the physical outputs, with the ideal table of `frame`.
-    The relabeled frame applies X (x) X to each output, which reads output
-    i as 3 - i, so the fidelity is the same in both frames."""
-    if frame == "relabeled":
-        tables = tables[..., ::-1, :]
-    return tm.truth_table_fidelity_stack(tables, tm.ideal_truth_table(frame))
-
-
-def _table_fidelities(s: np.ndarray, frame: str) -> np.ndarray:
-    """Truth-table fidelity in `frame` of the chip(s) with superoperator `s`."""
-    return _frame_fidelities(tm.column_normalize_stack(_truth_tables(s)), frame)
+def _table_fidelities(s: np.ndarray) -> np.ndarray:
+    """Truth-table fidelity of the chip(s) with superoperator `s`.  It is
+    the same in both logical frames: the relabeled frame applies X (x) X to
+    each output, which reads output i as 3 - i, and compares with the ideal
+    table relabeled alike, so it sums the same entries."""
+    return tm.truth_table_fidelity_stack(tm.column_normalize_stack(_truth_tables(s)),
+                                         tm.ideal_truth_table())
 
 
 def exact_truth_table(chip: ChipModel) -> np.ndarray:
     return _truth_tables(chip.superoperator)
 
 
-def truth_table_fidelity_exact(chip: ChipModel, frame: str = "raw") -> float:
-    return float(_table_fidelities(chip.superoperator, frame))
+def truth_table_fidelity_exact(chip: ChipModel) -> float:
+    return float(_table_fidelities(chip.superoperator))
 
 
-def _counts_fidelity(counts: np.ndarray, bg_counts: float, frame: str) -> np.ndarray:
-    """Truth-table fidelity in `frame` of each trial's background-subtracted
-    counts, `counts` of shape (n_trials, 4, 4)."""
+def _counts_fidelity(counts: np.ndarray, bg_counts: float) -> np.ndarray:
+    """Truth-table fidelity of each trial's background-subtracted counts,
+    `counts` of shape (n_trials, 4, 4), the same in both frames
+    (`_table_fidelities`)."""
     net = np.maximum(counts - bg_counts, 0.0)
     # a column with no surviving counts carries no information: uniform
     trial, col = np.nonzero(net.sum(axis=1) == 0)
     net[trial, :, col] = 0.25
-    return _frame_fidelities(net / net.sum(axis=1, keepdims=True), frame)
+    return tm.truth_table_fidelity_stack(net / net.sum(axis=1, keepdims=True),
+                                         tm.ideal_truth_table())
 
 
 def run_truth_table(cfg: ExperimentConfig) -> Report:
@@ -259,14 +255,14 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
     probs = exact_truth_table(chip)
 
     def estimate(counts, bg_counts):
-        return [({"fidelity_mc": _counts_fidelity(counts[0], bg_counts, cfg.logical_frame)},
+        return [({"fidelity_mc": _counts_fidelity(counts[0], bg_counts)},
                  {"total_counts_mean": float(counts[0].sum(axis=(1, 2)).mean())})]
 
     [mc] = _monte_carlo(cfg, [("truth-table",)], probs[None], cfg.integration_time_s / 16.0,
                         estimate)
     payload = {
         "frame": cfg.logical_frame,
-        "fidelity_exact": truth_table_fidelity_exact(chip, cfg.logical_frame),
+        "fidelity_exact": truth_table_fidelity_exact(chip),
         "exact_probabilities": probs.tolist(),
         "column_survival": probs.sum(axis=0).tolist(),
         **mc,
@@ -329,6 +325,10 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
 
     def estimate(counts, bg_counts):
         fits = tm.fringe_fit_stack(phases, counts[0], background=bg_counts)
+        # no amplitude to fit (`_fit_cosine`): the payload holds no NaN
+        if np.isnan(fits.visibility_stderr[0]):
+            raise ConfigError(f"cannot fit the fringe of trial 0 ({int(counts[0, 0].sum())} "
+                              "counts): use a longer fringe_time_per_point_s")
         return [({"visibility_raw": fits.visibility_raw,
                   "visibility_subtracted": fits.visibility_subtracted},
                  {"first_trial_visibility_stderr": float(fits.visibility_stderr[0]),
@@ -547,7 +547,7 @@ def run_bell_distribution(cfg: ExperimentConfig, label: BellLabel | None = None)
 
     chip2 = cfg.chip(1)
     link = _bell_link(cfg, cfg.chip(0), chip2)
-    chip2_f = truth_table_fidelity_exact(chip2, cfg.logical_frame)
+    chip2_f = truth_table_fidelity_exact(chip2)
     if label is not None:
         [payload] = _bell_runs(cfg, [label], link, chip2_f)
         return Report("bell", payload)
@@ -776,17 +776,17 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     name) to its values; None runs the default grid.  Every axis and every
     value is checked before any chip is read or compiled (ConfigError on an
     empty grid, an unknown axis, an axis without values or a value outside
-    its parameter's range, `check_chip_param`).  The baseline is lowered
+    its parameter's range, `check_value`).  The baseline is lowered
     once (`ChipConfig.to_netlist`).  Each point of a config baseline is that
     declaration with the axis's field replaced (`edit_chip_field`, equal to
     lowering the replaced config), so it compiles to the cached model of the
     replaced config.  A netlist baseline is not edited yet: it sets none of
     the inline parameters an axis varies, so its chip is read and compiled
     once, each of its points is that chip, and its rows are flat.
-    Truth-table fidelity (configured frame) and the process fidelity of the
-    T-input momentum qubit with the identity (relabeled frame) are
-    tabulated: the G chips' superoperators are stacked, and all truth
-    tables, T-input outputs (validated once) and chi matrices (one
+    Truth-table fidelity (the same in both frames) and the process
+    fidelity of the T-input momentum qubit with the identity (relabeled
+    frame) are tabulated: the G chips' superoperators are stacked, and all
+    truth tables, T-input outputs (validated once) and chi matrices (one
     `process_tomo_stack` solve, `_momentum_chis`) are read off that stack.
     The payload's `baseline` is the baseline chip's canonical netlist text.
     """
@@ -803,7 +803,7 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
             raise ConfigError(f"sweep axis {axis!r} has no values")
     points = [(axis, float(v)) for axis, values in sorted(sweep.items()) for v in values]
     for axis, v in points:
-        check_chip_param(_SWEEP_AXES[axis], v)
+        check_value(_SWEEP_AXES[axis], "float", v)
     base = cfg.chips[0]
     decl = base.to_netlist()
     if base.netlist_path is not None:
@@ -811,7 +811,7 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     else:
         s = np.array([nl.compile_chip(edit_chip_field(decl, _SWEEP_AXES[axis], v))
                       .superoperator for axis, v in points])
-    f_tt = _table_fidelities(s, cfg.logical_frame)
+    f_tt = _table_fidelities(s)
     chis = _momentum_chis(s, _process_inputs()[0][:4], "relabeled")
     f_chi = tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled"))
     results = [{"axis": axis, "value": v, "truth_table_fidelity": float(tt),

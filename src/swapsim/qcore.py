@@ -10,16 +10,17 @@ i.e. spatial channel is the most significant subsystem and polarization the
 least significant.  Density matrices are plain (n, d, d) arrays with a
 leading stack axis, and may carry trace < 1: the missing trace is
 unheralded photon loss, and `heralded_normalize_stack` validates a stack
-and recovers it as survival probabilities.  The density-matrix, chi and
-trace-nonincreasing checks share one PSD test, a batched Cholesky
-factorisation (`_psd_violation`): eigenvalues are computed only when it
-fails, to decide at the tolerance and word the error, and a matrix that
-is not finite is rejected as such before it.  Every state is an exact
-propagation result, never one reconstructed from counts, so nothing here
-projects onto the physical set.  A channel is given by Kraus
-operators and carries its row-major superoperator
-(`QuantumChannel.superoperator`, computed once per channel object), the one
-representation the exact paths propagate with.  Channels and the Pauli
+and recovers it as survival probabilities.  The density-matrix and chi
+checks are one stack check (`_check_stack`) with their own names,
+tolerances and trace rules; it and the trace-nonincreasing check share
+one PSD test, a batched Cholesky factorisation (`_psd_violation`):
+eigenvalues are computed only when it fails, to decide at the tolerance
+and word the error, and a matrix that is not finite is rejected as such
+before it.  Every state is an exact propagation result, never one
+reconstructed from counts, so nothing here projects onto the physical
+set.  A channel is given by Kraus operators and carries its row-major
+superoperator (`QuantumChannel.superoperator`, computed once per channel
+object), the one representation the exact paths propagate with.  Channels and the Pauli
 operators (`pauli_operators`) are immutable (backing arrays are marked
 read-only), so everything in this module is safe to share across threads.
 """
@@ -137,21 +138,22 @@ def _psd_violation(m: np.ndarray, tol: float) -> float | None:
         return low if low < -tol else None
 
 
-def _check_density(m: np.ndarray) -> np.ndarray:
-    """Raise unless every matrix of `m` (shape (..., d, d)) is finite,
-    Hermitian, PSD and of trace in [0, 1], within the tolerances above;
-    returns the traces."""
-    _check_finite(m, "density matrix")
+def _check_stack(m: np.ndarray, names: tuple, psd_tol: float, trace_rule: tuple) -> np.ndarray:
+    """The traces of `m` (shape (..., d, d)); raises, naming the matrix by
+    `names` (full name, short name), unless every matrix is finite,
+    Hermitian, has no eigenvalue below -`psd_tol` (`_psd_violation`) and a
+    trace in range: `trace_rule` is (the out-of-range test, range in words)."""
+    (name, short), (trace_bad, trace_range) = names, trace_rule
+    _check_finite(m, name)
     if np.max(np.abs(m - dagger(m))) > HERM_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    low = _psd_violation(m, PSD_TOL)
+        raise ValueError(f"{name} is not Hermitian")
+    low = _psd_violation(m, psd_tol)
     if low is not None:
-        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+        raise ValueError(f"{short} has negative eigenvalue {low:.3e}")
     tr = np.trace(m, axis1=-2, axis2=-1).real
-    bad = (tr < -TRACE_TOL) | (tr > 1.0 + TRACE_TOL)
+    bad = trace_bad(tr)
     if bad.any():
-        raise ValueError(f"density matrix trace {float(np.extract(bad, tr)[0])} "
-                         "outside [0, 1]")
+        raise ValueError(f"{short} trace {float(np.extract(bad, tr)[0])} outside {trace_range}")
     return tr
 
 
@@ -213,18 +215,9 @@ def pauli_operators(n: int) -> np.ndarray:
 
 def check_chi_stack(m: np.ndarray) -> None:
     """Raise unless every matrix of `m` (shape (..., d2, d2)) is a chi
-    matrix, in one batch: finite, Hermitian, no eigenvalue below -1e-8 (the
-    PSD test of `_psd_violation`) and a trace in (0, 1 + 1e-8]."""
-    _check_finite(m, "chi matrix")
-    if np.max(np.abs(m - dagger(m))) > HERM_TOL:
-        raise ValueError("chi matrix is not Hermitian")
-    low = _psd_violation(m, 1e-8)
-    if low is not None:
-        raise ValueError(f"chi has negative eigenvalue {low:.3e}")
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    bad = (tr <= 0) | (tr > 1.0 + 1e-8)
-    if bad.any():
-        raise ValueError(f"chi trace {float(np.extract(bad, tr)[0])} outside (0, 1]")
+    matrix (`_check_stack`): no eigenvalue below -1e-8, trace in (0, 1 + 1e-8]."""
+    _check_stack(m, ("chi matrix", "chi"), 1e-8,
+                 (lambda tr: (tr <= 0) | (tr > 1.0 + 1e-8), "(0, 1]"))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +230,8 @@ def heralded_normalize_stack(m: np.ndarray) -> tuple:
     renormalize it: returns (m / tr, tr) as arrays.  Raises on a vacuum
     state (any trace ~ 0, total loss).
     """
-    tr = _check_density(m)
+    tr = _check_stack(m, ("density matrix", "density matrix"), PSD_TOL,
+                      (lambda tr: (tr < -TRACE_TOL) | (tr > 1.0 + TRACE_TOL), "[0, 1]"))
     return _unit_trace(m, tr), tr
 
 

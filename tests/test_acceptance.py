@@ -246,7 +246,7 @@ def test_criterion_09_error_budget():
     chip35 = ChipConfig(pcnot_extinction_db=35.0, mcnot_extinction_db=35.0,
                         mcnot_loss_db_t=1.0, facet_loss_db_h=3.0,
                         facet_loss_db_v=3.0)
-    f35 = ex.truth_table_fidelity_exact(ChipConfig.build(chip35), "raw")
+    f35 = ex.truth_table_fidelity_exact(ChipConfig.build(chip35))
     ok_a = f35 >= 0.995
     # marginal cost of the 0.9 dB coupling difference alone
     base = ChipConfig(pcnot_extinction_db=18.0, mcnot_extinction_db=20.0)

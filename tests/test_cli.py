@@ -404,7 +404,7 @@ class TestChipPaths:
         from swapsim import netlist as nl
 
         chip = nl.compile_netlist(nl.parse(GOOD_NETLIST))
-        want = ex.truth_table_fidelity_exact(chip, "raw")
+        want = ex.truth_table_fidelity_exact(chip)
         assert report["payload"]["grid"][0]["truth_table_fidelity"] == want
 
     def test_sweep_hash_does_not_depend_on_the_netlist_path(self, tmp_path, monkeypatch,
@@ -573,8 +573,20 @@ class TestBadValues:
         assert cli.dispatch(["fringe", "--config", str(p), "--trials", "1",
                              "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"config error: rates and times must be positive: "
-            f"fringe_time_per_point_s is {float(value)!r}\n")
+            f"config error: fringe_time_per_point_s must be > 0, got {float(value)!r}\n")
+        assert not out.exists()
+
+    def test_a_fringe_run_that_counts_nothing_exits_1_with_one_line(self, tmp_path, capsys):
+        # a positive time too short to count anything: trial 0 has no fringe
+        # to fit, and its NaN stderr once ended in a JSON traceback
+        p = tmp_path / "cfg.json"
+        p.write_text('{"schema_version": 1, "fringe_time_per_point_s": 1e-300}')
+        out = tmp_path / "out"
+        assert cli.dispatch(["fringe", "--config", str(p), "--trials", "1",
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: cannot fit the fringe of trial 0 (0 counts): "
+            "use a longer fringe_time_per_point_s\n")
         assert not out.exists()
 
     def test_unfittable_hom_scan_exits_1_with_one_line(self, tmp_path, capsys):
@@ -832,6 +844,22 @@ def test_bell_label_choices_are_the_bell_labels():
     from swapsim.biphoton import BellLabel
 
     assert cli.BELL_LABELS == tuple(label.value for label in BellLabel)
+
+
+def test_choices_are_the_values_their_config_and_runner_read():
+    from swapsim import experiments as ex
+    from swapsim import tomography as tm
+    from swapsim.config import _DOMAINS
+
+    def choices(command, dest):
+        [action] = [a for a in cli._command_parser(command)._actions if a.dest == dest]
+        return action.choices
+
+    assert choices("fringe", "port") == _DOMAINS["fringe_port"]
+    assert choices("hom", "hom_input") == _DOMAINS["hom_input"]
+    assert set(ex._HOM_INPUTS) == set(_DOMAINS["hom_input"])
+    assert set(choices("tomo-state", "spatial")) == set(ex._PROCESS_SPATIAL_INPUTS)
+    assert set(choices("tomo-state", "pol")) == set(tm.POLARIZATION_LABELS)
 
 
 def test_fmt_imports_no_numpy():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestDecodeCache:
         load_config(str(path))
         path.write_text(json.dumps({"schema_version": 1, "n_trials": 0}))
         for _ in range(2):
-            with pytest.raises(ConfigError, match="^n_trials must be >= 1$"):
+            with pytest.raises(ConfigError, match="^n_trials must be >= 1, got 0$"):
                 load_config(str(path))
 
     def test_the_same_text_resolves_against_each_directory(self, tmp_path):
@@ -257,12 +258,65 @@ class TestFacetXtalk:
             ChipConfig(facet_xtalk=value).build()
 
 
-# one out-of-range value of each inline chip parameter
-OUT_OF_RANGE = {
-    "pcnot_extinction_db": 0.0, "mcnot_extinction_db": -3.0, "pcnot_loss_imbalance_db": -0.5,
-    "mcnot_loss_db_t": -0.5, "mcnot_loss_db_b": -0.5, "mcnot_rotation_error_rad": math.inf,
-    "facet_loss_db_h": -0.5, "facet_loss_db_v": -0.5, "facet_xtalk": 1.5, "depol_prob": 1.5,
+# each field with a domain -> (the domain in words, a value outside it, a
+# value inside it on its edge)
+DOMAINS = {
+    "pcnot_extinction_db": ("> 0 dB", 0.0, 5e-324),
+    "mcnot_extinction_db": ("> 0 dB", -3.0, 5e-324),
+    "pcnot_loss_imbalance_db": ("finite and >= 0 dB", -0.5, 0.0),
+    "mcnot_loss_db_t": ("finite and >= 0 dB", -0.5, 0.0),
+    "mcnot_loss_db_b": ("finite and >= 0 dB", -5e-324, 0.0),
+    # an angle's domain, every finite number, is the float type's own rule
+    "mcnot_rotation_error_rad": ("a finite number", math.inf, -sys.float_info.max),
+    "facet_loss_db_h": ("finite and >= 0 dB", -0.5, 0.0),
+    "facet_loss_db_v": ("finite and >= 0 dB", -0.5, sys.float_info.max),
+    "facet_xtalk": ("in [-1, 1]", 1.5, -1.0),
+    "depol_prob": ("in [0, 1]", 1.5, 1.0),
+    "coherence_time_ps": ("> 0", 0.0, 5e-324),
+    "bell_visibility": ("in [0, 1]", 2.0, 0.0),
+    "pair_rate_hz": ("> 0", -1.0, 5e-324),
+    "integration_time_s": ("> 0", 0.0, 5e-324),
+    "background_rate_hz": (">= 0", -1e-300, 0.0),
+    "n_trials": (">= 1", 0, 1),
+    "logical_frame": ("one of 'raw', 'relabeled'", "diagonal", "relabeled"),
+    "fringe_port": ("one of 'T', 'B'", "t", "B"),
+    "fringe_time_per_point_s": ("> 0", -1.0, 5e-324),
+    "hom_input": ("one of 'TV_BH', 'TH_BV', 'source'", "TV_HB", "source"),
+    "fpc_mode": ("one of 'auto', 'ideal', 'none'", "off", "none"),
 }
+# one out-of-range value of each inline chip parameter
+OUT_OF_RANGE = {name: outside for name, (_, outside, _) in DOMAINS.items()
+                if name in ChipConfig.__dataclass_fields__}
+
+
+def _field_doc(name: str, value) -> str:
+    """A config document that sets the field `name` to `value` and nothing else."""
+    doc = {"schema_version": 1}
+    if name in ChipConfig.__dataclass_fields__:
+        doc["chips"] = [{name: value}]
+    elif name in SourceConfig.__dataclass_fields__:
+        doc["source"] = {name: value}
+    else:
+        doc[name] = value
+    return json.dumps(doc)
+
+
+class TestDomains:
+    # each field's domain is declared once, in `config._DOMAINS`, and a value
+    # outside it is one config error with one wording
+    def test_every_field_with_a_domain_is_covered(self):
+        assert set(DOMAINS) == set(cfgmod._DOMAINS)
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_a_value_outside_the_domain_raises_and_one_on_its_edge_loads(self, name):
+        words, outside, inside = DOMAINS[name]
+        with pytest.raises(ConfigError, match=f"^{name} must be {re.escape(words)}, "
+                                              f"got {re.escape(repr(outside))}$"):
+            load_config(_field_doc(name, outside))
+        cfg = load_config(_field_doc(name, inside))
+        where = (cfg.chips[0] if name in ChipConfig.__dataclass_fields__ else
+                 cfg.source if name in SourceConfig.__dataclass_fields__ else cfg)
+        assert getattr(where, name) == inside
 
 
 class TestChipParameterRanges:

@@ -545,7 +545,7 @@ def test_error_budget_equals_per_point_oracle(base, sweep, frame):
     for g, (axis, v) in zip(grid, points):
         chip = replace(base, **{ex._SWEEP_AXES[axis]: v}).build()
         assert g["truth_table_fidelity"] == pytest.approx(
-            ex.truth_table_fidelity_exact(chip, frame), rel=0, abs=TOL)
+            ex.truth_table_fidelity_exact(chip), rel=0, abs=TOL)
         # T-input momentum qubit, relabeled frame: the per-state chain
         red = [output_state_oracle(chip, vec, "relabeled", True)[0]
                for vec in vecs[:4]]
@@ -678,9 +678,9 @@ def test_chip_param_edit_equals_lowering_the_replaced_config(edit):
         replaced = replace(base, **{name: value})
     except ConfigError as exc:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
-            cfgmod.check_chip_param(name, value)
+            cfgmod.check_value(name, "float", value)
         return
-    cfgmod.check_chip_param(name, value)
+    cfgmod.check_value(name, "float", value)
     want = replaced.to_netlist()
     assert cfgmod.lower_chip_fields({**vars(base), name: value}) == want
     edited = cfgmod.edit_chip_field(base.to_netlist(), name, value)
@@ -714,14 +714,33 @@ def test_exact_fidelities_are_frame_invariant(chip):
         with mock.patch.object(ExperimentConfig, "chip", lambda self, index=0: chip):
             per_input = ex.run_process_tomography(cfg).payload["per_spatial_input"]
             two_qubit = ex.run_process_tomography_2q(cfg).payload["process_fidelity"]
-        return [v["process_fidelity"] for v in per_input.values()] + [two_qubit]
+            # the exact state fidelities alone: no counts are drawn
+            with mock.patch.object(ex, "_monte_carlo", lambda *args: [{}]):
+                states = [ex.run_state_tomography(cfg, spatial, pol).payload["fidelity_exact"]
+                          for spatial in ("T", "B", "+", "+i") for pol in ("H", "D", "R")]
+        return [v["process_fidelity"] for v in per_input.values()] + [two_qubit] + states
 
-    for f in (lambda frame: [ex.truth_table_fidelity_exact(chip, frame)], fidelities):
-        raw, relabeled = _both_frames(f)
-        if isinstance(raw, str) or isinstance(relabeled, str):
-            assert raw == relabeled
-        else:
-            np.testing.assert_allclose(relabeled, raw, rtol=0, atol=TOL)
+    raw, relabeled = _both_frames(fidelities)
+    if isinstance(raw, str) or isinstance(relabeled, str):
+        assert raw == relabeled
+    else:
+        np.testing.assert_allclose(relabeled, raw, rtol=0, atol=TOL)
+
+
+@PROPERTY
+@given(CHIPS)
+def test_truth_table_fidelity_is_frame_invariant(chip):
+    # the truth-table fidelity takes no frame: reading output i as 3 - i
+    # (X (x) X on every output) and comparing with the relabeled ideal
+    # gives the same number
+    try:
+        tables = tm.column_normalize_stack(ex.exact_truth_table(chip))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            ex.truth_table_fidelity_exact(chip)
+        return
+    relabeled = tm.truth_table_fidelity_stack(tables[::-1], tm.ideal_truth_table("relabeled"))
+    assert float(relabeled) == pytest.approx(ex.truth_table_fidelity_exact(chip), rel=0, abs=TOL)
 
 
 @PROPERTY

@@ -255,7 +255,7 @@ class TestErrorBudget:
         chip = ChipConfig(pcnot_extinction_db=35.0, mcnot_extinction_db=35.0,
                           mcnot_loss_db_t=1.0)
         cfg = ExperimentConfig(chips=(chip,), n_trials=1)
-        f = ex.truth_table_fidelity_exact(cfg.chip(0), "raw")
+        f = ex.truth_table_fidelity_exact(cfg.chip(0))
         assert f >= 0.995
 
     def test_imbalance_marginal_cost(self, calibrated):
