@@ -22,11 +22,10 @@ MEMOS = {}
 
 def _freeze(value):
     if type(value) is tuple:
-        for item in value:
-            _freeze(item)
-    elif type(value) is dict:
+        return tuple(_freeze(item) for item in value)
+    if type(value) is dict:
         return MappingProxyType({key: _freeze(item) for key, item in value.items()})
-    elif (np := sys.modules.get("numpy")) is not None and isinstance(value, np.ndarray):
+    if (np := sys.modules.get("numpy")) is not None and isinstance(value, np.ndarray):
         value.flags.writeable = False
     return value
 

@@ -28,15 +28,18 @@ use; the full parser, which holds each command's parser as a subparser with
 the same help text, is built for each other argv (no command, --help, an
 unknown command).  The process builds the preset of a run without --config
 once, decodes each config text once (`load_config` still reads the file on
-every call), parses each netlist text once and compiles each distinct chip
-once (memos of the registry `swapsim._memo`); no state that changes a
-result is kept between calls, so a warm call gives the same payload as a
-fresh process.  A report's config is encoded once: `meta.config_hash`
-hashes that text, and `config.json` is it with each rewritten netlist path
-swapped in.  Both files are written with raw writes of their encoded bytes.
-A command imports only what it uses: `fmt` and `check` load no numpy, no
-config and no experiment module (`config`, whose domain table gives the
---port and --input choices, loads no numpy).
+every call, and a chip's netlist file too), parses each netlist text once,
+compiles each distinct chip once and computes each runner's exact half once
+per chip declaration and the config fields it reads (memos of the registry
+`swapsim._memo`), so a warm call with another seed or trial count only
+samples and estimates; no state that changes a result is kept between
+calls, so a warm call gives the same payload as a fresh process.  A
+report's config is encoded once: `meta.config_hash` hashes that text, and
+`config.json` is it with each rewritten netlist path swapped in.  Both
+files are written with raw writes of their encoded bytes.  A command
+imports only what it uses: `fmt` and `check` load no numpy, no config and
+no experiment module (`config`, whose domain table gives the --port and
+--input choices, loads no numpy).
 """
 
 from __future__ import annotations

@@ -279,10 +279,13 @@ class ExperimentConfig:
 
     # -- chip access ---------------------------------------------------
 
+    def chip_decl(self, index: int = 0) -> nl.ChipDecl:
+        """Chip `index`'s declaration (`ChipConfig.to_netlist`, so a netlist
+        file is read on every call); one chip serves as both."""
+        return self.chips[min(index, len(self.chips) - 1)].to_netlist()
+
     def chip(self, index: int = 0) -> ChipModel:
-        cfgs = self.chips
-        cc = cfgs[index] if index < len(cfgs) else cfgs[-1]
-        return cc.build()
+        return nl.compile_chip(self.chip_decl(index))
 
     # -- presets ---------------------------------------------------------
 

@@ -25,12 +25,16 @@ converge and the fidelity means clamped to [0, 1].  A runner keeps only
 its exact physics and its exact fields.  The payload is the whole result:
 no runner builds a data table beside it.  The exact (infinite-count)
 value of every estimate is always computed alongside the Monte Carlo one,
-so the noiseless pipeline doubles as the oracle for the sampled one.  Only
-`hom` and `bell` import `biphoton`.  Each constant table (settings,
-inputs, ideal processes), the fringe detector of a port and polarizer and
-the HOM input pair are read-only memos of the registry `swapsim._memo`,
-built on first use, so a fresh process pays for what its
-command runs and a warm one does not pay again.
+so the noiseless pipeline doubles as the oracle for the sampled one.  Each
+runner's exact half is a function of its chip declarations
+(`ExperimentConfig.chip_decl`) and of exactly the config fields and
+arguments it reads, and but for the truth table's (a slice of the cached
+chip's superoperator) it is a bounded memo of the registry
+`swapsim._memo` on them: a warm re-run with another seed or trial count
+only samples and estimates, a netlist file edited at its path is a new
+declaration, and a warm call gives the bytes of a fresh process.  The
+constant tables (settings, inputs, ideal processes) are built inside the
+exact halves, on a miss.  Only `hom` and `bell` import `biphoton`.
 
 Determinism contract: a fixed (config, seed) pair reproduces every count
 and every estimate bit-exactly.  Each run draws from one PCG64 generator
@@ -165,6 +169,11 @@ class Report(NamedTuple):
                           allow_nan=False)
 
 
+# the keys (chip declarations and the config fields read with them) that
+# each runner's exact half keeps computed
+_EXACT_KEYS = 16
+
+
 def _monte_carlo(cfg: ExperimentConfig, paths, probs, time_s: float, estimate) -> list:
     """The Monte Carlo payload fields of each run of `paths`, in order.
 
@@ -274,7 +283,6 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
 # fringe scan
 # ---------------------------------------------------------------------------
 
-@memo()
 def _fringe_effect(port: str, use_polarizer: bool) -> np.ndarray:
     """vec(M^T) for the detector operator M = D^dag D of the 50:50 combiner
     and the output D monitored for input `port`, behind the output
@@ -305,6 +313,19 @@ def _fringe_probabilities(chip: ChipModel, phases: np.ndarray, port: str,
     return np.maximum((_vec_states(v) @ effect).real, 0.0)  # as in `_truth_tables`
 
 
+@memo(_EXACT_KEYS)
+def _fringe_exact(decl: nl.ChipDecl, port: str, use_polarizer: bool, phases: tuple) -> tuple:
+    """The exact half of `run_fringe_scan` on the chip `decl`: the
+    detection probability at each of `phases` (`_fringe_probabilities`),
+    its visibility (max - min) / (max + min), and the visibility and phase
+    offset of the noiseless fit of that curve."""
+    phases = np.array(phases)
+    exact = _fringe_probabilities(nl.compile_chip(decl), phases, port, use_polarizer)
+    fit = tm.fringe_fit_stack(phases, exact[None] * 1e6)  # noiseless, scaled
+    return (exact, float((exact.max() - exact.min()) / (exact.max() + exact.min())),
+            float(fit.visibility_raw[0]), float(fit.phase_offset[0]))
+
+
 def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
     """Self-interference fringe of |D> sent through one chip port.
 
@@ -318,10 +339,8 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
     phases = np.asarray(list(phases), dtype=float)
     if len(phases) < 5:
         raise ConfigError(f"a fringe scan needs at least 5 phase points, got {len(phases)}")
-    exact = _fringe_probabilities(cfg.chip(0), phases, cfg.fringe_port,
-                                  cfg.fringe_output_polarizer)
-    exact_v = float((exact.max() - exact.min()) / (exact.max() + exact.min()))
-    fit_exact = tm.fringe_fit_stack(phases, exact[None] * 1e6)  # noiseless, scaled
+    exact, exact_v, fit_v, fit_phase = _fringe_exact(
+        cfg.chip_decl(0), cfg.fringe_port, cfg.fringe_output_polarizer, tuple(phases.tolist()))
 
     def estimate(counts, bg_counts):
         fits = tm.fringe_fit_stack(phases, counts[0], background=bg_counts)
@@ -339,8 +358,8 @@ def run_fringe_scan(cfg: ExperimentConfig, phases=None) -> Report:
         "port": cfg.fringe_port,
         "output_polarizer": cfg.fringe_output_polarizer,
         "visibility_exact": exact_v,
-        "visibility_exact_fit": float(fit_exact.visibility_raw[0]),
-        "phase_offset_exact_fit": float(fit_exact.phase_offset[0]),
+        "visibility_exact_fit": fit_v,
+        "phase_offset_exact_fit": fit_phase,
         "phases_rad": phases.tolist(),
         "exact_probabilities": exact.tolist(),
         **mc,
@@ -380,7 +399,6 @@ def _fpc_unitary(rho: np.ndarray, mode: str) -> np.ndarray:
     return np.outer(s_dom, i_dom.conj()) + np.outer(s_perp, i_perp.conj())
 
 
-@memo()
 def _hom_pair(hom_input: str) -> np.ndarray:
     """The (1, 16, 16) joint state of the input pair `hom_input`."""
     (ms, ps), (mi, pi) = _HOM_INPUTS[hom_input]
@@ -388,18 +406,30 @@ def _hom_pair(hom_input: str) -> np.ndarray:
     return np.outer(v, v.conj())[None]
 
 
-def _hom_joint(cfg: ExperimentConfig) -> np.ndarray:
+def _hom_joint(s: np.ndarray | None, hom_input: str, fpc_mode: str) -> np.ndarray:
     """The (16, 16) joint state of the HOM pair at the combiner: the input
-    pair (`_hom_pair`) through chip 0 (unless it is the bare source),
-    heralded and validated once, then the idler's polarization controller."""
+    pair `hom_input` (`_hom_pair`) through the chip of superoperator `s`
+    (unless it is the bare source, for which `s` is None), heralded and
+    validated once, then the idler's polarization controller `fpc_mode`."""
     from . import biphoton as bp
 
-    joint = _hom_pair(cfg.hom_input)
-    if cfg.hom_input != "source":
-        joint = bp.apply_chip_both_stack(joint, cfg.chip(0).superoperator)
+    joint = _hom_pair(hom_input)
+    if hom_input != "source":
+        joint = bp.apply_chip_both_stack(joint, s)
     rho = heralded_normalize_stack(joint)[0][0]
-    u = np.kron(np.eye(8), _fpc_unitary(rho, cfg.fpc_mode))  # on p_i only
+    u = np.kron(np.eye(8), _fpc_unitary(rho, fpc_mode))  # on p_i only
     return u @ rho @ dagger(u)
+
+
+@memo(_EXACT_KEYS)
+def _hom_overlap(decl: nl.ChipDecl | None, hom_input: str, fpc_mode: str) -> float:
+    """The exact half of `run_hom_scan`: the photons' exchange overlap in
+    the joint state `_hom_joint` of the chip `decl` (None for the bare
+    source, which crosses no chip)."""
+    from . import biphoton as bp
+
+    s = None if decl is None else nl.compile_chip(decl).superoperator
+    return bp.exchange_overlap(_hom_joint(s, hom_input, fpc_mode))
 
 
 def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
@@ -411,7 +441,8 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
     delays = np.asarray(list(delays_ps), dtype=float)
     if len(delays) < 4:
         raise ConfigError(f"a HOM scan needs at least 4 delay points, got {len(delays)}")
-    overlap = bp.exchange_overlap(_hom_joint(cfg))
+    overlap = _hom_overlap(None if cfg.hom_input == "source" else cfg.chip_decl(0),
+                           cfg.hom_input, cfg.fpc_mode)
     if overlap == 0.0:
         raise ConfigError("no two-photon dip to fit: the photons' exchange overlap is 0")
     exact_p = bp.hom_dip(overlap, delays, cfg.source.coherence_time_ps)
@@ -449,19 +480,21 @@ def run_hom_scan(cfg: ExperimentConfig, delays_ps=None) -> Report:
 # Bell distribution between two chips
 # ---------------------------------------------------------------------------
 
-def _bell_link(cfg: ExperimentConfig, chip1: ChipModel, chip2: ChipModel) -> np.ndarray:
+def _bell_link(residual_rad: float, chip1: ChipModel, chip2: ChipModel) -> np.ndarray:
     """The 16x16 superoperator of chip 1, the fiber link and chip 2 in
     cascade (chip 1 acts first).  The compensated fiber is the rotation R by
-    `fiber_residual_rad` of the polarization of both ports: its
-    superoperator is R (x) R, R being real.  A polarization controller
-    inverts the fiber's own rotation exactly, so only the residual is left."""
-    c, s = np.cos(cfg.fiber_residual_rad), np.sin(cfg.fiber_residual_rad)
+    `residual_rad` (`fiber_residual_rad`) of the polarization of both
+    ports: its superoperator is R (x) R, R being real.  A polarization
+    controller inverts the fiber's own rotation exactly, so only the
+    residual is left."""
+    c, s = np.cos(residual_rad), np.sin(residual_rad)
     r = np.kron(np.eye(2), [[c, -s], [s, c]])
     return chip2.superoperator @ np.kron(r, r) @ chip1.superoperator
 
 
-def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: np.ndarray) -> tuple:
-    """Propagate the Bell pairs of `labels`, both photons, through the
+def _bell_polarization_stack(visibility: float, labels, link: np.ndarray) -> tuple:
+    """Propagate the Bell pairs of `labels`, Werner states of source
+    visibility `visibility` (`bell_visibility`), both photons, through the
     link's superoperator as one stack, validated once at the boundary
     (`heralded_normalize_stack`, which raises on a vacuum output).
 
@@ -471,7 +504,7 @@ def _bell_polarization_stack(cfg: ExperimentConfig, labels, link: np.ndarray) ->
     """
     from . import biphoton as bp
 
-    joints = bp.werner_joint_stack(labels, cfg.source.bell_visibility)
+    joints = bp.werner_joint_stack(labels, visibility)
     rho, survival = heralded_normalize_stack(bp.apply_chip_both_stack(joints, link))
     blk, sector_p = bp.sector_block_stack(rho, (0, 1))
     return 0.5 * (blk + dagger(blk)), sector_p * survival
@@ -485,7 +518,6 @@ _TOMO_2Q_GRID_COLUMNS = [_TOMO_2Q_PAIRS.index(p)
                          for p in product(tm.POLARIZATION_LABELS, repeat=2)]
 
 
-@memo()
 def _tomo_2q_projectors() -> np.ndarray:
     """The (36, 4, 4) projectors of the settings of `_TOMO_2Q_PAIRS`."""
     pol = {l: np.outer(ket2(l), ket2(l).conj()) for l in tm.POLARIZATION_LABELS}
@@ -498,28 +530,55 @@ def _tomo_2q_probabilities(rho_pols: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("sab,lba->ls", _tomo_2q_projectors(), rho_pols).real, 0.0)
 
 
-def _bell_runs(cfg: ExperimentConfig, labels, link: np.ndarray, chip2_f: float) -> list:
-    """The payload of each Bell state of `labels`.
-
-    All labels go through the link as one stack.  Each label's counts are
-    drawn from its own run path ("bell", label), in `_TOMO_2Q_PAIRS`
-    order, which `first_trial_settings` names ("q1,q2").  The exact
-    fidelity is <psi|rho|psi> of the exact state (`pure_fidelity_stack`);
-    the Monte Carlo one is that of the linear estimate of each trial's
-    background-subtracted, unclipped counts, for all labels in one
-    `tm.linear_fidelity_stack` call.
-    """
+@memo(_EXACT_KEYS)
+def _bell_exact(decl1: nl.ChipDecl, decl2: nl.ChipDecl, residual_rad: float,
+                visibility: float, labels: tuple) -> tuple:
+    """The exact half of `run_bell_distribution` for the Bell states of
+    `labels`: chip 2's truth-table fidelity; the conditioned polarization
+    states and coincidence probabilities after chip 1 (`decl1`), the fiber
+    link of residual `residual_rad` and chip 2 (`decl2`), all labels as
+    one stack (`_bell_link`, `_bell_polarization_stack`); each label's
+    target ket and the exact fidelity <psi|rho|psi> of its state
+    (`pure_fidelity_stack`); and the (L, 36) detection probabilities of the
+    settings of `_TOMO_2Q_PAIRS`."""
     from .biphoton import bell_state_vector
 
-    rho_pol, success_p = _bell_polarization_stack(cfg, labels, link)
+    chip2 = nl.compile_chip(decl2)
+    link = _bell_link(residual_rad, nl.compile_chip(decl1), chip2)
+    chip2_f = truth_table_fidelity_exact(chip2)
+    rho_pol, success_p = _bell_polarization_stack(visibility, labels, link)
     targets = np.array([bell_state_vector(label) for label in labels])
-    f_exact = pure_fidelity_stack(rho_pol, targets)
+    return (chip2_f, rho_pol, success_p, targets, pure_fidelity_stack(rho_pol, targets),
+            _tomo_2q_probabilities(rho_pol) * success_p[:, None])
+
+
+def _linear_fidelity(counts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """`tm.linear_fidelity_stack` of the background-subtracted `counts`; a
+    trial left with no counts to normalise by is a `ConfigError`."""
+    try:
+        return tm.linear_fidelity_stack(counts, targets)
+    except ValueError as exc:
+        raise ConfigError(f"cannot estimate the fidelity ({exc}): use a longer "
+                          "integration_time_s") from exc
+
+
+def _bell_runs(cfg: ExperimentConfig, labels) -> list:
+    """The payload of each Bell state of `labels`.
+
+    Each label's counts are drawn from its own run path ("bell",
+    label), in `_TOMO_2Q_PAIRS` order, which `first_trial_settings` names
+    ("q1,q2").  The Monte Carlo fidelity is that of the linear estimate of
+    each trial's background-subtracted, unclipped counts, for all labels in
+    one `tm.linear_fidelity_stack` call.
+    """
+    chip2_f, rho_pol, success_p, targets, f_exact, probs = _bell_exact(
+        cfg.chip_decl(0), cfg.chip_decl(1), cfg.fiber_residual_rad,
+        cfg.source.bell_visibility, tuple(labels))
 
     def estimate(counts, bg_counts):
-        f_mc = tm.linear_fidelity_stack(counts[..., _TOMO_2Q_GRID_COLUMNS] - bg_counts, targets)
+        f_mc = _linear_fidelity(counts[..., _TOMO_2Q_GRID_COLUMNS] - bg_counts, targets)
         return [({"fidelity_mc": f}, {}) for f in f_mc]
 
-    probs = _tomo_2q_probabilities(rho_pol) * success_p[:, None]
     mc_runs = _monte_carlo(cfg, [("bell", label.value) for label in labels], probs,
                            cfg.integration_time_s / 36.0, estimate)
     return [{"bell_label": label.value,
@@ -539,26 +598,21 @@ def run_bell_distribution(cfg: ExperimentConfig, label: BellLabel | None = None)
 
     One label gives that state's full report; `None` runs all four and
     reports each label's fidelities and density matrix by label, and the
-    exact fidelities' average.  Chips 0 and 1 are
-    built, and multiplied with the fiber link, once per call, and the labels
-    run as one stack (`_bell_runs`).
+    exact fidelities' average.  The labels run as one stack (`_bell_runs`).
     """
     from .biphoton import BellLabel
 
-    chip2 = cfg.chip(1)
-    link = _bell_link(cfg, cfg.chip(0), chip2)
-    chip2_f = truth_table_fidelity_exact(chip2)
     if label is not None:
-        [payload] = _bell_runs(cfg, [label], link, chip2_f)
+        [payload] = _bell_runs(cfg, [label])
         return Report("bell", payload)
-    runs = _bell_runs(cfg, list(BellLabel), link, chip2_f)
+    runs = _bell_runs(cfg, list(BellLabel))
     payload = {
         "bell_labels": [run["bell_label"] for run in runs],
         **{f"{key}_by_label": {run["bell_label"]: run[key] for run in runs}
            for key in ("fidelity_exact", "fidelity_mc_mean", "fidelity_mc_stderr",
                        "density_matrix_real", "density_matrix_imag")},
         "fidelity_exact_avg": float(np.mean([run["fidelity_exact"] for run in runs])),
-        "second_chip_truth_table_fidelity": chip2_f,
+        "second_chip_truth_table_fidelity": runs[0]["second_chip_truth_table_fidelity"],
         "n_trials": cfg.n_trials,
         "diagnostics": {"fidelity_means_clamped": sum(
             run["diagnostics"]["fidelity_means_clamped"] for run in runs)},
@@ -596,7 +650,6 @@ def _exact_outputs(s: np.ndarray, vecs: np.ndarray, frame: str,
     return logical_frame_stack(out, frame)
 
 
-@memo()
 def _mzi_povms() -> np.ndarray:
     """The POVM element sum_k K^dag K of the MZI projector of each momentum
     setting, in `tm.MOMENTUM_LABELS` order: shape (6, 2, 2)."""
@@ -609,6 +662,22 @@ def _mzi_probabilities(rho2: np.ndarray) -> np.ndarray:
     each state of `rho2` (J, 2, 2): shape (J, 6), settings in label order,
     clipped at 0 as in `_truth_tables`."""
     return np.maximum(np.einsum("jab,sba->js", rho2, _mzi_povms()).real, 0.0)
+
+
+@memo(_EXACT_KEYS)
+def _state_tomo_exact(decl: nl.ChipDecl, frame: str, spatial_input: str,
+                      pol_label: str) -> tuple:
+    """The exact half of `run_state_tomography` on the chip `decl`: the
+    heralded momentum state in `frame` of the input |spatial_input> (x)
+    |pol_label> (`_exact_outputs`), the (1, 6) detection probabilities of
+    its MZI settings, the fidelity target and the state's fidelity with
+    it."""
+    pol = ket2(pol_label)
+    vec = np.kron(_spatial_ket(spatial_input), pol)
+    red = _exact_outputs(nl.compile_chip(decl).superoperator, vec[None], frame,
+                         trace_polarization=True)
+    target = pol if frame == "relabeled" else PAULI_X @ pol
+    return red[0], _mzi_probabilities(red), target, float(pure_fidelity_stack(red[0], target))
 
 
 def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
@@ -626,17 +695,11 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     Carlo fidelity is that of the linear estimate of each trial's
     background-subtracted, unclipped counts (`tm.linear_fidelity_stack`).
     """
-    pol = ket2(pol_label)
-    vec = np.kron(_spatial_ket(spatial_input), pol)
-    red = _exact_outputs(cfg.chip(0).superoperator, vec[None], cfg.logical_frame,
-                         trace_polarization=True)
-    rho_exact = red[0]
-    setting_p = _mzi_probabilities(red)
-    target = pol if cfg.logical_frame == "relabeled" else PAULI_X @ pol
+    rho_exact, setting_p, target, fidelity = _state_tomo_exact(
+        cfg.chip_decl(0), cfg.logical_frame, spatial_input, pol_label)
 
     def estimate(counts, bg_counts):
-        return [({"fidelity_mc": tm.linear_fidelity_stack(counts - bg_counts, target[None])[0]},
-                 {})]
+        return [({"fidelity_mc": _linear_fidelity(counts - bg_counts, target[None])[0]}, {})]
 
     [mc] = _monte_carlo(cfg, [("tomo-state", spatial_input, pol_label)], setting_p,
                         cfg.integration_time_s / 6.0, estimate)
@@ -644,7 +707,7 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
         "spatial_input": spatial_input,
         "polarization_input": pol_label,
         "frame": cfg.logical_frame,
-        "fidelity_exact": float(pure_fidelity_stack(rho_exact, target)),
+        "fidelity_exact": fidelity,
         "setting_probabilities": {k: float(v) for k, v in
                                   sorted(zip(tm.MOMENTUM_LABELS, setting_p[0]))},
         "reconstructed_real": rho_exact.real.tolist(),
@@ -659,7 +722,6 @@ _PROCESS_INPUT_POLS = (("H", "H"), ("V", "V"), ("+", "D"), ("+i", "R"))
 _PROCESS_SPATIAL_INPUTS = ("T", "B", "+", "+i")
 
 
-@memo()
 def _process_inputs() -> tuple:
     """(vecs, inputs_1q, inputs_2q): the 16 separable chip inputs
     |spatial> (x) |pol> as (16, 4) kets, spatial major (rows 4s to 4s + 3
@@ -672,7 +734,6 @@ def _process_inputs() -> tuple:
             np.einsum("ja,jb->jab", vecs, vecs.conj()))
 
 
-@memo()
 def _chi_ideal(n: int, frame: str) -> np.ndarray:
     """The chi matrix of the ideal process of `frame`: on the momentum
     qubit (n = 1) the identity (relabeled) or a bit flip (raw); on both
@@ -695,6 +756,17 @@ def _momentum_chis(s: np.ndarray, vecs: np.ndarray, frame: str) -> np.ndarray:
     return tm.process_tomo_stack(_process_inputs()[1], red.reshape(-1, 4, 2, 2), 1)
 
 
+@memo(_EXACT_KEYS)
+def _process_tomo_exact(decl: nl.ChipDecl, frame: str) -> tuple:
+    """The exact half of `run_process_tomography` on the chip `decl`: the
+    (4, 4, 4) chi matrices of the four spatial inputs in `frame`
+    (`_momentum_chis`), their process fidelities with the frame's ideal
+    and their purities."""
+    chis = _momentum_chis(nl.compile_chip(decl).superoperator, _process_inputs()[0], frame)
+    return (chis, tm.process_fidelity_stack(chis, _chi_ideal(1, frame)),
+            tm.process_purity_stack(chis))
+
+
 def run_process_tomography(cfg: ExperimentConfig) -> Report:
     """Single-qubit chi-matrix tomography for the four spatial input modes.
 
@@ -707,9 +779,7 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
     in one `_exact_outputs` call, and the four chi matrices come from one
     `process_tomo_stack` call (`_momentum_chis`).
     """
-    chis = _momentum_chis(cfg.chip(0).superoperator, _process_inputs()[0], cfg.logical_frame)
-    fids = tm.process_fidelity_stack(chis, _chi_ideal(1, cfg.logical_frame))
-    purities = tm.process_purity_stack(chis)
+    chis, fids, purities = _process_tomo_exact(cfg.chip_decl(0), cfg.logical_frame)
     per_input = {
         spatial: {"process_fidelity": float(f), "process_purity": float(p),
                   "chi_real": chi.real.tolist(), "chi_imag": chi.imag.tolist()}
@@ -726,16 +796,25 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
     return Report("tomo-process", payload)
 
 
+@memo(_EXACT_KEYS)
+def _process_tomo_2q_exact(decl: nl.ChipDecl, frame: str) -> tuple:
+    """The exact half of `run_process_tomography_2q` on the chip `decl`:
+    the (16, 16) chi matrix in `frame` of its 16 separable inputs' outputs,
+    its process fidelity with the frame's ideal and its purity."""
+    vecs, _, inputs_2q = _process_inputs()
+    outs = _exact_outputs(nl.compile_chip(decl).superoperator, vecs, frame)
+    chi = tm.process_tomo_stack(inputs_2q, outs[None], 2)[0]
+    return (chi, float(tm.process_fidelity_stack(chi, _chi_ideal(2, frame))),
+            float(tm.process_purity_stack(chi)))
+
+
 def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
     """Two-qubit chi matrix of the full chip over 16 separable inputs."""
-    vecs, _, inputs_2q = _process_inputs()
-    outs = _exact_outputs(cfg.chip(0).superoperator, vecs, cfg.logical_frame)
-    chi = tm.process_tomo_stack(inputs_2q, outs[None], 2)[0]
-    chi_ideal = _chi_ideal(2, cfg.logical_frame)
+    chi, fidelity, purity = _process_tomo_2q_exact(cfg.chip_decl(0), cfg.logical_frame)
     payload = {
         "frame": cfg.logical_frame,
-        "process_fidelity": float(tm.process_fidelity_stack(chi, chi_ideal)),
-        "process_purity": float(tm.process_purity_stack(chi)),
+        "process_fidelity": fidelity,
+        "process_purity": purity,
         "chi_real": chi.real.tolist(),
         "chi_imag": chi.imag.tolist(),
     }
@@ -769,6 +848,23 @@ _DEFAULT_SWEEP = {
 }
 
 
+@memo(_EXACT_KEYS)
+def _sweep_exact(decl: nl.ChipDecl, points: tuple, edit: bool) -> tuple:
+    """The exact half of `run_error_budget`: the canonical netlist text of
+    the baseline `decl`, and the truth-table fidelities and T-input process
+    fidelities of the chips at `points`, (axis, value) pairs.  With `edit`
+    each point's chip is `decl` with the axis's field replaced
+    (`edit_chip_field`), else `decl` itself."""
+    if edit:
+        s = np.array([nl.compile_chip(edit_chip_field(decl, _SWEEP_AXES[axis], v))
+                      .superoperator for axis, v in points])
+    else:
+        s = np.repeat(nl.compile_chip(decl).superoperator[None], len(points), axis=0)
+    chis = _momentum_chis(s, _process_inputs()[0][:4], "relabeled")
+    return (nl.format_netlist(nl.NetlistAst((decl,))), _table_fidelities(s),
+            tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled")))
+
+
 def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report:
     """Noiseless sensitivity table over imperfection-parameter grids.
 
@@ -787,8 +883,9 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     fidelity of the T-input momentum qubit with the identity (relabeled
     frame) are tabulated: the G chips' superoperators are stacked, and all
     truth tables, T-input outputs (validated once) and chi matrices (one
-    `process_tomo_stack` solve, `_momentum_chis`) are read off that stack.
-    The payload's `baseline` is the baseline chip's canonical netlist text.
+    `process_tomo_stack` solve, `_momentum_chis`) are read off that stack,
+    once per baseline declaration and points (`_sweep_exact`).  The
+    payload's `baseline` is the baseline chip's canonical netlist text.
     """
     if sweep is None:
         sweep = _DEFAULT_SWEEP
@@ -804,19 +901,10 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     points = [(axis, float(v)) for axis, values in sorted(sweep.items()) for v in values]
     for axis, v in points:
         check_value(_SWEEP_AXES[axis], "float", v)
-    base = cfg.chips[0]
-    decl = base.to_netlist()
-    if base.netlist_path is not None:
-        s = np.repeat(nl.compile_chip(decl).superoperator[None], len(points), axis=0)
-    else:
-        s = np.array([nl.compile_chip(edit_chip_field(decl, _SWEEP_AXES[axis], v))
-                      .superoperator for axis, v in points])
-    f_tt = _table_fidelities(s)
-    chis = _momentum_chis(s, _process_inputs()[0][:4], "relabeled")
-    f_chi = tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled"))
+    baseline, f_tt, f_chi = _sweep_exact(cfg.chip_decl(0), tuple(points),
+                                         cfg.chips[0].netlist_path is None)
     results = [{"axis": axis, "value": v, "truth_table_fidelity": float(tt),
                 "process_fidelity_T": float(chi)}
                for (axis, v), tt, chi in zip(points, f_tt, f_chi)]
-    baseline = nl.format_netlist(nl.NetlistAst((decl,)))
     payload = {"frame": cfg.logical_frame, "baseline": baseline, "grid": results}
     return Report("sweep", payload)

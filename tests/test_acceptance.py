@@ -203,7 +203,7 @@ def test_criterion_07_hom():
     # (a) source-only dip floor
     cfg = _calibrated(n_trials=1)
     src_cfg = replace(cfg, hom_input="source", fpc_mode="ideal")
-    overlap = bp.exchange_overlap(ex._hom_joint(src_cfg))
+    overlap = bp.exchange_overlap(ex._hom_joint(None, src_cfg.hom_input, src_cfg.fpc_mode))
     tc_configured = src_cfg.source.coherence_time_ps
     floor = bp.hom_dip(overlap, 0.0, tc_configured)
     ok_a = floor <= 1e-9
@@ -224,8 +224,8 @@ def test_criterion_07_hom():
 def _bell_fidelities(cfg):
     """Exact fidelity of each Bell label after chips 0 and 1 and the link."""
     labels = list(bp.BellLabel)
-    link = ex._bell_link(cfg, cfg.chip(0), cfg.chip(1))
-    rho, _ = ex._bell_polarization_stack(cfg, labels, link)
+    link = ex._bell_link(cfg.fiber_residual_rad, cfg.chip(0), cfg.chip(1))
+    rho, _ = ex._bell_polarization_stack(cfg.source.bell_visibility, labels, link)
     return qc.pure_fidelity_stack(rho, np.array([bp.bell_state_vector(l) for l in labels]))
 
 

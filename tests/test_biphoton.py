@@ -4,7 +4,7 @@ import pytest
 from swapsim import biphoton as bp
 from swapsim import experiments as ex
 from swapsim import qcore as qc
-from swapsim.config import ChipConfig, ExperimentConfig
+from swapsim.config import ChipConfig
 
 
 def ideal_chip_superoperator():
@@ -27,7 +27,7 @@ def bell_fidelity(joint, label):
 class TestSpdc:
     def test_state_structure(self):
         # the HOM runner's bare source pair, no polarization controller
-        joint = ex._hom_joint(ExperimentConfig(hom_input="source", fpc_mode="none"))
+        joint = ex._hom_joint(None, "source", "none")
         diag = np.diag(joint).real
         # |T_S V_S> (x) |B_I H_I> = index (0,1,1,0) -> 6
         assert diag[6] == pytest.approx(1.0)

@@ -589,6 +589,22 @@ class TestBadValues:
             "use a longer fringe_time_per_point_s\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("op", ["bell", "tomo-state"])
+    def test_a_tomography_run_that_counts_nothing_exits_1_with_one_line(self, op, tmp_path,
+                                                                       capsys):
+        # a positive time too short to count anything: a trial has no
+        # counts to normalise its linear estimate by, which once ended in a
+        # traceback
+        p = tmp_path / "cfg.json"
+        p.write_text('{"schema_version": 1, "integration_time_s": 1e-300}')
+        out = tmp_path / "out"
+        assert cli.dispatch([op, "--config", str(p), "--trials", "3",
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: cannot estimate the fidelity (a trial's pooled total counts are "
+            "not positive): use a longer integration_time_s\n")
+        assert not out.exists()
+
     def test_unfittable_hom_scan_exits_1_with_one_line(self, tmp_path, capsys):
         # 49 delays of 20 us each: too few counts to find the dip's wings
         p = tmp_path / "cfg.json"

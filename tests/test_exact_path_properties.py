@@ -40,7 +40,7 @@ from swapsim import experiments as ex
 from swapsim import netlist as nl
 from swapsim import qcore as qc
 from swapsim import tomography as tm
-from swapsim.config import ChipConfig, ConfigError, ExperimentConfig, SourceConfig
+from swapsim.config import ChipConfig, ConfigError, ExperimentConfig
 
 # derandomized: tier-1 runs the same examples every time
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -90,15 +90,20 @@ ANY_STMT = st.one_of(
 )
 
 
-def _compile(stmts) -> dv.ChipModel:
+def _declare(stmts) -> nl.ChipDecl:
     body = "\n".join("  " + s.format(name=f"s{i}") for i, s in enumerate(stmts))
-    return nl.compile_netlist(nl.parse(f"chip c {{\n  ports T, B;\n{body}\n}}\n"))
+    return nl.select_chip(nl.parse(f"chip c {{\n  ports T, B;\n{body}\n}}\n"))
+
+
+def _compile(stmts) -> dv.ChipModel:
+    return nl.compile_chip(_declare(stmts))
 
 
 # two depolarizing stages, one polarizer or loss, up to four more of any kind
-CHIPS = st.tuples(st.lists(DEPOL_STMT, min_size=2, max_size=2), LOSSY_STMT,
-                  st.lists(ANY_STMT, max_size=4)).flatmap(
-    lambda t: st.permutations([*t[0], t[1], *t[2]])).map(_compile)
+CHIP_DECLS = st.tuples(st.lists(DEPOL_STMT, min_size=2, max_size=2), LOSSY_STMT,
+                       st.lists(ANY_STMT, max_size=4)).flatmap(
+    lambda t: st.permutations([*t[0], t[1], *t[2]])).map(_declare)
+CHIPS = CHIP_DECLS.map(nl.compile_chip)
 
 
 def density_matrices(dim):
@@ -238,7 +243,7 @@ def lifted_both(rho: np.ndarray, ch: qc.QuantumChannel) -> np.ndarray:
 def test_bell_link_equals_sequential(chip1, chip2, label, visibility, residual):
     cfg = ExperimentConfig(fiber_residual_rad=residual)
     joint = bp.werner_joint_stack([label], visibility)
-    got = bp.apply_chip_both_stack(joint, ex._bell_link(cfg, chip1, chip2))[0]
+    got = bp.apply_chip_both_stack(joint, ex._bell_link(residual, chip1, chip2))[0]
     # both photons through chip 1, the fiber's residual rotation and chip 2:
     # six 16-dim applications
     rho = density(joint[0])
@@ -291,9 +296,8 @@ def test_two_photon_stack_equals_lifted_kraus(chip1, chip2, visibilities, residu
         np.testing.assert_array_equal(joint, werner_oracle(label, v))
     np.testing.assert_array_equal(bp.werner_joint_stack(labels, visibilities[0]),
                                   [werner_oracle(l, visibilities[0]) for l in labels])
-    cfg = ExperimentConfig(fiber_residual_rad=residual,
-                           source=SourceConfig(bell_visibility=visibilities[0]))
-    link = ex._bell_link(cfg, chip1, chip2)
+    cfg = ExperimentConfig(fiber_residual_rad=residual)
+    link = ex._bell_link(residual, chip1, chip2)
     stages = link_channels(cfg, chip1, chip2)
     assert len(stages[0].kraus) > 1  # depolarizing: several Kraus operators
     for s, channels in ((chip1.superoperator, stages[:1]), (link, stages)):
@@ -311,9 +315,9 @@ def test_two_photon_stack_equals_lifted_kraus(chip1, chip2, visibilities, residu
                 for l in labels]
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            ex._bell_polarization_stack(cfg, labels, link)
+            ex._bell_polarization_stack(visibilities[0], labels, link)
         return
-    blocks, probs = ex._bell_polarization_stack(cfg, labels, link)
+    blocks, probs = ex._bell_polarization_stack(visibilities[0], labels, link)
     for blk, p, (want_blk, want_p) in zip(blocks, probs, want):
         # heralding and the block's normalisation divide the rounding of the
         # link output by the sector probability
@@ -386,15 +390,16 @@ STATE_TOMO_INPUTS = [(sp, pol) for sp in ("T", "B", "+", "+i")
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(CHIPS, st.sampled_from(["raw", "relabeled"]))
-def test_state_tomography_reports_the_exact_output_state(chip, frame):
+@given(CHIP_DECLS, st.sampled_from(["raw", "relabeled"]))
+def test_state_tomography_reports_the_exact_output_state(decl, frame):
     # the reported state is the heralded, frame-mapped momentum state of
     # the per-state chain, and the exact fidelity its overlap with the
     # frame's target: the input polarization, bit-flipped in the raw frame
     cfg = ExperimentConfig(n_trials=1, logical_frame=frame)
+    chip = nl.compile_chip(decl)
     for spatial, pol in STATE_TOMO_INPUTS:
         vec = np.kron(qc.ket2("i" if spatial == "+i" else spatial), qc.ket2(pol))
-        with mock.patch.object(ExperimentConfig, "chip", lambda self, index=0: chip):
+        with mock.patch.object(ExperimentConfig, "chip_decl", lambda self, index=0: decl):
             try:
                 want, survival = output_state_oracle(chip, vec, frame, True)
             except ValueError as exc:
@@ -705,13 +710,13 @@ def _both_frames(f):
 
 
 @PROPERTY
-@given(CHIPS)
-def test_exact_fidelities_are_frame_invariant(chip):
+@given(CHIP_DECLS)
+def test_exact_fidelities_are_frame_invariant(decl):
     # the relabeled frame applies X (x) X to every output and compares with
     # the correspondingly relabeled ideal, so no fidelity may change
     def fidelities(frame):
         cfg = ExperimentConfig(n_trials=1, logical_frame=frame)
-        with mock.patch.object(ExperimentConfig, "chip", lambda self, index=0: chip):
+        with mock.patch.object(ExperimentConfig, "chip_decl", lambda self, index=0: decl):
             per_input = ex.run_process_tomography(cfg).payload["per_spatial_input"]
             two_qubit = ex.run_process_tomography_2q(cfg).payload["process_fidelity"]
             # the exact state fidelities alone: no counts are drawn

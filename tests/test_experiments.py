@@ -12,6 +12,13 @@ from swapsim.biphoton import BellLabel
 from swapsim.config import ChipConfig, ConfigError, ExperimentConfig
 
 
+def _clear_memos():
+    """Empty every memo of the registry: a test that counts kernel calls
+    runs the exact halves, which a warm process would not run again."""
+    for cached in MEMOS.values():
+        cached.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def calibrated():
     return ExperimentConfig.measured_chip(n_trials=8, rng_seed=5)
@@ -146,7 +153,8 @@ class TestHom:
     def zero_delay_coincidence(cfg):
         from swapsim import biphoton as bp
 
-        return bp.hom_dip(bp.exchange_overlap(ex._hom_joint(cfg)), 0.0,
+        return bp.hom_dip(bp.exchange_overlap(ex._hom_joint(
+            cfg.chip(0).superoperator, cfg.hom_input, cfg.fpc_mode)), 0.0,
                           cfg.source.coherence_time_ps)
 
     def test_source_only_perfect_dip(self, ideal):
@@ -200,8 +208,8 @@ class TestBell:
         cfg = replace(ideal, n_trials=1,
                       source=ideal.source.__class__(bell_visibility=1.0))
         labels = list(BellLabel)
-        rho, _ = ex._bell_polarization_stack(cfg, labels,
-                                             ex._bell_link(cfg, cfg.chip(0), cfg.chip(1)))
+        link = ex._bell_link(cfg.fiber_residual_rad, cfg.chip(0), cfg.chip(1))
+        rho, _ = ex._bell_polarization_stack(cfg.source.bell_visibility, labels, link)
         for r, label in zip(rho, labels):
             vec = bp.bell_state_vector(label)
             ideal_dm = density(np.outer(vec, vec.conj()))
@@ -314,8 +322,7 @@ class TestErrorBudget:
                             lambda chip: built.append(chip.label) or post_init(chip))
         second = ex.run_error_budget(calibrated)
         assert built == []
-        for cached in MEMOS.values():
-            cached.cache_clear()
+        _clear_memos()
         cold = ex.run_error_budget(calibrated)
         # the baseline and the 19 grid points: 4 points are the baseline chip
         assert len(built) == 16
@@ -441,6 +448,7 @@ class TestBellAllLabels:
     def test_each_chip_compiled_once(self, calibrated, monkeypatch):
         from swapsim import netlist as nl
 
+        _clear_memos()
         compiled = []
         compile_chip = nl.compile_chip
         monkeypatch.setattr(nl, "compile_chip",
@@ -495,6 +503,7 @@ class TestStackedEstimators:
         # process tomography and the sweep propagate all their inputs in one
         # batch, validated once as a stack: one validation per run, of all
         # 16 inputs, or of the 4 T inputs of all 19 default grid points
+        _clear_memos()
         checked = []
         validate = ex.heralded_normalize_stack
         monkeypatch.setattr(ex, "heralded_normalize_stack",
@@ -507,6 +516,7 @@ class TestStackedEstimators:
     def test_runners_read_the_superoperator(self, cfg, monkeypatch):
         # every runner reads each chip's superoperator, and a default sweep
         # solves for the chi matrices of its whole grid at once
+        _clear_memos()
         calls = []
 
         def spy(name, f):
@@ -533,6 +543,7 @@ class TestStackedEstimators:
         # at the boundary; each label's counts come from its own run path,
         # and the fidelities of all labels come from one linear_fidelity_stack
         # call
+        _clear_memos()
         checked, paths, shapes = [], [], []
         validate = ex.heralded_normalize_stack
         monkeypatch.setattr(ex, "heralded_normalize_stack",
@@ -573,6 +584,7 @@ class TestStackedEstimators:
         from swapsim import biphoton as bp
         from swapsim import tomography as tm
 
+        _clear_memos()
         fitted = []
         for module, name in ((bp, "hom_fit_stack"), (tm, "fringe_fit_stack")):
             kernel = getattr(module, name)

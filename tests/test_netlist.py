@@ -258,20 +258,27 @@ class TestCompile:
     def test_caches_stay_within_their_bounds(self):
         # more distinct texts, chips and configs than any bounded memo of
         # the registry holds: each chip is a text of its own, and so is each
-        # config; a bounded memo that this loop does not overfill fails here
+        # config, and each runner's exact half reads each chip; a bounded
+        # memo that this loop does not overfill fails here
         import importlib
 
         import swapsim
         from swapsim import config
+        from test_memo import EXACT_HALVES
 
         for name in swapsim._SUBMODULES:
             importlib.import_module(f"swapsim.{name}")
         bounds = {name: cached.cache_info().maxsize for name, cached in MEMOS.items()
                   if cached.cache_info().maxsize is not None}
+        exact_bound = max(bounds[name] for name in EXACT_HALVES)
         for i in range(0, 8 * (max(bounds.values()) + 1), 8):
             body = " ".join(f"loss l{j} (T) loss={j / 1000}dB;" for j in range(i, i + 8))
-            nl.compile_netlist(nl.parse(f"chip c {{ ports T, B; {body} }}"))
+            decl = nl.select_chip(nl.parse(f"chip c {{ ports T, B; {body} }}"))
+            nl.compile_chip(decl)
             config.load_config(f'{{"schema_version": 1, "rng_seed": {i}}}')
+            if i <= 8 * exact_bound:  # an exact half costs more: fill it just past its bound
+                for name, args in EXACT_HALVES.items():
+                    MEMOS[name](*args(decl))
         assert {name: MEMOS[name].cache_info().currsize for name in bounds} == bounds
 
     def test_each_distinct_chip_compiled_once(self):
