@@ -147,7 +147,6 @@ _DOMAINS = {
     "integration_time_s": _POSITIVE,
     "background_rate_hz": (lambda v: v >= 0, ">= 0"),
     "n_trials": (lambda v: v >= 1, ">= 1"),
-    "logical_frame": ("raw", "relabeled"),
     "fringe_port": ("T", "B"),
     "fringe_time_per_point_s": _POSITIVE,
     "hom_input": ("TV_BH", "TH_BV", "source"),
@@ -259,7 +258,6 @@ class ExperimentConfig:
     background_rate_hz: float = 0.0
     n_trials: int = 100
     rng_seed: int = 1
-    logical_frame: str = "raw"
     source: SourceConfig = field(default_factory=SourceConfig)
     # experiment-specific knobs
     fringe_port: str = "T"
@@ -362,7 +360,9 @@ def load_config(path_or_text) -> ExperimentConfig:
     and `lambda_signal_nm` keys of older schema-1 documents never had an
     effect and are dropped (the fiber's seeded rotation was compensated
     exactly), and so is their source's Gaussian dip shape: the HOM
-    dip is always Gaussian, and any other shape is a `ConfigError`.  A file
+    dip is always Gaussian, and any other shape is a `ConfigError`.  Their
+    frame key is dropped too when it names the raw frame: reports are in
+    the raw frame, and any other frame is a `ConfigError`.  A file
     is read on every call, so an edited file gives the new config; its text
     is decoded once per process (`_decode`).
     """
@@ -393,6 +393,9 @@ def _decode(text: str, base_dir: Path | None) -> ExperimentConfig:
         raise ConfigError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
     data.pop("wavelength_nm", None)
     data.pop("fiber_seed", None)
+    if (frame := data.pop("logical_frame", "raw")) != "raw":
+        raise ConfigError(f'reports are in the raw frame: logical_frame must be "raw", got '
+                          f'{frame!r} (README "Physical model" relabels with xx @ rho @ xx)')
     chips = data.pop("chips", [])
     if not isinstance(chips, list):
         raise ConfigError(f"chips must be a JSON list, got {chips!r}")

@@ -60,7 +60,6 @@ __all__ = [
     "mzi_projector",
     "facet_channel",
     "BS_5050",
-    "logical_frame_stack",
     "ideal_swap_unitary",
     "swap_unitary",
 ]
@@ -347,7 +346,6 @@ class ChipModel:
 
 
 _XX = np.kron(PAULI_X, PAULI_X)
-_X2 = PAULI_X
 
 
 def swap_unitary() -> np.ndarray:
@@ -358,21 +356,3 @@ def swap_unitary() -> np.ndarray:
 def ideal_swap_unitary() -> np.ndarray:
     """The chip's ideal composed operator (X (x) X) . SWAP."""
     return _XX @ swap_unitary()
-
-
-def logical_frame_stack(m: np.ndarray, frame: str) -> np.ndarray:
-    """Map chip outputs `m` (shape (..., d, d), d = 2 or 4) into the
-    requested logical frame, plain arrays in and out.
-
-    "raw" leaves the states untouched; "relabeled" applies X (x) X (dim 4) or
-    X (dim 2) so that the ideal chip action reads as a pure SWAP / identity.
-    """
-    if frame == "raw":
-        return m
-    if frame != "relabeled":
-        raise ValueError(f"unknown logical frame {frame!r}")
-    op = {4: _XX, 2: _X2}.get(m.shape[-1])
-    if op is None:
-        raise ValueError("logical frame applies to dim-2 or dim-4 states")
-    return op @ m @ op
-

@@ -66,9 +66,7 @@ from .devices import (
     BS_5050,
     ChipModel,
     ideal_swap_unitary,
-    logical_frame_stack,
     mzi_projector,
-    swap_unitary,
 )
 from .qcore import (
     PAULI_X,
@@ -225,10 +223,7 @@ def _truth_tables(s: np.ndarray) -> np.ndarray:
 
 
 def _table_fidelities(s: np.ndarray) -> np.ndarray:
-    """Truth-table fidelity of the chip(s) with superoperator `s`.  It is
-    the same in both logical frames: the relabeled frame applies X (x) X to
-    each output, which reads output i as 3 - i, and compares with the ideal
-    table relabeled alike, so it sums the same entries."""
+    """Truth-table fidelity of the chip(s) with superoperator `s`."""
     return tm.truth_table_fidelity_stack(tm.column_normalize_stack(_truth_tables(s)),
                                          tm.ideal_truth_table())
 
@@ -243,8 +238,7 @@ def truth_table_fidelity_exact(chip: ChipModel) -> float:
 
 def _counts_fidelity(counts: np.ndarray, bg_counts: float) -> np.ndarray:
     """Truth-table fidelity of each trial's background-subtracted counts,
-    `counts` of shape (n_trials, 4, 4), the same in both frames
-    (`_table_fidelities`)."""
+    `counts` of shape (n_trials, 4, 4)."""
     net = np.maximum(counts - bg_counts, 0.0)
     # a column with no surviving counts carries no information: uniform
     trial, col = np.nonzero(net.sum(axis=1) == 0)
@@ -270,7 +264,6 @@ def run_truth_table(cfg: ExperimentConfig) -> Report:
     [mc] = _monte_carlo(cfg, [("truth-table",)], probs[None], cfg.integration_time_s / 16.0,
                         estimate)
     payload = {
-        "frame": cfg.logical_frame,
         "fidelity_exact": truth_table_fidelity_exact(chip),
         "exact_probabilities": probs.tolist(),
         "column_survival": probs.sum(axis=0).tolist(),
@@ -569,11 +562,13 @@ def _bell_runs(cfg: ExperimentConfig, labels) -> list:
     label), in `_TOMO_2Q_PAIRS` order, which `first_trial_settings` names
     ("q1,q2").  The Monte Carlo fidelity is that of the linear estimate of
     each trial's background-subtracted, unclipped counts, for all labels in
-    one `tm.linear_fidelity_stack` call.
+    one `tm.linear_fidelity_stack` call.  A chip that serves as both is
+    read or lowered once.
     """
+    decl1 = cfg.chip_decl(0)
+    decl2 = decl1 if cfg.chips[-1] == cfg.chips[0] else cfg.chip_decl(1)
     chip2_f, rho_pol, success_p, targets, f_exact, probs = _bell_exact(
-        cfg.chip_decl(0), cfg.chip_decl(1), cfg.fiber_residual_rad,
-        cfg.source.bell_visibility, tuple(labels))
+        decl1, decl2, cfg.fiber_residual_rad, cfg.source.bell_visibility, tuple(labels))
 
     def estimate(counts, bg_counts):
         f_mc = _linear_fidelity(counts[..., _TOMO_2Q_GRID_COLUMNS] - bg_counts, targets)
@@ -634,20 +629,19 @@ def _vec_states(vecs: np.ndarray) -> np.ndarray:
     return (vecs[:, :, None] * vecs.conj()[:, None, :]).reshape(len(vecs), 16)
 
 
-def _exact_outputs(s: np.ndarray, vecs: np.ndarray, frame: str,
+def _exact_outputs(s: np.ndarray, vecs: np.ndarray,
                    trace_polarization: bool = False) -> np.ndarray:
-    """Heralded outputs S vec(rho) of the pure inputs `vecs` (J, 4), in
-    `frame`, of the chip(s) with superoperator `s` (..., 16, 16), in one
-    product.  They are validated once, as a stack, and renormalized
-    (`heralded_normalize_stack`, which raises on a vacuum output).  Returns
-    (..., J, 4, 4) states, or with `trace_polarization` the (..., J, 2, 2)
-    spatial-momentum states.
+    """Heralded outputs S vec(rho) of the pure inputs `vecs` (J, 4) of the
+    chip(s) with superoperator `s` (..., 16, 16), in one product.  They are
+    validated once, as a stack, and renormalized (`heralded_normalize_stack`,
+    which raises on a vacuum output).  Returns (..., J, 4, 4) states, or
+    with `trace_polarization` the (..., J, 2, 2) spatial-momentum states.
     """
     out = (_vec_states(vecs) @ np.swapaxes(s, -1, -2)).reshape(*s.shape[:-2], len(vecs), 4, 4)
     out, _ = heralded_normalize_stack(out)
     if trace_polarization:
         out = np.trace(out.reshape(*out.shape[:-2], 2, 2, 2, 2), axis1=-3, axis2=-1)
-    return logical_frame_stack(out, frame)
+    return out
 
 
 def _mzi_povms() -> np.ndarray:
@@ -665,18 +659,16 @@ def _mzi_probabilities(rho2: np.ndarray) -> np.ndarray:
 
 
 @memo(_EXACT_KEYS)
-def _state_tomo_exact(decl: nl.ChipDecl, frame: str, spatial_input: str,
-                      pol_label: str) -> tuple:
+def _state_tomo_exact(decl: nl.ChipDecl, spatial_input: str, pol_label: str) -> tuple:
     """The exact half of `run_state_tomography` on the chip `decl`: the
-    heralded momentum state in `frame` of the input |spatial_input> (x)
-    |pol_label> (`_exact_outputs`), the (1, 6) detection probabilities of
-    its MZI settings, the fidelity target and the state's fidelity with
-    it."""
+    heralded momentum state of the input |spatial_input> (x) |pol_label>
+    (`_exact_outputs`), the (1, 6) detection probabilities of its MZI
+    settings, the fidelity target and the state's fidelity with it."""
     pol = ket2(pol_label)
     vec = np.kron(_spatial_ket(spatial_input), pol)
-    red = _exact_outputs(nl.compile_chip(decl).superoperator, vec[None], frame,
+    red = _exact_outputs(nl.compile_chip(decl).superoperator, vec[None],
                          trace_polarization=True)
-    target = pol if frame == "relabeled" else PAULI_X @ pol
+    target = PAULI_X @ pol
     return red[0], _mzi_probabilities(red), target, float(pure_fidelity_stack(red[0], target))
 
 
@@ -687,16 +679,14 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     The reported state and the exact fidelity are those of the heralded
     momentum state itself (`_exact_outputs`); the counts of the six MZI
     settings are drawn from its detection probabilities, in
-    `tm.MOMENTUM_LABELS` order (`first_trial_settings`).  In the relabeled
-    frame the fidelity target is the input polarization state itself; in
-    the raw frame it is that state with the bit flipped (the ideal chip
-    maps pol value p to momentum value NOT p).  The two frames give
-    identical fidelities, only the reported state differs.  The Monte
-    Carlo fidelity is that of the linear estimate of each trial's
+    `tm.MOMENTUM_LABELS` order (`first_trial_settings`).  The fidelity
+    target is the input polarization state with the bit flipped (the ideal
+    chip maps pol value p to momentum value NOT p).  The Monte Carlo
+    fidelity is that of the linear estimate of each trial's
     background-subtracted, unclipped counts (`tm.linear_fidelity_stack`).
     """
     rho_exact, setting_p, target, fidelity = _state_tomo_exact(
-        cfg.chip_decl(0), cfg.logical_frame, spatial_input, pol_label)
+        cfg.chip_decl(0), spatial_input, pol_label)
 
     def estimate(counts, bg_counts):
         return [({"fidelity_mc": _linear_fidelity(counts - bg_counts, target[None])[0]}, {})]
@@ -706,7 +696,6 @@ def run_state_tomography(cfg: ExperimentConfig, spatial_input: str = "T",
     payload = {
         "spatial_input": spatial_input,
         "polarization_input": pol_label,
-        "frame": cfg.logical_frame,
         "fidelity_exact": fidelity,
         "setting_probabilities": {k: float(v) for k, v in
                                   sorted(zip(tm.MOMENTUM_LABELS, setting_p[0]))},
@@ -734,36 +723,29 @@ def _process_inputs() -> tuple:
             np.einsum("ja,jb->jab", vecs, vecs.conj()))
 
 
-def _chi_ideal(n: int, frame: str) -> np.ndarray:
-    """The chi matrix of the ideal process of `frame`: on the momentum
-    qubit (n = 1) the identity (relabeled) or a bit flip (raw); on both
-    qubits (n = 2) SWAP (relabeled) or (X (x) X) SWAP (raw)."""
-    if n == 1:
-        u = np.eye(2, dtype=complex) if frame == "relabeled" else PAULI_X
-    else:
-        u = swap_unitary() if frame == "relabeled" else ideal_swap_unitary()
-    return tm.chi_from_unitary(u)
+def _chi_ideal(n: int) -> np.ndarray:
+    """The chi matrix of the ideal process: on the momentum qubit (n = 1) a
+    bit flip, on both qubits (n = 2) (X (x) X) SWAP."""
+    return tm.chi_from_unitary(PAULI_X if n == 1 else ideal_swap_unitary())
 
 
-def _momentum_chis(s: np.ndarray, vecs: np.ndarray, frame: str) -> np.ndarray:
+def _momentum_chis(s: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """The one-qubit chi matrices, polarization in and momentum out, of the
     chip(s) with superoperator `s` (..., 16, 16): the heralded momentum
-    outputs in `frame` of the inputs `vecs`, whose every four rows are the
-    polarization inputs of one spatial input, through one
-    `process_tomo_stack` solve; shape (G, 4, 4), one chi per four rows per
-    chip."""
-    red = _exact_outputs(s, vecs, frame, trace_polarization=True)
+    outputs of the inputs `vecs`, whose every four rows are the polarization
+    inputs of one spatial input, through one `process_tomo_stack` solve;
+    shape (G, 4, 4), one chi per four rows per chip."""
+    red = _exact_outputs(s, vecs, trace_polarization=True)
     return tm.process_tomo_stack(_process_inputs()[1], red.reshape(-1, 4, 2, 2), 1)
 
 
 @memo(_EXACT_KEYS)
-def _process_tomo_exact(decl: nl.ChipDecl, frame: str) -> tuple:
+def _process_tomo_exact(decl: nl.ChipDecl) -> tuple:
     """The exact half of `run_process_tomography` on the chip `decl`: the
-    (4, 4, 4) chi matrices of the four spatial inputs in `frame`
-    (`_momentum_chis`), their process fidelities with the frame's ideal
-    and their purities."""
-    chis = _momentum_chis(nl.compile_chip(decl).superoperator, _process_inputs()[0], frame)
-    return (chis, tm.process_fidelity_stack(chis, _chi_ideal(1, frame)),
+    (4, 4, 4) chi matrices of the four spatial inputs (`_momentum_chis`),
+    their process fidelities with the ideal bit flip and their purities."""
+    chis = _momentum_chis(nl.compile_chip(decl).superoperator, _process_inputs()[0])
+    return (chis, tm.process_fidelity_stack(chis, _chi_ideal(1)),
             tm.process_purity_stack(chis))
 
 
@@ -773,13 +755,11 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
     The polarization qubit is prepared in |0>, |1>, |+>, |+i>; the chi
     matrix of each spatial input is solved from the heralded output
     spatial-momentum states themselves (infinite counts) and compared
-    against the frame's ideal: the identity in the relabeled frame, a bit
-    flip in the raw frame (the fidelity and purity values agree between
-    frames, only chi itself is conjugated).  All 16 inputs are propagated
-    in one `_exact_outputs` call, and the four chi matrices come from one
+    against the ideal bit flip.  All 16 inputs are propagated in one
+    `_exact_outputs` call, and the four chi matrices come from one
     `process_tomo_stack` call (`_momentum_chis`).
     """
-    chis, fids, purities = _process_tomo_exact(cfg.chip_decl(0), cfg.logical_frame)
+    chis, fids, purities = _process_tomo_exact(cfg.chip_decl(0))
     per_input = {
         spatial: {"process_fidelity": float(f), "process_purity": float(p),
                   "chi_real": chi.real.tolist(), "chi_imag": chi.imag.tolist()}
@@ -787,7 +767,6 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
     f_avg = float(np.mean([v["process_fidelity"] for v in per_input.values()]))
     p_avg = float(np.mean([v["process_purity"] for v in per_input.values()]))
     payload = {
-        "frame": cfg.logical_frame,
         "inputs": [lbl for lbl, _ in _PROCESS_INPUT_POLS],
         "per_spatial_input": per_input,
         "process_fidelity_avg": f_avg,
@@ -797,22 +776,21 @@ def run_process_tomography(cfg: ExperimentConfig) -> Report:
 
 
 @memo(_EXACT_KEYS)
-def _process_tomo_2q_exact(decl: nl.ChipDecl, frame: str) -> tuple:
+def _process_tomo_2q_exact(decl: nl.ChipDecl) -> tuple:
     """The exact half of `run_process_tomography_2q` on the chip `decl`:
-    the (16, 16) chi matrix in `frame` of its 16 separable inputs' outputs,
-    its process fidelity with the frame's ideal and its purity."""
+    the (16, 16) chi matrix of its 16 separable inputs' outputs, its
+    process fidelity with the ideal (X (x) X) SWAP and its purity."""
     vecs, _, inputs_2q = _process_inputs()
-    outs = _exact_outputs(nl.compile_chip(decl).superoperator, vecs, frame)
+    outs = _exact_outputs(nl.compile_chip(decl).superoperator, vecs)
     chi = tm.process_tomo_stack(inputs_2q, outs[None], 2)[0]
-    return (chi, float(tm.process_fidelity_stack(chi, _chi_ideal(2, frame))),
+    return (chi, float(tm.process_fidelity_stack(chi, _chi_ideal(2))),
             float(tm.process_purity_stack(chi)))
 
 
 def run_process_tomography_2q(cfg: ExperimentConfig) -> Report:
     """Two-qubit chi matrix of the full chip over 16 separable inputs."""
-    chi, fidelity, purity = _process_tomo_2q_exact(cfg.chip_decl(0), cfg.logical_frame)
+    chi, fidelity, purity = _process_tomo_2q_exact(cfg.chip_decl(0))
     payload = {
-        "frame": cfg.logical_frame,
         "process_fidelity": fidelity,
         "process_purity": purity,
         "chi_real": chi.real.tolist(),
@@ -860,9 +838,9 @@ def _sweep_exact(decl: nl.ChipDecl, points: tuple, edit: bool) -> tuple:
                       .superoperator for axis, v in points])
     else:
         s = np.repeat(nl.compile_chip(decl).superoperator[None], len(points), axis=0)
-    chis = _momentum_chis(s, _process_inputs()[0][:4], "relabeled")
+    chis = _momentum_chis(s, _process_inputs()[0][:4])
     return (nl.format_netlist(nl.NetlistAst((decl,))), _table_fidelities(s),
-            tm.process_fidelity_stack(chis, _chi_ideal(1, "relabeled")))
+            tm.process_fidelity_stack(chis, _chi_ideal(1)))
 
 
 def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report:
@@ -879,13 +857,13 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     replaced config.  A netlist baseline is not edited yet: it sets none of
     the inline parameters an axis varies, so its chip is read and compiled
     once, each of its points is that chip, and its rows are flat.
-    Truth-table fidelity (the same in both frames) and the process
-    fidelity of the T-input momentum qubit with the identity (relabeled
-    frame) are tabulated: the G chips' superoperators are stacked, and all
-    truth tables, T-input outputs (validated once) and chi matrices (one
-    `process_tomo_stack` solve, `_momentum_chis`) are read off that stack,
-    once per baseline declaration and points (`_sweep_exact`).  The
-    payload's `baseline` is the baseline chip's canonical netlist text.
+    Truth-table fidelity and the process fidelity of the T-input momentum
+    qubit with the ideal bit flip are tabulated: the G chips'
+    superoperators are stacked, and all truth tables, T-input outputs
+    (validated once) and chi matrices (one `process_tomo_stack` solve,
+    `_momentum_chis`) are read off that stack, once per baseline
+    declaration and points (`_sweep_exact`).  The payload's `baseline` is
+    the baseline chip's canonical netlist text.
     """
     if sweep is None:
         sweep = _DEFAULT_SWEEP
@@ -906,5 +884,5 @@ def run_error_budget(cfg: ExperimentConfig, sweep: dict | None = None) -> Report
     results = [{"axis": axis, "value": v, "truth_table_fidelity": float(tt),
                 "process_fidelity_T": float(chi)}
                for (axis, v), tt, chi in zip(points, f_tt, f_chi)]
-    payload = {"frame": cfg.logical_frame, "baseline": baseline, "grid": results}
+    payload = {"baseline": baseline, "grid": results}
     return Report("sweep", payload)

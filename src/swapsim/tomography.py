@@ -57,19 +57,12 @@ def column_normalize_stack(m: np.ndarray) -> np.ndarray:
     return m / sums
 
 
-def ideal_truth_table(frame: str = "raw") -> np.ndarray:
-    """Ideal SWAP-chip 0/1 table (4, 4), columns indexed by input: raw
-    frame {00->11, 01->01, 10->10, 11->00}, relabeled frame {00->00,
-    01->10, 10->01, 11->11}."""
+def ideal_truth_table() -> np.ndarray:
+    """Ideal SWAP-chip 0/1 table (4, 4), columns indexed by input:
+    {00->11, 01->01, 10->10, 11->00}."""
     m = np.zeros((4, 4))
-    if frame == "raw":
-        for j, i in enumerate((3, 1, 2, 0)):
-            m[i, j] = 1.0
-    elif frame == "relabeled":
-        for j, i in enumerate((0, 2, 1, 3)):
-            m[i, j] = 1.0
-    else:
-        raise ValueError(f"unknown frame {frame!r}")
+    for j, i in enumerate((3, 1, 2, 0)):
+        m[i, j] = 1.0
     return m
 
 

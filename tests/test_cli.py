@@ -372,6 +372,25 @@ class TestChipPaths:
         assert (cfg.rng_seed, cfg.n_trials, cfg.fringe_port) == (3, 1, "B")
         assert cfg.chips == (ChipConfig(netlist_path=str(netlist_file)),) * 2
 
+    @pytest.mark.parametrize("source", ["netlist", "inline"])
+    def test_bell_reads_its_one_chip_once(self, source, netlist_file, tmp_path, monkeypatch):
+        # one chip serves as both of the link: a netlist file is read, and an
+        # inline chip lowered, once per call, cold and warm
+        _clear_caches()
+        reads, lowerings = [], []
+        read_text, to_netlist = Path.read_text, ChipConfig.to_netlist
+        monkeypatch.setattr(Path, "read_text", lambda p, *a, **k: (
+            p == netlist_file and reads.append(p)) or read_text(p, *a, **k))
+        monkeypatch.setattr(ChipConfig, "to_netlist",
+                            lambda c: lowerings.append(c) or to_netlist(c))
+        chip_args = ["--netlist", str(netlist_file)] if source == "netlist" else []
+        for seed in (1, 2):
+            reads.clear()
+            lowerings.clear()
+            assert cli.dispatch(["bell", *chip_args, "--trials", "1", "--seed", str(seed),
+                                 "--out", str(tmp_path / f"out{seed}")]) == 0
+            assert (len(reads), len(lowerings)) == (int(source == "netlist"), 1)
+
     def test_config_json_is_the_line_config_hash_hashes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(REPO)
         out = tmp_path / "out"
@@ -520,6 +539,7 @@ class TestBadValues:
         ("experiment", "rng_seed", 7.0),
         ("source", "bell_visibility", float("nan")),
         ("source", "dip_shape", "triangular"),
+        ("experiment", "logical_frame", "relabeled"),
     ])
     def test_bad_number_exits_1_with_one_line(self, where, key, value, tmp_path, capsys):
         doc = json.loads(dump_config(ExperimentConfig.measured_chip()))

@@ -198,6 +198,28 @@ class TestLegacyKeys:
         assert str(info.value) == (
             f'the HOM dip is Gaussian: dip_shape must be "gaussian", got {shape!r}')
 
+    @pytest.mark.parametrize("preset", [ExperimentConfig, ExperimentConfig.measured_chip])
+    def test_raw_logical_frame_of_older_documents_is_dropped(self, preset):
+        # every config.json written while the config had a logical_frame
+        # field holds it, and reports are in the raw frame
+        cfg = preset()
+        doc = json.loads(dump_config(cfg))
+        assert "logical_frame" not in doc
+        doc["logical_frame"] = "raw"
+        older = load_config(json.dumps(doc))
+        assert older == cfg
+        assert config_digest(older) == config_digest(cfg)
+
+    @pytest.mark.parametrize("frame", ["relabeled", "diagonal"])
+    def test_any_other_logical_frame_is_one_config_error(self, frame):
+        # a relabeled report would differ from a raw one, so it may not load as one
+        doc = json.dumps({"schema_version": 1, "logical_frame": frame})
+        with pytest.raises(ConfigError) as info:
+            load_config(doc)
+        assert str(info.value) == (
+            f'reports are in the raw frame: logical_frame must be "raw", got {frame!r} '
+            f'(README "Physical model" relabels with xx @ rho @ xx)')
+
     def test_unknown_key_still_rejected(self):
         with pytest.raises(ConfigError, match="bad experiment fields"):
             load_config(json.dumps({"schema_version": 1, "base_dir": "."}))
@@ -278,7 +300,6 @@ DOMAINS = {
     "integration_time_s": ("> 0", 0.0, 5e-324),
     "background_rate_hz": (">= 0", -1e-300, 0.0),
     "n_trials": (">= 1", 0, 1),
-    "logical_frame": ("one of 'raw', 'relabeled'", "diagonal", "relabeled"),
     "fringe_port": ("one of 'T', 'B'", "t", "B"),
     "fringe_time_per_point_s": ("> 0", -1.0, 5e-324),
     "hom_input": ("one of 'TV_BH', 'TH_BV', 'source'", "TV_HB", "source"),
@@ -399,7 +420,6 @@ def twin_configs(draw):
         "background_rate_hz": _numbers(0, 1e3),
         "n_trials": _same(st.integers(1, 1000)),
         "rng_seed": _same(st.integers(-2**63, 2**64)),
-        "logical_frame": _same(st.sampled_from(["raw", "relabeled"])),
         "fringe_port": _same(st.sampled_from(["T", "B"])),
         "fringe_output_polarizer": _same(st.booleans()),
         "hom_input": _same(st.sampled_from(["TV_BH", "TH_BV", "source"])),

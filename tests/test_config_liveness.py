@@ -27,8 +27,8 @@ REL = 1e-12
 # listed here steps by 1, and a flag is flipped
 CHANGED = {
     "pair_rate_hz": 6400.0, "integration_time_s": 320.0, "background_rate_hz": 4.0,
-    "logical_frame": "relabeled", "fringe_port": "B", "fringe_time_per_point_s": 60.0,
-    "hom_input": "TH_BV", "fpc_mode": "ideal", "fiber_residual_rad": 0.2,
+    "fringe_port": "B", "fringe_time_per_point_s": 60.0, "hom_input": "TH_BV",
+    "fpc_mode": "ideal", "fiber_residual_rad": 0.2,
     "coherence_time_ps": 5.0, "bell_visibility": 0.9,
     "pcnot_extinction_db": 25.0, "mcnot_extinction_db": 25.0,
     "pcnot_loss_imbalance_db": 0.9, "mcnot_loss_db_t": 2.0, "mcnot_loss_db_b": 1.0,

@@ -20,7 +20,7 @@ def test_demo_runs(path, capsys):
 
 
 def test_tomography_demo_chi_peaks_at_identity(capsys):
-    # the demo reads the T-input chi in the relabeled frame, where the
+    # the demo relabels the T-input chi by an X on the output, where the
     # ideal chip is the identity process: the printed Re(chi) is largest at II
     path = next(p for p in DEMOS if p.stem == "04_state_process_tomography")
     chi = runpy.run_path(str(path), run_name="__main__")["chi"]

@@ -25,10 +25,6 @@ def through(chip, rho):
     return density((chip.superoperator @ rho.reshape(16)).reshape(4, 4))
 
 
-def in_frame(rho, frame):
-    return density(dv.logical_frame_stack(rho, frame))
-
-
 def calibrated_chip():
     return ChipConfig(pcnot_extinction_db=18.0, mcnot_extinction_db=20.0,
                       pcnot_loss_imbalance_db=0.45, mcnot_loss_db_t=1.0).build()
@@ -258,29 +254,6 @@ class TestSwapChip:
 
 
 class TestLogicalFrame:
-    def test_relabel_recovers_input(self):
-        out = through(ideal_chip(), basis_rho(0))
-        rel = in_frame(out, "relabeled")
-        np.testing.assert_allclose(np.diag(rel).real, [1, 0, 0, 0], atol=1e-12)
-
-    def test_raw_untouched(self):
-        out = through(ideal_chip(), basis_rho(0))
-        raw = in_frame(out, "raw")
-        np.testing.assert_allclose(raw, out)
-
-    def test_relabel_twice_is_identity(self):
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = density((a @ a.conj().T) / np.trace(a @ a.conj().T).real)
-        twice = in_frame(in_frame(rho, "relabeled"), "relabeled")
-        np.testing.assert_allclose(twice, rho, atol=1e-14)
-
-    @pytest.mark.parametrize("frame", ["RELABELED", "Raw"])
-    def test_a_frame_has_one_spelling(self, frame):
-        # the config and the ideal truth tables know only the lowercase names
-        with pytest.raises(ValueError, match="unknown logical frame"):
-            dv.logical_frame_stack(basis_rho(0), frame)
-
     def test_relabeled_chip_equals_pure_swap_on_16_inputs(self):
         u = compose_channels(*ideal_chip().stages).kraus[0]
         swap = dv.swap_unitary()

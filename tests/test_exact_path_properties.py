@@ -17,8 +17,7 @@ tomography against single calls and the Choi matrix of S, and the batched
 error-budget grid against a per-point build and tomography.  `tomo-state`
 must report the per-state chain's output state and its overlap with the
 target, and a sweep row at the baseline must equal `tomo-process`'s
-T-input fidelity.  Every exact fidelity must also be the same in the raw
-and the relabeled frame.
+T-input fidelity.
 """
 
 import re
@@ -347,14 +346,14 @@ def herald(rho):
     return density(out[0]), float(survival[0])
 
 
-def output_state_oracle(chip, vec, frame, trace_polarization):
-    """One input at a time: stagewise chip, heralding, partial trace and
-    frame, each a validated density matrix; returns (state, survival)."""
+def output_state_oracle(chip, vec, trace_polarization):
+    """One input at a time: stagewise chip, heralding and partial trace,
+    each a validated density matrix; returns (state, survival)."""
     out = stagewise(chip, density(np.outer(vec, vec.conj())))
     out, survival = herald(out)
     if trace_polarization:
         out = partial_trace(out, [2, 2], [0])
-    return density(dv.logical_frame_stack(out, frame)), survival
+    return density(out), survival
 
 
 def momentum_probabilities_oracle(rho2):
@@ -364,16 +363,16 @@ def momentum_probabilities_oracle(rho2):
 
 
 @PROPERTY
-@given(CHIPS, st.sampled_from(["raw", "relabeled"]), st.booleans())
-def test_exact_outputs_equal_per_state_chain(chip, frame, trace_polarization):
+@given(CHIPS, st.booleans())
+def test_exact_outputs_equal_per_state_chain(chip, trace_polarization):
     try:
-        want = [output_state_oracle(chip, v, frame, trace_polarization) for v in SEPARABLE]
+        want = [output_state_oracle(chip, v, trace_polarization) for v in SEPARABLE]
     except ValueError as exc:
         assert str(exc).startswith("vacuum state")
         with pytest.raises(ValueError, match="^vacuum state"):
-            ex._exact_outputs(chip.superoperator, SEPARABLE, frame, trace_polarization)
+            ex._exact_outputs(chip.superoperator, SEPARABLE, trace_polarization)
         return
-    got = ex._exact_outputs(chip.superoperator, SEPARABLE, frame, trace_polarization)
+    got = ex._exact_outputs(chip.superoperator, SEPARABLE, trace_polarization)
     assert got.shape == ((16, 2, 2) if trace_polarization else (16, 4, 4))
     for g, (w, survival) in zip(got, want):
         # heralding divides the rounding of the chip output by the survival
@@ -390,18 +389,18 @@ STATE_TOMO_INPUTS = [(sp, pol) for sp in ("T", "B", "+", "+i")
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(CHIP_DECLS, st.sampled_from(["raw", "relabeled"]))
-def test_state_tomography_reports_the_exact_output_state(decl, frame):
-    # the reported state is the heralded, frame-mapped momentum state of
-    # the per-state chain, and the exact fidelity its overlap with the
-    # frame's target: the input polarization, bit-flipped in the raw frame
-    cfg = ExperimentConfig(n_trials=1, logical_frame=frame)
+@given(CHIP_DECLS)
+def test_state_tomography_reports_the_exact_output_state(decl):
+    # the reported state is the heralded momentum state of the per-state
+    # chain, and the exact fidelity its overlap with the target: the input
+    # polarization, bit-flipped
+    cfg = ExperimentConfig(n_trials=1)
     chip = nl.compile_chip(decl)
     for spatial, pol in STATE_TOMO_INPUTS:
         vec = np.kron(qc.ket2("i" if spatial == "+i" else spatial), qc.ket2(pol))
         with mock.patch.object(ExperimentConfig, "chip_decl", lambda self, index=0: decl):
             try:
-                want, survival = output_state_oracle(chip, vec, frame, True)
+                want, survival = output_state_oracle(chip, vec, True)
             except ValueError as exc:
                 assert str(exc).startswith("vacuum state")
                 with pytest.raises(ValueError, match="^vacuum state"):
@@ -412,7 +411,7 @@ def test_state_tomography_reports_the_exact_output_state(decl, frame):
             payload["reconstructed_imag"])
         # heralding divides the rounding of the chip output by the survival
         np.testing.assert_allclose(got, want, rtol=0, atol=TOL / survival)
-        psi = qc.ket2(pol) if frame == "relabeled" else qc.PAULI_X @ qc.ket2(pol)
+        psi = qc.PAULI_X @ qc.ket2(pol)
         assert payload["fidelity_exact"] == pytest.approx(
             (psi.conj() @ want @ psi).real, rel=0, abs=TOL / survival)
 
@@ -424,7 +423,7 @@ def test_exact_outputs_of_a_dark_chip_raise_the_vacuum_error():
         "  polarizer p1 (T, B) angle=90deg;\n}\n"))
     for trace_polarization in (False, True):
         with pytest.raises(ValueError, match="^vacuum state: trace is zero"):
-            ex._exact_outputs(dark.superoperator, SEPARABLE, "raw", trace_polarization)
+            ex._exact_outputs(dark.superoperator, SEPARABLE, trace_polarization)
 
 
 # ---------------------------------------------------------------------------
@@ -539,20 +538,20 @@ BASELINES = st.builds(
 
 
 @PROPERTY
-@given(BASELINES, SWEEPS, st.sampled_from(["raw", "relabeled"]))
-def test_error_budget_equals_per_point_oracle(base, sweep, frame):
-    cfg = ExperimentConfig(chips=(base,), logical_frame=frame)
+@given(BASELINES, SWEEPS)
+def test_error_budget_equals_per_point_oracle(base, sweep):
+    cfg = ExperimentConfig(chips=(base,))
     grid = ex.run_error_budget(cfg, sweep).payload["grid"]
     points = [(a, float(v)) for a, values in sorted(sweep.items()) for v in values]
     assert [(g["axis"], g["value"]) for g in grid] == points
-    ideal = tm.chi_from_unitary(np.eye(2, dtype=complex))
+    ideal = tm.chi_from_unitary(qc.PAULI_X)
     vecs, inputs_1q, _ = ex._process_inputs()
     for g, (axis, v) in zip(grid, points):
         chip = replace(base, **{ex._SWEEP_AXES[axis]: v}).build()
         assert g["truth_table_fidelity"] == pytest.approx(
             ex.truth_table_fidelity_exact(chip), rel=0, abs=TOL)
-        # T-input momentum qubit, relabeled frame: the per-state chain
-        red = [output_state_oracle(chip, vec, "relabeled", True)[0]
+        # T-input momentum qubit against a bit flip: the per-state chain
+        red = [output_state_oracle(chip, vec, True)[0]
                for vec in vecs[:4]]
         chi = tm.process_tomo_stack(inputs_1q, np.array(red)[None], 1)[0]
         assert g["process_fidelity_T"] == pytest.approx(tm.process_fidelity_stack(chi, ideal),
@@ -560,12 +559,12 @@ def test_error_budget_equals_per_point_oracle(base, sweep, frame):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(BASELINES, st.sampled_from(sorted(SWEEP_VALUES)), st.sampled_from(["raw", "relabeled"]))
-def test_sweep_row_at_the_baseline_equals_process_tomography(base, axis, frame):
+@given(BASELINES, st.sampled_from(sorted(SWEEP_VALUES)))
+def test_sweep_row_at_the_baseline_equals_process_tomography(base, axis):
     # one quantity, two runners: the T-input process fidelity of the chip
     # that `tomo-process` reports and that a sweep tabulates at the
     # baseline's own value of an axis
-    cfg = ExperimentConfig(chips=(base,), logical_frame=frame)
+    cfg = ExperimentConfig(chips=(base,))
     value = getattr(base, ex._SWEEP_AXES[axis])
     [row] = ex.run_error_budget(cfg, {axis: [value]}).payload["grid"]
     per_input = ex.run_process_tomography(cfg).payload["per_spatial_input"]
@@ -691,75 +690,3 @@ def test_chip_param_edit_equals_lowering_the_replaced_config(edit):
     edited = cfgmod.edit_chip_field(base.to_netlist(), name, value)
     assert edited == want
     assert nl.compile_chip(edited) is replaced.build()
-
-
-# ---------------------------------------------------------------------------
-# the raw and relabeled frames give equal fidelities
-# ---------------------------------------------------------------------------
-
-def _both_frames(f):
-    """[f("raw"), f("relabeled")], with the message of an error in place of
-    a value."""
-    out = []
-    for frame in ("raw", "relabeled"):
-        try:
-            out.append(f(frame))
-        except ValueError as exc:
-            out.append(str(exc))
-    return out
-
-
-@PROPERTY
-@given(CHIP_DECLS)
-def test_exact_fidelities_are_frame_invariant(decl):
-    # the relabeled frame applies X (x) X to every output and compares with
-    # the correspondingly relabeled ideal, so no fidelity may change
-    def fidelities(frame):
-        cfg = ExperimentConfig(n_trials=1, logical_frame=frame)
-        with mock.patch.object(ExperimentConfig, "chip_decl", lambda self, index=0: decl):
-            per_input = ex.run_process_tomography(cfg).payload["per_spatial_input"]
-            two_qubit = ex.run_process_tomography_2q(cfg).payload["process_fidelity"]
-            # the exact state fidelities alone: no counts are drawn
-            with mock.patch.object(ex, "_monte_carlo", lambda *args: [{}]):
-                states = [ex.run_state_tomography(cfg, spatial, pol).payload["fidelity_exact"]
-                          for spatial in ("T", "B", "+", "+i") for pol in ("H", "D", "R")]
-        return [v["process_fidelity"] for v in per_input.values()] + [two_qubit] + states
-
-    raw, relabeled = _both_frames(fidelities)
-    if isinstance(raw, str) or isinstance(relabeled, str):
-        assert raw == relabeled
-    else:
-        np.testing.assert_allclose(relabeled, raw, rtol=0, atol=TOL)
-
-
-@PROPERTY
-@given(CHIPS)
-def test_truth_table_fidelity_is_frame_invariant(chip):
-    # the truth-table fidelity takes no frame: reading output i as 3 - i
-    # (X (x) X on every output) and comparing with the relabeled ideal
-    # gives the same number
-    try:
-        tables = tm.column_normalize_stack(ex.exact_truth_table(chip))
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            ex.truth_table_fidelity_exact(chip)
-        return
-    relabeled = tm.truth_table_fidelity_stack(tables[::-1], tm.ideal_truth_table("relabeled"))
-    assert float(relabeled) == pytest.approx(ex.truth_table_fidelity_exact(chip), rel=0, abs=TOL)
-
-
-@PROPERTY
-@given(BASELINES, st.sampled_from(sorted(SWEEP_VALUES)).flatmap(
-    lambda axis: st.tuples(st.just(axis), SWEEP_VALUES[axis])))
-def test_error_budget_row_is_frame_invariant(base, point):
-    # a sweep varies a ChipConfig's inline parameters, so the baselines are
-    # configs rather than random netlists
-    axis, value = point
-    raw, relabeled = _both_frames(lambda frame: ex.run_error_budget(
-        ExperimentConfig(chips=(base,), logical_frame=frame), {axis: [value]}).payload["grid"])
-    if isinstance(raw, str) or isinstance(relabeled, str):
-        assert raw == relabeled
-    else:
-        (raw,), (relabeled,) = raw, relabeled
-        for key in ("truth_table_fidelity", "process_fidelity_T"):
-            assert relabeled[key] == pytest.approx(raw[key], rel=0, abs=TOL)

@@ -36,9 +36,9 @@ EXACT_HALVES = {
     "swapsim.experiments._fringe_exact": lambda decl: (decl, "T", True, PHASES),
     "swapsim.experiments._hom_overlap": lambda decl: (decl, "TV_BH", "auto"),
     "swapsim.experiments._bell_exact": lambda decl: (decl, decl, 0.0, 0.96, tuple(BellLabel)),
-    "swapsim.experiments._state_tomo_exact": lambda decl: (decl, "raw", "T", "D"),
-    "swapsim.experiments._process_tomo_exact": lambda decl: (decl, "raw"),
-    "swapsim.experiments._process_tomo_2q_exact": lambda decl: (decl, "relabeled"),
+    "swapsim.experiments._state_tomo_exact": lambda decl: (decl, "T", "D"),
+    "swapsim.experiments._process_tomo_exact": lambda decl: (decl,),
+    "swapsim.experiments._process_tomo_2q_exact": lambda decl: (decl,),
     "swapsim.experiments._sweep_exact": lambda decl: (decl, (("facet_xtalk", 0.1),), True),
 }
 DECL = ExperimentConfig.measured_chip().chip_decl(0)

@@ -33,21 +33,21 @@ class TestMeasurementSetting:
 
 class TestTruthTableFidelity:
     def test_perfect_match(self):
-        ideal = tm.ideal_truth_table("raw")
+        ideal = tm.ideal_truth_table()
         assert tt_fidelity(ideal, ideal) == pytest.approx(1.0)
 
     def test_uniform_table(self):
         uniform = np.full((4, 4), 0.25)
-        assert tt_fidelity(uniform, tm.ideal_truth_table("raw")) == pytest.approx(0.25)
+        assert tt_fidelity(uniform, tm.ideal_truth_table()) == pytest.approx(0.25)
 
     def test_requires_normalized_columns(self):
         bad = np.full((4, 4), 0.2)
         with pytest.raises(ValueError):
-            tt_fidelity(bad, tm.ideal_truth_table("raw"))
+            tt_fidelity(bad, tm.ideal_truth_table())
 
     def test_linear_in_measurement(self):
         rng = np.random.default_rng(0)
-        ideal = tm.ideal_truth_table("raw")
+        ideal = tm.ideal_truth_table()
         a = rng.uniform(0.01, 1.0, size=(4, 4))
         a /= a.sum(axis=0)
         b = rng.uniform(0.01, 1.0, size=(4, 4))
@@ -59,16 +59,10 @@ class TestTruthTableFidelity:
         assert fm == pytest.approx(lam * fa + (1 - lam) * fb, abs=1e-12)
 
     def test_unity_only_on_ideal_support(self):
-        ideal = tm.ideal_truth_table("raw")
+        ideal = tm.ideal_truth_table()
         m = np.array(ideal, copy=True)
         m[:, 0] = [0.01, 0.0, 0.0, 0.99]
         assert tt_fidelity(m, ideal) < 1.0
-
-    def test_frames(self):
-        raw = tm.ideal_truth_table("raw")
-        rel = tm.ideal_truth_table("relabeled")
-        assert raw[3, 0] == 1.0 and raw[1, 1] == 1.0 and raw[2, 2] == 1.0 and raw[0, 3] == 1.0
-        assert rel[0, 0] == 1.0 and rel[2, 1] == 1.0 and rel[1, 2] == 1.0 and rel[3, 3] == 1.0
 
 
 def random_cptp_kraus(rng, dim, n_kraus):
