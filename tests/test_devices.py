@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from swapsim import devices as dv
 from swapsim import qcore as qc
-from swapsim.config import ChipConfig
+from swapsim.config import ChipConfig, ConfigError, load_config
 
 from oracles import apply_channel, compose_channels, density
 
@@ -254,6 +255,36 @@ class TestSwapChip:
 
 
 class TestLogicalFrame:
+    def test_relabel_recovers_input(self):
+        # the relabeled view, X (x) X on the output, of the ideal chip's
+        # output is its input
+        out = through(ideal_chip(), basis_rho(0))
+        xx = np.kron(qc.PAULI_X, qc.PAULI_X)
+        rel = density(xx @ out @ xx)
+        np.testing.assert_allclose(np.diag(rel).real, [1, 0, 0, 0], atol=1e-12)
+
+    def test_raw_untouched(self):
+        # reports are in the raw frame, the chip's own (X (x) X) SWAP: the
+        # ideal chip sends |00> to |11>
+        out = through(ideal_chip(), basis_rho(0))
+        np.testing.assert_allclose(out, basis_rho(3), atol=1e-12)
+
+    def test_relabel_twice_is_identity(self):
+        # the relabeled view is its own inverse, so it loses nothing of a report
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = density((a @ a.conj().T) / np.trace(a @ a.conj().T).real)
+        xx = np.kron(qc.PAULI_X, qc.PAULI_X)
+        twice = density(xx @ density(xx @ rho @ xx) @ xx)
+        np.testing.assert_allclose(twice, rho, atol=1e-14)
+
+    @pytest.mark.parametrize("frame", ["RELABELED", "Raw"])
+    def test_a_frame_has_one_spelling(self, frame):
+        # an older document's frame is dropped only when it is exactly "raw"
+        doc = json.dumps({"schema_version": 1, "logical_frame": frame})
+        with pytest.raises(ConfigError, match=f"^reports are in the raw frame: .* got {frame!r} "):
+            load_config(doc)
+
     def test_relabeled_chip_equals_pure_swap_on_16_inputs(self):
         u = compose_channels(*ideal_chip().stages).kraus[0]
         swap = dv.swap_unitary()

@@ -17,7 +17,8 @@ tomography against single calls and the Choi matrix of S, and the batched
 error-budget grid against a per-point build and tomography.  `tomo-state`
 must report the per-state chain's output state and its overlap with the
 target, and a sweep row at the baseline must equal `tomo-process`'s
-T-input fidelity.
+T-input fidelity.  Relabeling the raw outputs by X (x) X and comparing
+with the relabeled ideal must give every exact fidelity a report gives.
 """
 
 import re
@@ -690,3 +691,109 @@ def test_chip_param_edit_equals_lowering_the_replaced_config(edit):
     edited = cfgmod.edit_chip_field(base.to_netlist(), name, value)
     assert edited == want
     assert nl.compile_chip(edited) is replaced.build()
+
+
+# ---------------------------------------------------------------------------
+# the relabeled view of a report gives the fidelities the report gives
+# ---------------------------------------------------------------------------
+
+XX = np.kron(qc.PAULI_X, qc.PAULI_X)
+
+
+def _value_or_error(f):
+    """f(), or the message of the ValueError it raises."""
+    try:
+        return f()
+    except ValueError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(CHIP_DECLS)
+def test_exact_fidelities_are_frame_invariant(decl):
+    # the relabeled view of the raw outputs, one line of numpy (X (x) X on
+    # every output, X on the momentum qubit alone), compared with the
+    # relabeled ideal (the pure SWAP, the identity), gives every fidelity
+    # the raw reports give
+    cfg = ExperimentConfig(n_trials=1)
+    chip = nl.compile_chip(decl)
+    vecs, inputs_1q, inputs_2q = ex._process_inputs()
+
+    def reported():
+        with mock.patch.object(ExperimentConfig, "chip_decl", lambda self, index=0: decl):
+            per_input = ex.run_process_tomography(cfg).payload["per_spatial_input"]
+            two_qubit = ex.run_process_tomography_2q(cfg).payload["process_fidelity"]
+            # the exact state fidelities alone: no counts are drawn
+            with mock.patch.object(ex, "_monte_carlo", lambda *args: [{}]):
+                states = [ex.run_state_tomography(cfg, spatial, pol).payload["fidelity_exact"]
+                          for spatial in ("T", "B", "+", "+i") for pol in ("H", "D", "R")]
+        return [v["process_fidelity"] for v in per_input.values()] + [two_qubit] + states
+
+    def relabeled():
+        red = qc.PAULI_X @ ex._exact_outputs(chip.superoperator, vecs, True) @ qc.PAULI_X
+        chis = tm.process_tomo_stack(inputs_1q, red.reshape(-1, 4, 2, 2), 1)
+        per_input = tm.process_fidelity_stack(chis, tm.chi_from_unitary(np.eye(2)))
+        outs = XX @ ex._exact_outputs(chip.superoperator, vecs) @ XX
+        chi = tm.process_tomo_stack(inputs_2q, outs[None], 2)[0]
+        two_qubit = tm.process_fidelity_stack(chi, tm.chi_from_unitary(dv.swap_unitary()))
+        states = []
+        for spatial in ("T", "B", "+", "+i"):
+            for pol in ("H", "D", "R"):
+                vec = np.kron(qc.ket2("i" if spatial == "+i" else spatial), qc.ket2(pol))
+                rho = qc.PAULI_X @ ex._exact_outputs(chip.superoperator, vec[None], True)[0] \
+                    @ qc.PAULI_X
+                psi = qc.ket2(pol)
+                states.append((psi.conj() @ rho @ psi).real)
+        return [*per_input, float(two_qubit), *states]
+
+    raw, rel = _value_or_error(reported), _value_or_error(relabeled)
+    if isinstance(raw, str) or isinstance(rel, str):
+        assert raw == rel
+    else:
+        np.testing.assert_allclose(rel, raw, rtol=0, atol=TOL)
+
+
+@PROPERTY
+@given(CHIPS)
+def test_truth_table_fidelity_is_frame_invariant(chip):
+    # reading output i as 3 - i (X (x) X on every output) and comparing
+    # with the relabeled ideal, the pure SWAP's table, gives the reported
+    # truth-table fidelity
+    try:
+        tables = tm.column_normalize_stack(ex.exact_truth_table(chip))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            ex.truth_table_fidelity_exact(chip)
+        return
+    relabeled = tm.truth_table_fidelity_stack(tables[::-1], tm.ideal_truth_table()[::-1])
+    assert float(relabeled) == pytest.approx(ex.truth_table_fidelity_exact(chip), rel=0, abs=TOL)
+
+
+@PROPERTY
+@given(BASELINES, st.sampled_from(sorted(SWEEP_VALUES)).flatmap(
+    lambda axis: st.tuples(st.just(axis), SWEEP_VALUES[axis])))
+def test_error_budget_row_is_frame_invariant(base, point):
+    # a sweep row's fidelities, read in the relabeled view of the point's
+    # chip against the relabeled ideals; a sweep varies a ChipConfig's
+    # inline parameters, so the baselines are configs rather than netlists
+    axis, value = point
+    vecs, inputs_1q, _ = ex._process_inputs()
+
+    def reported():
+        [row] = ex.run_error_budget(ExperimentConfig(chips=(base,)),
+                                    {axis: [value]}).payload["grid"]
+        return [row["truth_table_fidelity"], row["process_fidelity_T"]]
+
+    def relabeled():
+        chip = replace(base, **{ex._SWEEP_AXES[axis]: value}).build()
+        tables = tm.column_normalize_stack(ex.exact_truth_table(chip))
+        table = tm.truth_table_fidelity_stack(tables[::-1], tm.ideal_truth_table()[::-1])
+        red = qc.PAULI_X @ ex._exact_outputs(chip.superoperator, vecs[:4], True) @ qc.PAULI_X
+        chi = tm.process_tomo_stack(inputs_1q, red[None], 1)[0]
+        return [float(table), float(tm.process_fidelity_stack(chi, tm.chi_from_unitary(np.eye(2))))]
+
+    raw, rel = _value_or_error(reported), _value_or_error(relabeled)
+    if isinstance(raw, str) or isinstance(rel, str):
+        assert raw == rel
+    else:
+        np.testing.assert_allclose(rel, raw, rtol=0, atol=TOL)

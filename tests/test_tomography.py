@@ -64,6 +64,15 @@ class TestTruthTableFidelity:
         m[:, 0] = [0.01, 0.0, 0.0, 0.99]
         assert tt_fidelity(m, ideal) < 1.0
 
+    def test_frames(self):
+        # the raw table, and its relabeled view (output i read as 3 - i,
+        # X (x) X on every output): the pure SWAP's table
+        raw = tm.ideal_truth_table()
+        rel = raw[::-1]
+        assert raw[3, 0] == 1.0 and raw[1, 1] == 1.0 and raw[2, 2] == 1.0 and raw[0, 3] == 1.0
+        assert rel[0, 0] == 1.0 and rel[2, 1] == 1.0 and rel[1, 2] == 1.0 and rel[3, 3] == 1.0
+        assert raw.sum() == 4.0
+
 
 def random_cptp_kraus(rng, dim, n_kraus):
     """Random channel via a Haar isometry (Stinespring dilation)."""
